@@ -67,27 +67,6 @@ def interpolated_ap(tp_flags: list[bool], num_gt: int) -> float:
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
-def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
-                      iou_thresh: float = IOU_THRESH) -> float:
-    """AP of scored boxes against the ground truths of a single image set."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][0], i))
-    hit = [False] * len(gts)
-    flags = []
-    for i in order:
-        _, box = dets[i]
-        best, best_j = 0.0, -1
-        for j, g in enumerate(gts):
-            v = iou(box, g)
-            if v > best:
-                best, best_j = v, j
-        if best >= iou_thresh and not hit[best_j]:
-            hit[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return interpolated_ap(flags, len(gts))
-
-
 @dataclass
 class _GtEntry:
     box: Box

@@ -1,20 +1,19 @@
 """Bounding-box algebra: IoU/GIoU, logit-space box refinement, RoI sampling.
 
-Boxes live in normalized (cx, cy, w, h) form. Plain-float paths serve
-matching and evaluation; tensor paths serve the training loss, where
-gradients must reach the box-offset predictions.
+Boxes live in normalized (cx, cy, w, h) form, as [n, 4] float64 arrays for a
+frame's predictions and as Box values for annotations and detections. Tensor
+paths serve the training loss, where gradients must reach the box-offset
+predictions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError
 
 WH_MIN = 1e-4
 LOGIT_EPS = 1e-4
@@ -37,10 +36,6 @@ class Box:
     def from_corners(x1: float, y1: float, x2: float, y2: float) -> "Box":
         return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
 
-    def clamped(self) -> "Box":
-        return Box(min(max(self.cx, 0.0), 1.0), min(max(self.cy, 0.0), 1.0),
-                   min(max(self.w, WH_MIN), 1.0), min(max(self.h, WH_MIN), 1.0))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
@@ -48,22 +43,12 @@ class Box:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
-class BoxDelta:
-    """Additive offsets in inverse-sigmoid (logit) space."""
-
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.dx, self.dy, self.dw, self.dh))):
-            raise InputError("box delta must be finite")
+FULL_FRAME = np.array([0.5, 0.5, 1.0, 1.0])
 
 
-def full_frame_box() -> Box:
-    return Box(0.5, 0.5, 1.0, 1.0)
+def clamp_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Rowwise over [n, 4] boxes: centers into [0, 1], sizes into [WH_MIN, 1]."""
+    return np.clip(boxes, (0.0, 0.0, WH_MIN, WH_MIN), 1.0)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -74,59 +59,6 @@ def iou(a: Box, b: Box) -> float:
     inter = max(iw, 0.0) * max(ih, 0.0)
     union = a.area() + b.area() - inter
     return inter / union if union > 0 else 0.0
-
-
-def giou(a: Box, b: Box) -> float:
-    """IoU minus the enclosure penalty; in [-1, 1], 1 iff boxes coincide."""
-    if a.w <= 0 or a.h <= 0 or b.w <= 0 or b.h <= 0:
-        raise InputError(f"giou: degenerate box (a={a}, b={b})")
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
-    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    ew = max(ax2, bx2) - min(ax1, bx1)
-    eh = max(ay2, by2) - min(ay1, by1)
-    enclosure = ew * eh
-    return inter / union - (enclosure - union) / enclosure
-
-
-def inverse_sigmoid(x: float, eps: float = LOGIT_EPS) -> float:
-    x = min(max(x, eps), 1.0 - eps)
-    return math.log(x / (1.0 - x))
-
-
-def apply_delta(b: Box, d: BoxDelta) -> Box:
-    def upd(coord: float, delta: float) -> float:
-        return 1.0 / (1.0 + math.exp(-(inverse_sigmoid(coord) + delta)))
-
-    return Box(upd(b.cx, d.dx), upd(b.cy, d.dy),
-               upd(b.w, d.dw), upd(b.h, d.dh)).clamped()
-
-
-def roi_grid_points(b: Box, s: int, h: int, w: int) -> np.ndarray:
-    """Fractional-index sample points: centers of an s*s grid inside b.
-
-    The box is clamped to the frame; points land in pixel-center
-    coordinates (pixel j covers [j, j+1), center at j + 0.5).
-    """
-    bc = Box(min(max(b.cx, 0.0), 1.0), min(max(b.cy, 0.0), 1.0),
-             min(b.w, 1.0), min(b.h, 1.0))
-    x1, y1, x2, y2 = bc.corners()
-    x1, x2 = max(x1, 0.0), min(x2, 1.0)
-    y1, y2 = max(y1, 0.0), min(y2, 1.0)
-    cols = (np.arange(s) + 0.5) / s
-    xs = (x1 + cols * (x2 - x1)) * w - 0.5
-    ys = (y1 + cols * (y2 - y1)) * h - 0.5
-    gx, gy = np.meshgrid(xs, ys)             # row-major: y outer, x inner
-    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-
-
-def roi_sample(f: Tensor, b: Box, s: int) -> Tensor:
-    """Bilinear sample an s*s grid of cell centers inside b -> [s*s, d]."""
-    h, w, _ = f.shape
-    return ad.bilinear_sample(f, roi_grid_points(b, s, h, w))
 
 
 def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
@@ -148,11 +80,10 @@ def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarr
     return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
 
 
-def roi_sample_frame(f: Tensor, boxes: list[Box], s: int) -> Tensor:
-    """All boxes of one frame in a single sampling call -> [n, s*s, d]."""
+def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int) -> Tensor:
+    """All [n, 4] boxes of one frame in a single sampling call -> [n, s*s, d]."""
     h, w, d = f.shape
-    arr = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
-    pts = roi_grid_points_batch(arr, s, h, w)
+    pts = roi_grid_points_batch(boxes, s, h, w)
     out = ad.bilinear_sample(f, pts)
     return ad.reshape(out, (len(boxes), s * s, d))
 

