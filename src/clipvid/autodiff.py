@@ -10,7 +10,6 @@ for gradient verification.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -19,39 +18,34 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 
-_state = threading.local()
+_dtype = np.dtype(np.float64)
+_tapes: list["ComputationTape"] = []       # innermost active tape last
 
 # Test hook: name of a primitive whose adjoint gets deliberately corrupted.
 debug_corrupt_op: str | None = None
 
 
-def _tls():
-    if not hasattr(_state, "dtype"):
-        _state.dtype = np.float64
-        _state.tapes = []
-    return _state
-
-
 def set_precision(bits: int) -> None:
     """Select 32- or 64-bit floats for all freshly created tensors."""
+    global _dtype
     if bits not in (32, 64):
         raise ConfigError(f"precision must be 32 or 64, got {bits}")
-    _tls().dtype = np.float32 if bits == 32 else np.float64
+    _dtype = np.dtype(np.float32 if bits == 32 else np.float64)
 
 
 def get_dtype() -> np.dtype:
-    return np.dtype(_tls().dtype)
+    return _dtype
 
 
 @contextmanager
 def precision(bits: int):
-    st = _tls()
-    old = st.dtype
+    global _dtype
+    old = _dtype
     set_precision(bits)
     try:
         yield
     finally:
-        st.dtype = old
+        _dtype = old
 
 
 class Tensor:
@@ -131,22 +125,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# One tape record per primitive: (op name, inputs, output, adjoint fn).
-TapeRecord = tuple
-
-
 class ComputationTape:
-    """Ordered record of primitive ops, replayed in reverse for adjoints."""
+    """Ordered record of primitive ops, replayed in reverse for adjoints.
+
+    One record per primitive: (op name, inputs, output, adjoint fn)."""
 
     def __init__(self):
         self.records: list[tuple] = []
 
     def __enter__(self) -> "ComputationTape":
-        _tls().tapes.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tls().tapes.pop()
+        _tapes.pop()
         return False
 
     def __len__(self) -> int:
@@ -173,8 +165,7 @@ class ComputationTape:
 
 
 def _active_tape() -> ComputationTape | None:
-    tapes = _tls().tapes
-    return tapes[-1] if tapes else None
+    return _tapes[-1] if _tapes else None
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,

@@ -70,7 +70,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name_at = off
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: offset {name_at}: tensor name is not valid UTF-8") from None
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         n = int(np.prod(shape)) if shape else 1

@@ -1,7 +1,13 @@
 """Command-line entry point: dataset generation, two-stage training,
 evaluation, ablation grids, and gradient checking.
 
-Exit codes: 0 ok, 1 usage/config error, 2 I/O error, 3 check failure.
+Exit codes:
+  0  ok
+  1  usage or config error: bad arguments, or a ConfigError such as a
+     malformed --config value or a checkpoint that does not fit the config
+  2  I/O error: an unreadable file, or a ParseError from a malformed
+     dataset or checkpoint (the message gives the byte offset or line)
+  3  check failure (gradcheck)
 CLIPVID_PRECISION=32|64 overrides float precision (gradcheck always 64).
 """
 
@@ -40,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="clipvid", description=__doc__)
+    p = _Parser(prog="clipvid", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic clip dataset")
@@ -67,7 +74,6 @@ def build_parser() -> _Parser:
     t.add_argument("--lr", type=float)
     t.add_argument("--lr-drop", type=int)
     t.add_argument("--batch", type=int, default=2)
-    t.add_argument("--workers", type=int, default=1)
     t.add_argument("--log", help="loss log path (default: <ckpt-out>.log)")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -193,8 +199,7 @@ def cmd_train(args) -> int:
         iters=args.iters if args.iters is not None else d_iters,
         lr=args.lr if args.lr is not None else d_lr,
         lr_drop_at=args.lr_drop if args.lr_drop is not None else d_drop,
-        batch=args.batch, seed=int(seeds[1].generate_state(1)[0]),
-        workers=args.workers)
+        batch=args.batch, seed=int(seeds[1].generate_state(1)[0]))
 
     log_path = args.log or (args.ckpt_out + ".log")
     use_ica = args.variant != "no_ica"
@@ -209,8 +214,7 @@ def cmd_train(args) -> int:
             "command": "train", "stage": args.stage, "variant": args.variant,
             "seed": args.seed, "iters": settings.iters, "lr": settings.lr,
             "lr_drop_at": settings.lr_drop_at, "batch": settings.batch,
-            "workers": settings.workers, "data": args.data,
-            "ckpt_in": args.ckpt_in or ""})
+            "data": args.data, "ckpt_in": args.ckpt_in or ""})
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO

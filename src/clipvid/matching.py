@@ -40,12 +40,6 @@ class Assignment:
     pred_of_gt: tuple[int, ...]
     unmatched_preds: tuple[int, ...]
 
-    def gt_of_pred(self, num_preds: int) -> list[int | None]:
-        out: list[int | None] = [None] * num_preds
-        for j, i in enumerate(self.pred_of_gt):
-            out[i] = j
-        return out
-
 
 def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
                       gamma: float) -> Tensor:

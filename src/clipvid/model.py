@@ -42,7 +42,6 @@ class ModelConfig:
     backbone_channels: tuple[int, ...] = (8, 16, 32)
     encoder_layers: int = 0
     fixed_queries: bool = False
-    ica_all_candidates: bool = False
     score_thresh: float = 0.05
 
     @staticmethod
@@ -98,14 +97,17 @@ def load_config(path) -> ModelConfig:
         if f.name not in raw:
             continue
         v = raw[f.name]
-        if f.name == "backbone_channels":
-            kwargs[f.name] = tuple(int(x) for x in v.split(",") if x)
-        elif f.type == "bool":
-            kwargs[f.name] = v in ("True", "true", "1")
-        elif f.type == "float":
-            kwargs[f.name] = float(v)
-        else:
-            kwargs[f.name] = int(v)
+        try:
+            if f.name == "backbone_channels":
+                kwargs[f.name] = tuple(int(x) for x in v.split(",") if x)
+            elif f.type == "bool":
+                kwargs[f.name] = v in ("True", "true", "1")
+            elif f.type == "float":
+                kwargs[f.name] = float(v)
+            else:
+                kwargs[f.name] = int(v)
+        except ValueError:
+            raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
     return ModelConfig(**kwargs).validate()
 
 

@@ -11,7 +11,6 @@ aggregation layer.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +126,6 @@ class TrainSettings:
     lr_drop_at: int = 1500
     batch: int = 2
     seed: int = 0
-    workers: int = 1
 
 
 def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
@@ -169,8 +167,7 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     rng = np.random.default_rng(settings.seed)
     lines = []
 
-    def run_clip(args):
-        frames, gts = args
+    def run_clip(frames, gts):
         with ad.ComputationTape() as tape:
             out = M.clip_forward(frames, cfg, params, mode="train",
                                  ica_active=ica_active)
@@ -178,39 +175,31 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         tape.backward(loss)
         return parts
 
-    pool = ThreadPoolExecutor(settings.workers) if settings.workers > 1 else None
-    try:
-        for it in range(settings.iters):
-            picks = rng.integers(len(dataset), size=settings.batch)
-            batch_args = [sample_frames(dataset[int(c)], cfg.t_train, rng)
-                          for c in picks]
-            for p in trainable.values():
-                p.zero_grad()
-            if pool is not None:
-                all_parts = list(pool.map(run_clip, batch_args))
-            else:
-                all_parts = [run_clip(a) for a in batch_args]
-            inv = 1.0 / settings.batch
-            for p in trainable.values():
-                if p.grad is not None:
-                    p.grad *= inv
-            _clip_gradients(trainable)
-            lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
-            opt.step(trainable, lr)
-            agg = LossParts(
-                total=sum(p.total for p in all_parts) * inv,
-                cls=sum(p.cls for p in all_parts) * inv,
-                giou=sum(p.giou for p in all_parts) * inv,
-                l1=sum(p.l1 for p in all_parts) * inv,
-                con=sum(p.con for p in all_parts) * inv)
-            line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"
-                    f"{agg.l1:.9g},{agg.con:.9g}")
-            lines.append(line)
-            if log is not None:
-                print(line, file=log, flush=True)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for it in range(settings.iters):
+        picks = rng.integers(len(dataset), size=settings.batch)
+        batch_args = [sample_frames(dataset[int(c)], cfg.t_train, rng)
+                      for c in picks]
+        for p in trainable.values():
+            p.zero_grad()
+        all_parts = [run_clip(*a) for a in batch_args]
+        inv = 1.0 / settings.batch
+        for p in trainable.values():
+            if p.grad is not None:
+                p.grad *= inv
+        _clip_gradients(trainable)
+        lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
+        opt.step(trainable, lr)
+        agg = LossParts(
+            total=sum(p.total for p in all_parts) * inv,
+            cls=sum(p.cls for p in all_parts) * inv,
+            giou=sum(p.giou for p in all_parts) * inv,
+            l1=sum(p.l1 for p in all_parts) * inv,
+            con=sum(p.con for p in all_parts) * inv)
+        line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"
+                f"{agg.l1:.9g},{agg.con:.9g}")
+        lines.append(line)
+        if log is not None:
+            print(line, file=log, flush=True)
     return lines
 
 

@@ -175,6 +175,29 @@ def test_eval_config_mismatch_names_field(dataset, micro_cfg_path, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MICRO_CFG.replace("dim=8", "dim=abc"))
+    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+               "--ckpt-out", str(tmp_path / "x.ckpt"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'dim'" in err and "'abc'" in err
+
+
+def test_eval_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
+    from clipvid.checkpoint import save_checkpoint
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint({"ab": np.zeros(2)}, str(ckpt))
+    blob = bytearray(ckpt.read_bytes())
+    name_at = 4 + 9 + 2                  # magic, header, name length
+    blob[name_at] = 0xFF
+    ckpt.write_bytes(bytes(blob))
+    code = run("eval", "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_IO
+    assert f"offset {name_at}" in capsys.readouterr().err
+
+
 def test_eval_missing_data_is_io_error(tmp_path):
     code = run("eval", "--data", str(tmp_path / "nope"), "--variant",
                "oracle_detections", "--out", str(tmp_path / "x"))

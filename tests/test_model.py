@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
 from clipvid import geometry as geo
+from clipvid import matching as mt
 from clipvid import model as M
+from clipvid import synthvid as sv
+from clipvid import training as tr
 from clipvid.errors import ConfigError
 from clipvid.geometry import Box
 from oracles import adapt_region_feature, detection_head, guided_cross_attention
@@ -44,6 +47,33 @@ def test_config_round_trip(tmp_path):
     M.save_config(cfg, path)
     loaded = M.load_config(path)
     assert loaded == cfg
+
+
+# The sidecar save_config wrote for ModelConfig() while the config still had
+# the since-removed ica_all_candidates field.
+OLD_SIDECAR = """num_classes=5
+t_train=4
+t_infer=8
+num_queries=8
+dim=32
+heads=4
+decoder_layers=3
+roi_size=4
+ica_layers=1
+ica_topk=4
+backbone_stride=8
+backbone_channels=8,16,32
+encoder_layers=0
+fixed_queries=False
+ica_all_candidates=False
+score_thresh=0.05
+"""
+
+
+def test_config_sidecar_with_removed_field_loads(tmp_path):
+    path = tmp_path / "old.config.txt"
+    path.write_text(OLD_SIDECAR)
+    assert M.load_config(path) == M.ModelConfig()
 
 
 def test_backbone_shape_contract(rng):
@@ -240,6 +270,20 @@ def test_clip_forward_shape_contract(rng):
         assert len(layer.logits) == len(layer.boxes_t) == len(layer.boxes) == 3
         assert all(x.shape == (L, cfg.num_classes) for x in layer.logits)
         assert all(b.shape == (L, 4) for b in layer.boxes)
+
+
+def test_desk_clip_tape_record_count():
+    """Hardware-independent gate on the op count of one seeded desk-config
+    stage-2 training clip (T=4, aggregation and contrastive loss on)."""
+    cfg = M.ModelConfig()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    clip = sv.generate_clip(sv.GenConfig(), seed=0)
+    frames, gts = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
+    with ad.ComputationTape() as tape:
+        out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
+        _, parts, _ = tr.clip_loss(out, gts, mt.MatchCostConfig(), train_identity=True)
+    assert parts.con > 0.0
+    assert len(tape) == 2945
 
 
 def test_clip_forward_determinism(rng):
