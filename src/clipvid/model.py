@@ -507,13 +507,18 @@ class Detection:
 
 
 def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[Detection]]:
-    """Per-frame scored boxes from every (query, class) slot above threshold."""
+    """Per-frame scored boxes from every (query, class) slot above threshold.
+
+    Reference boxes may reach past the frame edge; each detection keeps only
+    the part inside the frame (corners clipped to [0, 1])."""
     out = []
-    for i, logits in enumerate(last_layer.logits):
+    for logits, b in zip(last_layer.logits, last_layer.boxes):
         scores = 1.0 / (1.0 + np.exp(-np.asarray(logits.data, dtype=np.float64)))
+        corners = np.clip(np.concatenate([b[:, :2] - b[:, 2:] / 2.0,
+                                          b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)
         dets = []
-        for j, row in enumerate(last_layer.boxes[i].tolist()):
-            box = Box(*row)
+        for j, row in enumerate(corners.tolist()):
+            box = Box.from_corners(*row)
             for c in range(scores.shape[1]):
                 if scores[j, c] > cfg.score_thresh:
                     dets.append(Detection(c, float(scores[j, c]), box))

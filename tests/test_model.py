@@ -373,3 +373,18 @@ def test_extract_detections_threshold(rng):
     logits = out.layers[-1].logits[0].data
     n_above = int((1 / (1 + np.exp(-logits)) > 0.5).sum())
     assert len(dets[0]) == n_above
+
+
+def test_detections_lie_inside_frame(rng):
+    cfg = desk_cfg(score_thresh=0.0)
+    params = M.init_model(cfg, rng)
+    out = M.clip_forward(rng.random((2, 64, 64, 3)), cfg, params)
+    b = np.concatenate(out.layers[-1].boxes)
+    ref_corners = np.concatenate([b[:, :2] - b[:, 2:] / 2, b[:, :2] + b[:, 2:] / 2], axis=1)
+    assert (ref_corners < 0.0).any() or (ref_corners > 1.0).any()   # clipping is exercised
+    dets = M.extract_detections(out.layers[-1], cfg)
+    assert sum(len(f) for f in dets) == 2 * cfg.num_queries * cfg.num_classes
+    for frame in dets:
+        for det in frame:
+            assert all(0.0 <= v <= 1.0 for v in det.box.corners())
+            assert det.box.w > 0.0 and det.box.h > 0.0
