@@ -249,11 +249,7 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         cfg.ica_topk = args.topk
-    try:
-        params = _load_params(cfg, args.ckpt)
-    except (ConfigError, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(e, ConfigError) else EXIT_IO
+    params = _load_params(cfg, args.ckpt)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
     use_ica = args.variant != "no_ica"
@@ -332,11 +328,7 @@ def cmd_ablate(args) -> int:
     for cell in cells:
         sidecar = args.ckpt + ".config.txt"
         cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
-        try:
-            params = _load_params(cfg, args.ckpt)
-        except (ConfigError, ParseError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        params = _load_params(cfg, args.ckpt)
         # Runtime knobs applied after loading; layer overrides only restrict.
         if "topk" in cell:
             cfg.ica_topk = min(cell["topk"], cfg.num_queries)

@@ -185,7 +185,7 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
     assert "'dim'" in err and "'abc'" in err
 
 
-def test_eval_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
+def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     from clipvid.checkpoint import save_checkpoint
     ckpt = tmp_path / "bad.ckpt"
     save_checkpoint({"ab": np.zeros(2)}, str(ckpt))
@@ -193,9 +193,10 @@ def test_eval_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     name_at = 4 + 9 + 2                  # magic, header, name length
     blob[name_at] = 0xFF
     ckpt.write_bytes(bytes(blob))
-    code = run("eval", "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
-    assert code == cli.EXIT_IO
-    assert f"offset {name_at}" in capsys.readouterr().err
+    for argv in (("eval",), ("ablate", "--grid", "topk=1")):
+        code = run(*argv, "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
+        assert code == cli.EXIT_IO
+        assert f"offset {name_at}" in capsys.readouterr().err
 
 
 def test_eval_missing_data_is_io_error(tmp_path):

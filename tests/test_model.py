@@ -49,30 +49,12 @@ def test_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
-# The sidecar save_config wrote for ModelConfig() while the config still had
-# the since-removed ica_all_candidates field.
-OLD_SIDECAR = """num_classes=5
-t_train=4
-t_infer=8
-num_queries=8
-dim=32
-heads=4
-decoder_layers=3
-roi_size=4
-ica_layers=1
-ica_topk=4
-backbone_stride=8
-backbone_channels=8,16,32
-encoder_layers=0
-fixed_queries=False
-ica_all_candidates=False
-score_thresh=0.05
-"""
-
-
 def test_config_sidecar_with_removed_field_loads(tmp_path):
+    """A sidecar written while ModelConfig still had ica_all_candidates."""
     path = tmp_path / "old.config.txt"
-    path.write_text(OLD_SIDECAR)
+    M.save_config(M.ModelConfig(), path)
+    text = path.read_text().replace("score_thresh=", "ica_all_candidates=False\nscore_thresh=")
+    path.write_text(text)
     assert M.load_config(path) == M.ModelConfig()
 
 
