@@ -1,14 +1,15 @@
 """Bipartite set matching between predictions and ground truth, and the
 matched detection loss: focal classification + GIoU + L1 box terms.
 
-Ground truth is padded with empty slots to the number of prediction slots;
-the discrete assignment is solved exactly and never differentiated through.
+Each frame's G ground truths are assigned to G of its L prediction slots by
+an exact rectangular solver; the discrete assignment is never differentiated
+through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +17,6 @@ from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import Tensor
 from .errors import CapacityError, NumericError
-
-PAD_COST = 1e6
 
 
 @dataclass
@@ -31,11 +30,8 @@ class MatchCostConfig:
 
 @dataclass
 class Assignment:
-    """Injective map from ground-truth index to prediction index.
-
-    Padding slots (beyond the real ground truths) are flagged empty and
-    carry the predictions left over by the matching.
-    """
+    """Injective map from ground-truth index to prediction index, and the
+    predictions left over by the matching in ascending order."""
 
     pred_of_gt: tuple[int, ...]
     unmatched_preds: tuple[int, ...]
@@ -56,21 +52,21 @@ def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
 
 
 def _km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """O(n^3) shortest-augmenting-path assignment on a square matrix.
+    """Shortest-augmenting-path assignment of an n x m matrix, n <= m
+    (Crouse, IEEE TAES 2016): every row gets its own column in O(n^2 m).
 
     Returns (col_of_row, row_potentials, col_potentials).
     """
-    n = cost.shape[0]
-    INF = float("inf")
+    n, m = cost.shape
     u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)       # p[j]: row matched to col j (1-based)
-    way = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)       # p[j]: row matched to col j (1-based)
+    way = np.zeros(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -93,104 +89,65 @@ def _km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
             p[j0] = p[j1]
             j0 = j1
     col_of_row = [0] * n
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
+    for j in range(1, m + 1):
+        if p[j]:
+            col_of_row[p[j] - 1] = j - 1
     return col_of_row, u[1:], v[1:]
 
 
-def _kuhn_match(adj: np.ndarray, fixed_rows: np.ndarray,
-                fixed_cols: np.ndarray) -> list[int] | None:
-    """Perfect matching on the free rows/cols of a boolean adjacency, or None."""
-    n = adj.shape[0]
-    match_col = [-1] * n                      # col -> row
-    for j, i in enumerate(fixed_cols):
-        if i >= 0:
-            match_col[j] = i
-
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if adj[r, c] and not seen[c] and fixed_cols[c] < 0:
-                seen[c] = True
-                if match_col[c] < 0 or (not fixed_rows[match_col[c]]
-                                        and try_row(match_col[c], seen)):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if fixed_rows[r]:
-            continue
-        if r in match_col:
-            continue
-        if not try_row(r, [False] * n):
-            return None
-    out = [-1] * n
-    for c, r in enumerate(match_col):
-        if r >= 0:
-            out[r] = c
-    return out
+def _solve(c: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """`_km_solve` on any n x m matrix, transposed when rows outnumber
+    columns so that the shorter side augments; -1 marks an unmatched row."""
+    if c.shape[0] <= c.shape[1]:
+        return _km_solve(c)
+    row_of_col, col_pot, row_pot = _km_solve(c.T)
+    col_of_row = [-1] * c.shape[0]
+    for j, i in enumerate(row_of_col):
+        col_of_row[i] = j
+    return col_of_row, row_pot, col_pot
 
 
 def hungarian(cost) -> list[int]:
-    """Minimum-cost perfect matching; returns the column chosen per row.
+    """Minimum-cost assignment of an n x m cost matrix: min(n, m) pairs,
+    each row and column used at most once. Returns the column chosen per
+    row, -1 for a row left unmatched (only when n > m).
 
-    Among equal-cost optima the lexicographically smallest row-to-column
-    sequence is returned (rows scanned in order, each taking the smallest
-    column consistent with optimality).
+    Among optima of equal (fsum) cost the lexicographically smallest
+    row-to-column sequence is returned, an unmatched row sorting after
+    every column: rows are scanned in order, each taking the smallest
+    column that the remaining rows can still complete to an optimum.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise NumericError(f"hungarian: expected a matrix, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise NumericError("hungarian: non-finite cost entry")
-    n, m = c.shape
-    if n != m:
-        size = max(n, m)
-        padded = np.full((size, size), PAD_COST)
-        padded[:n, :m] = c
-        c = padded
-    else:
-        size = n
-    col_of_row, u, v = _km_solve(c)
+    result, u, v = _solve(c)
 
-    # Optimal solutions are exactly the perfect matchings of the tight graph
-    # (zero reduced cost under the optimal potentials); pick the smallest one.
-    # The tolerance pre-filters candidates; acceptance is verified by exact
-    # order-independent (fsum) cost equality against the optimum.
-    reduced = c - u[:, None] - v[None, :]
-    tight = reduced <= 1e-9 * np.maximum(1.0, np.abs(c))
-    for r in range(size):
-        tight[r, col_of_row[r]] = True        # guard against potential round-off
-
-    base = assignment_cost(c, col_of_row)
-    result = list(col_of_row)
-    fixed_rows = np.zeros(size, dtype=bool)
-    fixed_cols = np.full(size, -1, dtype=np.int64)
-    for r in range(size):
-        current = result[r]
-        for cand in range(size):
-            if cand == current:
+    # Every edge of an optimal assignment is tight (zero reduced cost under
+    # the optimal potentials), so the tolerance pre-filters candidates; one
+    # is accepted when the best completion of the later rows over the free
+    # columns reaches the optimum in exact order-independent (fsum) cost.
+    tight = c - u[:, None] - v[None, :] <= 1e-9 * np.maximum(1.0, np.abs(c))
+    base = assignment_cost(c, result)
+    free = np.ones(c.shape[1], dtype=bool)
+    for r in range(c.shape[0]):
+        limit = result[r] if result[r] >= 0 else c.shape[1]
+        for cand in np.flatnonzero(tight[r, :limit] & free[:limit]):
+            cols = np.setdiff1d(np.flatnonzero(free), cand)
+            rest, _, _ = _solve(c[r + 1:, cols])
+            trial = result[:r] + [int(cand)] + [int(cols[j]) if j >= 0 else -1 for j in rest]
+            if assignment_cost(c, trial) == base:
+                result = trial
                 break
-            if fixed_cols[cand] >= 0 or not tight[r, cand]:
-                continue
-            fixed_rows[r] = True
-            fixed_cols[cand] = r
-            rest = _kuhn_match(tight, fixed_rows, fixed_cols)
-            fixed_rows[r] = False
-            fixed_cols[cand] = -1
-            if rest is not None:
-                rest[r] = cand
-                if assignment_cost(c, rest) == base:
-                    result = rest
-                    break
-        fixed_rows[r] = True
-        fixed_cols[result[r]] = r
-    return result[:n]
+        if result[r] >= 0:
+            free[result[r]] = False
+    return result
 
 
 def assignment_cost(cost, col_of_row) -> float:
     c = np.asarray(cost, dtype=np.float64)
-    return math.fsum(c[i, j] for i, j in enumerate(col_of_row))
+    return math.fsum(c[i, j] for i, j in enumerate(col_of_row) if j >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +204,7 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
 
 def match_frame(logits: np.ndarray, boxes: np.ndarray,
                 frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig) -> Assignment:
-    """Assign each real ground truth its lowest-cost prediction slot."""
+    """Assign each ground truth its lowest-cost prediction slot."""
     L = len(logits)
     G = len(frame_gts)
     if G > L:
@@ -257,11 +214,9 @@ def match_frame(logits: np.ndarray, boxes: np.ndarray,
     cols = hungarian(cost_matrix(logits, boxes, frame_gts, cfg))
     pred_of_gt = [0] * G
     for i, j in enumerate(cols):
-        if j < G:
+        if j >= 0:
             pred_of_gt[j] = i
-    matched = set(pred_of_gt)
-    return Assignment(tuple(pred_of_gt),
-                      tuple(i for i in range(L) if i not in matched))
+    return Assignment(tuple(pred_of_gt), tuple(i for i, j in enumerate(cols) if j < 0))
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,

@@ -80,13 +80,29 @@ def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
 
 
 def brute_force_min(cost):
-    n = cost.shape[0]
+    """(optimal fsum cost, column per row) over every injective map of the
+    shorter side into the longer; equal costs break to the lexicographically
+    smallest column sequence, an unmatched row (-1) sorting last."""
+    n, m = cost.shape
     best = None
-    for perm in itertools.permutations(range(n)):
-        total = math.fsum(cost[i, perm[i]] for i in range(n))
-        if best is None or total < best[0]:
-            best = (total, perm)
-    return best
+    for cols in itertools.permutations(list(range(m)) + [-1] * (n - m), n):
+        key = (math.fsum(cost[i, j] for i, j in enumerate(cols) if j >= 0),
+               [j if j >= 0 else m for j in cols])
+        if best is None or key < best[0]:
+            best = (key, list(cols))
+    return best[0][0], best[1]
+
+
+def tie_heavy_matrices(rng):
+    """Random, integer-valued and duplicate-row L x G matrices, L <= 7,
+    G in {0, 1, 2, L}, each also transposed."""
+    for L in range(1, 8):
+        for G in sorted({0, 1, 2, L} & set(range(L + 1))):
+            dup = rng.random((max(L // 2, 1), G))
+            for c in (rng.random((L, G)), rng.integers(0, 3, size=(L, G)).astype(float),
+                      dup[rng.integers(0, len(dup), size=L)]):
+                yield c
+                yield c.T
 
 
 def test_hungarian_forced_diagonal():
@@ -121,6 +137,47 @@ def test_hungarian_beats_random_permutations(rng):
         for _ in range(1000):
             perm = rng.permutation(n)
             assert opt <= math.fsum(cost[i, perm[i]] for i in range(n)) + 1e-12
+
+
+def test_hungarian_rectangular_matches_brute_force(rng):
+    for cost in tie_heavy_matrices(rng):
+        assert mt.hungarian(cost) == brute_force_min(cost)[1], cost
+
+
+def test_hungarian_near_tie_keeps_exact_minimum():
+    """An 8x3 cost matrix from desk training: [1, -1, 0, -1, -1, 2, -1, -1]
+    costs 5.3e-10 more than the optimum and is lexicographically smaller."""
+    cost = np.array([
+        [9.94426416094825, 11.755066108895198, 10.900141333916517],
+        [9.942687492857956, 11.762254098999223, 10.89856466613079],
+        [9.939361163145804, 11.758671024020332, 10.895238336037934],
+        [9.941407378371514, 11.765663511916795, 10.897284551796636],
+        [9.941997809400561, 11.755524165556265, 10.897874982292688],
+        [9.938956514637962, 11.769370400892612, 10.894833688063086],
+        [9.940030118858814, 11.766868009691803, 10.895907292283937],
+        [9.943708568648685, 11.760971619815932, 10.899585741769235]])
+    assert mt.hungarian(cost) == brute_force_min(cost)[1] == [1, -1, 2, -1, -1, 0, -1, -1]
+
+
+def test_hungarian_unmatched_rows_are_minus_one():
+    cost = np.array([[5.0, 5.0], [0.0, 9.0], [5.0, 5.0], [9.0, 0.0]])
+    assert mt.hungarian(cost) == [-1, 0, -1, 1]
+    assert mt.hungarian(cost.T) == [1, 3]
+    assert mt.hungarian(np.ones((3, 1))) == [0, -1, -1]
+    assert mt.hungarian(np.zeros((2, 0))) == [-1, -1]
+
+
+@pytest.mark.parametrize("shape", [(30, 5), (72, 5)])
+def test_hungarian_optimal_cost_matches_scipy(rng, shape):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    for _ in range(5):
+        cost = rng.random(shape)
+        cols = mt.hungarian(cost)
+        matched = [j for j in cols if j >= 0]
+        assert sorted(matched) == list(range(shape[1]))
+        rows, scipy_cols = linear_sum_assignment(cost)
+        assert mt.assignment_cost(cost, cols) == pytest.approx(
+            math.fsum(cost[rows, scipy_cols]), rel=1e-12)
 
 
 def test_hungarian_rejects_nonfinite():
