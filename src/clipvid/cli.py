@@ -8,6 +8,8 @@ Exit codes:
   2  I/O error: an unreadable file, or a ParseError from a malformed
      dataset or checkpoint (the message gives the byte offset or line)
   3  check failure (gradcheck)
+  4  numeric error: a NumericError, such as a NaN or inf in the model's
+     activations, costs or losses (e.g. after a diverging --lr)
 CLIPVID_PRECISION=32|64 overrides float precision (gradcheck always 64).
 """
 
@@ -26,13 +28,14 @@ from . import model as M
 from . import synthvid as sv
 from . import training as tr
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericError, ParseError
 from .model import Detection, ModelConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CHECK = 3
+EXIT_NUMERIC = 4
 
 TRAIN_VARIANTS = ("full", "no_ica", "fixed_queries", "with_encoder")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica", "oracle_detections")
@@ -43,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -73,7 +83,7 @@ def build_parser() -> _Parser:
     t.add_argument("--iters", type=int)
     t.add_argument("--lr", type=float)
     t.add_argument("--lr-drop", type=int)
-    t.add_argument("--batch", type=int, default=2)
+    t.add_argument("--batch", type=_positive_int, default=2)
     t.add_argument("--log", help="loss log path (default: <ckpt-out>.log)")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -305,11 +315,14 @@ def cmd_ablate(args) -> int:
     for spec in args.grid:
         key, _, vals = spec.partition("=")
         key = key.strip()
-        if key not in ("frames", "topk", "ica_layers") or not vals:
+        try:
+            grids[key] = [int(v) for v in vals.split(",") if v]
+        except ValueError:
+            grids[key] = []
+        if key not in ("frames", "topk", "ica_layers") or not grids[key]:
             print(f"error: bad grid spec {spec!r} (knobs: frames, topk, ica_layers)",
                   file=sys.stderr)
             return EXIT_USAGE
-        grids[key] = [int(v) for v in vals.split(",") if v]
     if not grids:
         print("error: empty grid", file=sys.stderr)
         return EXIT_USAGE
@@ -381,6 +394,9 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except NumericError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -83,6 +83,11 @@ def save_config(cfg: ModelConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Fields an older sidecar may still carry; they are ignored on load.
+REMOVED_CONFIG_KEYS = ("ica_all_candidates",)
+_BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
+
+
 def load_config(path) -> ModelConfig:
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -92,6 +97,10 @@ def load_config(path) -> ModelConfig:
                 continue
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)}
+                     - set(REMOVED_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown field '{unknown[0]}'")
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in raw:
@@ -101,12 +110,12 @@ def load_config(path) -> ModelConfig:
             if f.name == "backbone_channels":
                 kwargs[f.name] = tuple(int(x) for x in v.split(",") if x)
             elif f.type == "bool":
-                kwargs[f.name] = v in ("True", "true", "1")
+                kwargs[f.name] = _BOOLS[v]
             elif f.type == "float":
                 kwargs[f.name] = float(v)
             else:
                 kwargs[f.name] = int(v)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
     return ModelConfig(**kwargs).validate()
 

@@ -185,6 +185,40 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
     assert "'dim'" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("edit, names", [
+    (lambda text: text.replace("dim=8", "dimm=8"), ("'dimm'",)),
+    (lambda text: text + "fixed_queries=yes\n", ("'fixed_queries'", "'yes'")),
+], ids=["unknown_key", "bad_boolean"])
+def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, names):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(edit(MICRO_CFG))
+    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, capsys):
+    code = run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "3", "--lr", "1e30")
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--batch", "0"),
+    ("ablate", "--ckpt", "x.ckpt", "--out", "t.csv", "--grid", "topk=x"),
+], ids=["batch_zero", "grid_not_int"])
+def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     from clipvid.checkpoint import save_checkpoint
     ckpt = tmp_path / "bad.ckpt"
