@@ -39,6 +39,7 @@ EXIT_NUMERIC = 4
 
 TRAIN_VARIANTS = ("full", "no_ica", "fixed_queries", "with_encoder")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica", "oracle_detections")
+GRID_KNOB_MIN = {"frames": 1, "topk": 1, "ica_layers": 0}   # smallest valid value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,8 +91,8 @@ def build_parser() -> _Parser:
     e.add_argument("--data", required=True)
     e.add_argument("--ckpt")
     e.add_argument("--variant", choices=EVAL_VARIANTS, default="full")
-    e.add_argument("--frames", type=int, help="inference frames per pass")
-    e.add_argument("--topk", type=int, help="override aggregation top-k")
+    e.add_argument("--frames", type=_positive_int, help="inference frames per pass")
+    e.add_argument("--topk", type=_positive_int, help="override aggregation top-k")
     e.add_argument("--out", required=True, help="report path prefix")
     e.add_argument("--dump-matches", help="write identity-match diagnostics here")
 
@@ -319,9 +320,9 @@ def cmd_ablate(args) -> int:
             grids[key] = [int(v) for v in vals.split(",") if v]
         except ValueError:
             grids[key] = []
-        if key not in ("frames", "topk", "ica_layers") or not grids[key]:
-            print(f"error: bad grid spec {spec!r} (knobs: frames, topk, ica_layers)",
-                  file=sys.stderr)
+        if key not in GRID_KNOB_MIN or not grids[key] or min(grids[key]) < GRID_KNOB_MIN[key]:
+            print(f"error: bad grid spec {spec!r} (knobs: frames, topk at least 1; "
+                  "ica_layers at least 0)", file=sys.stderr)
             return EXIT_USAGE
     if not grids:
         print("error: empty grid", file=sys.stderr)

@@ -219,6 +219,35 @@ def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_pat
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def trained_ckpt(dataset, micro_cfg_path, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("ckpt") / "k.ckpt"
+    assert run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(ckpt), "--iters", "1") == 0
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ablate", "--grid", "topk=-1"),
+    ("ablate", "--grid", "topk=2,0"),
+    ("ablate", "--grid", "frames=0"),
+    ("ablate", "--grid", "ica_layers=-1"),
+    ("eval", "--topk", "0"),
+    ("eval", "--frames", "0"),
+    ("eval", "--frames", "-2"),
+], ids=["ablate_topk_negative", "ablate_topk_zero", "ablate_frames_zero",
+        "ablate_ica_layers_negative", "eval_topk_zero", "eval_frames_zero",
+        "eval_frames_negative"])
+def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsys,
+                                                     tmp_path, argv):
+    code = run(*argv, "--data", dataset, "--ckpt", trained_ckpt,
+               "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("r*"))
+
+
 def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     from clipvid.checkpoint import save_checkpoint
     ckpt = tmp_path / "bad.ckpt"
