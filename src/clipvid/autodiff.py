@@ -66,6 +66,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
+    def __len__(self) -> int:
+        return len(self.data)
+
     def item(self) -> float:
         return float(self.data)
 
@@ -462,17 +465,19 @@ def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
 
 
 def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
-    """Sample [H,W,C] at fractional (x, y) index pairs -> [N,C].
+    """Sample each map of a [T,H,W,C] stack at its own fractional (x, y)
+    index pairs [T,N,2] -> [T,N,C].
 
     Points are data, not differentiated; gradients flow to f only.
     Coordinates are clamped to the border (replicate padding). Internally a
-    dense [N, H*W] interpolation-weight matrix makes the adjoint one matmul.
+    dense [T, N, H*W] interpolation-weight stack makes the forward pass and
+    the adjoint one batched matmul each.
     """
-    h, w, c = f.shape
-    n = len(points)
+    t, h, w, c = f.shape
     pts = np.asarray(points, dtype=f.data.dtype)
-    xs = np.clip(pts[:, 0], 0.0, w - 1.0)
-    ys = np.clip(pts[:, 1], 0.0, h - 1.0)
+    n = pts.shape[1]
+    xs = np.clip(pts[..., 0], 0.0, w - 1.0)
+    ys = np.clip(pts[..., 1], 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
@@ -481,16 +486,16 @@ def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    weights = np.zeros((n, h * w), dtype=f.data.dtype)
-    rows = np.arange(n)
-    np.add.at(weights, (rows, y0 * w + x0), (1 - fy) * (1 - fx))
-    np.add.at(weights, (rows, y0 * w + x1), (1 - fy) * fx)
-    np.add.at(weights, (rows, y1 * w + x0), fy * (1 - fx))
-    np.add.at(weights, (rows, y1 * w + x1), fy * fx)
-    out = weights @ f.data.reshape(h * w, c)
+    weights = np.zeros((t, n, h * w), dtype=f.data.dtype)
+    at = (np.arange(t)[:, None], np.arange(n)[None, :])
+    np.add.at(weights, at + (y0 * w + x0,), (1 - fy) * (1 - fx))
+    np.add.at(weights, at + (y0 * w + x1,), (1 - fy) * fx)
+    np.add.at(weights, at + (y1 * w + x0,), fy * (1 - fx))
+    np.add.at(weights, at + (y1 * w + x1,), fy * fx)
+    out = weights @ f.data.reshape(t, h * w, c)
 
     def backward(g):
-        return ((weights.T @ g).reshape(h, w, c),)
+        return ((np.swapaxes(weights, 1, 2) @ g).reshape(t, h, w, c),)
 
     return _record("bilinear_sample", (f,), out, backward)
 

@@ -1,7 +1,7 @@
 """Bounding-box algebra: IoU/GIoU, logit-space box refinement, RoI sampling.
 
-Boxes live in normalized (cx, cy, w, h) form, as [n, 4] float64 arrays for a
-frame's predictions and as Box values for annotations and detections. Tensor
+Boxes live in normalized (cx, cy, w, h) form, as [..., 4] float64 arrays for
+predictions and as Box values for annotations and detections. Tensor
 paths serve the training loss, where gradients must reach the box-offset
 predictions.
 """
@@ -47,7 +47,7 @@ FULL_FRAME = np.array([0.5, 0.5, 1.0, 1.0])
 
 
 def clamp_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Rowwise over [n, 4] boxes: centers into [0, 1], sizes into [WH_MIN, 1]."""
+    """Rowwise over [..., 4] boxes: centers into [0, 1], sizes into [WH_MIN, 1]."""
     return np.clip(boxes, (0.0, 0.0, WH_MIN, WH_MIN), 1.0)
 
 
@@ -81,11 +81,13 @@ def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarr
 
 
 def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int) -> Tensor:
-    """All [n, 4] boxes of one frame in a single sampling call -> [n, s*s, d]."""
-    h, w, d = f.shape
-    pts = roi_grid_points_batch(boxes, s, h, w)
-    out = ad.bilinear_sample(f, pts)
-    return ad.reshape(out, (len(boxes), s * s, d))
+    """Every box of a clip in a single sampling call: [T, n, 4] boxes on
+    [T, h, w, d] maps -> [T, n, s*s, d]."""
+    t, h, w, d = f.shape
+    n = boxes.shape[1]
+    pts = roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
+    out = ad.bilinear_sample(f, pts.reshape(t, n * s * s, 2))
+    return ad.reshape(out, (t, n, s * s, d))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int) -> Tensor:
 
 
 def boxes_refine(ref: np.ndarray, delta: Tensor) -> Tensor:
-    """sigmoid(logit(ref) + delta) rowwise over [n, 4] boxes.
+    """sigmoid(logit(ref) + delta) rowwise over [..., 4] boxes.
 
     ref holds the detached reference boxes; gradients reach only delta.
     """

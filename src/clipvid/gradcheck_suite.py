@@ -114,10 +114,11 @@ def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
 
     checks.append(("extract_patches", lambda x: ad.reduce_sum(
         ad.pow_const(ad.extract_patches(x, 3, 2, 1), 2.0)), r(1, 6, 6, 3)))
-    pts = np.array([[0.3, 1.2], [2.7, 0.4], [1.5, 2.5], [3.2, 3.4]])
-    bsw = r(4, 3)
+    pts = np.array([[[0.3, 1.2], [2.7, 0.4], [1.5, 2.5], [3.2, 3.4]],
+                    [[1.1, 0.2], [3.9, 3.0], [0.5, 2.5], [2.2, 1.4]]])
+    bsw = r(2, 4, 3)
     checks.append(("bilinear_sample", lambda x: ad.reduce_sum(
-        ad.mul(ad.bilinear_sample(x, pts), bsw)), r(5, 5, 3)))
+        ad.mul(ad.bilinear_sample(x, pts), bsw)), r(2, 5, 5, 3)))
 
     boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
     checks.append(("giou_pairs", lambda x: ad.reduce_sum(
@@ -169,8 +170,8 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
         return ad.reduce_sum(ad.mul(feat.f, ad.tensor(pix_w)))
 
     rng3 = np.random.default_rng(seed + 2)
-    pix_w = rng3.normal(size=(2, 2, cfg.dim))
-    pix = ad.tensor(rng3.random((8, 8, 3)))
+    pix_w = rng3.normal(size=(2, 2, 2, cfg.dim))
+    pix = ad.tensor(rng3.random((2, 8, 8, 3)))
     pixel_rep = ad.grad_check(pixel_loss, pix, tol=tol, name="backbone_to_pixels")
     return [worst, pixel_rep]
 

@@ -94,36 +94,38 @@ def oracle_match(idents: list, anchor_frame: int, anchor_index: int,
     return IdentityMatch(anchor_frame, anchor_index, selected, dots, "oracle")
 
 
-def joint_context(match: IdentityMatch, region: list[Tensor],
-                  contrib_queries: list[Tensor], pos_proj) -> Tensor:
-    """Stack the selected region features (ascending frame order, anchor
-    frame included) with a per-block embedding projected from the
-    contributing query -> [1, T*s*s, d]."""
-    frames = sorted(set(match.selected) | {match.anchor_frame})
-    blocks = []
-    for i in frames:
-        j = match.anchor_index if i == match.anchor_frame else match.selected[i]
-        block = ad.gather_rows(region[i], [j])                     # [1, s*s, d]
-        q = ad.gather_rows(contrib_queries[i], [j])                # [1, d]
-        pos = ad.reshape(ad.linear(q, pos_proj), (1, 1, q.shape[-1]))
-        blocks.append(block + pos)
-    return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+def joint_context(matches: list[IdentityMatch], region: Tensor, queries: Tensor,
+                  pos_proj) -> Tensor:
+    """Per anchor, stack the selected region features (ascending frame
+    order, anchor frame included), each plus an embedding projected from
+    its contributing query -> [A, F*s*s, d]. region is [T, L, s*s, d],
+    queries [T, L, d]; every match covers the same number F of frames."""
+    t, n, s2, d = region.shape
+    idx = np.array([[i * n + (m.anchor_index if i == m.anchor_frame else m.selected[i])
+                     for i in sorted(set(m.selected) | {m.anchor_frame})]
+                    for m in matches]).reshape(-1)
+    blocks = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), idx)         # [A*F, s*s, d]
+    # As [A*F, 1, d], each block's projection is the same single-row matmul
+    # as a one-block call, so stacking keeps the context bit-exact.
+    contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), idx), (len(idx), 1, d))
+    return ad.reshape(blocks + ad.linear(contrib, pos_proj), (len(matches), -1, d))
 
 
-def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
+def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
                  gts=None, within_frame_mask: bool = False,
                  frozen_matches: list[IdentityMatch] | None = None
-                 ) -> tuple[list[Tensor], list[IdentityMatch]]:
-    """Apply aggregation to the per-frame top-k anchors; other queries pass
-    through unchanged. Anchors, scores, and identity embeddings come from the
-    previous layer's head; region features are reused from its
-    cross-attention. frozen_matches replays earlier selections so finite
-    differencing never crosses a discrete decision."""
+                 ) -> tuple[Tensor, list[IdentityMatch]]:
+    """Apply aggregation to the per-frame top-k anchors of [T, L, d]
+    queries; other queries pass through unchanged. Anchors, scores, and
+    identity embeddings come from the previous layer's head; region
+    features are reused from its cross-attention. frozen_matches replays
+    earlier selections so finite differencing never crosses a discrete
+    decision."""
     from .model import apply_ln
 
-    T = len(frame_queries)
-    logits = [np.asarray(t.data, dtype=np.float64) for t in prev_layer.logits]
-    idents = [np.asarray(t.data, dtype=np.float64) for t in prev_layer.ident]
+    T, L, d = queries.shape
+    logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
+    idents = np.asarray(prev_layer.ident.data, dtype=np.float64)
     if frozen_matches is not None:
         topk = [[] for _ in range(T)]
         for fm in frozen_matches:
@@ -152,7 +154,6 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
 
     matches: list[IdentityMatch] = []
     frozen_iter = iter(frozen_matches) if frozen_matches is not None else None
-    stacked_q, stacked_ctx, anchor_pos = [], [], []
     for m in range(T):
         for j in topk[m]:
             if frozen_iter is not None:
@@ -165,80 +166,57 @@ def ica_sublayer(frame_queries: list[Tensor], prev_layer, lp, cfg, mode: str,
             else:
                 match = identity_match(idents, m, j, candidates)
             matches.append(match)
-            ctx = joint_context(match, prev_layer.region, frame_queries, lp.ica_pos)
-            stacked_ctx.append(ctx)
-            stacked_q.append(ad.reshape(ad.gather_rows(frame_queries[m], [j]), (1, 1, cfg.dim)))
-            anchor_pos.append((m, j))
 
-    if not stacked_q:
-        return frame_queries, matches
-    q = ad.concat(stacked_q, axis=0) if len(stacked_q) > 1 else stacked_q[0]
-    ctx = ad.concat(stacked_ctx, axis=0) if len(stacked_ctx) > 1 else stacked_ctx[0]
-    attn = ad.multi_head_attention(q, ctx, ctx, lp.ica_attn)
-    flat_q = ad.reshape(q, (len(anchor_pos), cfg.dim))
-    updated = apply_ln(flat_q + ad.reshape(attn, (len(anchor_pos), cfg.dim)), lp.ln_ica)
-
-    out_queries = list(frame_queries)
-    row = 0
-    for m in range(T):
-        idx = topk[m]
-        rows = ad.gather_rows(updated, range(row, row + len(idx)))
-        row += len(idx)
-        out_queries[m] = ad.row_update(out_queries[m], idx, rows)
-    return out_queries, matches
+    if not matches:
+        return queries, matches
+    anchors = [m.anchor_frame * L + m.anchor_index for m in matches]
+    ctx = joint_context(matches, prev_layer.region, queries, lp.ica_pos)
+    flat = ad.reshape(queries, (T * L, d))
+    q = ad.gather_rows(flat, anchors)                                       # [A, d]
+    attn = ad.multi_head_attention(ad.reshape(q, (len(anchors), 1, d)), ctx, ctx, lp.ica_attn)
+    updated = apply_ln(q + ad.reshape(attn, (len(anchors), d)), lp.ln_ica)
+    return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), matches
 
 
 # ---------------------------------------------------------------------------
 # Contrastive identity training
 
 
-def contrastive_loss(idents: list[Tensor], matched: list[dict[int, int]]
-                     ) -> tuple[Tensor, int]:
+def contrastive_loss(ident: Tensor, matched: list[dict[int, int]]) -> tuple[Tensor, int]:
     """Pull matched queries of the same track together across frames.
 
-    idents[i] holds frame i's [L, d] identity embeddings; matched[i] maps
+    ident holds the clip's [T, L, d] identity embeddings; matched[i] maps
     track id -> query index for frame i (from the set matching). For every
     ordered frame pair of a track, the anchor's positive dot competes
     against its dots with all queries of the other frame. Returns the
     pair-normalized loss and the pair count; zero pairs contribute an exact
     zero.
     """
-    T = len(idents)
+    T, L, d = ident.shape
     track_frames: dict[int, list[int]] = {}
     for i in range(T):
         for tid in matched[i]:
             track_frames.setdefault(tid, []).append(i)
 
-    # pos gathers the anchor row again instead of reusing `anchor`: each
-    # use's adjoint then reaches idents[m] as a term of its own, which keeps
-    # the float summation order of the identity gradient (and the bytes of
-    # 64-bit runs) independent of how the rows are grouped.
-    keys_t: dict[int, Tensor] = {}
-    terms = []
-    pairs = 0
+    rows, cols = [], []      # pair row of the [T*L*T, L] similarity view; positive column
     for tid in sorted(track_frames):
         frames = track_frames[tid]
         if len(frames) < 2:
             continue
         for m in frames:
-            anchor = ad.gather_rows(idents[m], [matched[m][tid]])
+            anchor = m * L + matched[m][tid]
             for i in frames:
-                if i == m:
-                    continue
-                pos = ad.reduce_sum(ad.mul(ad.gather_rows(idents[m], [matched[m][tid]]),
-                                           ad.gather_rows(idents[i], [matched[i][tid]])))
-                if i not in keys_t:
-                    keys_t[i] = ad.transpose(idents[i], (1, 0))
-                logits = ad.matmul(anchor, keys_t[i])
-                lse = ad.reshape(ad.logsumexp(logits, axis=-1), ())
-                terms.append(lse - pos)
-                pairs += 1
+                if i != m:
+                    rows.append(anchor * T + i)
+                    cols.append(matched[i][tid])
+    pairs = len(rows)
     if pairs == 0:
         return ad.tensor(np.zeros(())), 0
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / pairs), pairs
+    flat = ad.reshape(ident, (T * L, d))
+    sim = ad.matmul(flat, ad.transpose(flat, (1, 0)))                      # [T*L, T*L]
+    logits = ad.gather_rows(ad.reshape(sim, (T * L * T, L)), rows)          # [pairs, L]
+    pos = ad.gather_rows(ad.reshape(logits, (pairs * L,)), np.arange(pairs) * L + cols)
+    return ad.reduce_sum(ad.logsumexp(logits, axis=-1) - pos) * (1.0 / pairs), pairs
 
 
 def dump_matches(matches: list[IdentityMatch]) -> str:

@@ -157,7 +157,7 @@ def assignment_cost(cost, col_of_row) -> float:
 @dataclass
 class SetLossResult:
     total: Tensor
-    assignment: Assignment
+    assignments: list[Assignment]           # one per frame
     cls_term: float = 0.0
     giou_term: float = 0.0
     l1_term: float = 0.0
@@ -220,41 +220,47 @@ def match_frame(logits: np.ndarray, boxes: np.ndarray,
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
-             frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig,
-             assignment: Assignment | None = None) -> SetLossResult:
-    """Match one frame's predictions to its ground truths and score them.
+             gts: list[list[tuple[int, geo.Box]]], cfg: MatchCostConfig,
+             assignments: list[Assignment] | None = None) -> SetLossResult:
+    """Match each frame's predictions to its ground truths and score one
+    decoder layer of the whole clip.
 
-    logits [L, C] and boxes_t [L, 4] are the frame's differentiable
-    predictions; boxes [L, 4] are the detached boxes the matching costs.
-    Matched pairs contribute the full weighted loss; every other
-    (query, class) slot contributes negative focal loss. The returned total
-    is an un-normalized sum; callers normalize per clip. A pre-computed
-    assignment can be supplied to hold the discrete matching fixed (finite
-    differencing never sees the argmin flip).
+    logits [T, L, C] and boxes_t [T, L, 4] are the differentiable
+    predictions; boxes [T, L, 4] are the detached boxes the matching costs;
+    gts holds each frame's (class_id, Box) list. Matched pairs contribute
+    the full weighted loss; every other (query, class) slot contributes
+    negative focal loss. The returned total is an un-normalized sum;
+    callers normalize per clip. Pre-computed per-frame assignments can be
+    supplied to hold the discrete matching fixed (finite differencing never
+    sees the argmin flip).
     """
-    G = len(frame_gts)
-    if assignment is None:
-        assignment = match_frame(logits.data, boxes, frame_gts, cfg)
+    T, L, _ = logits.shape
+    if assignments is None:
+        assignments = [match_frame(logits.data[t], boxes[t], gts[t], cfg) for t in range(T)]
 
     targets = np.zeros(logits.shape)
-    for j, (cls_id, _) in enumerate(frame_gts):
-        targets[assignment.pred_of_gt[j], cls_id] = 1.0
+    matched_rows, gt_boxes = [], []
+    for t, (frame_gts, assignment) in enumerate(zip(gts, assignments)):
+        for j, (cls_id, box) in enumerate(frame_gts):
+            targets[t, assignment.pred_of_gt[j], cls_id] = 1.0
+            matched_rows.append(t * L + assignment.pred_of_gt[j])
+            gt_boxes.append(box.as_array())
     cls_loss = ad.reduce_sum(
         focal_loss_logits(logits, targets, cfg.focal_alpha, cfg.focal_gamma))
 
-    if G > 0:
-        pred_boxes = ad.gather_rows(boxes_t, assignment.pred_of_gt)
-        gt_boxes = np.stack([box.as_array() for _, box in frame_gts])
-        giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, gt_boxes))
-        l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, gt_boxes))
+    if matched_rows:
+        pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (T * L, 4)), matched_rows)
+        gt = np.stack(gt_boxes)
+        giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, gt))
+        l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, gt))
     else:
         giou_loss = ad.tensor(np.zeros(()))
         l1_loss = ad.tensor(np.zeros(()))
 
     total = (cls_loss * cfg.lambda_cls + giou_loss * cfg.lambda_giou
              + l1_loss * cfg.lambda_l1)
-    return SetLossResult(total, assignment,
+    return SetLossResult(total, assignments,
                          cls_term=float(cls_loss.data),
                          giou_term=float(giou_loss.data),
                          l1_term=float(l1_loss.data),
-                         num_gts=G)
+                         num_gts=len(matched_rows))

@@ -2,12 +2,16 @@
 queries, a decoder stack of clip-wide self-attention / identity-consistent
 aggregation / box-guided cross-attention, and per-layer detection heads.
 
-All frames of a clip are predicted in one forward pass. Per-frame blocks are
-kept as separate [L, d] tensors so that the test-only within-frame attention
-mask reproduces independent single-frame runs bit-exactly. Each decoder
-layer's predictions are per-frame arrays (LayerOutput): class logits [L, C],
-refined boxes [L, 4] as a tensor and as detached clamped float64 reference
-boxes, and identity embeddings [L, d] where an aggregation layer follows.
+All frames of a clip are predicted in one forward pass that carries one
+[T, L, ·] tensor per quantity: T frames, L queries. Clip-wide
+self-attention sees the queries as [1, T*L, d]; the test-only within-frame
+mask attends over [T, L, d], the frame axis as a batch. Cross-attention
+runs over [T*L, 1, d] queries. Batching stays bit-exact with single-frame
+runs because numpy's matmul makes one BLAS call per stacked matrix, so a
+frame's rows see the same calls either way. Each decoder layer's
+predictions (LayerOutput) are class logits [T, L, C], refined boxes
+[T, L, 4] as a tensor and as detached clamped float64 reference boxes, and
+identity embeddings [T, L, d] where an aggregation layer follows.
 """
 
 from __future__ import annotations
@@ -282,70 +286,66 @@ def is_ica_param(name: str) -> bool:
 
 @dataclass
 class FrameFeature:
-    f: Tensor                    # [H, W, d]
-    m: Tensor                    # [s*s, d] pooled summary
+    f: Tensor                    # [T, h, w, d]
+    m: Tensor                    # [T, s*s, d] pooled summaries
 
 
-def backbone(frame, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
+def _with_summary(f: Tensor, s: int) -> FrameFeature:
+    t, h, w, d = f.shape
+    if h % s or w % s:
+        raise ConfigError(f"feature map {h}x{w} not divisible by summary size {s}")
+    pooled = ad.mean(ad.reshape(f, (t, s, h // s, s, w // s, d)), axis=(2, 4))
+    return FrameFeature(f, ad.reshape(pooled, (t, s * s, d)))
+
+
+def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
     """Stride-2 conv blocks then a 1x1 projection to the model dim.
 
-    frame: [H, W, 3] pixel array or Tensor (gradients reach the pixels)."""
-    h0, w0 = frame.shape[0], frame.shape[1]
+    frames: [T, H, W, 3] pixel array or Tensor (gradients reach the pixels)."""
+    h0, w0 = frames.shape[1], frames.shape[2]
     if h0 % cfg.backbone_stride or w0 % cfg.backbone_stride:
         raise ConfigError(
             f"frame {h0}x{w0} not divisible by backbone stride {cfg.backbone_stride}")
-    x = frame if isinstance(frame, Tensor) else ad.tensor(frame)
-    x = ad.reshape(x, (1,) + tuple(frame.shape))
+    x = frames if isinstance(frames, Tensor) else ad.tensor(frames)
     for conv in params.convs:
         patches = ad.extract_patches(x, ksize=3, stride=2, pad=1)
         x = ad.relu(ad.linear(patches, conv))
-    x = ad.linear(x, params.proj)
-    h, w, d = x.shape[1], x.shape[2], x.shape[3]
-    f = ad.reshape(x, (h, w, d))
-    s = cfg.roi_size
-    if h % s or w % s:
-        raise ConfigError(f"feature map {h}x{w} not divisible by summary size {s}")
-    pooled = ad.mean(ad.reshape(f, (s, h // s, s, w // s, d)), axis=(1, 3))
-    return FrameFeature(f, ad.reshape(pooled, (s * s, d)))
+    return _with_summary(ad.linear(x, params.proj), cfg.roi_size)
 
 
 def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
-    """Each query row is the attention-weighted average of summary rows."""
-    logits = ad.matmul(e, ad.transpose(m, (1, 0)))
+    """Each frame's query rows are attention-weighted averages of its
+    summary rows: [T, s*s, d] summaries, [L, d] embeddings -> [T, L, d]."""
+    logits = ad.matmul(e, ad.transpose(m, (0, 2, 1)))
     return ad.matmul(ad.softmax(logits, axis=-1), m)
 
 
-def extended_self_attention(frame_queries: list[Tensor], lp: DecoderLayerParams,
-                            within_frame_mask: bool = False) -> list[Tensor]:
-    """Residual attention over every query of the clip; the test-only mask
-    restricts key/value sets to each query's own frame."""
-    if within_frame_mask:
-        return [apply_ln(q + ad.multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
-                for q in frame_queries]
-    L = frame_queries[0].shape[0]
-    allq = ad.concat(frame_queries, axis=0) if len(frame_queries) > 1 else frame_queries[0]
-    attn = ad.multi_head_attention(allq, allq, allq, lp.self_attn)
-    out = apply_ln(allq + attn, lp.ln_self)
-    if len(frame_queries) == 1:
-        return [out]
-    return [ad.gather_rows(out, range(i * L, (i + 1) * L))
-            for i in range(len(frame_queries))]
+def extended_self_attention(queries: Tensor, lp: DecoderLayerParams,
+                            within_frame_mask: bool = False) -> Tensor:
+    """Residual attention over every query of the clip, [T, L, d] -> same;
+    the test-only mask restricts key/value sets to each query's own frame
+    by attending over the frame axis as a batch."""
+    t, n, d = queries.shape
+    x = queries if within_frame_mask else ad.reshape(queries, (1, t * n, d))
+    out = apply_ln(x + ad.multi_head_attention(x, x, x, lp.self_attn), lp.ln_self)
+    return ad.reshape(out, (t, n, d))
 
 
-def guided_cross_attention_frame(queries: Tensor, boxes: np.ndarray, f: Tensor,
-                                 lp: DecoderLayerParams, s: int) -> tuple[Tensor, Tensor]:
+def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
+                           lp: DecoderLayerParams, s: int) -> tuple[Tensor, Tensor]:
     """Each query attends to adapted features sampled inside its own box.
 
-    Returns (updated [L, d] queries, adapted [L, s*s, d] region features,
-    which aggregation layers reuse).
+    queries [T, L, d], boxes [T, L, 4], f [T, h, w, d]. Returns (updated
+    [T, L, d] queries, adapted [T, L, s*s, d] region features, which
+    aggregation layers reuse).
     """
-    L, d = queries.shape
-    rois = geo.roi_sample_frame(f, boxes, s)               # [L, s*s, d]
-    patch = ad.reshape(ad.matmul(queries, lp.adapter), (L, s * s, d))
+    t, n, d = queries.shape
+    rois = geo.roi_sample_frame(f, boxes, s)               # [T, L, s*s, d]
+    patch = ad.reshape(ad.matmul(queries, lp.adapter), (t, n, s * s, d))
     region = rois + patch
-    q3 = ad.reshape(queries, (L, 1, d))
-    attn = ad.multi_head_attention(q3, region, region, lp.cross_attn)
-    out = apply_ln(queries + ad.reshape(attn, (L, d)), lp.ln_cross)
+    kv = ad.reshape(region, (t * n, s * s, d))
+    attn = ad.multi_head_attention(ad.reshape(queries, (t * n, 1, d)), kv, kv, lp.cross_attn)
+    out = apply_ln(queries + ad.reshape(attn, (t, n, d)), lp.ln_cross)
     return out, region
 
 
@@ -367,10 +367,11 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return x / ad.sqrt(norm2 + 1e-12)
 
 
-def detection_head_frame(queries: Tensor, ref_boxes: np.ndarray,
-                         lp: DecoderLayerParams, with_identity: bool
-                         ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
-    """Class logits, refined boxes (tensor + detached clamped), optional identities."""
+def detection_head(queries: Tensor, ref_boxes: np.ndarray,
+                   lp: DecoderLayerParams, with_identity: bool
+                   ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
+    """Class logits, refined boxes (tensor + detached clamped), optional
+    identities, for [..., L, d] queries and [..., L, 4] reference boxes."""
     logits = ad.linear(queries, lp.head_cls)
     delta = mlp(queries, lp.head_loc)
     boxes_t = geo.boxes_refine(ref_boxes, delta)
@@ -381,28 +382,19 @@ def detection_head_frame(queries: Tensor, ref_boxes: np.ndarray,
     return logits, boxes_t, boxes, ident
 
 
-def encoder_forward(feats: list[FrameFeature], params: ModelParams) -> list[FrameFeature]:
+def encoder_forward(feat: FrameFeature, cfg: ModelConfig,
+                    params: ModelParams) -> FrameFeature:
     """Optional plain self-attention encoder over all clip feature tokens."""
     if not params.encoder:
-        return feats
-    shapes = [f.f.shape for f in feats]
-    tokens = ad.concat([ad.reshape(f.f, (sh[0] * sh[1], sh[2]))
-                        for f, sh in zip(feats, shapes)], axis=0)
+        return feat
+    shape = feat.f.shape
+    tokens = ad.reshape(feat.f, (1, shape[0] * shape[1] * shape[2], shape[3]))
     for ep in params.encoder:
         tokens = apply_ln(tokens + ad.multi_head_attention(tokens, tokens, tokens, ep.attn),
                           ep.ln_attn)
         inner = ad.linear(ad.relu(ad.linear(tokens, ep.ffn1)), ep.ffn2)
         tokens = apply_ln(tokens + inner, ep.ln_ffn)
-    out = []
-    offset = 0
-    s = int(math.isqrt(feats[0].m.shape[0]))
-    for f, sh in zip(feats, shapes):
-        n = sh[0] * sh[1]
-        fmap = ad.reshape(ad.gather_rows(tokens, range(offset, offset + n)), sh)
-        offset += n
-        pooled = ad.mean(ad.reshape(fmap, (s, sh[0] // s, s, sh[1] // s, sh[2])), axis=(1, 3))
-        out.append(FrameFeature(fmap, ad.reshape(pooled, (s * s, sh[2]))))
-    return out
+    return _with_summary(ad.reshape(tokens, shape), cfg.roi_size)
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +403,27 @@ def encoder_forward(feats: list[FrameFeature], params: ModelParams) -> list[Fram
 
 @dataclass
 class LayerOutput:
-    """One decoder layer's predictions, one entry per frame."""
+    """One decoder layer's predictions for every frame of the clip."""
 
-    logits: list[Tensor]                    # [L, C]
-    boxes_t: list[Tensor]                   # [L, 4] differentiable refined boxes
-    boxes: list[np.ndarray]                 # [L, 4] detached, clamped float64
-    ident: list[Tensor] | None              # [L, d] unit rows, or None
-    region: list[Tensor]                    # [L, s*s, d]
+    logits: Tensor                          # [T, L, C]
+    boxes_t: Tensor                         # [T, L, 4] differentiable refined boxes
+    boxes: np.ndarray                       # [T, L, 4] detached, clamped float64
+    ident: Tensor | None                    # [T, L, d] unit rows, or None
+    region: Tensor                          # [T, L, s*s, d]
     matches: list = field(default_factory=list)   # IdentityMatch diagnostics
 
 
 @dataclass
 class ClipForwardResult:
     layers: list[LayerOutput]
-    boxes_in: list[list[np.ndarray]] = field(default_factory=list)  # per layer/frame [L, 4]
+    boxes_in: list[np.ndarray] = field(default_factory=list)  # per layer [T, L, 4]
 
 
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
                  mode: str = "infer", gts=None, ica_active: bool = True,
                  within_frame_mask: bool = False,
                  frozen_ica: dict[int, list] | None = None,
-                 frozen_boxes: list[list[np.ndarray]] | None = None) -> ClipForwardResult:
+                 frozen_boxes: list[np.ndarray] | None = None) -> ClipForwardResult:
     """Run the detector on all frames of one clip in a single pass.
 
     frames: [T, H, W, 3] pixel array. mode is "train", "infer", or
@@ -449,58 +441,37 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "oracle_ica" and gts is None:
         raise ConfigError("oracle_ica mode needs ground-truth annotations")
-    T = frames.shape[0]
-    L, d, s = cfg.num_queries, cfg.dim, cfg.roi_size
+    T, L = frames.shape[0], cfg.num_queries
 
-    feats = [backbone(frames[i], cfg, params) for i in range(T)]
-    feats = encoder_forward(feats, params)
-
+    feat = encoder_forward(backbone(frames, cfg, params), cfg, params)
     if cfg.fixed_queries:
-        frame_queries = [params.query_embed for _ in range(T)]
+        queries = params.query_embed + ad.tensor(np.zeros((T, L, cfg.dim)))
     else:
-        frame_queries = [adaptive_queries(f.m, params.query_embed) for f in feats]
-    frame_boxes = [np.tile(geo.FULL_FRAME, (L, 1)) for _ in range(T)]
+        queries = adaptive_queries(feat.m, params.query_embed)
+    boxes = np.tile(geo.FULL_FRAME, (T, L, 1))
 
     result = ClipForwardResult([])
     prev_layer: LayerOutput | None = None
     for li, lp in enumerate(params.layers):
         if frozen_boxes is not None:
-            frame_boxes = frozen_boxes[li]
-        result.boxes_in.append(frame_boxes)
-        frame_queries = extended_self_attention(frame_queries, lp, within_frame_mask)
+            boxes = frozen_boxes[li]
+        result.boxes_in.append(boxes)
+        queries = extended_self_attention(queries, lp, within_frame_mask)
 
         matches = []
         if (ica_active and cfg.is_ica_layer(li) and prev_layer is not None
                 and prev_layer.ident is not None):
-            frame_queries, matches = ica_mod.ica_sublayer(
-                frame_queries, prev_layer, lp, cfg, mode, gts,
+            queries, matches = ica_mod.ica_sublayer(
+                queries, prev_layer, lp, cfg, mode, gts,
                 within_frame_mask=within_frame_mask,
                 frozen_matches=frozen_ica.get(li) if frozen_ica else None)
 
-        new_queries = []
-        regions = []
-        for i in range(T):
-            q, region = guided_cross_attention_frame(
-                frame_queries[i], frame_boxes[i], feats[i].f, lp, s)
-            new_queries.append(feed_forward(q, lp))
-            regions.append(region)
-        frame_queries = new_queries
-
-        with_identity = ica_active and cfg.has_identity_head(li)
-        logits_f, boxes_tf, ident_f, new_boxes = [], [], [], []
-        for i in range(T):
-            logits, boxes_t, boxes, ident = detection_head_frame(
-                frame_queries[i], frame_boxes[i], lp, with_identity)
-            logits_f.append(logits)
-            boxes_tf.append(boxes_t)
-            ident_f.append(ident)
-            new_boxes.append(boxes)
-        frame_boxes = new_boxes
-        layer_out = LayerOutput(logits=logits_f, boxes_t=boxes_tf, boxes=new_boxes,
-                                ident=ident_f if with_identity else None,
-                                region=regions, matches=matches)
-        result.layers.append(layer_out)
-        prev_layer = layer_out
+        queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
+        queries = feed_forward(queries, lp)
+        logits, boxes_t, boxes, ident = detection_head(
+            queries, boxes, lp, ica_active and cfg.has_identity_head(li))
+        prev_layer = LayerOutput(logits, boxes_t, boxes, ident, region, matches)
+        result.layers.append(prev_layer)
     return result
 
 
@@ -521,8 +492,8 @@ def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[D
     Reference boxes may reach past the frame edge; each detection keeps only
     the part inside the frame (corners clipped to [0, 1])."""
     out = []
-    for logits, b in zip(last_layer.logits, last_layer.boxes):
-        scores = 1.0 / (1.0 + np.exp(-np.asarray(logits.data, dtype=np.float64)))
+    clip_scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
+    for scores, b in zip(clip_scores, last_layer.boxes):
         corners = np.clip(np.concatenate([b[:, :2] - b[:, 2:] / 2.0,
                                           b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)
         dets = []

@@ -3,8 +3,8 @@ moments optimizer, and the seeded training loop.
 
 Stage 1 trains everything except the aggregation machinery with aggregation
 disabled; stage 2 fine-tunes the whole model with it enabled. The loss sums
-the per-layer, per-frame set losses normalized by the clip's object count,
-plus the pair-normalized contrastive identity loss of each layer feeding an
+each layer's clip-wide set loss normalized by the clip's object count, plus
+the pair-normalized contrastive identity loss of each layer feeding an
 aggregation layer.
 """
 
@@ -38,33 +38,29 @@ def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
               cost_cfg: mt.MatchCostConfig, train_identity: bool,
               frozen_assignments=None
               ) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
-    """Deep-supervised set loss over all layers and frames of one clip.
+    """Deep-supervised set loss over all layers of one clip.
 
-    frozen_assignments (as returned by a previous call) bypasses the
-    matching so finite differencing sees a fixed assignment.
+    frozen_assignments (as returned by a previous call: per layer, per
+    frame) bypasses the matching so finite differencing sees a fixed
+    assignment.
     """
     n_objects = max(1, sum(len(g) for g in gts))
     scale = 1.0 / n_objects
+    frame_gts = [[(c, b) for c, b, _t in g] for g in gts]
     parts = LossParts()
     terms = []
     assignments: list[list[mt.Assignment]] = []
     for li, layer in enumerate(result.layers):
-        matched_tracks: list[dict[int, int]] = []
-        layer_assign: list[mt.Assignment] = []
-        for fi, logits in enumerate(layer.logits):
-            fixed = frozen_assignments[li][fi] if frozen_assignments else None
-            res = mt.set_loss(logits, layer.boxes_t[fi], layer.boxes[fi],
-                              [(c, b) for c, b, _t in gts[fi]], cost_cfg, assignment=fixed)
-            terms.append(res.total * scale)
-            parts.cls += cost_cfg.lambda_cls * res.cls_term * scale
-            parts.giou += cost_cfg.lambda_giou * res.giou_term * scale
-            parts.l1 += cost_cfg.lambda_l1 * res.l1_term * scale
-            layer_assign.append(res.assignment)
-            matched_tracks.append(
-                {gts[fi][j][2]: res.assignment.pred_of_gt[j]
-                 for j in range(len(gts[fi]))})
-        assignments.append(layer_assign)
+        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts, cost_cfg,
+                          assignments=frozen_assignments[li] if frozen_assignments else None)
+        terms.append(res.total * scale)
+        parts.cls += cost_cfg.lambda_cls * res.cls_term * scale
+        parts.giou += cost_cfg.lambda_giou * res.giou_term * scale
+        parts.l1 += cost_cfg.lambda_l1 * res.l1_term * scale
+        assignments.append(res.assignments)
         if train_identity and layer.ident is not None:
+            matched_tracks = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
+                              for g, a in zip(gts, res.assignments)]
             con, pairs = ica_mod.contrastive_loss(layer.ident, matched_tracks)
             if pairs > 0:
                 terms.append(con * CONTRASTIVE_WEIGHT)

@@ -1,8 +1,8 @@
-"""Scalar reference forms of the package's per-frame array code.
+"""Scalar reference forms of the package's batched clip code.
 
-Each function here handles one query, one box or one logit with plain
-floats or single-row tensors. The tests compare the package's batched
-paths against them.
+Each function here handles one query, one box, one logit or one frame pair
+with plain floats or single-row tensors. The tests compare the package's
+batched paths against them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from clipvid import model as M
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
 from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, iou
-from clipvid.ica import joint_context
 
 # ---------------------------------------------------------------------------
 # Boxes
@@ -89,9 +88,12 @@ def roi_grid_points(b: Box, s: int, h: int, w: int) -> np.ndarray:
 
 
 def roi_sample(f, b: Box, s: int):
-    """Bilinear sample an s*s grid of cell centers inside b -> [s*s, d]."""
-    h, w, _ = f.shape
-    return ad.bilinear_sample(f, roi_grid_points(b, s, h, w))
+    """Bilinear sample an s*s grid of cell centers inside b on one [h, w, d]
+    map -> [s*s, d]."""
+    h, w, d = f.shape
+    pts = roi_grid_points(b, s, h, w)
+    out = ad.bilinear_sample(ad.reshape(f, (1, h, w, d)), pts[None])
+    return ad.reshape(out, (s * s, d))
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +125,54 @@ def detection_head(q, b: Box, lp, with_identity: bool):
     return ad.reshape(logits, (logits.shape[-1],)), box, h
 
 
+def joint_context(match, region, contrib_queries, pos_proj):
+    """One anchor's joint context from per-frame lists (region[i] [L, s*s, d],
+    contrib_queries[i] [L, d]), one block at a time -> [1, F*s*s, d]."""
+    frames = sorted(set(match.selected) | {match.anchor_frame})
+    blocks = []
+    for i in frames:
+        j = match.anchor_index if i == match.anchor_frame else match.selected[i]
+        block = ad.gather_rows(region[i], [j])                     # [1, s*s, d]
+        q = ad.gather_rows(contrib_queries[i], [j])                # [1, d]
+        pos = ad.reshape(ad.linear(q, pos_proj), (1, 1, q.shape[-1]))
+        blocks.append(block + pos)
+    return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+
+
 def aggregate(q, match, region, contrib_queries, lp):
     """Single-anchor aggregation: cross-attend the anchor query q [1, d] over
     its joint context, residual + layer norm -> updated [1, d] query."""
     ctx = joint_context(match, region, contrib_queries, lp.ica_pos)
     attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
     return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
+
+
+def contrastive_loss(idents, matched):
+    """Contrastive identity loss over per-frame [L, d] identity tensors, one
+    ordered frame pair of a track at a time: the anchor's positive dot
+    against a logsumexp of its dots with every query of the other frame.
+    Returns (pair-normalized loss, pair count)."""
+    track_frames: dict[int, list[int]] = {}
+    for i in range(len(idents)):
+        for tid in matched[i]:
+            track_frames.setdefault(tid, []).append(i)
+    terms = []
+    for tid in sorted(track_frames):
+        frames = track_frames[tid]
+        for m in frames:
+            anchor = ad.gather_rows(idents[m], [matched[m][tid]])
+            for i in frames:
+                if i == m:
+                    continue
+                pos = ad.reduce_sum(ad.mul(anchor, ad.gather_rows(idents[i], [matched[i][tid]])))
+                logits = ad.matmul(anchor, ad.transpose(idents[i], (1, 0)))
+                terms.append(ad.reshape(ad.logsumexp(logits, axis=-1), ()) - pos)
+    if not terms:
+        return ad.tensor(np.zeros(())), 0
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total * (1.0 / len(terms)), len(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,10 @@ def test_roi_sample_constant_field():
     out = roi_sample(f, Box(0.5, 0.5, 0.6, 0.4), 3)
     assert out.shape == (9, 3)
     assert_allclose(out.data, np.full((9, 3), 2.5), atol=1e-12)
-    frame = geo.roi_sample_frame(f, np.array([[0.5, 0.5, 0.6, 0.4], [0.2, 0.7, 0.3, 0.5]]), 3)
-    assert frame.shape == (2, 9, 3)
-    assert_allclose(frame.data, np.full((2, 9, 3), 2.5), atol=1e-12)
+    clip = geo.roi_sample_frame(ad.tensor(np.full((2, 5, 5, 3), 2.5)),
+                                np.array([[[0.5, 0.5, 0.6, 0.4], [0.2, 0.7, 0.3, 0.5]]] * 2), 3)
+    assert clip.shape == (2, 2, 9, 3)
+    assert_allclose(clip.data, np.full((2, 2, 9, 3), 2.5), atol=1e-12)
 
 
 def test_roi_sample_full_frame_identity():
@@ -117,8 +118,8 @@ def test_roi_sample_full_frame_identity():
     grid = rng.normal(size=(4, 4, 2))
     out = roi_sample(ad.tensor(grid), Box(0.5, 0.5, 1.0, 1.0), 4)
     assert_allclose(out.data, grid.reshape(16, 2), atol=1e-12)
-    frame = geo.roi_sample_frame(ad.tensor(grid), geo.FULL_FRAME[None], 4)
-    assert_allclose(frame.data[0], grid.reshape(16, 2), atol=1e-12)
+    clip = geo.roi_sample_frame(ad.tensor(grid[None]), geo.FULL_FRAME[None, None], 4)
+    assert_allclose(clip.data[0, 0], grid.reshape(16, 2), atol=1e-12)
 
 
 def test_roi_sample_gradient(rng):
@@ -130,6 +131,25 @@ def test_roi_sample_gradient(rng):
 
     rep = ad.grad_check(f, ad.tensor(rng.normal(size=(4, 4, 3))))
     assert rep.max_rel_err < 1e-4
+
+
+def test_bilinear_sample_clip_matches_single_frames_bitexactly(rng):
+    f = rng.normal(size=(3, 6, 5, 4))
+    pts = rng.uniform(-1.0, 7.0, size=(3, 10, 2))
+    g = rng.normal(size=(3, 10, 4))
+    x = ad.param(f)
+    with ad.ComputationTape() as tape:
+        out = ad.bilinear_sample(x, pts)
+        loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
+    tape.backward(loss)
+    for t in range(3):
+        xt = ad.param(f[t:t + 1])
+        with ad.ComputationTape() as tape:
+            single = ad.bilinear_sample(xt, pts[t:t + 1])
+            loss = ad.reduce_sum(ad.mul(single, ad.tensor(g[t:t + 1])))
+        tape.backward(loss)
+        assert np.array_equal(out.data[t], single.data[0])
+        assert_allclose(x.grad[t], xt.grad[0], rtol=1e-13, atol=1e-15)
 
 
 def test_roi_sample_linearity(rng):

@@ -6,7 +6,7 @@ from clipvid import autodiff as ad
 from clipvid import ica
 from clipvid import model as M
 from clipvid.errors import StateError
-from oracles import aggregate
+from oracles import aggregate, contrastive_loss, joint_context
 
 
 def rows(*vs):
@@ -94,13 +94,13 @@ def _layer_params(rng, d=4):
 
 def test_aggregate_t1_reduces_to_self_region_attention(rng):
     lp = _layer_params(rng)
-    region = [ad.tensor(rng.normal(size=(2, 4, 4)))]
-    contrib = [ad.tensor(rng.normal(size=(2, 4)))]
+    region = ad.tensor(rng.normal(size=(1, 2, 4, 4)))
+    contrib = ad.tensor(rng.normal(size=(1, 2, 4)))
     q = ad.tensor(rng.normal(size=(1, 4)))
     match = ica.IdentityMatch(0, 0, {}, {})
-    out = aggregate(q, match, region, contrib, lp)
+    out = aggregate(q, match, [ad.tensor(region.data[0])], [ad.tensor(contrib.data[0])], lp)
 
-    ctx = ica.joint_context(match, region, contrib, lp.ica_pos)
+    ctx = ica.joint_context([match], region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
     q3 = ad.reshape(q, (1, 1, 4))
     attn = ad.multi_head_attention(q3, ctx, ctx, lp.ica_attn)
@@ -111,11 +111,18 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
 def test_joint_context_row_count(rng):
     lp = _layer_params(rng)
     T, s2 = 4, 16
-    region = [ad.tensor(rng.normal(size=(2, s2, 4))) for _ in range(T)]
-    contrib = [ad.tensor(rng.normal(size=(2, 4))) for _ in range(T)]
+    region = ad.tensor(rng.normal(size=(T, 2, s2, 4)))
+    contrib = ad.tensor(rng.normal(size=(T, 2, 4)))
     match = ica.IdentityMatch(1, 0, {0: 1, 2: 0, 3: 1}, {})
-    ctx = ica.joint_context(match, region, contrib, lp.ica_pos)
+    ctx = ica.joint_context([match], region, contrib, lp.ica_pos)
     assert ctx.shape == (1, T * s2, 4)
+    # every anchor's blocks, one stacked context each, equal the one-block-at-a-time form
+    other = ica.IdentityMatch(3, 1, {0: 0, 1: 1, 2: 1}, {})
+    both = ica.joint_context([match, other], region, contrib, lp.ica_pos)
+    for a, m in enumerate((match, other)):
+        want = joint_context(m, [ad.tensor(r) for r in region.data],
+                             [ad.tensor(c) for c in contrib.data], lp.ica_pos)
+        assert np.array_equal(both.data[a], want.data[0])
 
 
 def test_aggregate_zero_value_projection_is_layer_norm(rng):
@@ -145,12 +152,12 @@ def test_aggregate_ignores_non_selected_region_features(rng):
         selected |= {(i, j) for i, j in m.selected.items()}
 
     prev = out.layers[0]
-    region_z = [ad.tensor(r.data.copy()) for r in prev.region]
-    for fi, r in enumerate(region_z):
-        for j in range(r.shape[0]):
+    region_z = ad.tensor(prev.region.data.copy())
+    for fi in range(region_z.shape[0]):
+        for j in range(region_z.shape[1]):
             if (fi, j) not in selected:
-                r.data[j] = 0.0
-    queries = [ad.tensor(r) for r in np.random.default_rng(7).normal(size=(2, 3, 8))]
+                region_z.data[fi, j] = 0.0
+    queries = ad.tensor(np.random.default_rng(7).normal(size=(2, 3, 8)))
 
     lp = params.layers[1]
     prev_zero = M.LayerOutput(logits=prev.logits, boxes_t=prev.boxes_t, boxes=prev.boxes,
@@ -159,8 +166,8 @@ def test_aggregate_ignores_non_selected_region_features(rng):
                              ident=prev.ident, region=prev.region)
     out_ref, _ = ica.ica_sublayer(queries, prev_ref, lp, cfg, "train")
     out_zero, _ = ica.ica_sublayer(queries, prev_zero, lp, cfg, "train")
-    for a, b in zip(out_ref, out_zero):
-        assert np.array_equal(a.data, b.data)
+    for a, b in zip(out_ref.data, out_zero.data):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +180,8 @@ def unit(v):
 
 
 def idents_of(*frames):
-    return [ad.tensor(rows(*f)) for f in frames]
+    """A clip's [T, L, d] identity tensor from each frame's rows."""
+    return ad.tensor(np.stack([rows(*f) for f in frames]))
 
 
 def test_contrastive_single_candidate_zero():
@@ -204,6 +212,28 @@ def test_contrastive_zero_pairs_contributes_zero():
     assert float(loss.data) == 0.0
 
 
+@pytest.mark.parametrize("matched, n_pairs", [
+    ([{1: 0, 2: 3, 7: 4}, {1: 2, 2: 0}, {2: 1, 1: 4, 9: 0}, {1: 3}], 4 * 3 + 3 * 2),
+    ([{1: 0}, {2: 3}, {}, {4: 1}], 0),
+], ids=["one_frame_track", "zero_pairs"])
+def test_contrastive_matches_per_pair_oracle(rng, matched, n_pairs):
+    """The clip-level loss equals the per-pair reference in value and
+    gradient; track 7 and 9 (first case) appear in one frame only."""
+    raw = rng.normal(size=(4, 5, 6))
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    x, y = ad.param(raw), ad.param(raw)
+    with ad.ComputationTape() as tape:
+        loss, pairs = ica.contrastive_loss(x, matched)
+    tape.backward(loss)
+    with ad.ComputationTape() as tape:
+        want, want_pairs = contrastive_loss(
+            [ad.reshape(ad.gather_rows(y, [i]), (5, 6)) for i in range(4)], matched)
+    tape.backward(want)
+    assert pairs == want_pairs == n_pairs
+    assert float(loss.data) == pytest.approx(float(want.data), rel=1e-12, abs=1e-15)
+    assert_allclose(x.grad, y.grad, rtol=1e-12, atol=1e-12)
+
+
 def test_one_hot_embeddings_reproduce_oracle(rng):
     """With per-track one-hot identities, learned matching equals oracle."""
     tracks = [3, 8]
@@ -222,8 +252,7 @@ def test_contrastive_decreases_on_micro_problem(rng):
     raw = ad.param(rng.normal(size=(2 * 3, 4)))
 
     def build_idents():
-        normed = M.l2_normalize_rows(raw)
-        return [ad.gather_rows(normed, range(f * 3, f * 3 + 3)) for f in range(2)]
+        return ad.reshape(M.l2_normalize_rows(raw), (2, 3, 4))
 
     matched = [{1: 0, 2: 1}, {1: 2, 2: 0}]
     with ad.ComputationTape() as tape:

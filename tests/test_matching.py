@@ -13,10 +13,10 @@ from oracles import focal_loss, giou, match_cost
 
 
 def make_frame(logits, boxes):
-    """One frame's predictions as the matcher and loss take them: logits
-    [L, C] and boxes_t [L, 4] as tensors, boxes [L, 4] as an array."""
-    logits = np.asarray(logits, dtype=np.float64)
-    boxes = np.array([b.as_array() for b in boxes])
+    """One frame's predictions as the loss takes a T=1 clip: logits
+    [1, L, C] and boxes_t [1, L, 4] as tensors, boxes [1, L, 4] as an array."""
+    logits = np.asarray(logits, dtype=np.float64)[None]
+    boxes = np.array([b.as_array() for b in boxes])[None]
     return ad.param(logits), ad.param(boxes), boxes
 
 
@@ -192,19 +192,19 @@ def test_hungarian_rejects_nonfinite():
 def test_set_loss_zero_gts_is_pure_negative_classification(rng):
     cfg = mt.MatchCostConfig()
     logits, boxes_t, boxes = make_frame(rng.normal(size=(4, 3)), [Box(0.5, 0.5, 0.3, 0.3)] * 4)
-    res = mt.set_loss(logits, boxes_t, boxes, [], cfg)
+    res = mt.set_loss(logits, boxes_t, boxes, [[]], cfg)
     want = sum(focal_loss(float(x), 0, cfg.focal_alpha, cfg.focal_gamma)
                for x in logits.data.ravel()) * cfg.lambda_cls
     assert float(res.total.data) == pytest.approx(want, abs=1e-9)
-    assert res.assignment.pred_of_gt == ()
-    assert res.assignment.unmatched_preds == (0, 1, 2, 3)
+    assert res.assignments[0].pred_of_gt == ()
+    assert res.assignments[0].unmatched_preds == (0, 1, 2, 3)
 
 
 def test_set_loss_perfect_single_prediction(rng):
     cfg = mt.MatchCostConfig()
     box = Box(0.5, 0.5, 0.4, 0.3)
     frame = make_frame([[25.0, -25.0]], [box])
-    res = mt.set_loss(*frame, [(0, box)], cfg)
+    res = mt.set_loss(*frame, [[(0, box)]], cfg)
     assert float(res.total.data) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -214,14 +214,14 @@ def test_set_loss_matches_brute_force(rng):
         rng.normal(size=(4, 2)), [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(4)])
     gts = [(int(rng.integers(2)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
            for _ in range(2)]
-    res = mt.set_loss(logits, boxes_t, boxes, gts, cfg)
-    cost = mt.cost_matrix(logits.data, boxes, gts, cfg)
+    res = mt.set_loss(logits, boxes_t, boxes, [gts], cfg)
+    cost = mt.cost_matrix(logits.data[0], boxes[0], gts, cfg)
     best = None
     for pair in itertools.permutations(range(4), 2):
         total = cost[pair[0], 0] + cost[pair[1], 1]
         if best is None or total < best[0]:
             best = (total, pair)
-    assert tuple(res.assignment.pred_of_gt) == best[1]
+    assert tuple(res.assignments[0].pred_of_gt) == best[1]
 
 
 def test_set_loss_capacity_error(rng):
@@ -229,7 +229,7 @@ def test_set_loss_capacity_error(rng):
     frame = make_frame(rng.normal(size=(1, 2)), [Box(0.5, 0.5, 0.3, 0.3)])
     gts = [(0, Box(0.4, 0.4, 0.2, 0.2)), (1, Box(0.6, 0.6, 0.2, 0.2))]
     with pytest.raises(CapacityError):
-        mt.set_loss(*frame, gts, cfg)
+        mt.set_loss(*frame, [gts], cfg)
 
 
 def test_set_loss_permutation_equivariance(rng):
@@ -237,15 +237,15 @@ def test_set_loss_permutation_equivariance(rng):
     logits = rng.normal(size=(5, 2))
     boxes = [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(5)]
     gts = [(0, Box(0.3, 0.3, 0.25, 0.25)), (1, Box(0.7, 0.6, 0.3, 0.2))]
-    res = mt.set_loss(*make_frame(logits, boxes), gts, cfg)
+    res = mt.set_loss(*make_frame(logits, boxes), [gts], cfg)
 
     perm = [3, 0, 4, 1, 2]          # preds[perm[k]] becomes slot k
     permuted = make_frame(logits[perm], [boxes[i] for i in perm])
-    res_p = mt.set_loss(*permuted, gts, cfg)
+    res_p = mt.set_loss(*permuted, [gts], cfg)
     assert float(res_p.total.data) == float(res.total.data)
     inv = {orig: new for new, orig in enumerate(perm)}
-    assert tuple(inv[i] for i in res.assignment.pred_of_gt) \
-        == tuple(res_p.assignment.pred_of_gt)
+    assert tuple(inv[i] for i in res.assignments[0].pred_of_gt) \
+        == tuple(res_p.assignments[0].pred_of_gt)
 
 
 def test_set_loss_clip_normalization_invariant_under_duplication(rng):
@@ -277,10 +277,11 @@ def test_set_loss_gradient(rng):
     def build(x):
         # x packs [logits | box logit-coords] per prediction row
         cols = ad.transpose(x, (1, 0))
-        logits = ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0))
-        btens = ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0)))
-        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), gts, cfg,
-                          assignment=mt.Assignment((0, 1), (2,)))
+        logits = ad.reshape(ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0)), (1, 3, 2))
+        btens = ad.reshape(ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0))),
+                           (1, 3, 4))
+        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), [gts], cfg,
+                          assignments=[mt.Assignment((0, 1), (2,))])
         return res.total
 
     packed = np.zeros((3, 6))
@@ -288,3 +289,39 @@ def test_set_loss_gradient(rng):
     packed[:, 2:] = np.log(base_boxes / (1 - base_boxes))
     rep = ad.grad_check(build, ad.tensor(packed))
     assert rep.max_rel_err < 1e-4
+
+
+def test_set_loss_clip_equals_sum_of_single_frames(rng):
+    """One [T, L, ·] call scores the same as its T single-frame calls under
+    the same assignments, in value, loss parts and gradient."""
+    cfg = mt.MatchCostConfig()
+    T, L, C = 3, 5, 3
+    logits = rng.normal(size=(T, L, C)) * 2
+    boxes = np.clip(rng.random((T, L, 4)), 0.15, 0.8)
+    gts = [[(int(rng.integers(C)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
+            for _ in range(g)] for g in (2, 0, 3)]
+    assignments = [mt.match_frame(logits[t], boxes[t], gts[t], cfg) for t in range(T)]
+
+    lt, bt = ad.param(logits), ad.param(boxes)
+    with ad.ComputationTape() as tape:
+        clip = mt.set_loss(lt, bt, boxes, gts, cfg, assignments=assignments)
+    tape.backward(clip.total)
+    assert clip.assignments == assignments
+    assert clip.num_gts == 5
+
+    total = cls = giou_t = l1 = 0.0
+    for t in range(T):
+        lf, bf = ad.param(logits[t:t + 1]), ad.param(boxes[t:t + 1])
+        with ad.ComputationTape() as tape:
+            res = mt.set_loss(lf, bf, boxes[t:t + 1], gts[t:t + 1], cfg,
+                              assignments=assignments[t:t + 1])
+        tape.backward(res.total)
+        total += float(res.total.data)
+        cls, giou_t, l1 = cls + res.cls_term, giou_t + res.giou_term, l1 + res.l1_term
+        assert_allclose(lt.grad[t], lf.grad[0], rtol=1e-12, atol=1e-14)
+        assert_allclose(bt.grad[t], bf.grad[0], rtol=1e-12, atol=1e-14)
+    assert float(clip.total.data) == pytest.approx(total, rel=1e-12)
+    assert (clip.cls_term, clip.giou_term, clip.l1_term) == pytest.approx((cls, giou_t, l1),
+                                                                         rel=1e-12)
+    assert mt.set_loss(ad.tensor(logits), ad.tensor(boxes), boxes, gts, cfg).assignments \
+        == assignments

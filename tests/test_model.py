@@ -61,15 +61,15 @@ def test_config_sidecar_with_removed_field_loads(tmp_path):
 def test_backbone_shape_contract(rng):
     cfg = desk_cfg()
     params = M.init_model(cfg, rng)
-    feat = M.backbone(rng.random((32, 32, 3)), cfg, params)
-    assert feat.f.shape == (4, 4, 32)
-    assert feat.m.shape == (16, 32)
+    feat = M.backbone(rng.random((2, 32, 32, 3)), cfg, params)
+    assert feat.f.shape == (2, 4, 4, 32)
+    assert feat.m.shape == (2, 16, 32)
 
 
 def test_backbone_determinism(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
-    frame = rng.random((8, 8, 3))
+    frame = rng.random((2, 8, 8, 3))
     f1 = M.backbone(frame, cfg, params)
     f2 = M.backbone(frame, cfg, params)
     assert np.array_equal(f1.f.data, f2.f.data)
@@ -79,27 +79,29 @@ def test_backbone_rejects_indivisible(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     with pytest.raises(ConfigError):
-        M.backbone(rng.random((10, 8, 3)), cfg, params)
+        M.backbone(rng.random((1, 10, 8, 3)), cfg, params)
 
 
 def test_adaptive_queries_uniform_attention(rng):
-    m = ad.tensor(rng.normal(size=(4, 8)))
+    m = ad.tensor(rng.normal(size=(2, 4, 8)))
     e = ad.tensor(np.zeros((3, 8)))
     out = M.adaptive_queries(m, e)
-    assert_allclose(out.data, np.broadcast_to(m.data.mean(axis=0), (3, 8)), atol=1e-12)
+    for t in range(2):
+        assert_allclose(out.data[t], np.broadcast_to(m.data[t].mean(axis=0), (3, 8)),
+                        atol=1e-12)
 
 
 def test_adaptive_queries_saturation_picks_row():
-    m = ad.tensor(np.eye(4))
+    m = ad.tensor(np.eye(4)[None])
     e = ad.tensor(100.0 * np.eye(4)[[2]])
     out = M.adaptive_queries(m, e)
-    assert_allclose(out.data, m.data[[2]], atol=1e-10)
+    assert_allclose(out.data[0], m.data[0][[2]], atol=1e-10)
 
 
 def test_adaptive_queries_shape_contract(rng):
-    out = M.adaptive_queries(ad.tensor(rng.normal(size=(16, 32))),
+    out = M.adaptive_queries(ad.tensor(rng.normal(size=(3, 16, 32))),
                              ad.tensor(rng.normal(size=(8, 32))))
-    assert out.shape == (8, 32)
+    assert out.shape == (3, 8, 32)
 
 
 def test_extended_self_attention_t1_reduction(rng):
@@ -108,8 +110,8 @@ def test_extended_self_attention_t1_reduction(rng):
     lp = params.layers[0]
     q = ad.tensor(rng.normal(size=(3, 8)))
     direct = M.apply_ln(q + ad.multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
-    via = M.extended_self_attention([q], lp)
-    assert np.array_equal(via[0].data, direct.data)
+    via = M.extended_self_attention(ad.reshape(q, (1, 3, 8)), lp)
+    assert np.array_equal(via.data[0], direct.data)
 
 
 def test_extended_self_attention_zero_value_projection(rng):
@@ -120,11 +122,11 @@ def test_extended_self_attention_zero_value_projection(rng):
     lp.self_attn.v.b.data[:] = 0
     lp.self_attn.out.w.data[:] = 0
     lp.self_attn.out.b.data[:] = 0
-    qs = [ad.tensor(rng.normal(size=(3, 8))) for _ in range(2)]
+    qs = ad.tensor(rng.normal(size=(2, 3, 8)))
     out = M.extended_self_attention(qs, lp)
-    for q, o in zip(qs, out):
-        want = M.apply_ln(q, lp.ln_self)
-        assert_allclose(o.data, want.data, atol=1e-12)
+    for q, o in zip(qs.data, out.data):
+        want = M.apply_ln(ad.tensor(q), lp.ln_self)
+        assert_allclose(o, want.data, atol=1e-12)
 
 
 def test_extended_self_attention_matches_per_definition_oracle(rng):
@@ -132,10 +134,10 @@ def test_extended_self_attention_matches_per_definition_oracle(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     lp = params.layers[0]
-    qs = [ad.tensor(rng.normal(size=(2, 8))) for _ in range(2)]
+    qs = ad.tensor(rng.normal(size=(2, 2, 8)))
     out = M.extended_self_attention(qs, lp)
 
-    allq = np.concatenate([q.data for q in qs])
+    allq = qs.data.reshape(4, 8)
     p = lp.self_attn
 
     def lin(x, pp):
@@ -145,7 +147,7 @@ def test_extended_self_attention_matches_per_definition_oracle(rng):
     hd = d // heads
     for t in range(2):
         for j in range(2):
-            qrow = qs[t].data[j:j + 1]
+            qrow = qs.data[t, j:j + 1]
             qh = lin(qrow, p.q).reshape(1, heads, hd).transpose(1, 0, 2)
             kh = lin(allq, p.k).reshape(4, heads, hd).transpose(1, 0, 2)
             vh = lin(allq, p.v).reshape(4, heads, hd).transpose(1, 0, 2)
@@ -161,7 +163,7 @@ def test_extended_self_attention_matches_per_definition_oracle(rng):
             var = pre.var()
             want = (pre - mu) / np.sqrt(var + M.LN_EPS) * lp.ln_self.gain.data \
                 + lp.ln_self.bias.data
-            assert_allclose(out[t].data[j], want[0], atol=1e-6)
+            assert_allclose(out.data[t, j], want[0], atol=1e-6)
 
 
 def test_adapt_region_feature_zero_adapter(rng):
@@ -202,9 +204,10 @@ def test_guided_cross_attention_constant_field(rng):
     q2, k2 = guided_cross_attention(q, Box(0.7, 0.7, 0.2, 0.2), f, lp, 2)
     # constant field: value rows identical, so attention weights are moot
     assert_allclose(q1.data, q2.data, atol=1e-10)
-    boxes = np.array([[0.3, 0.3, 0.4, 0.4], [0.7, 0.7, 0.2, 0.2]])
-    both, _ = M.guided_cross_attention_frame(ad.concat([q, q]), boxes, f, lp, 2)
-    assert_allclose(both.data, np.concatenate([q1.data, q2.data]), atol=1e-10)
+    boxes = np.array([[[0.3, 0.3, 0.4, 0.4], [0.7, 0.7, 0.2, 0.2]]])
+    both, _ = M.guided_cross_attention(ad.reshape(ad.concat([q, q]), (1, 2, 8)), boxes,
+                                       ad.reshape(f, (1, 4, 4, 8)), lp, 2)
+    assert_allclose(both.data[0], np.concatenate([q1.data, q2.data]), atol=1e-10)
 
 
 def test_guided_cross_attention_full_frame_identity(rng):
@@ -216,8 +219,9 @@ def test_guided_cross_attention_full_frame_identity(rng):
     _, k = guided_cross_attention(q, Box(0.5, 0.5, 1.0, 1.0), ad.tensor(grid), lp, 2)
     adapted = grid.reshape(4, 8) + (q.data @ lp.adapter.data).reshape(4, 8)
     assert_allclose(k.data, adapted, atol=1e-10)
-    _, region = M.guided_cross_attention_frame(q, geo.FULL_FRAME[None], ad.tensor(grid), lp, 2)
-    assert_allclose(region.data[0], adapted, atol=1e-10)
+    _, region = M.guided_cross_attention(ad.reshape(q, (1, 1, 8)), geo.FULL_FRAME[None, None],
+                                         ad.tensor(grid[None]), lp, 2)
+    assert_allclose(region.data[0, 0], adapted, atol=1e-10)
 
 
 def test_detection_head_contracts(rng):
@@ -230,10 +234,11 @@ def test_detection_head_contracts(rng):
     logits, box, h = detection_head(q, Box(*ref[0]), lp, True)
     assert logits.shape == (2,)
     assert np.linalg.norm(h.data) == pytest.approx(1.0, abs=1e-5)
-    logits_f, _, boxes_f, ident_f = M.detection_head_frame(q, ref, lp, True)
-    assert_allclose(logits_f.data[0], logits.data, atol=1e-12)
-    assert_allclose(boxes_f[0], box.as_array(), atol=1e-12)
-    assert_allclose(ident_f.data[0], h.data, atol=1e-12)
+    logits_f, _, boxes_f, ident_f = M.detection_head(ad.reshape(q, (1, 1, 8)), ref[None],
+                                                     lp, True)
+    assert_allclose(logits_f.data[0, 0], logits.data, atol=1e-12)
+    assert_allclose(boxes_f[0, 0], box.as_array(), atol=1e-12)
+    assert_allclose(ident_f.data[0, 0], h.data, atol=1e-12)
     for layer in lp.head_loc:
         layer.w.data[:] = 0
         layer.b.data[:] = 0
@@ -250,8 +255,8 @@ def test_clip_forward_shape_contract(rng):
     L = cfg.num_queries
     for layer in out.layers:
         assert len(layer.logits) == len(layer.boxes_t) == len(layer.boxes) == 3
-        assert all(x.shape == (L, cfg.num_classes) for x in layer.logits)
-        assert all(b.shape == (L, 4) for b in layer.boxes)
+        assert layer.logits.shape == (3, L, cfg.num_classes)
+        assert layer.boxes_t.shape == layer.boxes.shape == (3, L, 4)
 
 
 def test_desk_clip_tape_record_count():
@@ -265,7 +270,7 @@ def test_desk_clip_tape_record_count():
         out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
         _, parts, _ = tr.clip_loss(out, gts, mt.MatchCostConfig(), train_identity=True)
     assert parts.con > 0.0
-    assert len(tape) == 2945
+    assert len(tape) == 621
 
 
 def test_clip_forward_determinism(rng):
@@ -275,8 +280,8 @@ def test_clip_forward_determinism(rng):
     a = M.clip_forward(frames, cfg, params, mode="train")
     b = M.clip_forward(frames, cfg, params, mode="train")
     for la, lb in zip(a.layers, b.layers):
-        for fa, fb in zip(la.logits, lb.logits):
-            assert np.array_equal(fa.data, fb.data)
+        for fa, fb in zip(la.logits.data, lb.logits.data):
+            assert np.array_equal(fa, fb)
 
 
 def test_clip_forward_no_ica_variant(rng):
@@ -290,8 +295,8 @@ def test_clip_forward_no_ica_variant(rng):
         assert layer.ident is None
     on = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
     assert on.layers[-1].matches != []
-    changed = not np.array_equal(on.layers[-1].logits[0].data,
-                                 off.layers[-1].logits[0].data)
+    changed = not np.array_equal(on.layers[-1].logits.data[0],
+                                 off.layers[-1].logits.data[0])
     assert changed
 
 
@@ -304,7 +309,7 @@ def test_clip_forward_frame_permutation_equivariance(rng):
     out_p = M.clip_forward(frames[perm], cfg, params, mode="train")
     for layer, layer_p in zip(out.layers, out_p.layers):
         for new_i, old_i in enumerate(perm):
-            assert_allclose(layer_p.logits[new_i].data, layer.logits[old_i].data,
+            assert_allclose(layer_p.logits.data[new_i], layer.logits.data[old_i],
                             atol=1e-9)
 
 
@@ -328,8 +333,8 @@ def test_within_frame_mask_matches_single_frame_runs_bitexactly(rng):
         single = M.clip_forward(frames[i:i + 1], cfg, params, mode="train",
                                 within_frame_mask=True)
         for lm, ls in zip(masked.layers, single.layers):
-            assert np.array_equal(lm.logits[i].data, ls.logits[0].data)
-            assert np.array_equal(lm.boxes_t[i].data, ls.boxes_t[0].data)
+            assert np.array_equal(lm.logits.data[i], ls.logits.data[0])
+            assert np.array_equal(lm.boxes_t.data[i], ls.boxes_t.data[0])
 
 
 def test_fixed_queries_variant(rng):
@@ -352,7 +357,7 @@ def test_extract_detections_threshold(rng):
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((1, 8, 8, 3)), cfg, params)
     dets = M.extract_detections(out.layers[-1], cfg)
-    logits = out.layers[-1].logits[0].data
+    logits = out.layers[-1].logits.data[0]
     n_above = int((1 / (1 + np.exp(-logits)) > 0.5).sum())
     assert len(dets[0]) == n_above
 
