@@ -487,11 +487,13 @@ def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
     fx = xs - x0
     fy = ys - y0
     weights = np.zeros((t, n, h * w), dtype=f.data.dtype)
-    at = (np.arange(t)[:, None], np.arange(n)[None, :])
-    np.add.at(weights, at + (y0 * w + x0,), (1 - fy) * (1 - fx))
-    np.add.at(weights, at + (y0 * w + x1,), (1 - fy) * fx)
-    np.add.at(weights, at + (y1 * w + x0,), fy * (1 - fx))
-    np.add.at(weights, at + (y1 * w + x1,), fy * fx)
+    at = (np.arange(t)[:, None], np.arange(n)[None, :],
+          np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]))      # [4, T, N]
+    corner = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    if h > 1 and w > 1:
+        weights[at] = corner            # a point's four corners are distinct cells
+    else:
+        np.add.at(weights, at, corner)
     out = weights @ f.data.reshape(t, h * w, c)
 
     def backward(g):

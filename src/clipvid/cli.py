@@ -16,6 +16,7 @@ CLIPVID_PRECISION=32|64 overrides float precision (gradcheck always 64).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -327,6 +328,14 @@ def cmd_ablate(args) -> int:
     if not grids:
         print("error: empty grid", file=sys.stderr)
         return EXIT_USAGE
+    sidecar = args.ckpt + ".config.txt"
+    cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
+    # Runtime knobs may only lower what the checkpoint was built with.
+    for key, what, top in (("topk", "queries", cfg.num_queries),
+                           ("ica_layers", "checkpoint ICA layers", cfg.ica_layers)):
+        if max(grids.get(key, [0])) > top:
+            print(f"error: {key} {max(grids[key])} exceeds {what} {top}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         dataset = sv.read_dataset(args.data)
     except ParseError as e:
@@ -339,18 +348,13 @@ def cmd_ablate(args) -> int:
         cells = [dict(c, **{k: v}) for c in cells for v in grids[k]]
 
     rows = ["," .join(keys + ["map", "map_slow", "map_medium", "map_fast"])]
+    params = _load_params(cfg, args.ckpt)
     for cell in cells:
-        sidecar = args.ckpt + ".config.txt"
-        cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
-        params = _load_params(cfg, args.ckpt)
-        # Runtime knobs applied after loading; layer overrides only restrict.
-        if "topk" in cell:
-            cfg.ica_topk = min(cell["topk"], cfg.num_queries)
-        if "ica_layers" in cell:
-            cfg.ica_layers = min(cell["ica_layers"], cfg.ica_layers)
+        cell_cfg = dataclasses.replace(cfg, ica_topk=cell.get("topk", cfg.ica_topk),
+                                       ica_layers=cell.get("ica_layers", cfg.ica_layers))
         all_dets = []
         for clip in dataset:
-            dets, _ = tr.infer_clip(clip, cfg, params,
+            dets, _ = tr.infer_clip(clip, cell_cfg, params,
                                     frames_per_pass=cell.get("frames"))
             all_dets.append(dets)
         report = ev.evaluate(all_dets, dataset, cfg.num_classes)

@@ -17,10 +17,6 @@ class CapacityError(ValueError):
     """More ground-truth objects than available prediction slots."""
 
 
-class StateError(RuntimeError):
-    """Required state (e.g. identity embeddings) is missing."""
-
-
 class ParseError(ValueError):
     """Malformed dataset or checkpoint file."""
 

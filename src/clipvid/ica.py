@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import matching as mt
 from .autodiff import Tensor
-from .errors import StateError
+from .errors import NumericError
 
 
 @dataclass
@@ -43,55 +43,51 @@ def select_topk(logits: np.ndarray, k: int) -> list[int]:
     return [j for _, j in scored[:k]]
 
 
-def identity_match(idents: list, anchor_frame: int, anchor_index: int,
-                   candidates: dict[int, list[int]]) -> IdentityMatch:
-    """Pick the most identity-similar candidate in every other frame.
+def identity_match(idents: np.ndarray, anchors: list[tuple[int, int]],
+                   candidates: dict[int, list[int]]) -> list[IdentityMatch]:
+    """For every (frame, query index) anchor, pick the most identity-similar
+    candidate in every other frame; ties go to the lower index.
 
-    idents[i] holds frame i's [L, d] float64 identity embeddings (None when
-    the layer has no identity head); candidates maps a frame to the query
-    indices eligible there."""
-    for i in {anchor_frame, *candidates}:
-        if idents[i] is None:
-            raise StateError(f"frame {i} has no identity embeddings")
-    av = idents[anchor_frame][anchor_index]
-    selected: dict[int, int] = {}
-    dots: dict[int, float] = {}
-    for i in sorted(candidates):
-        if i == anchor_frame:
-            continue
-        best_j, best_dot = -1, -np.inf
-        for j in candidates[i]:
-            d = float(av @ idents[i][j])
-            if d > best_dot or (d == best_dot and j < best_j):
-                best_j, best_dot = j, d
-        selected[i] = best_j
-        dots[i] = best_dot
-    return IdentityMatch(anchor_frame, anchor_index, selected, dots)
+    idents holds the clip's [T, L, d] float64 identity embeddings;
+    candidates maps a frame to its eligible query indices, the same number
+    in every frame. Raises NumericError when a cross-frame dot is not
+    finite, naming the frames whose embeddings are not."""
+    order = sorted(candidates)
+    frames = np.array(order, dtype=np.int64)
+    cand = np.sort(np.array([candidates[i] for i in order], dtype=np.int64), axis=1)   # [F, k]
+    af, aj = np.array(anchors, dtype=np.int64).reshape(-1, 2).T
+    # Stacked [1, d] @ [d, 1] products: one vector dot per cell, so every dot
+    # is bit-identical to float(av @ row) (a gemm over the same rows is not).
+    dots = (idents[af, aj][:, None, None, None, :]
+            @ idents[frames[:, None], cand][None, ..., None])[..., 0, 0]     # [A, F, k]
+    own = frames[None, :] == af[:, None]          # an anchor's own frame is not compared
+    if not (np.isfinite(dots).all(axis=-1) | own).all():
+        bad = np.flatnonzero(~np.isfinite(idents).all(axis=(1, 2))).tolist()
+        raise NumericError(f"non-finite identity dots; frames with non-finite embeddings: {bad}")
+    best = np.argmax(dots, axis=-1)                                         # first maximum
+    picks = cand[np.arange(len(order)), best].tolist()
+    best_dots = np.take_along_axis(dots, best[..., None], axis=-1)[..., 0].tolist()
+    return [IdentityMatch(m, j, {i: picks[a][f] for f, i in enumerate(order) if i != m},
+                          {i: best_dots[a][f] for f, i in enumerate(order) if i != m})
+            for a, (m, j) in enumerate(anchors)]
 
 
-def oracle_match(idents: list, anchor_frame: int, anchor_index: int,
-                 anchor_track: int | None, track_queries: list[dict[int, int]],
+def oracle_match(idents: np.ndarray, learned: IdentityMatch, anchor_track: int | None,
+                 track_queries: list[dict[int, int]],
                  candidates: dict[int, list[int]]) -> IdentityMatch:
     """Ground-truth-guided selection: in every other frame take the query
-    assigned to the anchor's track; fall back to learned matching for the
-    anchor itself or frames where the track is absent."""
-    learned = identity_match(idents, anchor_frame, anchor_index, candidates)
+    assigned to the anchor's track; keep the learned pick for an anchor
+    without a track or frames where the track is absent."""
     if anchor_track is None:
         return learned
-    selected: dict[int, int] = {}
-    dots: dict[int, float] = {}
-    av = idents[anchor_frame][anchor_index]
-    for i in sorted(candidates):
-        if i == anchor_frame:
-            continue
+    selected, dots = dict(learned.selected), dict(learned.dots)
+    av = idents[learned.anchor_frame, learned.anchor_index]
+    for i in selected:
         j = track_queries[i].get(anchor_track)
-        if j is None:
-            selected[i] = learned.selected[i]
-            dots[i] = learned.dots[i]
-            continue
-        selected[i] = j
-        dots[i] = float(av @ idents[i][j]) if j in candidates[i] else float("nan")
-    return IdentityMatch(anchor_frame, anchor_index, selected, dots, "oracle")
+        if j is not None:
+            selected[i] = j
+            dots[i] = float(av @ idents[i, j]) if j in candidates[i] else float("nan")
+    return IdentityMatch(learned.anchor_frame, learned.anchor_index, selected, dots, "oracle")
 
 
 def joint_context(matches: list[IdentityMatch], region: Tensor, queries: Tensor,
@@ -124,48 +120,29 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
     from .model import apply_ln
 
     T, L, d = queries.shape
-    logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
-    idents = np.asarray(prev_layer.ident.data, dtype=np.float64)
     if frozen_matches is not None:
-        topk = [[] for _ in range(T)]
-        for fm in frozen_matches:
-            topk[fm.anchor_frame].append(fm.anchor_index)
+        matches = list(frozen_matches)
     else:
+        logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
         topk = [select_topk(logits[i], cfg.ica_topk) for i in range(T)]
-    candidates = dict(enumerate(topk))
-
-    track_queries: list[dict[int, int]] = []
-    anchor_tracks: list[dict[int, int]] = []
-    if mode == "oracle_ica":
-        cost_cfg = mt.MatchCostConfig()
-        for i in range(T):
-            frame_gts = gts[i]
-            tq: dict[int, int] = {}
-            at: dict[int, int] = {}
-            if frame_gts:
-                assignment = mt.match_frame(
-                    logits[i], prev_layer.boxes[i],
-                    [(c, b) for c, b, _tid in frame_gts], cost_cfg)
-                for j, (cls_id, box, tid) in enumerate(frame_gts):
-                    tq[tid] = assignment.pred_of_gt[j]
-                    at[assignment.pred_of_gt[j]] = tid
-            track_queries.append(tq)
-            anchor_tracks.append(at)
-
-    matches: list[IdentityMatch] = []
-    frozen_iter = iter(frozen_matches) if frozen_matches is not None else None
-    for m in range(T):
-        for j in topk[m]:
-            if frozen_iter is not None:
-                match = next(frozen_iter)
-            elif within_frame_mask:
-                match = IdentityMatch(m, j, {}, {})
-            elif mode == "oracle_ica":
-                match = oracle_match(idents, m, j, anchor_tracks[m].get(j),
-                                     track_queries, candidates)
-            else:
-                match = identity_match(idents, m, j, candidates)
-            matches.append(match)
+        pairs = [(m, j) for m in range(T) for j in topk[m]]
+        if within_frame_mask:
+            matches = [IdentityMatch(m, j, {}, {}) for m, j in pairs]
+        else:
+            idents = np.asarray(prev_layer.ident.data, dtype=np.float64)
+            candidates = dict(enumerate(topk))
+            matches = identity_match(idents, pairs, candidates)
+            if mode == "oracle_ica":
+                track_queries: list[dict[int, int]] = []     # per frame: track id -> query
+                for i, frame_gts in enumerate(gts):
+                    pred = mt.match_frame(
+                        logits[i], prev_layer.boxes[i], [(c, b) for c, b, _tid in frame_gts],
+                        mt.MatchCostConfig()).pred_of_gt if frame_gts else []
+                    track_queries.append({tid: p for (_c, _b, tid), p in zip(frame_gts, pred)})
+                anchor_tracks = [{p: tid for tid, p in tq.items()} for tq in track_queries]
+                matches = [oracle_match(idents, m,
+                                        anchor_tracks[m.anchor_frame].get(m.anchor_index),
+                                        track_queries, candidates) for m in matches]
 
     if not matches:
         return queries, matches

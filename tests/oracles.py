@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipvid import autodiff as ad
+from clipvid import ica
 from clipvid import model as M
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
@@ -87,6 +88,18 @@ def roi_grid_points(b: Box, s: int, h: int, w: int) -> np.ndarray:
     return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
 
 
+def bilinear_corners(h: int, w: int, x: float, y: float) -> list[tuple[int, int, float]]:
+    """(row, col, weight) terms of bilinear interpolation on an [h, w] map at
+    fractional index (x, y): the point is clamped to the border and a
+    corner past the last row or column folds onto it."""
+    x, y = min(max(x, 0.0), w - 1.0), min(max(y, 0.0), h - 1.0)
+    c0, r0 = math.floor(x), math.floor(y)
+    fx, fy = x - c0, y - r0
+    return [(r, c, wy * wx)
+            for r, wy in ((r0, 1.0 - fy), (min(r0 + 1, h - 1), fy))
+            for c, wx in ((c0, 1.0 - fx), (min(c0 + 1, w - 1), fx))]
+
+
 def roi_sample(f, b: Box, s: int):
     """Bilinear sample an s*s grid of cell centers inside b on one [h, w, d]
     map -> [s*s, d]."""
@@ -123,6 +136,50 @@ def detection_head(q, b: Box, lp, with_identity: bool):
         ident = M.l2_normalize_rows(M.mlp(q, lp.head_id))
         h = ad.reshape(ident, (ident.shape[-1],))
     return ad.reshape(logits, (logits.shape[-1],)), box, h
+
+
+def identity_match(idents, anchor_frame: int, anchor_index: int,
+                   candidates: dict[int, list[int]]):
+    """One anchor's selection over [T, L, d] float64 identity embeddings,
+    one scalar dot at a time: in every other frame the candidate with the
+    largest dot, ties to the lower index (-1 and -inf when none is finite)."""
+    av = idents[anchor_frame][anchor_index]
+    selected: dict[int, int] = {}
+    dots: dict[int, float] = {}
+    for i in sorted(candidates):
+        if i == anchor_frame:
+            continue
+        best_j, best_dot = -1, -np.inf
+        for j in candidates[i]:
+            d = float(av @ idents[i][j])
+            if d > best_dot or (d == best_dot and j < best_j):
+                best_j, best_dot = j, d
+        selected[i] = best_j
+        dots[i] = best_dot
+    return ica.IdentityMatch(anchor_frame, anchor_index, selected, dots)
+
+
+def oracle_match(idents, anchor_frame: int, anchor_index: int, anchor_track,
+                 track_queries: list[dict[int, int]], candidates: dict[int, list[int]]):
+    """Ground-truth-guided selection for one anchor: the track's query in
+    every other frame, the scalar learned pick where the track is absent."""
+    learned = identity_match(idents, anchor_frame, anchor_index, candidates)
+    if anchor_track is None:
+        return learned
+    selected: dict[int, int] = {}
+    dots: dict[int, float] = {}
+    av = idents[anchor_frame][anchor_index]
+    for i in sorted(candidates):
+        if i == anchor_frame:
+            continue
+        j = track_queries[i].get(anchor_track)
+        if j is None:
+            selected[i] = learned.selected[i]
+            dots[i] = learned.dots[i]
+            continue
+        selected[i] = j
+        dots[i] = float(av @ idents[i][j]) if j in candidates[i] else float("nan")
+    return ica.IdentityMatch(anchor_frame, anchor_index, selected, dots, "oracle")
 
 
 def joint_context(match, region, contrib_queries, pos_proj):

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -246,6 +247,47 @@ def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsy
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("grid,limit", [
+    ("topk=2,99", "topk 99 exceeds queries 4"),
+    ("ica_layers=0,5", "ica_layers 5 exceeds checkpoint ICA layers 1"),
+], ids=["topk_above_queries", "ica_layers_above_checkpoint"])
+def test_ablate_knob_above_checkpoint_is_usage_error(dataset, trained_ckpt, capsys,
+                                                      tmp_path, grid, limit):
+    """A cell the checkpoint cannot run is refused, not run at a lower
+    value under the requested label."""
+    code = run("ablate", "--grid", grid, "--data", dataset, "--ckpt", trained_ckpt,
+               "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert limit in err and "Traceback" not in err
+    assert not list(tmp_path.glob("r*"))
+
+
+def test_ablate_loads_checkpoint_once(dataset, trained_ckpt, monkeypatch, tmp_path):
+    loads = []
+    real = cli._load_params
+    monkeypatch.setattr(cli, "_load_params", lambda *a: loads.append(a) or real(*a))
+    assert run("ablate", "--grid", "topk=1,2", "--grid", "ica_layers=0,1", "--data", dataset,
+               "--ckpt", trained_ckpt, "--out", str(tmp_path / "t.csv")) == 0
+    assert len(loads) == 1
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 5
+
+
+def test_eval_non_finite_identity_head_is_numeric_error(dataset, trained_ckpt, capsys, tmp_path):
+    """A NaN identity head stops eval with exit 4 instead of aggregating
+    other queries' regions."""
+    from clipvid.checkpoint import load_checkpoint, save_checkpoint
+    tensors, prec = load_checkpoint(trained_ckpt)
+    tensors["layer0.head_id1.w"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(tensors, str(ckpt), precision=prec)
+    shutil.copy(trained_ckpt + ".config.txt", str(ckpt) + ".config.txt")
+    code = run("eval", "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "identity" in err and "Traceback" not in err
 
 
 def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):

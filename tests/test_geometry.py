@@ -10,7 +10,7 @@ from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid.errors import InputError
 from clipvid.geometry import Box
-from oracles import BoxDelta, apply_delta, giou, roi_sample
+from oracles import BoxDelta, apply_delta, bilinear_corners, giou, roi_sample
 
 
 def corners(x1, y1, x2, y2):
@@ -150,6 +150,30 @@ def test_bilinear_sample_clip_matches_single_frames_bitexactly(rng):
         tape.backward(loss)
         assert np.array_equal(out.data[t], single.data[0])
         assert_allclose(x.grad[t], xt.grad[0], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("h,w", [(1, 6), (5, 1), (1, 1), (5, 5)])
+def test_bilinear_sample_matches_scalar_corners(rng, h, w):
+    """Value and gradient equal the four-corner scalar form, on maps one
+    pixel wide or high too, at border-clamped, edge and interior points."""
+    t, n, c = 2, 14, 3
+    f = ad.param(rng.normal(size=(t, h, w, c)))
+    pts = rng.uniform(-1.5, max(h, w) + 0.5, size=(t, n, 2))
+    pts[:, :4] = [(0.0, 0.0), (w - 1.0, h - 1.0), (w + 3.0, -2.0), (w / 2.0, h / 2.0)]
+    g = rng.normal(size=(t, n, c))
+    with ad.ComputationTape() as tape:
+        out = ad.bilinear_sample(f, pts)
+        loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
+    tape.backward(loss)
+    want = np.zeros((t, n, c))
+    grad = np.zeros((t, h, w, c))
+    for i in range(t):
+        for k in range(n):
+            for r, col, wt in bilinear_corners(h, w, *pts[i, k]):
+                want[i, k] += wt * f.data[i, r, col]
+                grad[i, r, col] += wt * g[i, k]
+    assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    assert_allclose(f.grad, grad, rtol=1e-12, atol=1e-12)
 
 
 def test_roi_sample_linearity(rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
 from clipvid import ica
 from clipvid import model as M
-from clipvid.errors import StateError
-from oracles import aggregate, contrastive_loss, joint_context
+from clipvid.errors import NumericError
+from oracles import aggregate, contrastive_loss, identity_match, joint_context, oracle_match
 
 
 def rows(*vs):
@@ -28,9 +30,21 @@ def test_select_topk_tie_break():
     assert ica.select_topk(np.full((4, 1), 0.7), 2) == [0, 1]
 
 
+def clip(*frames):
+    """A [T, L, d] float64 clip from per-frame row lists, each frame padded
+    with zero rows to the longest."""
+    L = max(len(f) for f in frames)
+    return np.stack([np.vstack([f, np.zeros((L - len(f), len(f[0])))]) for f in frames])
+
+
+def match_one(idents, anchor_frame, anchor_index, candidates):
+    [m] = ica.identity_match(idents, [(anchor_frame, anchor_index)], candidates)
+    return m
+
+
 def test_identity_match_picks_higher_dot():
-    idents = [rows([0.6, 0.8]), rows([1.0, 0.0], [0.0, 1.0])]
-    m = ica.identity_match(idents, 0, 0, {1: [0, 1]})
+    idents = clip(rows([0.6, 0.8]), rows([1.0, 0.0], [0.0, 1.0]))
+    m = match_one(idents, 0, 0, {1: [0, 1]})
     assert m.selected == {1: 1}
     assert m.dots[1] == pytest.approx(0.8)
 
@@ -38,50 +52,120 @@ def test_identity_match_picks_higher_dot():
 def test_identity_match_self_similarity_best():
     h = np.array([0.36, 0.48, 0.8])
     other = np.array([1.0, 0.0, 0.0])
-    idents = [rows(h), rows(other, h)]
-    assert ica.identity_match(idents, 0, 0, {1: [0, 1]}).selected == {1: 1}
+    idents = clip(rows(h), rows(other, h))
+    assert match_one(idents, 0, 0, {1: [0, 1]}).selected == {1: 1}
 
 
 def test_identity_match_tie_break_lower_index():
     h = np.array([1.0, 0.0])
-    idents = [rows(h), rows(h, h)]
-    assert ica.identity_match(idents, 0, 0, {1: [0, 1]}).selected == {1: 0}
-    assert ica.identity_match(idents, 0, 0, {1: [1, 0]}).selected == {1: 0}
+    idents = clip(rows(h), rows(h, h))
+    assert match_one(idents, 0, 0, {1: [0, 1]}).selected == {1: 0}
+    assert match_one(idents, 0, 0, {1: [1, 0]}).selected == {1: 0}
 
 
-def test_identity_match_missing_embedding_raises():
-    with pytest.raises(StateError):
-        ica.identity_match([None, rows([1, 0])], 0, 0, {1: [0]})
+def test_identity_match_non_finite_embedding_raises(rng):
+    """A NaN embedding in the anchor's or a candidate's frame is a
+    NumericError naming that frame, not a pick of -1."""
+    cands = {i: [0, 1] for i in range(3)}
+    for bad_frame in (0, 2):
+        idents = rng.normal(size=(3, 4, 5))
+        idents[bad_frame, 1, 2] = np.nan
+        with pytest.raises(NumericError, match=rf"\[{bad_frame}\]"):
+            ica.identity_match(idents, [(0, 1), (1, 0)], cands)
+        # The anchor's own frame is never compared, so one frame raises nothing.
+        one = idents[bad_frame:bad_frame + 1]
+        assert ica.identity_match(one, [(0, 1)], {0: [0, 1]})[0].selected == {}
 
 
 def test_identity_match_scale_invariance_via_normalization(rng):
     raw = rng.normal(size=(3, 4))
     hs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     scaled = (raw * 37.5) / np.linalg.norm(raw * 37.5, axis=1, keepdims=True)
-    assert ica.identity_match([hs[:1], hs[1:]], 0, 0, {1: [0, 1]}).selected \
-        == ica.identity_match([scaled[:1], scaled[1:]], 0, 0, {1: [0, 1]}).selected
+    assert match_one(clip(hs[:1], hs[1:]), 0, 0, {1: [0, 1]}).selected \
+        == match_one(clip(scaled[:1], scaled[1:]), 0, 0, {1: [0, 1]}).selected
 
 
 def anchor_frame_idents():
     """Frame 0 holds the anchor at index 2; frame 1 two candidates."""
-    return [rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([0.0, 1.0], [1.0, 0.0])]
+    return clip(rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([0.0, 1.0], [1.0, 0.0]))
+
+
+def oracle_one(idents, anchor_frame, anchor_index, track, track_queries, candidates):
+    learned = match_one(idents, anchor_frame, anchor_index, candidates)
+    return ica.oracle_match(idents, learned, track, track_queries, candidates)
 
 
 def test_oracle_match_same_track_selected():
-    m = ica.oracle_match(anchor_frame_idents(), 0, 2, 7, [{}, {7: 0}], {1: [0, 1]})
+    m = oracle_one(anchor_frame_idents(), 0, 2, 7, [{}, {7: 0}], {1: [0, 1]})
     assert m.selected == {1: 0}
     assert m.provenance == "oracle"
 
 
 def test_oracle_match_fallback_when_track_absent():
-    m = ica.oracle_match(anchor_frame_idents(), 0, 2, 7, [{}, {}], {1: [0, 1]})
+    m = oracle_one(anchor_frame_idents(), 0, 2, 7, [{}, {}], {1: [0, 1]})
     assert m.selected == {1: 1}          # learned argmax fallback
 
 
 def test_oracle_match_unmatched_anchor_uses_learned():
-    idents = [rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([1.0, 0.0])]
-    m = ica.oracle_match(idents, 0, 2, None, [{}, {}], {1: [0]})
+    idents = clip(rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([1.0, 0.0]))
+    m = oracle_one(idents, 0, 2, None, [{}, {}], {1: [0]})
     assert m.provenance == "learned"
+
+
+def hex_picks(matches):
+    """Selections with every dot as its exact hex form."""
+    return [(m.anchor_frame, m.anchor_index, m.provenance, sorted(m.selected.items()),
+             [(i, float(v).hex()) for i, v in sorted(m.dots.items())]) for m in matches]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 5, 16]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_identity_match_equals_scalar_oracle(T, all_candidates, seed):
+    """The batched selection equals the per-anchor scalar loop bit for bit
+    in infer and oracle_ica modes: duplicate rows make exact ties, and the
+    candidate lists come in descending-score order, not index order."""
+    rng = np.random.default_rng(seed)
+    L, d = 6, 32
+    idents = rng.normal(size=(T, L, d))
+    idents /= np.linalg.norm(idents, axis=-1, keepdims=True)
+    idents[:, 4] = idents[:, 1]
+    idents[T - 1, 5] = idents[0, 2]
+    k = L if all_candidates else 1
+    scores = rng.normal(size=(T, L))
+    cands = {i: np.argsort(-scores[i], kind="stable")[:k].tolist() for i in range(T)}
+    anchors = [(m, j) for m in range(T) for j in cands[m]]
+    learned = ica.identity_match(idents, anchors, cands)
+    assert hex_picks(learned) == hex_picks(
+        [identity_match(idents, m, j, cands) for m, j in anchors])
+
+    # Tracks 0..2 sit on random distinct queries, each absent from some frames.
+    track_queries = [{tid: int(j) for tid, j in zip(range(3), rng.permutation(L))
+                      if rng.random() < 0.7} for _ in range(T)]
+    tracks = [{j: tid for tid, j in tq.items()} for tq in track_queries]
+    got = [ica.oracle_match(idents, lm, tracks[m].get(j), track_queries, cands)
+           for lm, (m, j) in zip(learned, anchors)]
+    want = [oracle_match(idents, m, j, tracks[m].get(j), track_queries, cands)
+            for m, j in anchors]
+    assert hex_picks(got) == hex_picks(want)
+
+
+def test_forward_dots_equal_scalar_dots_bitexactly():
+    """Every dot a seeded 32-bit 16-frame forward records is float(av @ row)
+    of the previous layer's float64-cast identities, hex for hex."""
+    ad.set_precision(32)
+    rng = np.random.default_rng(7)
+    cfg = M.ModelConfig().validate()
+    params = M.init_model(cfg, rng)
+    out = M.clip_forward(rng.random((16, 64, 64, 3)), cfg, params)
+    li = next(i for i, layer in enumerate(out.layers) if layer.matches)
+    idents = np.asarray(out.layers[li - 1].ident.data, dtype=np.float64)
+    matches = out.layers[li].matches
+    assert len(matches) == 16 * cfg.ica_topk
+    for m in matches:
+        av = idents[m.anchor_frame, m.anchor_index]
+        assert len(m.dots) == 15
+        assert [v.hex() for v in m.dots.values()] \
+            == [float(av @ idents[i, j]).hex() for i, j in m.selected.items()]
 
 
 def _layer_params(rng, d=4):
@@ -238,12 +322,12 @@ def test_one_hot_embeddings_reproduce_oracle(rng):
     """With per-track one-hot identities, learned matching equals oracle."""
     tracks = [3, 8]
     eye = np.eye(4)
-    idents = [eye[:2] for _ in range(3)]
+    idents = np.stack([eye[:2] for _ in range(3)])
     cands = {i: [0, 1] for i in range(3)}
     track_queries = [{3: 0, 8: 1} for _ in range(3)]
     for anchor_j, tid in enumerate(tracks):
-        learned = ica.identity_match(idents, 0, anchor_j, cands)
-        oracle = ica.oracle_match(idents, 0, anchor_j, tid, track_queries, cands)
+        learned = match_one(idents, 0, anchor_j, cands)
+        oracle = ica.oracle_match(idents, learned, tid, track_queries, cands)
         assert learned.selected == oracle.selected
 
 
