@@ -10,6 +10,10 @@ Exit codes:
   3  check failure (gradcheck)
   4  numeric error: a NumericError, such as a NaN or inf in the model's
      activations, costs or losses (e.g. after a diverging --lr)
+  5  input error: an InputError, data the model cannot take, such as a
+     ground-truth class id outside the model's classes
+  6  capacity error: a CapacityError, a frame with more ground-truth
+     objects than the model has queries
 CLIPVID_PRECISION=32|64 overrides float precision (gradcheck always 64).
 """
 
@@ -29,7 +33,7 @@ from . import model as M
 from . import synthvid as sv
 from . import training as tr
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, NumericError, ParseError
+from .errors import CapacityError, ConfigError, InputError, NumericError, ParseError
 from .model import Detection, ModelConfig
 
 EXIT_OK = 0
@@ -37,6 +41,13 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CHECK = 3
 EXIT_NUMERIC = 4
+EXIT_INPUT = 5
+EXIT_CAPACITY = 6
+# Typed errors a command may raise: exit code and message label.
+ERROR_EXITS = {ConfigError: (EXIT_USAGE, "error"), ParseError: (EXIT_IO, "I/O error"),
+               NumericError: (EXIT_NUMERIC, "numeric error"),
+               InputError: (EXIT_INPUT, "input error"),
+               CapacityError: (EXIT_CAPACITY, "capacity error")}
 
 TRAIN_VARIANTS = ("full", "no_ica", "fixed_queries", "with_encoder")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica", "oracle_detections")
@@ -189,11 +200,7 @@ def cmd_train(args) -> int:
     if args.stage == 2 and not args.ckpt_in:
         print("error: --stage 2 requires --ckpt-in", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        dataset = sv.read_dataset(args.data)
-    except ParseError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    dataset = sv.read_dataset(args.data)
     if not dataset:
         print("error: empty dataset", file=sys.stderr)
         return EXIT_USAGE
@@ -235,11 +242,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        dataset = sv.read_dataset(args.data)
-    except ParseError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    dataset = sv.read_dataset(args.data)
 
     if args.variant == "oracle_detections":
         # Test hook: echo the ground truth as detections.
@@ -256,11 +259,7 @@ def cmd_eval(args) -> int:
     sidecar = args.ckpt + ".config.txt"
     cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
     if args.topk is not None:
-        if args.topk > cfg.num_queries:
-            print(f"error: topk {args.topk} exceeds queries {cfg.num_queries}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        cfg.ica_topk = args.topk
+        cfg = dataclasses.replace(cfg, ica_topk=args.topk).validate()
     params = _load_params(cfg, args.ckpt)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
@@ -269,8 +268,7 @@ def cmd_eval(args) -> int:
     diagnostics = []
     for clip in dataset:
         dets, diag = tr.infer_clip(clip, cfg, params, mode=mode, use_ica=use_ica,
-                                   frames_per_pass=args.frames,
-                                   collect_matches=bool(args.dump_matches))
+                                   frames_per_pass=args.frames)
         all_dets.append(dets)
         diagnostics.extend(diag)
     report = ev.evaluate(all_dets, dataset, cfg.num_classes)
@@ -336,11 +334,7 @@ def cmd_ablate(args) -> int:
         if max(grids.get(key, [0])) > top:
             print(f"error: {key} {max(grids[key])} exceeds {what} {top}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        dataset = sv.read_dataset(args.data)
-    except ParseError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    dataset = sv.read_dataset(args.data)
 
     keys = sorted(grids)
     cells: list[dict[str, int]] = [{}]
@@ -393,15 +387,10 @@ def main(argv=None) -> int:
                "gradcheck": cmd_gradcheck, "ablate": cmd_ablate}[args.command]
     try:
         return handler(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except NumericError as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(ERROR_EXITS) as e:
+        code, label = next(v for t, v in ERROR_EXITS.items() if isinstance(e, t))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

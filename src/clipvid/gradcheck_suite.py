@@ -142,8 +142,7 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
 
     out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
     _, _, assignments = tr.clip_loss(out, gts, cost_cfg, True)
-    frozen_ica = {li: layer.matches for li, layer in enumerate(out.layers)
-                  if layer.matches}
+    frozen_ica = [layer.selection for layer in out.layers]
     frozen_boxes = out.boxes_in
 
     def build() -> Tensor:

@@ -21,14 +21,19 @@ from .errors import NumericError
 
 
 @dataclass
-class IdentityMatch:
-    """Cross-frame query selection for one anchor."""
+class Selection:
+    """One aggregation layer's cross-frame selection, as arrays over its A
+    anchors and the clip's T frames."""
 
-    anchor_frame: int
-    anchor_index: int
-    selected: dict[int, int]          # other frame -> chosen query index
-    dots: dict[int, float]
-    provenance: str = "learned"       # "learned" | "oracle"
+    anchors: np.ndarray      # [A, 2] (frame, query index), frame-major, score-descending
+    picks: np.ndarray        # [A, T] chosen query per frame, the anchor itself in its
+                             # own frame; -1 marks a frame left out of the context
+    dots: np.ndarray         # [A, T] float64 identity dot of each pick; NaN in the
+                             # anchor's own frame and for an oracle pick outside the top-k
+    oracle: np.ndarray       # [A] bool: the picks follow the anchor's ground-truth track
+
+    def __len__(self) -> int:
+        return len(self.anchors)
 
 
 def select_topk(logits: np.ndarray, k: int) -> list[int]:
@@ -43,116 +48,95 @@ def select_topk(logits: np.ndarray, k: int) -> list[int]:
     return [j for _, j in scored[:k]]
 
 
-def identity_match(idents: np.ndarray, anchors: list[tuple[int, int]],
-                   candidates: dict[int, list[int]]) -> list[IdentityMatch]:
-    """For every (frame, query index) anchor, pick the most identity-similar
-    candidate in every other frame; ties go to the lower index.
+def identity_match(idents: np.ndarray, topk: np.ndarray,
+                   track_of: np.ndarray | None = None) -> Selection:
+    """Make every frame's top-k queries anchors; each anchor picks, in every
+    other frame, the top-k query with the largest identity dot, ties to
+    the lower index.
 
-    idents holds the clip's [T, L, d] float64 identity embeddings;
-    candidates maps a frame to its eligible query indices, the same number
-    in every frame. Raises NumericError when a cross-frame dot is not
-    finite, naming the frames whose embeddings are not."""
-    order = sorted(candidates)
-    frames = np.array(order, dtype=np.int64)
-    cand = np.sort(np.array([candidates[i] for i in order], dtype=np.int64), axis=1)   # [F, k]
-    af, aj = np.array(anchors, dtype=np.int64).reshape(-1, 2).T
+    idents holds the clip's [T, L, d] float64 identity embeddings and topk
+    [T, k] each frame's query indices by descending score. With track_of
+    [T, L] (each query's ground-truth track, -1 for none), an anchor with a
+    track instead picks its track's query in every frame where that track
+    is assigned. Raises NumericError when a cross-frame dot is not finite,
+    naming the frames whose embeddings are not."""
+    T, k = topk.shape
+    anchors = np.stack([np.repeat(np.arange(T), k), topk.reshape(-1)], axis=1)
+    af, aj = anchors.T
+    cand = np.sort(topk, axis=1)                                            # [T, k]
     # Stacked [1, d] @ [d, 1] products: one vector dot per cell, so every dot
     # is bit-identical to float(av @ row) (a gemm over the same rows is not).
     dots = (idents[af, aj][:, None, None, None, :]
-            @ idents[frames[:, None], cand][None, ..., None])[..., 0, 0]     # [A, F, k]
-    own = frames[None, :] == af[:, None]          # an anchor's own frame is not compared
+            @ idents[np.arange(T)[:, None], cand][None, ..., None])[..., 0, 0]  # [A, T, k]
+    own = np.arange(T)[None, :] == af[:, None]    # an anchor's own frame is not compared
     if not (np.isfinite(dots).all(axis=-1) | own).all():
         bad = np.flatnonzero(~np.isfinite(idents).all(axis=(1, 2))).tolist()
         raise NumericError(f"non-finite identity dots; frames with non-finite embeddings: {bad}")
-    best = np.argmax(dots, axis=-1)                                         # first maximum
-    picks = cand[np.arange(len(order)), best].tolist()
-    best_dots = np.take_along_axis(dots, best[..., None], axis=-1)[..., 0].tolist()
-    return [IdentityMatch(m, j, {i: picks[a][f] for f, i in enumerate(order) if i != m},
-                          {i: best_dots[a][f] for f, i in enumerate(order) if i != m})
-            for a, (m, j) in enumerate(anchors)]
+    picks = cand[np.arange(T), np.argmax(dots, axis=-1)]                     # first maximum
+    oracle = np.zeros(len(anchors), dtype=bool)
+    if track_of is not None:
+        track = track_of[af, aj]
+        oracle = track >= 0
+        on_track = (track_of == track[:, None, None]) & oracle[:, None, None]   # [A, T, L]
+        picks = np.where(on_track.any(axis=-1), on_track.argmax(axis=-1), picks)
+    slot = cand == picks[..., None]                                         # [A, T, k]
+    picked = np.take_along_axis(dots, slot.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return Selection(anchors, np.where(own, aj[:, None], picks),
+                     np.where(own | ~slot.any(axis=-1), np.nan, picked), oracle)
 
 
-def oracle_match(idents: np.ndarray, learned: IdentityMatch, anchor_track: int | None,
-                 track_queries: list[dict[int, int]],
-                 candidates: dict[int, list[int]]) -> IdentityMatch:
-    """Ground-truth-guided selection: in every other frame take the query
-    assigned to the anchor's track; keep the learned pick for an anchor
-    without a track or frames where the track is absent."""
-    if anchor_track is None:
-        return learned
-    selected, dots = dict(learned.selected), dict(learned.dots)
-    av = idents[learned.anchor_frame, learned.anchor_index]
-    for i in selected:
-        j = track_queries[i].get(anchor_track)
-        if j is not None:
-            selected[i] = j
-            dots[i] = float(av @ idents[i, j]) if j in candidates[i] else float("nan")
-    return IdentityMatch(learned.anchor_frame, learned.anchor_index, selected, dots, "oracle")
-
-
-def joint_context(matches: list[IdentityMatch], region: Tensor, queries: Tensor,
+def joint_context(selection: Selection, region: Tensor, queries: Tensor,
                   pos_proj) -> Tensor:
-    """Per anchor, stack the selected region features (ascending frame
-    order, anchor frame included), each plus an embedding projected from
-    its contributing query -> [A, F*s*s, d]. region is [T, L, s*s, d],
-    queries [T, L, d]; every match covers the same number F of frames."""
+    """Per anchor, stack the picked region features (ascending frame order,
+    anchor frame included), each plus an embedding projected from its
+    contributing query -> [A, F*s*s, d]. region is [T, L, s*s, d], queries
+    [T, L, d]; every anchor keeps the same number F of frames."""
     t, n, s2, d = region.shape
-    idx = np.array([[i * n + (m.anchor_index if i == m.anchor_frame else m.selected[i])
-                     for i in sorted(set(m.selected) | {m.anchor_frame})]
-                    for m in matches]).reshape(-1)
+    picks = selection.picks
+    idx = (np.arange(t) * n + picks)[picks >= 0]
     blocks = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), idx)         # [A*F, s*s, d]
     # As [A*F, 1, d], each block's projection is the same single-row matmul
     # as a one-block call, so stacking keeps the context bit-exact.
     contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), idx), (len(idx), 1, d))
-    return ad.reshape(blocks + ad.linear(contrib, pos_proj), (len(matches), -1, d))
+    return ad.reshape(blocks + ad.linear(contrib, pos_proj), (len(selection), -1, d))
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
                  gts=None, within_frame_mask: bool = False,
-                 frozen_matches: list[IdentityMatch] | None = None
-                 ) -> tuple[Tensor, list[IdentityMatch]]:
+                 frozen_selection: Selection | None = None
+                 ) -> tuple[Tensor, Selection]:
     """Apply aggregation to the per-frame top-k anchors of [T, L, d]
     queries; other queries pass through unchanged. Anchors, scores, and
     identity embeddings come from the previous layer's head; region
-    features are reused from its cross-attention. frozen_matches replays
-    earlier selections so finite differencing never crosses a discrete
+    features are reused from its cross-attention. frozen_selection replays
+    an earlier selection so finite differencing never crosses a discrete
     decision."""
     from .model import apply_ln
 
     T, L, d = queries.shape
-    if frozen_matches is not None:
-        matches = list(frozen_matches)
-    else:
+    selection = frozen_selection
+    if selection is None:
         logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
-        topk = [select_topk(logits[i], cfg.ica_topk) for i in range(T)]
-        pairs = [(m, j) for m in range(T) for j in topk[m]]
+        topk = np.array([select_topk(logits[i], cfg.ica_topk) for i in range(T)])
+        track_of = None
+        if mode == "oracle_ica":
+            track_of = np.full((T, L), -1)        # per frame: query -> assigned track id
+            for i, frame_gts in enumerate(gts):
+                pred = mt.match_frame(logits[i], prev_layer.boxes[i],
+                                      [(c, b) for c, b, _tid in frame_gts], mt.MatchCostConfig())
+                track_of[i, list(pred.pred_of_gt)] = [tid for _c, _b, tid in frame_gts]
+        selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
+                                   topk, track_of)
         if within_frame_mask:
-            matches = [IdentityMatch(m, j, {}, {}) for m, j in pairs]
-        else:
-            idents = np.asarray(prev_layer.ident.data, dtype=np.float64)
-            candidates = dict(enumerate(topk))
-            matches = identity_match(idents, pairs, candidates)
-            if mode == "oracle_ica":
-                track_queries: list[dict[int, int]] = []     # per frame: track id -> query
-                for i, frame_gts in enumerate(gts):
-                    pred = mt.match_frame(
-                        logits[i], prev_layer.boxes[i], [(c, b) for c, b, _tid in frame_gts],
-                        mt.MatchCostConfig()).pred_of_gt if frame_gts else []
-                    track_queries.append({tid: p for (_c, _b, tid), p in zip(frame_gts, pred)})
-                anchor_tracks = [{p: tid for tid, p in tq.items()} for tq in track_queries]
-                matches = [oracle_match(idents, m,
-                                        anchor_tracks[m.anchor_frame].get(m.anchor_index),
-                                        track_queries, candidates) for m in matches]
+            selection.picks[selection.anchors[:, :1] != np.arange(T)] = -1
 
-    if not matches:
-        return queries, matches
-    anchors = [m.anchor_frame * L + m.anchor_index for m in matches]
-    ctx = joint_context(matches, prev_layer.region, queries, lp.ica_pos)
+    anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
+    ctx = joint_context(selection, prev_layer.region, queries, lp.ica_pos)
     flat = ad.reshape(queries, (T * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
     attn = ad.multi_head_attention(ad.reshape(q, (len(anchors), 1, d)), ctx, ctx, lp.ica_attn)
     updated = apply_ln(q + ad.reshape(attn, (len(anchors), d)), lp.ln_ica)
-    return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), matches
+    return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +180,14 @@ def contrastive_loss(ident: Tensor, matched: list[dict[int, int]]) -> tuple[Tens
     return ad.reduce_sum(ad.logsumexp(logits, axis=-1) - pos) * (1.0 / pairs), pairs
 
 
-def dump_matches(matches: list[IdentityMatch]) -> str:
-    """Line-delimited diagnostic table of the selection decisions."""
+def dump_matches(selections: list[Selection]) -> str:
+    """Line-delimited diagnostic table of the selection decisions: one line
+    per anchor with its pick and dot in every other frame it aggregates."""
     lines = []
-    for m in matches:
-        picks = " ".join(f"{i}:{m.selected[i]}@{m.dots[i]:.6f}"
-                         for i in sorted(m.selected))
-        lines.append(f"anchor={m.anchor_frame},{m.anchor_index} kind={m.provenance} {picks}")
+    for sel in selections:
+        for (m, j), picks, dots, oracle in zip(sel.anchors.tolist(), sel.picks.tolist(),
+                                                sel.dots.tolist(), sel.oracle.tolist()):
+            cells = " ".join(f"{i}:{p}@{dots[i]:.6f}" for i, p in enumerate(picks)
+                             if i != m and p >= 0)
+            lines.append(f"anchor={m},{j} kind={'oracle' if oracle else 'learned'} {cells}")
     return "\n".join(lines)

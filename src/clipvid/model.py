@@ -57,12 +57,18 @@ class ModelConfig:
                            backbone_stride=16, backbone_channels=(64, 128, 256, 384))
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):         # counts are at least 1; layer counts may be 0
+            least = 0 if f.name in ("ica_layers", "encoder_layers") else 1
+            if f.type == "int" and getattr(self, f.name) < least:
+                raise ConfigError(f"{f.name} must be at least {least}, got {getattr(self, f.name)}")
+        if min(self.backbone_channels, default=1) < 1:
+            raise ConfigError(f"backbone_channels must be at least 1, got {self.backbone_channels}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.ica_layers > self.decoder_layers:
             raise ConfigError("ica_layers exceeds decoder_layers")
         if self.ica_topk > self.num_queries:
-            raise ConfigError("ica_topk exceeds num_queries")
+            raise ConfigError(f"ica_topk {self.ica_topk} exceeds num_queries {self.num_queries}")
         if 2 ** len(self.backbone_channels) != self.backbone_stride:
             raise ConfigError("backbone_channels must supply one block per stride doubling")
         return self
@@ -410,7 +416,7 @@ class LayerOutput:
     boxes: np.ndarray                       # [T, L, 4] detached, clamped float64
     ident: Tensor | None                    # [T, L, d] unit rows, or None
     region: Tensor                          # [T, L, s*s, d]
-    matches: list = field(default_factory=list)   # IdentityMatch diagnostics
+    selection: object = None                # ica.Selection of an aggregation layer
 
 
 @dataclass
@@ -422,7 +428,7 @@ class ClipForwardResult:
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
                  mode: str = "infer", gts=None, ica_active: bool = True,
                  within_frame_mask: bool = False,
-                 frozen_ica: dict[int, list] | None = None,
+                 frozen_ica: list | None = None,
                  frozen_boxes: list[np.ndarray] | None = None) -> ClipForwardResult:
     """Run the detector on all frames of one clip in a single pass.
 
@@ -458,19 +464,19 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         result.boxes_in.append(boxes)
         queries = extended_self_attention(queries, lp, within_frame_mask)
 
-        matches = []
+        selection = None
         if (ica_active and cfg.is_ica_layer(li) and prev_layer is not None
                 and prev_layer.ident is not None):
-            queries, matches = ica_mod.ica_sublayer(
+            queries, selection = ica_mod.ica_sublayer(
                 queries, prev_layer, lp, cfg, mode, gts,
                 within_frame_mask=within_frame_mask,
-                frozen_matches=frozen_ica.get(li) if frozen_ica else None)
+                frozen_selection=frozen_ica[li] if frozen_ica else None)
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
         queries = feed_forward(queries, lp)
         logits, boxes_t, boxes, ident = detection_head(
             queries, boxes, lp, ica_active and cfg.has_identity_head(li))
-        prev_layer = LayerOutput(logits, boxes_t, boxes, ident, region, matches)
+        prev_layer = LayerOutput(logits, boxes_t, boxes, ident, region, selection)
         result.layers.append(prev_layer)
     return result
 

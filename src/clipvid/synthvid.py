@@ -345,6 +345,13 @@ def read_dataset(path: str) -> list[ClipSample]:
 
     ann_path = os.path.join(path, "annotations.txt")
     tracks: dict[tuple[int, int], Track] = {}
+
+    def frame_index(tr: Track, text: str) -> int:
+        fi = int(text)
+        if not 0 <= fi < len(tr.boxes):
+            raise ValueError(f"frame index {fi} outside the clip's {len(tr.boxes)} frames")
+        return fi
+
     if os.path.exists(ann_path):
         with open(ann_path) as fh:
             for ln, line in enumerate(fh, start=1):
@@ -359,18 +366,21 @@ def read_dataset(path: str) -> list[ClipSample]:
                             raise ValueError(f"bad speed label {label!r}")
                         if cid not in clips:
                             raise ValueError(f"unknown clip {cid}")
+                        if tid < 0 or cls < 0:
+                            raise ValueError(f"negative track id {tid} or class {cls}")
+                        if (cid, tid) in tracks:
+                            raise ValueError(f"repeated track {tid} of clip {cid}")
                         t = meta[cid][0]
                         tr = Track(tid, cls, [None] * t, [0.0] * t, label)
                         tracks[(cid, tid)] = tr
                         clips[cid].tracks.append(tr)
                     elif parts[0] == "vis":
-                        cid, tid, fi = int(parts[1]), int(parts[2]), int(parts[3])
-                        tracks[(cid, tid)].visibility[fi] = float(parts[4])
+                        tr = tracks[(int(parts[1]), int(parts[2]))]
+                        tr.visibility[frame_index(tr, parts[3])] = float(parts[4])
                     elif parts[0] == "box":
-                        cid, tid = int(parts[1]), int(parts[2])
-                        fi = int(parts[4])
+                        tr = tracks[(int(parts[1]), int(parts[2]))]
+                        fi = frame_index(tr, parts[4])
                         x1, y1, x2, y2, v = (float(x) for x in parts[5:10])
-                        tr = tracks[(cid, tid)]
                         tr.boxes[fi] = Box.from_corners(x1, y1, x2, y2)
                         tr.visibility[fi] = v
                     else:

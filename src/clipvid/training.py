@@ -20,6 +20,7 @@ from . import ica as ica_mod
 from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
+from .errors import InputError
 from .synthvid import ClipSample
 
 CONTRASTIVE_WEIGHT = 1.0
@@ -151,7 +152,14 @@ def _clip_gradients(params: dict[str, Tensor], max_norm: float = 5.0) -> None:
 def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           stage: int, use_ica: bool, settings: TrainSettings,
           log=None) -> list[str]:
-    """Seeded training loop; returns the per-iteration loss log lines."""
+    """Seeded training loop; returns the per-iteration loss log lines.
+    Raises InputError, before the first iteration, for a ground-truth class
+    the model lacks."""
+    for clip in dataset:
+        for track in clip.tracks:
+            if not 0 <= track.class_id < cfg.num_classes:
+                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
+                                 f"{track.class_id} out of range for {cfg.num_classes} classes")
     named = M.named_parameters(params)
     if stage == 1:
         trainable = {k: v for k, v in named.items() if not M.is_ica_param(k)}
@@ -205,16 +213,16 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
 
 def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
                mode: str = "infer", use_ica: bool = True,
-               frames_per_pass: int | None = None,
-               collect_matches: bool = False):
+               frames_per_pass: int | None = None):
     """Detect on every frame of a clip, windowed by the inference length.
 
-    Returns (per-frame detections, identity-match diagnostics).
+    Returns (per-frame detections, every pass's aggregation-layer
+    selections in pass and layer order).
     """
     t_pass = frames_per_pass or cfg.t_infer
     total = clip.frames.shape[0]
     detections: list[list] = []
-    diagnostics = []
+    selections = []
     for start in range(0, total, t_pass):
         stop = min(start + t_pass, total)
         frames = clip.frames[start:stop]
@@ -223,7 +231,6 @@ def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
                              gts=gts if mode == "oracle_ica" else None,
                              ica_active=use_ica)
         detections.extend(M.extract_detections(out.layers[-1], cfg))
-        if collect_matches:
-            for layer in out.layers:
-                diagnostics.extend(layer.matches)
-    return detections, diagnostics
+        selections.extend(layer.selection for layer in out.layers
+                          if layer.selection is not None)
+    return detections, selections

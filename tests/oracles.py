@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipvid import autodiff as ad
-from clipvid import ica
 from clipvid import model as M
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
@@ -139,13 +138,13 @@ def detection_head(q, b: Box, lp, with_identity: bool):
 
 
 def identity_match(idents, anchor_frame: int, anchor_index: int,
-                   candidates: dict[int, list[int]]):
+                   candidates: dict[int, list[int]]) -> dict[int, tuple[int, float]]:
     """One anchor's selection over [T, L, d] float64 identity embeddings,
-    one scalar dot at a time: in every other frame the candidate with the
-    largest dot, ties to the lower index (-1 and -inf when none is finite)."""
+    one scalar dot at a time: {other frame: (pick, dot)}, the pick being
+    the candidate with the largest dot, ties to the lower index (-1 and
+    -inf when none is finite)."""
     av = idents[anchor_frame][anchor_index]
-    selected: dict[int, int] = {}
-    dots: dict[int, float] = {}
+    picks: dict[int, tuple[int, float]] = {}
     for i in sorted(candidates):
         if i == anchor_frame:
             continue
@@ -154,41 +153,34 @@ def identity_match(idents, anchor_frame: int, anchor_index: int,
             d = float(av @ idents[i][j])
             if d > best_dot or (d == best_dot and j < best_j):
                 best_j, best_dot = j, d
-        selected[i] = best_j
-        dots[i] = best_dot
-    return ica.IdentityMatch(anchor_frame, anchor_index, selected, dots)
+        picks[i] = (best_j, best_dot)
+    return picks
 
 
 def oracle_match(idents, anchor_frame: int, anchor_index: int, anchor_track,
-                 track_queries: list[dict[int, int]], candidates: dict[int, list[int]]):
-    """Ground-truth-guided selection for one anchor: the track's query in
-    every other frame, the scalar learned pick where the track is absent."""
-    learned = identity_match(idents, anchor_frame, anchor_index, candidates)
+                 track_queries: list[dict[int, int]], candidates: dict[int, list[int]]
+                 ) -> dict[int, tuple[int, float]]:
+    """Ground-truth-guided selection for one anchor, {other frame: (pick,
+    dot)}: the track's query in every other frame (dot NaN when it is not
+    a candidate), the scalar learned pick where the track is absent."""
+    picks = identity_match(idents, anchor_frame, anchor_index, candidates)
     if anchor_track is None:
-        return learned
-    selected: dict[int, int] = {}
-    dots: dict[int, float] = {}
+        return picks
     av = idents[anchor_frame][anchor_index]
-    for i in sorted(candidates):
-        if i == anchor_frame:
-            continue
+    for i in picks:
         j = track_queries[i].get(anchor_track)
-        if j is None:
-            selected[i] = learned.selected[i]
-            dots[i] = learned.dots[i]
-            continue
-        selected[i] = j
-        dots[i] = float(av @ idents[i][j]) if j in candidates[i] else float("nan")
-    return ica.IdentityMatch(anchor_frame, anchor_index, selected, dots, "oracle")
+        if j is not None:
+            picks[i] = (j, float(av @ idents[i][j]) if j in candidates[i] else float("nan"))
+    return picks
 
 
-def joint_context(match, region, contrib_queries, pos_proj):
-    """One anchor's joint context from per-frame lists (region[i] [L, s*s, d],
+def joint_context(chosen: dict[int, int], region, contrib_queries, pos_proj):
+    """One anchor's joint context from its {frame: query} choices (its own
+    frame included) and per-frame lists (region[i] [L, s*s, d],
     contrib_queries[i] [L, d]), one block at a time -> [1, F*s*s, d]."""
-    frames = sorted(set(match.selected) | {match.anchor_frame})
     blocks = []
-    for i in frames:
-        j = match.anchor_index if i == match.anchor_frame else match.selected[i]
+    for i in sorted(chosen):
+        j = chosen[i]
         block = ad.gather_rows(region[i], [j])                     # [1, s*s, d]
         q = ad.gather_rows(contrib_queries[i], [j])                # [1, d]
         pos = ad.reshape(ad.linear(q, pos_proj), (1, 1, q.shape[-1]))
@@ -196,10 +188,10 @@ def joint_context(match, region, contrib_queries, pos_proj):
     return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
 
 
-def aggregate(q, match, region, contrib_queries, lp):
+def aggregate(q, chosen, region, contrib_queries, lp):
     """Single-anchor aggregation: cross-attend the anchor query q [1, d] over
     its joint context, residual + layer norm -> updated [1, d] query."""
-    ctx = joint_context(match, region, contrib_queries, lp.ica_pos)
+    ctx = joint_context(chosen, region, contrib_queries, lp.ica_pos)
     attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
     return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
 

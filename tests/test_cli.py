@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import shutil
 
 import numpy as np
@@ -198,6 +199,62 @@ def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, 
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("heads", 0), ("t_infer", 0), ("ica_topk", -1), ("ica_topk", 0), ("ica_layers", -1),
+], ids=["heads_zero", "t_infer_zero", "ica_topk_negative", "ica_topk_zero",
+        "ica_layers_negative"])
+def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys, field, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"^{field}=.*$", f"{field}={value}", MICRO_CFG, flags=re.M))
+    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def edit_tracks(src, dst, edit):
+    """Copy the dataset at src to dst, rewriting each track record's fields
+    [clip, track, class, speed] with edit."""
+    shutil.copytree(src, dst)
+    ann = os.path.join(dst, "annotations.txt")
+    lines = open(ann).read().splitlines()
+    lines = [" ".join(["track"] + edit(l.split()[1:])) if l.startswith("track ") else l
+             for l in lines]
+    open(ann, "w").write("\n".join(lines) + "\n")
+    return str(dst)
+
+
+def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_path, capsys):
+    data = edit_tracks(dataset, tmp_path / "ds", lambda f: f[:2] + ["7"] + f[3:])
+    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and "class 7" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_eval_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path, capsys):
+    data = edit_tracks(dataset, tmp_path / "ds", lambda f: f[:2] + ["7"] + f[3:])
+    code = run("eval", "--data", data, "--ckpt", trained_ckpt, "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and "class 7" in err and "Traceback" not in err
+
+
+def test_train_more_objects_than_queries_is_capacity_error(micro_cfg_path, tmp_path, capsys):
+    data = str(tmp_path / "crowd")
+    assert run("gen", "--out", data, "--clips", "2", "--seed", "1", "--frames", "2",
+               "--frame-size", "32", "--min-objects", "12", "--max-objects", "12") == 0
+    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
+    assert code == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity error" in err and "4 prediction slots" in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

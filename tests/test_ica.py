@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
 from clipvid import ica
+from clipvid import matching as mt
 from clipvid import model as M
+from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from oracles import aggregate, contrastive_loss, identity_match, joint_context, oracle_match
 
@@ -30,6 +32,13 @@ def test_select_topk_tie_break():
     assert ica.select_topk(np.full((4, 1), 0.7), 2) == [0, 1]
 
 
+def selection(anchors, picks):
+    """A learned selection from its anchors and [A, T] picks (dots NaN)."""
+    picks = np.array(picks)
+    return ica.Selection(np.array(anchors), picks, np.full(picks.shape, np.nan),
+                         np.zeros(len(picks), dtype=bool))
+
+
 def clip(*frames):
     """A [T, L, d] float64 clip from per-frame row lists, each frame padded
     with zero rows to the longest."""
@@ -37,52 +46,58 @@ def clip(*frames):
     return np.stack([np.vstack([f, np.zeros((L - len(f), len(f[0])))]) for f in frames])
 
 
-def match_one(idents, anchor_frame, anchor_index, candidates):
-    [m] = ica.identity_match(idents, [(anchor_frame, anchor_index)], candidates)
-    return m
+def anchor_row(idents, topk, anchor, track_of=None):
+    """One anchor's row of identity_match's selection: ({other frame: pick},
+    {other frame: dot}, oracle flag)."""
+    sel = ica.identity_match(idents, np.array(topk), track_of)
+    [a] = np.flatnonzero((sel.anchors == anchor).all(axis=1))
+    others = [i for i in range(len(topk)) if i != anchor[0]]
+    return ({i: int(sel.picks[a, i]) for i in others},
+            {i: float(sel.dots[a, i]) for i in others}, bool(sel.oracle[a]))
 
 
 def test_identity_match_picks_higher_dot():
     idents = clip(rows([0.6, 0.8]), rows([1.0, 0.0], [0.0, 1.0]))
-    m = match_one(idents, 0, 0, {1: [0, 1]})
-    assert m.selected == {1: 1}
-    assert m.dots[1] == pytest.approx(0.8)
+    picks, dots, _ = anchor_row(idents, [[0, 1], [0, 1]], (0, 0))
+    assert picks == {1: 1}
+    assert dots[1] == pytest.approx(0.8)
 
 
 def test_identity_match_self_similarity_best():
     h = np.array([0.36, 0.48, 0.8])
     other = np.array([1.0, 0.0, 0.0])
     idents = clip(rows(h), rows(other, h))
-    assert match_one(idents, 0, 0, {1: [0, 1]}).selected == {1: 1}
+    assert anchor_row(idents, [[0, 1], [0, 1]], (0, 0))[0] == {1: 1}
 
 
 def test_identity_match_tie_break_lower_index():
     h = np.array([1.0, 0.0])
     idents = clip(rows(h), rows(h, h))
-    assert match_one(idents, 0, 0, {1: [0, 1]}).selected == {1: 0}
-    assert match_one(idents, 0, 0, {1: [1, 0]}).selected == {1: 0}
+    assert anchor_row(idents, [[0, 1], [0, 1]], (0, 0))[0] == {1: 0}
+    assert anchor_row(idents, [[0, 1], [1, 0]], (0, 0))[0] == {1: 0}
 
 
 def test_identity_match_non_finite_embedding_raises(rng):
     """A NaN embedding in the anchor's or a candidate's frame is a
     NumericError naming that frame, not a pick of -1."""
-    cands = {i: [0, 1] for i in range(3)}
+    topk = np.array([[0, 1]] * 3)
     for bad_frame in (0, 2):
         idents = rng.normal(size=(3, 4, 5))
         idents[bad_frame, 1, 2] = np.nan
         with pytest.raises(NumericError, match=rf"\[{bad_frame}\]"):
-            ica.identity_match(idents, [(0, 1), (1, 0)], cands)
+            ica.identity_match(idents, topk)
         # The anchor's own frame is never compared, so one frame raises nothing.
-        one = idents[bad_frame:bad_frame + 1]
-        assert ica.identity_match(one, [(0, 1)], {0: [0, 1]})[0].selected == {}
+        one = ica.identity_match(idents[bad_frame:bad_frame + 1], topk[:1])
+        assert one.picks.tolist() == [[0], [1]] and np.isnan(one.dots).all()
 
 
 def test_identity_match_scale_invariance_via_normalization(rng):
     raw = rng.normal(size=(3, 4))
     hs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     scaled = (raw * 37.5) / np.linalg.norm(raw * 37.5, axis=1, keepdims=True)
-    assert match_one(clip(hs[:1], hs[1:]), 0, 0, {1: [0, 1]}).selected \
-        == match_one(clip(scaled[:1], scaled[1:]), 0, 0, {1: [0, 1]}).selected
+    topk = [[0, 1], [0, 1]]
+    assert anchor_row(clip(hs[:1], hs[1:]), topk, (0, 0))[0] \
+        == anchor_row(clip(scaled[:1], scaled[1:]), topk, (0, 0))[0]
 
 
 def anchor_frame_idents():
@@ -90,40 +105,55 @@ def anchor_frame_idents():
     return clip(rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([0.0, 1.0], [1.0, 0.0]))
 
 
-def oracle_one(idents, anchor_frame, anchor_index, track, track_queries, candidates):
-    learned = match_one(idents, anchor_frame, anchor_index, candidates)
-    return ica.oracle_match(idents, learned, track, track_queries, candidates)
+def track_map(T, L, assigned):
+    """[T, L] track id of each query from {(frame, query): track}, -1 elsewhere."""
+    track_of = np.full((T, L), -1)
+    for (i, j), tid in assigned.items():
+        track_of[i, j] = tid
+    return track_of
 
 
 def test_oracle_match_same_track_selected():
-    m = oracle_one(anchor_frame_idents(), 0, 2, 7, [{}, {7: 0}], {1: [0, 1]})
-    assert m.selected == {1: 0}
-    assert m.provenance == "oracle"
+    picks, _, oracle = anchor_row(anchor_frame_idents(), [[2, 0], [0, 1]], (0, 2),
+                                  track_map(2, 3, {(0, 2): 7, (1, 0): 7}))
+    assert picks == {1: 0}
+    assert oracle
 
 
 def test_oracle_match_fallback_when_track_absent():
-    m = oracle_one(anchor_frame_idents(), 0, 2, 7, [{}, {}], {1: [0, 1]})
-    assert m.selected == {1: 1}          # learned argmax fallback
+    picks, _, oracle = anchor_row(anchor_frame_idents(), [[2, 0], [0, 1]], (0, 2),
+                                  track_map(2, 3, {(0, 2): 7}))
+    assert picks == {1: 1}               # learned argmax fallback
+    assert oracle
 
 
 def test_oracle_match_unmatched_anchor_uses_learned():
     idents = clip(rows([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), rows([1.0, 0.0]))
-    m = oracle_one(idents, 0, 2, None, [{}, {}], {1: [0]})
-    assert m.provenance == "learned"
+    picks, _, oracle = anchor_row(idents, [[2], [0]], (0, 2), track_map(2, 3, {(1, 0): 7}))
+    assert picks == {1: 0}
+    assert not oracle
 
 
-def hex_picks(matches):
-    """Selections with every dot as its exact hex form."""
-    return [(m.anchor_frame, m.anchor_index, m.provenance, sorted(m.selected.items()),
-             [(i, float(v).hex()) for i, v in sorted(m.dots.items())]) for m in matches]
+def hex_picks(sel):
+    """A selection as (frame, query, oracle, [(frame, pick, dot hex)]) per
+    anchor, over the frames other than the anchor's own."""
+    return [(m, j, oracle, [(i, p, float(dots[i]).hex()) for i, p in enumerate(picks) if i != m])
+            for (m, j), picks, dots, oracle in zip(sel.anchors.tolist(), sel.picks.tolist(),
+                                                   sel.dots.tolist(), sel.oracle.tolist())]
+
+
+def hex_rows(anchors, rows, oracle):
+    """The scalar oracles' {frame: (pick, dot)} rows in hex_picks form."""
+    return [(m, j, o, [(i, p, float(d).hex()) for i, (p, d) in sorted(row.items())])
+            for (m, j), row, o in zip(anchors, rows, oracle)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 2, 5, 16]), st.booleans(), st.integers(0, 2**32 - 1))
 def test_identity_match_equals_scalar_oracle(T, all_candidates, seed):
-    """The batched selection equals the per-anchor scalar loop bit for bit
-    in infer and oracle_ica modes: duplicate rows make exact ties, and the
-    candidate lists come in descending-score order, not index order."""
+    """The batched selection equals the per-anchor scalar loop bit for bit,
+    with and without track_of: duplicate rows make exact ties, and the
+    top-k rows come in descending-score order, not index order."""
     rng = np.random.default_rng(seed)
     L, d = 6, 32
     idents = rng.normal(size=(T, L, d))
@@ -132,21 +162,22 @@ def test_identity_match_equals_scalar_oracle(T, all_candidates, seed):
     idents[T - 1, 5] = idents[0, 2]
     k = L if all_candidates else 1
     scores = rng.normal(size=(T, L))
-    cands = {i: np.argsort(-scores[i], kind="stable")[:k].tolist() for i in range(T)}
+    topk = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    cands = {i: topk[i].tolist() for i in range(T)}
     anchors = [(m, j) for m in range(T) for j in cands[m]]
-    learned = ica.identity_match(idents, anchors, cands)
-    assert hex_picks(learned) == hex_picks(
-        [identity_match(idents, m, j, cands) for m, j in anchors])
+    assert hex_picks(ica.identity_match(idents, topk)) == hex_rows(
+        anchors, [identity_match(idents, m, j, cands) for m, j in anchors], [False] * len(anchors))
 
     # Tracks 0..2 sit on random distinct queries, each absent from some frames.
     track_queries = [{tid: int(j) for tid, j in zip(range(3), rng.permutation(L))
                       if rng.random() < 0.7} for _ in range(T)]
-    tracks = [{j: tid for tid, j in tq.items()} for tq in track_queries]
-    got = [ica.oracle_match(idents, lm, tracks[m].get(j), track_queries, cands)
-           for lm, (m, j) in zip(learned, anchors)]
-    want = [oracle_match(idents, m, j, tracks[m].get(j), track_queries, cands)
-            for m, j in anchors]
-    assert hex_picks(got) == hex_picks(want)
+    track_of = track_map(T, L, {(i, j): tid for i, tq in enumerate(track_queries)
+                                for tid, j in tq.items()})
+    tracks = [track_of[m, j] if track_of[m, j] >= 0 else None for m, j in anchors]
+    want = hex_rows(anchors, [oracle_match(idents, m, j, tid, track_queries, cands)
+                              for (m, j), tid in zip(anchors, tracks)],
+                    [tid is not None for tid in tracks])
+    assert hex_picks(ica.identity_match(idents, topk, track_of)) == want
 
 
 def test_forward_dots_equal_scalar_dots_bitexactly():
@@ -157,15 +188,47 @@ def test_forward_dots_equal_scalar_dots_bitexactly():
     cfg = M.ModelConfig().validate()
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((16, 64, 64, 3)), cfg, params)
-    li = next(i for i, layer in enumerate(out.layers) if layer.matches)
+    li = next(i for i, layer in enumerate(out.layers) if layer.selection is not None)
     idents = np.asarray(out.layers[li - 1].ident.data, dtype=np.float64)
-    matches = out.layers[li].matches
-    assert len(matches) == 16 * cfg.ica_topk
-    for m in matches:
-        av = idents[m.anchor_frame, m.anchor_index]
-        assert len(m.dots) == 15
-        assert [v.hex() for v in m.dots.values()] \
-            == [float(av @ idents[i, j]).hex() for i, j in m.selected.items()]
+    sel = out.layers[li].selection
+    assert len(sel) == 16 * cfg.ica_topk
+    for (m, j), picks, dots in zip(sel.anchors.tolist(), sel.picks.tolist(), sel.dots.tolist()):
+        assert picks[m] == j and np.isnan(dots[m])
+        assert [v.hex() for i, v in enumerate(dots) if i != m] \
+            == [float(idents[m, j] @ idents[i, p]).hex() for i, p in enumerate(picks) if i != m]
+
+
+def test_oracle_forward_dump_equals_scalar_oracles():
+    """The dump of a seeded k=2 oracle_ica forward equals the table rebuilt
+    from the scalar oracles, oracle picks outside the top-k (dot nan)
+    included."""
+    cfg = M.ModelConfig(ica_topk=2).validate()
+    params = M.init_model(cfg, np.random.default_rng(1))
+    [sample] = sv.generate_dataset(sv.GenConfig(t=5, min_objects=2, max_objects=4), 1, seed=3)
+    T = sample.frames.shape[0]
+    gts = [sample.frame_gts(i) for i in range(T)]
+    out = M.clip_forward(sample.frames, cfg, params, mode="oracle_ica", gts=gts)
+    lines = []
+    for prev, layer in zip(out.layers, out.layers[1:]):
+        if layer.selection is None:
+            continue
+        logits = np.asarray(prev.logits.data, dtype=np.float64)
+        idents = np.asarray(prev.ident.data, dtype=np.float64)
+        cands = {i: ica.select_topk(logits[i], cfg.ica_topk) for i in range(T)}
+        track_queries = [dict(zip([tid for _c, _b, tid in g], mt.match_frame(
+            logits[i], prev.boxes[i], [(c, b) for c, b, _t in g], mt.MatchCostConfig()
+        ).pred_of_gt)) for i, g in enumerate(gts)]
+        for m in range(T):
+            for j in cands[m]:
+                tid = next((t for t, p in track_queries[m].items() if p == j), None)
+                row = oracle_match(idents, m, j, tid, track_queries, cands)
+                cells = " ".join(f"{i}:{p}@{d:.6f}" for i, (p, d) in sorted(row.items()))
+                lines.append(f"anchor={m},{j} kind={'learned' if tid is None else 'oracle'} "
+                             f"{cells}")
+    text = ica.dump_matches([layer.selection for layer in out.layers
+                             if layer.selection is not None])
+    assert text == "\n".join(lines)
+    assert "kind=oracle" in text and "@nan" in text
 
 
 def _layer_params(rng, d=4):
@@ -181,10 +244,9 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     region = ad.tensor(rng.normal(size=(1, 2, 4, 4)))
     contrib = ad.tensor(rng.normal(size=(1, 2, 4)))
     q = ad.tensor(rng.normal(size=(1, 4)))
-    match = ica.IdentityMatch(0, 0, {}, {})
-    out = aggregate(q, match, [ad.tensor(region.data[0])], [ad.tensor(contrib.data[0])], lp)
+    out = aggregate(q, {0: 0}, [ad.tensor(region.data[0])], [ad.tensor(contrib.data[0])], lp)
 
-    ctx = ica.joint_context([match], region, contrib, lp.ica_pos)
+    ctx = ica.joint_context(selection([[0, 0]], [[0]]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
     q3 = ad.reshape(q, (1, 1, 4))
     attn = ad.multi_head_attention(q3, ctx, ctx, lp.ica_attn)
@@ -197,14 +259,13 @@ def test_joint_context_row_count(rng):
     T, s2 = 4, 16
     region = ad.tensor(rng.normal(size=(T, 2, s2, 4)))
     contrib = ad.tensor(rng.normal(size=(T, 2, 4)))
-    match = ica.IdentityMatch(1, 0, {0: 1, 2: 0, 3: 1}, {})
-    ctx = ica.joint_context([match], region, contrib, lp.ica_pos)
+    picks = [[1, 0, 0, 1], [0, 1, 1, 1]]          # anchors (1, 0) and (3, 1)
+    ctx = ica.joint_context(selection([[1, 0]], picks[:1]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, T * s2, 4)
     # every anchor's blocks, one stacked context each, equal the one-block-at-a-time form
-    other = ica.IdentityMatch(3, 1, {0: 0, 1: 1, 2: 1}, {})
-    both = ica.joint_context([match, other], region, contrib, lp.ica_pos)
-    for a, m in enumerate((match, other)):
-        want = joint_context(m, [ad.tensor(r) for r in region.data],
+    both = ica.joint_context(selection([[1, 0], [3, 1]], picks), region, contrib, lp.ica_pos)
+    for a, row in enumerate(picks):
+        want = joint_context(dict(enumerate(row)), [ad.tensor(r) for r in region.data],
                              [ad.tensor(c) for c in contrib.data], lp.ica_pos)
         assert np.array_equal(both.data[a], want.data[0])
 
@@ -218,7 +279,7 @@ def test_aggregate_zero_value_projection_is_layer_norm(rng):
     region = [ad.tensor(rng.normal(size=(2, 4, 4)))]
     contrib = [ad.tensor(rng.normal(size=(2, 4)))]
     q = ad.tensor(rng.normal(size=(1, 4)))
-    out = aggregate(q, ica.IdentityMatch(0, 0, {}, {}), region, contrib, lp)
+    out = aggregate(q, {0: 0}, region, contrib, lp)
     want = M.apply_ln(q, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
@@ -231,9 +292,8 @@ def test_aggregate_ignores_non_selected_region_features(rng):
     params = M.init_model(cfg, np.random.default_rng(5))
     frames = np.random.default_rng(6).random((2, 8, 8, 3))
     out = M.clip_forward(frames, cfg, params, mode="train")
-    selected = {(m.anchor_frame, m.anchor_index) for m in out.layers[1].matches}
-    for m in out.layers[1].matches:
-        selected |= {(i, j) for i, j in m.selected.items()}
+    selected = {(i, p) for row in out.layers[1].selection.picks.tolist()
+                for i, p in enumerate(row)}            # anchors included
 
     prev = out.layers[0]
     region_z = ad.tensor(prev.region.data.copy())
@@ -320,15 +380,14 @@ def test_contrastive_matches_per_pair_oracle(rng, matched, n_pairs):
 
 def test_one_hot_embeddings_reproduce_oracle(rng):
     """With per-track one-hot identities, learned matching equals oracle."""
-    tracks = [3, 8]
     eye = np.eye(4)
     idents = np.stack([eye[:2] for _ in range(3)])
-    cands = {i: [0, 1] for i in range(3)}
-    track_queries = [{3: 0, 8: 1} for _ in range(3)]
-    for anchor_j, tid in enumerate(tracks):
-        learned = match_one(idents, 0, anchor_j, cands)
-        oracle = ica.oracle_match(idents, learned, tid, track_queries, cands)
-        assert learned.selected == oracle.selected
+    topk = np.array([[0, 1]] * 3)
+    learned = ica.identity_match(idents, topk)
+    oracle = ica.identity_match(idents, topk, np.array([[3, 8]] * 3))
+    assert oracle.oracle.all()
+    assert np.array_equal(learned.picks, oracle.picks)
+    assert np.array_equal(learned.dots, oracle.dots, equal_nan=True)
 
 
 def test_contrastive_decreases_on_micro_problem(rng):
@@ -352,7 +411,9 @@ def test_contrastive_decreases_on_micro_problem(rng):
 
 
 def test_dump_matches_format():
-    m = ica.IdentityMatch(0, 3, {1: 2, 2: 0}, {1: 0.5, 2: -0.25})
-    text = ica.dump_matches([m])
+    sel = ica.Selection(np.array([[0, 3]]), np.array([[3, 2, 0]]),
+                        np.array([[np.nan, 0.5, -0.25]]), np.array([False]))
+    text = ica.dump_matches([sel])
     assert "anchor=0,3" in text
     assert "1:2@0.500000" in text
+    assert text == "anchor=0,3 kind=learned 1:2@0.500000 2:0@-0.250000"

@@ -291,10 +291,10 @@ def test_clip_forward_no_ica_variant(rng):
     frames = rng.random((2, 8, 8, 3))
     off = M.clip_forward(frames, cfg, params, mode="train", ica_active=False)
     for layer in off.layers:
-        assert layer.matches == []
+        assert layer.selection is None
         assert layer.ident is None
     on = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
-    assert on.layers[-1].matches != []
+    assert len(on.layers[-1].selection) > 0
     changed = not np.array_equal(on.layers[-1].logits.data[0],
                                  off.layers[-1].logits.data[0])
     assert changed

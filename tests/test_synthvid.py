@@ -156,18 +156,25 @@ def test_empty_dataset_round_trip(tmp_path):
     assert sv.read_dataset(str(tmp_path / "ds")) == []
 
 
-def test_hand_written_fixture_parses(tmp_path):
-    ds = tmp_path / "ds"
+FIXTURE_FRAMES = np.arange(2 * 4 * 4 * 3, dtype="<f4").reshape(2, 4, 4, 3) / 100.0
+
+
+def write_fixture(ds, annotations: str):
+    """A one-clip, two-frame dataset with the given annotation lines."""
     (ds / "clips").mkdir(parents=True)
-    frames = np.arange(2 * 4 * 4 * 3, dtype="<f4").reshape(2, 4, 4, 3) / 100.0
-    (ds / "clips" / "clip_000000.bin").write_bytes(frames.tobytes())
+    (ds / "clips" / "clip_000000.bin").write_bytes(FIXTURE_FRAMES.tobytes())
     (ds / "manifest.txt").write_text(
         "clipvid-dataset v1\nclips=1\n"
         "clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin tracks=1\n")
-    (ds / "annotations.txt").write_text(
-        "track 0 5 2 fast\n"
-        "box 0 5 2 0 0.25 0.25 0.75 0.75 1 fast\n"
-        "vis 0 5 1 0.1\n")
+    (ds / "annotations.txt").write_text(annotations)
+
+
+def test_hand_written_fixture_parses(tmp_path):
+    ds = tmp_path / "ds"
+    write_fixture(ds, "track 0 5 2 fast\n"
+                      "box 0 5 2 0 0.25 0.25 0.75 0.75 1 fast\n"
+                      "vis 0 5 1 0.1\n")
+    frames = FIXTURE_FRAMES
     loaded = sv.read_dataset(str(ds))
     assert len(loaded) == 1
     clip = loaded[0]
@@ -188,6 +195,24 @@ def test_malformed_annotation_reports_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         sv.read_dataset(str(ds))
     assert ":1:" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad_line", [
+    "box 0 5 2 -1 0.25 0.25 0.75 0.75 1 fast",
+    "box 0 5 2 2 0.25 0.25 0.75 0.75 1 fast",
+    "vis 0 5 -1 0.5",
+    "track 0 6 -1 slow",
+    "track 0 -3 1 slow",
+    "track 0 5 1 slow",
+], ids=["box_frame_negative", "box_frame_past_end", "vis_frame_negative",
+        "class_negative", "track_id_negative", "track_repeated"])
+def test_invalid_annotation_reports_line(tmp_path, bad_line):
+    """An annotation that would wrap an index or break the one-query-per-
+    track property is a ParseError naming its line, not silently kept."""
+    ds = tmp_path / "ds"
+    write_fixture(ds, f"track 0 5 2 fast\nvis 0 5 1 0.1\n{bad_line}\n")
+    with pytest.raises(ParseError, match=":3:"):
+        sv.read_dataset(str(ds))
 
 
 def test_truncated_frames_reports_offset(tmp_path):
