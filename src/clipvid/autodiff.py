@@ -358,11 +358,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 0; adjoint scatter-adds back."""
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
-    unique = len(np.unique(idx)) == len(idx)
 
     def backward(g):
         z = np.zeros_like(a.data)
-        if unique:
+        if len(np.unique(idx)) == len(idx):
             z[idx] = g
         else:
             np.add.at(z, idx, g)

@@ -260,6 +260,7 @@ def cmd_eval(args) -> int:
     cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
     if args.topk is not None:
         cfg = dataclasses.replace(cfg, ica_topk=args.topk).validate()
+    tr.check_classes(dataset, cfg.num_classes)
     params = _load_params(cfg, args.ckpt)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
@@ -335,6 +336,7 @@ def cmd_ablate(args) -> int:
             print(f"error: {key} {max(grids[key])} exceeds {what} {top}", file=sys.stderr)
             return EXIT_USAGE
     dataset = sv.read_dataset(args.data)
+    tr.check_classes(dataset, cfg.num_classes)
 
     keys = sorted(grids)
     cells: list[dict[str, int]] = [{}]

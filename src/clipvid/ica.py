@@ -1,10 +1,12 @@
 """Identity-consistent temporal aggregation.
 
 Each high-scoring query (anchor) selects, in every other frame, the query
-whose identity embedding is closest; their adapted region features are
-stacked into a joint context the anchor cross-attends over. Identity
-embeddings are trained contrastively from the set-matching assignments.
-Selection is discrete and never differentiated through.
+whose identity embedding is closest; the anchor cross-attends over the
+adapted region features of its picks. Anchors share picks, so the context
+is built and its keys and values projected once per distinct (frame,
+query) block; each anchor's attention then reads only its own blocks. Identity embeddings
+are trained contrastively from the set-matching assignments. Selection is
+discrete and never differentiated through.
 """
 
 from __future__ import annotations
@@ -85,20 +87,46 @@ def identity_match(idents: np.ndarray, topk: np.ndarray,
                      np.where(own | ~slot.any(axis=-1), np.nan, picked), oracle)
 
 
-def joint_context(selection: Selection, region: Tensor, queries: Tensor,
+def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
                   pos_proj) -> Tensor:
-    """Per anchor, stack the picked region features (ascending frame order,
-    anchor frame included), each plus an embedding projected from its
-    contributing query -> [A, F*s*s, d]. region is [T, L, s*s, d], queries
-    [T, L, d]; every anchor keeps the same number F of frames."""
+    """Context rows of the distinct picked blocks, flat indices t*L + j:
+    each block's region feature plus an embedding projected from its
+    contributing query -> [U, s*s, d]. region is [T, L, s*s, d], queries
+    [T, L, d]."""
     t, n, s2, d = region.shape
-    picks = selection.picks
-    idx = (np.arange(t) * n + picks)[picks >= 0]
-    blocks = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), idx)         # [A*F, s*s, d]
-    # As [A*F, 1, d], each block's projection is the same single-row matmul
-    # as a one-block call, so stacking keeps the context bit-exact.
-    contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), idx), (len(idx), 1, d))
-    return ad.reshape(blocks + ad.linear(contrib, pos_proj), (len(selection), -1, d))
+    rows = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), blocks)         # [U, s*s, d]
+    contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), blocks),
+                         (len(blocks), 1, d))
+    return rows + ad.linear(contrib, pos_proj)
+
+
+def own_block_attention(q: Tensor, ctx: Tensor, own: np.ndarray, p: ad.MHAParams) -> Tensor:
+    """Multi-head attention of each row of q [A, d] over its own blocks of
+    the shared context ctx [U, s*s, d], own [A, F] holding each row's block
+    indices in ascending order -> [A, d].
+
+    K and V are projected once per context block; each row then gathers the
+    keys and values of its own F blocks, already split into heads. Every
+    matmul is one row's or one block's, so a row's output does not depend
+    on the other rows or blocks, down to the last bit."""
+    A, d = q.shape
+    u, s2, _ = ctx.shape
+    F = own.shape[1]
+    h = p.heads
+    hd = d // h
+    head_blocks = (np.arange(h)[:, None, None] * u + own).reshape(-1)      # [H*A*F]
+
+    def per_row(lin: ad.LinearParams) -> Tensor:                           # [H, A, F*s*s, hd]
+        x = ad.transpose(ad.reshape(ad.linear(ctx, lin), (u, s2, h, hd)), (2, 0, 1, 3))
+        x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
+        return ad.reshape(x, (h, A, F * s2, hd))
+
+    qh = ad.transpose(ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
+                      (1, 0, 2, 3))                                         # [H, A, hd, 1]
+    logits = ad.reshape(ad.matmul(per_row(p.k), qh), (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
+    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(p.v))             # [H, A, 1, hd]
+    out = ad.linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
+    return ad.reshape(out, (A, d))
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
@@ -131,11 +159,15 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
             selection.picks[selection.anchors[:, :1] != np.arange(T)] = -1
 
     anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
-    ctx = joint_context(selection, prev_layer.region, queries, lp.ica_pos)
+    picks = selection.picks
+    # Every anchor keeps the same number F of frames, so its picked blocks
+    # form one [F] row of the inverse, in ascending frame order.
+    blocks, own = np.unique((np.arange(T) * L + picks)[picks >= 0], return_inverse=True)
+    ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
     flat = ad.reshape(queries, (T * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
-    attn = ad.multi_head_attention(ad.reshape(q, (len(anchors), 1, d)), ctx, ctx, lp.ica_attn)
-    updated = apply_ln(q + ad.reshape(attn, (len(anchors), d)), lp.ln_ica)
+    attn = own_block_attention(q, ctx, own.reshape(len(anchors), -1), lp.ica_attn)
+    updated = apply_ln(q + attn, lp.ln_ica)
     return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
 
 

@@ -379,6 +379,9 @@ def read_dataset(path: str) -> list[ClipSample]:
                         tr.visibility[frame_index(tr, parts[3])] = float(parts[4])
                     elif parts[0] == "box":
                         tr = tracks[(int(parts[1]), int(parts[2]))]
+                        if int(parts[3]) != tr.class_id:
+                            raise ValueError(f"box class {parts[3]} differs from track "
+                                             f"{tr.track_id}'s class {tr.class_id}")
                         fi = frame_index(tr, parts[4])
                         x1, y1, x2, y2, v = (float(x) for x in parts[5:10])
                         tr.boxes[fi] = Box.from_corners(x1, y1, x2, y2)

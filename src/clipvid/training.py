@@ -149,17 +149,22 @@ def _clip_gradients(params: dict[str, Tensor], max_norm: float = 5.0) -> None:
                 p.grad *= scale
 
 
+def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
+    """Raise InputError for a ground-truth class the model lacks."""
+    for clip in dataset:
+        for track in clip.tracks:
+            if not 0 <= track.class_id < num_classes:
+                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
+                                 f"{track.class_id} out of range for {num_classes} classes")
+
+
 def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           stage: int, use_ica: bool, settings: TrainSettings,
           log=None) -> list[str]:
     """Seeded training loop; returns the per-iteration loss log lines.
     Raises InputError, before the first iteration, for a ground-truth class
     the model lacks."""
-    for clip in dataset:
-        for track in clip.tracks:
-            if not 0 <= track.class_id < cfg.num_classes:
-                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
-                                 f"{track.class_id} out of range for {cfg.num_classes} classes")
+    check_classes(dataset, cfg.num_classes)
     named = M.named_parameters(params)
     if stage == 1:
         trainable = {k: v for k, v in named.items() if not M.is_ica_param(k)}

@@ -216,20 +216,20 @@ def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys, fie
     assert not (tmp_path / "x.ckpt").exists()
 
 
-def edit_tracks(src, dst, edit):
-    """Copy the dataset at src to dst, rewriting each track record's fields
-    [clip, track, class, speed] with edit."""
+def with_class(src, dst, class_id):
+    """Copy the dataset at src to dst with every track, and each of its box
+    records, set to class_id (the class is field 3 of both records)."""
     shutil.copytree(src, dst)
     ann = os.path.join(dst, "annotations.txt")
-    lines = open(ann).read().splitlines()
-    lines = [" ".join(["track"] + edit(l.split()[1:])) if l.startswith("track ") else l
-             for l in lines]
+    lines = [l.split() for l in open(ann).read().splitlines()]
+    lines = [" ".join(f[:3] + [str(class_id)] + f[4:] if f[0] in ("track", "box") else f)
+             for f in lines]
     open(ann, "w").write("\n".join(lines) + "\n")
     return str(dst)
 
 
 def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_path, capsys):
-    data = edit_tracks(dataset, tmp_path / "ds", lambda f: f[:2] + ["7"] + f[3:])
+    data = with_class(dataset, tmp_path / "ds", 7)
     code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_INPUT
@@ -238,12 +238,31 @@ def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_pa
     assert not (tmp_path / "x.ckpt").exists()
 
 
-def test_eval_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path, capsys):
-    data = edit_tracks(dataset, tmp_path / "ds", lambda f: f[:2] + ["7"] + f[3:])
-    code = run("eval", "--data", data, "--ckpt", trained_ckpt, "--out", str(tmp_path / "r"))
+def class_7_exits_before_inference(argv, dataset, ckpt, tmp_path, capsys, monkeypatch):
+    """Run a command on a class-7 copy of dataset with inference patched to
+    fail: a ground-truth class the checkpoint lacks must exit 5 first."""
+    data = with_class(dataset, tmp_path / "ds", 7)
+
+    def no_inference(*a, **k):
+        raise AssertionError("inference ran before the class check")
+
+    monkeypatch.setattr(cli.tr, "infer_clip", no_inference)
+    code = run(*argv, "--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "r"))
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert "input error" in err and "class 7" in err and "Traceback" not in err
+
+
+def test_eval_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path, capsys,
+                                                monkeypatch):
+    class_7_exits_before_inference(["eval"], dataset, trained_ckpt, tmp_path, capsys,
+                                   monkeypatch)
+
+
+def test_ablate_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path, capsys,
+                                                  monkeypatch):
+    class_7_exits_before_inference(["ablate", "--grid", "topk=1"], dataset, trained_ckpt,
+                                   tmp_path, capsys, monkeypatch)
 
 
 def test_train_more_objects_than_queries_is_capacity_error(micro_cfg_path, tmp_path, capsys):

@@ -10,6 +10,7 @@ from clipvid import matching as mt
 from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid.errors import NumericError
+from clipvid.geometry import Box
 from oracles import aggregate, contrastive_loss, identity_match, joint_context, oracle_match
 
 
@@ -30,13 +31,6 @@ def test_select_topk_example():
 
 def test_select_topk_tie_break():
     assert ica.select_topk(np.full((4, 1), 0.7), 2) == [0, 1]
-
-
-def selection(anchors, picks):
-    """A learned selection from its anchors and [A, T] picks (dots NaN)."""
-    picks = np.array(picks)
-    return ica.Selection(np.array(anchors), picks, np.full(picks.shape, np.nan),
-                         np.zeros(len(picks), dtype=bool))
 
 
 def clip(*frames):
@@ -246,28 +240,135 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     q = ad.tensor(rng.normal(size=(1, 4)))
     out = aggregate(q, {0: 0}, [ad.tensor(region.data[0])], [ad.tensor(contrib.data[0])], lp)
 
-    ctx = ica.joint_context(selection([[0, 0]], [[0]]), region, contrib, lp.ica_pos)
+    ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
-    q3 = ad.reshape(q, (1, 1, 4))
-    attn = ad.multi_head_attention(q3, ctx, ctx, lp.ica_attn)
-    want = M.apply_ln(q + ad.reshape(attn, (1, 4)), lp.ln_ica)
+    attn = ica.own_block_attention(q, ctx, np.array([[0]]), lp.ica_attn)
+    block = ad.tensor(ctx.data[0])
+    assert_allclose(attn.data, ad.multi_head_attention(q, block, block, lp.ica_attn).data,
+                    atol=1e-12)
+    want = M.apply_ln(q + attn, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
 
-def test_joint_context_row_count(rng):
+def test_block_context_row_count(rng):
+    """One context block per distinct picked (frame, query), each equal to
+    its block of the one-block-at-a-time joint context of every anchor that
+    picks it."""
     lp = _layer_params(rng)
-    T, s2 = 4, 16
-    region = ad.tensor(rng.normal(size=(T, 2, s2, 4)))
-    contrib = ad.tensor(rng.normal(size=(T, 2, 4)))
-    picks = [[1, 0, 0, 1], [0, 1, 1, 1]]          # anchors (1, 0) and (3, 1)
-    ctx = ica.joint_context(selection([[1, 0]], picks[:1]), region, contrib, lp.ica_pos)
-    assert ctx.shape == (1, T * s2, 4)
-    # every anchor's blocks, one stacked context each, equal the one-block-at-a-time form
-    both = ica.joint_context(selection([[1, 0], [3, 1]], picks), region, contrib, lp.ica_pos)
-    for a, row in enumerate(picks):
+    T, L, s2 = 4, 2, 16
+    region = ad.tensor(rng.normal(size=(T, L, s2, 4)))
+    contrib = ad.tensor(rng.normal(size=(T, L, 4)))
+    picks = np.array([[1, 0, 0, 1], [0, 1, 1, 1]])        # anchors (1, 0) and (3, 1)
+    blocks, own = np.unique(np.arange(T) * L + picks, return_inverse=True)
+    assert blocks.tolist() == [0, 1, 2, 3, 4, 5, 7]        # frame 3's query 1 is shared
+    ctx = ica.block_context(blocks, region, contrib, lp.ica_pos)
+    assert ctx.shape == (len(blocks), s2, 4)
+    for row, mine in zip(picks, own.reshape(2, T)):
         want = joint_context(dict(enumerate(row)), [ad.tensor(r) for r in region.data],
                              [ad.tensor(c) for c in contrib.data], lp.ica_pos)
-        assert np.array_equal(both.data[a], want.data[0])
+        assert np.array_equal(ctx.data[mine].reshape(1, T * s2, 4), want.data)
+
+
+def sublayer_case(T, shared, seed):
+    """A 64-bit ICA layer, its [T, L, d] query param and a previous layer
+    whose [T, L, s*s, d] region is a param; shared makes every identity
+    equal, so every anchor picks the same query in each other frame."""
+    rng = np.random.default_rng(seed)
+    L, d = 5, 8
+    cfg = M.ModelConfig(num_classes=3, num_queries=L, dim=d, heads=2, decoder_layers=2,
+                        roi_size=2, ica_layers=1, ica_topk=2, backbone_stride=4,
+                        backbone_channels=(4, 4)).validate()
+    lp = M.init_model(cfg, rng).layers[1]
+    ident = rng.normal(size=(T, L, d))
+    if shared:
+        ident[:] = ident[0, 0]
+    ident /= np.linalg.norm(ident, axis=-1, keepdims=True)
+    centers = rng.uniform(0.3, 0.7, size=(T, L, 2))
+    prev = M.LayerOutput(logits=ad.tensor(rng.normal(size=(T, L, 3))), boxes_t=None,
+                         boxes=np.concatenate([centers, np.full((T, L, 2), 0.3)], axis=-1),
+                         ident=ad.tensor(ident), region=ad.param(rng.normal(size=(T, L, 4, d))))
+    gts = [[(c, Box(*rng.uniform(0.3, 0.7, size=2), 0.3, 0.3), tid)
+            for tid, c in ((0, 1), (4, 2)) if rng.random() < 0.8] for _ in range(T)]
+    return cfg, lp, prev, ad.param(rng.normal(size=(T, L, d))), gts
+
+
+def attention_grads(lp, *tensors):
+    """Copies of the gradients of tensors and of the layer's aggregation
+    weights, which are then zeroed."""
+    out = [t.grad.copy() for t in tensors]
+    for lin in (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.k, lp.ica_attn.v, lp.ica_attn.out):
+        out.append(lin.w.grad.copy())
+        lin.w.zero_grad()
+    for t in tensors:
+        t.zero_grad()
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 2, 5, 16])
+@pytest.mark.parametrize("mode, shared", [("infer", False), ("infer", True),
+                                          ("oracle_ica", False), ("within_frame_mask", False)])
+def test_ica_sublayer_matches_per_anchor_oracle(T, mode, shared):
+    """The shared-block aggregation equals the one-anchor-at-a-time oracle
+    within 1e-12 relative in 64-bit, output and gradients; queries that are
+    not anchors pass through unchanged."""
+    cfg, lp, prev, queries, gts = sublayer_case(T, shared, seed=T)
+    L, d = queries.shape[1:]
+    with ad.ComputationTape() as tape:
+        out, sel = ica.ica_sublayer(queries, prev, lp, cfg,
+                                    "infer" if mode == "within_frame_mask" else mode, gts,
+                                    within_frame_mask=mode == "within_frame_mask")
+        weights = np.random.default_rng(0).normal(size=(len(sel), d))
+        anchors = sel.anchors[:, 0] * L + sel.anchors[:, 1]
+        flat = ad.gather_rows(ad.reshape(out, (T * L, d)), anchors)
+        loss = ad.reduce_sum(flat * weights)
+    tape.backward(loss)
+    got = attention_grads(lp, queries, prev.region)
+    if mode == "oracle_ica":
+        assert sel.oracle.any()
+    if shared and T > 1:
+        blocks = np.unique((np.arange(T) * L + sel.picks)[sel.picks >= 0])
+        assert len(blocks) < sel.picks.size
+
+    with ad.ComputationTape() as tape:
+        region = [ad.reshape(ad.gather_rows(prev.region, [i]), prev.region.shape[1:])
+                  for i in range(T)]
+        contrib = [ad.reshape(ad.gather_rows(queries, [i]), (L, d)) for i in range(T)]
+        rows = [aggregate(ad.gather_rows(contrib[m], [j]),
+                          {i: p for i, p in enumerate(picks) if p >= 0}, region, contrib, lp)
+                for (m, j), picks in zip(sel.anchors.tolist(), sel.picks.tolist())]
+        want = ad.concat(rows, axis=0)
+        loss = ad.reduce_sum(want * weights)
+    tape.backward(loss)
+    pairs = zip([flat.data] + got, [want.data] + attention_grads(lp, queries, prev.region))
+    for a, b in pairs:
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    anchor = np.zeros((T, L), dtype=bool)
+    anchor[tuple(sel.anchors.T)] = True
+    assert np.array_equal(out.data[~anchor], queries.data[~anchor])
+
+
+@pytest.mark.parametrize("T", [8, 16, 32])
+def test_ica_kv_rows_grow_with_distinct_blocks(monkeypatch, T):
+    """Hardware-independent cost gate: each ICA layer of a desk-config
+    inference projects keys and values for at most T*k*s*s context rows,
+    one s*s block per distinct picked (frame, query), not T*T*k."""
+    ad.set_precision(32)
+    cfg = M.ModelConfig().validate()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    kv = {id(lin) for lp in params.layers if lp.ica_attn is not None
+          for lin in (lp.ica_attn.k, lp.ica_attn.v)}
+    rows = []
+    real = ad.linear
+
+    def counting(x, p):
+        if id(p) in kv:
+            rows.append(int(np.prod(x.shape[:-1])))
+        return real(x, p)
+
+    monkeypatch.setattr(ad, "linear", counting)
+    M.clip_forward(np.random.default_rng(T).random((T, 64, 64, 3)), cfg, params)
+    assert len(rows) == 2 * cfg.ica_layers
+    assert max(rows) <= T * cfg.ica_topk * cfg.roi_size ** 2
 
 
 def test_aggregate_zero_value_projection_is_layer_norm(rng):

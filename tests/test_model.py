@@ -270,7 +270,7 @@ def test_desk_clip_tape_record_count():
         out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
         _, parts, _ = tr.clip_loss(out, gts, mt.MatchCostConfig(), train_identity=True)
     assert parts.con > 0.0
-    assert len(tape) == 621
+    assert len(tape) == 626
 
 
 def test_clip_forward_determinism(rng):
@@ -324,7 +324,16 @@ def test_reference_boxes_stay_valid(rng):
 
 
 def test_within_frame_mask_matches_single_frame_runs_bitexactly(rng):
-    cfg = micro_cfg()
+    masked_equals_single_frame_runs(micro_cfg(), rng)
+
+
+def test_within_frame_mask_one_anchor_per_frame_bitexact(rng):
+    """With one anchor per frame, a single-frame run's aggregation has one
+    row; its matmuls must still match the masked clip's bit for bit."""
+    masked_equals_single_frame_runs(micro_cfg(ica_topk=1), rng)
+
+
+def masked_equals_single_frame_runs(cfg, rng):
     params = M.init_model(cfg, rng)
     frames = rng.random((3, 8, 8, 3))
     masked = M.clip_forward(frames, cfg, params, mode="train",

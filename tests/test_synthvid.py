@@ -204,8 +204,9 @@ def test_malformed_annotation_reports_line(tmp_path):
     "track 0 6 -1 slow",
     "track 0 -3 1 slow",
     "track 0 5 1 slow",
+    "box 0 5 4 0 0.25 0.25 0.75 0.75 1 slow",
 ], ids=["box_frame_negative", "box_frame_past_end", "vis_frame_negative",
-        "class_negative", "track_id_negative", "track_repeated"])
+        "class_negative", "track_id_negative", "track_repeated", "box_class_mismatch"])
 def test_invalid_annotation_reports_line(tmp_path, bad_line):
     """An annotation that would wrap an index or break the one-query-per-
     track property is a ParseError naming its line, not silently kept."""
