@@ -164,8 +164,7 @@ def _load_params(cfg: ModelConfig, ckpt_path: str) -> M.ModelParams:
         # Structural fields only; runtime knobs (topk, inference frames) may
         # differ from the training-time snapshot.
         for f in ("num_queries", "dim", "heads", "decoder_layers", "roi_size",
-                  "ica_layers", "num_classes", "backbone_stride",
-                  "backbone_channels", "encoder_layers"):
+                  "ica_layers", "num_classes", "backbone_channels", "encoder_layers"):
             if getattr(saved, f) != getattr(cfg, f):
                 raise ConfigError(
                     f"checkpoint config field '{f}'={getattr(saved, f)} does not "

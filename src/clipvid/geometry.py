@@ -105,28 +105,26 @@ def boxes_refine(ref: np.ndarray, delta: Tensor) -> Tensor:
 
 
 def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """GIoU between row-aligned [n, 4] center-size boxes -> [n]."""
+    """GIoU between row-aligned [n, 4] center-size boxes -> [n].
+
+    x and y travel together as the two rows of [2, n] tensors."""
     n = pred.shape[0]
     half = ad.tensor(np.array([0.5]))
     pt = ad.transpose(pred, (1, 0))
-    cx, cy, w, h = (ad.gather_rows(pt, [i]) for i in range(4))
-    px1 = cx - w * half
-    px2 = cx + w * half
-    py1 = cy - h * half
-    py2 = cy + h * half
-    g = np.asarray(gt, dtype=np.float64)
-    gx1 = ad.tensor((g[:, 0] - g[:, 2] / 2)[None, :])
-    gx2 = ad.tensor((g[:, 0] + g[:, 2] / 2)[None, :])
-    gy1 = ad.tensor((g[:, 1] - g[:, 3] / 2)[None, :])
-    gy2 = ad.tensor((g[:, 1] + g[:, 3] / 2)[None, :])
-    zero = ad.tensor(np.zeros((1, n)))
-    iw = ad.maximum(ad.minimum(px2, gx2) - ad.maximum(px1, gx1), zero)
-    ih = ad.maximum(ad.minimum(py2, gy2) - ad.maximum(py1, gy1), zero)
-    inter = iw * ih
-    union = w * h + ad.tensor((g[:, 2] * g[:, 3])[None, :]) - inter
-    ew = ad.maximum(px2, gx2) - ad.minimum(px1, gx1)
-    eh = ad.maximum(py2, gy2) - ad.minimum(py1, gy1)
-    enclosure = ew * eh
+    center, size = ad.gather_rows(pt, [0, 1]), ad.gather_rows(pt, [2, 3])
+    lo = center - size * half
+    hi = center + size * half
+    g = np.asarray(gt, dtype=np.float64).T
+    glo = ad.tensor(g[:2] - g[2:] / 2)
+    ghi = ad.tensor(g[:2] + g[2:] / 2)
+
+    def area(wh: Tensor) -> Tensor:
+        return ad.gather_rows(wh, [0]) * ad.gather_rows(wh, [1])
+
+    inter = area(ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo),
+                            ad.tensor(np.zeros((2, n)))))
+    union = area(size) + ad.tensor((g[2] * g[3])[None, :]) - inter
+    enclosure = area(ad.maximum(hi, ghi) - ad.minimum(lo, glo))
     out = inter / union - (enclosure - union) / enclosure
     return ad.reshape(out, (n,))
 

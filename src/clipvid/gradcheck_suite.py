@@ -21,8 +21,7 @@ from .geometry import Box
 def micro_config() -> M.ModelConfig:
     return M.ModelConfig(num_classes=2, t_train=2, t_infer=2, num_queries=3,
                          dim=8, heads=2, decoder_layers=2, roi_size=2,
-                         ica_layers=1, ica_topk=2, backbone_stride=4,
-                         backbone_channels=(4, 4)).validate()
+                         ica_layers=1, ica_topk=2, backbone_channels=(4, 4)).validate()
 
 
 def micro_clip(seed: int):
@@ -140,16 +139,12 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     frames, gts = micro_clip(seed + 7)
     cost_cfg = mt.MatchCostConfig()
 
-    out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
-    _, _, assignments = tr.clip_loss(out, gts, cost_cfg, True)
-    frozen_ica = [layer.selection for layer in out.layers]
-    frozen_boxes = out.boxes_in
+    out = M.clip_forward(frames, cfg, params)
+    _, _, assignments = tr.clip_loss(out, gts, cost_cfg)
 
     def build() -> Tensor:
-        res = M.clip_forward(frames, cfg, params, mode="train", ica_active=True,
-                             frozen_ica=frozen_ica, frozen_boxes=frozen_boxes)
-        total, _, _ = tr.clip_loss(res, gts, cost_cfg, True,
-                                   frozen_assignments=assignments)
+        total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params, replay=out), gts,
+                                   cost_cfg, frozen_assignments=assignments)
         return total
 
     named = M.named_parameters(params)

@@ -129,16 +129,16 @@ def own_block_attention(q: Tensor, ctx: Tensor, own: np.ndarray, p: ad.MHAParams
     return ad.reshape(out, (A, d))
 
 
-def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
-                 gts=None, within_frame_mask: bool = False,
+def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
                  frozen_selection: Selection | None = None
                  ) -> tuple[Tensor, Selection]:
     """Apply aggregation to the per-frame top-k anchors of [T, L, d]
     queries; other queries pass through unchanged. Anchors, scores, and
     identity embeddings come from the previous layer's head; region
-    features are reused from its cross-attention. frozen_selection replays
-    an earlier selection so finite differencing never crosses a discrete
-    decision."""
+    features are reused from its cross-attention. With oracle_gts, a
+    per-frame list of (class_id, Box, track_id), an anchor matched to a
+    track picks that track's queries. frozen_selection replays an earlier
+    selection so finite differencing never crosses a discrete decision."""
     from .model import apply_ln
 
     T, L, d = queries.shape
@@ -147,16 +147,14 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, mode: str,
         logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
         topk = np.array([select_topk(logits[i], cfg.ica_topk) for i in range(T)])
         track_of = None
-        if mode == "oracle_ica":
+        if oracle_gts is not None:
             track_of = np.full((T, L), -1)        # per frame: query -> assigned track id
-            for i, frame_gts in enumerate(gts):
+            for i, frame_gts in enumerate(oracle_gts):
                 pred = mt.match_frame(logits[i], prev_layer.boxes[i],
                                       [(c, b) for c, b, _tid in frame_gts], mt.MatchCostConfig())
                 track_of[i, list(pred.pred_of_gt)] = [tid for _c, _b, tid in frame_gts]
         selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
                                    topk, track_of)
-        if within_frame_mask:
-            selection.picks[selection.anchors[:, :1] != np.arange(T)] = -1
 
     anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
     picks = selection.picks

@@ -4,10 +4,9 @@ aggregation / box-guided cross-attention, and per-layer detection heads.
 
 All frames of a clip are predicted in one forward pass that carries one
 [T, L, ·] tensor per quantity: T frames, L queries. Clip-wide
-self-attention sees the queries as [1, T*L, d]; the test-only within-frame
-mask attends over [T, L, d], the frame axis as a batch. Cross-attention
-runs over [T*L, 1, d] queries. Batching stays bit-exact with single-frame
-runs because numpy's matmul makes one BLAS call per stacked matrix, so a
+self-attention sees the queries as [1, T*L, d]; cross-attention runs over
+[T*L, 1, d] queries. Batching stays bit-exact with single-frame runs
+because numpy's matmul makes one BLAS call per stacked matrix, so a
 frame's rows see the same calls either way. Each decoder layer's
 predictions (LayerOutput) are class logits [T, L, C], refined boxes
 [T, L, 4] as a tensor and as detached clamped float64 reference boxes, and
@@ -17,7 +16,7 @@ identity embeddings [T, L, d] where an aggregation layer follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class ModelConfig:
     roi_size: int = 4
     ica_layers: int = 1          # counted from the last decoder layer
     ica_topk: int = 4
-    backbone_stride: int = 8
     backbone_channels: tuple[int, ...] = (8, 16, 32)
     encoder_layers: int = 0
     fixed_queries: bool = False
@@ -54,7 +52,12 @@ class ModelConfig:
         return ModelConfig(num_classes=30, t_train=3, t_infer=30,
                            num_queries=72, dim=384, heads=8, decoder_layers=6,
                            roi_size=7, ica_layers=2, ica_topk=10,
-                           backbone_stride=16, backbone_channels=(64, 128, 256, 384))
+                           backbone_channels=(64, 128, 256, 384))
+
+    @property
+    def backbone_stride(self) -> int:
+        """Each backbone block halves the resolution."""
+        return 2 ** len(self.backbone_channels)
 
     def validate(self) -> "ModelConfig":
         for f in fields(self):         # counts are at least 1; layer counts may be 0
@@ -69,8 +72,6 @@ class ModelConfig:
             raise ConfigError("ica_layers exceeds decoder_layers")
         if self.ica_topk > self.num_queries:
             raise ConfigError(f"ica_topk {self.ica_topk} exceeds num_queries {self.num_queries}")
-        if 2 ** len(self.backbone_channels) != self.backbone_stride:
-            raise ConfigError("backbone_channels must supply one block per stride doubling")
         return self
 
     def is_ica_layer(self, layer: int) -> bool:
@@ -93,8 +94,9 @@ def save_config(cfg: ModelConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Fields an older sidecar may still carry; they are ignored on load.
-REMOVED_CONFIG_KEYS = ("ica_all_candidates",)
+# Fields an older sidecar may still carry. They are not loaded, but a
+# backbone_stride must still agree with the channels it is now derived from.
+REMOVED_CONFIG_KEYS = ("ica_all_candidates", "backbone_stride")
 _BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
 
 
@@ -127,7 +129,12 @@ def load_config(path) -> ModelConfig:
                 kwargs[f.name] = int(v)
         except (KeyError, ValueError):
             raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
-    return ModelConfig(**kwargs).validate()
+    cfg = ModelConfig(**kwargs).validate()
+    stride = str(cfg.backbone_stride)
+    if raw.get("backbone_stride", stride) != stride:
+        raise ConfigError(f"{path}: backbone_stride={raw['backbone_stride']} does not match "
+                          f"the {len(cfg.backbone_channels)} backbone_channels (stride {stride})")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +333,10 @@ def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
     return ad.matmul(ad.softmax(logits, axis=-1), m)
 
 
-def extended_self_attention(queries: Tensor, lp: DecoderLayerParams,
-                            within_frame_mask: bool = False) -> Tensor:
-    """Residual attention over every query of the clip, [T, L, d] -> same;
-    the test-only mask restricts key/value sets to each query's own frame
-    by attending over the frame axis as a batch."""
+def extended_self_attention(queries: Tensor, lp: DecoderLayerParams) -> Tensor:
+    """Residual attention over every query of the clip, [T, L, d] -> same."""
     t, n, d = queries.shape
-    x = queries if within_frame_mask else ad.reshape(queries, (1, t * n, d))
+    x = ad.reshape(queries, (1, t * n, d))
     out = apply_ln(x + ad.multi_head_attention(x, x, x, lp.self_attn), lp.ln_self)
     return ad.reshape(out, (t, n, d))
 
@@ -419,36 +423,22 @@ class LayerOutput:
     selection: object = None                # ica.Selection of an aggregation layer
 
 
-@dataclass
-class ClipForwardResult:
-    layers: list[LayerOutput]
-    boxes_in: list[np.ndarray] = field(default_factory=list)  # per layer [T, L, 4]
-
-
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                 mode: str = "infer", gts=None, ica_active: bool = True,
-                 within_frame_mask: bool = False,
-                 frozen_ica: list | None = None,
-                 frozen_boxes: list[np.ndarray] | None = None) -> ClipForwardResult:
-    """Run the detector on all frames of one clip in a single pass.
+                 oracle_gts=None, replay: list[LayerOutput] | None = None
+                 ) -> list[LayerOutput]:
+    """Run the detector on all frames of one clip in a single pass and
+    return every decoder layer's output.
 
-    frames: [T, H, W, 3] pixel array. mode is "train", "infer", or
-    "oracle_ica" (ground-truth-guided aggregation; needs gts as a per-frame
-    list of (class_id, Box, track_id)). ica_active=False skips aggregation
-    and identity heads at runtime (parameters stay in place, frozen). The
-    within-frame mask is a test hook that closes every cross-frame path.
-    frozen_ica / frozen_boxes replay the discrete selections and the carried
-    (non-differentiated) reference boxes of an earlier run, so finite
-    differencing sees a smooth function.
+    frames: [T, H, W, 3] pixel array. With oracle_gts, a per-frame list of
+    (class_id, Box, track_id), aggregation follows the ground-truth tracks.
+    replay, the layer list of an earlier run, supplies the discrete
+    selections and the carried (non-differentiated) reference boxes, so
+    finite differencing sees a smooth function. Aggregation runs on the
+    layers cfg marks; a config with ica_layers=0 has none.
     """
     from . import ica as ica_mod
 
-    if mode not in ("train", "infer", "oracle_ica"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "oracle_ica" and gts is None:
-        raise ConfigError("oracle_ica mode needs ground-truth annotations")
     T, L = frames.shape[0], cfg.num_queries
-
     feat = encoder_forward(backbone(frames, cfg, params), cfg, params)
     if cfg.fixed_queries:
         queries = params.query_embed + ad.tensor(np.zeros((T, L, cfg.dim)))
@@ -456,29 +446,24 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         queries = adaptive_queries(feat.m, params.query_embed)
     boxes = np.tile(geo.FULL_FRAME, (T, L, 1))
 
-    result = ClipForwardResult([])
-    prev_layer: LayerOutput | None = None
+    layers: list[LayerOutput] = []
     for li, lp in enumerate(params.layers):
-        if frozen_boxes is not None:
-            boxes = frozen_boxes[li]
-        result.boxes_in.append(boxes)
-        queries = extended_self_attention(queries, lp, within_frame_mask)
+        if replay is not None and li > 0:
+            boxes = replay[li - 1].boxes
+        queries = extended_self_attention(queries, lp)
 
         selection = None
-        if (ica_active and cfg.is_ica_layer(li) and prev_layer is not None
-                and prev_layer.ident is not None):
+        if cfg.is_ica_layer(li) and layers[-1].ident is not None:
             queries, selection = ica_mod.ica_sublayer(
-                queries, prev_layer, lp, cfg, mode, gts,
-                within_frame_mask=within_frame_mask,
-                frozen_selection=frozen_ica[li] if frozen_ica else None)
+                queries, layers[-1], lp, cfg, oracle_gts,
+                frozen_selection=replay[li].selection if replay is not None else None)
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
         queries = feed_forward(queries, lp)
         logits, boxes_t, boxes, ident = detection_head(
-            queries, boxes, lp, ica_active and cfg.has_identity_head(li))
-        prev_layer = LayerOutput(logits, boxes_t, boxes, ident, region, selection)
-        result.layers.append(prev_layer)
-    return result
+            queries, boxes, lp, cfg.has_identity_head(li))
+        layers.append(LayerOutput(logits, boxes_t, boxes, ident, region, selection))
+    return layers
 
 
 # ---------------------------------------------------------------------------

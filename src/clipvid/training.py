@@ -11,7 +11,7 @@ aggregation layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import ica as ica_mod
 from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .synthvid import ClipSample
 
 CONTRASTIVE_WEIGHT = 1.0
@@ -35,11 +35,11 @@ class LossParts:
     con: float = 0.0
 
 
-def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
-              cost_cfg: mt.MatchCostConfig, train_identity: bool,
-              frozen_assignments=None
+def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
+              cost_cfg: mt.MatchCostConfig, frozen_assignments=None
               ) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
-    """Deep-supervised set loss over all layers of one clip.
+    """Deep-supervised set loss over all layers of one clip, plus the
+    contrastive identity loss of every layer with identity embeddings.
 
     frozen_assignments (as returned by a previous call: per layer, per
     frame) bypasses the matching so finite differencing sees a fixed
@@ -51,7 +51,7 @@ def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
     parts = LossParts()
     terms = []
     assignments: list[list[mt.Assignment]] = []
-    for li, layer in enumerate(result.layers):
+    for li, layer in enumerate(layers):
         res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts, cost_cfg,
                           assignments=frozen_assignments[li] if frozen_assignments else None)
         terms.append(res.total * scale)
@@ -59,7 +59,7 @@ def clip_loss(result: M.ClipForwardResult, gts: list[list[tuple]],
         parts.giou += cost_cfg.lambda_giou * res.giou_term * scale
         parts.l1 += cost_cfg.lambda_l1 * res.l1_term * scale
         assignments.append(res.assignments)
-        if train_identity and layer.ident is not None:
+        if layer.ident is not None:
             matched_tracks = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
                               for g, a in zip(gts, res.assignments)]
             con, pairs = ica_mod.contrastive_loss(layer.ident, matched_tracks)
@@ -170,7 +170,8 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         trainable = {k: v for k, v in named.items() if not M.is_ica_param(k)}
     else:
         trainable = dict(named)
-    ica_active = use_ica and stage >= 2
+    if not (use_ica and stage >= 2):
+        cfg = replace(cfg, ica_layers=0)
     cost_cfg = mt.MatchCostConfig()
     opt = AdamW(lr=settings.lr)
     rng = np.random.default_rng(settings.seed)
@@ -178,9 +179,7 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
 
     def run_clip(frames, gts):
         with ad.ComputationTape() as tape:
-            out = M.clip_forward(frames, cfg, params, mode="train",
-                                 ica_active=ica_active)
-            loss, parts, _ = clip_loss(out, gts, cost_cfg, train_identity=ica_active)
+            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), gts, cost_cfg)
         tape.backward(loss)
         return parts
 
@@ -221,9 +220,15 @@ def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
                frames_per_pass: int | None = None):
     """Detect on every frame of a clip, windowed by the inference length.
 
-    Returns (per-frame detections, every pass's aggregation-layer
-    selections in pass and layer order).
+    mode is "infer" or "oracle_ica" (aggregation follows the clip's
+    ground-truth tracks); use_ica=False runs without aggregation. Returns
+    (per-frame detections, every pass's aggregation-layer selections in
+    pass and layer order).
     """
+    if mode not in ("infer", "oracle_ica"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    if not use_ica:
+        cfg = replace(cfg, ica_layers=0)
     t_pass = frames_per_pass or cfg.t_infer
     total = clip.frames.shape[0]
     detections: list[list] = []
@@ -231,11 +236,8 @@ def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
     for start in range(0, total, t_pass):
         stop = min(start + t_pass, total)
         frames = clip.frames[start:stop]
-        gts = [clip.frame_gts(i) for i in range(start, stop)]
-        out = M.clip_forward(frames, cfg, params, mode=mode,
-                             gts=gts if mode == "oracle_ica" else None,
-                             ica_active=use_ica)
-        detections.extend(M.extract_detections(out.layers[-1], cfg))
-        selections.extend(layer.selection for layer in out.layers
-                          if layer.selection is not None)
+        gts = [clip.frame_gts(i) for i in range(start, stop)] if mode == "oracle_ica" else None
+        layers = M.clip_forward(frames, cfg, params, oracle_gts=gts)
+        detections.extend(M.extract_detections(layers[-1], cfg))
+        selections.extend(layer.selection for layer in layers if layer.selection is not None)
     return detections, selections

@@ -2,7 +2,8 @@
 
 Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors. The tests compare the package's
-batched paths against them.
+batched paths against them. The within-frame mask at the end patches the
+forward pass so that a clip can be compared with its single-frame runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipvid import autodiff as ad
+from clipvid import ica
 from clipvid import model as M
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
@@ -275,3 +277,26 @@ def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
         else:
             flags.append(False)
     return interpolated_ap(flags, len(gts))
+
+
+# ---------------------------------------------------------------------------
+# Within-frame mask
+
+
+def mask_within_frames(monkeypatch) -> None:
+    """Close every cross-frame path of the forward pass: self-attention
+    takes the frame axis as a batch, and aggregation keeps only each
+    anchor's own frame. A masked clip then equals its single-frame runs."""
+    def frame_batched(queries, lp):
+        attn = ad.multi_head_attention(queries, queries, queries, lp.self_attn)
+        return M.apply_ln(queries + attn, lp.ln_self)
+
+    match = ica.identity_match
+
+    def own_frame_only(*args):
+        sel = match(*args)
+        sel.picks[sel.anchors[:, :1] != np.arange(sel.picks.shape[1])] = -1
+        return sel
+
+    monkeypatch.setattr(M, "extended_self_attention", frame_batched)
+    monkeypatch.setattr(ica, "identity_match", own_frame_only)

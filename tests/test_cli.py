@@ -190,7 +190,9 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("edit, names", [
     (lambda text: text.replace("dim=8", "dimm=8"), ("'dimm'",)),
     (lambda text: text + "fixed_queries=yes\n", ("'fixed_queries'", "'yes'")),
-], ids=["unknown_key", "bad_boolean"])
+    (lambda text: text.replace("backbone_stride=4", "backbone_stride=16"),
+     ("backbone_stride=16", "backbone_channels")),
+], ids=["unknown_key", "bad_boolean", "stride_disagrees_with_channels"])
 def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(MICRO_CFG))

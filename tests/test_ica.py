@@ -11,7 +11,8 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
-from oracles import aggregate, contrastive_loss, identity_match, joint_context, oracle_match
+from oracles import (aggregate, contrastive_loss, identity_match, joint_context,
+                     mask_within_frames, oracle_match)
 
 
 def rows(*vs):
@@ -182,9 +183,9 @@ def test_forward_dots_equal_scalar_dots_bitexactly():
     cfg = M.ModelConfig().validate()
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((16, 64, 64, 3)), cfg, params)
-    li = next(i for i, layer in enumerate(out.layers) if layer.selection is not None)
-    idents = np.asarray(out.layers[li - 1].ident.data, dtype=np.float64)
-    sel = out.layers[li].selection
+    li = next(i for i, layer in enumerate(out) if layer.selection is not None)
+    idents = np.asarray(out[li - 1].ident.data, dtype=np.float64)
+    sel = out[li].selection
     assert len(sel) == 16 * cfg.ica_topk
     for (m, j), picks, dots in zip(sel.anchors.tolist(), sel.picks.tolist(), sel.dots.tolist()):
         assert picks[m] == j and np.isnan(dots[m])
@@ -201,9 +202,9 @@ def test_oracle_forward_dump_equals_scalar_oracles():
     [sample] = sv.generate_dataset(sv.GenConfig(t=5, min_objects=2, max_objects=4), 1, seed=3)
     T = sample.frames.shape[0]
     gts = [sample.frame_gts(i) for i in range(T)]
-    out = M.clip_forward(sample.frames, cfg, params, mode="oracle_ica", gts=gts)
+    out = M.clip_forward(sample.frames, cfg, params, oracle_gts=gts)
     lines = []
-    for prev, layer in zip(out.layers, out.layers[1:]):
+    for prev, layer in zip(out, out[1:]):
         if layer.selection is None:
             continue
         logits = np.asarray(prev.logits.data, dtype=np.float64)
@@ -219,8 +220,7 @@ def test_oracle_forward_dump_equals_scalar_oracles():
                 cells = " ".join(f"{i}:{p}@{d:.6f}" for i, (p, d) in sorted(row.items()))
                 lines.append(f"anchor={m},{j} kind={'learned' if tid is None else 'oracle'} "
                              f"{cells}")
-    text = ica.dump_matches([layer.selection for layer in out.layers
-                             if layer.selection is not None])
+    text = ica.dump_matches([layer.selection for layer in out if layer.selection is not None])
     assert text == "\n".join(lines)
     assert "kind=oracle" in text and "@nan" in text
 
@@ -228,7 +228,7 @@ def test_oracle_forward_dump_equals_scalar_oracles():
 def _layer_params(rng, d=4):
     cfg = M.ModelConfig(num_classes=2, num_queries=2, dim=d, heads=2,
                         decoder_layers=2, roi_size=2, ica_layers=1, ica_topk=2,
-                        backbone_stride=4, backbone_channels=(4, 4)).validate()
+                        backbone_channels=(4, 4)).validate()
     params = M.init_model(cfg, rng)
     return params.layers[1]
 
@@ -276,7 +276,7 @@ def sublayer_case(T, shared, seed):
     rng = np.random.default_rng(seed)
     L, d = 5, 8
     cfg = M.ModelConfig(num_classes=3, num_queries=L, dim=d, heads=2, decoder_layers=2,
-                        roi_size=2, ica_layers=1, ica_topk=2, backbone_stride=4,
+                        roi_size=2, ica_layers=1, ica_topk=2,
                         backbone_channels=(4, 4)).validate()
     lp = M.init_model(cfg, rng).layers[1]
     ident = rng.normal(size=(T, L, d))
@@ -307,16 +307,17 @@ def attention_grads(lp, *tensors):
 @pytest.mark.parametrize("T", [1, 2, 5, 16])
 @pytest.mark.parametrize("mode, shared", [("infer", False), ("infer", True),
                                           ("oracle_ica", False), ("within_frame_mask", False)])
-def test_ica_sublayer_matches_per_anchor_oracle(T, mode, shared):
+def test_ica_sublayer_matches_per_anchor_oracle(T, mode, shared, monkeypatch):
     """The shared-block aggregation equals the one-anchor-at-a-time oracle
     within 1e-12 relative in 64-bit, output and gradients; queries that are
     not anchors pass through unchanged."""
     cfg, lp, prev, queries, gts = sublayer_case(T, shared, seed=T)
     L, d = queries.shape[1:]
+    if mode == "within_frame_mask":
+        mask_within_frames(monkeypatch)
     with ad.ComputationTape() as tape:
         out, sel = ica.ica_sublayer(queries, prev, lp, cfg,
-                                    "infer" if mode == "within_frame_mask" else mode, gts,
-                                    within_frame_mask=mode == "within_frame_mask")
+                                    gts if mode == "oracle_ica" else None)
         weights = np.random.default_rng(0).normal(size=(len(sel), d))
         anchors = sel.anchors[:, 0] * L + sel.anchors[:, 1]
         flat = ad.gather_rows(ad.reshape(out, (T * L, d)), anchors)
@@ -389,14 +390,14 @@ def test_aggregate_ignores_non_selected_region_features(rng):
     """Zeroing unselected region rows leaves aggregation bit-identical."""
     cfg = M.ModelConfig(num_classes=2, num_queries=3, dim=8, heads=2,
                         decoder_layers=2, roi_size=2, ica_layers=1, ica_topk=1,
-                        backbone_stride=4, backbone_channels=(4, 4)).validate()
+                        backbone_channels=(4, 4)).validate()
     params = M.init_model(cfg, np.random.default_rng(5))
     frames = np.random.default_rng(6).random((2, 8, 8, 3))
-    out = M.clip_forward(frames, cfg, params, mode="train")
-    selected = {(i, p) for row in out.layers[1].selection.picks.tolist()
+    out = M.clip_forward(frames, cfg, params)
+    selected = {(i, p) for row in out[1].selection.picks.tolist()
                 for i, p in enumerate(row)}            # anchors included
 
-    prev = out.layers[0]
+    prev = out[0]
     region_z = ad.tensor(prev.region.data.copy())
     for fi in range(region_z.shape[0]):
         for j in range(region_z.shape[1]):
@@ -409,8 +410,8 @@ def test_aggregate_ignores_non_selected_region_features(rng):
                               ident=prev.ident, region=region_z)
     prev_ref = M.LayerOutput(logits=prev.logits, boxes_t=prev.boxes_t, boxes=prev.boxes,
                              ident=prev.ident, region=prev.region)
-    out_ref, _ = ica.ica_sublayer(queries, prev_ref, lp, cfg, "train")
-    out_zero, _ = ica.ica_sublayer(queries, prev_zero, lp, cfg, "train")
+    out_ref, _ = ica.ica_sublayer(queries, prev_ref, lp, cfg)
+    out_zero, _ = ica.ica_sublayer(queries, prev_zero, lp, cfg)
     for a, b in zip(out_ref.data, out_zero.data):
         assert np.array_equal(a, b)
 

@@ -254,17 +254,14 @@ def test_set_loss_clip_normalization_invariant_under_duplication(rng):
     ad.set_precision(64)
     cfg = M.ModelConfig(num_classes=2, num_queries=3, dim=8, heads=2,
                         decoder_layers=2, roi_size=2, ica_layers=0,
-                        ica_topk=2, backbone_stride=4,
-                        backbone_channels=(4, 4)).validate()
+                        ica_topk=2, backbone_channels=(4, 4)).validate()
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
     gts = [[(0, Box(0.4, 0.4, 0.3, 0.3), 1)], [(1, Box(0.6, 0.6, 0.3, 0.3), 2)]]
     cost_cfg = mt.MatchCostConfig()
-    out1 = M.clip_forward(frames, cfg, params, mode="train")
-    l1, _, _ = tr.clip_loss(out1, gts, cost_cfg, False)
+    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts, cost_cfg)
     doubled = np.concatenate([frames, frames])
-    out2 = M.clip_forward(doubled, cfg, params, mode="train")
-    l2, _, _ = tr.clip_loss(out2, gts + gts, cost_cfg, False)
+    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), gts + gts, cost_cfg)
     assert float(l2.data) == pytest.approx(float(l1.data), abs=1e-6)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,14 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.errors import ConfigError
 from clipvid.geometry import Box
-from oracles import adapt_region_feature, detection_head, guided_cross_attention
+from oracles import (adapt_region_feature, detection_head, guided_cross_attention,
+                     mask_within_frames)
 
 
 def micro_cfg(**kw):
     base = dict(num_classes=2, t_train=2, t_infer=2, num_queries=3, dim=8,
                 heads=2, decoder_layers=2, roi_size=2, ica_layers=1,
-                ica_topk=2, backbone_stride=4, backbone_channels=(4, 4))
+                ica_topk=2, backbone_channels=(4, 4))
     base.update(kw)
     return M.ModelConfig(**base).validate()
 
@@ -36,9 +38,7 @@ def test_config_validation():
         M.ModelConfig(ica_topk=99).validate()
     with pytest.raises(ConfigError):
         M.ModelConfig(ica_layers=99).validate()
-    with pytest.raises(ConfigError):
-        M.ModelConfig(backbone_stride=16).validate()
-    assert M.ModelConfig.paper_scale().validate() is not None
+    assert M.ModelConfig.paper_scale().validate().backbone_stride == 16
 
 
 def test_config_round_trip(tmp_path):
@@ -249,11 +249,10 @@ def test_detection_head_contracts(rng):
 def test_clip_forward_shape_contract(rng):
     cfg = desk_cfg(t_train=3)
     params = M.init_model(cfg, rng)
-    out = M.clip_forward(rng.random((3, 64, 64, 3)).astype(np.float64),
-                         cfg, params, mode="train")
-    assert len(out.layers) == cfg.decoder_layers
+    out = M.clip_forward(rng.random((3, 64, 64, 3)).astype(np.float64), cfg, params)
+    assert len(out) == cfg.decoder_layers
     L = cfg.num_queries
-    for layer in out.layers:
+    for layer in out:
         assert len(layer.logits) == len(layer.boxes_t) == len(layer.boxes) == 3
         assert layer.logits.shape == (3, L, cfg.num_classes)
         assert layer.boxes_t.shape == layer.boxes.shape == (3, L, 4)
@@ -267,36 +266,36 @@ def test_desk_clip_tape_record_count():
     clip = sv.generate_clip(sv.GenConfig(), seed=0)
     frames, gts = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
     with ad.ComputationTape() as tape:
-        out = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
-        _, parts, _ = tr.clip_loss(out, gts, mt.MatchCostConfig(), train_identity=True)
+        _, parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts,
+                                   mt.MatchCostConfig())
     assert parts.con > 0.0
-    assert len(tape) == 626
+    assert len(tape) == 605
 
 
 def test_clip_forward_determinism(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
-    a = M.clip_forward(frames, cfg, params, mode="train")
-    b = M.clip_forward(frames, cfg, params, mode="train")
-    for la, lb in zip(a.layers, b.layers):
+    a = M.clip_forward(frames, cfg, params)
+    b = M.clip_forward(frames, cfg, params)
+    for la, lb in zip(a, b):
         for fa, fb in zip(la.logits.data, lb.logits.data):
             assert np.array_equal(fa, fb)
 
 
 def test_clip_forward_no_ica_variant(rng):
-    """ica_active=False must equal a config with aggregation disabled."""
+    """ica_layers=0 runs the full model's parameters with no aggregation and
+    no identity heads."""
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
-    off = M.clip_forward(frames, cfg, params, mode="train", ica_active=False)
-    for layer in off.layers:
+    off = M.clip_forward(frames, dataclasses.replace(cfg, ica_layers=0), params)
+    for layer in off:
         assert layer.selection is None
         assert layer.ident is None
-    on = M.clip_forward(frames, cfg, params, mode="train", ica_active=True)
-    assert len(on.layers[-1].selection) > 0
-    changed = not np.array_equal(on.layers[-1].logits.data[0],
-                                 off.layers[-1].logits.data[0])
+    on = M.clip_forward(frames, cfg, params)
+    assert len(on[-1].selection) > 0
+    changed = not np.array_equal(on[-1].logits.data[0], off[-1].logits.data[0])
     assert changed
 
 
@@ -304,44 +303,87 @@ def test_clip_forward_frame_permutation_equivariance(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frames = rng.random((3, 8, 8, 3))
-    out = M.clip_forward(frames, cfg, params, mode="train")
+    out = M.clip_forward(frames, cfg, params)
     perm = [2, 0, 1]
-    out_p = M.clip_forward(frames[perm], cfg, params, mode="train")
-    for layer, layer_p in zip(out.layers, out_p.layers):
+    out_p = M.clip_forward(frames[perm], cfg, params)
+    for layer, layer_p in zip(out, out_p):
         for new_i, old_i in enumerate(perm):
             assert_allclose(layer_p.logits.data[new_i], layer.logits.data[old_i],
                             atol=1e-9)
 
 
+def test_replay_reproduces_the_run_bitexactly(rng):
+    cfg = micro_cfg()
+    params = M.init_model(cfg, rng)
+    frames = rng.random((3, 8, 8, 3))
+    out = M.clip_forward(frames, cfg, params)
+    again = M.clip_forward(frames, cfg, params, replay=out)
+    assert out[-1].selection is not None
+    for a, b in zip(out, again):
+        assert a.selection is b.selection
+        assert np.array_equal(a.boxes, b.boxes)
+        for name in ("logits", "boxes_t", "ident", "region"):
+            if getattr(a, name) is not None:
+                assert np.array_equal(getattr(a, name).data, getattr(b, name).data)
+
+
+def test_replay_keeps_picks_and_reference_boxes(rng, monkeypatch):
+    """After the parameters move, a free run picks and refines afresh; a
+    replay keeps the earlier run's picks and carried reference boxes."""
+    cfg = micro_cfg()
+    params = M.init_model(cfg, rng)
+    frames = rng.random((3, 8, 8, 3))
+    out = M.clip_forward(frames, cfg, params)
+    for t in M.named_parameters(params).values():
+        t.data = t.data + rng.normal(scale=0.5, size=t.data.shape)
+
+    refs = []
+    head = M.detection_head
+
+    def recording(queries, ref_boxes, *rest):
+        refs.append(ref_boxes)
+        return head(queries, ref_boxes, *rest)
+
+    monkeypatch.setattr(M, "detection_head", recording)
+    fresh = M.clip_forward(frames, cfg, params)
+    replayed = M.clip_forward(frames, cfg, params, replay=out)
+    fresh_refs, replay_refs = refs[:cfg.decoder_layers], refs[cfg.decoder_layers:]
+    assert not np.array_equal(fresh[-1].selection.picks, out[-1].selection.picks)
+    assert np.array_equal(replayed[-1].selection.picks, out[-1].selection.picks)
+    for li in range(1, cfg.decoder_layers):
+        assert not np.array_equal(fresh_refs[li], out[li - 1].boxes)
+        assert np.array_equal(replay_refs[li], out[li - 1].boxes)
+    assert not np.array_equal(replayed[-1].logits.data, out[-1].logits.data)
+
+
 def test_reference_boxes_stay_valid(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
-    out = M.clip_forward(rng.random((2, 8, 8, 3)), cfg, params, mode="train")
-    for layer in out.layers:
+    out = M.clip_forward(rng.random((2, 8, 8, 3)), cfg, params)
+    for layer in out:
         for b in layer.boxes:
             assert ((0.0 <= b[:, :2]) & (b[:, :2] <= 1.0)).all()
             assert ((geo.WH_MIN <= b[:, 2:]) & (b[:, 2:] <= 1.0)).all()
 
 
-def test_within_frame_mask_matches_single_frame_runs_bitexactly(rng):
-    masked_equals_single_frame_runs(micro_cfg(), rng)
+def test_within_frame_mask_matches_single_frame_runs_bitexactly(rng, monkeypatch):
+    masked_equals_single_frame_runs(micro_cfg(), rng, monkeypatch)
 
 
-def test_within_frame_mask_one_anchor_per_frame_bitexact(rng):
+def test_within_frame_mask_one_anchor_per_frame_bitexact(rng, monkeypatch):
     """With one anchor per frame, a single-frame run's aggregation has one
     row; its matmuls must still match the masked clip's bit for bit."""
-    masked_equals_single_frame_runs(micro_cfg(ica_topk=1), rng)
+    masked_equals_single_frame_runs(micro_cfg(ica_topk=1), rng, monkeypatch)
 
 
-def masked_equals_single_frame_runs(cfg, rng):
+def masked_equals_single_frame_runs(cfg, rng, monkeypatch):
     params = M.init_model(cfg, rng)
     frames = rng.random((3, 8, 8, 3))
-    masked = M.clip_forward(frames, cfg, params, mode="train",
-                            within_frame_mask=True)
+    mask_within_frames(monkeypatch)
+    masked = M.clip_forward(frames, cfg, params)
     for i in range(3):
-        single = M.clip_forward(frames[i:i + 1], cfg, params, mode="train",
-                                within_frame_mask=True)
-        for lm, ls in zip(masked.layers, single.layers):
+        single = M.clip_forward(frames[i:i + 1], cfg, params)
+        for lm, ls in zip(masked, single):
             assert np.array_equal(lm.logits.data[i], ls.logits.data[0])
             assert np.array_equal(lm.boxes_t.data[i], ls.boxes_t.data[0])
 
@@ -350,23 +392,23 @@ def test_fixed_queries_variant(rng):
     cfg = micro_cfg(fixed_queries=True)
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
-    out = M.clip_forward(frames, cfg, params, mode="train")
-    assert len(out.layers) == cfg.decoder_layers
+    out = M.clip_forward(frames, cfg, params)
+    assert len(out) == cfg.decoder_layers
 
 
 def test_encoder_variant_runs(rng):
     cfg = micro_cfg(encoder_layers=1)
     params = M.init_model(cfg, rng)
-    out = M.clip_forward(rng.random((2, 8, 8, 3)), cfg, params, mode="train")
-    assert len(out.layers) == cfg.decoder_layers
+    out = M.clip_forward(rng.random((2, 8, 8, 3)), cfg, params)
+    assert len(out) == cfg.decoder_layers
 
 
 def test_extract_detections_threshold(rng):
     cfg = micro_cfg(score_thresh=0.5)
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((1, 8, 8, 3)), cfg, params)
-    dets = M.extract_detections(out.layers[-1], cfg)
-    logits = out.layers[-1].logits.data[0]
+    dets = M.extract_detections(out[-1], cfg)
+    logits = out[-1].logits.data[0]
     n_above = int((1 / (1 + np.exp(-logits)) > 0.5).sum())
     assert len(dets[0]) == n_above
 
@@ -375,10 +417,10 @@ def test_detections_lie_inside_frame(rng):
     cfg = desk_cfg(score_thresh=0.0)
     params = M.init_model(cfg, rng)
     out = M.clip_forward(rng.random((2, 64, 64, 3)), cfg, params)
-    b = np.concatenate(out.layers[-1].boxes)
+    b = np.concatenate(out[-1].boxes)
     ref_corners = np.concatenate([b[:, :2] - b[:, 2:] / 2, b[:, :2] + b[:, 2:] / 2], axis=1)
     assert (ref_corners < 0.0).any() or (ref_corners > 1.0).any()   # clipping is exercised
-    dets = M.extract_detections(out.layers[-1], cfg)
+    dets = M.extract_detections(out[-1], cfg)
     assert sum(len(f) for f in dets) == 2 * cfg.num_queries * cfg.num_classes
     for frame in dets:
         for det in frame:

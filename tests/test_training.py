@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from clipvid import autodiff as ad
 from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.checkpoint import save_checkpoint
+from clipvid.errors import ConfigError
 from clipvid.gradcheck_suite import micro_config
 
 
@@ -25,3 +27,11 @@ def test_same_seed_32bit_runs_are_byte_identical(tmp_path):
             runs.append(("\n".join(lines), path.read_bytes()))
     assert any(float(line.split(",")[5]) > 0.0 for line in runs[0][0].splitlines())
     assert runs[0] == runs[1]
+
+
+def test_infer_clip_unknown_mode_is_config_error():
+    [clip] = sv.generate_dataset(sv.GenConfig(num_classes=2, max_objects=2, frame_size=16, t=2),
+                                 1, seed=0)
+    cfg = micro_config()
+    with pytest.raises(ConfigError, match="bogus"):
+        tr.infer_clip(clip, cfg, M.init_model(cfg, np.random.default_rng(0)), mode="bogus")
