@@ -21,9 +21,6 @@ from .errors import ConfigError, DimensionError, NumericError
 _dtype = np.dtype(np.float64)
 _tapes: list["ComputationTape"] = []       # innermost active tape last
 
-# Test hook: name of a primitive whose adjoint gets deliberately corrupted.
-debug_corrupt_op: str | None = None
-
 
 def set_precision(bits: int) -> None:
     """Select 32- or 64-bit floats for all freshly created tensors."""
@@ -175,17 +172,6 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out.grad = None
     if track:
         out.requires_grad = True
-        if op == debug_corrupt_op:
-            inner = backward
-
-            def backward(g, _inner=inner):
-                grads = list(_inner(g))
-                for i, gr in enumerate(grads):
-                    if gr is not None:
-                        grads[i] = gr + 1000.0
-                        break
-                return tuple(grads)
-
         tape.records.append((op, inputs, out, backward))
     return out
 
@@ -537,19 +523,13 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
-    """Scaled dot-product attention with projected heads.
-
-    Accepts [n,d] single inputs or [B,n,d] stacks (batch of independent
-    attention problems sharing the projections).
+    """Scaled dot-product attention with projected heads over [B,n,d]
+    stacks (a batch of independent attention problems sharing the
+    projections).
     """
     d = q.shape[-1]
     if d % p.heads != 0:
         raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
-    squeeze = q.ndim == 2
-    if squeeze:
-        q = reshape(q, (1,) + q.shape)
-        k = reshape(k, (1,) + k.shape)
-        v = reshape(v, (1,) + v.shape)
     bsz, nq, _ = q.shape
     nk = k.shape[1]
     hd = d // p.heads
@@ -564,10 +544,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tenso
     attn = softmax(logits, axis=-1)
     ctx = matmul(attn, vh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, nq, d))
-    out = linear(ctx, p.out)
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return linear(ctx, p.out)
 
 
 # ---------------------------------------------------------------------------
@@ -590,34 +567,39 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
                name: str = "f") -> GradCheckReport:
     """Compare the taped gradient of a scalar function against central differences.
 
-    Runs in the current precision, which must be 64-bit; f must be
+    Runs in the current precision, which must be 64-bit, on a float64 x.
+    The differences perturb x in place, one element at a time, so f may
+    read x through a closure (a model parameter) rather than its argument;
+    x.requires_grad and x.grad are restored afterwards. f must be
     deterministic in x.
     """
-    if get_dtype() != np.float64:
-        raise ConfigError("grad_check requires 64-bit precision mode")
-    x = Tensor(np.asarray(x.data, dtype=np.float64), requires_grad=True)
-    with ComputationTape() as tape:
-        y = f(x)
-    if y.data.size != 1:
-        raise DimensionError(f"grad_check: f must be scalar-valued, got {y.shape}")
-    if not np.isfinite(y.data).all():
-        raise NumericError("grad_check: non-finite function value")
-    tape.backward(y)
-    analytic = x.grad.copy()
+    if get_dtype() != np.float64 or x.data.dtype != np.float64:
+        raise ConfigError("grad_check requires 64-bit precision mode and a float64 x")
+    saved = (x.requires_grad, x.grad)
+    x.requires_grad, x.grad = True, np.zeros_like(x.data)
+    try:
+        with ComputationTape() as tape:
+            y = f(x)
+        if y.data.size != 1:
+            raise DimensionError(f"grad_check: f must be scalar-valued, got {y.shape}")
+        if not np.isfinite(y.data).all():
+            raise NumericError("grad_check: non-finite function value")
+        tape.backward(y)
+        analytic = x.grad.copy()
+    finally:
+        x.requires_grad, x.grad = saved
 
     numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(Tensor(x.data)).data)
-        flat[i] = orig - step
-        fm = float(f(Tensor(x.data)).data)
-        flat[i] = orig
+    for i in np.ndindex(x.shape):
+        orig = x.data[i]
+        x.data[i] = orig + step
+        fp = float(f(x).data)
+        x.data[i] = orig - step
+        fm = float(f(x).data)
+        x.data[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError("grad_check: non-finite function value")
-        nflat[i] = (fp - fm) / (2.0 * step)
+        numeric[i] = (fp - fm) / (2.0 * step)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     rel = np.abs(analytic - numeric) / denom

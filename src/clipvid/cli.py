@@ -28,13 +28,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluate as ev
+from . import gradcheck_suite
 from . import ica as ica_mod
 from . import model as M
 from . import synthvid as sv
 from . import training as tr
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CapacityError, ConfigError, InputError, NumericError, ParseError
-from .model import Detection, ModelConfig
+from .model import ModelConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +51,7 @@ ERROR_EXITS = {ConfigError: (EXIT_USAGE, "error"), ParseError: (EXIT_IO, "I/O er
                CapacityError: (EXIT_CAPACITY, "capacity error")}
 
 TRAIN_VARIANTS = ("full", "no_ica", "fixed_queries", "with_encoder")
-EVAL_VARIANTS = ("full", "no_ica", "oracle_ica", "oracle_detections")
+EVAL_VARIANTS = ("full", "no_ica", "oracle_ica")
 GRID_KNOB_MIN = {"frames": 1, "topk": 1, "ica_layers": 0}   # smallest valid value
 
 
@@ -61,11 +62,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"            # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -75,8 +80,8 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate a synthetic clip dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--clips", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--clips", type=_int_at_least(0), required=True)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--frames", type=int, default=8)
     g.add_argument("--frame-size", type=int, default=64)
     g.add_argument("--classes", type=int, default=5)
@@ -92,26 +97,25 @@ def build_parser() -> _Parser:
     t.add_argument("--config", help="model config file (defaults to desk scale)")
     t.add_argument("--ckpt-in")
     t.add_argument("--ckpt-out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_int_at_least(0), default=0)
     t.add_argument("--iters", type=int)
     t.add_argument("--lr", type=float)
     t.add_argument("--lr-drop", type=int)
-    t.add_argument("--batch", type=_positive_int, default=2)
+    t.add_argument("--batch", type=_int_at_least(1), default=2)
     t.add_argument("--log", help="loss log path (default: <ckpt-out>.log)")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--data", required=True)
-    e.add_argument("--ckpt")
+    e.add_argument("--ckpt", required=True)
     e.add_argument("--variant", choices=EVAL_VARIANTS, default="full")
-    e.add_argument("--frames", type=_positive_int, help="inference frames per pass")
-    e.add_argument("--topk", type=_positive_int, help="override aggregation top-k")
+    e.add_argument("--frames", type=_int_at_least(1), help="inference frames per pass")
+    e.add_argument("--topk", type=_int_at_least(1), help="override aggregation top-k")
     e.add_argument("--out", required=True, help="report path prefix")
     e.add_argument("--dump-matches", help="write identity-match diagnostics here")
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_int_at_least(0), default=0)
     c.add_argument("--tol", type=float, default=1e-4)
-    c.add_argument("--corrupt-op", help=argparse.SUPPRESS)
 
     a = sub.add_parser("ablate", help="evaluate a grid of inference knobs")
     a.add_argument("--data", required=True)
@@ -242,19 +246,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = sv.read_dataset(args.data)
-
-    if args.variant == "oracle_detections":
-        # Test hook: echo the ground truth as detections.
-        cfg = ModelConfig()
-        detections = [[[Detection(c, 1.0, b) for c, b, _t in clip.frame_gts(i)]
-                       for i in range(clip.frames.shape[0])] for clip in dataset]
-        report = ev.evaluate(detections, dataset, cfg.num_classes)
-        return _emit_report(args, report, cfg, None)
-
-    if not args.ckpt:
-        print("error: --ckpt is required unless --variant oracle_detections",
-              file=sys.stderr)
-        return EXIT_USAGE
     sidecar = args.ckpt + ".config.txt"
     cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
     if args.topk is not None:
@@ -272,19 +263,15 @@ def cmd_eval(args) -> int:
         all_dets.append(dets)
         diagnostics.extend(diag)
     report = ev.evaluate(all_dets, dataset, cfg.num_classes)
-    if args.dump_matches:
-        _write_lines(args.dump_matches, ica_mod.dump_matches(diagnostics).splitlines() or [""])
-    return _emit_report(args, report, cfg, args.ckpt)
-
-
-def _emit_report(args, report: ev.EvalReport, cfg: ModelConfig,
-                 ckpt: str | None) -> int:
     try:
+        if args.dump_matches:
+            _write_lines(args.dump_matches,
+                         ica_mod.dump_matches(diagnostics).splitlines() or [""])
         _write_lines(args.out + ".report.txt", report.lines())
         _write_lines(args.out + ".buckets.csv", report.table_lines())
         _snapshot(args.out + ".run.txt", {
             "command": "eval", "variant": args.variant,
-            "frames": args.frames or cfg.t_infer, "ckpt": ckpt or "",
+            "frames": args.frames or cfg.t_infer, "ckpt": args.ckpt,
             "data": args.data})
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
@@ -296,12 +283,7 @@ def _emit_report(args, report: ev.EvalReport, cfg: ModelConfig,
 
 def cmd_gradcheck(args) -> int:
     ad.set_precision(64)
-    ad.debug_corrupt_op = args.corrupt_op or None
-    try:
-        from .gradcheck_suite import run_suite
-        reports = run_suite(args.seed, args.tol)
-    finally:
-        ad.debug_corrupt_op = None
+    reports = gradcheck_suite.run_suite(args.seed, args.tol)
     failed = [r for r in reports if not r.passed]
     for r in reports:
         status = "ok" if r.passed else "FAIL"

@@ -139,8 +139,6 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
     per-frame list of (class_id, Box, track_id), an anchor matched to a
     track picks that track's queries. frozen_selection replays an earlier
     selection so finite differencing never crosses a discrete decision."""
-    from .model import apply_ln
-
     T, L, d = queries.shape
     selection = frozen_selection
     if selection is None:
@@ -151,7 +149,7 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
             track_of = np.full((T, L), -1)        # per frame: query -> assigned track id
             for i, frame_gts in enumerate(oracle_gts):
                 pred = mt.match_frame(logits[i], prev_layer.boxes[i],
-                                      [(c, b) for c, b, _tid in frame_gts], mt.MatchCostConfig())
+                                      [(c, b) for c, b, _tid in frame_gts])
                 track_of[i, list(pred.pred_of_gt)] = [tid for _c, _b, tid in frame_gts]
         selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
                                    topk, track_of)
@@ -165,7 +163,7 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
     flat = ad.reshape(queries, (T * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
     attn = own_block_attention(q, ctx, own.reshape(len(anchors), -1), lp.ica_attn)
-    updated = apply_ln(q + attn, lp.ln_ica)
+    updated = ad.layer_norm(q + attn, lp.ln_ica.gain, lp.ln_ica.bias)
     return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
 
 

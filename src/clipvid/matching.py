@@ -19,22 +19,20 @@ from .autodiff import Tensor
 from .errors import CapacityError, NumericError
 
 
-@dataclass
-class MatchCostConfig:
-    lambda_cls: float = 2.0
-    lambda_giou: float = 2.0
-    lambda_l1: float = 5.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
+# Weights of the matching cost and of the matched loss, and the focal
+# loss's class balance and focusing exponent.
+LAMBDA_CLS = 2.0
+LAMBDA_GIOU = 2.0
+LAMBDA_L1 = 5.0
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
 
 
 @dataclass
 class Assignment:
-    """Injective map from ground-truth index to prediction index, and the
-    predictions left over by the matching in ascending order."""
+    """Injective map from ground-truth index to prediction index."""
 
     pred_of_gt: tuple[int, ...]
-    unmatched_preds: tuple[int, ...]
 
 
 def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
@@ -165,7 +163,7 @@ class SetLossResult:
 
 
 def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
-                frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig) -> np.ndarray:
+                frame_gts: list[tuple[int, geo.Box]]) -> np.ndarray:
     """[preds x gts] pairing costs of one frame's [L, C] logits and [L, 4]
     boxes: the focal loss of the ground-truth class channel with a positive
     target, plus the weighted GIoU and L1 box terms."""
@@ -178,7 +176,7 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
     p = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     softplus_negx = np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    cls_cost = cfg.focal_alpha * (1.0 - p) ** cfg.focal_gamma * softplus_negx
+    cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * softplus_negx
 
     pc = np.stack([pboxes[:, 0] - pboxes[:, 2] / 2, pboxes[:, 1] - pboxes[:, 3] / 2,
                    pboxes[:, 0] + pboxes[:, 2] / 2, pboxes[:, 1] + pboxes[:, 3] / 2], axis=1)
@@ -198,29 +196,28 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
     giou = inter / union - (enclosure - union) / enclosure
 
     l1 = np.abs(pboxes[:, None, :] - gboxes[None, :, :]).sum(axis=2)
-    return (cfg.lambda_cls * cls_cost + cfg.lambda_giou * (1.0 - giou)
-            + cfg.lambda_l1 * l1)
+    return LAMBDA_CLS * cls_cost + LAMBDA_GIOU * (1.0 - giou) + LAMBDA_L1 * l1
 
 
 def match_frame(logits: np.ndarray, boxes: np.ndarray,
-                frame_gts: list[tuple[int, geo.Box]], cfg: MatchCostConfig) -> Assignment:
+                frame_gts: list[tuple[int, geo.Box]]) -> Assignment:
     """Assign each ground truth its lowest-cost prediction slot."""
     L = len(logits)
     G = len(frame_gts)
     if G > L:
         raise CapacityError(f"{G} ground truths exceed {L} prediction slots")
     if G == 0:
-        return Assignment((), tuple(range(L)))
-    cols = hungarian(cost_matrix(logits, boxes, frame_gts, cfg))
+        return Assignment(())
+    cols = hungarian(cost_matrix(logits, boxes, frame_gts))
     pred_of_gt = [0] * G
     for i, j in enumerate(cols):
         if j >= 0:
             pred_of_gt[j] = i
-    return Assignment(tuple(pred_of_gt), tuple(i for i, j in enumerate(cols) if j < 0))
+    return Assignment(tuple(pred_of_gt))
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
-             gts: list[list[tuple[int, geo.Box]]], cfg: MatchCostConfig,
+             gts: list[list[tuple[int, geo.Box]]],
              assignments: list[Assignment] | None = None) -> SetLossResult:
     """Match each frame's predictions to its ground truths and score one
     decoder layer of the whole clip.
@@ -236,7 +233,7 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
     """
     T, L, _ = logits.shape
     if assignments is None:
-        assignments = [match_frame(logits.data[t], boxes[t], gts[t], cfg) for t in range(T)]
+        assignments = [match_frame(logits.data[t], boxes[t], gts[t]) for t in range(T)]
 
     targets = np.zeros(logits.shape)
     matched_rows, gt_boxes = [], []
@@ -246,7 +243,7 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
             matched_rows.append(t * L + assignment.pred_of_gt[j])
             gt_boxes.append(box.as_array())
     cls_loss = ad.reduce_sum(
-        focal_loss_logits(logits, targets, cfg.focal_alpha, cfg.focal_gamma))
+        focal_loss_logits(logits, targets, FOCAL_ALPHA, FOCAL_GAMMA))
 
     if matched_rows:
         pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (T * L, 4)), matched_rows)
@@ -257,8 +254,7 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
         giou_loss = ad.tensor(np.zeros(()))
         l1_loss = ad.tensor(np.zeros(()))
 
-    total = (cls_loss * cfg.lambda_cls + giou_loss * cfg.lambda_giou
-             + l1_loss * cfg.lambda_l1)
+    total = cls_loss * LAMBDA_CLS + giou_loss * LAMBDA_GIOU + l1_loss * LAMBDA_L1
     return SetLossResult(total, assignments,
                          cls_term=float(cls_loss.data),
                          giou_term=float(giou_loss.data),

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
+from . import ica
 from .autodiff import LinearParams, MHAParams, Tensor
 from .errors import ConfigError
 from .geometry import Box
@@ -420,7 +421,7 @@ class LayerOutput:
     boxes: np.ndarray                       # [T, L, 4] detached, clamped float64
     ident: Tensor | None                    # [T, L, d] unit rows, or None
     region: Tensor                          # [T, L, s*s, d]
-    selection: object = None                # ica.Selection of an aggregation layer
+    selection: ica.Selection | None = None  # an aggregation layer's selection
 
 
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
@@ -436,8 +437,6 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     finite differencing sees a smooth function. Aggregation runs on the
     layers cfg marks; a config with ica_layers=0 has none.
     """
-    from . import ica as ica_mod
-
     T, L = frames.shape[0], cfg.num_queries
     feat = encoder_forward(backbone(frames, cfg, params), cfg, params)
     if cfg.fixed_queries:
@@ -454,7 +453,7 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
         selection = None
         if cfg.is_ica_layer(li) and layers[-1].ident is not None:
-            queries, selection = ica_mod.ica_sublayer(
+            queries, selection = ica.ica_sublayer(
                 queries, layers[-1], lp, cfg, oracle_gts,
                 frozen_selection=replay[li].selection if replay is not None else None)
 

@@ -44,6 +44,15 @@ class GenConfig:
             raise ConfigError(f"num_classes must be in [1, {len(SHAPE_NAMES)}]")
         if self.max_objects < self.min_objects or self.min_objects < 1:
             raise ConfigError("bad object count range")
+        if self.frame_size < 8 or self.frame_size % 8:      # the 8x8 background grid
+            raise ConfigError(
+                f"frame_size must be a positive multiple of 8, got {self.frame_size}")
+        if self.t < 1:
+            raise ConfigError(f"t (frames per clip) must be at least 1, got {self.t}")
+        if not 0.0 <= self.occluder_prob <= 1.0:
+            raise ConfigError(f"occluder_prob must be in [0, 1], got {self.occluder_prob}")
+        if self.blur_scale < 0.0:
+            raise ConfigError(f"blur_scale must be at least 0, got {self.blur_scale}")
         return self
 
     def speed_label(self, disp: float) -> str:
@@ -315,7 +324,10 @@ def read_dataset(path: str) -> list[ClipSample]:
         if not line.strip():
             continue
         if line.startswith("clips="):
-            declared = int(line.split("=", 1)[1])
+            try:
+                declared = int(line.split("=", 1)[1])
+            except ValueError as e:
+                raise ParseError(f"{mani_path}:{ln}: {e}") from e
             continue
         parts = line.split()
         if parts[0] != "clip" or len(parts) != 7:

@@ -36,8 +36,7 @@ class LossParts:
 
 
 def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
-              cost_cfg: mt.MatchCostConfig, frozen_assignments=None
-              ) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
+              frozen_assignments=None) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
     """Deep-supervised set loss over all layers of one clip, plus the
     contrastive identity loss of every layer with identity embeddings.
 
@@ -52,12 +51,12 @@ def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
     terms = []
     assignments: list[list[mt.Assignment]] = []
     for li, layer in enumerate(layers):
-        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts, cost_cfg,
+        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts,
                           assignments=frozen_assignments[li] if frozen_assignments else None)
         terms.append(res.total * scale)
-        parts.cls += cost_cfg.lambda_cls * res.cls_term * scale
-        parts.giou += cost_cfg.lambda_giou * res.giou_term * scale
-        parts.l1 += cost_cfg.lambda_l1 * res.l1_term * scale
+        parts.cls += mt.LAMBDA_CLS * res.cls_term * scale
+        parts.giou += mt.LAMBDA_GIOU * res.giou_term * scale
+        parts.l1 += mt.LAMBDA_L1 * res.l1_term * scale
         assignments.append(res.assignments)
         if layer.ident is not None:
             matched_tracks = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
@@ -172,14 +171,13 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         trainable = dict(named)
     if not (use_ica and stage >= 2):
         cfg = replace(cfg, ica_layers=0)
-    cost_cfg = mt.MatchCostConfig()
     opt = AdamW(lr=settings.lr)
     rng = np.random.default_rng(settings.seed)
     lines = []
 
     def run_clip(frames, gts):
         with ad.ComputationTape() as tape:
-            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), gts, cost_cfg)
+            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), gts)
         tape.backward(loss)
         return parts
 

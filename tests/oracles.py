@@ -2,8 +2,9 @@
 
 Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors. The tests compare the package's
-batched paths against them. The within-frame mask at the end patches the
-forward pass so that a clip can be compared with its single-frame runs.
+batched paths against them. The patches at the end change the package for
+one test: the within-frame mask makes a clip comparable with its
+single-frame runs, and corrupt_adjoint breaks one primitive's gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from clipvid import autodiff as ad
 from clipvid import ica
+from clipvid import matching as mt
 from clipvid import model as M
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
@@ -124,8 +126,9 @@ def adapt_region_feature(k, q, adapter):
 def guided_cross_attention(q, b: Box, f, lp, s: int):
     """Query q [1, d] with reference box b: (updated q [1, d], adapted k [s*s, d])."""
     k = adapt_region_feature(roi_sample(f, b, s), q, lp.adapter)
-    attn = ad.multi_head_attention(q, k, k, lp.cross_attn)
-    return M.apply_ln(q + attn, lp.ln_cross), k
+    kv = ad.reshape(k, (1,) + k.shape)
+    attn = ad.multi_head_attention(ad.reshape(q, (1,) + q.shape), kv, kv, lp.cross_attn)
+    return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_cross), k
 
 
 def detection_head(q, b: Box, lp, with_identity: bool):
@@ -244,14 +247,14 @@ def focal_loss(p_logit: float, target: int, alpha: float = 0.25,
     return (1.0 - alpha) * p ** gamma * softplus(p_logit)
 
 
-def match_cost(logits, box: Box, gt_class: int, gt_box: Box, cfg) -> float:
+def match_cost(logits, box: Box, gt_class: int, gt_box: Box) -> float:
     """Pairing cost of one prediction (class logits, box) against one real
     ground truth. The classification term is the focal loss of the
     ground-truth class channel with a positive target."""
-    cls = focal_loss(float(logits[gt_class]), 1, cfg.focal_alpha, cfg.focal_gamma)
+    cls = focal_loss(float(logits[gt_class]), 1, mt.FOCAL_ALPHA, mt.FOCAL_GAMMA)
     g = giou(box, gt_box)
     l1 = sum(abs(a - b) for a, b in zip(box.as_array(), gt_box.as_array()))
-    return cfg.lambda_cls * cls + cfg.lambda_giou * (1.0 - g) + cfg.lambda_l1 * l1
+    return mt.LAMBDA_CLS * cls + mt.LAMBDA_GIOU * (1.0 - g) + mt.LAMBDA_L1 * l1
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +303,27 @@ def mask_within_frames(monkeypatch) -> None:
 
     monkeypatch.setattr(M, "extended_self_attention", frame_batched)
     monkeypatch.setattr(ica, "identity_match", own_frame_only)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection
+
+
+def corrupt_adjoint(monkeypatch, op: str) -> None:
+    """Add 1000 to the first gradient that the primitive recorded as op
+    returns, so a gradient check through it must fail."""
+    record = ad._record
+
+    def corrupted(name, inputs, out_data, backward):
+        if name == op:
+            inner = backward
+
+            def backward(g):
+                grads = list(inner(g))
+                first = next(i for i, gr in enumerate(grads) if gr is not None)
+                grads[first] = grads[first] + 1000.0
+                return tuple(grads)
+
+        return record(name, inputs, out_data, backward)
+
+    monkeypatch.setattr(ad, "_record", corrupted)

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
+from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
+from oracles import corrupt_adjoint
+
+# Every primitive that records itself on the tape, read from the source so
+# that a new primitive without a gradient check fails the test below.
+RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad))))
+CHECK_OF_OP = {"concat": "concat_gather", "gather_rows": "concat_gather",
+               "reshape": "reshape_transpose", "transpose": "reshape_transpose"}
 
 
 def test_matmul_identity():
@@ -102,19 +113,19 @@ def test_mha_zero_value_projection_gives_bias_only(rng):
     p.v.w.data[:] = 0.0
     p.v.b.data[:] = 0.0
     p.out.w.data[:] = np.eye(8)
-    q = ad.tensor(rng.normal(size=(3, 8)))
+    q = ad.tensor(rng.normal(size=(1, 3, 8)))
     out = ad.multi_head_attention(q, q, q, p)
-    assert_allclose(out.data, np.broadcast_to(p.out.b.data, (3, 8)), atol=1e-12)
+    assert_allclose(out.data, np.broadcast_to(p.out.b.data, (1, 3, 8)), atol=1e-12)
 
 
 def test_mha_single_key_degenerate(rng):
     p = ad.init_mha(rng, 8, 2)
-    q = ad.tensor(rng.normal(size=(2, 8)))
-    k = ad.tensor(rng.normal(size=(1, 8)))
+    q = ad.tensor(rng.normal(size=(1, 2, 8)))
+    k = ad.tensor(rng.normal(size=(1, 1, 8)))
     out = ad.multi_head_attention(q, k, k, p)
     vrow = ad.linear(k, p.v)
     expect = ad.linear(vrow, p.out)
-    assert_allclose(out.data, np.broadcast_to(expect.data, (2, 8)), atol=1e-10)
+    assert_allclose(out.data, np.broadcast_to(expect.data, (1, 2, 8)), atol=1e-10)
 
 
 def test_mha_head_divisibility_error(rng):
@@ -124,13 +135,13 @@ def test_mha_head_divisibility_error(rng):
 
 def test_mha_gradients(rng):
     p = ad.init_mha(rng, 8, 2)
-    k = ad.tensor(rng.normal(size=(4, 8)))
+    k = ad.tensor(rng.normal(size=(1, 4, 8)))
     for which in range(3):
         def f(x, which=which):
             args = [k, k, k]
             args[which] = x
             return ad.reduce_sum(ad.multi_head_attention(*args, p))
-        rep = ad.grad_check(f, ad.tensor(rng.normal(size=(4, 8))))
+        rep = ad.grad_check(f, ad.tensor(rng.normal(size=(1, 4, 8))))
         assert rep.max_rel_err < 1e-4, which
 
 
@@ -142,6 +153,28 @@ def test_grad_check_closed_form():
 def test_grad_check_constant_function():
     rep = ad.grad_check(lambda x: ad.tensor(3.0) * ad.tensor(1.0), ad.tensor([1.0, 2.0]))
     assert rep.max_rel_err == 0.0
+
+
+def test_grad_check_through_a_closure_restores_the_tensor():
+    """f may ignore its argument and read x as a parameter; x keeps its
+    values, its grad buffer and its flag."""
+    p = ad.param([[1.0, -2.0], [0.5, 3.0]])
+    before, grad = p.data.copy(), p.grad
+    grad += 7.0
+    rep = ad.grad_check(lambda _x: ad.reduce_sum(ad.mul(p, ad.exp(p))), p)
+    assert rep.max_rel_err < 1e-8
+    assert np.array_equal(p.data, before) and p.requires_grad
+    assert p.grad is grad and np.all(grad == 7.0)
+    x = ad.tensor([0.3])
+    assert ad.grad_check(lambda v: ad.reduce_sum(ad.mul(v, v)), x).passed
+    assert not x.requires_grad and x.grad is None
+
+
+@pytest.mark.parametrize("op", RECORDED_OPS)
+def test_primitive_checks_catch_a_corrupted_adjoint(monkeypatch, op):
+    corrupt_adjoint(monkeypatch, op)
+    failed = [r.name for r in gradcheck_suite.primitive_checks(0, 1e-4) if not r.passed]
+    assert any(CHECK_OF_OP.get(op, op) in name for name in failed), failed
 
 
 def test_grad_check_requires_64bit():

@@ -6,7 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
-from clipvid import cli
+from clipvid import cli, gradcheck_suite
+from oracles import corrupt_adjoint
 
 
 def run(*argv):
@@ -46,6 +47,22 @@ def test_gen_zero_clips_valid_empty(tmp_path):
     assert run("gen", "--out", str(out), "--clips", "0", "--seed", "1") == 0
     from clipvid import synthvid as sv
     assert sv.read_dataset(str(out)) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--frame-size", "10"), ("--frame-size", "0"), ("--frames", "0"), ("--clips", "-1"),
+    ("--seed", "-1"), ("--occluder-prob", "1.5"), ("--blur-scale", "-1"),
+], ids=["frame_size_not_multiple_of_8", "frame_size_zero", "frames_zero", "clips_negative",
+        "seed_negative", "occluder_prob_above_one", "blur_scale_negative"])
+def test_gen_malformed_arguments_are_usage_errors(tmp_path, capsys, argv):
+    """A frame size off the 8x8 background grid, an empty clip, a negative
+    clip count or seed, or a probability or blur scale out of range is
+    refused before anything is written."""
+    out = tmp_path / "bad"
+    assert run("gen", "--out", str(out), "--clips", "1", "--frame-size", "16",
+               "--frames", "2", *argv) == cli.EXIT_USAGE       # the last value wins
+    assert argv[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_manifest_count(tmp_path, capsys):
@@ -134,6 +151,9 @@ def test_train_then_stage2_then_eval(dataset, micro_cfg_path, tmp_path):
     assert "map=" in text
     assert (tmp_path / "report.buckets.csv").read_text().startswith("bucket,")
     assert (tmp_path / "matches.txt").read_text().strip() != ""
+    assert run("eval", "--data", dataset, "--ckpt", str(s2),
+               "--out", str(out), "--frames", "2",
+               "--dump-matches", str(tmp_path / "absent" / "matches.txt")) == cli.EXIT_IO
 
     # oracle aggregation and aggregation-off variants run on the same ckpt
     assert run("eval", "--data", dataset, "--ckpt", str(s2),
@@ -154,14 +174,6 @@ def test_eval_deterministic(dataset, micro_cfg_path, tmp_path):
                    "--out", str(tmp_path / name), "--frames", "3") == 0
     assert (tmp_path / "r1.report.txt").read_bytes() \
         == (tmp_path / "r2.report.txt").read_bytes()
-
-
-def test_eval_oracle_detections_pipe(dataset, tmp_path):
-    assert run("eval", "--data", dataset, "--variant", "oracle_detections",
-               "--out", str(tmp_path / "orc")) == 0
-    text = (tmp_path / "orc.report.txt").read_text()
-    line = [l for l in text.splitlines() if l.startswith("map=")][0]
-    assert float(line.split("=")[1]) == pytest.approx(1.0)
 
 
 def test_eval_config_mismatch_names_field(dataset, micro_cfg_path, tmp_path):
@@ -290,7 +302,8 @@ def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, 
 @pytest.mark.parametrize("argv", [
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--batch", "0"),
     ("ablate", "--ckpt", "x.ckpt", "--out", "t.csv", "--grid", "topk=x"),
-], ids=["batch_zero", "grid_not_int"])
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--seed", "-1"),
+], ids=["batch_zero", "grid_not_int", "seed_negative"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
@@ -383,22 +396,26 @@ def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
 
 
 def test_eval_missing_data_is_io_error(tmp_path):
-    code = run("eval", "--data", str(tmp_path / "nope"), "--variant",
-               "oracle_detections", "--out", str(tmp_path / "x"))
+    code = run("eval", "--data", str(tmp_path / "nope"), "--ckpt", "x",
+               "--out", str(tmp_path / "x"))
     assert code == cli.EXIT_IO
 
 
 def test_usage_error_exit_code():
     assert run("train", "--data") == cli.EXIT_USAGE
     assert run("nonsense") == cli.EXIT_USAGE
+    assert run("gradcheck", "--seed", "-1") == cli.EXIT_USAGE
 
 
-def test_gradcheck_cli_pass_and_corruption(capsys):
+def test_gradcheck_cli_pass_and_corruption(capsys, monkeypatch):
     assert run("gradcheck", "--seed", "0") == 0
     out = capsys.readouterr().out
-    assert out.count("ok") >= 12
-    assert run("gradcheck", "--seed", "0", "--corrupt-op", "matmul") \
-        == cli.EXIT_CHECK
+    assert out.count("ok") >= 12 and "0 failed" in out
+    # The primitive checks alone catch a broken adjoint; the model check
+    # would only repeat the verdict.
+    corrupt_adjoint(monkeypatch, "matmul")
+    monkeypatch.setattr(gradcheck_suite, "model_checks", lambda seed, tol: [])
+    assert run("gradcheck", "--seed", "0") == cli.EXIT_CHECK
     out = capsys.readouterr().out
     assert "FAIL" in out and "matmul" in out
 

@@ -211,8 +211,8 @@ def test_oracle_forward_dump_equals_scalar_oracles():
         idents = np.asarray(prev.ident.data, dtype=np.float64)
         cands = {i: ica.select_topk(logits[i], cfg.ica_topk) for i in range(T)}
         track_queries = [dict(zip([tid for _c, _b, tid in g], mt.match_frame(
-            logits[i], prev.boxes[i], [(c, b) for c, b, _t in g], mt.MatchCostConfig()
-        ).pred_of_gt)) for i, g in enumerate(gts)]
+            logits[i], prev.boxes[i], [(c, b) for c, b, _t in g]).pred_of_gt))
+            for i, g in enumerate(gts)]
         for m in range(T):
             for j in cands[m]:
                 tid = next((t for t, p in track_queries[m].items() if p == j), None)
@@ -243,9 +243,8 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
     attn = ica.own_block_attention(q, ctx, np.array([[0]]), lp.ica_attn)
-    block = ad.tensor(ctx.data[0])
-    assert_allclose(attn.data, ad.multi_head_attention(q, block, block, lp.ica_attn).data,
-                    atol=1e-12)
+    direct = ad.multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
+    assert_allclose(attn.data, direct.data[0], atol=1e-12)
     want = M.apply_ln(q + attn, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 

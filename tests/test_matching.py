@@ -43,36 +43,34 @@ def test_match_cost_perfect_prediction_near_zero():
     box = Box(0.5, 0.5, 0.4, 0.3)
     logits = np.full(5, -20.0)
     logits[2] = 20.0
-    cost = match_cost(logits, box, 2, box, mt.MatchCostConfig())
+    cost = match_cost(logits, box, 2, box)
     assert cost == pytest.approx(0.0, abs=1e-5)
 
 
 def test_match_cost_classification_cancels_across_gts():
-    cfg = mt.MatchCostConfig()
     logits, box = np.array([0.3, 0.3]), Box(0.5, 0.5, 0.2, 0.2)
     g1 = Box(0.4, 0.5, 0.2, 0.2)
     g2 = Box(0.7, 0.5, 0.2, 0.2)
-    c1 = match_cost(logits, box, 0, g1, cfg)
-    c2 = match_cost(logits, box, 1, g2, cfg)
-    box_only_1 = cfg.lambda_giou * (1 - giou(box, g1)) \
-        + cfg.lambda_l1 * np.abs(box.as_array() - g1.as_array()).sum()
-    box_only_2 = cfg.lambda_giou * (1 - giou(box, g2)) \
-        + cfg.lambda_l1 * np.abs(box.as_array() - g2.as_array()).sum()
+    c1 = match_cost(logits, box, 0, g1)
+    c2 = match_cost(logits, box, 1, g2)
+    box_only_1 = mt.LAMBDA_GIOU * (1 - giou(box, g1)) \
+        + mt.LAMBDA_L1 * np.abs(box.as_array() - g1.as_array()).sum()
+    box_only_2 = mt.LAMBDA_GIOU * (1 - giou(box, g2)) \
+        + mt.LAMBDA_L1 * np.abs(box.as_array() - g2.as_array()).sum()
     assert c1 - c2 == pytest.approx(box_only_1 - box_only_2, abs=1e-12)
 
 
 def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
-    cfg = mt.MatchCostConfig()
     preds = [(rng.normal(size=3), Box(*np.clip(rng.random(4), 0.15, 0.8)))
              for _ in range(3)]
     gts = [(int(rng.integers(3)), Box(*np.clip(rng.random(4), 0.15, 0.8)))
            for _ in range(2)]
     logits = np.stack([lg for lg, _ in preds])
     boxes = np.stack([b.as_array() for _, b in preds])
-    mat = mt.cost_matrix(logits, boxes, gts, cfg)
+    mat = mt.cost_matrix(logits, boxes, gts)
     for i, (lg, box) in enumerate(preds):
         for j, (c, b) in enumerate(gts):
-            assert mat[i, j] == pytest.approx(match_cost(lg, box, c, b, cfg), abs=1e-6)
+            assert mat[i, j] == pytest.approx(match_cost(lg, box, c, b), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +188,28 @@ def test_hungarian_rejects_nonfinite():
 
 
 def test_set_loss_zero_gts_is_pure_negative_classification(rng):
-    cfg = mt.MatchCostConfig()
     logits, boxes_t, boxes = make_frame(rng.normal(size=(4, 3)), [Box(0.5, 0.5, 0.3, 0.3)] * 4)
-    res = mt.set_loss(logits, boxes_t, boxes, [[]], cfg)
-    want = sum(focal_loss(float(x), 0, cfg.focal_alpha, cfg.focal_gamma)
-               for x in logits.data.ravel()) * cfg.lambda_cls
+    res = mt.set_loss(logits, boxes_t, boxes, [[]])
+    want = sum(focal_loss(float(x), 0, mt.FOCAL_ALPHA, mt.FOCAL_GAMMA)
+               for x in logits.data.ravel()) * mt.LAMBDA_CLS
     assert float(res.total.data) == pytest.approx(want, abs=1e-9)
     assert res.assignments[0].pred_of_gt == ()
-    assert res.assignments[0].unmatched_preds == (0, 1, 2, 3)
 
 
 def test_set_loss_perfect_single_prediction(rng):
-    cfg = mt.MatchCostConfig()
     box = Box(0.5, 0.5, 0.4, 0.3)
     frame = make_frame([[25.0, -25.0]], [box])
-    res = mt.set_loss(*frame, [[(0, box)]], cfg)
+    res = mt.set_loss(*frame, [[(0, box)]])
     assert float(res.total.data) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_set_loss_matches_brute_force(rng):
-    cfg = mt.MatchCostConfig()
     logits, boxes_t, boxes = make_frame(
         rng.normal(size=(4, 2)), [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(4)])
     gts = [(int(rng.integers(2)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
            for _ in range(2)]
-    res = mt.set_loss(logits, boxes_t, boxes, [gts], cfg)
-    cost = mt.cost_matrix(logits.data[0], boxes[0], gts, cfg)
+    res = mt.set_loss(logits, boxes_t, boxes, [gts])
+    cost = mt.cost_matrix(logits.data[0], boxes[0], gts)
     best = None
     for pair in itertools.permutations(range(4), 2):
         total = cost[pair[0], 0] + cost[pair[1], 1]
@@ -225,23 +219,21 @@ def test_set_loss_matches_brute_force(rng):
 
 
 def test_set_loss_capacity_error(rng):
-    cfg = mt.MatchCostConfig()
     frame = make_frame(rng.normal(size=(1, 2)), [Box(0.5, 0.5, 0.3, 0.3)])
     gts = [(0, Box(0.4, 0.4, 0.2, 0.2)), (1, Box(0.6, 0.6, 0.2, 0.2))]
     with pytest.raises(CapacityError):
-        mt.set_loss(*frame, [gts], cfg)
+        mt.set_loss(*frame, [gts])
 
 
 def test_set_loss_permutation_equivariance(rng):
-    cfg = mt.MatchCostConfig()
     logits = rng.normal(size=(5, 2))
     boxes = [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(5)]
     gts = [(0, Box(0.3, 0.3, 0.25, 0.25)), (1, Box(0.7, 0.6, 0.3, 0.2))]
-    res = mt.set_loss(*make_frame(logits, boxes), [gts], cfg)
+    res = mt.set_loss(*make_frame(logits, boxes), [gts])
 
     perm = [3, 0, 4, 1, 2]          # preds[perm[k]] becomes slot k
     permuted = make_frame(logits[perm], [boxes[i] for i in perm])
-    res_p = mt.set_loss(*permuted, [gts], cfg)
+    res_p = mt.set_loss(*permuted, [gts])
     assert float(res_p.total.data) == float(res.total.data)
     inv = {orig: new for new, orig in enumerate(perm)}
     assert tuple(inv[i] for i in res.assignments[0].pred_of_gt) \
@@ -258,15 +250,13 @@ def test_set_loss_clip_normalization_invariant_under_duplication(rng):
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
     gts = [[(0, Box(0.4, 0.4, 0.3, 0.3), 1)], [(1, Box(0.6, 0.6, 0.3, 0.3), 2)]]
-    cost_cfg = mt.MatchCostConfig()
-    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts, cost_cfg)
+    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
     doubled = np.concatenate([frames, frames])
-    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), gts + gts, cost_cfg)
+    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), gts + gts)
     assert float(l2.data) == pytest.approx(float(l1.data), abs=1e-6)
 
 
 def test_set_loss_gradient(rng):
-    cfg = mt.MatchCostConfig()
     gts = [(0, Box(0.4, 0.4, 0.3, 0.3)), (1, Box(0.65, 0.6, 0.25, 0.3))]
     base_logits = rng.normal(size=(3, 2))
     base_boxes = np.clip(rng.random((3, 4)), 0.2, 0.8)
@@ -277,8 +267,8 @@ def test_set_loss_gradient(rng):
         logits = ad.reshape(ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0)), (1, 3, 2))
         btens = ad.reshape(ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0))),
                            (1, 3, 4))
-        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), [gts], cfg,
-                          assignments=[mt.Assignment((0, 1), (2,))])
+        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), [gts],
+                          assignments=[mt.Assignment((0, 1))])
         return res.total
 
     packed = np.zeros((3, 6))
@@ -291,17 +281,16 @@ def test_set_loss_gradient(rng):
 def test_set_loss_clip_equals_sum_of_single_frames(rng):
     """One [T, L, ·] call scores the same as its T single-frame calls under
     the same assignments, in value, loss parts and gradient."""
-    cfg = mt.MatchCostConfig()
     T, L, C = 3, 5, 3
     logits = rng.normal(size=(T, L, C)) * 2
     boxes = np.clip(rng.random((T, L, 4)), 0.15, 0.8)
     gts = [[(int(rng.integers(C)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
             for _ in range(g)] for g in (2, 0, 3)]
-    assignments = [mt.match_frame(logits[t], boxes[t], gts[t], cfg) for t in range(T)]
+    assignments = [mt.match_frame(logits[t], boxes[t], gts[t]) for t in range(T)]
 
     lt, bt = ad.param(logits), ad.param(boxes)
     with ad.ComputationTape() as tape:
-        clip = mt.set_loss(lt, bt, boxes, gts, cfg, assignments=assignments)
+        clip = mt.set_loss(lt, bt, boxes, gts, assignments=assignments)
     tape.backward(clip.total)
     assert clip.assignments == assignments
     assert clip.num_gts == 5
@@ -310,7 +299,7 @@ def test_set_loss_clip_equals_sum_of_single_frames(rng):
     for t in range(T):
         lf, bf = ad.param(logits[t:t + 1]), ad.param(boxes[t:t + 1])
         with ad.ComputationTape() as tape:
-            res = mt.set_loss(lf, bf, boxes[t:t + 1], gts[t:t + 1], cfg,
+            res = mt.set_loss(lf, bf, boxes[t:t + 1], gts[t:t + 1],
                               assignments=assignments[t:t + 1])
         tape.backward(res.total)
         total += float(res.total.data)
@@ -320,5 +309,5 @@ def test_set_loss_clip_equals_sum_of_single_frames(rng):
     assert float(clip.total.data) == pytest.approx(total, rel=1e-12)
     assert (clip.cls_term, clip.giou_term, clip.l1_term) == pytest.approx((cls, giou_t, l1),
                                                                          rel=1e-12)
-    assert mt.set_loss(ad.tensor(logits), ad.tensor(boxes), boxes, gts, cfg).assignments \
+    assert mt.set_loss(ad.tensor(logits), ad.tensor(boxes), boxes, gts).assignments \
         == assignments

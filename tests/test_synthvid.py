@@ -216,6 +216,15 @@ def test_invalid_annotation_reports_line(tmp_path, bad_line):
         sv.read_dataset(str(ds))
 
 
+def test_non_integer_clip_count_reports_line(tmp_path):
+    ds = tmp_path / "ds"
+    write_fixture(ds, "")
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("clips=1", "clips=one"))
+    with pytest.raises(ParseError, match=":2:"):
+        sv.read_dataset(str(ds))
+
+
 def test_truncated_frames_reports_offset(tmp_path):
     ds = tmp_path / "ds"
     sv.write_dataset(sv.generate_dataset(small_cfg(t=2), 1, seed=0), str(ds))
