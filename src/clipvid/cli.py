@@ -50,9 +50,14 @@ ERROR_EXITS = {ConfigError: (EXIT_USAGE, "error"), ParseError: (EXIT_IO, "I/O er
                InputError: (EXIT_INPUT, "input error"),
                CapacityError: (EXIT_CAPACITY, "capacity error")}
 
-TRAIN_VARIANTS = ("full", "no_ica", "fixed_queries", "with_encoder")
+TRAIN_VARIANTS = ("full", "no_ica")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica")
-GRID_KNOB_MIN = {"frames": 1, "topk": 1, "ica_layers": 0}   # smallest valid value
+# Inference knobs of eval and ablate: the ModelConfig field each sets and its
+# smallest valid value.
+KNOBS = {"frames": ("t_infer", 1), "topk": ("ica_topk", 1), "ica_layers": ("ica_layers", 0)}
+# ModelConfig fields a run may set apart from its checkpoint's; every other
+# field shapes the model and must match the checkpoint's sidecar.
+RUN_FIELDS = ("t_train", "t_infer", "ica_topk", "score_thresh")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,14 +170,11 @@ def _load_params(cfg: ModelConfig, ckpt_path: str) -> M.ModelParams:
     sidecar = ckpt_path + ".config.txt"
     if os.path.exists(sidecar):
         saved = M.load_config(sidecar)
-        # Structural fields only; runtime knobs (topk, inference frames) may
-        # differ from the training-time snapshot.
-        for f in ("num_queries", "dim", "heads", "decoder_layers", "roi_size",
-                  "ica_layers", "num_classes", "backbone_channels", "encoder_layers"):
-            if getattr(saved, f) != getattr(cfg, f):
+        for name in (f.name for f in dataclasses.fields(cfg)):
+            if name not in RUN_FIELDS and getattr(saved, name) != getattr(cfg, name):
                 raise ConfigError(
-                    f"checkpoint config field '{f}'={getattr(saved, f)} does not "
-                    f"match requested {getattr(cfg, f)}")
+                    f"checkpoint config field '{name}'={getattr(saved, name)} does not "
+                    f"match requested {getattr(cfg, name)}")
     params = M.init_model(cfg, np.random.default_rng(0))
     named = M.named_parameters(params)
     if set(named) != set(data):
@@ -188,14 +190,6 @@ def _load_params(cfg: ModelConfig, ckpt_path: str) -> M.ModelParams:
     return params
 
 
-def _variant_config(cfg: ModelConfig, variant: str) -> ModelConfig:
-    if variant == "fixed_queries":
-        cfg.fixed_queries = True
-    elif variant == "with_encoder":
-        cfg.encoder_layers = max(cfg.encoder_layers, 1)
-    return cfg
-
-
 STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
 
 
@@ -209,7 +203,6 @@ def cmd_train(args) -> int:
         return EXIT_USAGE
 
     cfg = M.load_config(args.config) if args.config else ModelConfig()
-    cfg = _variant_config(cfg, args.variant).validate()
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     if args.ckpt_in:
         params = _load_params(cfg, args.ckpt_in)
@@ -244,25 +237,34 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _with_knobs(cfg: ModelConfig, knobs: dict[str, int | None]) -> ModelConfig:
+    """cfg with each inference knob given (not None) set."""
+    return dataclasses.replace(cfg, **{KNOBS[k][0]: v for k, v in knobs.items()
+                                       if v is not None}).validate()
+
+
+def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer",
+           use_ica: bool = True) -> tuple[ev.EvalReport, list]:
+    """Detect on every clip and score the detections; also returns every
+    pass's aggregation-layer selections."""
+    all_dets, selections = [], []
+    for clip in dataset:
+        dets, sel = tr.infer_clip(clip, cfg, params, mode=mode, use_ica=use_ica)
+        all_dets.append(dets)
+        selections.extend(sel)
+    return ev.evaluate(all_dets, dataset, cfg.num_classes), selections
+
+
 def cmd_eval(args) -> int:
     dataset = sv.read_dataset(args.data)
     sidecar = args.ckpt + ".config.txt"
     cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
-    if args.topk is not None:
-        cfg = dataclasses.replace(cfg, ica_topk=args.topk).validate()
+    cfg = _with_knobs(cfg, {"frames": args.frames, "topk": args.topk})
     tr.check_classes(dataset, cfg.num_classes)
     params = _load_params(cfg, args.ckpt)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
-    use_ica = args.variant != "no_ica"
-    all_dets = []
-    diagnostics = []
-    for clip in dataset:
-        dets, diag = tr.infer_clip(clip, cfg, params, mode=mode, use_ica=use_ica,
-                                   frames_per_pass=args.frames)
-        all_dets.append(dets)
-        diagnostics.extend(diag)
-    report = ev.evaluate(all_dets, dataset, cfg.num_classes)
+    report, diagnostics = _score(dataset, cfg, params, mode, args.variant != "no_ica")
     try:
         if args.dump_matches:
             _write_lines(args.dump_matches,
@@ -271,7 +273,7 @@ def cmd_eval(args) -> int:
         _write_lines(args.out + ".buckets.csv", report.table_lines())
         _snapshot(args.out + ".run.txt", {
             "command": "eval", "variant": args.variant,
-            "frames": args.frames or cfg.t_infer, "ckpt": args.ckpt,
+            "frames": cfg.t_infer, "ckpt": args.ckpt,
             "data": args.data})
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
@@ -301,7 +303,7 @@ def cmd_ablate(args) -> int:
             grids[key] = [int(v) for v in vals.split(",") if v]
         except ValueError:
             grids[key] = []
-        if key not in GRID_KNOB_MIN or not grids[key] or min(grids[key]) < GRID_KNOB_MIN[key]:
+        if key not in KNOBS or not grids[key] or min(grids[key]) < KNOBS[key][1]:
             print(f"error: bad grid spec {spec!r} (knobs: frames, topk at least 1; "
                   "ica_layers at least 0)", file=sys.stderr)
             return EXIT_USAGE
@@ -327,14 +329,7 @@ def cmd_ablate(args) -> int:
     rows = ["," .join(keys + ["map", "map_slow", "map_medium", "map_fast"])]
     params = _load_params(cfg, args.ckpt)
     for cell in cells:
-        cell_cfg = dataclasses.replace(cfg, ica_topk=cell.get("topk", cfg.ica_topk),
-                                       ica_layers=cell.get("ica_layers", cfg.ica_layers))
-        all_dets = []
-        for clip in dataset:
-            dets, _ = tr.infer_clip(clip, cell_cfg, params,
-                                    frames_per_pass=cell.get("frames"))
-            all_dets.append(dets)
-        report = ev.evaluate(all_dets, dataset, cfg.num_classes)
+        report, _ = _score(dataset, _with_knobs(cfg, cell), params)
         rows.append(",".join([str(cell[k]) for k in keys]
                              + [f"{report.mean_ap:.6f}",
                                 f"{report.bucket_ap['slow']:.6f}",

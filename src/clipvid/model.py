@@ -16,7 +16,7 @@ identity embeddings [T, L, d] where an aggregation layer follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -43,8 +43,6 @@ class ModelConfig:
     ica_layers: int = 1          # counted from the last decoder layer
     ica_topk: int = 4
     backbone_channels: tuple[int, ...] = (8, 16, 32)
-    encoder_layers: int = 0
-    fixed_queries: bool = False
     score_thresh: float = 0.05
 
     @staticmethod
@@ -61,8 +59,8 @@ class ModelConfig:
         return 2 ** len(self.backbone_channels)
 
     def validate(self) -> "ModelConfig":
-        for f in fields(self):         # counts are at least 1; layer counts may be 0
-            least = 0 if f.name in ("ica_layers", "encoder_layers") else 1
+        for f in fields(self):         # counts are at least 1; ica_layers may be 0
+            least = 0 if f.name == "ica_layers" else 1
             if f.type == "int" and getattr(self, f.name) < least:
                 raise ConfigError(f"{f.name} must be at least {least}, got {getattr(self, f.name)}")
         if min(self.backbone_channels, default=1) < 1:
@@ -95,10 +93,12 @@ def save_config(cfg: ModelConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Fields an older sidecar may still carry. They are not loaded, but a
-# backbone_stride must still agree with the channels it is now derived from.
-REMOVED_CONFIG_KEYS = ("ica_all_candidates", "backbone_stride")
-_BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
+# Fields an older sidecar may still carry, each with the spellings of the one
+# value the model still implements; any other value is refused. An old
+# backbone_stride must agree with the channels it is now derived from.
+_FALSE = ("False", "false", "0")
+REMOVED_CONFIG_KEYS = {"ica_all_candidates": _FALSE, "fixed_queries": _FALSE,
+                       "encoder_layers": ("0",)}
 
 
 def load_config(path) -> ModelConfig:
@@ -111,9 +111,13 @@ def load_config(path) -> ModelConfig:
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
     unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)}
-                     - set(REMOVED_CONFIG_KEYS))
+                     - set(REMOVED_CONFIG_KEYS) - {"backbone_stride"})
     if unknown:
         raise ConfigError(f"{path}: unknown field '{unknown[0]}'")
+    for key, kept in REMOVED_CONFIG_KEYS.items():
+        if raw.get(key, kept[0]) not in kept:
+            raise ConfigError(f"{path}: removed field '{key}' must be {kept[0]}, "
+                              f"got {raw[key]!r}")
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in raw:
@@ -122,13 +126,11 @@ def load_config(path) -> ModelConfig:
         try:
             if f.name == "backbone_channels":
                 kwargs[f.name] = tuple(int(x) for x in v.split(",") if x)
-            elif f.type == "bool":
-                kwargs[f.name] = _BOOLS[v]
             elif f.type == "float":
                 kwargs[f.name] = float(v)
             else:
                 kwargs[f.name] = int(v)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
     cfg = ModelConfig(**kwargs).validate()
     stride = str(cfg.backbone_stride)
@@ -157,15 +159,6 @@ def apply_ln(x: Tensor, p: LayerNormParams) -> Tensor:
 
 
 @dataclass
-class EncoderLayerParams:
-    attn: MHAParams
-    ln_attn: LayerNormParams
-    ffn1: LinearParams
-    ffn2: LinearParams
-    ln_ffn: LayerNormParams
-
-
-@dataclass
 class DecoderLayerParams:
     self_attn: MHAParams
     ln_self: LayerNormParams
@@ -188,7 +181,6 @@ class ModelParams:
     convs: list[LinearParams]    # im2col 3x3 stride-2 blocks
     proj: LinearParams           # 1x1 projection to model dim
     query_embed: Tensor          # [L, d]
-    encoder: list[EncoderLayerParams]
     layers: list[DecoderLayerParams]
 
 
@@ -206,13 +198,6 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     # unit-normal embedding rows, as is conventional for object queries
     query_embed = ad.param(rng.normal(size=(cfg.num_queries, d)))
     bound = 1.0 / math.sqrt(d)
-
-    encoder = []
-    for _ in range(cfg.encoder_layers):
-        encoder.append(EncoderLayerParams(
-            ad.init_mha(rng, d, cfg.heads), init_ln(d),
-            ad.init_linear(rng, d, 4 * d), ad.init_linear(rng, 4 * d, d),
-            init_ln(d)))
 
     layers = []
     for l in range(cfg.decoder_layers):
@@ -236,54 +221,32 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
             lp.ln_ica = init_ln(d)
             lp.ica_pos = ad.init_linear(rng, d, d)
         layers.append(lp)
-    return ModelParams(convs, proj, query_embed, encoder, layers)
+    return ModelParams(convs, proj, query_embed, layers)
+
+
+# Checkpoint names of the ModelParams fields that are not named as stored.
+_NAME_PREFIX = {"convs": "backbone.conv", "proj": "backbone.proj", "layers": "layer"}
 
 
 def named_parameters(params: ModelParams) -> dict[str, Tensor]:
+    """Every parameter tensor by checkpoint name, in declaration order. A
+    dataclass field joins with '.', a list or tuple item appends its index
+    (layer0.head_loc1.w); an int (head count) or None (an absent part) holds
+    no tensor."""
     out: dict[str, Tensor] = {}
 
-    def put_linear(prefix: str, p: LinearParams):
-        out[f"{prefix}.w"] = p.w
-        out[f"{prefix}.b"] = p.b
+    def walk(name: str, v) -> None:
+        if isinstance(v, Tensor):
+            out[name] = v
+        elif isinstance(v, (list, tuple)):
+            for i, item in enumerate(v):
+                walk(f"{name}{i}", item)
+        elif is_dataclass(v):
+            for f in fields(v):
+                walk(f"{name}.{f.name}", getattr(v, f.name))
 
-    def put_mha(prefix: str, p: MHAParams):
-        for name in ("q", "k", "v", "out"):
-            put_linear(f"{prefix}.{name}", getattr(p, name))
-
-    def put_ln(prefix: str, p: LayerNormParams):
-        out[f"{prefix}.gain"] = p.gain
-        out[f"{prefix}.bias"] = p.bias
-
-    for i, c in enumerate(params.convs):
-        put_linear(f"backbone.conv{i}", c)
-    put_linear("backbone.proj", params.proj)
-    out["query_embed"] = params.query_embed
-    for i, e in enumerate(params.encoder):
-        put_mha(f"encoder{i}.attn", e.attn)
-        put_ln(f"encoder{i}.ln_attn", e.ln_attn)
-        put_linear(f"encoder{i}.ffn1", e.ffn1)
-        put_linear(f"encoder{i}.ffn2", e.ffn2)
-        put_ln(f"encoder{i}.ln_ffn", e.ln_ffn)
-    for i, lp in enumerate(params.layers):
-        pre = f"layer{i}"
-        put_mha(f"{pre}.self_attn", lp.self_attn)
-        put_ln(f"{pre}.ln_self", lp.ln_self)
-        put_mha(f"{pre}.cross_attn", lp.cross_attn)
-        put_ln(f"{pre}.ln_cross", lp.ln_cross)
-        out[f"{pre}.adapter"] = lp.adapter
-        put_linear(f"{pre}.ffn1", lp.ffn1)
-        put_linear(f"{pre}.ffn2", lp.ffn2)
-        put_ln(f"{pre}.ln_ffn", lp.ln_ffn)
-        put_linear(f"{pre}.head_cls", lp.head_cls)
-        for j, hl in enumerate(lp.head_loc):
-            put_linear(f"{pre}.head_loc{j}", hl)
-        if lp.head_id is not None:
-            for j, hl in enumerate(lp.head_id):
-                put_linear(f"{pre}.head_id{j}", hl)
-        if lp.ica_attn is not None:
-            put_mha(f"{pre}.ica_attn", lp.ica_attn)
-            put_ln(f"{pre}.ln_ica", lp.ln_ica)
-            put_linear(f"{pre}.ica_pos", lp.ica_pos)
+    for f in fields(params):
+        walk(_NAME_PREFIX.get(f.name, f.name), getattr(params, f.name))
     return out
 
 
@@ -304,16 +267,9 @@ class FrameFeature:
     m: Tensor                    # [T, s*s, d] pooled summaries
 
 
-def _with_summary(f: Tensor, s: int) -> FrameFeature:
-    t, h, w, d = f.shape
-    if h % s or w % s:
-        raise ConfigError(f"feature map {h}x{w} not divisible by summary size {s}")
-    pooled = ad.mean(ad.reshape(f, (t, s, h // s, s, w // s, d)), axis=(2, 4))
-    return FrameFeature(f, ad.reshape(pooled, (t, s * s, d)))
-
-
 def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
-    """Stride-2 conv blocks then a 1x1 projection to the model dim.
+    """Stride-2 conv blocks, a 1x1 projection to the model dim, then each
+    frame's feature map average-pooled to roi_size x roi_size summary rows.
 
     frames: [T, H, W, 3] pixel array or Tensor (gradients reach the pixels)."""
     h0, w0 = frames.shape[1], frames.shape[2]
@@ -324,7 +280,13 @@ def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
     for conv in params.convs:
         patches = ad.extract_patches(x, ksize=3, stride=2, pad=1)
         x = ad.relu(ad.linear(patches, conv))
-    return _with_summary(ad.linear(x, params.proj), cfg.roi_size)
+    f = ad.linear(x, params.proj)
+    t, h, w, d = f.shape
+    s = cfg.roi_size
+    if h % s or w % s:
+        raise ConfigError(f"feature map {h}x{w} not divisible by summary size {s}")
+    pooled = ad.mean(ad.reshape(f, (t, s, h // s, s, w // s, d)), axis=(2, 4))
+    return FrameFeature(f, ad.reshape(pooled, (t, s * s, d)))
 
 
 def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
@@ -393,21 +355,6 @@ def detection_head(queries: Tensor, ref_boxes: np.ndarray,
     return logits, boxes_t, boxes, ident
 
 
-def encoder_forward(feat: FrameFeature, cfg: ModelConfig,
-                    params: ModelParams) -> FrameFeature:
-    """Optional plain self-attention encoder over all clip feature tokens."""
-    if not params.encoder:
-        return feat
-    shape = feat.f.shape
-    tokens = ad.reshape(feat.f, (1, shape[0] * shape[1] * shape[2], shape[3]))
-    for ep in params.encoder:
-        tokens = apply_ln(tokens + ad.multi_head_attention(tokens, tokens, tokens, ep.attn),
-                          ep.ln_attn)
-        inner = ad.linear(ad.relu(ad.linear(tokens, ep.ffn1)), ep.ffn2)
-        tokens = apply_ln(tokens + inner, ep.ln_ffn)
-    return _with_summary(ad.reshape(tokens, shape), cfg.roi_size)
-
-
 # ---------------------------------------------------------------------------
 # Full clip forward
 
@@ -437,13 +384,9 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     finite differencing sees a smooth function. Aggregation runs on the
     layers cfg marks; a config with ica_layers=0 has none.
     """
-    T, L = frames.shape[0], cfg.num_queries
-    feat = encoder_forward(backbone(frames, cfg, params), cfg, params)
-    if cfg.fixed_queries:
-        queries = params.query_embed + ad.tensor(np.zeros((T, L, cfg.dim)))
-    else:
-        queries = adaptive_queries(feat.m, params.query_embed)
-    boxes = np.tile(geo.FULL_FRAME, (T, L, 1))
+    feat = backbone(frames, cfg, params)
+    queries = adaptive_queries(feat.m, params.query_embed)
+    boxes = np.tile(geo.FULL_FRAME, (frames.shape[0], cfg.num_queries, 1))
 
     layers: list[LayerOutput] = []
     for li, lp in enumerate(params.layers):

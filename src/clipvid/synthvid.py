@@ -187,13 +187,19 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
             stripe_phase=float(rng.uniform(0, 2 * math.pi)),
             centers=centers))
 
-    occluder = None
+    occluder = np.zeros((size, size), dtype=bool)     # the strip's pixels
+    shade = None
     if rng.uniform() < cfg.occluder_prob:
         vertical = bool(rng.integers(2))
         width = float(rng.uniform(0.08, 0.16))
         pos = float(rng.uniform(0.2, 0.8))
         shade = rng.uniform(0.05, 0.2, size=3)
-        occluder = (vertical, pos, width, shade)
+        lo = int((pos - width / 2) * size)
+        hi = max(int((pos + width / 2) * size), lo + 1)
+        if vertical:
+            occluder[:, lo:hi] = True
+        else:
+            occluder[lo:hi, :] = True
 
     background = _background(rng, size)
 
@@ -202,14 +208,8 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
         for obj, (cx, cy) in zip(objects, positions):
             mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, size)
             _paint(canvas, mask, obj, cx, cy)
-        if occluder is not None:
-            vertical, pos, width, shade = occluder
-            lo = int((pos - width / 2) * size)
-            hi = max(int((pos + width / 2) * size), lo + 1)
-            if vertical:
-                canvas[:, lo:hi] = shade[None, None, :]
-            else:
-                canvas[lo:hi, :] = shade[None, None, :]
+        if shade is not None:
+            canvas[occluder] = shade
         return canvas
 
     frames = np.zeros((T, size, size, 3), dtype=np.float32)
@@ -241,20 +241,10 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
                 px, py = obj.centers[t - 1]
                 disp += math.hypot(cx - px, cy - py)
             mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, size)
-            covered = np.zeros_like(mask)
+            covered = occluder.copy()
             for other in objects[oi + 1:]:
                 ox, oy = other.centers[t]
                 covered |= _shape_mask(other.class_id, ox, oy, other.rx, other.ry, size)
-            if occluder is not None:
-                vertical, pos, width, _ = occluder
-                lo = int((pos - width / 2) * size)
-                hi = max(int((pos + width / 2) * size), lo + 1)
-                occ = np.zeros_like(mask)
-                if vertical:
-                    occ[:, lo:hi] = True
-                else:
-                    occ[lo:hi, :] = True
-                covered |= occ
             total = int(mask.sum())
             visible = int((mask & ~covered).sum())
             fraction = visible / total if total else 0.0

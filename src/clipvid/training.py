@@ -214,9 +214,8 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
 
 
 def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
-               mode: str = "infer", use_ica: bool = True,
-               frames_per_pass: int | None = None):
-    """Detect on every frame of a clip, windowed by the inference length.
+               mode: str = "infer", use_ica: bool = True):
+    """Detect on every frame of a clip in passes of cfg.t_infer frames.
 
     mode is "infer" or "oracle_ica" (aggregation follows the clip's
     ground-truth tracks); use_ica=False runs without aggregation. Returns
@@ -227,12 +226,11 @@ def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
         raise ConfigError(f"unknown mode {mode!r}")
     if not use_ica:
         cfg = replace(cfg, ica_layers=0)
-    t_pass = frames_per_pass or cfg.t_infer
     total = clip.frames.shape[0]
     detections: list[list] = []
     selections = []
-    for start in range(0, total, t_pass):
-        stop = min(start + t_pass, total)
+    for start in range(0, total, cfg.t_infer):
+        stop = min(start + cfg.t_infer, total)
         frames = clip.frames[start:stop]
         gts = [clip.frame_gts(i) for i in range(start, stop)] if mode == "oracle_ica" else None
         layers = M.clip_forward(frames, cfg, params, oracle_gts=gts)

@@ -201,7 +201,7 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, names", [
     (lambda text: text.replace("dim=8", "dimm=8"), ("'dimm'",)),
-    (lambda text: text + "fixed_queries=yes\n", ("'fixed_queries'", "'yes'")),
+    (lambda text: text + "fixed_queries=True\n", ("'fixed_queries'", "'True'")),
     (lambda text: text.replace("backbone_stride=4", "backbone_stride=16"),
      ("backbone_stride=16", "backbone_channels")),
 ], ids=["unknown_key", "bad_boolean", "stride_disagrees_with_channels"])
@@ -354,6 +354,45 @@ def test_ablate_knob_above_checkpoint_is_usage_error(dataset, trained_ckpt, caps
     err = capsys.readouterr().err
     assert limit in err and "Traceback" not in err
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda text: text.replace("heads=2", "heads=1"), cli.EXIT_USAGE),
+    (lambda text: text + "score_thresh=0.3\n", cli.EXIT_OK),
+], ids=["heads_differs", "score_thresh_differs"])
+def test_stage2_config_checked_against_checkpoint(dataset, trained_ckpt, tmp_path, capsys,
+                                                  edit, code):
+    """The head count changes no tensor shape, so only the sidecar check
+    sees it; the score threshold is a run setting and may differ."""
+    cfg = tmp_path / "s2.cfg"
+    cfg.write_text(edit(MICRO_CFG))
+    assert run("train", "--data", dataset, "--stage", "2", "--config", str(cfg),
+               "--ckpt-in", trained_ckpt, "--ckpt-out", str(tmp_path / "s2.ckpt"),
+               "--iters", "1") == code
+    if code:
+        assert "'heads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, window", [
+    (("eval",), [4, 2]),
+    (("eval", "--frames", "5"), [5, 1]),
+    (("ablate", "--grid", "frames=3"), [3, 3]),
+], ids=["eval_config", "eval_frames", "ablate_frames"])
+def test_inference_window_follows_the_frames_knob(dataset, trained_ckpt, monkeypatch,
+                                                   tmp_path, argv, window):
+    """Each 6-frame clip runs in passes of the knob's frames, else of the
+    checkpoint config's t_infer (4)."""
+    lengths = []
+    real = cli.M.clip_forward
+
+    def recording(frames, *rest, **kw):
+        lengths.append(len(frames))
+        return real(frames, *rest, **kw)
+
+    monkeypatch.setattr(cli.M, "clip_forward", recording)
+    assert run(*argv, "--data", dataset, "--ckpt", trained_ckpt,
+               "--out", str(tmp_path / "r")) == 0
+    assert lengths == window * 6
 
 
 def test_ablate_loads_checkpoint_once(dataset, trained_ckpt, monkeypatch, tmp_path):
