@@ -341,10 +341,15 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def backward(g):
         z = np.zeros_like(a.data)
-        if len(np.unique(idx)) == len(idx):
+        rows = idx % len(a)                 # a negative index and its alias are one row
+        order = np.argsort(rows, kind="stable")
+        ordered = rows[order]
+        first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))   # run starts
+        if len(first) == len(idx):
             z[idx] = g
         else:
-            np.add.at(z, idx, g)
+            # One reduction per run of equal indices in the stably sorted order.
+            z[ordered[first]] = np.add.reduceat(g[order], first, axis=0)
         return (z,)
 
     return _record("gather_rows", (a,), out, backward)
@@ -369,12 +374,23 @@ def row_update(a: Tensor, idx, rows: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, leading axes broadcast.
+
+    The forward pass makes one BLAS call per stacked matrix, so a matrix's
+    product does not depend on how many others share the batch, down to the
+    last bit. The adjoint folds a 2-D b that every leading index of a
+    shares: both gradients are then one GEMM over the [rows, k] flattening
+    of a, and no [B, k, m] stack of per-matrix weight gradients is built."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
+        if b.ndim == 2:
+            k, m = b.shape
+            rows = g.reshape(-1, m)
+            return ((rows @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ rows)
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))

@@ -106,6 +106,18 @@ def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
     checks.append(("focal_loss", lambda x: ad.reduce_sum(
         mt.focal_loss_logits(x, targets, 0.25, 2.0)), r(3, 2)))
 
+    # The folded weight adjoint and the repeated-index scatter; appended so
+    # that the draws above keep their values.
+    left, mw = r(2, 3, 4), r(2, 3, 5)
+    checks.append(("matmul_batched_weight", lambda x: ad.reduce_sum(
+        ad.mul(ad.matmul(left, x), mw)), r(4, 5)))
+    shared, sw = r(4, 5), r(2, 1, 5)
+    checks.append(("matmul_shared_weight", lambda x: ad.reduce_sum(
+        ad.mul(ad.matmul(x, shared), sw)), r(2, 1, 4)))
+    gw = r(6, 4)
+    checks.append(("gather_rows_repeated", lambda x: ad.reduce_sum(
+        ad.mul(ad.gather_rows(x, [2, 0, 2, 1, 2, 0]), gw)), r(3, 4)))
+
     reports = []
     for name, fn, x in checks:
         reports.append(ad.grad_check(fn, x, tol=tol, name=name))

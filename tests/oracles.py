@@ -1,10 +1,12 @@
 """Scalar reference forms of the package's batched clip code.
 
 Each function here handles one query, one box, one logit or one frame pair
-with plain floats or single-row tensors. The tests compare the package's
-batched paths against them. The patches at the end change the package for
-one test: the within-frame mask makes a clip comparable with its
-single-frame runs, and corrupt_adjoint breaks one primitive's gradient.
+with plain floats or single-row tensors, and each adjoint reference takes
+one product per stacked matrix or one addition per gathered row. The tests
+compare the package's batched paths against them. The patches at the end
+change the package for one test: the within-frame mask makes a clip
+comparable with its single-frame runs, and corrupt_adjoint breaks one
+primitive's gradient.
 """
 
 from __future__ import annotations
@@ -280,6 +282,25 @@ def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
         else:
             flags.append(False)
     return interpolated_ap(flags, len(gts))
+
+
+# ---------------------------------------------------------------------------
+# Adjoints
+
+
+def stacked_matmul_adjoint(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Gradients of a @ b for the upstream gradient g, one product per
+    stacked matrix, summed back over the broadcast axes."""
+    ga = g @ np.swapaxes(b, -1, -2)
+    gb = np.swapaxes(a, -1, -2) @ g
+    return ad._unbroadcast(ga, a.shape), ad._unbroadcast(gb, b.shape)
+
+
+def scatter_add_rows(shape: tuple[int, ...], idx, g: np.ndarray) -> np.ndarray:
+    """Adjoint of a row gather: each gathered row added back in gather order."""
+    z = np.zeros(shape, dtype=g.dtype)
+    np.add.at(z, np.asarray(idx), g)
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from clipvid import autodiff as ad
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
-from oracles import corrupt_adjoint
+from oracles import corrupt_adjoint, scatter_add_rows, stacked_matmul_adjoint
 
 # Every primitive that records itself on the tape, read from the source so
 # that a new primitive without a gradient check fails the test below.
@@ -245,3 +246,53 @@ def test_gather_rows_duplicate_indices_accumulate():
         y = ad.reduce_sum(ad.gather_rows(x, [0, 0, 2]))
     tape.backward(y)
     assert_allclose(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("shape", [(64, 1, 16), (64, 5, 16), (3, 4, 6, 16)],
+                         ids=["rows", "stacks", "maps"])
+def test_folded_matmul_adjoint_matches_the_stacked_reference(rng, shape):
+    """A weight shared by every leading index of the left operand gets one
+    GEMM per gradient; it only regroups the stacked form's sums."""
+    a = ad.param(rng.normal(size=shape))
+    w = ad.param(rng.normal(size=(16, 12)))
+    g = rng.normal(size=shape[:-1] + (12,))
+    with ad.ComputationTape() as tape:
+        out = ad.matmul(a, w)
+    tape.backward(out, seed=g)
+    for got, ref in zip((a.grad, w.grad), stacked_matmul_adjoint(a.data, w.data, g)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_folded_matmul_adjoint_builds_no_per_row_weight_stack():
+    """The adjoint of a [4096, 1, 64] @ [64, 64] product allocates about its
+    operands' bytes; a [4096, 64, 64] stack of per-row weight gradients
+    would take 134 MB in 64-bit."""
+    rng = np.random.default_rng(0)
+    a = ad.param(rng.normal(size=(4096, 1, 64)))
+    w = ad.param(rng.normal(size=(64, 64)))
+    with ad.ComputationTape() as tape:
+        out = ad.matmul(a, w)
+    (_op, _inputs, _out, adjoint), = tape.records
+    g = np.ones_like(out.data)
+    tracemalloc.start()
+    try:
+        grads = adjoint(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [x.shape for x in grads] == [a.shape, w.shape]
+    assert peak < 2 * (a.data.nbytes + w.data.nbytes + g.nbytes)
+
+
+def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
+    """Rows that share an index, negative aliases included, sum to what
+    np.add.at adds up one row at a time, up to the grouping of the sums."""
+    x = ad.param(rng.normal(size=(64, 16, 8)))
+    idx = rng.integers(-64, 64, size=256)
+    g = rng.normal(size=(256, 16, 8))
+    with ad.ComputationTape() as tape:
+        out = ad.gather_rows(x, idx)
+    tape.backward(out, seed=g)
+    ref = scatter_add_rows(x.shape, idx, g)
+    assert np.abs(x.grad - ref).max() <= 1e-12 * np.abs(ref).max()
