@@ -3,8 +3,16 @@
 Tensors wrap a numpy array plus an optional gradient buffer. Primitive ops
 record their adjoint closures on the active ComputationTape; replaying the
 tape in reverse accumulates gradients into every tensor on the path to the
-loss. Precision is a process-global switch: float32 for training, float64
-for gradient verification.
+loss. An adjoint may return None for an input that needs no gradient.
+Precision is a process-global switch: float32 for training, float64 for
+gradient verification.
+
+The layers that run most often are single primitives with hand-written
+adjoints: layer_norm, linear (x @ w + b) and attention, the scaled
+dot-product core of multi_head_attention, which splits and merges the heads
+inside its one record. Each forward runs the numpy operations of the
+elementwise composition it replaces, in the same order, so its output bytes
+are those of the composition.
 """
 
 from __future__ import annotations
@@ -205,8 +213,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), a.data * b.data,
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
+                   lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                              _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -373,27 +381,37 @@ def row_update(a: Tensor, idx, rows: Tensor) -> Tensor:
 # Linear algebra
 
 
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _shared_weight_adjoint(g: np.ndarray, a: Tensor, w: Tensor) -> tuple:
+    """Gradients of a @ w for a 2-D w that every leading index of a shares:
+    one GEMM each over the [rows, k] flattening of a, so no [B, k, m] stack
+    of per-matrix weight gradients is built."""
+    k, m = w.shape
+    rows = g.reshape(-1, m)
+    return ((rows @ w.data.T).reshape(a.shape) if a.requires_grad else None,
+            a.data.reshape(-1, k).T @ rows if w.requires_grad else None)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, leading axes broadcast.
 
     The forward pass makes one BLAS call per stacked matrix, so a matrix's
     product does not depend on how many others share the batch, down to the
     last bit. The adjoint folds a 2-D b that every leading index of a
-    shares: both gradients are then one GEMM over the [rows, k] flattening
-    of a, and no [B, k, m] stack of per-matrix weight gradients is built."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    shares (see _shared_weight_adjoint)."""
+    _check_matmul("matmul", a, b)
     out = a.data @ b.data
 
     def backward(g):
         if b.ndim == 2:
-            k, m = b.shape
-            rows = g.reshape(-1, m)
-            return ((rows @ b.data.T).reshape(a.shape), a.data.reshape(-1, k).T @ rows)
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            return _shared_weight_adjoint(g, a, b)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return (ga, gb)
 
     return _record("matmul", (a, b), out, backward)
 
@@ -424,11 +442,63 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if d < 2:
         raise ConfigError(f"layer_norm needs a normalized dim >= 2, got {d}")
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(tensor(1.0), sqrt(var + eps))
-    return mul(centered, inv) * gain + bias
+    dt = get_dtype()
+    inv_d = np.asarray(1.0 / d, dtype=dt)
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    inv = np.asarray(1.0, dtype=dt) / np.sqrt(var + np.asarray(eps, dtype=dt))
+    xhat = centered * inv
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            gh = g * gain.data
+            gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return (gx,
+                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+    return _record("layer_norm", (x, gain, bias), xhat * gain.data + bias.data, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of [B, nq, d] queries over [B, nk, d]
+    keys and values in heads of width hd = d / heads: softmax(q_h k_hT /
+    sqrt(hd)) v_h for each head h, merged back to [B, nq, d].
+
+    The head split and merge, the max-shifted softmax and both products
+    are one record; the adjoint reuses the forward's head stacks and
+    probabilities."""
+    bsz, nq, d = q.shape
+    nk = k.shape[1]
+    if d % heads != 0:
+        raise ConfigError(f"attention dim {d} not divisible by {heads} heads")
+    hd = d // heads
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
+
+    def split(x: np.ndarray, n: int) -> np.ndarray:               # [B, H, n, hd]
+        return np.ascontiguousarray(x.reshape(bsz, n, heads, hd).transpose(0, 2, 1, 3))
+
+    def merge(x: np.ndarray, n: int) -> np.ndarray:               # [B, n, d]
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(bsz, n, d)
+
+    qh, kh, vh = split(q.data, nq), split(k.data, nk), split(v.data, nk)
+    logits = (qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * scale
+    if np.isnan(logits).any():
+        raise NumericError("attention: NaN in logits")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gctx = g.reshape(bsz, nq, heads, hd).transpose(0, 2, 1, 3)
+        gattn = gctx @ np.swapaxes(vh, -1, -2)
+        glogits = (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * attn * scale
+        return (merge(glogits @ kh, nq) if q.requires_grad else None,
+                merge(np.swapaxes(glogits, -1, -2) @ qh, nk) if k.requires_grad else None,
+                merge(np.swapaxes(attn, -1, -2) @ gctx, nk) if v.requires_grad else None)
+
+    return _record("attention", (q, k, v), merge(attn @ vh, nq), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +568,7 @@ def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Parameter containers and composed layers
+# Parameter containers and layers
 
 
 @dataclass
@@ -518,7 +588,16 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return matmul(x, p.w) + p.b
+    """x @ w + b over the last axis of x, as one record: matmul's product
+    and weight adjoint, and add's bias reduction."""
+    w, b = p.w, p.b
+    _check_matmul("linear", x, w)
+
+    def backward(g):
+        return _shared_weight_adjoint(g, x, w) + (
+            _unbroadcast(g, b.shape) if b.requires_grad else None,)
+
+    return _record("linear", (x, w, b), x.data @ w.data + b.data, backward)
 
 
 @dataclass
@@ -539,28 +618,11 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
-    """Scaled dot-product attention with projected heads over [B,n,d]
-    stacks (a batch of independent attention problems sharing the
-    projections).
-    """
-    d = q.shape[-1]
-    if d % p.heads != 0:
-        raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
-    bsz, nq, _ = q.shape
-    nk = k.shape[1]
-    hd = d // p.heads
-
-    def split(x: Tensor, n: int) -> Tensor:
-        return transpose(reshape(x, (bsz, n, p.heads, hd)), (0, 2, 1, 3))
-
-    qh = split(linear(q, p.q), nq)
-    kh = split(linear(k, p.k), nk)
-    vh = split(linear(v, p.v), nk)
-    logits = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
-    attn = softmax(logits, axis=-1)
-    ctx = matmul(attn, vh)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz, nq, d))
-    return linear(ctx, p.out)
+    """Projected multi-head attention over [B, n, d] stacks (a batch of
+    independent attention problems sharing the projections): the q, k and
+    v projections, the attention core, which splits the heads inside its
+    record, and the output projection, five records in all."""
+    return linear(attention(linear(q, p.q), linear(k, p.k), linear(v, p.v), p.heads), p.out)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,54 @@ def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
     return reports
 
 
+def operand_checks(seed: int, tol: float) -> list[GradCheckReport]:
+    """The inputs that primitive_checks holds constant: the other operand
+    of the binary primitives and every input of layer_norm, attention and
+    linear. A check named op[i] differentiates input i of op only."""
+    rng = np.random.default_rng(seed + 3)
+    r = lambda *s: ad.tensor(rng.normal(size=s))
+    rp = lambda *s: ad.tensor(rng.uniform(0.5, 2.0, size=s))
+    checks: list[tuple[str, object, Tensor]] = []
+
+    a, w = r(3, 4), r(3, 4)
+    checks.append(("add[1]", lambda x: ad.reduce_sum(ad.mul(ad.add(a, x), w)), r(3, 4)))
+    checks.append(("sub[1]", lambda x: ad.reduce_sum(ad.mul(ad.sub(a, x), w)), r(3, 4)))
+    checks.append(("mul[1]", lambda x: ad.reduce_sum(ad.mul(a, x)), r(3, 4)))
+    checks.append(("maximum[1]", lambda x: ad.reduce_sum(ad.maximum(a, x)), r(3, 4)))
+    checks.append(("minimum[1]", lambda x: ad.reduce_sum(ad.minimum(a, x)), r(3, 4)))
+    base, rw = r(4, 4), r(4, 4)
+    checks.append(("row_update[1]", lambda x: ad.reduce_sum(
+        ad.mul(ad.row_update(base, [1, 3], x), rw)), r(2, 4)))
+    head, cw = r(2, 4), r(5, 4)
+    checks.append(("concat[1]", lambda x: ad.reduce_sum(
+        ad.mul(ad.concat([head, x], axis=0), cw)), r(3, 4)))
+
+    ln_x, gain, bias, lnw = r(2, 3, 6), rp(6), r(6), r(2, 3, 6)
+    checks.append(("layer_norm[1]", lambda x: ad.reduce_sum(
+        ad.mul(ad.layer_norm(ln_x, x, bias), lnw)), rp(6)))
+    checks.append(("layer_norm[2]", lambda x: ad.reduce_sum(
+        ad.mul(ad.layer_norm(ln_x, gain, x), lnw)), r(6)))
+
+    # Two problems, three queries over four keys, two heads of width 4.
+    q, k, v, aw = r(2, 3, 8), r(2, 4, 8), r(2, 4, 8), r(2, 3, 8)
+    checks.append(("attention[0]", lambda x: ad.reduce_sum(
+        ad.mul(ad.attention(x, k, v, 2), aw)), r(2, 3, 8)))
+    checks.append(("attention[1]", lambda x: ad.reduce_sum(
+        ad.mul(ad.attention(q, x, v, 2), aw)), r(2, 4, 8)))
+    checks.append(("attention[2]", lambda x: ad.reduce_sum(
+        ad.mul(ad.attention(q, k, x, 2), aw)), r(2, 4, 8)))
+
+    left, lw, lb, yw = r(2, 3, 4), r(4, 5), r(5), r(2, 3, 5)
+    checks.append(("linear[0]", lambda x: ad.reduce_sum(
+        ad.mul(ad.linear(x, ad.LinearParams(lw, lb)), yw)), r(2, 3, 4)))
+    checks.append(("linear[1]", lambda x: ad.reduce_sum(
+        ad.mul(ad.linear(left, ad.LinearParams(x, lb)), yw)), r(4, 5)))
+    checks.append(("linear[2]", lambda x: ad.reduce_sum(
+        ad.mul(ad.linear(left, ad.LinearParams(lw, x)), yw)), r(5)))
+
+    return [ad.grad_check(fn, x, tol=tol, name=name) for name, fn, x in checks]
+
+
 def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     cfg = micro_config()
     rng = np.random.default_rng(seed)
@@ -163,4 +211,4 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
 
 def run_suite(seed: int = 0, tol: float = 1e-4) -> list[GradCheckReport]:
     with ad.precision(64):
-        return primitive_checks(seed, tol) + model_checks(seed, tol)
+        return primitive_checks(seed, tol) + model_checks(seed, tol) + operand_checks(seed, tol)

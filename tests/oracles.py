@@ -2,11 +2,13 @@
 
 Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors, and each adjoint reference takes
-one product per stacked matrix or one addition per gathered row. The tests
-compare the package's batched paths against them. The patches at the end
-change the package for one test: the within-frame mask makes a clip
-comparable with its single-frame runs, and corrupt_adjoint breaks one
-primitive's gradient.
+one product per stacked matrix or one addition per gathered row. The
+composed layers build linear, layer_norm and attention from elementwise
+primitives, so the taped chain rule checks the fused primitives' adjoints.
+The tests compare the package's batched and fused paths against them. The
+patches at the end change the package for one test: the within-frame mask
+makes a clip comparable with its single-frame runs, and corrupt_adjoint
+breaks one primitive's gradient.
 """
 
 from __future__ import annotations
@@ -285,6 +287,41 @@ def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
 
 
 # ---------------------------------------------------------------------------
+# Composed layers
+
+
+def composed_linear(x, p):
+    return ad.matmul(x, p.w) + p.b
+
+
+def composed_layer_norm(x, gain, bias, eps: float = 1e-5):
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.div(ad.tensor(1.0), ad.sqrt(var + eps))
+    return ad.mul(centered, inv) * gain + bias
+
+
+def composed_attention(q, k, v, heads: int):
+    bsz, nq, d = q.shape
+    nk = k.shape[1]
+    hd = d // heads
+
+    def split(x, n: int):
+        return ad.transpose(ad.reshape(x, (bsz, n, heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q, nq), split(k, nk), split(v, nk)
+    logits = ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))) * (1.0 / math.sqrt(hd))
+    ctx = ad.matmul(ad.softmax(logits, axis=-1), vh)
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (bsz, nq, d))
+
+
+def composed_multi_head_attention(q, k, v, p):
+    return composed_linear(composed_attention(composed_linear(q, p.q), composed_linear(k, p.k),
+                                              composed_linear(v, p.v), p.heads), p.out)
+
+
+# ---------------------------------------------------------------------------
 # Adjoints
 
 
@@ -330,9 +367,10 @@ def mask_within_frames(monkeypatch) -> None:
 # Fault injection
 
 
-def corrupt_adjoint(monkeypatch, op: str) -> None:
-    """Add 1000 to the first gradient that the primitive recorded as op
-    returns, so a gradient check through it must fail."""
+def corrupt_adjoint(monkeypatch, op: str, position: int | None = None) -> None:
+    """Add 1000 to the gradient of input `position` (by default the first
+    gradient computed) that the primitive recorded as op returns, so a
+    gradient check through that input must fail."""
     record = ad._record
 
     def corrupted(name, inputs, out_data, backward):
@@ -341,8 +379,11 @@ def corrupt_adjoint(monkeypatch, op: str) -> None:
 
             def backward(g):
                 grads = list(inner(g))
-                first = next(i for i, gr in enumerate(grads) if gr is not None)
-                grads[first] = grads[first] + 1000.0
+                i = position
+                if i is None:
+                    i = next(i for i, gr in enumerate(grads) if gr is not None)
+                if grads[i] is not None:
+                    grads[i] = grads[i] + 1000.0
                 return tuple(grads)
 
         return record(name, inputs, out_data, backward)

@@ -11,13 +11,23 @@ from numpy.testing import assert_allclose
 from clipvid import autodiff as ad
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
-from oracles import corrupt_adjoint, scatter_add_rows, stacked_matmul_adjoint
+from oracles import (composed_attention, composed_layer_norm, composed_linear,
+                     composed_multi_head_attention, corrupt_adjoint, scatter_add_rows,
+                     stacked_matmul_adjoint)
 
-# Every primitive that records itself on the tape, read from the source so
-# that a new primitive without a gradient check fails the test below.
+# Every primitive that records itself on the tape and the inputs it names,
+# read from the source so that a new primitive, or a new input, without a
+# gradient check fails the tests below. concat's parts are checked in pairs.
 RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad))))
+ARITY = {"concat": 2} | {op: len([n for n in names.split(",") if n.strip()]) for op, names
+                         in re.findall(r'_record\("(\w+)", \(([^)]*)\)', inspect.getsource(ad))}
 CHECK_OF_OP = {"concat": "concat_gather", "gather_rows": "concat_gather",
-               "reshape": "reshape_transpose", "transpose": "reshape_transpose"}
+               "reshape": "reshape_transpose", "transpose": "reshape_transpose",
+               "linear": "multi_head_attention"}
+# Inputs after the first, each with the check that differentiates it: by
+# default operand_checks' op[i].
+LATER_INPUTS = [(op, i) for op in RECORDED_OPS for i in range(1, ARITY[op])]
+CHECK_OF_INPUT = {("div", 1): "div", ("matmul", 1): "matmul_batched_weight"}
 
 
 def test_matmul_identity():
@@ -178,6 +188,18 @@ def test_primitive_checks_catch_a_corrupted_adjoint(monkeypatch, op):
     assert any(CHECK_OF_OP.get(op, op) in name for name in failed), failed
 
 
+@pytest.mark.parametrize("op,position", LATER_INPUTS,
+                         ids=[f"{op}[{i}]" for op, i in LATER_INPUTS])
+def test_checks_catch_a_corrupted_adjoint_of_every_later_input(monkeypatch, op, position):
+    """The test above corrupts the first gradient an adjoint computes, that
+    of input 0 in every check; this one each further input."""
+    corrupt_adjoint(monkeypatch, op, position)
+    failed = [r.name for r in gradcheck_suite.primitive_checks(0, 1e-4)
+              + gradcheck_suite.operand_checks(0, 1e-4) if not r.passed]
+    assert any(CHECK_OF_INPUT.get((op, position), f"{op}[{position}]") in name
+               for name in failed), failed
+
+
 def test_grad_check_requires_64bit():
     ad.set_precision(32)
     with pytest.raises(ConfigError):
@@ -296,3 +318,112 @@ def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
     tape.backward(out, seed=g)
     ref = scatter_add_rows(x.shape, idx, g)
     assert np.abs(x.grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_constant_operands_get_no_gradient(rng):
+    """The adjoints of mul, matmul and the fused layers compute no gradient
+    for an input that needs none."""
+    x, c = ad.param(rng.normal(size=(2, 3, 8))), ad.tensor(rng.normal(size=(2, 3, 8)))
+    w, cw = ad.param(rng.normal(size=(8, 8))), ad.tensor(rng.normal(size=(8, 8)))
+    b, cb = ad.param(rng.normal(size=8)), ad.tensor(rng.normal(size=8))
+    cstack = ad.tensor(rng.normal(size=(2, 8, 3)))
+    with ad.ComputationTape() as tape:
+        ad.mul(x, c), ad.mul(c, x)
+        ad.matmul(x, cw), ad.matmul(c, w), ad.matmul(x, cstack), ad.matmul(cstack, x)
+        ad.layer_norm(x, cb, cb), ad.layer_norm(c, b, cb), ad.layer_norm(c, cb, b)
+        ad.attention(x, c, c, 2), ad.attention(c, x, c, 2), ad.attention(c, c, x, 2)
+        ad.linear(x, ad.LinearParams(cw, cb)), ad.linear(c, ad.LinearParams(w, cb))
+        ad.linear(c, ad.LinearParams(cw, b))
+    assert len(tape) == 15
+    for op, inputs, out, adjoint in tape.records:
+        grads = adjoint(np.ones_like(out.data))
+        assert [g is not None for g in grads] == [t.requires_grad for t in inputs], op
+
+
+@pytest.mark.parametrize("layer,records", [
+    (lambda x, p: ad.layer_norm(x, p.q.b, p.k.b), 1),
+    (lambda x, p: ad.linear(x, p.q), 1),
+    (lambda x, p: ad.multi_head_attention(x, x, x, p), 5),
+], ids=["layer_norm", "linear", "multi_head_attention"])
+def test_fused_layer_record_count(rng, layer, records):
+    """Hardware-independent gate: one tape record per layer_norm and linear
+    call, five per multi_head_attention call (four projections and the
+    attention core)."""
+    p = ad.init_mha(rng, 8, 2)
+    x = ad.param(rng.normal(size=(2, 3, 8)))
+    with ad.ComputationTape() as tape:
+        layer(x, p)
+    assert len(tape) == records
+
+
+# A clip's self-attention over [1, T*L, d] and its box-guided cross-attention
+# of [T*L, 1, d] queries over [T*L, s*s, d] regions, at the desk width (d=32,
+# four heads) and the gradient-check width (d=8, two heads).
+ATTENTION_CASES = [((1, 32, 32), None, 4), ((32, 1, 32), (32, 16, 32), 4),
+                   ((1, 8, 8), None, 2), ((8, 1, 8), (8, 4, 8), 2)]
+ATTENTION_IDS = ["self_d32", "cross_d32", "self_d8", "cross_d8"]
+
+
+def _attention_inputs(seed, q_shape, kv_shape, heads):
+    rng = np.random.default_rng(seed)
+    p = ad.init_mha(rng, q_shape[-1], heads)
+    q = ad.param(rng.normal(size=q_shape))
+    kv = q if kv_shape is None else ad.param(rng.normal(size=kv_shape))
+    return p, q, kv
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_shape, heads):
+    """Each fused primitive runs the composed form's numpy operations in the
+    same order, so its output bytes are the same in 32 and 64 bits."""
+    with ad.precision(bits):
+        p, q, kv = _attention_inputs(0, q_shape, kv_shape, heads)
+        pairs = [
+            (ad.multi_head_attention(q, kv, kv, p), composed_multi_head_attention(q, kv, kv, p)),
+            (ad.attention(q, kv, kv, heads), composed_attention(q, kv, kv, heads)),
+            (ad.linear(kv, p.v), composed_linear(kv, p.v)),
+            (ad.layer_norm(q, p.q.b, p.k.b, 1e-5), composed_layer_norm(q, p.q.b, p.k.b, 1e-5)),
+        ]
+    for fused, composed in pairs:
+        assert fused.data.dtype == composed.data.dtype == np.dtype(f"float{bits}")
+        assert np.array_equal(fused.data, composed.data)
+
+
+def _gradients(forward, tensors, seed):
+    for t in tensors:
+        t.zero_grad()
+    with ad.ComputationTape() as tape:
+        out = forward()
+    tape.backward(out, seed=seed)
+    return [t.grad.copy() for t in tensors]
+
+
+@pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
+    """64-bit gradients of every input and parameter of multi_head_attention
+    and of a layer norm agree with the composed forms' taped chain rule up
+    to the regrouping of float sums. A key bias shifts every logit of a
+    query alike, so its true gradient is exactly zero: both forms must give
+    rounding noise only."""
+    with ad.precision(64):
+        p, q, kv = _attention_inputs(1, q_shape, kv_shape, heads)
+        inputs = [("q", q)] + ([("kv", kv)] if kv is not q else [])
+        named = inputs + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
+                          for lin in ("q", "k", "v", "out") for part in ("w", "b")]
+        tensors = [t for _, t in named]
+        seed = np.random.default_rng(2).normal(size=q_shape)
+        fused = _gradients(lambda: ad.multi_head_attention(q, kv, kv, p), tensors, seed)
+        composed = _gradients(lambda: composed_multi_head_attention(q, kv, kv, p),
+                              tensors, seed)
+        gain = ad.param(np.random.default_rng(3).uniform(0.5, 2.0, q_shape[-1]))
+        ln = [("ln.x", q), ("ln.gain", gain), ("ln.bias", p.out.b)]
+        named += ln
+        tensors = [t for _, t in ln]
+        fused += _gradients(lambda: ad.layer_norm(q, gain, p.out.b), tensors, seed)
+        composed += _gradients(lambda: composed_layer_norm(q, gain, p.out.b), tensors, seed)
+    for (name, _), got, ref in zip(named, fused, composed, strict=True):
+        if name == "k.b":
+            assert np.abs(got).max() < 1e-12 and np.abs(ref).max() < 1e-12
+        else:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name

@@ -334,7 +334,7 @@ def test_desk_clip_tape_record_count():
     with ad.ComputationTape() as tape:
         _, parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
     assert parts.con > 0.0
-    assert len(tape) == 605
+    assert len(tape) == 370
 
 
 def test_clip_forward_determinism(rng):
