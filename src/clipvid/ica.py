@@ -4,9 +4,9 @@ Each high-scoring query (anchor) selects, in every other frame, the query
 whose identity embedding is closest; the anchor cross-attends over the
 adapted region features of its picks. Anchors share picks, so the context
 is built and its keys and values projected once per distinct (frame,
-query) block; each anchor's attention then reads only its own blocks. Identity embeddings
-are trained contrastively from the set-matching assignments. Selection is
-discrete and never differentiated through.
+query) block; each anchor's attention then reads only its own blocks.
+Identity embeddings are trained contrastively from the set-matching
+assignments. Selection is discrete and never differentiated through.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 matched detection loss: focal classification + GIoU + L1 box terms.
 
 Each frame's G ground truths are assigned to G of its L prediction slots by
-an exact rectangular solver; the discrete assignment is never differentiated
-through.
+an exact rectangular solver over the frame's [G, L] cost matrix; the
+discrete assignment is never differentiated through. The loss scores a
+stack of frames in one pass: one clip, or every decoder layer of a clip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import Tensor
-from .errors import CapacityError, NumericError
+from .errors import CapacityError, DimensionError, NumericError
 
 
 # Weights of the matching cost and of the matched loss, and the focal
@@ -93,34 +94,22 @@ def _km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     return col_of_row, u[1:], v[1:]
 
 
-def _solve(c: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """`_km_solve` on any n x m matrix, transposed when rows outnumber
-    columns so that the shorter side augments; -1 marks an unmatched row."""
-    if c.shape[0] <= c.shape[1]:
-        return _km_solve(c)
-    row_of_col, col_pot, row_pot = _km_solve(c.T)
-    col_of_row = [-1] * c.shape[0]
-    for j, i in enumerate(row_of_col):
-        col_of_row[i] = j
-    return col_of_row, row_pot, col_pot
-
-
 def hungarian(cost) -> list[int]:
-    """Minimum-cost assignment of an n x m cost matrix: min(n, m) pairs,
-    each row and column used at most once. Returns the column chosen per
-    row, -1 for a row left unmatched (only when n > m).
+    """Minimum-cost assignment of an n x m cost matrix, n <= m: every row
+    gets its own column. Returns the column chosen per row.
 
     Among optima of equal (fsum) cost the lexicographically smallest
-    row-to-column sequence is returned, an unmatched row sorting after
-    every column: rows are scanned in order, each taking the smallest
-    column that the remaining rows can still complete to an optimum.
+    row-to-column sequence is returned: rows are scanned in order, each
+    taking the lowest-index column that the later rows can still complete
+    to the exact optimum.
     """
     c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise NumericError(f"hungarian: expected a matrix, got shape {c.shape}")
+    if c.ndim != 2 or c.shape[0] > c.shape[1]:
+        raise DimensionError(f"hungarian: expected a matrix with rows <= columns, "
+                             f"got shape {c.shape}")
     if not np.isfinite(c).all():
         raise NumericError("hungarian: non-finite cost entry")
-    result, u, v = _solve(c)
+    result, u, v = _km_solve(c)
 
     # Every edge of an optimal assignment is tight (zero reduced cost under
     # the optimal potentials), so the tolerance pre-filters candidates; one
@@ -130,22 +119,20 @@ def hungarian(cost) -> list[int]:
     base = assignment_cost(c, result)
     free = np.ones(c.shape[1], dtype=bool)
     for r in range(c.shape[0]):
-        limit = result[r] if result[r] >= 0 else c.shape[1]
-        for cand in np.flatnonzero(tight[r, :limit] & free[:limit]):
+        for cand in np.flatnonzero(tight[r, :result[r]] & free[:result[r]]):
             cols = np.setdiff1d(np.flatnonzero(free), cand)
-            rest, _, _ = _solve(c[r + 1:, cols])
-            trial = result[:r] + [int(cand)] + [int(cols[j]) if j >= 0 else -1 for j in rest]
+            rest, _, _ = _km_solve(c[r + 1:, cols])
+            trial = result[:r] + [int(cand)] + [int(cols[j]) for j in rest]
             if assignment_cost(c, trial) == base:
                 result = trial
                 break
-        if result[r] >= 0:
-            free[result[r]] = False
+        free[result[r]] = False
     return result
 
 
 def assignment_cost(cost, col_of_row) -> float:
     c = np.asarray(cost, dtype=np.float64)
-    return math.fsum(c[i, j] for i, j in enumerate(col_of_row) if j >= 0)
+    return math.fsum(c[i, j] for i, j in enumerate(col_of_row))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +146,6 @@ class SetLossResult:
     cls_term: float = 0.0
     giou_term: float = 0.0
     l1_term: float = 0.0
-    num_gts: int = 0
 
 
 def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
@@ -201,26 +187,24 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
 
 def match_frame(logits: np.ndarray, boxes: np.ndarray,
                 frame_gts: list[tuple[int, geo.Box]]) -> Assignment:
-    """Assign each ground truth its lowest-cost prediction slot."""
+    """Assign each ground truth its own prediction slot at minimum total
+    cost, solved as the [G, L] transpose of the cost matrix; under exact
+    cost ties each ground truth in order takes the lowest-index slot."""
     L = len(logits)
     G = len(frame_gts)
     if G > L:
         raise CapacityError(f"{G} ground truths exceed {L} prediction slots")
     if G == 0:
         return Assignment(())
-    cols = hungarian(cost_matrix(logits, boxes, frame_gts))
-    pred_of_gt = [0] * G
-    for i, j in enumerate(cols):
-        if j >= 0:
-            pred_of_gt[j] = i
-    return Assignment(tuple(pred_of_gt))
+    return Assignment(tuple(hungarian(cost_matrix(logits, boxes, frame_gts).T)))
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
              gts: list[list[tuple[int, geo.Box]]],
              assignments: list[Assignment] | None = None) -> SetLossResult:
-    """Match each frame's predictions to its ground truths and score one
-    decoder layer of the whole clip.
+    """Match each frame's predictions to its ground truths and score the
+    whole stack of frames: a clip's T frames, or its Ly decoder layers
+    stacked layer-major into Ly*T frames.
 
     logits [T, L, C] and boxes_t [T, L, 4] are the differentiable
     predictions; boxes [T, L, 4] are the detached boxes the matching costs;
@@ -258,5 +242,4 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
     return SetLossResult(total, assignments,
                          cls_term=float(cls_loss.data),
                          giou_term=float(giou_loss.data),
-                         l1_term=float(l1_loss.data),
-                         num_gts=len(matched_rows))
+                         l1_term=float(l1_loss.data))

@@ -2,16 +2,16 @@
 moments optimizer, and the seeded training loop.
 
 Stage 1 trains everything except the aggregation machinery with aggregation
-disabled; stage 2 fine-tunes the whole model with it enabled. The loss sums
-each layer's clip-wide set loss normalized by the clip's object count, plus
-the pair-normalized contrastive identity loss of each layer feeding an
-aggregation layer.
+disabled; stage 2 fine-tunes the whole model with it enabled. The loss is
+one set loss over every layer's frames of the clip, normalized by the
+clip's object count, plus the pair-normalized contrastive identity loss of
+each layer feeding an aggregation layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,37 +37,38 @@ class LossParts:
 
 def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
               frozen_assignments=None) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
-    """Deep-supervised set loss over all layers of one clip, plus the
-    contrastive identity loss of every layer with identity embeddings.
+    """Deep-supervised set loss of one clip, plus the contrastive identity
+    loss of every layer with identity embeddings.
 
+    Every layer's [T, L, ·] predictions go layer-major into one
+    [Ly*T, L, ·] set_loss call, normalized by the clip's object count;
+    each contrastive term reads its own layer's assignments.
     frozen_assignments (as returned by a previous call: per layer, per
     frame) bypasses the matching so finite differencing sees a fixed
     assignment.
     """
-    n_objects = max(1, sum(len(g) for g in gts))
-    scale = 1.0 / n_objects
+    T = len(gts)
+    scale = 1.0 / max(1, sum(len(g) for g in gts))
     frame_gts = [[(c, b) for c, b, _t in g] for g in gts]
-    parts = LossParts()
-    terms = []
-    assignments: list[list[mt.Assignment]] = []
-    for li, layer in enumerate(layers):
-        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts,
-                          assignments=frozen_assignments[li] if frozen_assignments else None)
-        terms.append(res.total * scale)
-        parts.cls += mt.LAMBDA_CLS * res.cls_term * scale
-        parts.giou += mt.LAMBDA_GIOU * res.giou_term * scale
-        parts.l1 += mt.LAMBDA_L1 * res.l1_term * scale
-        assignments.append(res.assignments)
+    res = mt.set_loss(ad.concat([layer.logits for layer in layers]),
+                      ad.concat([layer.boxes_t for layer in layers]),
+                      np.concatenate([layer.boxes for layer in layers]),
+                      frame_gts * len(layers),
+                      assignments=([a for per_layer in frozen_assignments for a in per_layer]
+                                   if frozen_assignments else None))
+    assignments = [res.assignments[li * T:(li + 1) * T] for li in range(len(layers))]
+    total = res.total * scale
+    parts = LossParts(cls=mt.LAMBDA_CLS * res.cls_term * scale,
+                      giou=mt.LAMBDA_GIOU * res.giou_term * scale,
+                      l1=mt.LAMBDA_L1 * res.l1_term * scale)
+    for layer, layer_assignments in zip(layers, assignments):
         if layer.ident is not None:
             matched_tracks = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
-                              for g, a in zip(gts, res.assignments)]
+                              for g, a in zip(gts, layer_assignments)]
             con, pairs = ica_mod.contrastive_loss(layer.ident, matched_tracks)
             if pairs > 0:
-                terms.append(con * CONTRASTIVE_WEIGHT)
+                total = total + con * CONTRASTIVE_WEIGHT
                 parts.con += CONTRASTIVE_WEIGHT * float(con.data)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
     parts.total = float(total.data)
     return total, parts, assignments
 
@@ -195,12 +196,8 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         _clip_gradients(trainable)
         lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
         opt.step(trainable, lr)
-        agg = LossParts(
-            total=sum(p.total for p in all_parts) * inv,
-            cls=sum(p.cls for p in all_parts) * inv,
-            giou=sum(p.giou for p in all_parts) * inv,
-            l1=sum(p.l1 for p in all_parts) * inv,
-            con=sum(p.con for p in all_parts) * inv)
+        agg = LossParts(**{f.name: sum(getattr(p, f.name) for p in all_parts) * inv
+                           for f in fields(LossParts)})
         line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"
                 f"{agg.l1:.9g},{agg.con:.9g}")
         lines.append(line)

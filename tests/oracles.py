@@ -22,6 +22,7 @@ from clipvid import autodiff as ad
 from clipvid import ica
 from clipvid import matching as mt
 from clipvid import model as M
+from clipvid import training as tr
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
 from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, iou
@@ -234,7 +235,7 @@ def contrastive_loss(idents, matched):
 
 
 # ---------------------------------------------------------------------------
-# Matching costs
+# Matching costs and the set loss
 
 
 def focal_loss(p_logit: float, target: int, alpha: float = 0.25,
@@ -259,6 +260,34 @@ def match_cost(logits, box: Box, gt_class: int, gt_box: Box) -> float:
     g = giou(box, gt_box)
     l1 = sum(abs(a - b) for a, b in zip(box.as_array(), gt_box.as_array()))
     return mt.LAMBDA_CLS * cls + mt.LAMBDA_GIOU * (1.0 - g) + mt.LAMBDA_L1 * l1
+
+
+def per_layer_clip_loss(layers, gts):
+    """training.clip_loss with one set_loss call per decoder layer, each
+    contrastive term read from its own layer's call. Returns (total,
+    LossParts, assignments per layer)."""
+    scale = 1.0 / max(1, sum(len(g) for g in gts))
+    frame_gts = [[(c, b) for c, b, _t in g] for g in gts]
+    parts, terms, assignments = tr.LossParts(), [], []
+    for layer in layers:
+        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts)
+        terms.append(res.total * scale)
+        parts.cls += mt.LAMBDA_CLS * res.cls_term * scale
+        parts.giou += mt.LAMBDA_GIOU * res.giou_term * scale
+        parts.l1 += mt.LAMBDA_L1 * res.l1_term * scale
+        assignments.append(res.assignments)
+        if layer.ident is not None:
+            matched = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
+                       for g, a in zip(gts, res.assignments)]
+            con, pairs = ica.contrastive_loss(layer.ident, matched)
+            if pairs > 0:
+                terms.append(con * tr.CONTRASTIVE_WEIGHT)
+                parts.con += tr.CONTRASTIVE_WEIGHT * float(con.data)
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    parts.total = float(total.data)
+    return total, parts, assignments
 
 
 # ---------------------------------------------------------------------------

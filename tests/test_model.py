@@ -324,17 +324,31 @@ def test_clip_forward_shape_contract(rng):
         assert layer.boxes_t.shape == layer.boxes.shape == (3, L, 4)
 
 
-def test_desk_clip_tape_record_count():
-    """Hardware-independent gate on the op count of one seeded desk-config
-    stage-2 training clip (T=4, aggregation and contrastive loss on)."""
-    cfg = M.ModelConfig()
+def training_clip_records(cfg: M.ModelConfig) -> tuple[int, tr.LossParts]:
+    """Tape length and loss parts of one seeded training clip (T=4)."""
     params = M.init_model(cfg, np.random.default_rng(0))
     clip = sv.generate_clip(sv.GenConfig(), seed=0)
     frames, gts = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
     with ad.ComputationTape() as tape:
         _, parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
+    return len(tape), parts
+
+
+def test_desk_clip_tape_record_count():
+    """Hardware-independent gate on the op count of one seeded desk-config
+    stage-2 training clip (aggregation and contrastive loss on)."""
+    records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert len(tape) == 370
+    assert records == 252
+
+
+def test_train_mid_clip_tape_record_count():
+    """The same gate for a stage-1 clip of the matching-heavy config: 30
+    queries, dim 64, 6 decoder layers, aggregation off."""
+    cfg = M.ModelConfig(num_queries=30, dim=64, decoder_layers=6, ica_layers=0)
+    records, parts = training_clip_records(cfg)
+    assert parts.con == 0.0
+    assert records == 300
 
 
 def test_clip_forward_determinism(rng):

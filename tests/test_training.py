@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.checkpoint import save_checkpoint
 from clipvid.errors import ConfigError
-from clipvid.gradcheck_suite import micro_config
+from clipvid.gradcheck_suite import micro_clip, micro_config
+from oracles import per_layer_clip_loss
 
 
 def test_same_seed_32bit_runs_are_byte_identical(tmp_path):
@@ -35,3 +38,33 @@ def test_infer_clip_unknown_mode_is_config_error():
     cfg = micro_config()
     with pytest.raises(ConfigError, match="bogus"):
         tr.infer_clip(clip, cfg, M.init_model(cfg, np.random.default_rng(0)), mode="bogus")
+
+
+def test_stacked_clip_loss_equals_per_layer_loop():
+    """clip_loss's one set_loss call over every layer's frames scores as
+    the per-layer loop: 64-bit micro clip, aggregation and the contrastive
+    loss on. Layer 0, which feeds the contrastive term, is matched
+    differently from layer 1, so reading another layer's assignments shows."""
+    cfg = micro_config()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    named = M.named_parameters(params)
+    frames, gts = micro_clip(7)
+    runs = []
+    for loss_fn in (tr.clip_loss, per_layer_clip_loss):
+        for p in named.values():
+            p.zero_grad()
+        with ad.ComputationTape() as tape:
+            total, parts, assignments = loss_fn(M.clip_forward(frames, cfg, params), gts)
+        tape.backward(total)
+        runs.append((float(total.data), parts, assignments,
+                     {k: p.grad.copy() for k, p in named.items() if p.grad is not None}))
+    (total, parts, assignments, grads), (ref_total, ref_parts, ref_assignments, ref_grads) = runs
+
+    assert parts.con > 0.0 and assignments[0] != assignments[1]
+    assert assignments == ref_assignments
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    for f in fields(tr.LossParts):
+        assert getattr(parts, f.name) == pytest.approx(getattr(ref_parts, f.name), rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, ref_grads[name]), name
