@@ -75,7 +75,7 @@ class _GtEntry:
 
 
 def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
-             num_classes: int, iou_thresh: float = IOU_THRESH) -> EvalReport:
+             num_classes: int) -> EvalReport:
     """Score per-clip, per-frame detections against clip annotations.
 
     detections[c][f] lists the frame-f detections of clip c, aligned with
@@ -99,8 +99,8 @@ def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
                 bc[tr.class_id] = bc.get(tr.class_id, 0) + 1
                 total_gts += 1
 
-    # (class) -> list of (score, order, matched_entry or None)
-    records: dict[int, list[tuple[float, int, _GtEntry | None]]] = {}
+    # class -> list of (score, order, (clip_id, frame, box))
+    records: dict[int, list[tuple[float, int, tuple[int, int, Box]]]] = {}
     order = 0
     total_dets = 0
     for clip, clip_dets in zip(clips, detections):
@@ -124,11 +124,11 @@ def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
                 v = iou(box, e.box)
                 if v > best:
                     best, best_e = v, e
-            if best >= iou_thresh and best_e is not None and not best_e.matched:
+            if best >= IOU_THRESH and best_e is not None and not best_e.matched:
                 best_e.matched = True
                 out.append((True, best_e))
             else:
-                out.append((False, best_e if best >= iou_thresh else None))
+                out.append((False, best_e if best >= IOU_THRESH else None))
         matched_per_class[cls] = out
 
     def class_ap(cls: int, bucket: str | None) -> float | None:

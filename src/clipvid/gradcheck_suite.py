@@ -1,11 +1,19 @@
 """Finite-difference audit of every differentiable primitive and of the
 complete clip loss on a tiny model.
 
+primitive_cases is the table of what the primitive audit differentiates:
+one row per primitive that records itself on the tape, named as its
+record, then the composed functions the loss uses and the second adjoint
+paths of matmul and gather_rows. primitive_checks checks every input of
+every row.
+
 Discrete decisions (set matching, aggregation selection) are captured once
 and replayed, so central differences never cross an argmin/argmax flip.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +24,8 @@ from . import model as M
 from . import training as tr
 from .autodiff import GradCheckReport, Tensor
 from .geometry import Box
+
+Case = tuple[str, Callable[..., Tensor], list[np.ndarray]]
 
 
 def micro_config() -> M.ModelConfig:
@@ -34,142 +44,77 @@ def micro_clip(seed: int):
     return frames, gts
 
 
-def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
+def primitive_cases(seed: int) -> list[Case]:
+    """Rows (name, op, input arrays): op maps one tensor per array to the
+    output the audit differentiates. Inputs of abs and relu keep away from
+    their kinks; div's divisor, the inputs of log, sqrt and pow_const and
+    layer_norm's gain stay positive."""
     rng = np.random.default_rng(seed)
-    r = lambda *s: ad.tensor(rng.normal(size=s))
-    rp = lambda *s: ad.tensor(rng.uniform(0.5, 2.0, size=s))
-    checks: list[tuple[str, object, Tensor]] = []
-
-    b = r(3, 4)
-    checks.append(("add", lambda x: ad.reduce_sum(ad.mul(ad.add(x, b), b)), r(3, 4)))
-    checks.append(("sub", lambda x: ad.reduce_sum(ad.mul(ad.sub(x, b), b)), r(3, 4)))
-    checks.append(("mul", lambda x: ad.reduce_sum(ad.mul(x, b)), r(3, 4)))
-    checks.append(("div", lambda x: ad.reduce_sum(ad.div(ad.add(x, b), x)), rp(3, 4)))
-    checks.append(("neg", lambda x: ad.reduce_sum(ad.mul(ad.neg(x), b)), r(3, 4)))
-    checks.append(("exp", lambda x: ad.reduce_sum(ad.mul(ad.exp(x), b)), r(3, 4)))
-    checks.append(("log", lambda x: ad.reduce_sum(ad.mul(ad.log(x), b)), rp(3, 4)))
-    checks.append(("sqrt", lambda x: ad.reduce_sum(ad.mul(ad.sqrt(x), b)), rp(3, 4)))
-    checks.append(("pow_const", lambda x: ad.reduce_sum(ad.pow_const(x, 2.7)), rp(3, 4)))
-    checks.append(("abs", lambda x: ad.reduce_sum(ad.absolute(x)),
-                   ad.tensor(rng.normal(size=(3, 4)) + np.sign(rng.normal(size=(3, 4))) * 0.5)))
-    checks.append(("sigmoid", lambda x: ad.reduce_sum(ad.mul(ad.sigmoid(x), b)), r(3, 4)))
-    checks.append(("softplus", lambda x: ad.reduce_sum(ad.mul(ad.softplus(x), b)), r(3, 4)))
-    checks.append(("relu", lambda x: ad.reduce_sum(ad.mul(ad.relu(x), b)),
-                   ad.tensor(rng.normal(size=(3, 4)) + 0.31)))
-    m2 = r(3, 4)
-    checks.append(("maximum", lambda x: ad.reduce_sum(ad.maximum(x, m2)), r(3, 4)))
-    checks.append(("minimum", lambda x: ad.reduce_sum(ad.minimum(x, m2)), r(3, 4)))
-    w = r(4, 5)
-    checks.append(("matmul", lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, w), r2_const)),
-                   r(3, 4)))
-    r2_const = r(3, 5)
-    wgt = r(2, 5)
-    checks.append(("softmax", lambda x: ad.reduce_sum(ad.mul(ad.softmax(x, axis=-1), wgt)),
-                   r(2, 5)))
-    checks.append(("sum", lambda x: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=0), r1c)),
-                   r(3, 4)))
-    r1c = r(4)
-    checks.append(("reshape_transpose", lambda x: ad.reduce_sum(
-        ad.mul(ad.transpose(ad.reshape(x, (4, 3)), (1, 0)), b)), r(2, 6)))
-    cpart = r(2, 4)
-    checks.append(("concat_gather", lambda x: ad.reduce_sum(
-        ad.mul(ad.gather_rows(ad.concat([x, cpart], axis=0), [0, 2, 4, 1]), rg)), r(3, 4)))
-    rg = r(4, 4)
-    rows = r(2, 4)
-    checks.append(("row_update", lambda x: ad.reduce_sum(
-        ad.mul(ad.row_update(x, [1, 3], rows), rg)), r(4, 4)))
-    gain, bias = rp(6), r(6)
-    checks.append(("layer_norm", lambda x: ad.reduce_sum(
-        ad.mul(ad.layer_norm(x, gain, bias), lnw)), r(2, 6)))
-    lnw = r(2, 6)
-    checks.append(("logsumexp", lambda x: ad.reduce_sum(ad.logsumexp(x, axis=-1)), r(3, 5)))
-
-    rng2 = np.random.default_rng(seed + 1)
-    mha = ad.init_mha(rng2, 8, 2)
-    kv = r(1, 4, 8)
-    mha_w = r(1, 3, 8)
-    checks.append(("multi_head_attention", lambda x: ad.reduce_sum(
-        ad.mul(ad.multi_head_attention(x, kv, kv, mha), mha_w)), r(1, 3, 8)))
-
-    checks.append(("extract_patches", lambda x: ad.reduce_sum(
-        ad.pow_const(ad.extract_patches(x, 3, 2, 1), 2.0)), r(1, 6, 6, 3)))
-    pts = np.array([[[0.3, 1.2], [2.7, 0.4], [1.5, 2.5], [3.2, 3.4]],
-                    [[1.1, 0.2], [3.9, 3.0], [0.5, 2.5], [2.2, 1.4]]])
-    bsw = r(2, 4, 3)
-    checks.append(("bilinear_sample", lambda x: ad.reduce_sum(
-        ad.mul(ad.bilinear_sample(x, pts), bsw)), r(2, 5, 5, 3)))
-
-    boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
-    checks.append(("giou_pairs", lambda x: ad.reduce_sum(
-        geo.giou_pairs(ad.sigmoid(x), boxes)), r(2, 4)))
+    n = lambda *s: rng.normal(size=s)
+    pos = lambda *s: rng.uniform(0.5, 2.0, size=s)
+    off_zero = lambda *s: rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.2, 2.0, size=s)
+    mha = ad.init_mha(rng, 8, 2)
+    points = np.array([[[0.3, 1.2], [2.7, 0.4], [1.5, 2.5], [3.2, 3.4]],
+                       [[1.1, 0.2], [3.9, 3.0], [0.5, 2.5], [2.2, 1.4]]])
+    gt_boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
     targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    checks.append(("focal_loss", lambda x: ad.reduce_sum(
-        mt.focal_loss_logits(x, targets, 0.25, 2.0)), r(3, 2)))
+    return [
+        ("add", ad.add, [n(3, 4), n(3, 4)]),
+        ("sub", ad.sub, [n(3, 4), n(3, 4)]),
+        ("mul", ad.mul, [n(3, 4), n(3, 4)]),
+        ("div", ad.div, [n(3, 4), pos(3, 4)]),
+        ("neg", ad.neg, [n(3, 4)]),
+        ("exp", ad.exp, [n(3, 4)]),
+        ("log", ad.log, [pos(3, 4)]),
+        ("sqrt", ad.sqrt, [pos(3, 4)]),
+        ("pow_const", lambda x: ad.pow_const(x, 2.7), [pos(3, 4)]),
+        ("abs", ad.absolute, [off_zero(3, 4)]),
+        ("sigmoid", ad.sigmoid, [n(3, 4)]),
+        ("softplus", ad.softplus, [n(3, 4)]),
+        ("relu", ad.relu, [off_zero(3, 4)]),
+        ("maximum", ad.maximum, [n(3, 4), n(3, 4)]),
+        ("minimum", ad.minimum, [n(3, 4), n(3, 4)]),
+        ("sum", lambda x: ad.reduce_sum(x, axis=0), [n(3, 4)]),
+        ("reshape", lambda x: ad.reshape(x, (4, 3)), [n(2, 6)]),
+        ("transpose", lambda x: ad.transpose(x, (2, 0, 1)), [n(2, 3, 4)]),
+        ("concat", lambda a, b: ad.concat([a, b], axis=1), [n(3, 2), n(3, 4)]),
+        ("gather_rows", lambda x: ad.gather_rows(x, [0, 3, -2]), [n(4, 3)]),
+        ("row_update", lambda x, rows: ad.row_update(x, [1, 3], rows), [n(4, 4), n(2, 4)]),
+        ("matmul", ad.matmul, [n(2, 3, 4), n(4, 5)]),
+        ("softmax", lambda x: ad.softmax(x, axis=-1), [n(2, 5)]),
+        ("layer_norm", ad.layer_norm, [n(2, 3, 6), pos(6), n(6)]),
+        ("attention", lambda q, k, v: ad.attention(q, k, v, 2),
+         [n(2, 3, 8), n(2, 4, 8), n(2, 4, 8)]),
+        ("extract_patches", lambda x: ad.extract_patches(x, 3, 2, 1), [n(1, 6, 6, 3)]),
+        ("bilinear_sample", lambda f: ad.bilinear_sample(f, points), [n(2, 5, 5, 3)]),
+        ("linear", lambda x, w, b: ad.linear(x, ad.LinearParams(w, b)),
+         [n(2, 3, 4), n(4, 5), n(5)]),
+        ("logsumexp", lambda x: ad.logsumexp(x, axis=-1), [n(3, 5)]),
+        ("multi_head_attention", lambda q, k, v: ad.multi_head_attention(q, k, v, mha),
+         [n(1, 3, 8), n(1, 4, 8), n(1, 4, 8)]),
+        ("giou_pairs", lambda x: geo.giou_pairs(ad.sigmoid(x), gt_boxes), [n(2, 4)]),
+        ("focal_loss", lambda x: mt.focal_loss_logits(x, targets), [n(3, 2)]),
+        # matmul's adjoint for a right operand with leading axes, here
+        # broadcast against the left's; gather_rows' for repeated rows.
+        ("matmul_batched", ad.matmul, [n(1, 3, 4), n(2, 4, 5)]),
+        ("gather_rows_repeated", lambda x: ad.gather_rows(x, [2, 0, -1, 1, 2, 0]), [n(3, 4)]),
+    ]
 
-    # The folded weight adjoint and the repeated-index scatter; appended so
-    # that the draws above keep their values.
-    left, mw = r(2, 3, 4), r(2, 3, 5)
-    checks.append(("matmul_batched_weight", lambda x: ad.reduce_sum(
-        ad.mul(ad.matmul(left, x), mw)), r(4, 5)))
-    shared, sw = r(4, 5), r(2, 1, 5)
-    checks.append(("matmul_shared_weight", lambda x: ad.reduce_sum(
-        ad.mul(ad.matmul(x, shared), sw)), r(2, 1, 4)))
-    gw = r(6, 4)
-    checks.append(("gather_rows_repeated", lambda x: ad.reduce_sum(
-        ad.mul(ad.gather_rows(x, [2, 0, 2, 1, 2, 0]), gw)), r(3, 4)))
 
+def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
+    """Check each input of each primitive_cases row with the other inputs
+    held constant, the output weighted by seeded random values. Input i of
+    a row with several inputs is reported as name[i]."""
+    rng = np.random.default_rng(seed + 1)
     reports = []
-    for name, fn, x in checks:
-        reports.append(ad.grad_check(fn, x, tol=tol, name=name))
+    for name, op, arrays in primitive_cases(seed):
+        inputs = [ad.tensor(a) for a in arrays]
+        weight = ad.tensor(rng.normal(size=op(*inputs).shape))
+        for i, x in enumerate(inputs):
+            reports.append(ad.grad_check(lambda _x: ad.reduce_sum(ad.mul(op(*inputs), weight)),
+                                         x, tol=tol,
+                                         name=f"{name}[{i}]" if len(inputs) > 1 else name))
     return reports
-
-
-def operand_checks(seed: int, tol: float) -> list[GradCheckReport]:
-    """The inputs that primitive_checks holds constant: the other operand
-    of the binary primitives and every input of layer_norm, attention and
-    linear. A check named op[i] differentiates input i of op only."""
-    rng = np.random.default_rng(seed + 3)
-    r = lambda *s: ad.tensor(rng.normal(size=s))
-    rp = lambda *s: ad.tensor(rng.uniform(0.5, 2.0, size=s))
-    checks: list[tuple[str, object, Tensor]] = []
-
-    a, w = r(3, 4), r(3, 4)
-    checks.append(("add[1]", lambda x: ad.reduce_sum(ad.mul(ad.add(a, x), w)), r(3, 4)))
-    checks.append(("sub[1]", lambda x: ad.reduce_sum(ad.mul(ad.sub(a, x), w)), r(3, 4)))
-    checks.append(("mul[1]", lambda x: ad.reduce_sum(ad.mul(a, x)), r(3, 4)))
-    checks.append(("maximum[1]", lambda x: ad.reduce_sum(ad.maximum(a, x)), r(3, 4)))
-    checks.append(("minimum[1]", lambda x: ad.reduce_sum(ad.minimum(a, x)), r(3, 4)))
-    base, rw = r(4, 4), r(4, 4)
-    checks.append(("row_update[1]", lambda x: ad.reduce_sum(
-        ad.mul(ad.row_update(base, [1, 3], x), rw)), r(2, 4)))
-    head, cw = r(2, 4), r(5, 4)
-    checks.append(("concat[1]", lambda x: ad.reduce_sum(
-        ad.mul(ad.concat([head, x], axis=0), cw)), r(3, 4)))
-
-    ln_x, gain, bias, lnw = r(2, 3, 6), rp(6), r(6), r(2, 3, 6)
-    checks.append(("layer_norm[1]", lambda x: ad.reduce_sum(
-        ad.mul(ad.layer_norm(ln_x, x, bias), lnw)), rp(6)))
-    checks.append(("layer_norm[2]", lambda x: ad.reduce_sum(
-        ad.mul(ad.layer_norm(ln_x, gain, x), lnw)), r(6)))
-
-    # Two problems, three queries over four keys, two heads of width 4.
-    q, k, v, aw = r(2, 3, 8), r(2, 4, 8), r(2, 4, 8), r(2, 3, 8)
-    checks.append(("attention[0]", lambda x: ad.reduce_sum(
-        ad.mul(ad.attention(x, k, v, 2), aw)), r(2, 3, 8)))
-    checks.append(("attention[1]", lambda x: ad.reduce_sum(
-        ad.mul(ad.attention(q, x, v, 2), aw)), r(2, 4, 8)))
-    checks.append(("attention[2]", lambda x: ad.reduce_sum(
-        ad.mul(ad.attention(q, k, x, 2), aw)), r(2, 4, 8)))
-
-    left, lw, lb, yw = r(2, 3, 4), r(4, 5), r(5), r(2, 3, 5)
-    checks.append(("linear[0]", lambda x: ad.reduce_sum(
-        ad.mul(ad.linear(x, ad.LinearParams(lw, lb)), yw)), r(2, 3, 4)))
-    checks.append(("linear[1]", lambda x: ad.reduce_sum(
-        ad.mul(ad.linear(left, ad.LinearParams(x, lb)), yw)), r(4, 5)))
-    checks.append(("linear[2]", lambda x: ad.reduce_sum(
-        ad.mul(ad.linear(left, ad.LinearParams(lw, x)), yw)), r(5)))
-
-    return [ad.grad_check(fn, x, tol=tol, name=name) for name, fn, x in checks]
 
 
 def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
@@ -211,4 +156,4 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
 
 def run_suite(seed: int = 0, tol: float = 1e-4) -> list[GradCheckReport]:
     with ad.precision(64):
-        return primitive_checks(seed, tol) + model_checks(seed, tol) + operand_checks(seed, tol)
+        return primitive_checks(seed, tol) + model_checks(seed, tol)

@@ -36,13 +36,12 @@ class Assignment:
     pred_of_gt: tuple[int, ...]
 
 
-def focal_loss_logits(logits: Tensor, targets: np.ndarray, alpha: float,
-                      gamma: float) -> Tensor:
+def focal_loss_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Elementwise focal loss of a logits tensor against a 0/1 target mask."""
     t = np.asarray(targets, dtype=np.float64)
     p = ad.sigmoid(logits)
-    pos = ad.pow_const(1.0 - p, gamma) * ad.softplus(-logits) * alpha
-    neg = ad.pow_const(p, gamma) * ad.softplus(logits) * (1.0 - alpha)
+    pos = ad.pow_const(1.0 - p, FOCAL_GAMMA) * ad.softplus(-logits) * FOCAL_ALPHA
+    neg = ad.pow_const(p, FOCAL_GAMMA) * ad.softplus(logits) * (1.0 - FOCAL_ALPHA)
     return pos * ad.tensor(t) + neg * ad.tensor(1.0 - t)
 
 
@@ -226,8 +225,7 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
             targets[t, assignment.pred_of_gt[j], cls_id] = 1.0
             matched_rows.append(t * L + assignment.pred_of_gt[j])
             gt_boxes.append(box.as_array())
-    cls_loss = ad.reduce_sum(
-        focal_loss_logits(logits, targets, FOCAL_ALPHA, FOCAL_GAMMA))
+    cls_loss = ad.reduce_sum(focal_loss_logits(logits, targets))
 
     if matched_rows:
         pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (T * L, 4)), matched_rows)

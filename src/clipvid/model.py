@@ -422,21 +422,22 @@ class Detection:
 
 
 def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[Detection]]:
-    """Per-frame scored boxes from every (query, class) slot above threshold.
+    """Per-frame scored boxes from every (query, class) slot above threshold,
+    in descending score order; equal scores keep (query, class) order.
 
     Reference boxes may reach past the frame edge; each detection keeps only
     the part inside the frame (corners clipped to [0, 1])."""
+    scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
+    b = last_layer.boxes
+    corners = np.clip(np.concatenate([b[..., :2] - b[..., 2:] / 2.0,
+                                      b[..., :2] + b[..., 2:] / 2.0], axis=-1), 0.0, 1.0)
+    keep = scores > cfg.score_thresh                                       # [T, L, C]
     out = []
-    clip_scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
-    for scores, b in zip(clip_scores, last_layer.boxes):
-        corners = np.clip(np.concatenate([b[:, :2] - b[:, 2:] / 2.0,
-                                          b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)
-        dets = []
-        for j, row in enumerate(corners.tolist()):
-            box = Box.from_corners(*row)
-            for c in range(scores.shape[1]):
-                if scores[j, c] > cfg.score_thresh:
-                    dets.append(Detection(c, float(scores[j, c]), box))
-        dets.sort(key=lambda dd: -dd.score)
-        out.append(dets)
+    for frame_scores, frame_keep, frame_corners in zip(scores, keep, corners):
+        query, cls = np.nonzero(frame_keep)
+        kept = frame_scores[query, cls]
+        order = np.argsort(-kept, kind="stable")
+        boxes = [Box.from_corners(*row) for row in frame_corners.tolist()]
+        out.append([Detection(c, score, boxes[j]) for j, c, score
+                    in zip(query[order].tolist(), cls[order].tolist(), kept[order].tolist())])
     return out

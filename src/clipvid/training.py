@@ -24,6 +24,13 @@ from .errors import ConfigError, InputError
 from .synthvid import ClipSample
 
 CONTRASTIVE_WEIGHT = 1.0
+# AdamW's moment decay rates, denominator floor and decoupled weight decay,
+# and the global gradient norm above which gradients are rescaled.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 1e-4
+MAX_GRAD_NORM = 5.0
 
 
 @dataclass
@@ -79,20 +86,17 @@ def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
 
 @dataclass
 class AdamW:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
+    """The optimizer's state: the step count and each parameter's first
+    and second moment estimates."""
+
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self, params: dict[str, Tensor], lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, params: dict[str, Tensor], lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in params.items():
             g = p.grad
             if g is None:
@@ -102,14 +106,14 @@ class AdamW:
                 self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps)
-                            + self.weight_decay * p.data)
+            p.data -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
+                            + WEIGHT_DECAY * p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +140,14 @@ def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
     return frames, gts
 
 
-def _clip_gradients(params: dict[str, Tensor], max_norm: float = 5.0) -> None:
+def _clip_gradients(params: dict[str, Tensor]) -> None:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > MAX_GRAD_NORM:
+        scale = MAX_GRAD_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
@@ -172,7 +176,7 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         trainable = dict(named)
     if not (use_ica and stage >= 2):
         cfg = replace(cfg, ica_layers=0)
-    opt = AdamW(lr=settings.lr)
+    opt = AdamW()
     rng = np.random.default_rng(settings.seed)
     lines = []
 

@@ -315,6 +315,26 @@ def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
     return interpolated_ap(flags, len(gts))
 
 
+def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
+    """Per-frame detections one (query, class) slot at a time: every slot
+    above the score threshold, its box clipped to the frame, then a stable
+    sort by descending score."""
+    out = []
+    clip_scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
+    for scores, b in zip(clip_scores, last_layer.boxes):
+        corners = np.clip(np.concatenate([b[:, :2] - b[:, 2:] / 2.0,
+                                          b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)
+        dets = []
+        for j, row in enumerate(corners.tolist()):
+            box = Box.from_corners(*row)
+            for c in range(scores.shape[1]):
+                if scores[j, c] > cfg.score_thresh:
+                    dets.append(M.Detection(c, float(scores[j, c]), box))
+        dets.sort(key=lambda dd: -dd.score)
+        out.append(dets)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Composed layers
 
@@ -396,10 +416,10 @@ def mask_within_frames(monkeypatch) -> None:
 # Fault injection
 
 
-def corrupt_adjoint(monkeypatch, op: str, position: int | None = None) -> None:
-    """Add 1000 to the gradient of input `position` (by default the first
-    gradient computed) that the primitive recorded as op returns, so a
-    gradient check through that input must fail."""
+def corrupt_adjoint(monkeypatch, op: str, position: int = 0) -> None:
+    """Add 1000 to the gradient of input `position` that the primitive
+    recorded as op returns, so a gradient check through that input must
+    fail."""
     record = ad._record
 
     def corrupted(name, inputs, out_data, backward):
@@ -408,11 +428,8 @@ def corrupt_adjoint(monkeypatch, op: str, position: int | None = None) -> None:
 
             def backward(g):
                 grads = list(inner(g))
-                i = position
-                if i is None:
-                    i = next(i for i, gr in enumerate(grads) if gr is not None)
-                if grads[i] is not None:
-                    grads[i] = grads[i] + 1000.0
+                if grads[position] is not None:
+                    grads[position] = grads[position] + 1000.0
                 return tuple(grads)
 
         return record(name, inputs, out_data, backward)

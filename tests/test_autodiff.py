@@ -15,19 +15,14 @@ from oracles import (composed_attention, composed_layer_norm, composed_linear,
                      composed_multi_head_attention, corrupt_adjoint, scatter_add_rows,
                      stacked_matmul_adjoint)
 
-# Every primitive that records itself on the tape and the inputs it names,
-# read from the source so that a new primitive, or a new input, without a
-# gradient check fails the tests below. concat's parts are checked in pairs.
+# Every primitive that records itself on the tape and the number of inputs
+# it records, read from the source so that a new primitive, or a new input,
+# without a gradient check fails the tests below. concat's parts are checked
+# in pairs.
 RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad))))
 ARITY = {"concat": 2} | {op: len([n for n in names.split(",") if n.strip()]) for op, names
                          in re.findall(r'_record\("(\w+)", \(([^)]*)\)', inspect.getsource(ad))}
-CHECK_OF_OP = {"concat": "concat_gather", "gather_rows": "concat_gather",
-               "reshape": "reshape_transpose", "transpose": "reshape_transpose",
-               "linear": "multi_head_attention"}
-# Inputs after the first, each with the check that differentiates it: by
-# default operand_checks' op[i].
-LATER_INPUTS = [(op, i) for op in RECORDED_OPS for i in range(1, ARITY[op])]
-CHECK_OF_INPUT = {("div", 1): "div", ("matmul", 1): "matmul_batched_weight"}
+INPUTS = [(op, i) for op in RECORDED_OPS for i in range(ARITY[op])]
 
 
 def test_matmul_identity():
@@ -181,23 +176,29 @@ def test_grad_check_through_a_closure_restores_the_tensor():
     assert not x.requires_grad and x.grad is None
 
 
-@pytest.mark.parametrize("op", RECORDED_OPS)
-def test_primitive_checks_catch_a_corrupted_adjoint(monkeypatch, op):
-    corrupt_adjoint(monkeypatch, op)
-    failed = [r.name for r in gradcheck_suite.primitive_checks(0, 1e-4) if not r.passed]
-    assert any(CHECK_OF_OP.get(op, op) in name for name in failed), failed
+def test_every_recorded_op_has_a_case_of_its_arity():
+    arity = {name: len(arrays) for name, _op, arrays in gradcheck_suite.primitive_cases(0)}
+    assert {op: arity.get(op) for op in RECORDED_OPS} == ARITY
 
 
-@pytest.mark.parametrize("op,position", LATER_INPUTS,
-                         ids=[f"{op}[{i}]" for op, i in LATER_INPUTS])
-def test_checks_catch_a_corrupted_adjoint_of_every_later_input(monkeypatch, op, position):
-    """The test above corrupts the first gradient an adjoint computes, that
-    of input 0 in every check; this one each further input."""
+def _corrupted_input_fails_its_check(monkeypatch, op, position):
+    """Corrupt the gradient op's adjoint returns for one input: the check
+    of that input, op or op[i], must fail."""
     corrupt_adjoint(monkeypatch, op, position)
-    failed = [r.name for r in gradcheck_suite.primitive_checks(0, 1e-4)
-              + gradcheck_suite.operand_checks(0, 1e-4) if not r.passed]
-    assert any(CHECK_OF_INPUT.get((op, position), f"{op}[{position}]") in name
-               for name in failed), failed
+    failed = {r.name for r in gradcheck_suite.primitive_checks(0, 1e-4) if not r.passed}
+    assert (f"{op}[{position}]" if ARITY[op] > 1 else op) in failed, failed
+
+
+# One (op, input) list, run as input 0 and the inputs after it.
+@pytest.mark.parametrize("op", [op for op, i in INPUTS if i == 0])
+def test_primitive_checks_catch_a_corrupted_adjoint(monkeypatch, op):
+    _corrupted_input_fails_its_check(monkeypatch, op, 0)
+
+
+@pytest.mark.parametrize("op,position", [(op, i) for op, i in INPUTS if i > 0],
+                         ids=[f"{op}[{i}]" for op, i in INPUTS if i > 0])
+def test_checks_catch_a_corrupted_adjoint_of_every_later_input(monkeypatch, op, position):
+    _corrupted_input_fails_its_check(monkeypatch, op, position)
 
 
 def test_grad_check_requires_64bit():

@@ -14,7 +14,7 @@ from clipvid import training as tr
 from clipvid.errors import ConfigError
 from clipvid.geometry import Box
 from oracles import (adapt_region_feature, detection_head, guided_cross_attention,
-                     mask_within_frames)
+                     loop_extract_detections, mask_within_frames)
 
 
 def micro_cfg(**kw):
@@ -475,6 +475,33 @@ def test_extract_detections_threshold(rng):
     logits = out[-1].logits.data[0]
     n_above = int((1 / (1 + np.exp(-logits)) > 0.5).sum())
     assert len(dets[0]) == n_above
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extract_detections_matches_the_slot_loop(seed):
+    """The clip-wide threshold mask gives the slot loop's detections, in its
+    order, with equal class, score and box fields, at every threshold: 32-bit
+    desk models, as inference runs them."""
+    with ad.precision(32):
+        cfg = desk_cfg()
+        rng = np.random.default_rng(seed)
+        params = M.init_model(cfg, rng)
+        last = M.clip_forward(rng.random((16, 64, 64, 3)), cfg, params)[-1]
+    for thresh in (0.0, 0.05, 0.5):
+        run = dataclasses.replace(cfg, score_thresh=thresh)
+        assert repr(M.extract_detections(last, run)) == repr(loop_extract_detections(last, run))
+
+
+def test_extract_detections_keeps_slot_order_among_equal_scores():
+    """Equal scores keep (query, class) order, as the slot loop's stable sort."""
+    cfg = micro_cfg(score_thresh=0.3)
+    logits = np.array([[[0.0, 1.0], [1.0, 0.0], [0.0, -2.0]]])          # [T=1, L=3, C=2]
+    boxes = np.tile([0.5, 0.5, 0.2, 0.2], (1, 3, 1)) + np.arange(3)[None, :, None] * 0.1
+    last = M.LayerOutput(ad.tensor(logits), ad.tensor(boxes), boxes, None, None)
+    [dets] = M.extract_detections(last, cfg)
+    assert [(d.class_id, round(d.box.cx, 9)) for d in dets] == [
+        (1, 0.5), (0, 0.6), (0, 0.5), (1, 0.6), (0, 0.7)]
+    assert repr([dets]) == repr(loop_extract_detections(last, cfg))
 
 
 def test_detections_lie_inside_frame(rng):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -68,3 +69,42 @@ def test_stacked_clip_loss_equals_per_layer_loop():
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert np.array_equal(g, ref_grads[name]), name
+
+
+def test_adamw_first_step_is_the_closed_form(rng):
+    """From fresh state the bias-corrected moments are g and g*g, so the
+    first step is p - lr * (g / (|g| + eps) + wd * p); a parameter without
+    a gradient is left alone."""
+    p = ad.param(rng.normal(size=(3, 4)))
+    p.grad[:] = rng.normal(size=(3, 4))
+    frozen = ad.tensor(rng.normal(size=5))
+    p0, frozen0 = p.data.copy(), frozen.data.copy()
+    opt = tr.AdamW()
+    opt.step({"p": p, "frozen": frozen}, lr=0.01)
+    want = p0 - 0.01 * (p.grad / (np.abs(p.grad) + tr.ADAM_EPS) + tr.WEIGHT_DECAY * p0)
+    assert np.abs(p.data - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(frozen.data, frozen0)
+    assert opt.t == 1 and opt.m.keys() == {"p"}
+
+
+@pytest.mark.parametrize("kind", ["above", "at", "below"])
+def test_clip_gradients_caps_the_global_norm(rng, kind):
+    """Gradients whose global norm exceeds the threshold are rescaled to
+    exactly it; gradients at or below it keep their bits. The "at" case
+    is a (3, 4) pair, whose norm is exactly 5."""
+    a, b = ad.param(np.zeros((2, 3))), ad.param(np.zeros(4))
+    if kind == "at":
+        a.grad[0, 0], b.grad[1] = 3.0, 4.0
+        assert tr.MAX_GRAD_NORM == 5.0
+    else:
+        size = 10.0 if kind == "above" else 0.01
+        a.grad[:], b.grad[:] = size * rng.normal(size=(2, 3)), size * rng.normal(size=4)
+    before = [a.grad.copy(), b.grad.copy()]
+    tr._clip_gradients({"a": a, "b": b, "const": ad.tensor(np.zeros(2))})
+    norm = lambda grads: math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if kind == "above":
+        assert norm(before) > tr.MAX_GRAD_NORM
+        assert norm([a.grad, b.grad]) == pytest.approx(tr.MAX_GRAD_NORM, rel=1e-12)
+    else:
+        assert norm(before) <= tr.MAX_GRAD_NORM
+        assert np.array_equal(a.grad, before[0]) and np.array_equal(b.grad, before[1])
