@@ -252,23 +252,25 @@ def absolute(a: Tensor) -> Tensor:
     return _record("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow for large |x|."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def stable_softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) without overflow for large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = stable_sigmoid(a.data)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
-
-    return _record("softplus", (a,), out, backward)
+    return _record("softplus", (a,), stable_softplus(x), lambda g: (g * stable_sigmoid(x),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -642,27 +644,32 @@ class GradCheckReport:
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
                step: float = 1e-5, tol: float = 1e-4,
-               name: str = "f") -> GradCheckReport:
-    """Compare the taped gradient of a scalar function against central differences.
+               name: str = "f", weight: np.ndarray | None = None) -> GradCheckReport:
+    """Compare the taped gradient of sum(weight * f(x)) against central
+    differences; without a weight, f must be scalar-valued.
 
-    Runs in the current precision, which must be 64-bit, on a float64 x.
-    The differences perturb x in place, one element at a time, so f may
-    read x through a closure (a model parameter) rather than its argument;
-    x.requires_grad and x.grad are restored afterwards. f must be
-    deterministic in x.
+    The weighting stays off the tape: it seeds the backward pass, so a
+    check exercises only the records f makes. Runs in the current
+    precision, which must be 64-bit, on a float64 x. The differences
+    perturb x in place, one element at a time, so f may read x through a
+    closure (a model parameter) rather than its argument; x.requires_grad
+    and x.grad are restored afterwards. f must be deterministic in x.
     """
     if get_dtype() != np.float64 or x.data.dtype != np.float64:
         raise ConfigError("grad_check requires 64-bit precision mode and a float64 x")
+    w = 1.0 if weight is None else weight
     saved = (x.requires_grad, x.grad)
     x.requires_grad, x.grad = True, np.zeros_like(x.data)
     try:
         with ComputationTape() as tape:
             y = f(x)
-        if y.data.size != 1:
+        if weight is None and y.data.size != 1:
             raise DimensionError(f"grad_check: f must be scalar-valued, got {y.shape}")
+        if weight is not None and y.shape != np.shape(weight):
+            raise DimensionError(f"grad_check: f gives {y.shape}, weight is {np.shape(weight)}")
         if not np.isfinite(y.data).all():
             raise NumericError("grad_check: non-finite function value")
-        tape.backward(y)
+        tape.backward(y, seed=weight)
         analytic = x.grad.copy()
     finally:
         x.requires_grad, x.grad = saved
@@ -671,9 +678,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     for i in np.ndindex(x.shape):
         orig = x.data[i]
         x.data[i] = orig + step
-        fp = float(f(x).data)
+        fp = float(np.sum(w * f(x).data))
         x.data[i] = orig - step
-        fm = float(f(x).data)
+        fm = float(np.sum(w * f(x).data))
         x.data[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError("grad_check: non-finite function value")

@@ -69,12 +69,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
     itemsize = 8 if precision == 64 else 4
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
+        entry_at = off
         (name_len,) = struct.unpack("<H", take(2))
         name_at = off
         try:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError(f"{path}: offset {name_at}: tensor name is not valid UTF-8") from None
+        if name in out:
+            raise ParseError(f"{path}: offset {entry_at}: repeated tensor name {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         n = int(np.prod(shape)) if shape else 1

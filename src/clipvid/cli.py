@@ -5,8 +5,9 @@ Exit codes:
   0  ok
   1  usage or config error: bad arguments, or a ConfigError such as a
      malformed --config value or a checkpoint that does not fit the config
-  2  I/O error: an unreadable file, or a ParseError from a malformed
-     dataset or checkpoint (the message gives the byte offset or line)
+  2  I/O error: any file a command cannot read or write, or a ParseError
+     from a malformed dataset or checkpoint (the message gives the byte
+     offset or line)
   3  check failure (gradcheck)
   4  numeric error: a NumericError, such as a NaN or inf in the model's
      activations, costs or losses (e.g. after a diverging --lr)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -44,17 +46,21 @@ EXIT_CHECK = 3
 EXIT_NUMERIC = 4
 EXIT_INPUT = 5
 EXIT_CAPACITY = 6
-# Typed errors a command may raise: exit code and message label.
+# Errors a command may raise: exit code and message label. main alone turns
+# an exception into an exit code.
 ERROR_EXITS = {ConfigError: (EXIT_USAGE, "error"), ParseError: (EXIT_IO, "I/O error"),
+               OSError: (EXIT_IO, "I/O error"),
                NumericError: (EXIT_NUMERIC, "numeric error"),
                InputError: (EXIT_INPUT, "input error"),
                CapacityError: (EXIT_CAPACITY, "capacity error")}
 
 TRAIN_VARIANTS = ("full", "no_ica")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica")
-# Inference knobs of eval and ablate: the ModelConfig field each sets and its
-# smallest valid value.
-KNOBS = {"frames": ("t_infer", 1), "topk": ("ica_topk", 1), "ica_layers": ("ica_layers", 0)}
+# Inference knobs of eval and ablate: the ModelConfig field each sets, its
+# smallest valid value and the checkpoint config field, named as in messages,
+# that it may not exceed.
+KNOBS = {"frames": ("t_infer", 1, None), "topk": ("ica_topk", 1, ("num_queries", "queries")),
+         "ica_layers": ("ica_layers", 0, ("ica_layers", "checkpoint ICA layers"))}
 # ModelConfig fields a run may set apart from its checkpoint's; every other
 # field shapes the model and must match the checkpoint's sidecar.
 RUN_FIELDS = ("t_train", "t_infer", "ica_topk", "score_thresh")
@@ -76,6 +82,20 @@ def _int_at_least(least: int):
 
     parse.__name__ = "int"            # argparse names the type in its errors
     return parse
+
+
+def _grid_axis(spec: str) -> tuple[str, str, list[int]]:
+    """Parse one --grid knob=v1,v2,... into (spec, knob, values)."""
+    key, _, vals = spec.partition("=")
+    key = key.strip()
+    try:
+        values = [_int_at_least(KNOBS[key][1])(v) for v in vals.split(",") if v]
+        if values:
+            return spec, key, values
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
+        pass
+    least = "; ".join(f"{k} at least {knob[1]}" for k, knob in KNOBS.items())
+    raise argparse.ArgumentTypeError(f"bad grid spec {spec!r} (knobs: {least})")
 
 
 def build_parser() -> _Parser:
@@ -103,9 +123,9 @@ def build_parser() -> _Parser:
     t.add_argument("--ckpt-in")
     t.add_argument("--ckpt-out", required=True)
     t.add_argument("--seed", type=_int_at_least(0), default=0)
-    t.add_argument("--iters", type=int)
+    t.add_argument("--iters", type=_int_at_least(0))
     t.add_argument("--lr", type=float)
-    t.add_argument("--lr-drop", type=int)
+    t.add_argument("--lr-drop", type=_int_at_least(0))
     t.add_argument("--batch", type=_int_at_least(1), default=2)
     t.add_argument("--log", help="loss log path (default: <ckpt-out>.log)")
 
@@ -113,8 +133,9 @@ def build_parser() -> _Parser:
     e.add_argument("--data", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--variant", choices=EVAL_VARIANTS, default="full")
-    e.add_argument("--frames", type=_int_at_least(1), help="inference frames per pass")
-    e.add_argument("--topk", type=_int_at_least(1), help="override aggregation top-k")
+    e.add_argument("--frames", type=_int_at_least(KNOBS["frames"][1]),
+                   help="inference frames per pass")
+    e.add_argument("--topk", type=_int_at_least(KNOBS["topk"][1]), help="override aggregation top-k")
     e.add_argument("--out", required=True, help="report path prefix")
     e.add_argument("--dump-matches", help="write identity-match diagnostics here")
 
@@ -125,7 +146,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("ablate", help="evaluate a grid of inference knobs")
     a.add_argument("--data", required=True)
     a.add_argument("--ckpt", required=True)
-    a.add_argument("--grid", action="append", default=[],
+    a.add_argument("--grid", type=_grid_axis, action="append", default=[],
                    help="knob=v1,v2,... (frames | topk | ica_layers)")
     a.add_argument("--out", required=True, help="table file path")
     return p
@@ -149,27 +170,29 @@ def cmd_gen(args) -> int:
                        t=args.frames, occluder_prob=args.occluder_prob,
                        blur_scale=args.blur_scale).validate()
     samples = sv.generate_dataset(cfg, args.clips, args.seed)
-    try:
-        sv.write_dataset(samples, args.out)
-        _snapshot(os.path.join(args.out, "config.txt"), {
-            "seed": args.seed, "clips": args.clips, "frames": cfg.t,
-            "frame_size": cfg.frame_size, "num_classes": cfg.num_classes,
-            "min_objects": cfg.min_objects, "max_objects": cfg.max_objects,
-            "occluder_prob": cfg.occluder_prob, "blur_scale": cfg.blur_scale,
-            "slow_max": cfg.slow_max, "fast_min": cfg.fast_min})
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    sv.write_dataset(samples, args.out)
+    _snapshot(os.path.join(args.out, "config.txt"), {
+        "seed": args.seed, "clips": args.clips, "frames": cfg.t,
+        "frame_size": cfg.frame_size, "num_classes": cfg.num_classes,
+        "min_objects": cfg.min_objects, "max_objects": cfg.max_objects,
+        "occluder_prob": cfg.occluder_prob, "blur_scale": cfg.blur_scale,
+        "slow_max": cfg.slow_max, "fast_min": cfg.fast_min})
     n_tracks = sum(len(s.tracks) for s in samples)
     print(f"wrote {len(samples)} clips, {n_tracks} tracks to {args.out}")
     return EXIT_OK
 
 
-def _load_params(cfg: ModelConfig, ckpt_path: str) -> M.ModelParams:
+def _load_params(ckpt_path: str, cfg: ModelConfig | None = None
+                 ) -> tuple[ModelConfig, M.ModelParams]:
+    """Load a checkpoint and the config it was built with: its sidecar
+    <ckpt>.config.txt if one exists, else ModelConfig(). A given cfg is used
+    in its place and must match the sidecar in every field but RUN_FIELDS.
+    Returns the config used and the parameters."""
     data, _prec = load_checkpoint(ckpt_path)
     sidecar = ckpt_path + ".config.txt"
-    if os.path.exists(sidecar):
-        saved = M.load_config(sidecar)
+    saved = M.load_config(sidecar) if os.path.exists(sidecar) else None
+    cfg = cfg or saved or ModelConfig()
+    if saved is not None:
         for name in (f.name for f in dataclasses.fields(cfg)):
             if name not in RUN_FIELDS and getattr(saved, name) != getattr(cfg, name):
                 raise ConfigError(
@@ -187,7 +210,7 @@ def _load_params(cfg: ModelConfig, ckpt_path: str) -> M.ModelParams:
                               f"{data[name].shape}, config implies {tensor.data.shape}")
         tensor.data = np.ascontiguousarray(data[name], dtype=ad.get_dtype())
         tensor.grad = np.zeros_like(tensor.data)
-    return params
+    return cfg, params
 
 
 STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
@@ -195,17 +218,15 @@ STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
 
 def cmd_train(args) -> int:
     if args.stage == 2 and not args.ckpt_in:
-        print("error: --stage 2 requires --ckpt-in", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--stage 2 requires --ckpt-in")
     dataset = sv.read_dataset(args.data)
     if not dataset:
-        print("error: empty dataset", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("empty dataset")
 
     cfg = M.load_config(args.config) if args.config else ModelConfig()
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     if args.ckpt_in:
-        params = _load_params(cfg, args.ckpt_in)
+        cfg, params = _load_params(args.ckpt_in, cfg)
     else:
         params = M.init_model(cfg, np.random.default_rng(seeds[0]))
 
@@ -219,28 +240,30 @@ def cmd_train(args) -> int:
     log_path = args.log or (args.ckpt_out + ".log")
     use_ica = args.variant != "no_ica"
     os.makedirs(os.path.dirname(os.path.abspath(args.ckpt_out)), exist_ok=True)
-    try:
-        with open(log_path, "w") as log:
-            tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
-        save_checkpoint(M.named_parameters(params), args.ckpt_out,
-                        precision=32 if ad.get_dtype() == np.float32 else 64)
-        M.save_config(cfg, args.ckpt_out + ".config.txt")
-        _snapshot(args.ckpt_out + ".run.txt", {
-            "command": "train", "stage": args.stage, "variant": args.variant,
-            "seed": args.seed, "iters": settings.iters, "lr": settings.lr,
-            "lr_drop_at": settings.lr_drop_at, "batch": settings.batch,
-            "data": args.data, "ckpt_in": args.ckpt_in or ""})
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    with open(log_path, "w") as log:
+        tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
+    save_checkpoint(M.named_parameters(params), args.ckpt_out,
+                    precision=32 if ad.get_dtype() == np.float32 else 64)
+    M.save_config(cfg, args.ckpt_out + ".config.txt")
+    _snapshot(args.ckpt_out + ".run.txt", {
+        "command": "train", "stage": args.stage, "variant": args.variant,
+        "seed": args.seed, "iters": settings.iters, "lr": settings.lr,
+        "lr_drop_at": settings.lr_drop_at, "batch": settings.batch,
+        "data": args.data, "ckpt_in": args.ckpt_in or ""})
     print(f"stage {args.stage} done: {settings.iters} iters -> {args.ckpt_out}")
     return EXIT_OK
 
 
 def _with_knobs(cfg: ModelConfig, knobs: dict[str, int | None]) -> ModelConfig:
-    """cfg with each inference knob given (not None) set."""
-    return dataclasses.replace(cfg, **{KNOBS[k][0]: v for k, v in knobs.items()
-                                       if v is not None}).validate()
+    """cfg with each inference knob given (not None) set. A knob may only
+    lower what the checkpoint config cfg was built with."""
+    given = {key: value for key, value in knobs.items() if value is not None}
+    for key, value in given.items():
+        ceiling = KNOBS[key][2]
+        if ceiling and value > getattr(cfg, ceiling[0]):
+            raise ConfigError(f"{key} {value} exceeds {ceiling[1]} {getattr(cfg, ceiling[0])}")
+    return dataclasses.replace(cfg, **{KNOBS[key][0]: value
+                                       for key, value in given.items()}).validate()
 
 
 def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer",
@@ -257,29 +280,23 @@ def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer"
 
 def cmd_eval(args) -> int:
     dataset = sv.read_dataset(args.data)
-    sidecar = args.ckpt + ".config.txt"
-    cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
+    cfg, params = _load_params(args.ckpt)
     cfg = _with_knobs(cfg, {"frames": args.frames, "topk": args.topk})
     tr.check_classes(dataset, cfg.num_classes)
-    params = _load_params(cfg, args.ckpt)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
     report, diagnostics = _score(dataset, cfg, params, mode, args.variant != "no_ica")
-    try:
-        if args.dump_matches:
-            _write_lines(args.dump_matches,
-                         ica_mod.dump_matches(diagnostics).splitlines() or [""])
-        _write_lines(args.out + ".report.txt", report.lines())
-        _write_lines(args.out + ".buckets.csv", report.table_lines())
-        _snapshot(args.out + ".run.txt", {
-            "command": "eval", "variant": args.variant,
-            "frames": cfg.t_infer, "ckpt": args.ckpt,
-            "data": args.data})
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    for line in report.lines()[:4]:
-        print(line)
+    if args.dump_matches:
+        _write_lines(args.dump_matches,
+                     ica_mod.dump_matches(diagnostics).splitlines() or [""])
+    _write_lines(args.out + ".report.txt", report.lines())
+    _write_lines(args.out + ".buckets.csv", report.table_lines())
+    _snapshot(args.out + ".run.txt", {
+        "command": "eval", "variant": args.variant,
+        "frames": cfg.t_infer, "ckpt": args.ckpt,
+        "data": args.data})
+    for name, value in report.summary().items():
+        print(f"{name}={value:.6f}")
     return EXIT_OK
 
 
@@ -295,55 +312,28 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    grids: dict[str, list[int]] = {}
-    for spec in args.grid:
-        key, _, vals = spec.partition("=")
-        key = key.strip()
-        try:
-            grids[key] = [int(v) for v in vals.split(",") if v]
-        except ValueError:
-            grids[key] = []
-        if key not in KNOBS or not grids[key] or min(grids[key]) < KNOBS[key][1]:
-            print(f"error: bad grid spec {spec!r} (knobs: frames, topk at least 1; "
-                  "ica_layers at least 0)", file=sys.stderr)
-            return EXIT_USAGE
-    if not grids:
-        print("error: empty grid", file=sys.stderr)
-        return EXIT_USAGE
-    sidecar = args.ckpt + ".config.txt"
-    cfg = M.load_config(sidecar) if os.path.exists(sidecar) else ModelConfig()
-    # Runtime knobs may only lower what the checkpoint was built with.
-    for key, what, top in (("topk", "queries", cfg.num_queries),
-                           ("ica_layers", "checkpoint ICA layers", cfg.ica_layers)):
-        if max(grids.get(key, [0])) > top:
-            print(f"error: {key} {max(grids[key])} exceeds {what} {top}", file=sys.stderr)
-            return EXIT_USAGE
+    if not args.grid:
+        raise ConfigError("empty grid")
+    grids = {key: values for _spec, key, values in args.grid}
+    keys = sorted(grids)
+    cells = [dict(zip(keys, values)) for values in itertools.product(*map(grids.get, keys))]
+    cfg, params = _load_params(args.ckpt)
+    cell_cfgs = [_with_knobs(cfg, cell) for cell in cells]
     dataset = sv.read_dataset(args.data)
     tr.check_classes(dataset, cfg.num_classes)
 
-    keys = sorted(grids)
-    cells: list[dict[str, int]] = [{}]
-    for k in keys:
-        cells = [dict(c, **{k: v}) for c in cells for v in grids[k]]
-
-    rows = ["," .join(keys + ["map", "map_slow", "map_medium", "map_fast"])]
-    params = _load_params(cfg, args.ckpt)
-    for cell in cells:
-        report, _ = _score(dataset, _with_knobs(cfg, cell), params)
+    rows: list[str] = []
+    for cell, cell_cfg in zip(cells, cell_cfgs):
+        summary = _score(dataset, cell_cfg, params)[0].summary()
+        if not rows:
+            rows.append(",".join(keys + list(summary)))
         rows.append(",".join([str(cell[k]) for k in keys]
-                             + [f"{report.mean_ap:.6f}",
-                                f"{report.bucket_ap['slow']:.6f}",
-                                f"{report.bucket_ap['medium']:.6f}",
-                                f"{report.bucket_ap['fast']:.6f}"]))
+                             + [f"{value:.6f}" for value in summary.values()]))
         print(rows[-1])
-    try:
-        _write_lines(args.out, rows)
-        _snapshot(args.out + ".run.txt", {
-            "command": "ablate", "ckpt": args.ckpt, "data": args.data,
-            "grid": ";".join(args.grid)})
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _write_lines(args.out, rows)
+    _snapshot(args.out + ".run.txt", {
+        "command": "ablate", "ckpt": args.ckpt, "data": args.data,
+        "grid": ";".join(spec for spec, _key, _values in args.grid)})
     return EXIT_OK
 
 

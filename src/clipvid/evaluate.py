@@ -30,10 +30,14 @@ class EvalReport:
     num_gts: int = 0
     num_dets: int = 0
 
+    def summary(self) -> dict[str, float]:
+        """The headline numbers in report order: map, then map_<bucket> for
+        each bucket."""
+        return {"map": self.mean_ap,
+                **{f"map_{label}": self.bucket_ap[label] for label in SPEED_LABELS}}
+
     def lines(self) -> list[str]:
-        out = [f"map={self.mean_ap:.6f}"]
-        for label in SPEED_LABELS:
-            out.append(f"map_{label}={self.bucket_ap[label]:.6f}")
+        out = [f"{name}={value:.6f}" for name, value in self.summary().items()]
         for c in sorted(self.per_class_ap):
             out.append(f"ap_class{c}={self.per_class_ap[c]:.6f}")
         for label in SPEED_LABELS:

@@ -158,10 +158,8 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
     gcls = np.array([c for c, _ in frame_gts], dtype=np.int64)
 
     x = logits[:, gcls]                                               # [L, G]
-    p = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    softplus_negx = np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * softplus_negx
+    p = ad.stable_sigmoid(x)
+    cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * ad.stable_softplus(-x)
 
     pc = np.stack([pboxes[:, 0] - pboxes[:, 2] / 2, pboxes[:, 1] - pboxes[:, 3] / 2,
                    pboxes[:, 0] + pboxes[:, 2] / 2, pboxes[:, 1] + pboxes[:, 3] / 2], axis=1)

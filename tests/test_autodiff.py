@@ -201,6 +201,22 @@ def test_checks_catch_a_corrupted_adjoint_of_every_later_input(monkeypatch, op, 
     _corrupted_input_fails_its_check(monkeypatch, op, position)
 
 
+@pytest.mark.parametrize("op", ["mul", "sum"])
+def test_a_corrupted_adjoint_fails_only_rows_that_record_it(monkeypatch, op):
+    """The audit weights each row's output outside the tape, so a broken
+    mul or sum adjoint fails no row that never records that op."""
+    recording = set()
+    for name, fn, arrays in gradcheck_suite.primitive_cases(0):
+        with ad.ComputationTape() as tape:
+            fn(*[ad.param(a) for a in arrays])
+        if any(record[0] == op for record in tape.records):
+            recording.add(name)
+    corrupt_adjoint(monkeypatch, op, 0)
+    failed = {r.name.split("[")[0] for r in gradcheck_suite.primitive_checks(0, 1e-4)
+              if not r.passed}
+    assert op in failed and failed <= recording, failed - recording
+
+
 def test_grad_check_requires_64bit():
     ad.set_precision(32)
     with pytest.raises(ConfigError):

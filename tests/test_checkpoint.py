@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
-from clipvid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from clipvid.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from clipvid.errors import ParseError
 
 
@@ -54,3 +56,17 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ParseError):
         load_checkpoint(str(path))
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    """Two entries named w: the second is refused at its offset rather than
+    silently replacing the first."""
+    entry = lambda values: (struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 2)
+                            + np.asarray(values, dtype="<f8").tobytes())
+    header = MAGIC + struct.pack("<IBI", VERSION, 64, 2)
+    first = entry([1.0, 2.0])
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header + first + entry([3.0, 4.0]))
+    with pytest.raises(ParseError) as exc:
+        load_checkpoint(str(path))
+    assert f"offset {len(header) + len(first)}: repeated tensor name 'w'" in str(exc.value)

@@ -303,7 +303,8 @@ def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, 
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--batch", "0"),
     ("ablate", "--ckpt", "x.ckpt", "--out", "t.csv", "--grid", "topk=x"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--seed", "-1"),
-], ids=["batch_zero", "grid_not_int", "seed_negative"])
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--iters", "-3"),
+], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
@@ -327,9 +328,10 @@ def trained_ckpt(dataset, micro_cfg_path, tmp_path_factory):
     ("eval", "--topk", "0"),
     ("eval", "--frames", "0"),
     ("eval", "--frames", "-2"),
+    ("eval", "--topk", "5"),
 ], ids=["ablate_topk_negative", "ablate_topk_zero", "ablate_frames_zero",
         "ablate_ica_layers_negative", "eval_topk_zero", "eval_frames_zero",
-        "eval_frames_negative"])
+        "eval_frames_negative", "eval_topk_above_queries"])
 def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsys,
                                                      tmp_path, argv):
     code = run(*argv, "--data", dataset, "--ckpt", trained_ckpt,
@@ -438,6 +440,22 @@ def test_eval_missing_data_is_io_error(tmp_path):
     code = run("eval", "--data", str(tmp_path / "nope"), "--ckpt", "x",
                "--out", str(tmp_path / "x"))
     assert code == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("config, ckpt_out", [
+    ("missing.cfg", "x.ckpt"),
+    (None, "file/sub/x.ckpt"),
+], ids=["config_missing", "ckpt_out_under_a_file"])
+def test_train_unreadable_or_unwritable_path_is_io_error(dataset, micro_cfg_path, capsys,
+                                                         monkeypatch, tmp_path, config,
+                                                         ckpt_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    code = run("train", "--data", dataset, "--stage", "1", "--iters", "1",
+               "--config", config or micro_cfg_path, "--ckpt-out", ckpt_out)
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "I/O error:" in err and "Traceback" not in err
 
 
 def test_usage_error_exit_code():
