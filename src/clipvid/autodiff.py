@@ -74,10 +74,6 @@ class Tensor:
     def __len__(self) -> int:
         return len(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

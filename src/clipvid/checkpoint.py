@@ -12,6 +12,7 @@ entry:
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -80,8 +81,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], int]:
             raise ParseError(f"{path}: offset {entry_at}: repeated tensor name {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(n * itemsize), dtype=dtype).reshape(shape)
+        arr = np.frombuffer(take(math.prod(shape) * itemsize), dtype=dtype).reshape(shape)
         out[name] = arr.copy()
     if off != len(blob):
         raise ParseError(f"{path}: offset {off}: {len(blob) - off} trailing bytes")

@@ -315,6 +315,8 @@ def cmd_ablate(args) -> int:
     if not args.grid:
         raise ConfigError("empty grid")
     grids = {key: values for _spec, key, values in args.grid}
+    if len(grids) < len(args.grid):
+        raise ConfigError("each --grid knob may be given once")
     keys = sorted(grids)
     cells = [dict(zip(keys, values)) for values in itertools.product(*map(grids.get, keys))]
     cfg, params = _load_params(args.ckpt)

@@ -38,16 +38,12 @@ class Selection:
         return len(self.anchors)
 
 
-def select_topk(logits: np.ndarray, k: int) -> list[int]:
-    """Indices of the k rows of [L, C] logits with the largest max-class
-    sigmoid score, ordered by descending score; ties go to the lower index."""
-    scored = []
-    for j, logit in enumerate(np.max(logits, axis=1).tolist()):
-        score = 1.0 / (1.0 + math.exp(-logit)) if logit >= 0 else \
-            math.exp(logit) / (1.0 + math.exp(logit))
-        scored.append((-score, j))
-    scored.sort()
-    return [j for _, j in scored[:k]]
+def select_topk(logits: np.ndarray, k: int) -> np.ndarray:
+    """Each frame's indices of the k rows of [..., L, C] logits with the
+    largest max-class sigmoid score, as [..., k] by descending score; ties
+    go to the lower index."""
+    scores = ad.stable_sigmoid(logits.max(axis=-1))
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
 def identity_match(idents: np.ndarray, topk: np.ndarray,
@@ -143,7 +139,7 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
     selection = frozen_selection
     if selection is None:
         logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
-        topk = np.array([select_topk(logits[i], cfg.ica_topk) for i in range(T)])
+        topk = select_topk(logits, cfg.ica_topk)
         track_of = None
         if oracle_gts is not None:
             track_of = np.full((T, L), -1)        # per frame: query -> assigned track id

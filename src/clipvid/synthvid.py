@@ -330,6 +330,9 @@ def read_dataset(path: str) -> list[ClipSample]:
             rel = parts[5].split("=", 1)[1]
         except (ValueError, IndexError) as e:
             raise ParseError(f"{mani_path}:{ln}: {e}") from e
+        if min(t, h, w) < 1:
+            raise ParseError(f"{mani_path}:{ln}: clip extents frames={t} height={h} "
+                             f"width={w} must each be at least 1")
         bin_path = os.path.join(path, rel)
         expect = t * h * w * 3 * 4
         try:

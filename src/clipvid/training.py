@@ -6,12 +6,16 @@ disabled; stage 2 fine-tunes the whole model with it enabled. The loss is
 one set loss over every layer's frames of the clip, normalized by the
 clip's object count, plus the pair-normalized contrastive identity loss of
 each layer feeding an aggregation layer.
+
+train() owns one flat parameter vector and one flat gradient vector; each
+trainable tensor's .data and .grad are views of its slice. The optimizer's
+state is the step count t and the moments m and v over that vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,6 +35,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 1e-4
 MAX_GRAD_NORM = 5.0
+# AdamW steps in blocks whose temporaries (at most 64 KiB) reuse freed heap.
+ADAM_BLOCK = 8192
 
 
 @dataclass
@@ -86,34 +92,27 @@ def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
 
 @dataclass
 class AdamW:
-    """The optimizer's state: the step count and each parameter's first
-    and second moment estimates."""
+    """The optimizer's state over one flat parameter vector: the step count
+    and the moment estimates, which the first step allocates, so that they do
+    not add to the first backward pass's peak memory."""
 
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self, params: dict[str, Tensor], lr: float) -> None:
+    def step(self, data: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(data), np.zeros_like(data)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+        for lo in range(0, data.size, ADAM_BLOCK):
+            p, g, m, v = (x[lo:lo + ADAM_BLOCK] for x in (data, grad, self.m, self.v))
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
-                            + WEIGHT_DECAY * p.data)
+            p -= lr * (m / bc1 / (np.sqrt(v / bc2) + ADAM_EPS) + WEIGHT_DECAY * p)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +139,24 @@ def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
     return frames, gts
 
 
-def _clip_gradients(params: dict[str, Tensor]) -> None:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+def flatten(tensors: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the tensors into one flat data vector and one zeroed gradient
+    vector, and rebind each tensor's .data and .grad to reshaped views of
+    its slice of them; returns (data, grad)."""
+    data = np.concatenate([t.data.ravel() for t in tensors])
+    grad = np.zeros_like(data)
+    ends = np.cumsum([t.data.size for t in tensors]).tolist()
+    for t, lo, hi in zip(tensors, [0] + ends, ends):
+        t.data, t.grad = data[lo:hi].reshape(t.shape), grad[lo:hi].reshape(t.shape)
+    return data, grad
+
+
+def _clip_gradients(grad: np.ndarray, views: list[np.ndarray]) -> None:
+    """Rescale the flat gradient to the global norm cap. The squares are
+    summed per parameter view, in float64 and parameter order."""
+    norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in views))
     if norm > MAX_GRAD_NORM:
-        scale = MAX_GRAD_NORM / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= MAX_GRAD_NORM / norm
 
 
 def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
@@ -169,13 +175,12 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     Raises InputError, before the first iteration, for a ground-truth class
     the model lacks."""
     check_classes(dataset, cfg.num_classes)
-    named = M.named_parameters(params)
-    if stage == 1:
-        trainable = {k: v for k, v in named.items() if not M.is_ica_param(k)}
-    else:
-        trainable = dict(named)
+    trainable = [p for k, p in M.named_parameters(params).items()
+                 if stage != 1 or not M.is_ica_param(k)]
     if not (use_ica and stage >= 2):
         cfg = replace(cfg, ica_layers=0)
+    data, grad = flatten(trainable)
+    views = [p.grad for p in trainable]
     opt = AdamW()
     rng = np.random.default_rng(settings.seed)
     lines = []
@@ -190,16 +195,13 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         picks = rng.integers(len(dataset), size=settings.batch)
         batch_args = [sample_frames(dataset[int(c)], cfg.t_train, rng)
                       for c in picks]
-        for p in trainable.values():
-            p.zero_grad()
+        grad.fill(0.0)
         all_parts = [run_clip(*a) for a in batch_args]
         inv = 1.0 / settings.batch
-        for p in trainable.values():
-            if p.grad is not None:
-                p.grad *= inv
-        _clip_gradients(trainable)
+        grad *= inv
+        _clip_gradients(grad, views)
         lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
-        opt.step(trainable, lr)
+        opt.step(data, grad, lr)
         agg = LossParts(**{f.name: sum(getattr(p, f.name) for p in all_parts) * inv
                            for f in fields(LossParts)})
         line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"

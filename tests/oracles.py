@@ -14,7 +14,7 @@ breaks one primitive's gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +145,18 @@ def detection_head(q, b: Box, lp, with_identity: bool):
         ident = M.l2_normalize_rows(M.mlp(q, lp.head_id))
         h = ad.reshape(ident, (ident.shape[-1],))
     return ad.reshape(logits, (logits.shape[-1],)), box, h
+
+
+def select_topk(logits, k: int) -> list[int]:
+    """One frame's top-k rows of [L, C] logits, one scalar sigmoid score per
+    row, by descending score; ties go to the lower index."""
+    scored = []
+    for j, logit in enumerate(np.max(logits, axis=1).tolist()):
+        score = 1.0 / (1.0 + math.exp(-logit)) if logit >= 0 else \
+            math.exp(logit) / (1.0 + math.exp(logit))
+        scored.append((-score, j))
+    scored.sort()
+    return [j for _, j in scored[:k]]
 
 
 def identity_match(idents, anchor_frame: int, anchor_index: int,
@@ -288,6 +300,47 @@ def per_layer_clip_loss(layers, gts):
         total = total + t
     parts.total = float(total.data)
     return total, parts, assignments
+
+
+# ---------------------------------------------------------------------------
+# Optimizer, one parameter tensor at a time
+
+
+@dataclass
+class PerTensorAdamW:
+    """training.AdamW with a step count and per-name moments that the first
+    step creates, each updated from its own tensor's gradient."""
+
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def step(self, params: dict, lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - tr.ADAM_BETA1 ** self.t
+        bc2 = 1.0 - tr.ADAM_BETA2 ** self.t
+        for name, p in params.items():
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            m *= tr.ADAM_BETA1
+            m += (1.0 - tr.ADAM_BETA1) * p.grad
+            v *= tr.ADAM_BETA2
+            v += (1.0 - tr.ADAM_BETA2) * p.grad * p.grad
+            mhat = m / bc1
+            vhat = v / bc2
+            p.data -= lr * (mhat / (np.sqrt(vhat) + tr.ADAM_EPS) + tr.WEIGHT_DECAY * p.data)
+
+
+def per_tensor_clip_gradients(params: dict) -> None:
+    """training._clip_gradients rescaling each tensor's gradient in turn."""
+    total = 0.0
+    for p in params.values():
+        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    if norm > tr.MAX_GRAD_NORM:
+        scale = tr.MAX_GRAD_NORM / norm
+        for p in params.values():
+            p.grad *= scale
 
 
 # ---------------------------------------------------------------------------

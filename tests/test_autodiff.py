@@ -409,7 +409,7 @@ def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_sh
 
 def _gradients(forward, tensors, seed):
     for t in tensors:
-        t.zero_grad()
+        t.grad.fill(0.0)
     with ad.ComputationTape() as tape:
         out = forward()
     tape.backward(out, seed=seed)

@@ -70,3 +70,14 @@ def test_repeated_tensor_name_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_checkpoint(str(path))
     assert f"offset {len(header) + len(first)}: repeated tensor name 'w'" in str(exc.value)
+
+
+def test_extent_product_past_int64_is_truncated(tmp_path):
+    """Extents whose product wraps in int64 are counted exactly, so the
+    entry is refused as truncated at its payload's offset."""
+    header = MAGIC + struct.pack("<IBI", VERSION, 64, 1)
+    entry = struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header + entry)
+    with pytest.raises(ParseError, match=f"offset {len(header) + len(entry)}: truncated"):
+        load_checkpoint(str(path))

@@ -325,13 +325,14 @@ def trained_ckpt(dataset, micro_cfg_path, tmp_path_factory):
     ("ablate", "--grid", "topk=2,0"),
     ("ablate", "--grid", "frames=0"),
     ("ablate", "--grid", "ica_layers=-1"),
+    ("ablate", "--grid", "topk=1", "--grid", "topk=2"),
     ("eval", "--topk", "0"),
     ("eval", "--frames", "0"),
     ("eval", "--frames", "-2"),
     ("eval", "--topk", "5"),
 ], ids=["ablate_topk_negative", "ablate_topk_zero", "ablate_frames_zero",
-        "ablate_ica_layers_negative", "eval_topk_zero", "eval_frames_zero",
-        "eval_frames_negative", "eval_topk_above_queries"])
+        "ablate_ica_layers_negative", "ablate_knob_repeated", "eval_topk_zero",
+        "eval_frames_zero", "eval_frames_negative", "eval_topk_above_queries"])
 def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsys,
                                                      tmp_path, argv):
     code = run(*argv, "--data", dataset, "--ckpt", trained_ckpt,

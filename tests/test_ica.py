@@ -12,7 +12,7 @@ from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
 from oracles import (aggregate, contrastive_loss, identity_match, joint_context,
-                     mask_within_frames, oracle_match)
+                     mask_within_frames, oracle_match, select_topk)
 
 
 def rows(*vs):
@@ -21,7 +21,7 @@ def rows(*vs):
 
 
 def test_select_topk_full_selection_sorted():
-    assert ica.select_topk(rows([0.2], [1.5], [-0.3]), 3) == [1, 0, 2]
+    assert ica.select_topk(rows([0.2], [1.5], [-0.3]), 3).tolist() == [1, 0, 2]
 
 
 def test_select_topk_example():
@@ -31,7 +31,26 @@ def test_select_topk_example():
 
 
 def test_select_topk_tie_break():
-    assert ica.select_topk(np.full((4, 1), 0.7), 2) == [0, 1]
+    """Equal scores go to the lower index, also where logits that differ
+    saturate the sigmoid to 1; each frame of a clip is ranked on its own."""
+    logits = np.stack([np.full((4, 1), 0.7), rows([40.0], [-1.0], [50.0], [45.0])])
+    assert ica.select_topk(logits, 2).tolist() == [[0, 1], [0, 2]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 60.0, 800.0])
+def test_select_topk_matches_scalar_oracle(rng, scale):
+    """Every frame of seeded clips picks the scalar oracle's rows in its
+    order, with every other clip's logits rounded to whole numbers (exact
+    ties) and, at the larger scales, logits that saturate the sigmoid."""
+    for n in range(20):
+        T, L, C = rng.integers(1, 6), rng.integers(1, 30), rng.integers(1, 4)
+        logits = scale * rng.normal(size=(T, L, C))
+        if n % 2:
+            logits = np.round(logits)
+        k = int(rng.integers(1, L + 1))
+        got = ica.select_topk(logits, k)
+        assert got.shape == (T, k)
+        assert got.tolist() == [select_topk(frame, k) for frame in logits]
 
 
 def clip(*frames):
@@ -209,7 +228,7 @@ def test_oracle_forward_dump_equals_scalar_oracles():
             continue
         logits = np.asarray(prev.logits.data, dtype=np.float64)
         idents = np.asarray(prev.ident.data, dtype=np.float64)
-        cands = {i: ica.select_topk(logits[i], cfg.ica_topk) for i in range(T)}
+        cands = {i: select_topk(logits[i], cfg.ica_topk) for i in range(T)}
         track_queries = [dict(zip([tid for _c, _b, tid in g], mt.match_frame(
             logits[i], prev.boxes[i], [(c, b) for c, b, _t in g]).pred_of_gt))
             for i, g in enumerate(gts)]
@@ -297,9 +316,9 @@ def attention_grads(lp, *tensors):
     out = [t.grad.copy() for t in tensors]
     for lin in (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.k, lp.ica_attn.v, lp.ica_attn.out):
         out.append(lin.w.grad.copy())
-        lin.w.zero_grad()
+        lin.w.grad.fill(0.0)
     for t in tensors:
-        t.zero_grad()
+        t.grad.fill(0.0)
     return out
 
 
@@ -503,7 +522,7 @@ def test_contrastive_decreases_on_micro_problem(rng):
         loss0, _ = ica.contrastive_loss(build_idents(), matched)
     start = float(loss0.data)
     for _ in range(50):
-        raw.zero_grad()
+        raw.grad.fill(0.0)
         with ad.ComputationTape() as tape:
             loss, _ = ica.contrastive_loss(build_idents(), matched)
         tape.backward(loss)

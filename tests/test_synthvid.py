@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,21 @@ def test_non_integer_clip_count_reports_line(tmp_path):
     manifest = ds / "manifest.txt"
     manifest.write_text(manifest.read_text().replace("clips=1", "clips=one"))
     with pytest.raises(ParseError, match=":2:"):
+        sv.read_dataset(str(ds))
+
+
+@pytest.mark.parametrize("extent", ["frames", "height", "width"])
+def test_zero_clip_extent_reports_line(tmp_path, extent):
+    """A clip with no frames or no pixels, and an empty frame file to
+    match, is a ParseError naming its manifest line, not a dataset that
+    loads and then fails in training."""
+    ds = tmp_path / "ds"
+    write_fixture(ds, "")
+    (ds / "clips" / "clip_000000.bin").write_bytes(b"")
+    manifest = ds / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(re.sub(rf"{extent}=\d+", f"{extent}=0", text))
+    with pytest.raises(ParseError, match=f":3: .*{extent}=0"):
         sv.read_dataset(str(ds))
 
 
