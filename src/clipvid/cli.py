@@ -161,6 +161,11 @@ def _snapshot(path: str, pairs: dict) -> None:
     _write_lines(path, [f"{k}={v}" for k, v in pairs.items()])
 
 
+def _precision() -> int:
+    """Bits of the float precision in effect."""
+    return 32 if ad.get_dtype() == np.float32 else 64
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -242,14 +247,13 @@ def cmd_train(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.ckpt_out)), exist_ok=True)
     with open(log_path, "w") as log:
         tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
-    save_checkpoint(M.named_parameters(params), args.ckpt_out,
-                    precision=32 if ad.get_dtype() == np.float32 else 64)
+    save_checkpoint(M.named_parameters(params), args.ckpt_out, precision=_precision())
     M.save_config(cfg, args.ckpt_out + ".config.txt")
     _snapshot(args.ckpt_out + ".run.txt", {
         "command": "train", "stage": args.stage, "variant": args.variant,
         "seed": args.seed, "iters": settings.iters, "lr": settings.lr,
         "lr_drop_at": settings.lr_drop_at, "batch": settings.batch,
-        "data": args.data, "ckpt_in": args.ckpt_in or ""})
+        "data": args.data, "ckpt_in": args.ckpt_in or "", "precision": _precision()})
     print(f"stage {args.stage} done: {settings.iters} iters -> {args.ckpt_out}")
     return EXIT_OK
 
@@ -293,8 +297,8 @@ def cmd_eval(args) -> int:
     _write_lines(args.out + ".buckets.csv", report.table_lines())
     _snapshot(args.out + ".run.txt", {
         "command": "eval", "variant": args.variant,
-        "frames": cfg.t_infer, "ckpt": args.ckpt,
-        "data": args.data})
+        "frames": cfg.t_infer, "topk": cfg.ica_topk, "ckpt": args.ckpt,
+        "data": args.data, "precision": _precision()})
     for name, value in report.summary().items():
         print(f"{name}={value:.6f}")
     return EXIT_OK
@@ -335,7 +339,8 @@ def cmd_ablate(args) -> int:
     _write_lines(args.out, rows)
     _snapshot(args.out + ".run.txt", {
         "command": "ablate", "ckpt": args.ckpt, "data": args.data,
-        "grid": ";".join(spec for spec, _key, _values in args.grid)})
+        "grid": ";".join(spec for spec, _key, _values in args.grid),
+        "precision": _precision()})
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ from . import model as M
 from . import training as tr
 from .autodiff import GradCheckReport, Tensor
 from .geometry import Box
+from .synthvid import ClipSample, Track
 
 Case = tuple[str, Callable[..., Tensor], list[np.ndarray]]
 
@@ -35,13 +36,15 @@ def micro_config() -> M.ModelConfig:
 
 
 def micro_clip(seed: int):
+    """Two random 8x8 frames and their ground truth: tracks 7 and 9, of
+    classes 0 and 1, in both frames."""
     rng = np.random.default_rng(seed)
     frames = rng.random((2, 8, 8, 3))
-    gts = [
-        [(0, Box(0.40, 0.40, 0.30, 0.35), 7), (1, Box(0.72, 0.60, 0.25, 0.30), 9)],
-        [(0, Box(0.46, 0.42, 0.30, 0.35), 7), (1, Box(0.66, 0.62, 0.25, 0.30), 9)],
-    ]
-    return frames, gts
+    tracks = [Track(7, 0, [Box(0.40, 0.40, 0.30, 0.35), Box(0.46, 0.42, 0.30, 0.35)],
+                    [1.0, 1.0], "slow"),
+              Track(9, 1, [Box(0.72, 0.60, 0.25, 0.30), Box(0.66, 0.62, 0.25, 0.30)],
+                    [1.0, 1.0], "slow")]
+    return frames, ClipSample(0, frames, tracks).targets(range(2))
 
 
 def primitive_cases(seed: int) -> list[Case]:
@@ -123,11 +126,11 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     frames, gts = micro_clip(seed + 7)
 
     out = M.clip_forward(frames, cfg, params)
-    _, _, assignments = tr.clip_loss(out, gts)
+    _, _, pred = tr.clip_loss(out, gts)
 
     def build(_x: Tensor) -> Tensor:
         total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params, replay=out), gts,
-                                   frozen_assignments=assignments)
+                                   frozen_assignments=pred)
         return total
 
     named = M.named_parameters(params)

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from . import matching as mt
 from .autodiff import Tensor
 from .errors import NumericError
+from .synthvid import Targets
 
 
 @dataclass
@@ -125,16 +126,17 @@ def own_block_attention(q: Tensor, ctx: Tensor, own: np.ndarray, p: ad.MHAParams
     return ad.reshape(out, (A, d))
 
 
-def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
+def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
                  frozen_selection: Selection | None = None
                  ) -> tuple[Tensor, Selection]:
     """Apply aggregation to the per-frame top-k anchors of [T, L, d]
     queries; other queries pass through unchanged. Anchors, scores, and
     identity embeddings come from the previous layer's head; region
-    features are reused from its cross-attention. With oracle_gts, a
-    per-frame list of (class_id, Box, track_id), an anchor matched to a
-    track picks that track's queries. frozen_selection replays an earlier
-    selection so finite differencing never crosses a discrete decision."""
+    features are reused from its cross-attention. With oracle_gts, the
+    clip's ground-truth table, the previous layer's predictions are matched
+    to it and an anchor matched to a track picks that track's queries.
+    frozen_selection replays an earlier selection so finite differencing
+    never crosses a discrete decision."""
     T, L, d = queries.shape
     selection = frozen_selection
     if selection is None:
@@ -143,10 +145,8 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
         track_of = None
         if oracle_gts is not None:
             track_of = np.full((T, L), -1)        # per frame: query -> assigned track id
-            for i, frame_gts in enumerate(oracle_gts):
-                pred = mt.match_frame(logits[i], prev_layer.boxes[i],
-                                      [(c, b) for c, b, _tid in frame_gts])
-                track_of[i, list(pred.pred_of_gt)] = [tid for _c, _b, tid in frame_gts]
+            pred = mt.match_frames(logits, prev_layer.boxes, oracle_gts)
+            track_of[oracle_gts.frame, pred] = oracle_gts.track
         selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
                                    topk, track_of)
 
@@ -167,40 +167,32 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts=None,
 # Contrastive identity training
 
 
-def contrastive_loss(ident: Tensor, matched: list[dict[int, int]]) -> tuple[Tensor, int]:
+def contrastive_loss(ident: Tensor, frame: np.ndarray, track: np.ndarray,
+                     pred: np.ndarray) -> tuple[Tensor, int]:
     """Pull matched queries of the same track together across frames.
 
-    ident holds the clip's [T, L, d] identity embeddings; matched[i] maps
-    track id -> query index for frame i (from the set matching). For every
-    ordered frame pair of a track, the anchor's positive dot competes
-    against its dots with all queries of the other frame. Returns the
-    pair-normalized loss and the pair count; zero pairs contribute an exact
-    zero.
+    ident holds the clip's [T, L, d] identity embeddings; row n of the
+    ground-truth columns frame, track and pred says that query pred[n] of
+    frame frame[n] is matched to track track[n] (from the set matching).
+    For every ordered frame pair of a track, the anchor's positive dot
+    competes against its dots with all queries of the other frame. Pairs
+    run in (track, anchor frame, other frame) order. Returns the
+    pair-normalized loss and the pair count; zero pairs contribute an
+    exact zero.
     """
     T, L, d = ident.shape
-    track_frames: dict[int, list[int]] = {}
-    for i in range(T):
-        for tid in matched[i]:
-            track_frames.setdefault(tid, []).append(i)
-
-    rows, cols = [], []      # pair row of the [T*L*T, L] similarity view; positive column
-    for tid in sorted(track_frames):
-        frames = track_frames[tid]
-        if len(frames) < 2:
-            continue
-        for m in frames:
-            anchor = m * L + matched[m][tid]
-            for i in frames:
-                if i != m:
-                    rows.append(anchor * T + i)
-                    cols.append(matched[i][tid])
-    pairs = len(rows)
+    order = np.lexsort((frame, track))
+    f, k, q = frame[order], track[order], pred[order]
+    anchor, other = np.nonzero((k[:, None] == k[None, :]) & (f[:, None] != f[None, :]))
+    pairs = len(anchor)
     if pairs == 0:
         return ad.tensor(np.zeros(())), 0
+    # Pair row of the [T*L*T, L] similarity view, and its positive column.
+    rows = (f[anchor] * L + q[anchor]) * T + f[other]
     flat = ad.reshape(ident, (T * L, d))
     sim = ad.matmul(flat, ad.transpose(flat, (1, 0)))                      # [T*L, T*L]
     logits = ad.gather_rows(ad.reshape(sim, (T * L * T, L)), rows)          # [pairs, L]
-    pos = ad.gather_rows(ad.reshape(logits, (pairs * L,)), np.arange(pairs) * L + cols)
+    pos = ad.gather_rows(ad.reshape(logits, (pairs * L,)), np.arange(pairs) * L + q[other])
     return ad.reduce_sum(ad.logsumexp(logits, axis=-1) - pos) * (1.0 / pairs), pairs
 
 

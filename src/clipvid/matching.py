@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import Tensor
 from .errors import CapacityError, DimensionError, NumericError
+from .synthvid import Targets
 
 
 # Weights of the matching cost and of the matched loss, and the focal
@@ -141,23 +142,24 @@ def assignment_cost(cost, col_of_row) -> float:
 @dataclass
 class SetLossResult:
     total: Tensor
-    assignments: list[Assignment]           # one per frame
+    pred: np.ndarray                        # [N] the query matched to each target row
     cls_term: float = 0.0
     giou_term: float = 0.0
     l1_term: float = 0.0
 
 
-def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
-                frame_gts: list[tuple[int, geo.Box]]) -> np.ndarray:
-    """[preds x gts] pairing costs of one frame's [L, C] logits and [L, 4]
-    boxes: the focal loss of the ground-truth class channel with a positive
-    target, plus the weighted GIoU and L1 box terms."""
+def cost_matrix(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
+                gt_box: np.ndarray) -> np.ndarray:
+    """[L, G] pairing costs of one frame's [L, C] logits and [L, 4] boxes
+    against its G ground truths (gt_cls [G], gt_box [G, 4]): the focal loss
+    of the ground-truth class channel with a positive target, plus the
+    weighted GIoU and L1 box terms. A frame without ground truth gives
+    [L, 0]."""
     logits = np.asarray(logits, dtype=np.float64)
     pboxes = np.asarray(boxes, dtype=np.float64)                      # [L, 4] cxcywh
-    gboxes = np.stack([b.as_array() for _, b in frame_gts])           # [G, 4]
-    gcls = np.array([c for c, _ in frame_gts], dtype=np.int64)
+    gboxes = np.asarray(gt_box, dtype=np.float64)                     # [G, 4]
 
-    x = logits[:, gcls]                                               # [L, G]
+    x = logits[:, gt_cls]                                             # [L, G]
     p = ad.stable_sigmoid(x)
     cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * ad.stable_softplus(-x)
 
@@ -182,60 +184,65 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray,
     return LAMBDA_CLS * cls_cost + LAMBDA_GIOU * (1.0 - giou) + LAMBDA_L1 * l1
 
 
-def match_frame(logits: np.ndarray, boxes: np.ndarray,
-                frame_gts: list[tuple[int, geo.Box]]) -> Assignment:
+def match_frame(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
+                gt_box: np.ndarray) -> Assignment:
     """Assign each ground truth its own prediction slot at minimum total
     cost, solved as the [G, L] transpose of the cost matrix; under exact
     cost ties each ground truth in order takes the lowest-index slot."""
     L = len(logits)
-    G = len(frame_gts)
+    G = len(gt_cls)
     if G > L:
         raise CapacityError(f"{G} ground truths exceed {L} prediction slots")
     if G == 0:
         return Assignment(())
-    return Assignment(tuple(hungarian(cost_matrix(logits, boxes, frame_gts).T)))
+    return Assignment(tuple(hungarian(cost_matrix(logits, boxes, gt_cls, gt_box).T)))
 
 
-def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray,
-             gts: list[list[tuple[int, geo.Box]]],
-             assignments: list[Assignment] | None = None) -> SetLossResult:
+def match_frames(logits: np.ndarray, boxes: np.ndarray, targets: Targets) -> np.ndarray:
+    """The query matched to each row of targets: one match_frame per frame
+    of the [F, L, C] logits and [F, L, 4] boxes -> [N] int64."""
+    pred = np.zeros(len(targets), dtype=np.int64)
+    bounds = np.searchsorted(targets.frame, np.arange(len(logits) + 1))
+    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        pred[lo:hi] = match_frame(logits[f], boxes[f], targets.cls[lo:hi],
+                                  targets.box[lo:hi]).pred_of_gt
+    return pred
+
+
+def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Targets,
+             pred: np.ndarray | None = None) -> SetLossResult:
     """Match each frame's predictions to its ground truths and score the
-    whole stack of frames: a clip's T frames, or its Ly decoder layers
+    whole stack of F frames: a clip's T frames, or its Ly decoder layers
     stacked layer-major into Ly*T frames.
 
-    logits [T, L, C] and boxes_t [T, L, 4] are the differentiable
-    predictions; boxes [T, L, 4] are the detached boxes the matching costs;
-    gts holds each frame's (class_id, Box) list. Matched pairs contribute
-    the full weighted loss; every other (query, class) slot contributes
-    negative focal loss. The returned total is an un-normalized sum;
-    callers normalize per clip. Pre-computed per-frame assignments can be
-    supplied to hold the discrete matching fixed (finite differencing never
-    sees the argmin flip).
+    logits [F, L, C] and boxes_t [F, L, 4] are the differentiable
+    predictions; boxes [F, L, 4] are the detached boxes the matching costs;
+    targets is the stack's ground-truth table, its frame column indexing
+    the F frames. Matched pairs contribute the full weighted loss; every
+    other (query, class) slot contributes negative focal loss. The returned
+    total is an un-normalized sum; callers normalize per clip. A given
+    pred, the matched query of each target row (as a previous result's
+    pred), holds the discrete matching fixed, so finite differencing never
+    sees the argmin flip.
     """
-    T, L, _ = logits.shape
-    if assignments is None:
-        assignments = [match_frame(logits.data[t], boxes[t], gts[t]) for t in range(T)]
+    F, L, _ = logits.shape
+    if pred is None:
+        pred = match_frames(logits.data, boxes, targets)
 
-    targets = np.zeros(logits.shape)
-    matched_rows, gt_boxes = [], []
-    for t, (frame_gts, assignment) in enumerate(zip(gts, assignments)):
-        for j, (cls_id, box) in enumerate(frame_gts):
-            targets[t, assignment.pred_of_gt[j], cls_id] = 1.0
-            matched_rows.append(t * L + assignment.pred_of_gt[j])
-            gt_boxes.append(box.as_array())
-    cls_loss = ad.reduce_sum(focal_loss_logits(logits, targets))
+    onehot = np.zeros(logits.shape)
+    onehot[targets.frame, pred, targets.cls] = 1.0
+    cls_loss = ad.reduce_sum(focal_loss_logits(logits, onehot))
 
-    if matched_rows:
-        pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (T * L, 4)), matched_rows)
-        gt = np.stack(gt_boxes)
-        giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, gt))
-        l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, gt))
+    if len(targets):
+        pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (F * L, 4)), targets.frame * L + pred)
+        giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, targets.box))
+        l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, targets.box))
     else:
         giou_loss = ad.tensor(np.zeros(()))
         l1_loss = ad.tensor(np.zeros(()))
 
     total = cls_loss * LAMBDA_CLS + giou_loss * LAMBDA_GIOU + l1_loss * LAMBDA_L1
-    return SetLossResult(total, assignments,
+    return SetLossResult(total, pred,
                          cls_term=float(cls_loss.data),
                          giou_term=float(giou_loss.data),
                          l1_term=float(l1_loss.data))

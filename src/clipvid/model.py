@@ -73,6 +73,8 @@ class ModelConfig:
             raise ConfigError("ica_layers exceeds decoder_layers")
         if self.ica_topk > self.num_queries:
             raise ConfigError(f"ica_topk {self.ica_topk} exceeds num_queries {self.num_queries}")
+        if not math.isfinite(self.score_thresh):
+            raise ConfigError(f"score_thresh must be finite, got {self.score_thresh}")
         return self
 
     def is_ica_layer(self, layer: int) -> bool:
@@ -379,8 +381,8 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     """Run the detector on all frames of one clip in a single pass and
     return every decoder layer's output.
 
-    frames: [T, H, W, 3] pixel array. With oracle_gts, a per-frame list of
-    (class_id, Box, track_id), aggregation follows the ground-truth tracks.
+    frames: [T, H, W, 3] pixel array. With oracle_gts, the clip's
+    synthvid.Targets table, aggregation follows the ground-truth tracks.
     replay, the layer list of an earlier run, supplies the discrete
     selections and the carried (non-differentiated) reference boxes, so
     finite differencing sees a smooth function. Aggregation runs on the

@@ -51,8 +51,8 @@ class GenConfig:
             raise ConfigError(f"t (frames per clip) must be at least 1, got {self.t}")
         if not 0.0 <= self.occluder_prob <= 1.0:
             raise ConfigError(f"occluder_prob must be in [0, 1], got {self.occluder_prob}")
-        if self.blur_scale < 0.0:
-            raise ConfigError(f"blur_scale must be at least 0, got {self.blur_scale}")
+        if not 0.0 <= self.blur_scale < math.inf:
+            raise ConfigError(f"blur_scale must be finite and at least 0, got {self.blur_scale}")
         return self
 
     def speed_label(self, disp: float) -> str:
@@ -72,6 +72,27 @@ class Track:
     speed_label: str
 
 
+@dataclass(frozen=True)
+class Targets:
+    """The ground truth of a run of frames as one table of N rows, one per
+    annotated box, frame-major and in track order within a frame."""
+
+    frame: np.ndarray       # [N] int64 position of the row's frame in the run
+    cls: np.ndarray         # [N] int64 class id
+    box: np.ndarray         # [N, 4] float64 cx, cy, w, h
+    track: np.ndarray       # [N] int64 track id
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def tile(self, reps: int, frames: int) -> "Targets":
+        """The table repeated reps times, copy r on frames r*frames onwards:
+        the targets of a stack of reps runs of `frames` frames each."""
+        return Targets(np.concatenate([self.frame + r * frames for r in range(reps)]),
+                       np.tile(self.cls, reps), np.tile(self.box, (reps, 1)),
+                       np.tile(self.track, reps))
+
+
 @dataclass
 class ClipSample:
     clip_id: int
@@ -84,6 +105,17 @@ class ClipSample:
             if tr.boxes[i] is not None:
                 out.append((tr.class_id, tr.boxes[i], tr.track_id))
         return out
+
+    def targets(self, frame_idx) -> Targets:
+        """The ground truth of the clip's frames frame_idx, in order, as one
+        table whose frame column counts positions in frame_idx."""
+        rows = [(pos, tr.class_id, tr.track_id, tr.boxes[i])
+                for pos, i in enumerate(frame_idx) for tr in self.tracks
+                if tr.boxes[i] is not None]
+        frame, cls, track, boxes = zip(*rows) if rows else ((), (), (), ())
+        return Targets(np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
+                       np.array([b.as_array() for b in boxes]).reshape(-1, 4),
+                       np.array(track, dtype=np.int64))
 
 
 def _shape_mask(shape_id: int, cx: float, cy: float, rx: float, ry: float,
@@ -389,6 +421,10 @@ def read_dataset(path: str) -> list[ClipSample]:
                                              f"{tr.track_id}'s class {tr.class_id}")
                         fi = frame_index(tr, parts[4])
                         x1, y1, x2, y2, v = (float(x) for x in parts[5:10])
+                        if not (all(map(math.isfinite, (x1, y1, x2, y2)))
+                                and x1 < x2 and y1 < y2):
+                            raise ValueError(f"box corners ({x1}, {y1}, {x2}, {y2}) must be "
+                                             f"finite with x1 < x2 and y1 < y2")
                         tr.boxes[fi] = Box.from_corners(x1, y1, x2, y2)
                         tr.visibility[fi] = v
                     else:

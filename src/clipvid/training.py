@@ -25,7 +25,7 @@ from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
 from .errors import ConfigError, InputError
-from .synthvid import ClipSample
+from .synthvid import ClipSample, Targets
 
 CONTRASTIVE_WEIGHT = 1.0
 # AdamW's moment decay rates, denominator floor and decoupled weight decay,
@@ -48,42 +48,41 @@ class LossParts:
     con: float = 0.0
 
 
-def clip_loss(layers: list[M.LayerOutput], gts: list[list[tuple]],
-              frozen_assignments=None) -> tuple[Tensor, LossParts, list[list[mt.Assignment]]]:
+def clip_loss(layers: list[M.LayerOutput], targets: Targets,
+              frozen_assignments: np.ndarray | None = None
+              ) -> tuple[Tensor, LossParts, np.ndarray]:
     """Deep-supervised set loss of one clip, plus the contrastive identity
     loss of every layer with identity embeddings.
 
     Every layer's [T, L, ·] predictions go layer-major into one
-    [Ly*T, L, ·] set_loss call, normalized by the clip's object count;
-    each contrastive term reads its own layer's assignments.
-    frozen_assignments (as returned by a previous call: per layer, per
-    frame) bypasses the matching so finite differencing sees a fixed
-    assignment.
+    [Ly*T, L, ·] set_loss call against the clip's ground-truth table tiled
+    over the layers, normalized by the clip's object count. Returns the
+    loss, its parts and pred [Ly, N], the query matched to each target row
+    in each layer; each contrastive term reads its own layer's row.
+    frozen_assignments (a previous call's pred) bypasses the matching so
+    finite differencing sees a fixed assignment.
     """
-    T = len(gts)
-    scale = 1.0 / max(1, sum(len(g) for g in gts))
-    frame_gts = [[(c, b) for c, b, _t in g] for g in gts]
+    T = layers[0].logits.shape[0]
+    scale = 1.0 / max(1, len(targets))
     res = mt.set_loss(ad.concat([layer.logits for layer in layers]),
                       ad.concat([layer.boxes_t for layer in layers]),
                       np.concatenate([layer.boxes for layer in layers]),
-                      frame_gts * len(layers),
-                      assignments=([a for per_layer in frozen_assignments for a in per_layer]
-                                   if frozen_assignments else None))
-    assignments = [res.assignments[li * T:(li + 1) * T] for li in range(len(layers))]
+                      targets.tile(len(layers), T),
+                      pred=None if frozen_assignments is None else frozen_assignments.ravel())
+    pred = res.pred.reshape(len(layers), len(targets))
     total = res.total * scale
     parts = LossParts(cls=mt.LAMBDA_CLS * res.cls_term * scale,
                       giou=mt.LAMBDA_GIOU * res.giou_term * scale,
                       l1=mt.LAMBDA_L1 * res.l1_term * scale)
-    for layer, layer_assignments in zip(layers, assignments):
+    for layer, layer_pred in zip(layers, pred):
         if layer.ident is not None:
-            matched_tracks = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
-                              for g, a in zip(gts, layer_assignments)]
-            con, pairs = ica_mod.contrastive_loss(layer.ident, matched_tracks)
+            con, pairs = ica_mod.contrastive_loss(layer.ident, targets.frame, targets.track,
+                                                  layer_pred)
             if pairs > 0:
                 total = total + con * CONTRASTIVE_WEIGHT
                 parts.con += CONTRASTIVE_WEIGHT * float(con.data)
     parts.total = float(total.data)
-    return total, parts, assignments
+    return total, parts, pred
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +128,11 @@ class TrainSettings:
 
 
 def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, list[list[tuple]]]:
-    """Random sorted frame subset of one clip plus its annotations."""
+                  ) -> tuple[np.ndarray, Targets]:
+    """Random sorted frame subset of one clip plus its ground-truth table."""
     total = clip.frames.shape[0]
-    take = min(t, total)
-    idx = np.sort(rng.choice(total, size=take, replace=False))
-    frames = clip.frames[idx]
-    gts = [clip.frame_gts(int(i)) for i in idx]
-    return frames, gts
+    idx = np.sort(rng.choice(total, size=min(t, total), replace=False))
+    return clip.frames[idx], clip.targets(idx.tolist())
 
 
 def flatten(tensors: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +181,9 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     rng = np.random.default_rng(settings.seed)
     lines = []
 
-    def run_clip(frames, gts):
+    def run_clip(frames, targets):
         with ad.ComputationTape() as tape:
-            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), gts)
+            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), targets)
         tape.backward(loss)
         return parts
 
@@ -235,7 +231,7 @@ def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
     for start in range(0, total, cfg.t_infer):
         stop = min(start + cfg.t_infer, total)
         frames = clip.frames[start:stop]
-        gts = [clip.frame_gts(i) for i in range(start, stop)] if mode == "oracle_ica" else None
+        gts = clip.targets(range(start, stop)) if mode == "oracle_ica" else None
         layers = M.clip_forward(frames, cfg, params, oracle_gts=gts)
         detections.extend(M.extract_detections(layers[-1], cfg))
         selections.extend(layer.selection for layer in layers if layer.selection is not None)

@@ -26,6 +26,7 @@ from clipvid import training as tr
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, interpolated_ap
 from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, iou
+from clipvid.synthvid import Targets
 
 # ---------------------------------------------------------------------------
 # Boxes
@@ -274,24 +275,39 @@ def match_cost(logits, box: Box, gt_class: int, gt_box: Box) -> float:
     return mt.LAMBDA_CLS * cls + mt.LAMBDA_GIOU * (1.0 - g) + mt.LAMBDA_L1 * l1
 
 
-def per_layer_clip_loss(layers, gts):
+def targets_of(gts) -> Targets:
+    """A ground-truth table from per-frame lists of (class_id, Box) or
+    (class_id, Box, track_id) tuples; a tuple without a track id gives track
+    -1."""
+    rows = [(i, g[0], g[1].as_array(), g[2] if len(g) > 2 else -1)
+            for i, frame_gts in enumerate(gts) for g in frame_gts]
+    frame, cls, box, track = zip(*rows) if rows else ((), (), (), ())
+    return Targets(np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
+                   np.array(box, dtype=np.float64).reshape(-1, 4), np.array(track, dtype=np.int64))
+
+
+def matched_columns(matched) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (frame, track, pred) columns contrastive_loss takes, from
+    per-frame {track id: query index} dicts, one row per entry."""
+    rows = [(i, tid, q) for i, m in enumerate(matched) for tid, q in m.items()]
+    return tuple(np.array([r[c] for r in rows], dtype=np.int64) for c in range(3))
+
+
+def per_layer_clip_loss(layers, targets):
     """training.clip_loss with one set_loss call per decoder layer, each
     contrastive term read from its own layer's call. Returns (total,
-    LossParts, assignments per layer)."""
-    scale = 1.0 / max(1, sum(len(g) for g in gts))
-    frame_gts = [[(c, b) for c, b, _t in g] for g in gts]
-    parts, terms, assignments = tr.LossParts(), [], []
+    LossParts, [Ly, N] matched query of each target row per layer)."""
+    scale = 1.0 / max(1, len(targets))
+    parts, terms, pred = tr.LossParts(), [], []
     for layer in layers:
-        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, frame_gts)
+        res = mt.set_loss(layer.logits, layer.boxes_t, layer.boxes, targets)
         terms.append(res.total * scale)
         parts.cls += mt.LAMBDA_CLS * res.cls_term * scale
         parts.giou += mt.LAMBDA_GIOU * res.giou_term * scale
         parts.l1 += mt.LAMBDA_L1 * res.l1_term * scale
-        assignments.append(res.assignments)
+        pred.append(res.pred)
         if layer.ident is not None:
-            matched = [{g[j][2]: a.pred_of_gt[j] for j in range(len(g))}
-                       for g, a in zip(gts, res.assignments)]
-            con, pairs = ica.contrastive_loss(layer.ident, matched)
+            con, pairs = ica.contrastive_loss(layer.ident, targets.frame, targets.track, res.pred)
             if pairs > 0:
                 terms.append(con * tr.CONTRASTIVE_WEIGHT)
                 parts.con += tr.CONTRASTIVE_WEIGHT * float(con.data)
@@ -299,7 +315,7 @@ def per_layer_clip_loss(layers, gts):
     for t in terms[1:]:
         total = total + t
     parts.total = float(total.data)
-    return total, parts, assignments
+    return total, parts, np.stack(pred)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,14 @@ def test_gen_zero_clips_valid_empty(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("--frame-size", "10"), ("--frame-size", "0"), ("--frames", "0"), ("--clips", "-1"),
     ("--seed", "-1"), ("--occluder-prob", "1.5"), ("--blur-scale", "-1"),
+    ("--blur-scale", "nan"), ("--blur-scale", "inf"),
 ], ids=["frame_size_not_multiple_of_8", "frame_size_zero", "frames_zero", "clips_negative",
-        "seed_negative", "occluder_prob_above_one", "blur_scale_negative"])
+        "seed_negative", "occluder_prob_above_one", "blur_scale_negative", "blur_scale_nan",
+        "blur_scale_inf"])
 def test_gen_malformed_arguments_are_usage_errors(tmp_path, capsys, argv):
     """A frame size off the 8x8 background grid, an empty clip, a negative
-    clip count or seed, or a probability or blur scale out of range is
-    refused before anything is written."""
+    clip count or seed, or a probability or blur scale out of range or not
+    finite is refused before anything is written."""
     out = tmp_path / "bad"
     assert run("gen", "--out", str(out), "--clips", "1", "--frame-size", "16",
                "--frames", "2", *argv) == cli.EXIT_USAGE       # the last value wins
@@ -217,11 +219,12 @@ def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, 
 
 @pytest.mark.parametrize("field, value", [
     ("heads", 0), ("t_infer", 0), ("ica_topk", -1), ("ica_topk", 0), ("ica_layers", -1),
+    ("score_thresh", "nan"), ("score_thresh", "inf"),
 ], ids=["heads_zero", "t_infer_zero", "ica_topk_negative", "ica_topk_zero",
-        "ica_layers_negative"])
+        "ica_layers_negative", "score_thresh_nan", "score_thresh_inf"])
 def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys, field, value):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(re.sub(rf"^{field}=.*$", f"{field}={value}", MICRO_CFG, flags=re.M))
+    cfg.write_text(re.sub(rf"^{field}=.*\n", "", MICRO_CFG, flags=re.M) + f"{field}={value}\n")
     code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_USAGE
@@ -357,6 +360,33 @@ def test_ablate_knob_above_checkpoint_is_usage_error(dataset, trained_ckpt, caps
     err = capsys.readouterr().err
     assert limit in err and "Traceback" not in err
     assert not list(tmp_path.glob("r*"))
+
+
+def read_snapshot(path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in open(path).read().splitlines())
+
+
+def test_run_snapshots_record_precision_and_topk(dataset, micro_cfg_path, trained_ckpt,
+                                                 tmp_path, monkeypatch):
+    """Every run snapshot records the float precision, and eval's the
+    aggregation top-k it ran with: both change the outputs."""
+    monkeypatch.setenv("CLIPVID_PRECISION", "64")
+    assert run("train", "--data", dataset, "--stage", "2", "--config", micro_cfg_path,
+               "--ckpt-in", trained_ckpt, "--ckpt-out", str(tmp_path / "s2.ckpt"),
+               "--iters", "1") == 0
+    assert run("eval", "--data", dataset, "--ckpt", trained_ckpt, "--topk", "1",
+               "--out", str(tmp_path / "e")) == 0
+    assert run("ablate", "--grid", "frames=2", "--data", dataset, "--ckpt", trained_ckpt,
+               "--out", str(tmp_path / "a.csv")) == 0
+    snapshots = [read_snapshot(tmp_path / name)
+                 for name in ("s2.ckpt.run.txt", "e.run.txt", "a.csv.run.txt")]
+    assert [s["precision"] for s in snapshots] == ["64"] * 3
+    assert snapshots[1]["topk"] == "1"
+    monkeypatch.delenv("CLIPVID_PRECISION")
+    assert run("eval", "--data", dataset, "--ckpt", trained_ckpt,
+               "--out", str(tmp_path / "e")) == 0
+    assert read_snapshot(tmp_path / "e.run.txt")["precision"] == "32"
+    assert read_snapshot(tmp_path / "e.run.txt")["topk"] == "2"
 
 
 @pytest.mark.parametrize("edit, code", [

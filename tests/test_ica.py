@@ -12,7 +12,7 @@ from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
 from oracles import (aggregate, contrastive_loss, identity_match, joint_context,
-                     mask_within_frames, oracle_match, select_topk)
+                     mask_within_frames, matched_columns, oracle_match, select_topk, targets_of)
 
 
 def rows(*vs):
@@ -221,7 +221,7 @@ def test_oracle_forward_dump_equals_scalar_oracles():
     [sample] = sv.generate_dataset(sv.GenConfig(t=5, min_objects=2, max_objects=4), 1, seed=3)
     T = sample.frames.shape[0]
     gts = [sample.frame_gts(i) for i in range(T)]
-    out = M.clip_forward(sample.frames, cfg, params, oracle_gts=gts)
+    out = M.clip_forward(sample.frames, cfg, params, oracle_gts=sample.targets(range(T)))
     lines = []
     for prev, layer in zip(out, out[1:]):
         if layer.selection is None:
@@ -229,9 +229,10 @@ def test_oracle_forward_dump_equals_scalar_oracles():
         logits = np.asarray(prev.logits.data, dtype=np.float64)
         idents = np.asarray(prev.ident.data, dtype=np.float64)
         cands = {i: select_topk(logits[i], cfg.ica_topk) for i in range(T)}
-        track_queries = [dict(zip([tid for _c, _b, tid in g], mt.match_frame(
-            logits[i], prev.boxes[i], [(c, b) for c, b, _t in g]).pred_of_gt))
-            for i, g in enumerate(gts)]
+        frame_targets = [targets_of([g]) for g in gts]
+        track_queries = [dict(zip(ft.track.tolist(), mt.match_frame(
+            logits[i], prev.boxes[i], ft.cls, ft.box).pred_of_gt))
+            for i, ft in enumerate(frame_targets)]
         for m in range(T):
             for j in cands[m]:
                 tid = next((t for t, p in track_queries[m].items() if p == j), None)
@@ -307,7 +308,7 @@ def sublayer_case(T, shared, seed):
                          ident=ad.tensor(ident), region=ad.param(rng.normal(size=(T, L, 4, d))))
     gts = [[(c, Box(*rng.uniform(0.3, 0.7, size=2), 0.3, 0.3), tid)
             for tid, c in ((0, 1), (4, 2)) if rng.random() < 0.8] for _ in range(T)]
-    return cfg, lp, prev, ad.param(rng.normal(size=(T, L, d))), gts
+    return cfg, lp, prev, ad.param(rng.normal(size=(T, L, d))), targets_of(gts)
 
 
 def attention_grads(lp, *tensors):
@@ -450,7 +451,7 @@ def idents_of(*frames):
 
 def test_contrastive_single_candidate_zero():
     idents = idents_of([[1.0, 0.0]], [[0.6, 0.8]])
-    loss, pairs = ica.contrastive_loss(idents, [{5: 0}, {5: 0}])
+    loss, pairs = ica.contrastive_loss(idents, *matched_columns([{5: 0}, {5: 0}]))
     assert pairs == 2
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
@@ -458,20 +459,21 @@ def test_contrastive_single_candidate_zero():
 def test_contrastive_two_frame_closed_form():
     # positive dot 1, one negative with dot 0, both directions
     idents = idents_of([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-    loss, pairs = ica.contrastive_loss(idents, [{5: 0}, {5: 0}])
+    loss, pairs = ica.contrastive_loss(idents, *matched_columns([{5: 0}, {5: 0}]))
     assert pairs == 2
     assert float(loss.data) == pytest.approx(0.31326, abs=1e-4)
 
 
 def test_contrastive_query_permutation_invariance(rng):
     hs = [unit(rng.normal(size=3)) for _ in range(4)]
-    l1, _ = ica.contrastive_loss(idents_of(hs[0:2], hs[2:4]), [{5: 0}, {5: 1}])
-    l2, _ = ica.contrastive_loss(idents_of(hs[1::-1], hs[2:4]), [{5: 1}, {5: 1}])
+    l1, _ = ica.contrastive_loss(idents_of(hs[0:2], hs[2:4]), *matched_columns([{5: 0}, {5: 1}]))
+    l2, _ = ica.contrastive_loss(idents_of(hs[1::-1], hs[2:4]),
+                                 *matched_columns([{5: 1}, {5: 1}]))
     assert float(l1.data) == pytest.approx(float(l2.data), abs=1e-12)
 
 
 def test_contrastive_zero_pairs_contributes_zero():
-    loss, pairs = ica.contrastive_loss(idents_of([[1.0, 0.0]]), [{5: 0}])
+    loss, pairs = ica.contrastive_loss(idents_of([[1.0, 0.0]]), *matched_columns([{5: 0}]))
     assert pairs == 0
     assert float(loss.data) == 0.0
 
@@ -487,7 +489,7 @@ def test_contrastive_matches_per_pair_oracle(rng, matched, n_pairs):
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     x, y = ad.param(raw), ad.param(raw)
     with ad.ComputationTape() as tape:
-        loss, pairs = ica.contrastive_loss(x, matched)
+        loss, pairs = ica.contrastive_loss(x, *matched_columns(matched))
     tape.backward(loss)
     with ad.ComputationTape() as tape:
         want, want_pairs = contrastive_loss(
@@ -519,12 +521,12 @@ def test_contrastive_decreases_on_micro_problem(rng):
 
     matched = [{1: 0, 2: 1}, {1: 2, 2: 0}]
     with ad.ComputationTape() as tape:
-        loss0, _ = ica.contrastive_loss(build_idents(), matched)
+        loss0, _ = ica.contrastive_loss(build_idents(), *matched_columns(matched))
     start = float(loss0.data)
     for _ in range(50):
         raw.grad.fill(0.0)
         with ad.ComputationTape() as tape:
-            loss, _ = ica.contrastive_loss(build_idents(), matched)
+            loss, _ = ica.contrastive_loss(build_idents(), *matched_columns(matched))
         tape.backward(loss)
         raw.data -= 0.5 * raw.grad
     assert float(loss.data) < start

@@ -9,7 +9,7 @@ from clipvid import autodiff as ad
 from clipvid import matching as mt
 from clipvid.errors import CapacityError, DimensionError, NumericError
 from clipvid.geometry import Box
-from oracles import focal_loss, giou, match_cost
+from oracles import focal_loss, giou, match_cost, targets_of
 
 
 def make_frame(logits, boxes):
@@ -67,10 +67,21 @@ def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
            for _ in range(2)]
     logits = np.stack([lg for lg, _ in preds])
     boxes = np.stack([b.as_array() for _, b in preds])
-    mat = mt.cost_matrix(logits, boxes, gts)
+    table = targets_of([gts])
+    mat = mt.cost_matrix(logits, boxes, table.cls, table.box)
     for i, (lg, box) in enumerate(preds):
         for j, (c, b) in enumerate(gts):
             assert mat[i, j] == pytest.approx(match_cost(lg, box, c, b), abs=1e-6)
+
+
+def test_frame_without_ground_truth_has_empty_cost_matrix(rng):
+    """A frame without ground truth costs an [L, 0] matrix, as the
+    benchmark's optimality check asks of every match_frame call, and is
+    matched to nothing."""
+    logits, boxes = rng.normal(size=(4, 3)), np.clip(rng.random((4, 4)), 0.15, 0.8)
+    empty = targets_of([[]])
+    assert mt.cost_matrix(logits, boxes, empty.cls, empty.box).shape == (4, 0)
+    assert mt.match_frame(logits, boxes, empty.cls, empty.box).pred_of_gt == ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +201,17 @@ def test_hungarian_rejects_nonfinite():
 
 def test_set_loss_zero_gts_is_pure_negative_classification(rng):
     logits, boxes_t, boxes = make_frame(rng.normal(size=(4, 3)), [Box(0.5, 0.5, 0.3, 0.3)] * 4)
-    res = mt.set_loss(logits, boxes_t, boxes, [[]])
+    res = mt.set_loss(logits, boxes_t, boxes, targets_of([[]]))
     want = sum(focal_loss(float(x), 0, mt.FOCAL_ALPHA, mt.FOCAL_GAMMA)
                for x in logits.data.ravel()) * mt.LAMBDA_CLS
     assert float(res.total.data) == pytest.approx(want, abs=1e-9)
-    assert res.assignments[0].pred_of_gt == ()
+    assert res.pred.shape == (0,)
 
 
 def test_set_loss_perfect_single_prediction(rng):
     box = Box(0.5, 0.5, 0.4, 0.3)
     frame = make_frame([[25.0, -25.0]], [box])
-    res = mt.set_loss(*frame, [[(0, box)]])
+    res = mt.set_loss(*frame, targets_of([[(0, box)]]))
     assert float(res.total.data) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -209,36 +220,36 @@ def test_set_loss_matches_brute_force(rng):
         rng.normal(size=(4, 2)), [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(4)])
     gts = [(int(rng.integers(2)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
            for _ in range(2)]
-    res = mt.set_loss(logits, boxes_t, boxes, [gts])
-    cost = mt.cost_matrix(logits.data[0], boxes[0], gts)
+    table = targets_of([gts])
+    res = mt.set_loss(logits, boxes_t, boxes, table)
+    cost = mt.cost_matrix(logits.data[0], boxes[0], table.cls, table.box)
     best = None
     for pair in itertools.permutations(range(4), 2):
         total = cost[pair[0], 0] + cost[pair[1], 1]
         if best is None or total < best[0]:
             best = (total, pair)
-    assert tuple(res.assignments[0].pred_of_gt) == best[1]
+    assert tuple(res.pred) == best[1]
 
 
 def test_set_loss_capacity_error(rng):
     frame = make_frame(rng.normal(size=(1, 2)), [Box(0.5, 0.5, 0.3, 0.3)])
     gts = [(0, Box(0.4, 0.4, 0.2, 0.2)), (1, Box(0.6, 0.6, 0.2, 0.2))]
     with pytest.raises(CapacityError):
-        mt.set_loss(*frame, [gts])
+        mt.set_loss(*frame, targets_of([gts]))
 
 
 def test_set_loss_permutation_equivariance(rng):
     logits = rng.normal(size=(5, 2))
     boxes = [Box(*np.clip(rng.random(4), 0.2, 0.7)) for _ in range(5)]
     gts = [(0, Box(0.3, 0.3, 0.25, 0.25)), (1, Box(0.7, 0.6, 0.3, 0.2))]
-    res = mt.set_loss(*make_frame(logits, boxes), [gts])
+    res = mt.set_loss(*make_frame(logits, boxes), targets_of([gts]))
 
     perm = [3, 0, 4, 1, 2]          # preds[perm[k]] becomes slot k
     permuted = make_frame(logits[perm], [boxes[i] for i in perm])
-    res_p = mt.set_loss(*permuted, [gts])
+    res_p = mt.set_loss(*permuted, targets_of([gts]))
     assert float(res_p.total.data) == float(res.total.data)
     inv = {orig: new for new, orig in enumerate(perm)}
-    assert tuple(inv[i] for i in res.assignments[0].pred_of_gt) \
-        == tuple(res_p.assignments[0].pred_of_gt)
+    assert [inv[i] for i in res.pred.tolist()] == res_p.pred.tolist()
 
 
 def test_set_loss_clip_normalization_invariant_under_duplication(rng):
@@ -251,9 +262,9 @@ def test_set_loss_clip_normalization_invariant_under_duplication(rng):
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
     gts = [[(0, Box(0.4, 0.4, 0.3, 0.3), 1)], [(1, Box(0.6, 0.6, 0.3, 0.3), 2)]]
-    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
+    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), targets_of(gts))
     doubled = np.concatenate([frames, frames])
-    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), gts + gts)
+    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), targets_of(gts + gts))
     assert float(l2.data) == pytest.approx(float(l1.data), abs=1e-6)
 
 
@@ -268,8 +279,8 @@ def test_set_loss_gradient(rng):
         logits = ad.reshape(ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0)), (1, 3, 2))
         btens = ad.reshape(ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0))),
                            (1, 3, 4))
-        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64), [gts],
-                          assignments=[mt.Assignment((0, 1))])
+        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64),
+                          targets_of([gts]), pred=np.array([0, 1]))
         return res.total
 
     packed = np.zeros((3, 6))
@@ -281,26 +292,31 @@ def test_set_loss_gradient(rng):
 
 def test_set_loss_clip_equals_sum_of_single_frames(rng):
     """One [T, L, ·] call scores the same as its T single-frame calls under
-    the same assignments, in value, loss parts and gradient."""
+    the same assignments, in value, loss parts and gradient; match_frames
+    matches each frame as match_frame does."""
     T, L, C = 3, 5, 3
     logits = rng.normal(size=(T, L, C)) * 2
     boxes = np.clip(rng.random((T, L, 4)), 0.15, 0.8)
     gts = [[(int(rng.integers(C)), Box(*np.clip(rng.random(4), 0.2, 0.7)))
             for _ in range(g)] for g in (2, 0, 3)]
-    assignments = [mt.match_frame(logits[t], boxes[t], gts[t]) for t in range(T)]
+    frame_targets = [targets_of([g]) for g in gts]
+    pred = np.array([p for t, ft in enumerate(frame_targets)
+                     for p in mt.match_frame(logits[t], boxes[t], ft.cls, ft.box).pred_of_gt])
+    targets = targets_of(gts)
+    assert np.array_equal(mt.match_frames(logits, boxes, targets), pred)
 
     lt, bt = ad.param(logits), ad.param(boxes)
     with ad.ComputationTape() as tape:
-        clip = mt.set_loss(lt, bt, boxes, gts, assignments=assignments)
+        clip = mt.set_loss(lt, bt, boxes, targets, pred=pred)
     tape.backward(clip.total)
-    assert clip.assignments == assignments
+    assert np.array_equal(clip.pred, pred)
 
     total = cls = giou_t = l1 = 0.0
     for t in range(T):
         lf, bf = ad.param(logits[t:t + 1]), ad.param(boxes[t:t + 1])
         with ad.ComputationTape() as tape:
-            res = mt.set_loss(lf, bf, boxes[t:t + 1], gts[t:t + 1],
-                              assignments=assignments[t:t + 1])
+            res = mt.set_loss(lf, bf, boxes[t:t + 1], frame_targets[t],
+                              pred=pred[targets.frame == t])
         tape.backward(res.total)
         total += float(res.total.data)
         cls, giou_t, l1 = cls + res.cls_term, giou_t + res.giou_term, l1 + res.l1_term
@@ -309,5 +325,5 @@ def test_set_loss_clip_equals_sum_of_single_frames(rng):
     assert float(clip.total.data) == pytest.approx(total, rel=1e-12)
     assert (clip.cls_term, clip.giou_term, clip.l1_term) == pytest.approx((cls, giou_t, l1),
                                                                          rel=1e-12)
-    assert mt.set_loss(ad.tensor(logits), ad.tensor(boxes), boxes, gts).assignments \
-        == assignments
+    assert np.array_equal(mt.set_loss(ad.tensor(logits), ad.tensor(boxes), boxes, targets).pred,
+                          pred)

@@ -31,6 +31,23 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.frames, b.frames)
 
 
+def test_targets_table_lists_frame_gts_rows_in_order():
+    """ClipSample.targets holds the rows of frame_gts for each requested
+    frame in turn, its frame column counting positions in the request; a
+    frame without boxes adds no row."""
+    clip = sv.generate_clip(small_cfg(min_objects=3, max_objects=4), seed=5, clip_id=1)
+    clip.tracks[0].boxes[2] = None
+    for idx in ([0, 2, 5], [4, 1], [3]):
+        table = clip.targets(idx)
+        rows = [(pos, c, b.as_array().tolist(), tid)
+                for pos, i in enumerate(idx) for c, b, tid in clip.frame_gts(i)]
+        assert list(zip(table.frame.tolist(), table.cls.tolist(), table.box.tolist(),
+                        table.track.tolist())) == rows
+        assert table.box.dtype == np.float64 and len(table) == len(rows)
+    clip.tracks = []
+    assert clip.targets([0, 1]).box.shape == (0, 4)
+
+
 def test_boxes_inside_frame_and_valid():
     cfg = small_cfg()
     for seed in range(8):
@@ -207,11 +224,16 @@ def test_malformed_annotation_reports_line(tmp_path):
     "track 0 -3 1 slow",
     "track 0 5 1 slow",
     "box 0 5 4 0 0.25 0.25 0.75 0.75 1 slow",
+    "box 0 5 2 0 nan 0.25 0.75 0.75 1 fast",
+    "box 0 5 2 0 0.75 0.25 0.25 0.75 1 fast",
+    "box 0 5 2 0 0.25 0.5 0.75 0.5 1 fast",
 ], ids=["box_frame_negative", "box_frame_past_end", "vis_frame_negative",
-        "class_negative", "track_id_negative", "track_repeated", "box_class_mismatch"])
+        "class_negative", "track_id_negative", "track_repeated", "box_class_mismatch",
+        "box_corner_nan", "box_x_corners_swapped", "box_zero_height"])
 def test_invalid_annotation_reports_line(tmp_path, bad_line):
-    """An annotation that would wrap an index or break the one-query-per-
-    track property is a ParseError naming its line, not silently kept."""
+    """An annotation that would wrap an index, break the one-query-per-
+    track property or give a box without a finite, positive extent is a
+    ParseError naming its line, not silently kept."""
     ds = tmp_path / "ds"
     write_fixture(ds, f"track 0 5 2 fast\nvis 0 5 1 0.1\n{bad_line}\n")
     with pytest.raises(ParseError, match=":3:"):

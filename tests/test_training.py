@@ -56,14 +56,14 @@ def test_stacked_clip_loss_equals_per_layer_loop():
         for p in named.values():
             p.grad.fill(0.0)
         with ad.ComputationTape() as tape:
-            total, parts, assignments = loss_fn(M.clip_forward(frames, cfg, params), gts)
+            total, parts, pred = loss_fn(M.clip_forward(frames, cfg, params), gts)
         tape.backward(total)
-        runs.append((float(total.data), parts, assignments,
+        runs.append((float(total.data), parts, pred,
                      {k: p.grad.copy() for k, p in named.items() if p.grad is not None}))
-    (total, parts, assignments, grads), (ref_total, ref_parts, ref_assignments, ref_grads) = runs
+    (total, parts, pred, grads), (ref_total, ref_parts, ref_pred, ref_grads) = runs
 
-    assert parts.con > 0.0 and assignments[0] != assignments[1]
-    assert assignments == ref_assignments
+    assert parts.con > 0.0 and not np.array_equal(pred[0], pred[1])
+    assert pred.shape == (2, 4) and np.array_equal(pred, ref_pred)
     assert total == pytest.approx(ref_total, rel=1e-12)
     for f in fields(tr.LossParts):
         assert getattr(parts, f.name) == pytest.approx(getattr(ref_parts, f.name), rel=1e-12)
