@@ -161,6 +161,13 @@ def _snapshot(path: str, pairs: dict) -> None:
     _write_lines(path, [f"{k}={v}" for k, v in pairs.items()])
 
 
+def _read_dataset(path: str) -> list[sv.ClipSample]:
+    dataset = sv.read_dataset(path)
+    if not dataset:
+        raise ConfigError("empty dataset")
+    return dataset
+
+
 def _precision() -> int:
     """Bits of the float precision in effect."""
     return 32 if ad.get_dtype() == np.float32 else 64
@@ -224,9 +231,9 @@ STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
 def cmd_train(args) -> int:
     if args.stage == 2 and not args.ckpt_in:
         raise ConfigError("--stage 2 requires --ckpt-in")
-    dataset = sv.read_dataset(args.data)
-    if not dataset:
-        raise ConfigError("empty dataset")
+    if args.lr is not None and not np.isfinite(args.lr):
+        raise ConfigError(f"--lr must be finite, got {args.lr}")
+    dataset = _read_dataset(args.data)
 
     cfg = M.load_config(args.config) if args.config else ModelConfig()
     seeds = np.random.SeedSequence(args.seed).spawn(2)
@@ -283,10 +290,10 @@ def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer"
 
 
 def cmd_eval(args) -> int:
-    dataset = sv.read_dataset(args.data)
+    dataset = _read_dataset(args.data)
     cfg, params = _load_params(args.ckpt)
     cfg = _with_knobs(cfg, {"frames": args.frames, "topk": args.topk})
-    tr.check_classes(dataset, cfg.num_classes)
+    sv.check_classes(dataset, cfg.num_classes)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
     report, diagnostics = _score(dataset, cfg, params, mode, args.variant != "no_ica")
@@ -325,8 +332,8 @@ def cmd_ablate(args) -> int:
     cells = [dict(zip(keys, values)) for values in itertools.product(*map(grids.get, keys))]
     cfg, params = _load_params(args.ckpt)
     cell_cfgs = [_with_knobs(cfg, cell) for cell in cells]
-    dataset = sv.read_dataset(args.data)
-    tr.check_classes(dataset, cfg.num_classes)
+    dataset = _read_dataset(args.data)
+    sv.check_classes(dataset, cfg.num_classes)
 
     rows: list[str] = []
     for cell, cell_cfg in zip(cells, cell_cfgs):

@@ -1,22 +1,34 @@
 """Detection evaluation: per-class average precision, mAP, and the
-motion-speed breakdown.
+motion-speed breakdown, as array code over one ground-truth table.
 
-Greedy matching in descending score order (input order on ties), each
-ground truth claimed once, IoU threshold 0.5, all-point interpolated AP.
-Speed buckets restrict the ground truths; detections matched to an
-out-of-bucket ground truth are ignored for that bucket (neither TP nor FP).
+The dataset's ground truth is one table of N rows, one per annotated box:
+each clip's ClipSample.targets with its frames offset past the earlier
+clips', and a bucket column holding the track's speed label. Detections are
+arrays in input order. Each frame gets one IoU matrix of its detections
+against its ground truths, zero across classes. A detection hits the first
+ground truth of maximal IoU, claimed or not, if that IoU is at least
+IOU_THRESH. In
+descending score order (input order on ties), the first detection to hit a
+ground truth claims it and is a true positive; every other detection is a
+false positive. A claim never crosses a (clip, frame, class) group, so one
+stable sort of all detections orders every group as a per-class sort would.
+AP is all-point interpolated.
+
+A bucket is one per-row label array. A bucket's AP counts only its own
+ground truths, and ignores detections that hit a ground truth of another
+bucket (neither TP nor FP).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry as geo
 from .errors import InputError
-from .geometry import Box, iou
 from .model import Detection
-from .synthvid import SPEED_LABELS, ClipSample
+from .synthvid import SPEED_LABELS, ClipSample, check_classes
 
 IOU_THRESH = 0.5
 
@@ -54,28 +66,15 @@ class EvalReport:
         return out
 
 
-def interpolated_ap(tp_flags: list[bool], num_gt: int) -> float:
+def interpolated_ap(tp_flags: np.ndarray | list[bool], num_gt: int) -> float:
     """All-point interpolated AP from score-ordered hit flags."""
-    if num_gt == 0:
-        return 0.0
-    if not tp_flags:
+    if num_gt == 0 or len(tp_flags) == 0:
         return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
     n = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
-    rec = tp / num_gt
-    prec = tp / n
-    mrec = np.concatenate(([0.0], rec))
-    mpre = np.concatenate(([0.0], prec))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mrec = np.concatenate(([0.0], tp / num_gt))
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], tp / n))[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
-
-
-@dataclass
-class _GtEntry:
-    box: Box
-    speed: str
-    matched: bool = False
 
 
 def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
@@ -83,85 +82,64 @@ def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
     """Score per-clip, per-frame detections against clip annotations.
 
     detections[c][f] lists the frame-f detections of clip c, aligned with
-    clips[c]. Buckets come from the generator speed labels.
+    clips, which must not be empty. Raises InputError for a ground-truth or
+    detection class outside num_classes.
     """
-    gts: dict[tuple[int, int, int], list[_GtEntry]] = {}
-    gt_class_counts: dict[int, int] = {}
-    bucket_class_counts: dict[str, dict[int, int]] = {lb: {} for lb in SPEED_LABELS}
-    total_gts = 0
-    for clip in clips:
-        for tr in clip.tracks:
-            if tr.class_id < 0 or tr.class_id >= num_classes:
-                raise InputError(f"ground-truth class {tr.class_id} out of range")
-            for fi, box in enumerate(tr.boxes):
-                if box is None:
-                    continue
-                key = (clip.clip_id, fi, tr.class_id)
-                gts.setdefault(key, []).append(_GtEntry(box, tr.speed_label))
-                gt_class_counts[tr.class_id] = gt_class_counts.get(tr.class_id, 0) + 1
-                bc = bucket_class_counts[tr.speed_label]
-                bc[tr.class_id] = bc.get(tr.class_id, 0) + 1
-                total_gts += 1
+    check_classes(clips, num_classes)
+    # Frame f of clip c is row offsets[c] + f of the dataset's frame axis.
+    spans = [max(len(clip.frames), len(dets)) for clip, dets in zip(clips, detections)]
+    offsets = np.cumsum([0] + spans + [len(clip.frames) for clip in clips[len(spans):]])
+    tables = [clip.targets(range(len(clip.frames))) for clip in clips]
+    gt_frame = np.concatenate([t.frame + off for t, off in zip(tables, offsets)])
+    gt_cls = np.concatenate([t.cls for t in tables])
+    gt_box = np.concatenate([t.box for t in tables])
+    speed = [{tr.track_id: tr.speed_label for tr in clip.tracks} for clip in clips]
+    bucket = np.array([s[i] for t, s in zip(tables, speed) for i in t.track.tolist()], dtype=str)
 
-    # class -> list of (score, order, (clip_id, frame, box))
-    records: dict[int, list[tuple[float, int, tuple[int, int, Box]]]] = {}
-    order = 0
-    total_dets = 0
-    for clip, clip_dets in zip(clips, detections):
-        for fi, frame_dets in enumerate(clip_dets):
-            for det in frame_dets:
-                if det.class_id < 0 or det.class_id >= num_classes:
-                    raise InputError(f"detection class {det.class_id} out of range")
-                records.setdefault(det.class_id, []).append(
-                    (det.score, order, (clip.clip_id, fi, det.box)))
-                order += 1
-                total_dets += 1
+    frames = [(off + f, frame) for off, clip_dets in zip(offsets.tolist(), detections)
+              for f, frame in enumerate(clip_dets)]
+    dets = [d for _f, frame in frames for d in frame]
+    det_frame = np.repeat([f for f, _ in frames], [len(frame) for _, frame in frames])
+    det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
+    score = np.array([d.score for d in dets], dtype=np.float64)
+    det_box = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets]).reshape(-1, 4)
+    bad = (det_cls < 0) | (det_cls >= num_classes)
+    if bad.any():
+        raise InputError(f"detection class {det_cls[bad][0]} out of range")
 
-    matched_per_class: dict[int, list[tuple[bool, _GtEntry | None]]] = {}
-    for cls, recs in records.items():
-        recs.sort(key=lambda r: (-r[0], r[1]))
-        out = []
-        for score, _, (cid, fi, box) in recs:
-            cands = gts.get((cid, fi, cls), [])
-            best, best_e = 0.0, None
-            for e in cands:
-                v = iou(box, e.box)
-                if v > best:
-                    best, best_e = v, e
-            if best >= IOU_THRESH and best_e is not None and not best_e.matched:
-                best_e.matched = True
-                out.append((True, best_e))
-            else:
-                out.append((False, best_e if best >= IOU_THRESH else None))
-        matched_per_class[cls] = out
+    # hit: the ground-truth row each detection hits, or -1.
+    hit = np.full(len(dets), -1)
+    det_bounds = np.searchsorted(det_frame, np.arange(offsets[-1] + 1))
+    gt_bounds = np.searchsorted(gt_frame, np.arange(offsets[-1] + 1))
+    for a, b, lo, hi in zip(det_bounds[:-1], det_bounds[1:], gt_bounds[:-1], gt_bounds[1:]):
+        if a == b or lo == hi:
+            continue
+        inter, union, _ = geo.box_overlap(det_box[a:b, None], gt_box[None, lo:hi])
+        same = det_cls[a:b, None] == gt_cls[None, lo:hi]
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=same & (union > 0))
+        best = iou.argmax(axis=1)
+        hit[a:b] = np.where(iou[np.arange(b - a), best] >= IOU_THRESH, lo + best, -1)
 
-    def class_ap(cls: int, bucket: str | None) -> float | None:
-        if bucket is None:
-            n_gt = gt_class_counts.get(cls, 0)
-        else:
-            n_gt = bucket_class_counts[bucket].get(cls, 0)
-        if n_gt == 0:
-            return None
-        flags = []
-        for is_tp, entry in matched_per_class.get(cls, []):
-            if bucket is not None and entry is not None and entry.speed != bucket:
-                continue          # claimed by an out-of-bucket gt: ignored
-            flags.append(is_tp)
-        return interpolated_ap(flags, n_gt)
+    order = np.argsort(-score, kind="stable")
+    hit, cls = hit[order], det_cls[order]
+    tp = np.zeros(len(hit), dtype=bool)
+    tp[np.unique(hit, return_index=True)[1]] = True       # the first claim of each row
+    tp &= hit >= 0
 
-    per_class: dict[int, float] = {}
-    for cls in sorted(gt_class_counts):
-        per_class[cls] = class_ap(cls, None)
-    mean_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    def class_aps(counted: np.ndarray, gt_rows: np.ndarray) -> dict[int, float]:
+        """AP of each class with a ground truth among gt_rows, over the
+        counted detections."""
+        return {int(c): interpolated_ap(tp[counted & (cls == c)], int(np.sum(gt_cls[gt_rows] == c)))
+                for c in np.unique(gt_cls[gt_rows])}
 
-    bucket_ap: dict[str, float] = {}
-    bucket_counts: dict[str, int] = {}
+    per_class = class_aps(np.ones(len(tp), dtype=bool), np.ones(len(gt_cls), dtype=bool))
+    hit_bucket = np.append(bucket, "")[hit]              # hit -1 reads the appended ""
+    bucket_ap, bucket_counts = {}, {}
     for label in SPEED_LABELS:
-        counts = bucket_class_counts[label]
-        bucket_counts[label] = sum(counts.values())
-        aps = [class_ap(cls, label) for cls in sorted(counts)]
-        aps = [a for a in aps if a is not None]
-        bucket_ap[label] = float(np.mean(aps)) if aps else 0.0
-
+        member = bucket == label
+        aps = class_aps((hit < 0) | (hit_bucket == label), member)
+        bucket_ap[label] = float(np.mean(list(aps.values()))) if aps else 0.0
+        bucket_counts[label] = int(member.sum())
+    mean_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return EvalReport(per_class, mean_ap, bucket_ap, bucket_counts,
-                      num_gts=total_gts, num_dets=total_dets)
+                      num_gts=len(gt_cls), num_dets=len(dets))

@@ -1,4 +1,5 @@
-"""Bounding-box algebra: IoU/GIoU, logit-space box refinement, RoI sampling.
+"""Bounding-box algebra: box overlap, GIoU, logit-space box refinement, RoI
+sampling.
 
 Boxes live in normalized (cx, cy, w, h) form, as [..., 4] float64 arrays for
 predictions and as Box values for annotations and detections. Tensor
@@ -39,9 +40,6 @@ class Box:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
-    def area(self) -> float:
-        return self.w * self.h
-
 
 FULL_FRAME = np.array([0.5, 0.5, 1.0, 1.0])
 
@@ -51,14 +49,23 @@ def clamp_boxes(boxes: np.ndarray) -> np.ndarray:
     return np.clip(boxes, (0.0, 0.0, WH_MIN, WH_MIN), 1.0)
 
 
-def iou(a: Box, b: Box) -> float:
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = a.area() + b.area() - inter
-    return inter / union if union > 0 else 0.0
+def box_corners(boxes: np.ndarray) -> np.ndarray:
+    """[..., 4] center-size boxes -> [..., 4] corners (x1, y1, x2, y2)."""
+    return np.concatenate([boxes[..., :2] - boxes[..., 2:] / 2,
+                           boxes[..., :2] + boxes[..., 2:] / 2], axis=-1)
+
+
+def box_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inter, union, enclosure) areas of [..., 4] center-size boxes a and b,
+    broadcast against each other; IoU is inter / union and GIoU subtracts
+    (enclosure - union) / enclosure."""
+    ac, bc = box_corners(a), box_corners(b)
+    lo, hi = np.maximum(ac[..., :2], bc[..., :2]), np.minimum(ac[..., 2:], bc[..., 2:])
+    wh = np.maximum(hi - lo, 0.0)
+    inter = wh[..., 0] * wh[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    ext = np.maximum(ac[..., 2:], bc[..., 2:]) - np.minimum(ac[..., :2], bc[..., :2])
+    return inter, union, ext[..., 0] * ext[..., 1]
 
 
 def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarray:

@@ -163,21 +163,7 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
     p = ad.stable_sigmoid(x)
     cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * ad.stable_softplus(-x)
 
-    pc = np.stack([pboxes[:, 0] - pboxes[:, 2] / 2, pboxes[:, 1] - pboxes[:, 3] / 2,
-                   pboxes[:, 0] + pboxes[:, 2] / 2, pboxes[:, 1] + pboxes[:, 3] / 2], axis=1)
-    gc = np.stack([gboxes[:, 0] - gboxes[:, 2] / 2, gboxes[:, 1] - gboxes[:, 3] / 2,
-                   gboxes[:, 0] + gboxes[:, 2] / 2, gboxes[:, 1] + gboxes[:, 3] / 2], axis=1)
-    iw = np.maximum(np.minimum(pc[:, None, 2], gc[None, :, 2])
-                    - np.maximum(pc[:, None, 0], gc[None, :, 0]), 0.0)
-    ih = np.maximum(np.minimum(pc[:, None, 3], gc[None, :, 3])
-                    - np.maximum(pc[:, None, 1], gc[None, :, 1]), 0.0)
-    inter = iw * ih
-    areas_p = pboxes[:, 2] * pboxes[:, 3]
-    areas_g = gboxes[:, 2] * gboxes[:, 3]
-    union = areas_p[:, None] + areas_g[None, :] - inter
-    ew = np.maximum(pc[:, None, 2], gc[None, :, 2]) - np.minimum(pc[:, None, 0], gc[None, :, 0])
-    eh = np.maximum(pc[:, None, 3], gc[None, :, 3]) - np.minimum(pc[:, None, 1], gc[None, :, 1])
-    enclosure = ew * eh
+    inter, union, enclosure = geo.box_overlap(pboxes[:, None], gboxes[None, :])
     giou = inter / union - (enclosure - union) / enclosure
 
     l1 = np.abs(pboxes[:, None, :] - gboxes[None, :, :]).sum(axis=2)

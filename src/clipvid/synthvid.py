@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, InputError, ParseError
 from .geometry import Box
 
 SHAPE_NAMES = ("disc", "square", "triangle", "cross", "ring")
@@ -118,11 +118,21 @@ class ClipSample:
                        np.array(track, dtype=np.int64))
 
 
+def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
+    """Raise InputError for a ground-truth class the model lacks."""
+    for clip in dataset:
+        for track in clip.tracks:
+            if not 0 <= track.class_id < num_classes:
+                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
+                                 f"{track.class_id} out of range for {num_classes} classes")
+
+
 def _shape_mask(shape_id: int, cx: float, cy: float, rx: float, ry: float,
-                size: int) -> np.ndarray:
-    ys, xs = np.mgrid[0:size, 0:size]
-    x = (xs + 0.5) / size - cx
-    y = (ys + 0.5) / size - cy
+                centres: np.ndarray) -> np.ndarray:
+    """The [size, size] pixels of a shape centred at (cx, cy); centres holds
+    the frame's [size] pixel centres along either axis."""
+    x = centres[None, :] - cx
+    y = centres[:, None] - cy
     name = SHAPE_NAMES[shape_id]
     if name == "disc":
         return (x / rx) ** 2 + (y / ry) ** 2 <= 1.0
@@ -234,11 +244,12 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
             occluder[lo:hi, :] = True
 
     background = _background(rng, size)
+    centres = (np.arange(size) + 0.5) / size
 
     def render(positions: list[tuple[float, float]]) -> np.ndarray:
         canvas = background.copy()
         for obj, (cx, cy) in zip(objects, positions):
-            mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, size)
+            mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, centres)
             _paint(canvas, mask, obj, cx, cy)
         if shade is not None:
             canvas[occluder] = shade
@@ -262,30 +273,25 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
             acc += render(positions)
         frames[t] = (acc / len(taus)).astype(np.float32)
 
+    # Each object's mask at each frame; an object is covered by the occluder
+    # strip and by every object painted after it.
+    masks = np.array([[_shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, centres)
+                       for cx, cy in obj.centers] for obj in objects])     # [n, T, size, size]
+    covered = np.empty_like(masks)
+    covered[-1] = occluder
+    for oi in range(len(objects) - 1, 0, -1):
+        covered[oi - 1] = covered[oi] | masks[oi]
+    totals = masks.sum(axis=(2, 3)).tolist()
+    visibles = (masks & ~covered).sum(axis=(2, 3)).tolist()
+
     tracks: list[Track] = []
-    for oi, obj in enumerate(objects):
-        boxes: list[Box | None] = []
-        vis: list[float] = []
+    for obj, total, visible in zip(objects, totals, visibles):
+        vis = [v / t if t else 0.0 for v, t in zip(visible, total)]
+        boxes = [Box.from_corners(cx - obj.rx, cy - obj.ry, cx + obj.rx, cy + obj.ry)
+                 if v >= VISIBILITY_MIN else None for (cx, cy), v in zip(obj.centers, vis)]
         disp = 0.0
-        for t in range(T):
-            cx, cy = obj.centers[t]
-            if t > 0:
-                px, py = obj.centers[t - 1]
-                disp += math.hypot(cx - px, cy - py)
-            mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, size)
-            covered = occluder.copy()
-            for other in objects[oi + 1:]:
-                ox, oy = other.centers[t]
-                covered |= _shape_mask(other.class_id, ox, oy, other.rx, other.ry, size)
-            total = int(mask.sum())
-            visible = int((mask & ~covered).sum())
-            fraction = visible / total if total else 0.0
-            vis.append(fraction)
-            if fraction >= VISIBILITY_MIN:
-                boxes.append(Box.from_corners(cx - obj.rx, cy - obj.ry,
-                                              cx + obj.rx, cy + obj.ry))
-            else:
-                boxes.append(None)
+        for (px, py), (cx, cy) in zip(obj.centers, obj.centers[1:]):
+            disp += math.hypot(cx - px, cy - py)
         mean_disp = disp / (T - 1) if T > 1 else 0.0
         tracks.append(Track(obj.track_id, obj.class_id, boxes, vis,
                             cfg.speed_label(mean_disp)))
@@ -389,6 +395,12 @@ def read_dataset(path: str) -> list[ClipSample]:
             raise ValueError(f"frame index {fi} outside the clip's {len(tr.boxes)} frames")
         return fi
 
+    def visibility(text: str) -> float:
+        v = float(text)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"visibility {text} must be in [0, 1]")
+        return v
+
     if os.path.exists(ann_path):
         with open(ann_path) as fh:
             for ln, line in enumerate(fh, start=1):
@@ -413,20 +425,23 @@ def read_dataset(path: str) -> list[ClipSample]:
                         clips[cid].tracks.append(tr)
                     elif parts[0] == "vis":
                         tr = tracks[(int(parts[1]), int(parts[2]))]
-                        tr.visibility[frame_index(tr, parts[3])] = float(parts[4])
+                        tr.visibility[frame_index(tr, parts[3])] = visibility(parts[4])
                     elif parts[0] == "box":
                         tr = tracks[(int(parts[1]), int(parts[2]))]
                         if int(parts[3]) != tr.class_id:
                             raise ValueError(f"box class {parts[3]} differs from track "
                                              f"{tr.track_id}'s class {tr.class_id}")
+                        if parts[10] != tr.speed_label:
+                            raise ValueError(f"box speed label {parts[10]!r} differs from "
+                                             f"track {tr.track_id}'s {tr.speed_label!r}")
                         fi = frame_index(tr, parts[4])
-                        x1, y1, x2, y2, v = (float(x) for x in parts[5:10])
+                        x1, y1, x2, y2 = (float(x) for x in parts[5:9])
                         if not (all(map(math.isfinite, (x1, y1, x2, y2)))
                                 and x1 < x2 and y1 < y2):
                             raise ValueError(f"box corners ({x1}, {y1}, {x2}, {y2}) must be "
                                              f"finite with x1 < x2 and y1 < y2")
                         tr.boxes[fi] = Box.from_corners(x1, y1, x2, y2)
-                        tr.visibility[fi] = v
+                        tr.visibility[fi] = visibility(parts[9])
                     else:
                         raise ValueError(f"unknown record {parts[0]!r}")
                 except (KeyError, ValueError, IndexError) as e:

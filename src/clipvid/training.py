@@ -24,8 +24,8 @@ from . import ica as ica_mod
 from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
-from .errors import ConfigError, InputError
-from .synthvid import ClipSample, Targets
+from .errors import ConfigError
+from .synthvid import ClipSample, Targets, check_classes
 
 CONTRASTIVE_WEIGHT = 1.0
 # AdamW's moment decay rates, denominator floor and decoupled weight decay,
@@ -153,15 +153,6 @@ def _clip_gradients(grad: np.ndarray, views: list[np.ndarray]) -> None:
     norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in views))
     if norm > MAX_GRAD_NORM:
         grad *= MAX_GRAD_NORM / norm
-
-
-def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
-    """Raise InputError for a ground-truth class the model lacks."""
-    for clip in dataset:
-        for track in clip.tracks:
-            if not 0 <= track.class_id < num_classes:
-                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
-                                 f"{track.class_id} out of range for {num_classes} classes")
 
 
 def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,

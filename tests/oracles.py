@@ -24,9 +24,9 @@ from clipvid import matching as mt
 from clipvid import model as M
 from clipvid import training as tr
 from clipvid.errors import InputError
-from clipvid.evaluate import IOU_THRESH, interpolated_ap
-from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, iou
-from clipvid.synthvid import Targets
+from clipvid.evaluate import IOU_THRESH, EvalReport, interpolated_ap
+from clipvid.geometry import LOGIT_EPS, WH_MIN, Box
+from clipvid.synthvid import SPEED_LABELS, Targets
 
 # ---------------------------------------------------------------------------
 # Boxes
@@ -51,6 +51,16 @@ def clamped(b: Box) -> Box:
                min(max(b.w, WH_MIN), 1.0), min(max(b.h, WH_MIN), 1.0))
 
 
+def iou(a: Box, b: Box) -> float:
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union if union > 0 else 0.0
+
+
 def giou(a: Box, b: Box) -> float:
     """IoU minus the enclosure penalty; in [-1, 1], 1 iff boxes coincide."""
     if a.w <= 0 or a.h <= 0 or b.w <= 0 or b.h <= 0:
@@ -60,7 +70,7 @@ def giou(a: Box, b: Box) -> float:
     iw = max(min(ax2, bx2) - max(ax1, bx1), 0.0)
     ih = max(min(ay2, by2) - max(ay1, by1), 0.0)
     inter = iw * ih
-    union = a.area() + b.area() - inter
+    union = a.w * a.h + b.w * b.h - inter
     ew = max(ax2, bx2) - min(ax1, bx1)
     eh = max(ay2, by2) - min(ay1, by1)
     enclosure = ew * eh
@@ -382,6 +392,74 @@ def average_precision(dets: list[tuple[float, Box]], gts: list[Box],
         else:
             flags.append(False)
     return interpolated_ap(flags, len(gts))
+
+
+def loop_interpolated_ap(tp_flags: list[bool], num_gt: int) -> float:
+    """All-point interpolated AP with the precision envelope taken one step
+    at a time, from the last detection back."""
+    if num_gt == 0 or not tp_flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
+    n = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
+    mrec = np.concatenate(([0.0], tp / num_gt))
+    mpre = np.concatenate(([0.0], tp / n))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+
+
+def loop_evaluate(detections, clips, num_classes: int) -> EvalReport:
+    """evaluate() one object at a time: ground truths in a dict keyed by
+    (clip, frame, class), one score-sorted record list per class, greedy
+    claims one detection at a time, and a per-bucket re-filter of each
+    class's claims."""
+    gts: dict[tuple[int, int, int], list[list]] = {}      # [box, speed, matched]
+    gt_counts: dict[str | None, dict[int, int]] = {lb: {} for lb in (None, *SPEED_LABELS)}
+    for c, clip in enumerate(clips):
+        for track in clip.tracks:
+            for f, box in enumerate(track.boxes):
+                if box is not None:
+                    gts.setdefault((c, f, track.class_id), []).append(
+                        [box, track.speed_label, False])
+                    for lb in (None, track.speed_label):
+                        gt_counts[lb][track.class_id] = gt_counts[lb].get(track.class_id, 0) + 1
+    records: dict[int, list] = {}
+    order = 0
+    for c, clip_dets in enumerate(detections[:len(clips)]):
+        for f, frame_dets in enumerate(clip_dets):
+            for det in frame_dets:
+                if not 0 <= det.class_id < num_classes:
+                    raise InputError(f"detection class {det.class_id} out of range")
+                records.setdefault(det.class_id, []).append((det.score, order, c, f, det.box))
+                order += 1
+    claims: dict[int, list[tuple[bool, list | None]]] = {}
+    for cls, recs in records.items():
+        recs.sort(key=lambda r: (-r[0], r[1]))
+        claims[cls] = []
+        for _score, _order, c, f, box in recs:
+            best, best_e = 0.0, None
+            for entry in gts.get((c, f, cls), []):
+                v = iou(box, entry[0])
+                if v > best:
+                    best, best_e = v, entry
+            if best < IOU_THRESH:
+                claims[cls].append((False, None))
+            else:
+                claims[cls].append((not best_e[2], best_e))
+                best_e[2] = True
+
+    def mean_ap(bucket: str | None) -> tuple[dict[int, float], float]:
+        aps = {}
+        for cls in sorted(gt_counts[bucket]):
+            flags = [tp for tp, entry in claims.get(cls, [])
+                     if bucket is None or entry is None or entry[1] == bucket]
+            aps[cls] = loop_interpolated_ap(flags, gt_counts[bucket][cls])
+        return aps, float(np.mean(list(aps.values()))) if aps else 0.0
+
+    per_class, overall = mean_ap(None)
+    return EvalReport(per_class, overall, {lb: mean_ap(lb)[1] for lb in SPEED_LABELS},
+                      {lb: sum(gt_counts[lb].values()) for lb in SPEED_LABELS},
+                      num_gts=sum(gt_counts[None].values()), num_dets=order)
 
 
 def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:

@@ -307,7 +307,9 @@ def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, 
     ("ablate", "--ckpt", "x.ckpt", "--out", "t.csv", "--grid", "topk=x"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--seed", "-1"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--iters", "-3"),
-], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative"])
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "nan"),
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "inf"),
+], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative", "lr_nan", "lr_inf"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
@@ -344,6 +346,22 @@ def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsy
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt"),
+    ("eval", "--ckpt", "CKPT", "--out", "r"),
+    ("ablate", "--ckpt", "CKPT", "--out", "r", "--grid", "topk=1"),
+], ids=["train", "eval", "ablate"])
+def test_empty_dataset_is_usage_error(trained_ckpt, capsys, monkeypatch, tmp_path, argv):
+    """A dataset without clips is refused before anything is written, not
+    scored as map=0."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--out", "empty", "--clips", "0") == 0
+    argv = [trained_ckpt if a == "CKPT" else a for a in argv]
+    assert run(*argv, "--data", "empty") == cli.EXIT_USAGE
+    assert "error: empty dataset" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["empty"]
 
 
 @pytest.mark.parametrize("grid,limit", [

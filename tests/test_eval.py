@@ -4,9 +4,9 @@ import pytest
 from clipvid import evaluate as ev
 from clipvid import synthvid as sv
 from clipvid.errors import InputError
-from clipvid.geometry import Box, iou
+from clipvid.geometry import Box
 from clipvid.model import Detection
-from oracles import average_precision
+from oracles import average_precision, iou, loop_evaluate
 
 
 def corners(x1, y1, x2, y2):
@@ -131,6 +131,69 @@ def test_bucket_counts_reconcile_with_total():
     ])]
     report = ev.evaluate(perfect_detections(clips), clips, num_classes=2)
     assert sum(report.bucket_gt_counts.values()) == report.num_gts == 4
+
+
+def test_iou_exactly_at_threshold_is_a_hit():
+    gt = corners(0.25, 0.25, 0.75, 0.75)
+    det = corners(0.25, 0.25, 0.75, 0.5)
+    assert iou(det, gt) == ev.IOU_THRESH
+    clips = [clip_with([track(0, 0, [gt, None])])]
+    report = ev.evaluate([[[Detection(0, 0.9, det)], []]], clips, num_classes=1)
+    assert report.mean_ap == 1.0
+
+
+def test_equal_iou_goes_to_the_earlier_track():
+    """A detection as close to two ground truths hits the one listed first:
+    its TP counts in that track's bucket and is ignored by the other's."""
+    det = corners(0.25, 0.25, 0.75, 0.75)
+    a, b = corners(0.25, 0.25, 0.75, 1.0), corners(0.25, 0.0, 0.75, 0.75)
+    assert iou(det, a) == iou(det, b) >= ev.IOU_THRESH
+    clips = [clip_with([track(0, 0, [a, None], "slow"), track(1, 0, [b, None], "fast")])]
+    report = ev.evaluate([[[Detection(0, 0.9, det)], []]], clips, num_classes=1)
+    assert report.bucket_ap == {"slow": 1.0, "medium": 0.0, "fast": 0.0}
+
+
+def test_ground_truth_class_out_of_range_rejected():
+    clips = [clip_with([track(0, 3, [corners(0.1, 0.1, 0.4, 0.4)] * 2)])]
+    with pytest.raises(InputError, match="class 3 out of range"):
+        ev.evaluate(perfect_detections(clips), clips, num_classes=2)
+
+
+def echo_detections(clips, rng, num_classes):
+    """Per clip and frame: jittered echoes of each ground truth (some of
+    another class, some duplicated) and a few stray boxes, with scores on a
+    coarse grid so that ties are common, in shuffled order."""
+    out = []
+    for clip in clips:
+        frames = []
+        for f in range(clip.frames.shape[0]):
+            dets = []
+            for cls, b, _track in clip.frame_gts(f):
+                for _ in range(int(rng.integers(0, 3))):
+                    j = rng.normal(0.0, 0.05, size=4)
+                    box = Box(b.cx + j[0], b.cy + j[1],
+                              max(b.w + j[2], 0.01), max(b.h + j[3], 0.01))
+                    c = cls if rng.random() < 0.8 else int(rng.integers(num_classes))
+                    dets.append(Detection(c, float(np.round(rng.random(), 1)), box))
+            for _ in range(int(rng.integers(0, 3))):
+                cx, cy, w, h = rng.uniform(0.05, 0.6, size=4)
+                dets.append(Detection(int(rng.integers(num_classes)),
+                                      float(np.round(rng.random(), 1)), Box(cx, cy, w, h)))
+            frames.append([dets[i] for i in rng.permutation(len(dets))])
+        out.append(frames)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_per_object_oracle(seed):
+    """The array evaluation gives the very report of the per-object loop:
+    every AP, bucket AP and count, compared through repr."""
+    gen = sv.GenConfig(frame_size=16, t=4, max_objects=4, occluder_prob=0.5)
+    clips = sv.generate_dataset(gen, 5, seed=seed)
+    dets = echo_detections(clips, np.random.default_rng(seed), gen.num_classes)
+    report = ev.evaluate(dets, clips, gen.num_classes)
+    assert report.num_dets > 0 and report.num_gts > 0
+    assert repr(report) == repr(loop_evaluate(dets, clips, gen.num_classes))
 
 
 def test_report_serialization_lines():

@@ -10,7 +10,7 @@ from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid.errors import InputError
 from clipvid.geometry import Box
-from oracles import BoxDelta, apply_delta, bilinear_corners, giou, roi_sample
+from oracles import BoxDelta, apply_delta, bilinear_corners, giou, iou, roi_sample
 
 
 def corners(x1, y1, x2, y2):
@@ -41,9 +41,26 @@ def test_giou_degenerate_rejected():
 
 def test_iou_cases():
     b = Box(0.5, 0.5, 0.3, 0.3)
-    assert geo.iou(b, b) == pytest.approx(1.0)
-    assert geo.iou(corners(0, 0, 0.1, 0.1), corners(0.5, 0.5, 0.7, 0.7)) == 0.0
-    assert geo.iou(corners(0, 0, 1, 0.5), corners(0, 0, 1, 1)) == pytest.approx(0.5)
+    assert iou(b, b) == pytest.approx(1.0)
+    assert iou(corners(0, 0, 0.1, 0.1), corners(0.5, 0.5, 0.7, 0.7)) == 0.0
+    assert iou(corners(0, 0, 1, 0.5), corners(0, 0, 1, 1)) == pytest.approx(0.5)
+
+
+def test_box_overlap_matches_scalar_forms(rng):
+    """inter / union is the scalar IoU and the enclosure term the scalar
+    GIoU's, pair by pair over broadcast [5, 1] x [1, 7] boxes, and corners
+    are Box.corners, all to the last bit."""
+    a = np.concatenate([rng.uniform(0.0, 1.0, (5, 2)), rng.uniform(0.01, 0.8, (5, 2))], axis=1)
+    b = np.concatenate([rng.uniform(0.0, 1.0, (7, 2)), rng.uniform(0.01, 0.8, (7, 2))], axis=1)
+    b[:2] = a[:2]                                          # coincident pairs
+    inter, union, enclosure = geo.box_overlap(a[:, None], b[None, :])
+    assert inter.shape == union.shape == enclosure.shape == (5, 7)
+    for i, j in np.ndindex(5, 7):
+        pa, pb = Box(*a[i]), Box(*b[j])
+        assert inter[i, j] / union[i, j] == iou(pa, pb)
+        assert inter[i, j] / union[i, j] - (enclosure[i, j] - union[i, j]) / enclosure[i, j] \
+            == giou(pa, pb)
+    assert geo.box_corners(a).tolist() == [list(Box(*row).corners()) for row in a]
 
 
 boxes_strategy = st.builds(
@@ -57,7 +74,7 @@ boxes_strategy = st.builds(
 def test_giou_properties(a, b):
     g = giou(a, b)
     assert giou(b, a) == pytest.approx(g, rel=1e-12)
-    assert g <= geo.iou(a, b) + 1e-12
+    assert g <= iou(a, b) + 1e-12
     assert -1.0 - 1e-12 <= g <= 1.0 + 1e-12
 
 

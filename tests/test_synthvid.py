@@ -1,12 +1,13 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
-from clipvid import geometry as geo
 from clipvid import synthvid as sv
 from clipvid.errors import ConfigError, ParseError
 from clipvid.geometry import Box
+from oracles import iou
 
 
 def small_cfg(**kw):
@@ -109,7 +110,7 @@ def test_fast_band_lowers_consecutive_iou():
             boxes = [b for b in tr.boxes if b is not None]
             if len(boxes) < 2:
                 continue
-            vals = [geo.iou(a, b) for a, b in zip(boxes[1:], boxes[:-1])]
+            vals = [iou(a, b) for a, b in zip(boxes[1:], boxes[:-1])]
             if tr.speed_label == "slow":
                 slow_ious.extend(vals)
             elif tr.speed_label == "fast":
@@ -170,6 +171,23 @@ def test_write_read_round_trip(tmp_path):
                     assert np.allclose(ba.as_array(), bb.as_array(), atol=1e-12)
 
 
+@pytest.mark.parametrize("kw,digest", [
+    ({}, "e506b976106292eaa09005fdcd51c96a8e0e3815ef9a426dd8f8b54d2e32adbc"),
+    ({"occluder_prob": 1.0}, "70f90bc2dde57c09788ea762e4f6f260d16ffb261dc129164a991b6dabc8ed7f"),
+], ids=["default", "occluder_prob_1"])
+def test_generated_dataset_bytes_are_pinned(tmp_path, kw, digest):
+    """A seeded dataset keeps its frame bytes and annotation text; the
+    digests hold 14 tracks, 1 (default) and 4 (occluder on every clip)
+    boxes hidden below VISIBILITY_MIN, and partial visibilities."""
+    clips = sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0)
+    sv.write_dataset(clips, str(tmp_path))
+    h = hashlib.sha256()
+    for clip in clips:
+        h.update(np.ascontiguousarray(clip.frames, dtype="<f4").tobytes())
+    h.update((tmp_path / "annotations.txt").read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_empty_dataset_round_trip(tmp_path):
     sv.write_dataset([], str(tmp_path / "ds"))
     assert sv.read_dataset(str(tmp_path / "ds")) == []
@@ -227,12 +245,19 @@ def test_malformed_annotation_reports_line(tmp_path):
     "box 0 5 2 0 nan 0.25 0.75 0.75 1 fast",
     "box 0 5 2 0 0.75 0.25 0.25 0.75 1 fast",
     "box 0 5 2 0 0.25 0.5 0.75 0.5 1 fast",
+    "box 0 5 2 0 0.25 0.25 0.75 0.75 1 slow",
+    "box 0 5 2 0 0.25 0.25 0.75 0.75 1.5 fast",
+    "box 0 5 2 0 0.25 0.25 0.75 0.75 nan fast",
+    "vis 0 5 0 -0.1",
+    "vis 0 5 0 inf",
 ], ids=["box_frame_negative", "box_frame_past_end", "vis_frame_negative",
         "class_negative", "track_id_negative", "track_repeated", "box_class_mismatch",
-        "box_corner_nan", "box_x_corners_swapped", "box_zero_height"])
+        "box_corner_nan", "box_x_corners_swapped", "box_zero_height", "box_speed_mismatch",
+        "box_visibility_above_one", "box_visibility_nan", "vis_negative", "vis_inf"])
 def test_invalid_annotation_reports_line(tmp_path, bad_line):
     """An annotation that would wrap an index, break the one-query-per-
-    track property or give a box without a finite, positive extent is a
+    track property, give a box without a finite, positive extent or a speed
+    label other than its track's, or a visibility outside [0, 1] is a
     ParseError naming its line, not silently kept."""
     ds = tmp_path / "ds"
     write_fixture(ds, f"track 0 5 2 fast\nvis 0 5 1 0.1\n{bad_line}\n")
