@@ -312,6 +312,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tol < np.inf:                  # NaN fails both comparisons
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     ad.set_precision(64)
     reports = gradcheck_suite.run_suite(args.seed, args.tol)
     failed = [r for r in reports if not r.passed]

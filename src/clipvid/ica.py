@@ -3,8 +3,8 @@
 Each high-scoring query (anchor) selects, in every other frame, the query
 whose identity embedding is closest; the anchor cross-attends over the
 adapted region features of its picks. Anchors share picks, so the context
-is built and its keys and values projected once per distinct (frame,
-query) block; each anchor's attention then reads only its own blocks.
+is built once per distinct (frame, query) block, each anchor gathers its
+own, and the attention projects no keys or values (own_block_attention).
 Identity embeddings are trained contrastively from the set-matching
 assignments. Selection is discrete and never differentiated through.
 """
@@ -97,33 +97,24 @@ def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
     return rows + ad.linear(contrib, pos_proj)
 
 
-def own_block_attention(q: Tensor, ctx: Tensor, own: np.ndarray, p: ad.MHAParams) -> Tensor:
-    """Multi-head attention of each row of q [A, d] over its own blocks of
-    the shared context ctx [U, s*s, d], own [A, F] holding each row's block
-    indices in ascending order -> [A, d].
-
-    K and V are projected once per context block; each row then gathers the
-    keys and values of its own F blocks, already split into heads. Every
-    matmul is one row's or one block's, so a row's output does not depend
-    on the other rows or blocks, down to the last bit."""
+def own_block_attention(q: Tensor, ctx: Tensor, p: ad.MHAParams) -> Tensor:
+    """Multi-head attention of each row of q [A, d] over its own context
+    rows ctx [A, n, d] -> [A, d], projecting no keys or values: each head's
+    key weight folds into its query (the key bias, a per-head logit
+    constant, cancels in the softmax and is not read), and its value weight
+    and bias apply after the weighted sum. Each matmul is one row's or one
+    (row, head)'s, so no row changes another's bits."""
     A, d = q.shape
-    u, s2, _ = ctx.shape
-    F = own.shape[1]
-    h = p.heads
-    hd = d // h
-    head_blocks = (np.arange(h)[:, None, None] * u + own).reshape(-1)      # [H*A*F]
-
-    def per_row(lin: ad.LinearParams) -> Tensor:                           # [H, A, F*s*s, hd]
-        x = ad.transpose(ad.reshape(ad.linear(ctx, lin), (u, s2, h, hd)), (2, 0, 1, 3))
-        x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
-        return ad.reshape(x, (h, A, F * s2, hd))
-
-    qh = ad.transpose(ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
-                      (1, 0, 2, 3))                                         # [H, A, hd, 1]
-    logits = ad.reshape(ad.matmul(per_row(p.k), qh), (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
-    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(p.v))             # [H, A, 1, hd]
-    out = ad.linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
-    return ad.reshape(out, (A, d))
+    h, hd = p.heads, d // p.heads
+    qh = ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, 1, hd)) * (1.0 / math.sqrt(hd))
+    wk = ad.transpose(ad.reshape(p.k.w, (d, h, hd)), (1, 2, 0))               # [H, hd, d]
+    qk = ad.transpose(ad.reshape(ad.matmul(qh, wk), (A, h, d)), (0, 2, 1))    # [A, d, H]
+    # Transpose the logits, not ctx: an axis-1 softmax over [A, n, H] is slower.
+    weights = ad.softmax(ad.transpose(ad.matmul(ctx, qk), (0, 2, 1)), axis=-1)  # [A, H, n]
+    mixed = ad.reshape(ad.matmul(weights, ctx), (A, h, 1, d))
+    wv = ad.transpose(ad.reshape(p.v.w, (d, h, hd)), (1, 0, 2))               # [H, d, hd]
+    out = ad.reshape(ad.matmul(mixed, wv), (A, 1, d)) + p.v.b
+    return ad.reshape(ad.linear(out, p.out), (A, d))
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
@@ -152,13 +143,13 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
 
     anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
     picks = selection.picks
-    # Every anchor keeps the same number F of frames, so its picked blocks
-    # form one [F] row of the inverse, in ascending frame order.
+    # Each anchor's F picked blocks are F consecutive entries of the inverse.
     blocks, own = np.unique((np.arange(T) * L + picks)[picks >= 0], return_inverse=True)
     ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
+    ctx = ad.reshape(ad.gather_rows(ctx, own), (len(anchors), -1, d))        # [A, F*s*s, d]
     flat = ad.reshape(queries, (T * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
-    attn = own_block_attention(q, ctx, own.reshape(len(anchors), -1), lp.ica_attn)
+    attn = own_block_attention(q, ctx, lp.ica_attn)
     updated = ad.layer_norm(q + attn, lp.ln_ica.gain, lp.ln_ica.bias)
     return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
 

@@ -346,31 +346,33 @@ def read_dataset(path: str) -> list[ClipSample]:
         raise ParseError(f"{mani_path}:1: not a dataset manifest")
 
     clips: dict[int, ClipSample] = {}
-    meta: dict[int, tuple[int, int, int]] = {}
+    declared_tracks: dict[int, tuple[int, int]] = {}    # clip id -> (manifest line, tracks=)
     declared = None
+    keys = ("frames", "height", "width", "file", "tracks")      # read by key, in any order
     for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("clips="):
-            try:
-                declared = int(line.split("=", 1)[1])
-            except ValueError as e:
-                raise ParseError(f"{mani_path}:{ln}: {e}") from e
-            continue
         parts = line.split()
-        if parts[0] != "clip" or len(parts) != 7:
-            raise ParseError(f"{mani_path}:{ln}: malformed clip record")
+        if not parts:
+            continue
         try:
+            if line.startswith("clips="):
+                declared = int(line.split("=", 1)[1])
+                continue
+            if parts[0] != "clip" or len(parts) < 2:
+                raise ValueError("malformed clip record")
             cid = int(parts[1])
-            t = int(parts[2].split("=")[1])
-            h = int(parts[3].split("=")[1])
-            w = int(parts[4].split("=")[1])
-            rel = parts[5].split("=", 1)[1]
-        except (ValueError, IndexError) as e:
+            if cid in clips:
+                raise ValueError(f"repeated clip {cid}")
+            pairs = [item.partition("=") for item in parts[2:]]
+            rec = {key: value for key, eq, value in pairs if eq}
+            if len(rec) != len(pairs) or sorted(rec) != sorted(keys):
+                raise ValueError(f"clip fields must be {' '.join(keys)}, each once "
+                                 f"as key=value, got {' '.join(parts[2:])}")
+            t, h, w, n_tracks = map(int, map(rec.get, ("frames", "height", "width", "tracks")))
+            rel = rec["file"]
+            if min(t, h, w) < 1:
+                raise ValueError(f"clip extents frames={t} height={h} width={w} must be >= 1")
+        except ValueError as e:
             raise ParseError(f"{mani_path}:{ln}: {e}") from e
-        if min(t, h, w) < 1:
-            raise ParseError(f"{mani_path}:{ln}: clip extents frames={t} height={h} "
-                             f"width={w} must each be at least 1")
         bin_path = os.path.join(path, rel)
         expect = t * h * w * 3 * 4
         try:
@@ -382,7 +384,7 @@ def read_dataset(path: str) -> list[ClipSample]:
                              f"expected {expect} bytes, found {len(raw)}")
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, h, w, 3).copy()
         clips[cid] = ClipSample(cid, frames, [])
-        meta[cid] = (t, h, w)
+        declared_tracks[cid] = (ln, n_tracks)
     if declared is not None and declared != len(clips):
         raise ParseError(f"{mani_path}: declared {declared} clips, found {len(clips)}")
 
@@ -419,7 +421,7 @@ def read_dataset(path: str) -> list[ClipSample]:
                             raise ValueError(f"negative track id {tid} or class {cls}")
                         if (cid, tid) in tracks:
                             raise ValueError(f"repeated track {tid} of clip {cid}")
-                        t = meta[cid][0]
+                        t = len(clips[cid].frames)
                         tr = Track(tid, cls, [None] * t, [0.0] * t, label)
                         tracks[(cid, tid)] = tr
                         clips[cid].tracks.append(tr)
@@ -446,4 +448,8 @@ def read_dataset(path: str) -> list[ClipSample]:
                         raise ValueError(f"unknown record {parts[0]!r}")
                 except (KeyError, ValueError, IndexError) as e:
                     raise ParseError(f"{ann_path}:{ln}: {e}") from e
+    for cid, (ln, n_tracks) in declared_tracks.items():
+        if n_tracks != len(clips[cid].tracks):
+            raise ParseError(f"{mani_path}:{ln}: clip {cid} declares tracks={n_tracks}, "
+                             f"the annotations hold {len(clips[cid].tracks)}")
     return [clips[cid] for cid in sorted(clips)]

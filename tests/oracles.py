@@ -5,8 +5,10 @@ with plain floats or single-row tensors, and each adjoint reference takes
 one product per stacked matrix or one addition per gathered row. The
 composed layers build linear, layer_norm and attention from elementwise
 primitives, so the taped chain rule checks the fused primitives' adjoints.
-The tests compare the package's batched and fused paths against them. The
-patches at the end change the package for one test: the within-frame mask
+own_block_attention keeps ICA's attention in its projected form, keys and
+values computed per context block, as the reference of the reassociated
+one. The tests compare the package's batched and fused paths against them.
+The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
 """
@@ -227,6 +229,33 @@ def aggregate(q, chosen, region, contrib_queries, lp):
     ctx = joint_context(chosen, region, contrib_queries, lp.ica_pos)
     attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
     return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
+
+
+def own_block_attention(q, ctx, own, p):
+    """The projected form of ica.own_block_attention: multi-head attention
+    of each row of q [A, d] over its own blocks of the shared context ctx
+    [U, s*s, d], own [A, F] holding each row's block indices in ascending
+    order -> [A, d]. Keys and values are projected once per context block;
+    each row then gathers the keys and values of its own F blocks, already
+    split into heads."""
+    A, d = q.shape
+    u, s2, _ = ctx.shape
+    F = own.shape[1]
+    h = p.heads
+    hd = d // h
+    head_blocks = (np.arange(h)[:, None, None] * u + own).reshape(-1)      # [H*A*F]
+
+    def per_row(lin: ad.LinearParams):                                     # [H, A, F*s*s, hd]
+        x = ad.transpose(ad.reshape(ad.linear(ctx, lin), (u, s2, h, hd)), (2, 0, 1, 3))
+        x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
+        return ad.reshape(x, (h, A, F * s2, hd))
+
+    qh = ad.transpose(ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
+                      (1, 0, 2, 3))                                         # [H, A, hd, 1]
+    logits = ad.reshape(ad.matmul(per_row(p.k), qh), (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
+    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(p.v))             # [H, A, 1, hd]
+    out = ad.linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
+    return ad.reshape(out, (A, d))
 
 
 def contrastive_loss(idents, matched):

@@ -513,6 +513,16 @@ def test_usage_error_exit_code():
     assert run("gradcheck", "--seed", "-1") == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "-inf"])
+def test_gradcheck_tol_must_be_finite_and_positive(capsys, monkeypatch, tol):
+    """A tolerance every check fails, or one any finite error passes, is a
+    usage error before any check runs."""
+    monkeypatch.setattr(gradcheck_suite, "run_suite", lambda *a: pytest.fail("checks ran"))
+    assert run("gradcheck", f"--tol={tol}") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--tol must be finite and positive" in err and "Traceback" not in err
+
+
 def test_gradcheck_cli_pass_and_corruption(capsys, monkeypatch):
     assert run("gradcheck", "--seed", "0") == 0
     out = capsys.readouterr().out

@@ -12,7 +12,8 @@ from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
 from oracles import (aggregate, contrastive_loss, identity_match, joint_context,
-                     mask_within_frames, matched_columns, oracle_match, select_topk, targets_of)
+                     mask_within_frames, matched_columns, oracle_match, own_block_attention,
+                     select_topk, targets_of)
 
 
 def rows(*vs):
@@ -262,7 +263,7 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
 
     ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
-    attn = ica.own_block_attention(q, ctx, np.array([[0]]), lp.ica_attn)
+    attn = ica.own_block_attention(q, ctx, lp.ica_attn)
     direct = ad.multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
     assert_allclose(attn.data, direct.data[0], atol=1e-12)
     want = M.apply_ln(q + attn, lp.ln_ica)
@@ -288,24 +289,26 @@ def test_block_context_row_count(rng):
         assert np.array_equal(ctx.data[mine].reshape(1, T * s2, 4), want.data)
 
 
-def sublayer_case(T, shared, seed):
-    """A 64-bit ICA layer, its [T, L, d] query param and a previous layer
-    whose [T, L, s*s, d] region is a param; shared makes every identity
-    equal, so every anchor picks the same query in each other frame."""
+def sublayer_case(T, shared, seed, cfg=None):
+    """A 64-bit ICA layer (of cfg, a micro config by default), its
+    [T, L, d] query param and a previous layer whose [T, L, s*s, d] region
+    is a param; shared makes every identity equal, so every anchor picks
+    the same query in each other frame."""
     rng = np.random.default_rng(seed)
-    L, d = 5, 8
-    cfg = M.ModelConfig(num_classes=3, num_queries=L, dim=d, heads=2, decoder_layers=2,
-                        roi_size=2, ica_layers=1, ica_topk=2,
-                        backbone_channels=(4, 4)).validate()
-    lp = M.init_model(cfg, rng).layers[1]
+    cfg = cfg or M.ModelConfig(num_classes=3, num_queries=5, dim=8, heads=2, decoder_layers=2,
+                               roi_size=2, ica_layers=1, ica_topk=2,
+                               backbone_channels=(4, 4)).validate()
+    L, d, s2 = cfg.num_queries, cfg.dim, cfg.roi_size ** 2
+    lp = M.init_model(cfg, rng).layers[-1]
     ident = rng.normal(size=(T, L, d))
     if shared:
         ident[:] = ident[0, 0]
     ident /= np.linalg.norm(ident, axis=-1, keepdims=True)
     centers = rng.uniform(0.3, 0.7, size=(T, L, 2))
-    prev = M.LayerOutput(logits=ad.tensor(rng.normal(size=(T, L, 3))), boxes_t=None,
+    prev = M.LayerOutput(logits=ad.tensor(rng.normal(size=(T, L, cfg.num_classes))),
+                         boxes_t=None,
                          boxes=np.concatenate([centers, np.full((T, L, 2), 0.3)], axis=-1),
-                         ident=ad.tensor(ident), region=ad.param(rng.normal(size=(T, L, 4, d))))
+                         ident=ad.tensor(ident), region=ad.param(rng.normal(size=(T, L, s2, d))))
     gts = [[(c, Box(*rng.uniform(0.3, 0.7, size=2), 0.3, 0.3), tid)
             for tid, c in ((0, 1), (4, 2)) if rng.random() < 0.8] for _ in range(T)]
     return cfg, lp, prev, ad.param(rng.normal(size=(T, L, d))), targets_of(gts)
@@ -367,27 +370,65 @@ def test_ica_sublayer_matches_per_anchor_oracle(T, mode, shared, monkeypatch):
     assert np.array_equal(out.data[~anchor], queries.data[~anchor])
 
 
+@pytest.mark.parametrize("selection", ["learned", "oracle"])
+def test_reassociated_attention_matches_the_projected_form(selection, monkeypatch):
+    """On a desk-config aggregation layer in 64-bit, folding the key weight
+    into the query and applying the value weight after the weighted sum
+    matches projecting keys and values within 1e-12 relative: the output,
+    and the gradients of the queries, the region and every aggregation
+    tensor. The unread key bias gets an exact zero gradient."""
+    cfg = M.ModelConfig().validate()
+    _, lp, prev, queries, gts = sublayer_case(cfg.t_train, False, seed=3, cfg=cfg)
+    weights = np.random.default_rng(0).normal(size=queries.shape)
+    lins = (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.k, lp.ica_attn.v, lp.ica_attn.out)
+    tensors = [queries, prev.region] + [t for lin in lins for t in (lin.w, lin.b)]
+
+    def run():
+        with ad.ComputationTape() as tape:
+            out, sel = ica.ica_sublayer(queries, prev, lp, cfg,
+                                        gts if selection == "oracle" else None)
+        assert sel.oracle.any() == (selection == "oracle")
+        tape.backward(ad.reduce_sum(out * weights))
+        grads = [t.grad.copy() for t in tensors]
+        for t in tensors:
+            t.grad.fill(0.0)
+        return [out.data] + grads
+
+    got = run()
+    key_bias = 1 + tensors.index(lp.ica_attn.k.b)           # the output comes first
+    assert not got[key_bias].any()
+    s2 = cfg.roi_size ** 2
+
+    def projected(q, ctx, p):                  # each anchor's blocks, unshared
+        blocks = ad.reshape(ctx, (-1, s2, ctx.shape[-1]))
+        return own_block_attention(q, blocks, np.arange(len(blocks)).reshape(len(q), -1), p)
+
+    monkeypatch.setattr(ica, "own_block_attention", projected)
+    for i, (a, b) in enumerate(zip(got, run())):
+        if i != key_bias:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 @pytest.mark.parametrize("T", [8, 16, 32])
 def test_ica_kv_rows_grow_with_distinct_blocks(monkeypatch, T):
-    """Hardware-independent cost gate: each ICA layer of a desk-config
-    inference projects keys and values for at most T*k*s*s context rows,
-    one s*s block per distinct picked (frame, query), not T*T*k."""
+    """Hardware-independent cost gate: the context rows each ICA layer of a
+    desk-config inference builds, which serve unprojected as its keys and
+    values, number at most T*k*s*s, one s*s block per distinct picked
+    (frame, query), not T*T*k."""
     ad.set_precision(32)
     cfg = M.ModelConfig().validate()
     params = M.init_model(cfg, np.random.default_rng(0))
-    kv = {id(lin) for lp in params.layers if lp.ica_attn is not None
-          for lin in (lp.ica_attn.k, lp.ica_attn.v)}
     rows = []
-    real = ad.linear
+    real = ica.block_context
 
-    def counting(x, p):
-        if id(p) in kv:
-            rows.append(int(np.prod(x.shape[:-1])))
-        return real(x, p)
+    def counting(*args):
+        ctx = real(*args)
+        rows.append(ctx.shape[0] * ctx.shape[1])
+        return ctx
 
-    monkeypatch.setattr(ad, "linear", counting)
+    monkeypatch.setattr(ica, "block_context", counting)
     M.clip_forward(np.random.default_rng(T).random((T, 64, 64, 3)), cfg, params)
-    assert len(rows) == 2 * cfg.ica_layers
+    assert len(rows) == cfg.ica_layers
     assert max(rows) <= T * cfg.ica_topk * cfg.roi_size ** 2
 
 

@@ -339,7 +339,7 @@ def test_desk_clip_tape_record_count():
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 252
+    assert records == 250
 
 
 def test_train_mid_clip_tape_record_count():

@@ -194,15 +194,14 @@ def test_empty_dataset_round_trip(tmp_path):
 
 
 FIXTURE_FRAMES = np.arange(2 * 4 * 4 * 3, dtype="<f4").reshape(2, 4, 4, 3) / 100.0
+FIXTURE_CLIP = "clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin tracks=1"
 
 
 def write_fixture(ds, annotations: str):
     """A one-clip, two-frame dataset with the given annotation lines."""
     (ds / "clips").mkdir(parents=True)
     (ds / "clips" / "clip_000000.bin").write_bytes(FIXTURE_FRAMES.tobytes())
-    (ds / "manifest.txt").write_text(
-        "clipvid-dataset v1\nclips=1\n"
-        "clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin tracks=1\n")
+    (ds / "manifest.txt").write_text(f"clipvid-dataset v1\nclips=1\n{FIXTURE_CLIP}\n")
     (ds / "annotations.txt").write_text(annotations)
 
 
@@ -286,6 +285,39 @@ def test_zero_clip_extent_reports_line(tmp_path, extent):
     text = manifest.read_text()
     manifest.write_text(re.sub(rf"{extent}=\d+", f"{extent}=0", text))
     with pytest.raises(ParseError, match=f":3: .*{extent}=0"):
+        sv.read_dataset(str(ds))
+
+
+def test_manifest_fields_load_by_key_in_any_order(tmp_path):
+    ds = tmp_path / "ds"
+    write_fixture(ds, "track 0 5 2 fast\n")
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        FIXTURE_CLIP, "clip 0 height=4 tracks=1 file=clips/clip_000000.bin width=4 frames=2"))
+    (clip,) = sv.read_dataset(str(ds))
+    assert np.array_equal(clip.frames, FIXTURE_FRAMES)
+    assert [tr.track_id for tr in clip.tracks] == [5]
+
+
+@pytest.mark.parametrize("clip_lines, match", [
+    ("clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin", ":3: clip fields must be"),
+    (FIXTURE_CLIP + " depth=3", ":3: clip fields must be.* depth=3"),
+    (FIXTURE_CLIP + " stray", ":3: clip fields must be.* stray"),
+    (FIXTURE_CLIP + " frames=2", ":3: clip fields must be.*=1 frames=2"),
+    (FIXTURE_CLIP + "\n" + FIXTURE_CLIP, ":4: repeated clip 0"),
+    (FIXTURE_CLIP.replace("tracks=1", "tracks=94"), ":3: .*tracks=94"),
+    (FIXTURE_CLIP.replace("tracks=1", "tracks=0"), ":3: .*tracks=0"),
+], ids=["missing", "unknown", "bare_word", "repeated_field", "repeated_clip",
+        "more_tracks", "fewer_tracks"])
+def test_bad_manifest_clip_record_reports_line(tmp_path, clip_lines, match):
+    """A clip record with a missing, unknown or repeated field, a clip id
+    seen before, or a tracks= count other than its track records is a
+    ParseError naming its manifest line, not a clip that silently loads."""
+    ds = tmp_path / "ds"
+    write_fixture(ds, "track 0 5 2 fast\n")
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(FIXTURE_CLIP, clip_lines))
+    with pytest.raises(ParseError, match=match):
         sv.read_dataset(str(ds))
 
 
