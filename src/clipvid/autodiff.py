@@ -238,20 +238,10 @@ def sqrt(a: Tensor) -> Tensor:
     return _record("sqrt", (a,), out, lambda g: (g * (0.5 / out),))
 
 
-def pow_const(a: Tensor, c: float) -> Tensor:
-    out = np.power(a.data, c)
-    return _record("pow_const", (a,), out,
-                   lambda g: (g * c * np.power(a.data, c - 1.0),))
-
-
-def absolute(a: Tensor) -> Tensor:
-    return _record("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) without overflow for large |x|."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def stable_softplus(x: np.ndarray) -> np.ndarray:
@@ -264,28 +254,9 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a: Tensor) -> Tensor:
-    x = a.data
-    return _record("softplus", (a,), stable_softplus(x), lambda g: (g * stable_sigmoid(x),))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _record("relu", (a,), a.data * mask, lambda g: (g * mask,))
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    mask = a.data >= b.data
-    return _record("maximum", (a, b), np.maximum(a.data, b.data),
-                   lambda g: (_unbroadcast(g * mask, a.shape),
-                              _unbroadcast(g * ~mask, b.shape)))
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    mask = a.data <= b.data
-    return _record("minimum", (a, b), np.minimum(a.data, b.data),
-                   lambda g: (_unbroadcast(g * mask, a.shape),
-                              _unbroadcast(g * ~mask, b.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def cmd_gen(args) -> int:
         "frame_size": cfg.frame_size, "num_classes": cfg.num_classes,
         "min_objects": cfg.min_objects, "max_objects": cfg.max_objects,
         "occluder_prob": cfg.occluder_prob, "blur_scale": cfg.blur_scale,
-        "slow_max": cfg.slow_max, "fast_min": cfg.fast_min})
+        "slow_max": sv.SLOW_MAX, "fast_min": sv.FAST_MIN})
     n_tracks = sum(len(s.tracks) for s in samples)
     print(f"wrote {len(samples)} clips, {n_tracks} tracks to {args.out}")
     return EXIT_OK

@@ -81,14 +81,20 @@ def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
              num_classes: int) -> EvalReport:
     """Score per-clip, per-frame detections against clip annotations.
 
-    detections[c][f] lists the frame-f detections of clip c, aligned with
-    clips, which must not be empty. Raises InputError for a ground-truth or
-    detection class outside num_classes.
+    detections[c][f] lists the frame-f detections of clip c: one list per
+    frame of each clip, and clips must not be empty. Raises InputError for
+    detections of another shape, or a ground-truth or detection class
+    outside num_classes.
     """
     check_classes(clips, num_classes)
+    if len(detections) != len(clips):
+        raise InputError(f"detections for {len(detections)} clips, expected {len(clips)}")
+    for clip, clip_dets in zip(clips, detections):
+        if len(clip_dets) != len(clip.frames):
+            raise InputError(f"clip {clip.clip_id}: detections for {len(clip_dets)} frames, "
+                             f"expected {len(clip.frames)}")
     # Frame f of clip c is row offsets[c] + f of the dataset's frame axis.
-    spans = [max(len(clip.frames), len(dets)) for clip, dets in zip(clips, detections)]
-    offsets = np.cumsum([0] + spans + [len(clip.frames) for clip in clips[len(spans):]])
+    offsets = np.cumsum([0] + [len(clip.frames) for clip in clips])
     tables = [clip.targets(range(len(clip.frames))) for clip in clips]
     gt_frame = np.concatenate([t.frame + off for t, off in zip(tables, offsets)])
     gt_cls = np.concatenate([t.cls for t in tables])

@@ -68,6 +68,15 @@ def box_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return inter, union, ext[..., 0] * ext[..., 1]
 
 
+def box_pair_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - GIoU, L1 distance) of [..., 4] center-size boxes a and b,
+    broadcast against each other: the box terms of the matching cost and of
+    the matched loss."""
+    inter, union, enclosure = box_overlap(a, b)
+    giou = inter / union - (enclosure - union) / enclosure
+    return 1.0 - giou, np.abs(a - b).sum(axis=-1)
+
+
 def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
     """Vectorized grid points of [n, 4] center-size boxes -> [n*s*s, 2]."""
     b = np.asarray(boxes, dtype=np.float64)
@@ -111,32 +120,27 @@ def boxes_refine(ref: np.ndarray, delta: Tensor) -> Tensor:
     return ad.sigmoid(delta + ad.tensor(logits))
 
 
-def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """GIoU between row-aligned [n, 4] center-size boxes -> [n].
+def box_pair_loss(pred: Tensor, gt: np.ndarray) -> Tensor:
+    """box_pair_terms of row-aligned [n, 4] predicted and target boxes as
+    one [n, 2] record of (1 - GIoU, L1) rows; targets take the prediction's
+    dtype. The adjoint differentiates the overlap, enclosure and own-area
+    terms through each clamp and corner min/max."""
+    b = pred.data
+    g = np.asarray(gt, dtype=b.dtype)
 
-    x and y travel together as the two rows of [2, n] tensors."""
-    n = pred.shape[0]
-    half = ad.tensor(np.array([0.5]))
-    pt = ad.transpose(pred, (1, 0))
-    center, size = ad.gather_rows(pt, [0, 1]), ad.gather_rows(pt, [2, 3])
-    lo = center - size * half
-    hi = center + size * half
-    g = np.asarray(gt, dtype=np.float64).T
-    glo = ad.tensor(g[:2] - g[2:] / 2)
-    ghi = ad.tensor(g[:2] + g[2:] / 2)
+    def backward(grad):
+        inter, union, enclosure = (x[:, None] for x in box_overlap(b, g))
+        pc, gc = box_corners(b), box_corners(g)
+        plo, phi, glo, ghi = pc[:, :2], pc[:, 2:], gc[:, :2], gc[:, 2:]
+        overlap = np.minimum(phi, ghi) - np.maximum(plo, glo)          # [n, 2] x, y extents
+        hull = np.maximum(phi, ghi) - np.minimum(plo, glo)
+        # 1 - GIoU = 2 - inter / union - union / enclosure, union = area + gt area - inter.
+        d_area = inter / union ** 2 - 1.0 / enclosure
+        d_extent = (-1.0 / union - d_area) * np.maximum(overlap, 0.0)[:, ::-1] * (overlap >= 0)
+        d_hull = union / enclosure ** 2 * hull[:, ::-1]
+        d_hi = d_extent * (phi <= ghi) + d_hull * (phi >= ghi)
+        d_lo = -d_extent * (plo >= glo) - d_hull * (plo <= glo)
+        d_giou = np.concatenate([d_lo + d_hi, (d_hi - d_lo) / 2 + d_area * b[:, [3, 2]]], axis=1)
+        return (grad[:, :1] * d_giou + grad[:, 1:] * np.sign(b - g),)
 
-    def area(wh: Tensor) -> Tensor:
-        return ad.gather_rows(wh, [0]) * ad.gather_rows(wh, [1])
-
-    inter = area(ad.maximum(ad.minimum(hi, ghi) - ad.maximum(lo, glo),
-                            ad.tensor(np.zeros((2, n)))))
-    union = area(size) + ad.tensor((g[2] * g[3])[None, :]) - inter
-    enclosure = area(ad.maximum(hi, ghi) - ad.minimum(lo, glo))
-    out = inter / union - (enclosure - union) / enclosure
-    return ad.reshape(out, (n,))
-
-
-def l1_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Sum of absolute coordinate differences per row -> [n]."""
-    diff = ad.absolute(pred - ad.tensor(np.asarray(gt, dtype=np.float64)))
-    return ad.reduce_sum(diff, axis=1)
+    return ad._record("box_pair_loss", (pred,), np.stack(box_pair_terms(b, g), axis=1), backward)

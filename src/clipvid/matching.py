@@ -37,13 +37,34 @@ class Assignment:
     pred_of_gt: tuple[int, ...]
 
 
-def focal_loss_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Elementwise focal loss of a logits tensor against a 0/1 target mask."""
-    t = np.asarray(targets, dtype=np.float64)
-    p = ad.sigmoid(logits)
-    pos = ad.pow_const(1.0 - p, FOCAL_GAMMA) * ad.softplus(-logits) * FOCAL_ALPHA
-    neg = ad.pow_const(p, FOCAL_GAMMA) * ad.softplus(logits) * (1.0 - FOCAL_ALPHA)
-    return pos * ad.tensor(t) + neg * ad.tensor(1.0 - t)
+def focal_loss_values(x: np.ndarray, positive) -> np.ndarray:
+    """Elementwise focal loss of logits x against 0/1 targets (broadcast
+    against x): alpha * (1 - p)^gamma * softplus(-x) where the target is 1,
+    (1 - alpha) * p^gamma * softplus(x) where it is 0, p = sigmoid(x)."""
+    p = ad.stable_sigmoid(x)
+    return np.where(positive,
+                    np.power(1.0 - p, FOCAL_GAMMA) * ad.stable_softplus(-x) * FOCAL_ALPHA,
+                    np.power(p, FOCAL_GAMMA) * ad.stable_softplus(x) * (1.0 - FOCAL_ALPHA))
+
+
+def focal_loss(logits: Tensor, positive: np.ndarray) -> Tensor:
+    """Summed focal_loss_values of a logits tensor against a 0/1 target
+    mask, as one record. Each branch's derivative is written in terms of its
+    own value v: -(gamma p v + alpha (1 - p)^(gamma+1)) for a positive
+    target, gamma (1 - p) v + (1 - alpha) p^(gamma+1) for a negative one."""
+    x = logits.data
+    values = focal_loss_values(x, positive)
+
+    def backward(g):
+        p = ad.stable_sigmoid(x)
+        q = 1.0 - p
+        return (g * np.where(positive,
+                             -(FOCAL_GAMMA * p * values
+                               + FOCAL_ALPHA * np.power(q, FOCAL_GAMMA + 1.0)),
+                             FOCAL_GAMMA * q * values
+                             + (1.0 - FOCAL_ALPHA) * np.power(p, FOCAL_GAMMA + 1.0)),)
+
+    return ad._record("focal_loss", (logits,), np.asarray(values.sum()), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +164,9 @@ def assignment_cost(cost, col_of_row) -> float:
 class SetLossResult:
     total: Tensor
     pred: np.ndarray                        # [N] the query matched to each target row
-    cls_term: float = 0.0
-    giou_term: float = 0.0
-    l1_term: float = 0.0
+    cls_term: float                         # unweighted sums: focal, 1 - GIoU, L1
+    giou_term: float
+    l1_term: float
 
 
 def cost_matrix(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
@@ -155,19 +176,11 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
     of the ground-truth class channel with a positive target, plus the
     weighted GIoU and L1 box terms. A frame without ground truth gives
     [L, 0]."""
-    logits = np.asarray(logits, dtype=np.float64)
     pboxes = np.asarray(boxes, dtype=np.float64)                      # [L, 4] cxcywh
     gboxes = np.asarray(gt_box, dtype=np.float64)                     # [G, 4]
-
-    x = logits[:, gt_cls]                                             # [L, G]
-    p = ad.stable_sigmoid(x)
-    cls_cost = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * ad.stable_softplus(-x)
-
-    inter, union, enclosure = geo.box_overlap(pboxes[:, None], gboxes[None, :])
-    giou = inter / union - (enclosure - union) / enclosure
-
-    l1 = np.abs(pboxes[:, None, :] - gboxes[None, :, :]).sum(axis=2)
-    return LAMBDA_CLS * cls_cost + LAMBDA_GIOU * (1.0 - giou) + LAMBDA_L1 * l1
+    cls_cost = focal_loss_values(np.asarray(logits, dtype=np.float64)[:, gt_cls], True)
+    giou_cost, l1 = geo.box_pair_terms(pboxes[:, None], gboxes[None, :])
+    return LAMBDA_CLS * cls_cost + LAMBDA_GIOU * giou_cost + LAMBDA_L1 * l1
 
 
 def match_frame(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
@@ -215,20 +228,14 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Target
     if pred is None:
         pred = match_frames(logits.data, boxes, targets)
 
-    onehot = np.zeros(logits.shape)
-    onehot[targets.frame, pred, targets.cls] = 1.0
-    cls_loss = ad.reduce_sum(focal_loss_logits(logits, onehot))
-
-    if len(targets):
-        pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (F * L, 4)), targets.frame * L + pred)
-        giou_loss = ad.reduce_sum(1.0 - geo.giou_pairs(pred_boxes, targets.box))
-        l1_loss = ad.reduce_sum(geo.l1_pairs(pred_boxes, targets.box))
-    else:
-        giou_loss = ad.tensor(np.zeros(()))
-        l1_loss = ad.tensor(np.zeros(()))
-
-    total = cls_loss * LAMBDA_CLS + giou_loss * LAMBDA_GIOU + l1_loss * LAMBDA_L1
-    return SetLossResult(total, pred,
-                         cls_term=float(cls_loss.data),
-                         giou_term=float(giou_loss.data),
-                         l1_term=float(l1_loss.data))
+    positive = np.zeros(logits.shape, dtype=bool)
+    positive[targets.frame, pred, targets.cls] = True
+    pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (F * L, 4)), targets.frame * L + pred)
+    # Each column sums as a row of the transpose: in the order of a
+    # contiguous [N] sum, which a sum over axis 0 of [N, 2] does not keep.
+    box_sums = ad.reduce_sum(ad.transpose(geo.box_pair_loss(pred_boxes, targets.box), (1, 0)),
+                             axis=1)
+    terms = ad.concat([ad.reshape(focal_loss(logits, positive), (1,)), box_sums])
+    total = ad.reduce_sum(terms * np.array([LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1]))
+    cls_term, giou_term, l1_term = terms.data.tolist()
+    return SetLossResult(total, pred, cls_term, giou_term, l1_term)

@@ -429,7 +429,7 @@ def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[D
 
     Reference boxes may reach past the frame edge; each detection keeps only
     the part inside the frame (corners clipped to [0, 1])."""
-    scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
+    scores = ad.stable_sigmoid(np.asarray(last_layer.logits.data, dtype=np.float64))
     corners = np.clip(geo.box_corners(last_layer.boxes), 0.0, 1.0)
     keep = scores > cfg.score_thresh                                       # [T, L, C]
     out = []

@@ -21,6 +21,12 @@ from .geometry import Box
 SHAPE_NAMES = ("disc", "square", "triangle", "cross", "ring")
 SPEED_LABELS = ("slow", "medium", "fast")
 VISIBILITY_MIN = 0.25
+# Mean per-frame displacement thresholds of the speed bands, and the range of
+# an object's half-extent, as frame fractions.
+SLOW_MAX = 0.02
+FAST_MIN = 0.06
+MIN_HALF = 0.10
+MAX_HALF = 0.20
 
 
 @dataclass
@@ -30,16 +36,10 @@ class GenConfig:
     max_objects: int = 4
     frame_size: int = 64
     t: int = 8
-    slow_max: float = 0.02          # mean per-frame displacement thresholds
-    fast_min: float = 0.06
     occluder_prob: float = 0.35
     blur_scale: float = 0.45        # sub-renders per pixel of displacement
-    min_half: float = 0.10          # object half-extent range, frame fraction
-    max_half: float = 0.20
 
     def validate(self) -> "GenConfig":
-        if not (0 < self.slow_max < self.fast_min):
-            raise ConfigError("speed bands must satisfy 0 < slow_max < fast_min")
         if self.num_classes < 1 or self.num_classes > len(SHAPE_NAMES):
             raise ConfigError(f"num_classes must be in [1, {len(SHAPE_NAMES)}]")
         if self.max_objects < self.min_objects or self.min_objects < 1:
@@ -55,12 +55,14 @@ class GenConfig:
             raise ConfigError(f"blur_scale must be finite and at least 0, got {self.blur_scale}")
         return self
 
-    def speed_label(self, disp: float) -> str:
-        if disp < self.slow_max:
-            return "slow"
-        if disp <= self.fast_min:
-            return "medium"
-        return "fast"
+
+def speed_label(disp: float) -> str:
+    """The speed band of a track's mean per-frame displacement."""
+    if disp < SLOW_MAX:
+        return "slow"
+    if disp <= FAST_MIN:
+        return "medium"
+    return "fast"
 
 
 @dataclass
@@ -195,8 +197,8 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
     objects: list[_ObjectSpec] = []
     for tid in range(n_obj):
         class_id = int(rng.integers(cfg.num_classes))
-        rx = float(rng.uniform(cfg.min_half, cfg.max_half))
-        ry = float(rng.uniform(cfg.min_half, cfg.max_half))
+        rx = float(rng.uniform(MIN_HALF, MAX_HALF))
+        ry = float(rng.uniform(MIN_HALF, MAX_HALF))
         if SHAPE_NAMES[class_id] in ("disc", "ring", "cross"):
             ry = rx
         band = SPEED_LABELS[int(rng.integers(3))]
@@ -294,7 +296,7 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
             disp += math.hypot(cx - px, cy - py)
         mean_disp = disp / (T - 1) if T > 1 else 0.0
         tracks.append(Track(obj.track_id, obj.class_id, boxes, vis,
-                            cfg.speed_label(mean_disp)))
+                            speed_label(mean_disp)))
     return ClipSample(clip_id, frames, tracks)
 
 

@@ -496,7 +496,7 @@ def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
     above the score threshold, its box clipped to the frame, then a stable
     sort by descending score."""
     out = []
-    clip_scores = 1.0 / (1.0 + np.exp(-np.asarray(last_layer.logits.data, dtype=np.float64)))
+    clip_scores = ad.stable_sigmoid(np.asarray(last_layer.logits.data, dtype=np.float64))
     for scores, b in zip(clip_scores, last_layer.boxes):
         corners = np.clip(np.concatenate([b[:, :2] - b[:, 2:] / 2.0,
                                           b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)

@@ -9,19 +9,22 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
+from clipvid import geometry as geo
 from clipvid import gradcheck_suite
+from clipvid import matching as mt
 from clipvid.errors import ConfigError, DimensionError, NumericError
 from oracles import (composed_attention, composed_layer_norm, composed_linear,
                      composed_multi_head_attention, corrupt_adjoint, scatter_add_rows,
                      stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
-# it records, read from the source so that a new primitive, or a new input,
-# without a gradient check fails the tests below. concat's parts are checked
-# in pairs.
-RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad))))
+# it records, read from the source of the modules that define records, so
+# that a new primitive, or a new input, without a gradient check fails the
+# tests below. concat's parts are checked in pairs.
+SOURCE = "".join(inspect.getsource(m) for m in (ad, geo, mt))
+RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', SOURCE)))
 ARITY = {"concat": 2} | {op: len([n for n in names.split(",") if n.strip()]) for op, names
-                         in re.findall(r'_record\("(\w+)", \(([^)]*)\)', inspect.getsource(ad))}
+                         in re.findall(r'_record\("(\w+)", \(([^)]*)\)', SOURCE)}
 INPUTS = [(op, i) for op in RECORDED_OPS for i in range(ARITY[op])]
 
 

@@ -105,9 +105,10 @@ def test_train_smoke_loss_decreases(dataset, micro_cfg_path, tmp_path):
                "--seed", "0", "--iters", "50") == 0
     lines = (tmp_path / "m.ckpt.log").read_text().splitlines()
     assert len(lines) == 50
-    first = float(lines[0].split(",")[1])
-    last = float(lines[-1].split(",")[1])
-    assert last < first
+    # Mean loss of the first and the last ten iterations: one iteration's
+    # loss depends on which clips the seed draws for it.
+    loss = [float(line.split(",")[1]) for line in lines]
+    assert np.mean(loss[-10:]) < np.mean(loss[:10])
     # no_ica: contrastive column identically zero
     assert all(float(l.split(",")[5]) == 0.0 for l in lines)
     assert os.path.exists(str(ckpt) + ".config.txt")

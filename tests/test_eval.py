@@ -123,6 +123,21 @@ def test_unknown_class_rejected():
         ev.evaluate(dets, clips, num_classes=1)
 
 
+@pytest.mark.parametrize("shape", ["missing_frame", "extra_frame", "missing_clip"])
+def test_detections_not_one_list_per_frame_rejected(shape):
+    clips = [clip_with([track(0, 0, [corners(0.1, 0.1, 0.4, 0.4)] * 2)], clip_id=c)
+             for c in range(2)]
+    dets = perfect_detections(clips)
+    if shape == "missing_frame":
+        dets[0] = dets[0][:1]
+    elif shape == "extra_frame":
+        dets[0] = dets[0] + [[]]
+    else:
+        dets = dets[:1]
+    with pytest.raises(InputError, match="detections for"):
+        ev.evaluate(dets, clips, num_classes=1)
+
+
 def test_bucket_counts_reconcile_with_total():
     clips = [clip_with([
         track(0, 0, [corners(0.1, 0.1, 0.4, 0.4), None], "slow"),

@@ -213,9 +213,11 @@ def test_boxes_refine_matches_apply_delta(rng):
         assert_allclose(out[i], want.as_array(), atol=1e-12)
 
 
-def test_giou_pairs_matches_scalar(rng):
+def test_box_pair_loss_matches_scalar(rng):
     pred = np.clip(rng.random((5, 4)), 0.1, 0.9)
     gt = np.clip(rng.random((5, 4)), 0.1, 0.9)
-    out = geo.giou_pairs(ad.tensor(pred), gt).data
+    out = geo.box_pair_loss(ad.tensor(pred), gt).data
+    assert out.shape == (5, 2)
     for i in range(5):
-        assert out[i] == pytest.approx(giou(Box(*pred[i]), Box(*gt[i])), abs=1e-10)
+        assert out[i, 0] == pytest.approx(1.0 - giou(Box(*pred[i]), Box(*gt[i])), abs=1e-10)
+        assert out[i, 1] == pytest.approx(np.abs(pred[i] - gt[i]).sum(), abs=1e-12)

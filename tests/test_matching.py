@@ -29,14 +29,16 @@ def test_focal_loss_scalar_cases():
     assert focal_loss(0.0, 0, 0.25, 2.0) == pytest.approx(0.12997, abs=1e-5)
 
 
-def test_focal_loss_logits_matches_scalar(rng):
+def test_focal_loss_matches_scalar(rng):
     logits = rng.normal(size=(3, 4)) * 3
-    targets = (rng.random((3, 4)) > 0.5).astype(float)
-    out = mt.focal_loss_logits(ad.tensor(logits), targets).data
+    targets = rng.random((3, 4)) > 0.5
+    out = mt.focal_loss_values(logits, targets)
     for i in range(3):
         for j in range(4):
             want = focal_loss(logits[i, j], int(targets[i, j]), 0.25, 2.0)
             assert out[i, j] == pytest.approx(want, abs=1e-12)
+    assert float(mt.focal_loss(ad.tensor(logits), targets).data) == pytest.approx(out.sum(),
+                                                                                 abs=1e-12)
 
 
 def test_match_cost_perfect_prediction_near_zero():
