@@ -8,9 +8,11 @@ Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
 The layers that run most often are single primitives with hand-written
-adjoints: layer_norm, linear (x @ w + b) and attention, the scaled
-dot-product core of multi_head_attention, which splits and merges the heads
-inside its one record. Each forward runs the numpy operations of the
+adjoints: layer_norm, linear (x @ w + b), attention, the scaled dot-product
+core of multi_head_attention, which splits and merges the heads inside its
+one record, and context_attention, a whole projected attention layer in
+which each query attends only to its own context rows (aggregation and
+box-guided cross-attention). Each forward runs the numpy operations of the
 elementwise composition it replaces, in the same order, so its output bytes
 are those of the composition.
 """
@@ -468,6 +470,77 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 merge(np.swapaxes(attn, -1, -2) @ gctx, nk) if v.requires_grad else None)
 
     return _record("attention", (q, k, v), merge(attn @ vh, nq), backward)
+
+
+def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
+    """Multi-head attention of each query row of q [..., d] over its own
+    context rows ctx [..., n, d] -> [..., d], projecting no key or value
+    row, as one record: the query projection and 1/sqrt(hd) scale, each
+    head's key weight folded into its query, the max-shifted softmax over
+    the last axis of the [A, H, n] logits, the weighted sum of the context
+    rows, then the value weight and bias and the output projection. The key
+    bias, a per-head logit constant, cancels in the softmax and is not
+    read. Each forward product is one row's or one (row, head)'s, so no row
+    changes another's bits; the adjoint computes each weight gradient as
+    one GEMM over the rows (per head for the key and value weights)."""
+    d = q.shape[-1]
+    n = ctx.shape[-2]
+    if ctx.shape != q.shape[:-1] + (n, d):
+        raise DimensionError(f"context_attention: queries {q.shape}, context {ctx.shape}")
+    if d % p.heads != 0:
+        raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
+    A, h = math.prod(q.shape[:-1]), p.heads
+    hd = d // h
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
+    wq, wk, wv, wo = p.q.w.data, p.k.w.data, p.v.w.data, p.out.w.data
+    x = q.data.reshape(A, 1, d)
+    c = ctx.data.reshape(A, n, d)
+    qh = (x @ wq + p.q.b.data).reshape(A, h, 1, hd) * scale
+    wk_h = np.ascontiguousarray(wk.reshape(d, h, hd).transpose(1, 2, 0))      # [H, hd, d]
+    qk = (qh @ wk_h).reshape(A, h, d)
+    # Transpose the logits, not ctx: an axis-1 softmax over [A, n, H] is slower.
+    logits = np.ascontiguousarray((c @ np.ascontiguousarray(qk.transpose(0, 2, 1)))
+                                  .transpose(0, 2, 1))                       # [A, H, n]
+    if np.isnan(logits).any():
+        raise NumericError("context_attention: NaN in logits")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    mixed = attn @ c                                                          # [A, H, d]
+    wv_h = np.ascontiguousarray(wv.reshape(d, h, hd).transpose(1, 0, 2))      # [H, d, hd]
+    vals = (mixed.reshape(A, h, 1, d) @ wv_h).reshape(A, 1, d) + p.v.b.data
+    out = vals @ wo + p.out.b.data
+
+    def per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum over rows of a[r, h, :]^T b[r, h, :] for [A, H, i] a and
+        [A, H, j] b, as the [i, H*j] weight gradient."""
+        g = np.swapaxes(a, 0, 1).transpose(0, 2, 1) @ np.swapaxes(b, 0, 1)   # [H, i, j]
+        return g.transpose(1, 0, 2).reshape(a.shape[-1], -1)
+
+    def backward(g):
+        g = g.reshape(A, d)
+        gvals = (g @ wo.T).reshape(A, h, hd)
+        gmixed = np.swapaxes(np.swapaxes(gvals, 0, 1) @ np.swapaxes(wv_h, 1, 2), 0, 1)
+        gattn = gmixed @ np.swapaxes(c, 1, 2)
+        glogits = (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * attn
+        gqk = glogits @ c                                                     # [A, H, d]
+        gqh = np.swapaxes(np.swapaxes(gqk, 0, 1) @ np.swapaxes(wk_h, 1, 2), 0, 1)
+        gqp = gqh.reshape(A, d) * scale
+        gctx = None
+        if ctx.requires_grad:
+            gctx = (np.swapaxes(attn, 1, 2) @ gmixed
+                    + np.swapaxes(glogits, 1, 2) @ qk).reshape(ctx.shape)
+        return ((gqp @ wq.T).reshape(q.shape) if q.requires_grad else None,
+                gctx,
+                x.reshape(A, d).T @ gqp if p.q.w.requires_grad else None,
+                gqp.sum(axis=0) if p.q.b.requires_grad else None,
+                per_head(gqk, qh.reshape(A, h, hd)) if p.k.w.requires_grad else None,
+                per_head(mixed, gvals) if p.v.w.requires_grad else None,
+                gvals.reshape(A, d).sum(axis=0) if p.v.b.requires_grad else None,
+                vals.reshape(A, d).T @ g if p.out.w.requires_grad else None,
+                g.sum(axis=0) if p.out.b.requires_grad else None)
+
+    return _record("context_attention", (q, ctx, p.q.w, p.q.b, p.k.w, p.v.w, p.v.b,
+                                         p.out.w, p.out.b), out.reshape(q.shape), backward)
 
 
 # ---------------------------------------------------------------------------

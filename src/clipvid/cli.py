@@ -119,7 +119,8 @@ def build_parser() -> _Parser:
     t.add_argument("--data", required=True)
     t.add_argument("--stage", type=int, choices=(1, 2), required=True)
     t.add_argument("--variant", choices=TRAIN_VARIANTS, default="full")
-    t.add_argument("--config", help="model config file (defaults to desk scale)")
+    t.add_argument("--config", help="model config file (default: the --ckpt-in "
+                   "checkpoint's sidecar config, else desk scale)")
     t.add_argument("--ckpt-in")
     t.add_argument("--ckpt-out", required=True)
     t.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -235,11 +236,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--lr must be finite, got {args.lr}")
     dataset = _read_dataset(args.data)
 
-    cfg = M.load_config(args.config) if args.config else ModelConfig()
+    cfg = M.load_config(args.config) if args.config else None
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     if args.ckpt_in:
         cfg, params = _load_params(args.ckpt_in, cfg)
     else:
+        cfg = cfg or ModelConfig()
         params = M.init_model(cfg, np.random.default_rng(seeds[0]))
 
     d_iters, d_lr, d_drop = STAGE_DEFAULTS[args.stage]

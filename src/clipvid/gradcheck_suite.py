@@ -85,6 +85,10 @@ def primitive_cases(seed: int) -> list[Case]:
         ("layer_norm", ad.layer_norm, [n(2, 3, 6), pos(6), n(6)]),
         ("attention", lambda q, k, v: ad.attention(q, k, v, 2),
          [n(2, 3, 8), n(2, 4, 8), n(2, 4, 8)]),
+        ("context_attention", lambda q, ctx, wq, bq, wk, wv, bv, wo, bo: ad.context_attention(
+            q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), ad.LinearParams(wk, mha.k.b),
+                                 ad.LinearParams(wv, bv), ad.LinearParams(wo, bo))),
+         [n(3, 8), n(3, 5, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]),
         ("extract_patches", lambda x: ad.extract_patches(x, 3, 2, 1), [n(1, 6, 6, 3)]),
         ("bilinear_sample", lambda f: ad.bilinear_sample(f, points), [n(2, 5, 5, 3)]),
         ("linear", lambda x, w, b: ad.linear(x, ad.LinearParams(w, b)),

@@ -4,14 +4,14 @@ Each high-scoring query (anchor) selects, in every other frame, the query
 whose identity embedding is closest; the anchor cross-attends over the
 adapted region features of its picks. Anchors share picks, so the context
 is built once per distinct (frame, query) block, each anchor gathers its
-own, and the attention projects no keys or values (own_block_attention).
+own, and one autodiff.context_attention record, which projects no keys or
+values, attends over them.
 Identity embeddings are trained contrastively from the set-matching
 assignments. Selection is discrete and never differentiated through.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,26 +97,6 @@ def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
     return rows + ad.linear(contrib, pos_proj)
 
 
-def own_block_attention(q: Tensor, ctx: Tensor, p: ad.MHAParams) -> Tensor:
-    """Multi-head attention of each row of q [A, d] over its own context
-    rows ctx [A, n, d] -> [A, d], projecting no keys or values: each head's
-    key weight folds into its query (the key bias, a per-head logit
-    constant, cancels in the softmax and is not read), and its value weight
-    and bias apply after the weighted sum. Each matmul is one row's or one
-    (row, head)'s, so no row changes another's bits."""
-    A, d = q.shape
-    h, hd = p.heads, d // p.heads
-    qh = ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, 1, hd)) * (1.0 / math.sqrt(hd))
-    wk = ad.transpose(ad.reshape(p.k.w, (d, h, hd)), (1, 2, 0))               # [H, hd, d]
-    qk = ad.transpose(ad.reshape(ad.matmul(qh, wk), (A, h, d)), (0, 2, 1))    # [A, d, H]
-    # Transpose the logits, not ctx: an axis-1 softmax over [A, n, H] is slower.
-    weights = ad.softmax(ad.transpose(ad.matmul(ctx, qk), (0, 2, 1)), axis=-1)  # [A, H, n]
-    mixed = ad.reshape(ad.matmul(weights, ctx), (A, h, 1, d))
-    wv = ad.transpose(ad.reshape(p.v.w, (d, h, hd)), (1, 0, 2))               # [H, d, hd]
-    out = ad.reshape(ad.matmul(mixed, wv), (A, 1, d)) + p.v.b
-    return ad.reshape(ad.linear(out, p.out), (A, d))
-
-
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
                  frozen_selection: Selection | None = None
                  ) -> tuple[Tensor, Selection]:
@@ -149,7 +129,7 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
     ctx = ad.reshape(ad.gather_rows(ctx, own), (len(anchors), -1, d))        # [A, F*s*s, d]
     flat = ad.reshape(queries, (T * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
-    attn = own_block_attention(q, ctx, lp.ica_attn)
+    attn = ad.context_attention(q, ctx, lp.ica_attn)
     updated = ad.layer_norm(q + attn, lp.ln_ica.gain, lp.ln_ica.bias)
     return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
 

@@ -37,14 +37,22 @@ class Assignment:
     pred_of_gt: tuple[int, ...]
 
 
+def _focal_positive(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Focal loss of logits x, p = sigmoid(x), against a target of 1."""
+    return np.power(1.0 - p, FOCAL_GAMMA) * ad.stable_softplus(-x) * FOCAL_ALPHA
+
+
+def _focal_negative(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Focal loss of logits x, p = sigmoid(x), against a target of 0."""
+    return np.power(p, FOCAL_GAMMA) * ad.stable_softplus(x) * (1.0 - FOCAL_ALPHA)
+
+
 def focal_loss_values(x: np.ndarray, positive) -> np.ndarray:
     """Elementwise focal loss of logits x against 0/1 targets (broadcast
     against x): alpha * (1 - p)^gamma * softplus(-x) where the target is 1,
     (1 - alpha) * p^gamma * softplus(x) where it is 0, p = sigmoid(x)."""
     p = ad.stable_sigmoid(x)
-    return np.where(positive,
-                    np.power(1.0 - p, FOCAL_GAMMA) * ad.stable_softplus(-x) * FOCAL_ALPHA,
-                    np.power(p, FOCAL_GAMMA) * ad.stable_softplus(x) * (1.0 - FOCAL_ALPHA))
+    return np.where(positive, _focal_positive(x, p), _focal_negative(x, p))
 
 
 def focal_loss(logits: Tensor, positive: np.ndarray) -> Tensor:
@@ -178,7 +186,8 @@ def cost_matrix(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
     [L, 0]."""
     pboxes = np.asarray(boxes, dtype=np.float64)                      # [L, 4] cxcywh
     gboxes = np.asarray(gt_box, dtype=np.float64)                     # [G, 4]
-    cls_cost = focal_loss_values(np.asarray(logits, dtype=np.float64)[:, gt_cls], True)
+    x = np.asarray(logits, dtype=np.float64)[:, gt_cls]
+    cls_cost = _focal_positive(x, ad.stable_sigmoid(x))
     giou_cost, l1 = geo.box_pair_terms(pboxes[:, None], gboxes[None, :])
     return LAMBDA_CLS * cls_cost + LAMBDA_GIOU * giou_cost + LAMBDA_L1 * l1
 

@@ -4,13 +4,15 @@ aggregation / box-guided cross-attention, and per-layer detection heads.
 
 All frames of a clip are predicted in one forward pass that carries one
 [T, L, ·] tensor per quantity: T frames, L queries. Clip-wide
-self-attention sees the queries as [1, T*L, d]; cross-attention runs over
-[T*L, 1, d] queries. Batching stays bit-exact with single-frame runs
-because numpy's matmul makes one BLAS call per stacked matrix, so a
-frame's rows see the same calls either way. Each decoder layer's
-predictions (LayerOutput) are class logits [T, L, C], refined boxes
-[T, L, 4] as a tensor and as detached clamped float64 reference boxes, and
-identity embeddings [T, L, d] where an aggregation layer follows.
+self-attention sees the queries as [1, T*L, d]; in cross-attention each
+query attends only to its own s*s region rows, as one
+autodiff.context_attention record that projects no keys or values.
+Batching stays bit-exact with single-frame runs because numpy's matmul
+makes one BLAS call per stacked matrix, so a frame's rows see the same
+calls either way. Each decoder layer's predictions (LayerOutput) are class
+logits [T, L, C], refined boxes [T, L, 4] as a tensor and as detached
+clamped float64 reference boxes, and identity embeddings [T, L, d] where
+an aggregation layer follows.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class ModelConfig:
     @staticmethod
     def paper_scale() -> "ModelConfig":
         """Published configuration. It runs: a forward pass over 112x112
-        frames makes 3.0-3.7 frames/s for T from 1 to 30 (2-core x86-64,
-        one BLAS thread, 32-bit)."""
+        frames makes about 3.7, 3.3 and 2.7 frames/s at T = 1, 10 and 30
+        (shared 2-core x86-64, one BLAS thread, 32-bit, seeded weights)."""
         return ModelConfig(num_classes=30, t_train=3, t_infer=30,
                            num_queries=72, dim=384, heads=8, decoder_layers=6,
                            roi_size=7, ica_layers=2, ica_topk=10,
@@ -320,9 +322,7 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
     rois = geo.roi_sample_frame(f, boxes, s)               # [T, L, s*s, d]
     patch = ad.reshape(ad.matmul(queries, lp.adapter), (t, n, s * s, d))
     region = rois + patch
-    kv = ad.reshape(region, (t * n, s * s, d))
-    attn = ad.multi_head_attention(ad.reshape(queries, (t * n, 1, d)), kv, kv, lp.cross_attn)
-    out = apply_ln(queries + ad.reshape(attn, (t, n, d)), lp.ln_cross)
+    out = apply_ln(queries + ad.context_attention(queries, region, lp.cross_attn), lp.ln_cross)
     return out, region
 
 

@@ -5,9 +5,10 @@ with plain floats or single-row tensors, and each adjoint reference takes
 one product per stacked matrix or one addition per gathered row. The
 composed layers build linear, layer_norm and attention from elementwise
 primitives, so the taped chain rule checks the fused primitives' adjoints.
-own_block_attention keeps ICA's attention in its projected form, keys and
-values computed per context block, as the reference of the reassociated
-one. The tests compare the package's batched and fused paths against them.
+composed_context_attention is that chain for the reassociated
+context_attention record, and projected_block_attention keeps aggregation's
+attention in its projected form, keys and values computed per context
+block. The tests compare the package's batched and fused paths against them.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
@@ -231,13 +232,13 @@ def aggregate(q, chosen, region, contrib_queries, lp):
     return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
 
 
-def own_block_attention(q, ctx, own, p):
-    """The projected form of ica.own_block_attention: multi-head attention
-    of each row of q [A, d] over its own blocks of the shared context ctx
-    [U, s*s, d], own [A, F] holding each row's block indices in ascending
-    order -> [A, d]. Keys and values are projected once per context block;
-    each row then gathers the keys and values of its own F blocks, already
-    split into heads."""
+def projected_block_attention(q, ctx, own, p):
+    """The projected form of aggregation's context_attention: multi-head
+    attention of each row of q [A, d] over its own blocks of the shared
+    context ctx [U, s*s, d], own [A, F] holding each row's block indices in
+    ascending order -> [A, d]. Keys and values are projected once per
+    context block; each row then gathers the keys and values of its own F
+    blocks, already split into heads."""
     A, d = q.shape
     u, s2, _ = ctx.shape
     F = own.shape[1]
@@ -544,6 +545,24 @@ def composed_attention(q, k, v, heads: int):
 def composed_multi_head_attention(q, k, v, p):
     return composed_linear(composed_attention(composed_linear(q, p.q), composed_linear(k, p.k),
                                               composed_linear(v, p.v), p.heads), p.out)
+
+
+def composed_context_attention(q, ctx, p):
+    """context_attention of q [A, d] over ctx [A, n, d] as a chain of
+    elementwise primitives and matmuls: each head's key weight folds into
+    its query, and its value weight and bias apply after the weighted sum.
+    Each matmul is one row's or one (row, head)'s."""
+    A, d = q.shape
+    h, hd = p.heads, d // p.heads
+    qh = ad.reshape(composed_linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, 1, hd)) \
+        * (1.0 / math.sqrt(hd))
+    wk = ad.transpose(ad.reshape(p.k.w, (d, h, hd)), (1, 2, 0))               # [H, hd, d]
+    qk = ad.transpose(ad.reshape(ad.matmul(qh, wk), (A, h, d)), (0, 2, 1))    # [A, d, H]
+    weights = ad.softmax(ad.transpose(ad.matmul(ctx, qk), (0, 2, 1)), axis=-1)  # [A, H, n]
+    mixed = ad.reshape(ad.matmul(weights, ctx), (A, h, 1, d))
+    wv = ad.transpose(ad.reshape(p.v.w, (d, h, hd)), (1, 0, 2))               # [H, d, hd]
+    out = ad.reshape(ad.matmul(mixed, wv), (A, 1, d)) + p.v.b
+    return ad.reshape(composed_linear(out, p.out), (A, d))
 
 
 # ---------------------------------------------------------------------------

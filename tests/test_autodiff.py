@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 import re
 import tracemalloc
 
@@ -8,20 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import clipvid
 from clipvid import autodiff as ad
-from clipvid import geometry as geo
 from clipvid import gradcheck_suite
-from clipvid import matching as mt
 from clipvid.errors import ConfigError, DimensionError, NumericError
-from oracles import (composed_attention, composed_layer_norm, composed_linear,
-                     composed_multi_head_attention, corrupt_adjoint, scatter_add_rows,
-                     stacked_matmul_adjoint)
+from oracles import (composed_attention, composed_context_attention, composed_layer_norm,
+                     composed_linear, composed_multi_head_attention, corrupt_adjoint,
+                     scatter_add_rows, stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
-# it records, read from the source of the modules that define records, so
-# that a new primitive, or a new input, without a gradient check fails the
-# tests below. concat's parts are checked in pairs.
-SOURCE = "".join(inspect.getsource(m) for m in (ad, geo, mt))
+# it records, read from the source of every module of the package, so that
+# a new primitive, or a new input, without a gradient check fails the tests
+# below, wherever it is defined. concat's parts are checked in pairs.
+SOURCE = "".join(inspect.getsource(importlib.import_module(f"clipvid.{m.name}"))
+                 for m in pkgutil.iter_modules(clipvid.__path__))
 RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', SOURCE)))
 ARITY = {"concat": 2} | {op: len([n for n in names.split(",") if n.strip()]) for op, names
                          in re.findall(r'_record\("(\w+)", \(([^)]*)\)', SOURCE)}
@@ -342,7 +344,8 @@ def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
 
 def test_constant_operands_get_no_gradient(rng):
     """The adjoints of mul, matmul and the fused layers compute no gradient
-    for an input that needs none."""
+    for an input that needs none; the two context_attention calls each have
+    every other input constant."""
     x, c = ad.param(rng.normal(size=(2, 3, 8))), ad.tensor(rng.normal(size=(2, 3, 8)))
     w, cw = ad.param(rng.normal(size=(8, 8))), ad.tensor(rng.normal(size=(8, 8)))
     b, cb = ad.param(rng.normal(size=8)), ad.tensor(rng.normal(size=8))
@@ -354,7 +357,13 @@ def test_constant_operands_get_no_gradient(rng):
         ad.attention(x, c, c, 2), ad.attention(c, x, c, 2), ad.attention(c, c, x, 2)
         ad.linear(x, ad.LinearParams(cw, cb)), ad.linear(c, ad.LinearParams(w, cb))
         ad.linear(c, ad.LinearParams(cw, b))
-    assert len(tape) == 15
+        rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
+        lin = ad.LinearParams
+        ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), lin(cw, cb), lin(w, cb),
+                                                   lin(cw, b)))
+        ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), lin(w, b), lin(cw, b),
+                                                    lin(w, cb)))
+    assert len(tape) == 17
     for op, inputs, out, adjoint in tape.records:
         grads = adjoint(np.ones_like(out.data))
         assert [g is not None for g in grads] == [t.requires_grad for t in inputs], op
@@ -364,11 +373,12 @@ def test_constant_operands_get_no_gradient(rng):
     (lambda x, p: ad.layer_norm(x, p.q.b, p.k.b), 1),
     (lambda x, p: ad.linear(x, p.q), 1),
     (lambda x, p: ad.multi_head_attention(x, x, x, p), 5),
-], ids=["layer_norm", "linear", "multi_head_attention"])
+    (lambda x, p: ad.context_attention(ad.tensor(x.data[:, 0]), x, p), 1),
+], ids=["layer_norm", "linear", "multi_head_attention", "context_attention"])
 def test_fused_layer_record_count(rng, layer, records):
-    """Hardware-independent gate: one tape record per layer_norm and linear
-    call, five per multi_head_attention call (four projections and the
-    attention core)."""
+    """Hardware-independent gate: one tape record per layer_norm, linear and
+    context_attention call, five per multi_head_attention call (four
+    projections and the attention core)."""
     p = ad.init_mha(rng, 8, 2)
     x = ad.param(rng.normal(size=(2, 3, 8)))
     with ad.ComputationTape() as tape:
@@ -376,9 +386,9 @@ def test_fused_layer_record_count(rng, layer, records):
     assert len(tape) == records
 
 
-# A clip's self-attention over [1, T*L, d] and its box-guided cross-attention
-# of [T*L, 1, d] queries over [T*L, s*s, d] regions, at the desk width (d=32,
-# four heads) and the gradient-check width (d=8, two heads).
+# A clip's self-attention over [1, T*L, d], and [T*L, 1, d] queries each over
+# its own [s*s, d] region rows (context_attention's projected form), at the
+# desk width (d=32, four heads) and the gradient-check width (d=8, two heads).
 ATTENTION_CASES = [((1, 32, 32), None, 4), ((32, 1, 32), (32, 16, 32), 4),
                    ((1, 8, 8), None, 2), ((8, 1, 8), (8, 4, 8), 2)]
 ATTENTION_IDS = ["self_d32", "cross_d32", "self_d8", "cross_d8"]
@@ -447,3 +457,56 @@ def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
             assert np.abs(got).max() < 1e-12 and np.abs(ref).max() < 1e-12
         else:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+# Aggregation's anchors over their picked blocks [A, F*s*s, d] and box-guided
+# cross-attention's queries over their own regions [T*L, s*s, d], at the desk
+# width, and a gradient-check width case: (A, n, d, heads).
+CONTEXT_CASES = [(16, 64, 32, 4), (32, 16, 32, 4), (5, 4, 8, 2)]
+CONTEXT_IDS = ["ica_d32", "cross_d32", "cross_d8"]
+
+
+def _context_inputs(seed, rows, n, d, heads):
+    rng = np.random.default_rng(seed)
+    p = ad.init_mha(rng, d, heads)
+    return p, ad.param(rng.normal(size=(rows, d))), ad.param(rng.normal(size=(rows, n, d)))
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("rows,n,d,heads", CONTEXT_CASES, ids=CONTEXT_IDS)
+def test_context_attention_matches_the_composed_chain_bitexactly(bits, rows, n, d, heads):
+    """context_attention runs the composed chain's numpy operations in the
+    same order, so its output bytes are the chain's in 32 and 64 bits."""
+    with ad.precision(bits):
+        p, q, ctx = _context_inputs(0, rows, n, d, heads)
+        fused, composed = ad.context_attention(q, ctx, p), composed_context_attention(q, ctx, p)
+    assert fused.data.dtype == composed.data.dtype == np.dtype(f"float{bits}")
+    assert np.array_equal(fused.data, composed.data)
+
+
+@pytest.mark.parametrize("reference", ["composed_chain", "multi_head_attention"])
+@pytest.mark.parametrize("rows,n,d,heads", CONTEXT_CASES, ids=CONTEXT_IDS)
+def test_context_attention_gradients_match_the_references(reference, rows, n, d, heads):
+    """In 64-bit, the output and the gradient of every input and parameter
+    agree within 1e-12 relative with the composed chain's taped chain rule,
+    and with multi_head_attention of [A, 1, d] queries over their own
+    projected keys and values. The key bias is not read: its gradient is
+    an exact zero, where the projected form gives rounding noise."""
+    with ad.precision(64):
+        p, q, ctx = _context_inputs(1, rows, n, d, heads)
+        named = [("q", q), ("ctx", ctx)] + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
+                                            for lin in ("q", "k", "v", "out") for part in "wb"]
+        tensors = [t for _, t in named]
+        seed = np.random.default_rng(2).normal(size=(rows, d))
+        ref = {"composed_chain": lambda: composed_context_attention(q, ctx, p),
+               "multi_head_attention": lambda: ad.reshape(ad.multi_head_attention(
+                   ad.reshape(q, (rows, 1, d)), ctx, ctx, p), (rows, d))}[reference]
+        out, want = ad.context_attention(q, ctx, p).data, ref().data
+        got = _gradients(lambda: ad.context_attention(q, ctx, p), tensors, seed)
+        expect = _gradients(ref, tensors, seed)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+    for (name, _), a, b in zip(named, got, expect, strict=True):
+        if name == "k.b":
+            assert not a.any() and np.abs(b).max() < 1e-12
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name

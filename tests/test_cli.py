@@ -425,6 +425,16 @@ def test_stage2_config_checked_against_checkpoint(dataset, trained_ckpt, tmp_pat
         assert "'heads'" in capsys.readouterr().err
 
 
+def test_stage2_without_config_uses_the_checkpoint_sidecar(dataset, trained_ckpt, tmp_path):
+    """Without --config, stage 2 trains with the config the --ckpt-in
+    checkpoint was built with (its sidecar), as eval does, not desk scale."""
+    s2 = tmp_path / "s2.ckpt"
+    assert run("train", "--data", dataset, "--stage", "2", "--ckpt-in", trained_ckpt,
+               "--ckpt-out", str(s2), "--iters", "1") == cli.EXIT_OK
+    with open(trained_ckpt + ".config.txt") as fh:
+        assert (tmp_path / "s2.ckpt.config.txt").read_text() == fh.read()
+
+
 @pytest.mark.parametrize("argv, window", [
     (("eval",), [4, 2]),
     (("eval", "--frames", "5"), [5, 1]),

@@ -11,9 +11,9 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
-from oracles import (aggregate, contrastive_loss, identity_match, joint_context,
-                     mask_within_frames, matched_columns, oracle_match, own_block_attention,
-                     select_topk, targets_of)
+from oracles import (aggregate, composed_context_attention, contrastive_loss, identity_match,
+                     joint_context, mask_within_frames, matched_columns, oracle_match,
+                     projected_block_attention, select_topk, targets_of)
 
 
 def rows(*vs):
@@ -263,7 +263,7 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
 
     ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
-    attn = ica.own_block_attention(q, ctx, lp.ica_attn)
+    attn = ad.context_attention(q, ctx, lp.ica_attn)
     direct = ad.multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
     assert_allclose(attn.data, direct.data[0], atol=1e-12)
     want = M.apply_ln(q + attn, lp.ln_ica)
@@ -401,12 +401,27 @@ def test_reassociated_attention_matches_the_projected_form(selection, monkeypatc
 
     def projected(q, ctx, p):                  # each anchor's blocks, unshared
         blocks = ad.reshape(ctx, (-1, s2, ctx.shape[-1]))
-        return own_block_attention(q, blocks, np.arange(len(blocks)).reshape(len(q), -1), p)
+        return projected_block_attention(q, blocks, np.arange(len(blocks)).reshape(len(q), -1),
+                                         p)
 
-    monkeypatch.setattr(ica, "own_block_attention", projected)
+    monkeypatch.setattr(ad, "context_attention", projected)
     for i, (a, b) in enumerate(zip(got, run())):
         if i != key_bias:
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_ica_forward_matches_the_composed_chain_bitexactly(bits, monkeypatch):
+    """On a desk-config aggregation layer, the one context_attention record
+    gives the bytes of the composed chain it replaces, in 32 and 64 bits."""
+    with ad.precision(bits):
+        cfg = M.ModelConfig().validate()
+        _, lp, prev, queries, _ = sublayer_case(cfg.t_train, False, seed=3, cfg=cfg)
+        fused, _ = ica.ica_sublayer(queries, prev, lp, cfg)
+        monkeypatch.setattr(ad, "context_attention", composed_context_attention)
+        composed, _ = ica.ica_sublayer(queries, prev, lp, cfg)
+    assert fused.data.dtype == composed.data.dtype == np.dtype(f"float{bits}")
+    assert np.array_equal(fused.data, composed.data)
 
 
 @pytest.mark.parametrize("T", [8, 16, 32])

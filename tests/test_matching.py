@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
+from clipvid import geometry as geo
 from clipvid import matching as mt
 from clipvid.errors import CapacityError, DimensionError, NumericError
 from clipvid.geometry import Box
@@ -74,6 +75,26 @@ def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
     for i, (lg, box) in enumerate(preds):
         for j, (c, b) in enumerate(gts):
             assert mat[i, j] == pytest.approx(match_cost(lg, box, c, b), abs=1e-6)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("scale", [1.0, 10.0, 60.0])
+def test_cost_matrix_keeps_the_bytes_of_the_both_branch_focal_form(bits, scale):
+    """The pairing cost evaluates only the positive branch of the focal
+    loss. Its matrix keeps the bytes of focal_loss_values against an
+    all-positive target, which evaluates both branches, for 32- and 64-bit
+    predictions, seeded logits of each scale and saturated logits of +-800."""
+    rng = np.random.default_rng(int(scale))
+    logits = (rng.normal(size=(8, 5)) * scale).astype(f"float{bits}")
+    logits[:2] = [[800.0], [-800.0]]
+    boxes = np.clip(rng.random((8, 4)), 0.15, 0.8).astype(f"float{bits}")
+    gt_cls, gt_box = rng.integers(5, size=4), np.clip(rng.random((4, 4)), 0.15, 0.8)
+    x = np.asarray(logits, dtype=np.float64)[:, gt_cls]
+    giou_cost, l1 = geo.box_pair_terms(np.asarray(boxes, dtype=np.float64)[:, None],
+                                       gt_box[None, :])
+    want = (mt.LAMBDA_CLS * mt.focal_loss_values(x, True) + mt.LAMBDA_GIOU * giou_cost
+            + mt.LAMBDA_L1 * l1)
+    assert np.array_equal(mt.cost_matrix(logits, boxes, gt_cls, gt_box), want)
 
 
 def test_frame_without_ground_truth_has_empty_cost_matrix(rng):

@@ -339,7 +339,7 @@ def test_desk_clip_tape_record_count():
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 202
+    assert records == 161
 
 
 def test_train_mid_clip_tape_record_count():
@@ -348,7 +348,38 @@ def test_train_mid_clip_tape_record_count():
     cfg = M.ModelConfig(num_queries=30, dim=64, decoder_layers=6, ica_layers=0)
     records, parts = training_clip_records(cfg)
     assert parts.con == 0.0
-    assert records == 252
+    assert records == 210
+
+
+def test_desk_inference_pass_tape_record_count():
+    """The same gate for seeded desk inference with aggregation on: a
+    32-frame clip in two passes of t_infer=16 frames, forward only."""
+    cfg = M.ModelConfig(t_infer=16)
+    params = M.init_model(cfg, np.random.default_rng(0))
+    with ad.ComputationTape() as tape:
+        _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
+    assert len(selections) == 2 * cfg.ica_layers
+    assert len(tape) == 2 * 131
+
+
+def test_cross_attention_and_aggregation_key_biases_get_exact_zero_gradients():
+    """Both own-context attentions fold the key weight into the query, so
+    their key biases are not read: after a desk training clip's backward
+    pass their gradients are exact zeros, while their key weights' are
+    not."""
+    cfg = M.ModelConfig()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    clip = sv.generate_clip(sv.GenConfig(), seed=0)
+    frames, gts = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
+    with ad.ComputationTape() as tape:
+        total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
+    tape.backward(total)
+    named = M.named_parameters(params)
+    unread = [name for name in named if name.endswith((".cross_attn.k.b", ".ica_attn.k.b"))]
+    assert len(unread) == cfg.decoder_layers + cfg.ica_layers
+    for name in unread:
+        assert not named[name].grad.any(), name
+        assert named[name[:-1] + "w"].grad.any(), name
 
 
 def test_clip_forward_determinism(rng):
