@@ -2,8 +2,10 @@
 
 Tensors wrap a numpy array plus an optional gradient buffer. Primitive ops
 record their adjoint closures on the active ComputationTape; replaying the
-tape in reverse accumulates gradients into every tensor on the path to the
-loss. An adjoint may return None for an input that needs no gradient.
+tape in reverse accumulates gradients into every leaf on the path to the
+loss. An adjoint may return None for an input that needs no gradient. A
+tape is replayed once: backward releases each record as its adjoint runs,
+so afterwards only leaves hold .grad.
 Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
@@ -128,10 +130,13 @@ def _as_tensor(x) -> Tensor:
 class ComputationTape:
     """Ordered record of primitive ops, replayed in reverse for adjoints.
 
-    One record per primitive: (op name, inputs, output, adjoint fn)."""
+    One record per primitive: (op name, inputs, output, adjoint fn). A tape
+    is replayed once. After backward only leaves hold .grad; the records'
+    slots are None, and len() still counts the records that were made."""
 
     def __init__(self):
-        self.records: list[tuple] = []
+        self.records: list[tuple | None] = []
+        self.spent = False
 
     def __enter__(self) -> "ComputationTape":
         _tapes.append(self)
@@ -145,12 +150,22 @@ class ComputationTape:
         return len(self.records)
 
     def backward(self, loss: Tensor, seed=None) -> None:
-        """Accumulate d(loss)/dx into .grad of every tensor on the path."""
+        """Accumulate d(loss)/dx into .grad of every leaf on the path.
+
+        Each record's slot and its output's .grad are cleared as its adjoint
+        runs, so the forward arrays, closures and upstream gradients that
+        only the tape held are freed during the pass."""
+        if self.spent:
+            raise RuntimeError("backward on a spent tape: a tape is replayed once")
+        self.spent = True
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += np.ones_like(loss.data) if seed is None else seed
-        for _op, inputs, output, backward in reversed(self.records):
-            og = output.grad
+        records = self.records
+        for i in range(len(records) - 1, -1, -1):
+            _op, inputs, output, backward = records[i]
+            records[i] = None
+            og, output.grad = output.grad, None
             if og is None:
                 continue
             grads = backward(og)

@@ -11,8 +11,9 @@ Batching stays bit-exact with single-frame runs because numpy's matmul
 makes one BLAS call per stacked matrix, so a frame's rows see the same
 calls either way. Each decoder layer's predictions (LayerOutput) are class
 logits [T, L, C], refined boxes [T, L, 4] as a tensor and as detached
-clamped float64 reference boxes, and identity embeddings [T, L, d] where
-an aggregation layer follows.
+clamped float64 reference boxes, and, where an aggregation layer follows,
+identity embeddings [T, L, d] and the region features [T, L, s*s, d] that
+the aggregation reads.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ class LayerOutput:
     boxes_t: Tensor                         # [T, L, 4] differentiable refined boxes
     boxes: np.ndarray                       # [T, L, 4] detached, clamped float64
     ident: Tensor | None                    # [T, L, d] unit rows, or None
-    region: Tensor                          # [T, L, s*s, d]
+    region: Tensor | None                   # [T, L, s*s, d], or None
     selection: ica.Selection | None = None  # an aggregation layer's selection
 
 
@@ -406,9 +407,10 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
         queries = feed_forward(queries, lp)
-        logits, boxes_t, boxes, ident = detection_head(
-            queries, boxes, lp, cfg.has_identity_head(li))
-        layers.append(LayerOutput(logits, boxes_t, boxes, ident, region, selection))
+        feeds_ica = cfg.has_identity_head(li)
+        logits, boxes_t, boxes, ident = detection_head(queries, boxes, lp, feeds_ica)
+        layers.append(LayerOutput(logits, boxes_t, boxes, ident,
+                                  region if feeds_ica else None, selection))
     return layers
 
 

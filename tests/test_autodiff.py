@@ -3,6 +3,7 @@ import inspect
 import pkgutil
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +262,62 @@ def test_tape_replay_is_deterministic(rng):
     rng2 = np.random.default_rng(7)
     g2 = run()
     assert np.array_equal(g1, g2)
+
+
+def _fused_chain(seed):
+    """linear -> layer_norm -> multi_head_attention -> a weighted sum, taped;
+    returns the tape, the loss, the leaves, a weakref to the linear output's
+    array and the later intermediate outputs."""
+    rng = np.random.default_rng(seed)
+    p = ad.init_mha(rng, 8, 2)
+    x = ad.param(rng.normal(size=(2, 3, 8)))
+    gain, bias = ad.param(rng.normal(size=8)), ad.param(rng.normal(size=8))
+    weight = ad.tensor(rng.normal(size=(2, 3, 8)))
+    with ad.ComputationTape() as tape:
+        h = ad.linear(x, p.q)
+        n = ad.layer_norm(h, gain, bias, 1e-5)
+        a = ad.multi_head_attention(n, n, n, p)
+        loss = ad.reduce_sum(ad.mul(a, weight))
+    leaves = [x, gain, bias] + [t for lin in (p.q, p.k, p.v, p.out) for t in (lin.w, lin.b)]
+    return tape, loss, leaves, weakref.ref(h.data), [n, a]
+
+
+def test_backward_releases_each_record_and_keeps_leaf_gradients():
+    """backward frees what only the tape held, drops every intermediate
+    gradient, keeps the record count, and gives the leaf gradients of a
+    replay that releases nothing."""
+    tape, loss, leaves, h_data, intermediates = _fused_chain(0)
+    made = len(tape)
+    assert h_data() is not None
+    tape.backward(loss)
+    assert h_data() is None                  # the tape itself is still alive
+    assert len(tape) == made
+    assert all(t.grad is None for t in intermediates + [loss])
+
+    ref_tape, ref_loss, ref_leaves, ref_h_data, _ = _fused_chain(0)
+    ref_loss.grad = np.ones_like(ref_loss.data)
+    for _op, inputs, output, adjoint in reversed(ref_tape.records):
+        if output.grad is None:
+            continue
+        for inp, g in zip(inputs, adjoint(output.grad)):
+            if g is None or not inp.requires_grad:
+                continue
+            if inp.grad is None:
+                inp.grad = np.array(g, dtype=inp.data.dtype)
+            else:
+                inp.grad += g
+    assert ref_h_data() is not None
+    for got, want in zip(leaves, ref_leaves):
+        assert np.array_equal(got.grad, want.grad)
+
+
+def test_backward_on_a_spent_tape_raises():
+    tape, loss, leaves, _, _ = _fused_chain(1)
+    tape.backward(loss)
+    grads = [t.grad.copy() for t in leaves]
+    with pytest.raises(RuntimeError, match="spent"):
+        tape.backward(loss)
+    assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
 
 
 def test_row_update_semantics(rng):

@@ -60,3 +60,5 @@ def test_small_traced_benchmark_run_observes_every_layer(monkeypatch, tmp_path):
     assert details["missing"] == {}
     assert result["correct"] and result["failed"] == 0
     assert all(math.isfinite(m["value"]) for m in result["metrics"].values())
+    # The record count is read from the tape after backward has released it.
+    assert result["metrics"]["autodiff.records_per_clip"]["value"] > 0
