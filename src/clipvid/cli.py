@@ -222,7 +222,6 @@ def _load_params(ckpt_path: str, cfg: ModelConfig | None = None
             raise ConfigError(f"checkpoint tensor '{name}' has shape "
                               f"{data[name].shape}, config implies {tensor.data.shape}")
         tensor.data = np.ascontiguousarray(data[name], dtype=ad.get_dtype())
-        tensor.grad = np.zeros_like(tensor.data)
     return cfg, params
 
 

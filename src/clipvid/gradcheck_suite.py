@@ -135,6 +135,10 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
         return total
 
     named = M.named_parameters(params)
+    # grad_check turns requires_grad on for the checked tensor alone, so each
+    # tape records only what depends on it.
+    for tensor in named.values():
+        tensor.requires_grad = False
     worst = GradCheckReport("micro_model_loss", 0.0, tol)
     # Loss values are O(10): a wider step keeps ulp noise out of the
     # central differences of the smallest gradient entries.

@@ -129,12 +129,13 @@ def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
                                  f"{track.class_id} out of range for {num_classes} classes")
 
 
-def _shape_mask(shape_id: int, cx: float, cy: float, rx: float, ry: float,
+def _shape_mask(shape_id: int, cx: np.ndarray, cy: np.ndarray, rx: float, ry: float,
                 centres: np.ndarray) -> np.ndarray:
-    """The [size, size] pixels of a shape centred at (cx, cy); centres holds
-    the frame's [size] pixel centres along either axis."""
-    x = centres[None, :] - cx
-    y = centres[:, None] - cy
+    """The [..., size, size] pixels of a shape centred at each of the [...]
+    points (cx, cy); centres holds the frame's [size] pixel centres along
+    either axis."""
+    x = centres - cx[..., None, None]
+    y = centres[:, None] - cy[..., None, None]
     name = SHAPE_NAMES[shape_id]
     if name == "disc":
         return (x / rx) ** 2 + (y / ry) ** 2 <= 1.0
@@ -162,21 +163,6 @@ class _ObjectSpec:
     stripe_freq: float
     stripe_phase: float
     centers: list[tuple[float, float]]      # per frame
-
-
-def _paint(canvas: np.ndarray, mask: np.ndarray, obj: _ObjectSpec,
-           cx: float, cy: float) -> None:
-    size = canvas.shape[0]
-    ys, xs = np.nonzero(mask)
-    if ys.size == 0:
-        return
-    # Texture rides in object coordinates so it is a stable identity cue.
-    u = (xs + 0.5) / size - cx
-    v = (ys + 0.5) / size - cy
-    phase = np.sin(2 * math.pi * obj.stripe_freq *
-                   (u * obj.stripe_dir[0] + v * obj.stripe_dir[1]) + obj.stripe_phase)
-    colors = np.where(phase[:, None] > 0, obj.color_a[None, :], obj.color_b[None, :])
-    canvas[ys, xs] = colors
 
 
 def _background(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -248,37 +234,40 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
     background = _background(rng, size)
     centres = (np.arange(size) + 0.5) / size
 
-    def render(positions: list[tuple[float, float]]) -> np.ndarray:
-        canvas = background.copy()
-        for obj, (cx, cy) in zip(objects, positions):
-            mask = _shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, centres)
-            _paint(canvas, mask, obj, cx, cy)
-        if shade is not None:
-            canvas[occluder] = shade
-        return canvas
-
-    frames = np.zeros((T, size, size, 3), dtype=np.float32)
+    path = np.array([obj.centers for obj in objects])          # [n, T, 2]
+    # An object blurs along its step into the frame; the first frame uses
+    # the step out of it.
+    vel = np.diff(path, axis=1, prepend=path[:, :1])
+    if T > 1:
+        vel[:, 0] = vel[:, 1]
+    frames = np.empty((T, size, size, 3), dtype=np.float32)
     for t in range(T):
-        velocities = []
-        for obj in objects:
-            prev = obj.centers[t - 1] if t > 0 else obj.centers[t]
-            nxt = obj.centers[t + 1] if t == 0 and T > 1 else obj.centers[t]
-            vx, vy = (nxt[0] - prev[0], nxt[1] - prev[1])
-            velocities.append((vx, vy))
-        max_disp_px = max((math.hypot(*v) for v in velocities), default=0.0) * size
+        # math.hypot on Python floats: np.hypot can differ in the last ulp
+        # and so change n_sub.
+        max_disp_px = max(math.hypot(vx, vy) for vx, vy in vel[:, t].tolist()) * size
         n_sub = 1 + int(cfg.blur_scale * max_disp_px)
-        acc = np.zeros((size, size, 3))
-        taus = np.linspace(-0.5, 0.5, n_sub) if n_sub > 1 else [0.0]
-        for tau in taus:
-            positions = [(obj.centers[t][0] + tau * v[0], obj.centers[t][1] + tau * v[1])
-                         for obj, v in zip(objects, velocities)]
-            acc += render(positions)
-        frames[t] = (acc / len(taus)).astype(np.float32)
+        taus = np.linspace(-0.5, 0.5, n_sub) if n_sub > 1 else np.zeros(1)
+        sub = path[:, t, None] + taus[:, None] * vel[:, t, None]       # [n, n_sub, 2]
+        # One canvas per sub-position, painted object by object in order.
+        canvas = np.repeat(background[None], n_sub, axis=0)         # [n_sub, size, size, 3]
+        for obj, (cx, cy) in zip(objects, sub.transpose(0, 2, 1)):
+            ks, ys, xs = np.nonzero(_shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, centres))
+            # Texture rides in object coordinates so it is a stable identity cue.
+            u = (xs + 0.5) / size - cx[ks]
+            v = (ys + 0.5) / size - cy[ks]
+            phase = np.sin(2 * math.pi * obj.stripe_freq *
+                           (u * obj.stripe_dir[0] + v * obj.stripe_dir[1]) + obj.stripe_phase)
+            canvas[ks, ys, xs] = np.where(phase[:, None] > 0, obj.color_a, obj.color_b)
+        if shade is not None:
+            canvas[:, occluder] = shade
+        # The bytes depend on the summation order: an axis-0 sum adds the
+        # sub-renders one after another, in tau order.
+        frames[t] = canvas.sum(axis=0) / n_sub
 
     # Each object's mask at each frame; an object is covered by the occluder
     # strip and by every object painted after it.
-    masks = np.array([[_shape_mask(obj.class_id, cx, cy, obj.rx, obj.ry, centres)
-                       for cx, cy in obj.centers] for obj in objects])     # [n, T, size, size]
+    masks = np.array([_shape_mask(obj.class_id, xy[:, 0], xy[:, 1], obj.rx, obj.ry, centres)
+                      for obj, xy in zip(objects, path)])      # [n, T, size, size]
     covered = np.empty_like(masks)
     covered[-1] = occluder
     for oi in range(len(objects) - 1, 0, -1):
@@ -378,13 +367,14 @@ def read_dataset(path: str) -> list[ClipSample]:
         bin_path = os.path.join(path, rel)
         expect = t * h * w * 3 * 4
         try:
-            raw = open(bin_path, "rb").read()
+            with open(bin_path, "rb") as fh:
+                found = os.fstat(fh.fileno()).st_size
+                if found != expect:
+                    raise ParseError(f"{bin_path}: offset {min(found, expect)}: "
+                                     f"expected {expect} bytes, found {found}")
+                frames = np.fromfile(fh, dtype="<f4").reshape(t, h, w, 3)
         except OSError as e:
             raise ParseError(f"{mani_path}:{ln}: cannot read {rel}: {e}") from e
-        if len(raw) != expect:
-            raise ParseError(f"{bin_path}: offset {min(len(raw), expect)}: "
-                             f"expected {expect} bytes, found {len(raw)}")
-        frames = np.frombuffer(raw, dtype="<f4").reshape(t, h, w, 3).copy()
         clips[cid] = ClipSample(cid, frames, [])
         declared_tracks[cid] = (ln, n_tracks)
     if declared is not None and declared != len(clips):

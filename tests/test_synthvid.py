@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -168,11 +170,20 @@ def test_write_read_round_trip(tmp_path):
 @pytest.mark.parametrize("kw,digest", [
     ({}, "e506b976106292eaa09005fdcd51c96a8e0e3815ef9a426dd8f8b54d2e32adbc"),
     ({"occluder_prob": 1.0}, "70f90bc2dde57c09788ea762e4f6f260d16ffb261dc129164a991b6dabc8ed7f"),
-], ids=["default", "occluder_prob_1"])
+    ({"t": 1}, "3b0af1e09bbc375d4597aa31034c68c26fce54bf8045462016b14eb434c159dc"),
+    ({"t": 32, "blur_scale": 0.9, "occluder_prob": 1.0},
+     "e5abd76db6d6c0ec10eaeaebfbbcb88bc2afa278e92776eb012c46034eeabfa7"),
+    ({"frame_size": 16, "t": 3},
+     "ba915478484a850ab560565f13d9242feb3dbd4e99c377d0a7cb18c94e182bac"),
+    ({"max_objects": 6}, "538d041da5a43c670cf741c814a553fdb31e81da8d8bec9dff21edaa1c3d6bc3"),
+], ids=["default", "occluder_prob_1", "t_1", "t_32_blur_0.9_occluded", "frame_size_16",
+        "max_objects_6"])
 def test_generated_dataset_bytes_are_pinned(tmp_path, kw, digest):
     """A seeded dataset keeps its frame bytes and annotation text; the
     digests hold 14 tracks, 1 (default) and 4 (occluder on every clip)
-    boxes hidden below VISIBILITY_MIN, and partial visibilities."""
+    boxes hidden below VISIBILITY_MIN, and partial visibilities. The later
+    rows pin one frame per clip, 32 frames of heavier blur under an
+    occluder, the smallest frame, and up to six objects."""
     clips = sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0)
     sv.write_dataset(clips, str(tmp_path))
     h = hashlib.sha256()
@@ -313,6 +324,19 @@ def test_bad_manifest_clip_record_reports_line(tmp_path, clip_lines, match):
     manifest.write_text(manifest.read_text().replace(FIXTURE_CLIP, clip_lines))
     with pytest.raises(ParseError, match=match):
         sv.read_dataset(str(ds))
+
+
+def test_round_trip_closes_every_file(tmp_path):
+    """Writing and reading a dataset leaves no file object for the garbage
+    collector to close: no ResourceWarning is recorded."""
+    ds = str(tmp_path / "ds")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sv.write_dataset(sv.generate_dataset(small_cfg(t=2), 3, seed=0), ds)
+        loaded = sv.read_dataset(ds)
+        gc.collect()
+    assert len(loaded) == 3
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_truncated_frames_reports_offset(tmp_path):
