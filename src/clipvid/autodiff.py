@@ -58,14 +58,15 @@ def precision(bits: int):
 
 
 class Tensor:
-    """Shape-tagged dense array with an optional same-shape gradient buffer."""
+    """Shape-tagged dense array with an optional same-shape gradient buffer,
+    None until a backward pass reaches the tensor or a caller sets one."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=get_dtype())
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,7 +120,8 @@ def tensor(data) -> Tensor:
 
 
 def param(data) -> Tensor:
-    """Trainable leaf: requires_grad with a zero-initialized grad buffer."""
+    """Trainable leaf: requires_grad, without a grad buffer until backward
+    reaches it (training.flatten gives the trained ones theirs)."""
     return Tensor(data, requires_grad=True)
 
 

@@ -8,7 +8,9 @@ primitives, so the taped chain rule checks the fused primitives' adjoints.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
-block. The tests compare the package's batched and fused paths against them.
+block. km_solve and frame_hungarian solve one frame's assignment, one row
+at a time. The tests compare the package's batched and fused paths against
+them.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
@@ -28,7 +30,7 @@ from clipvid import model as M
 from clipvid import training as tr
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, EvalReport, interpolated_ap
-from clipvid.geometry import LOGIT_EPS, WH_MIN, Box
+from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, box_pair_terms
 from clipvid.synthvid import SPEED_LABELS, Targets
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,90 @@ def targets_of(gts) -> Targets:
                    np.array(box, dtype=np.float64).reshape(-1, 4), np.array(track, dtype=np.int64))
 
 
+def km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Shortest-augmenting-path assignment of one n x m matrix, n <= m
+    (Crouse, IEEE TAES 2016), one row at a time. Returns (col_of_row,
+    row_potentials, col_potentials)."""
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)       # p[j]: row matched to col j (1-based)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            cur = cost[i0 - 1, :] - u[i0] - v[1:]
+            unused = ~used[1:]
+            better = unused & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            cand = np.where(unused)[0]
+            j1 = cand[np.argmin(minv[1:][cand])] + 1
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[1:][unused] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = [0] * n
+    for j in range(1, m + 1):
+        if p[j]:
+            col_of_row[p[j] - 1] = j - 1
+    return col_of_row, u[1:], v[1:]
+
+
+def frame_hungarian(cost: np.ndarray) -> list[int]:
+    """One matrix's km_solve, then the lexicographically smallest optimum:
+    rows in order, each takes the lowest-index tight, free column that the
+    later rows can complete to the exact (fsum) optimum."""
+    c = np.asarray(cost, dtype=np.float64)
+    result, u, v = km_solve(c)
+    tight = c - u[:, None] - v[None, :] <= 1e-9 * np.maximum(1.0, np.abs(c))
+    base = mt.assignment_cost(c, result)
+    free = np.ones(c.shape[1], dtype=bool)
+    for r in range(c.shape[0]):
+        for cand in np.flatnonzero(tight[r, :result[r]] & free[:result[r]]):
+            cols = np.setdiff1d(np.flatnonzero(free), cand)
+            rest, _, _ = km_solve(c[r + 1:, cols])
+            trial = result[:r] + [int(cand)] + [int(cols[j]) for j in rest]
+            if mt.assignment_cost(c, trial) == base:
+                result = trial
+                break
+        free[result[r]] = False
+    return result
+
+
+def frame_cost_matrix(logits, boxes, gt_cls, gt_box) -> np.ndarray:
+    """[L, G] pairing costs of one frame, built from the frame's own arrays."""
+    x = np.asarray(logits, dtype=np.float64)[:, gt_cls]
+    giou_cost, l1 = box_pair_terms(np.asarray(boxes, dtype=np.float64)[:, None],
+                                   np.asarray(gt_box, dtype=np.float64)[None, :])
+    return (mt.LAMBDA_CLS * mt.focal_loss_values(x, True) + mt.LAMBDA_GIOU * giou_cost
+            + mt.LAMBDA_L1 * l1)
+
+
+def loop_match_frames(logits, boxes, targets: Targets) -> np.ndarray:
+    """match_frames one frame at a time: each frame's [G, L] cost solved by
+    frame_hungarian."""
+    pred = np.zeros(len(targets), dtype=np.int64)
+    bounds = np.searchsorted(targets.frame, np.arange(len(logits) + 1))
+    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            cost = frame_cost_matrix(logits[f], boxes[f], targets.cls[lo:hi], targets.box[lo:hi])
+            pred[lo:hi] = frame_hungarian(cost.T)
+    return pred
+
+
 def matched_columns(matched) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (frame, track, pred) columns contrastive_loss takes, from
     per-frame {track id: query index} dicts, one row per entry."""
@@ -514,6 +600,11 @@ def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
 
 # ---------------------------------------------------------------------------
 # Composed layers
+
+
+def leaf_grad(t) -> np.ndarray:
+    """The gradient backward left on t: zeros where none reached it."""
+    return np.zeros_like(t.data) if t.grad is None else t.grad
 
 
 def composed_linear(x, p):

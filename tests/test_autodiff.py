@@ -17,7 +17,7 @@ from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
 from oracles import (composed_attention, composed_context_attention, composed_layer_norm,
                      composed_linear, composed_multi_head_attention, corrupt_adjoint,
-                     scatter_add_rows, stacked_matmul_adjoint)
+                     leaf_grad, scatter_add_rows, stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
 # it records, read from the source of every module of the package, so that
@@ -169,13 +169,16 @@ def test_grad_check_constant_function():
 
 def test_grad_check_through_a_closure_restores_the_tensor():
     """f may ignore its argument and read x as a parameter; x keeps its
-    values, its grad buffer and its flag."""
+    values, its flag and its grad: none for a fresh parameter, or the
+    buffer it held."""
     p = ad.param([[1.0, -2.0], [0.5, 3.0]])
-    before, grad = p.data.copy(), p.grad
-    grad += 7.0
+    before = p.data.copy()
     rep = ad.grad_check(lambda _x: ad.reduce_sum(ad.mul(p, ad.exp(p))), p)
     assert rep.max_rel_err < 1e-8
     assert np.array_equal(p.data, before) and p.requires_grad
+    assert p.grad is None
+    p.grad = grad = np.full_like(p.data, 7.0)
+    assert ad.grad_check(lambda _x: ad.reduce_sum(ad.mul(p, ad.exp(p))), p).passed
     assert p.grad is grad and np.all(grad == 7.0)
     x = ad.tensor([0.3])
     assert ad.grad_check(lambda v: ad.reduce_sum(ad.mul(v, v)), x).passed
@@ -237,13 +240,15 @@ def test_backward_accumulates_sum_of_adjoints():
     assert_allclose(x.grad, [5.0, 7.0])
 
 
-def test_unused_leaf_grad_stays_zero():
+def test_unused_leaf_gets_no_gradient():
     x = ad.param([1.0])
     unused = ad.param([4.0])
+    assert x.grad is None and unused.grad is None
     with ad.ComputationTape() as tape:
         y = ad.reduce_sum(ad.mul(x, x))
     tape.backward(y)
-    assert_allclose(unused.grad, [0.0])
+    assert_allclose(x.grad, [2.0])
+    assert unused.grad is None
 
 
 def test_tape_replay_is_deterministic(rng):
@@ -479,11 +484,11 @@ def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_sh
 
 def _gradients(forward, tensors, seed):
     for t in tensors:
-        t.grad.fill(0.0)
+        t.grad = None
     with ad.ComputationTape() as tape:
         out = forward()
     tape.backward(out, seed=seed)
-    return [t.grad.copy() for t in tensors]
+    return [leaf_grad(t).copy() for t in tensors]
 
 
 @pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)

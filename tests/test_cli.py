@@ -2,6 +2,7 @@ import filecmp
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,9 +185,8 @@ def test_eval_config_mismatch_names_field(dataset, micro_cfg_path, tmp_path):
     assert run("train", "--data", dataset, "--stage", "1",
                "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
                "--seed", "0", "--iters", "3") == 0
-    sidecar = str(ckpt) + ".config.txt"
-    text = open(sidecar).read().replace("dim=8", "dim=16")
-    open(sidecar, "w").write(text)
+    sidecar = Path(str(ckpt) + ".config.txt")
+    sidecar.write_text(sidecar.read_text().replace("dim=8", "dim=16"))
     code = run("eval", "--data", dataset, "--ckpt", str(ckpt),
                "--out", str(tmp_path / "x"))
     assert code == cli.EXIT_USAGE
@@ -238,11 +238,11 @@ def with_class(src, dst, class_id):
     """Copy the dataset at src to dst with every track, and each of its box
     records, set to class_id (the class is field 3 of both records)."""
     shutil.copytree(src, dst)
-    ann = os.path.join(dst, "annotations.txt")
-    lines = [l.split() for l in open(ann).read().splitlines()]
+    ann = Path(dst, "annotations.txt")
+    lines = [l.split() for l in ann.read_text().splitlines()]
     lines = [" ".join(f[:3] + [str(class_id)] + f[4:] if f[0] in ("track", "box") else f)
              for f in lines]
-    open(ann, "w").write("\n".join(lines) + "\n")
+    ann.write_text("\n".join(lines) + "\n")
     return str(dst)
 
 
@@ -382,7 +382,7 @@ def test_ablate_knob_above_checkpoint_is_usage_error(dataset, trained_ckpt, caps
 
 
 def read_snapshot(path) -> dict[str, str]:
-    return dict(line.split("=", 1) for line in open(path).read().splitlines())
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
 
 
 def test_run_snapshots_record_precision_and_topk(dataset, micro_cfg_path, trained_ckpt,

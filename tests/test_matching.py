@@ -6,11 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
-from clipvid import geometry as geo
 from clipvid import matching as mt
+from clipvid import model as M
+from clipvid import synthvid as sv
+from clipvid import training as tr
 from clipvid.errors import CapacityError, DimensionError, NumericError
 from clipvid.geometry import Box
-from oracles import focal_loss, giou, match_cost, targets_of
+from oracles import (focal_loss, frame_cost_matrix, frame_hungarian, giou, km_solve,
+                     loop_match_frames, match_cost, targets_of)
 
 
 def make_frame(logits, boxes):
@@ -81,20 +84,16 @@ def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
 @pytest.mark.parametrize("scale", [1.0, 10.0, 60.0])
 def test_cost_matrix_keeps_the_bytes_of_the_both_branch_focal_form(bits, scale):
     """The pairing cost evaluates only the positive branch of the focal
-    loss. Its matrix keeps the bytes of focal_loss_values against an
-    all-positive target, which evaluates both branches, for 32- and 64-bit
+    loss. Its matrix keeps the bytes of frame_cost_matrix, whose
+    focal_loss_values evaluates both branches, for 32- and 64-bit
     predictions, seeded logits of each scale and saturated logits of +-800."""
     rng = np.random.default_rng(int(scale))
     logits = (rng.normal(size=(8, 5)) * scale).astype(f"float{bits}")
     logits[:2] = [[800.0], [-800.0]]
     boxes = np.clip(rng.random((8, 4)), 0.15, 0.8).astype(f"float{bits}")
     gt_cls, gt_box = rng.integers(5, size=4), np.clip(rng.random((4, 4)), 0.15, 0.8)
-    x = np.asarray(logits, dtype=np.float64)[:, gt_cls]
-    giou_cost, l1 = geo.box_pair_terms(np.asarray(boxes, dtype=np.float64)[:, None],
-                                       gt_box[None, :])
-    want = (mt.LAMBDA_CLS * mt.focal_loss_values(x, True) + mt.LAMBDA_GIOU * giou_cost
-            + mt.LAMBDA_L1 * l1)
-    assert np.array_equal(mt.cost_matrix(logits, boxes, gt_cls, gt_box), want)
+    assert np.array_equal(mt.cost_matrix(logits, boxes, gt_cls, gt_box),
+                          frame_cost_matrix(logits, boxes, gt_cls, gt_box))
 
 
 def test_frame_without_ground_truth_has_empty_cost_matrix(rng):
@@ -216,6 +215,116 @@ def test_hungarian_optimal_cost_matches_scipy(rng, shape):
 def test_hungarian_rejects_nonfinite():
     with pytest.raises(NumericError):
         mt.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# One batched solve per stack, against the one-frame references
+
+
+def padded_stack(costs):
+    """[F, Gmax, L] stack of per-frame [G, L] costs, zero past each frame's
+    rows, and each frame's G."""
+    rows = np.array([len(c) for c in costs], dtype=np.int64)
+    stack = np.zeros((len(costs), rows.max(initial=0), costs[0].shape[1]))
+    for f, c in enumerate(costs):
+        stack[f, :len(c)] = c
+    return stack, rows
+
+
+def assert_frames_equal_references(costs):
+    """Every frame of the lockstep solve has the picks and potentials of
+    its own km_solve, bit for bit, and the tie-broken assignment of
+    frame_hungarian."""
+    stack, rows = padded_stack(costs)
+    col, u, v = mt._km_solve(stack, rows)
+    picks = mt._assign(stack, rows)
+    for f, c in enumerate(costs):
+        G = len(c)
+        ref_col, ref_u, ref_v = km_solve(c)
+        assert col[f, :G].tolist() == ref_col and (col[f, G:] == -1).all()
+        assert np.array_equal(u[f, :G], ref_u) and np.array_equal(v[f], ref_v)
+        assert picks[f, :G].tolist() == frame_hungarian(c), c
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("overrides", [{}, dict(num_queries=30, dim=64, decoder_layers=6)],
+                         ids=["desk", "train_mid"])
+def test_batched_matching_equals_per_frame_references(bits, overrides):
+    """A seeded clip's layer-major stack of decoder outputs, as the
+    training loss matches it: match_frames picks what the per-frame loop
+    picks, and each frame's solve keeps the reference's bytes."""
+    ad.set_precision(bits)
+    cfg = M.ModelConfig(**overrides).validate()
+    params = M.init_model(cfg, np.random.default_rng(4))
+    [clip] = sv.generate_dataset(sv.GenConfig(min_objects=2), 1, seed=3)
+    frames, targets = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
+    layers = M.clip_forward(frames, cfg, params)
+    logits = np.concatenate([layer.logits.data for layer in layers])
+    boxes = np.concatenate([layer.boxes for layer in layers])
+    stack = targets.tile(len(layers), cfg.t_train)
+    assert logits.dtype == np.dtype(f"float{bits}")
+    assert np.array_equal(mt.match_frames(logits, boxes, stack),
+                          loop_match_frames(logits, boxes, stack))
+    bounds = np.searchsorted(stack.frame, np.arange(len(logits) + 1))
+    costs = [frame_cost_matrix(logits[f], boxes[f], stack.cls[lo:hi], stack.box[lo:hi]).T
+             for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    assert max(map(len, costs)) >= 2
+    assert_frames_equal_references(costs)
+
+
+def test_batched_solve_equals_references_under_integer_ties():
+    """300 stacks of six frames with 0 to 4 rows over 8 columns, costs in
+    {0, 1, 2}: ties everywhere, so about one frame in seven takes the tie
+    loop."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        assert_frames_equal_references(
+            [rng.integers(0, 3, size=(rng.integers(0, 5), 8)).astype(float) for _ in range(6)])
+
+
+def test_batched_assignment_is_optimal_in_every_frame(rng):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    costs = [rng.random((g, 30)) for g in (5, 0, 3, 30, 1)]
+    costs += [rng.integers(0, 3, size=(g, 30)).astype(float) for g in (4, 12)]
+    stack, rows = padded_stack(costs)
+    picks = mt._assign(stack, rows)
+    for f, c in enumerate(costs):
+        mine = picks[f, :len(c)]
+        assert len(set(mine.tolist())) == len(c)
+        r, cols = linear_sum_assignment(c)
+        assert mt.assignment_cost(c, mine) == pytest.approx(math.fsum(c[r, cols]), rel=1e-12)
+
+
+def test_stack_without_rows_or_ground_truth(rng):
+    col, u, v = mt._km_solve(np.zeros((3, 0, 5)), np.zeros(3, dtype=np.int64))
+    assert col.shape == u.shape == (3, 0) and np.array_equal(v, np.zeros((3, 5)))
+    logits, boxes = rng.normal(size=(4, 5, 3)), np.clip(rng.random((4, 5, 4)), 0.15, 0.8)
+    pred = mt.match_frames(logits, boxes, targets_of([[]] * 4))
+    assert pred.shape == (0,) and pred.dtype == np.int64
+    one = targets_of([[], [], [(1, Box(0.5, 0.5, 0.3, 0.3))], []])
+    assert mt.match_frames(logits, boxes, one).tolist() == \
+        list(mt.match_frame(logits[2], boxes[2], one.cls, one.box).pred_of_gt)
+
+
+def test_match_frames_rejects_a_nonfinite_cost_in_any_frame(rng):
+    """A non-finite cost in any frame raises; a non-finite prediction in a
+    frame without ground truth is costed against nothing."""
+    logits, boxes = rng.normal(size=(3, 4, 2)), np.clip(rng.random((3, 4, 4)), 0.15, 0.8)
+    gt = (0, Box(0.5, 0.5, 0.3, 0.3))
+    targets = targets_of([[gt], [], [gt, gt]])
+    bad = logits.copy()
+    bad[1, 2, 0] = np.nan
+    assert mt.match_frames(bad, boxes, targets).shape == (3,)
+    bad[2, 3, 0] = np.nan
+    with pytest.raises(NumericError):
+        mt.match_frames(bad, boxes, targets)
+
+
+def test_match_frames_capacity_error_names_the_frame(rng):
+    logits, boxes = rng.normal(size=(3, 2, 2)), np.clip(rng.random((3, 2, 4)), 0.15, 0.8)
+    gt = (0, Box(0.5, 0.5, 0.3, 0.3))
+    with pytest.raises(CapacityError, match="frame 1: 3 ground truths exceed 2"):
+        mt.match_frames(logits, boxes, targets_of([[gt], [gt, gt, gt], [gt, gt]]))
 
 
 # ---------------------------------------------------------------------------
