@@ -7,15 +7,14 @@ through. A stack of frames, one clip or every decoder layer of a clip, is
 matched in one batched solve: one [N, L] cost over the stack's ground-truth
 rows, each scored against its own frame's queries, and one
 shortest-augmenting-path solve over [F, Gmax, L] in which the frames add
-their rows in lockstep. Exact cost ties go to the lexicographically
-smallest assignment; the per-frame search for it runs only in frames where
-a vectorized check finds a row with a tight, still-free column left of its
-pick. The loss scores the stack in one pass too.
+their rows in lockstep. Among optima of equal cost a frame takes the one
+the solver reaches, which is a function of the frame's cost matrix alone:
+the same picks whether the frame is solved alone or in any stack. The loss
+scores the stack in one pass too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,63 +140,18 @@ def _km_solve(cost: np.ndarray, rows: np.ndarray
     return col_of_row, u[:, 1:], v[:, 1:]
 
 
-def _lexicographic(cost: np.ndarray, result: list[int], tight: np.ndarray) -> list[int]:
-    """The lexicographically smallest optimum of one [n, m] matrix, from an
-    optimal result and its tight edges: rows are scanned in order, each
-    taking the lowest-index column that the later rows can still complete
-    to the exact optimum. A tight, free column left of a row's pick is
-    accepted when the best completion of the later rows over the free
-    columns reaches the optimum in exact order-independent (fsum) cost."""
-    base = assignment_cost(cost, result)
-    free = np.ones(cost.shape[1], dtype=bool)
-    for r in range(cost.shape[0]):
-        for cand in np.flatnonzero(tight[r, :result[r]] & free[:result[r]]):
-            cols = np.setdiff1d(np.flatnonzero(free), cand)
-            rest = _km_solve(cost[r + 1:, cols][None], np.array([len(cost) - r - 1]))[0][0]
-            trial = result[:r] + [int(cand)] + cols[rest].tolist()
-            if assignment_cost(cost, trial) == base:
-                result = trial
-                break
-        free[result[r]] = False
-    return result
-
-
-def _assign(cost: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Minimum-cost assignment of the first rows[f] rows of each [n, m]
-    frame of a finite cost stack, rows[f] <= m: [F, n] columns, -1 past a
-    frame's rows. Among optima of equal (fsum) cost each frame takes the
-    lexicographically smallest row-to-column sequence."""
-    col, u, v = _km_solve(cost, rows)
-    # Every edge of an optimal assignment is tight (zero reduced cost under
-    # the optimal potentials), so the tolerance pre-filters candidates. Only
-    # a frame where some row has a tight column left of its pick that no
-    # earlier row took can have a lexicographically smaller optimum.
-    tight = cost - u[:, :, None] - v[:, None, :] <= 1e-9 * np.maximum(1.0, np.abs(cost))
-    cols = np.arange(cost.shape[2])
-    picked = col[:, :, None] == cols
-    open_left = (cols < col[:, :, None]) & (np.cumsum(picked, axis=1) == 0)
-    for f in np.flatnonzero((tight & open_left).any(axis=(1, 2))):
-        n = rows[f]
-        col[f, :n] = _lexicographic(cost[f, :n], col[f, :n].tolist(), tight[f, :n])
-    return col
-
-
 def hungarian(cost) -> list[int]:
     """Minimum-cost assignment of an n x m cost matrix, n <= m: every row
     gets its own column. Returns the column chosen per row; among optima of
-    equal (fsum) cost, the lexicographically smallest sequence."""
+    equal cost, the one the shortest-augmenting-path solve reaches, a
+    function of the matrix alone."""
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] > c.shape[1]:
         raise DimensionError(f"hungarian: expected a matrix with rows <= columns, "
                              f"got shape {c.shape}")
     if not np.isfinite(c).all():
         raise NumericError("hungarian: non-finite cost entry")
-    return _assign(c[None], np.array([len(c)]))[0].tolist()
-
-
-def assignment_cost(cost, col_of_row) -> float:
-    c = np.asarray(cost, dtype=np.float64)
-    return math.fsum(c[i, j] for i, j in enumerate(col_of_row))
+    return _km_solve(c[None], np.array([len(c)]))[0][0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +206,9 @@ def match_frame(logits: np.ndarray, boxes: np.ndarray, gt_cls: np.ndarray,
 def match_frames(logits: np.ndarray, boxes: np.ndarray, targets: Targets) -> np.ndarray:
     """The query matched to each row of targets -> [N] int64. Each frame of
     the [F, L, C] logits and [F, L, 4] boxes assigns its ground truths their
-    own slots at minimum total cost; under exact cost ties each ground truth
-    in order takes the lowest-index slot. All frames are costed and solved
-    together, in one [F, Gmax, L] assignment."""
+    own slots at minimum total cost; under exact cost ties, the optimum the
+    solver reaches, a function of the frame's own costs alone. All frames
+    are costed and solved together, in one [F, Gmax, L] assignment."""
     F, L = np.shape(logits)[:2]
     bounds = np.searchsorted(targets.frame, np.arange(F + 1))
     rows = np.diff(bounds)
@@ -267,7 +221,7 @@ def match_frames(logits: np.ndarray, boxes: np.ndarray, targets: Targets) -> np.
     rank = np.arange(len(targets)) - bounds[targets.frame]
     stack = np.zeros((F, rows.max(initial=0), L))        # rows past rows[f] take no part
     stack[targets.frame, rank] = cost
-    return _assign(stack, rows)[targets.frame, rank]
+    return _km_solve(stack, rows)[0][targets.frame, rank]
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Targets,

@@ -8,9 +8,8 @@ primitives, so the taped chain rule checks the fused primitives' adjoints.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
-block. km_solve and frame_hungarian solve one frame's assignment, one row
-at a time. The tests compare the package's batched and fused paths against
-them.
+block. km_solve solves one frame's assignment, one row at a time. The tests
+compare the package's batched and fused paths against them.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
@@ -370,25 +369,11 @@ def km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     return col_of_row, u[1:], v[1:]
 
 
-def frame_hungarian(cost: np.ndarray) -> list[int]:
-    """One matrix's km_solve, then the lexicographically smallest optimum:
-    rows in order, each takes the lowest-index tight, free column that the
-    later rows can complete to the exact (fsum) optimum."""
+def assignment_cost(cost, col_of_row) -> float:
+    """Exact, order-independent (fsum) cost of taking column col_of_row[i]
+    in each row i of a cost matrix."""
     c = np.asarray(cost, dtype=np.float64)
-    result, u, v = km_solve(c)
-    tight = c - u[:, None] - v[None, :] <= 1e-9 * np.maximum(1.0, np.abs(c))
-    base = mt.assignment_cost(c, result)
-    free = np.ones(c.shape[1], dtype=bool)
-    for r in range(c.shape[0]):
-        for cand in np.flatnonzero(tight[r, :result[r]] & free[:result[r]]):
-            cols = np.setdiff1d(np.flatnonzero(free), cand)
-            rest, _, _ = km_solve(c[r + 1:, cols])
-            trial = result[:r] + [int(cand)] + [int(cols[j]) for j in rest]
-            if mt.assignment_cost(c, trial) == base:
-                result = trial
-                break
-        free[result[r]] = False
-    return result
+    return math.fsum(c[i, j] for i, j in enumerate(col_of_row))
 
 
 def frame_cost_matrix(logits, boxes, gt_cls, gt_box) -> np.ndarray:
@@ -402,13 +387,13 @@ def frame_cost_matrix(logits, boxes, gt_cls, gt_box) -> np.ndarray:
 
 def loop_match_frames(logits, boxes, targets: Targets) -> np.ndarray:
     """match_frames one frame at a time: each frame's [G, L] cost solved by
-    frame_hungarian."""
+    km_solve."""
     pred = np.zeros(len(targets), dtype=np.int64)
     bounds = np.searchsorted(targets.frame, np.arange(len(logits) + 1))
     for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:
             cost = frame_cost_matrix(logits[f], boxes[f], targets.cls[lo:hi], targets.box[lo:hi])
-            pred[lo:hi] = frame_hungarian(cost.T)
+            pred[lo:hi] = km_solve(cost.T)[0]
     return pred
 
 

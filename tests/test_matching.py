@@ -12,7 +12,7 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.errors import CapacityError, DimensionError, NumericError
 from clipvid.geometry import Box
-from oracles import (focal_loss, frame_cost_matrix, frame_hungarian, giou, km_solve,
+from oracles import (assignment_cost, focal_loss, frame_cost_matrix, giou, km_solve,
                      loop_match_frames, match_cost, targets_of)
 
 
@@ -149,22 +149,26 @@ def test_hungarian_matches_brute_force_6x6(rng):
     for _ in range(25):
         cost = rng.random((6, 6))
         cols = mt.hungarian(cost)
-        got = mt.assignment_cost(cost, cols)
+        got = assignment_cost(cost, cols)
         want, _ = brute_force_min(cost)
         assert got == want
 
 
-def test_hungarian_tie_break_lexicographic():
-    assert mt.hungarian(np.ones((3, 3))) == [0, 1, 2]
-    cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert mt.hungarian(cost) == [0, 1]
+def test_hungarian_tie_break_is_the_solvers_own():
+    """Equal-cost optima break as the shortest-augmenting-path solve reaches
+    them. [[2, 0], [2, 0]] takes [1, 0], not the lexicographically smaller
+    [0, 1] of the same cost."""
+    cases = [(np.ones((3, 3)), [0, 1, 2]), (np.array([[1.0, 1.0], [1.0, 1.0]]), [0, 1]),
+             (np.array([[2.0, 0.0], [2.0, 0.0]]), [1, 0])]
+    for cost, want in cases:
+        assert mt.hungarian(cost) == km_solve(cost)[0] == want
 
 
 def test_hungarian_beats_random_permutations(rng):
     for n in (5, 9, 12):
         cost = rng.random((n, n))
         cols = mt.hungarian(cost)
-        opt = mt.assignment_cost(cost, cols)
+        opt = assignment_cost(cost, cols)
         for _ in range(1000):
             perm = rng.permutation(n)
             assert opt <= math.fsum(cost[i, perm[i]] for i in range(n)) + 1e-12
@@ -172,7 +176,7 @@ def test_hungarian_beats_random_permutations(rng):
 
 def test_hungarian_rectangular_matches_brute_force(rng):
     for cost in tie_heavy_matrices(rng):
-        assert mt.hungarian(cost) == brute_force_min(cost)[1], cost
+        assert assignment_cost(cost, mt.hungarian(cost)) == brute_force_min(cost)[0], cost
 
 
 def test_hungarian_near_tie_keeps_exact_minimum():
@@ -208,7 +212,7 @@ def test_hungarian_optimal_cost_matches_scipy(rng, shape):
         cols = mt.hungarian(cost)
         assert len(set(cols)) == shape[0]
         rows, scipy_cols = linear_sum_assignment(cost)
-        assert mt.assignment_cost(cost, cols) == pytest.approx(
+        assert assignment_cost(cost, cols) == pytest.approx(
             math.fsum(cost[rows, scipy_cols]), rel=1e-12)
 
 
@@ -231,19 +235,20 @@ def padded_stack(costs):
     return stack, rows
 
 
-def assert_frames_equal_references(costs):
+def assert_frames_equal_references(costs, rng):
     """Every frame of the lockstep solve has the picks and potentials of
-    its own km_solve, bit for bit, and the tie-broken assignment of
-    frame_hungarian."""
+    its own km_solve, bit for bit, and the stack solved in a permuted frame
+    order (drawn from rng) gives each frame its one-frame hungarian picks."""
     stack, rows = padded_stack(costs)
     col, u, v = mt._km_solve(stack, rows)
-    picks = mt._assign(stack, rows)
+    order = rng.permutation(len(costs))
+    permuted = mt._km_solve(stack[order], rows[order])[0][np.argsort(order)]
     for f, c in enumerate(costs):
         G = len(c)
         ref_col, ref_u, ref_v = km_solve(c)
         assert col[f, :G].tolist() == ref_col and (col[f, G:] == -1).all()
         assert np.array_equal(u[f, :G], ref_u) and np.array_equal(v[f], ref_v)
-        assert picks[f, :G].tolist() == frame_hungarian(c), c
+        assert permuted[f, :G].tolist() == mt.hungarian(c) == ref_col, c
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -269,30 +274,39 @@ def test_batched_matching_equals_per_frame_references(bits, overrides):
     costs = [frame_cost_matrix(logits[f], boxes[f], stack.cls[lo:hi], stack.box[lo:hi]).T
              for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
     assert max(map(len, costs)) >= 2
-    assert_frames_equal_references(costs)
+    assert_frames_equal_references(costs, np.random.default_rng(bits))
+
+
+def integer_tie_stacks():
+    """300 stacks of six frames with 0 to 4 rows over 8 columns, costs in
+    {0, 1, 2}: equal-cost optima in most frames."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        yield [rng.integers(0, 3, size=(rng.integers(0, 5), 8)).astype(float) for _ in range(6)]
 
 
 def test_batched_solve_equals_references_under_integer_ties():
-    """300 stacks of six frames with 0 to 4 rows over 8 columns, costs in
-    {0, 1, 2}: ties everywhere, so about one frame in seven takes the tie
-    loop."""
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        assert_frames_equal_references(
-            [rng.integers(0, 3, size=(rng.integers(0, 5), 8)).astype(float) for _ in range(6)])
+    """Where equal-cost optima abound, each frame still keeps its one-frame
+    picks, in its stack and in a permuted stack."""
+    rng = np.random.default_rng(0)
+    for costs in integer_tie_stacks():
+        assert_frames_equal_references(costs, rng)
 
 
 def test_batched_assignment_is_optimal_in_every_frame(rng):
+    """Every frame's exact cost is scipy's optimum: a stack of random and
+    integer costs over 30 columns, and the integer-tie stacks."""
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     costs = [rng.random((g, 30)) for g in (5, 0, 3, 30, 1)]
     costs += [rng.integers(0, 3, size=(g, 30)).astype(float) for g in (4, 12)]
-    stack, rows = padded_stack(costs)
-    picks = mt._assign(stack, rows)
-    for f, c in enumerate(costs):
-        mine = picks[f, :len(c)]
-        assert len(set(mine.tolist())) == len(c)
-        r, cols = linear_sum_assignment(c)
-        assert mt.assignment_cost(c, mine) == pytest.approx(math.fsum(c[r, cols]), rel=1e-12)
+    for stack_costs in [costs, *integer_tie_stacks()]:
+        stack, rows = padded_stack(stack_costs)
+        picks = mt._km_solve(stack, rows)[0]
+        for f, c in enumerate(stack_costs):
+            mine = picks[f, :len(c)]
+            assert len(set(mine.tolist())) == len(c)
+            r, cols = linear_sum_assignment(c)
+            assert assignment_cost(c, mine) == pytest.approx(math.fsum(c[r, cols]), rel=1e-12)
 
 
 def test_stack_without_rows_or_ground_truth(rng):
