@@ -10,13 +10,14 @@ Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
 The layers that run most often are single primitives with hand-written
-adjoints: layer_norm, linear (x @ w + b), attention, the scaled dot-product
-core of multi_head_attention, which splits and merges the heads inside its
-one record, and context_attention, a whole projected attention layer in
-which each query attends only to its own context rows (aggregation and
-box-guided cross-attention). Each forward runs the numpy operations of the
-elementwise composition it replaces, in the same order, so its output bytes
-are those of the composition.
+adjoints: layer_norm; residual_norm, the post-norm residual layer_norm(x +
+y); linear (x @ w + b) and linear_relu, which keeps only its output;
+attention, the scaled dot-product core of multi_head_attention, which
+splits and merges the heads inside its one record; and context_attention,
+a whole projected attention layer in which each query attends only to its
+own context rows (aggregation and box-guided cross-attention). Each forward
+runs the numpy operations of the elementwise composition it replaces, in
+the same order, so its output bytes are those of the composition.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def _shared_weight_adjoint(g: np.ndarray, a: Tensor, w: Tensor) -> tuple:
     k, m = w.shape
     rows = g.reshape(-1, m)
     return ((rows @ w.data.T).reshape(a.shape) if a.requires_grad else None,
-            a.data.reshape(-1, k).T @ rows if w.requires_grad else None)
+            a.data.reshape(len(rows), k).T @ rows if w.requires_grad else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -425,29 +426,53 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return log(reduce_sum(exp(a - tensor(shift)), axis=axis)) + tensor(np.squeeze(shift, axis=axis))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1 / std) of the last axis of x: zero mean, unit variance."""
     d = x.shape[-1]
     if d < 2:
         raise ConfigError(f"layer_norm needs a normalized dim >= 2, got {d}")
     dt = get_dtype()
     inv_d = np.asarray(1.0 / d, dtype=dt)
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_d
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
     inv = np.asarray(1.0, dtype=dt) / np.sqrt(var + np.asarray(eps, dtype=dt))
-    xhat = centered * inv
+    return centered * inv, inv
+
+
+def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor,
+                  bias: Tensor) -> tuple:
+    """Gradients of xhat * gain + bias: (normalized input, gain, bias)."""
+    gh = g * gain.data
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return (gx,
+            _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
+            _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    xhat, inv = _normalize(x.data, eps)
 
     def backward(g):
-        gx = None
-        if x.requires_grad:
-            gh = g * gain.data
-            gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return (gx,
-                _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
-                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+        gx, ggain, gbias = _norm_adjoint(g, xhat, inv, gain, bias)
+        return (gx if x.requires_grad else None, ggain, gbias)
 
     return _record("layer_norm", (x, gain, bias), xhat * gain.data + bias.data, backward)
+
+
+def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams, eps: float = 1e-5) -> Tensor:
+    """layer_norm(x + y) with ln's gain and bias, as one record: the sum is
+    not kept, and both summands get the normalized input's gradient."""
+    xhat, inv = _normalize(x.data + y.data, eps)
+
+    def backward(g):
+        gs, ggain, gbias = _norm_adjoint(g, xhat, inv, ln.gain, ln.bias)
+        return (_unbroadcast(gs, x.shape) if x.requires_grad else None,
+                _unbroadcast(gs, y.shape) if y.requires_grad else None, ggain, gbias)
+
+    return _record("residual_norm", (x, y, ln.gain, ln.bias),
+                   xhat * ln.gain.data + ln.bias.data, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -499,7 +524,9 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
     bias, a per-head logit constant, cancels in the softmax and is not
     read. Each forward product is one row's or one (row, head)'s, so no row
     changes another's bits; the adjoint computes each weight gradient as
-    one GEMM over the rows (per head for the key and value weights)."""
+    one GEMM over the rows (per head for the key and value weights), and
+    recomputes the [A, H, d] folded queries and mixed context rows rather
+    than keeping them."""
     d = q.shape[-1]
     n = ctx.shape[-2]
     if ctx.shape != q.shape[:-1] + (n, d):
@@ -545,13 +572,13 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
         gctx = None
         if ctx.requires_grad:
             gctx = (np.swapaxes(attn, 1, 2) @ gmixed
-                    + np.swapaxes(glogits, 1, 2) @ qk).reshape(ctx.shape)
+                    + np.swapaxes(glogits, 1, 2) @ (qh @ wk_h).reshape(A, h, d)).reshape(ctx.shape)
         return ((gqp @ wq.T).reshape(q.shape) if q.requires_grad else None,
                 gctx,
                 x.reshape(A, d).T @ gqp if p.q.w.requires_grad else None,
                 gqp.sum(axis=0) if p.q.b.requires_grad else None,
                 per_head(gqk, qh.reshape(A, h, hd)) if p.k.w.requires_grad else None,
-                per_head(mixed, gvals) if p.v.w.requires_grad else None,
+                per_head(attn @ c, gvals) if p.v.w.requires_grad else None,
                 gvals.reshape(A, d).sum(axis=0) if p.v.b.requires_grad else None,
                 vals.reshape(A, d).T @ g if p.out.w.requires_grad else None,
                 g.sum(axis=0) if p.out.b.requires_grad else None)
@@ -561,7 +588,7 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Structured primitives for convolution and RoI sampling
+# Convolution
 
 
 def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
@@ -575,9 +602,11 @@ def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
     out = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
     out = out.reshape(b, oh, ow, ksize * ksize * c)
 
+    padded = xp.shape
+
     def backward(g):
         g = g.reshape(b, oh, ow, ksize, ksize, c)
-        gp = np.zeros_like(xp)
+        gp = np.zeros(padded, dtype=x.data.dtype)
         for ki in range(ksize):
             for kj in range(ksize):
                 gp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g[:, :, :, ki, kj]
@@ -588,44 +617,6 @@ def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
     return _record("extract_patches", (x,), out, backward)
 
 
-def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
-    """Sample each map of a [T,H,W,C] stack at its own fractional (x, y)
-    index pairs [T,N,2] -> [T,N,C].
-
-    Points are data, not differentiated; gradients flow to f only.
-    Coordinates are clamped to the border (replicate padding). Internally a
-    dense [T, N, H*W] interpolation-weight stack makes the forward pass and
-    the adjoint one batched matmul each.
-    """
-    t, h, w, c = f.shape
-    pts = np.asarray(points, dtype=f.data.dtype)
-    n = pts.shape[1]
-    xs = np.clip(pts[..., 0], 0.0, w - 1.0)
-    ys = np.clip(pts[..., 1], 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
-    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    weights = np.zeros((t, n, h * w), dtype=f.data.dtype)
-    at = (np.arange(t)[:, None], np.arange(n)[None, :],
-          np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]))      # [4, T, N]
-    corner = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    if h > 1 and w > 1:
-        weights[at] = corner            # a point's four corners are distinct cells
-    else:
-        np.add.at(weights, at, corner)
-    out = weights @ f.data.reshape(t, h * w, c)
-
-    def backward(g):
-        return ((np.swapaxes(weights, 1, 2) @ g).reshape(t, h, w, c),)
-
-    return _record("bilinear_sample", (f,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # Parameter containers and layers
 
@@ -634,6 +625,12 @@ def bilinear_sample(f: Tensor, points: np.ndarray) -> Tensor:
 class LinearParams:
     w: Tensor
     b: Tensor
+
+
+@dataclass
+class LayerNormParams:
+    gain: Tensor
+    bias: Tensor
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -657,6 +654,22 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
             _unbroadcast(g, b.shape) if b.requires_grad else None,)
 
     return _record("linear", (x, w, b), x.data @ w.data + b.data, backward)
+
+
+def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
+    """relu(x @ w + b) as one record that keeps only its output: the
+    pre-activation is not stored, and the adjoint's mask is out > 0."""
+    w, b = p.w, p.b
+    _check_matmul("linear_relu", x, w)
+    pre = x.data @ w.data + b.data
+    out = pre * (pre > 0)
+
+    def backward(g):
+        g = g * (out > 0)
+        return _shared_weight_adjoint(g, x, w) + (
+            _unbroadcast(g, b.shape) if b.requires_grad else None,)
+
+    return _record("linear_relu", (x, w, b), out, backward)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Bounding-box algebra: box overlap, GIoU, logit-space box refinement, RoI
-sampling.
+sampling into region features.
 
 Boxes live in normalized (cx, cy, w, h) form, as [..., 4] float64 arrays for
 predictions and as Box values for annotations and detections. Tensor
@@ -96,14 +96,71 @@ def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarr
     return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
 
 
-def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int) -> Tensor:
-    """Every box of a clip in a single sampling call: [T, n, 4] boxes on
-    [T, h, w, d] maps -> [T, n, s*s, d]."""
+def _bilinear_corners(points: np.ndarray, h: int, w: int, dtype
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear interpolation of [T, N, 2] fractional (x, y) indices on
+    [h, w] maps, clamped to the border: each point's four corner cells, as
+    int32 flat indices y * w + x [4, T, N], and their float64 weights
+    [4, T, N]."""
+    pts = np.asarray(points, dtype=dtype)
+    xs = np.clip(pts[..., 0], 0.0, w - 1.0)
+    ys = np.clip(pts[..., 1], 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
+    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    cells = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]).astype(np.int32)
+    return cells, np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+
+
+def _interpolation(cells: np.ndarray, corner: np.ndarray, h: int, w: int, dtype
+                   ) -> np.ndarray:
+    """The dense [T, N, h*w] interpolation-weight stack of _bilinear_corners'
+    cells and weights, which makes sampling one batched matmul."""
+    _, t, n = cells.shape
+    weights = np.zeros((t, n, h * w), dtype=dtype)
+    at = (np.arange(t)[:, None], np.arange(n)[None, :], cells)
+    if h > 1 and w > 1:
+        weights[at] = corner            # a point's four corners are distinct cells
+    else:
+        np.add.at(weights, at, corner)
+    return weights
+
+
+def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
+                     adapter: Tensor) -> Tensor:
+    """Region features of every box of a clip, as one record: the s*s grid
+    of bilinear samples inside each of the [T, n, 4] boxes on the [T, h, w,
+    d] maps, plus its [T, n, d] query's adapted offset queries @ adapter
+    ([d, s*s*d]) -> [T, n, s*s, d].
+
+    Points are data, not differentiated; coordinates are clamped to the
+    border (replicate padding). The forward pass samples through a dense
+    [T, n*s*s, h*w] interpolation-weight stack, one batched matmul; the
+    record keeps only the int32 corner cells and their weights, from which
+    the adjoint rebuilds that stack."""
     t, h, w, d = f.shape
     n = boxes.shape[1]
+    ad._check_matmul("roi_sample", queries, adapter)
     pts = roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
-    out = ad.bilinear_sample(f, pts.reshape(t, n * s * s, 2))
-    return ad.reshape(out, (t, n, s * s, d))
+    cells, corner = _bilinear_corners(pts.reshape(t, n * s * s, 2), h, w, f.data.dtype)
+    rois = _interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
+    patch = queries.data @ adapter.data
+    out = rois.reshape(t, n, s * s, d) + patch.reshape(t, n, s * s, d)
+
+    def backward(g):
+        gq, gadapter = ad._shared_weight_adjoint(g.reshape(t, n, s * s * d), queries, adapter)
+        gf = None
+        if f.requires_grad:
+            weights = _interpolation(cells, corner, h, w, f.data.dtype)
+            gf = (np.swapaxes(weights, 1, 2) @ g.reshape(t, n * s * s, d)).reshape(f.shape)
+        return gf, gq, gadapter
+
+    return ad._record("roi_sample", (f, queries, adapter), out, backward)
 
 
 # ---------------------------------------------------------------------------

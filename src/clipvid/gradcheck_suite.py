@@ -3,8 +3,9 @@ complete clip loss on a tiny model.
 
 primitive_cases is the table of what the primitive audit differentiates:
 one row per primitive that records itself on the tape, named as its
-record, then the composed functions logsumexp and multi_head_attention and
-the second adjoint paths of matmul and gather_rows. primitive_checks checks
+record, then the composed functions logsumexp and multi_head_attention, the
+second adjoint paths of matmul and gather_rows, and last the fused decoder
+records linear_relu, residual_norm and roi_sample. primitive_checks checks
 every input of every row.
 
 Discrete decisions (set matching, aggregation selection) are captured once
@@ -24,7 +25,7 @@ from . import model as M
 from . import training as tr
 from .autodiff import GradCheckReport, Tensor
 from .geometry import Box
-from .synthvid import ClipSample, Track
+from .synthvid import ClipSample, Targets, Track
 
 Case = tuple[str, Callable[..., Tensor], list[np.ndarray]]
 
@@ -49,21 +50,19 @@ def micro_clip(seed: int):
 
 def primitive_cases(seed: int) -> list[Case]:
     """Rows (name, op, input arrays): op maps one tensor per array to the
-    output the audit differentiates. Inputs of relu and box_pair_loss keep
-    away from their kinks; div's divisor, the inputs of log and sqrt and
-    layer_norm's gain stay positive."""
+    output the audit differentiates. Inputs of relu, linear_relu and
+    box_pair_loss keep away from their kinks; div's divisor, the inputs of
+    log and sqrt and the layer norms' gains stay positive."""
     rng = np.random.default_rng(seed)
     n = lambda *s: rng.normal(size=s)
     pos = lambda *s: rng.uniform(0.5, 2.0, size=s)
     off_zero = lambda *s: rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.2, 2.0, size=s)
     mha = ad.init_mha(rng, 8, 2)
-    points = np.array([[[0.3, 1.2], [2.7, 0.4], [1.5, 2.5], [3.2, 3.4]],
-                       [[1.1, 0.2], [3.9, 3.0], [0.5, 2.5], [2.2, 1.4]]])
     # An overlapping and a disjoint pair, no corner or coordinate tied.
     gt_boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
     pred_boxes = np.array([[0.45, 0.55, 0.35, 0.25], [0.2, 0.15, 0.2, 0.1]])
     positive = np.array([[True, False], [False, True], [False, False]])
-    return [
+    cases = [
         ("add", ad.add, [n(3, 4), n(3, 4)]),
         ("sub", ad.sub, [n(3, 4), n(3, 4)]),
         ("mul", ad.mul, [n(3, 4), n(3, 4)]),
@@ -90,7 +89,6 @@ def primitive_cases(seed: int) -> list[Case]:
                                  ad.LinearParams(wv, bv), ad.LinearParams(wo, bo))),
          [n(3, 8), n(3, 5, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]),
         ("extract_patches", lambda x: ad.extract_patches(x, 3, 2, 1), [n(1, 6, 6, 3)]),
-        ("bilinear_sample", lambda f: ad.bilinear_sample(f, points), [n(2, 5, 5, 3)]),
         ("linear", lambda x, w, b: ad.linear(x, ad.LinearParams(w, b)),
          [n(2, 3, 4), n(4, 5), n(5)]),
         ("logsumexp", lambda x: ad.logsumexp(x, axis=-1), [n(3, 5)]),
@@ -102,6 +100,20 @@ def primitive_cases(seed: int) -> list[Case]:
         # broadcast against the left's; gather_rows' for repeated rows.
         ("matmul_batched", ad.matmul, [n(1, 3, 4), n(2, 4, 5)]),
         ("gather_rows_repeated", lambda x: ad.gather_rows(x, [2, 0, -1, 1, 2, 0]), [n(3, 4)]),
+    ]
+    # The fused decoder records. Each output column of linear_relu keeps one
+    # sign, away from the kink.
+    lr_x, lr_w = n(2, 3, 4), n(4, 5)
+    lr_b = np.array([1.0, -1.0, 1.0, -1.0, 1.0]) * (np.abs(lr_x @ lr_w).max(axis=(0, 1)) + 0.5)
+    roi_boxes = np.array([[[0.45, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34]],
+                          [[0.62, 0.38, 0.44, 0.5], [0.5, 0.5, 1.0, 1.0]]])
+    return cases + [
+        ("linear_relu", lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
+         [lr_x, lr_w, lr_b]),
+        ("residual_norm", lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
+         [n(2, 3, 6), n(2, 3, 6), pos(6), n(6)]),
+        ("roi_sample", lambda f, q, a: geo.roi_sample_frame(f, roi_boxes, 2, q, a),
+         [n(2, 5, 5, 3), n(2, 2, 3), n(3, 12)]),
     ]
 
 
@@ -149,13 +161,44 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
             worst = GradCheckReport(f"micro_model_loss (worst: {name})",
                                     rep.max_rel_err, tol)
 
+    stack_reps = stack_checks(seed, tol, cfg, params)
+
     # Gradient w.r.t. the input pixels through the whole backbone.
     rng3 = np.random.default_rng(seed + 2)
     pix_w = rng3.normal(size=(2, 2, 2, cfg.dim))
     pix = ad.tensor(rng3.random((2, 8, 8, 3)))
     pixel_rep = ad.grad_check(lambda x: M.backbone(x, cfg, params).f, pix, tol=tol,
                               name="backbone_to_pixels", weight=pix_w)
-    return [worst, pixel_rep]
+    return [worst, *stack_reps, pixel_rep]
+
+
+# The heads whose gradients carry a stack's per-clip weights: the class
+# logits (focal frame weights), the last box layer (box row weights) and the
+# identity head (the contrastive pair weights).
+STACK_CHECKED = ("layer0.head_cls.w", "layer1.head_loc2.w", "layer0.head_id1.w")
+
+
+def stack_checks(seed: int, tol: float, cfg: M.ModelConfig, params: M.ModelParams
+                 ) -> list[GradCheckReport]:
+    """The loss of a two-clip stack, with its selection and assignments
+    frozen, checked through STACK_CHECKED. The second clip keeps three of
+    its four ground-truth rows, so the clips differ in object and
+    contrastive pair counts, and each clip's weights show."""
+    frames_a, gts_a = micro_clip(seed + 7)
+    frames_b, gts_b = micro_clip(seed + 8)
+    gts_b = Targets(*(getattr(gts_b, k)[:3] for k in ("frame", "cls", "box", "track")))
+    frames, gts = np.concatenate([frames_a, frames_b]), Targets.stack([gts_a, gts_b], 2)
+    out = M.clip_forward(frames, cfg, params, clips=2)
+    _, _, pred = tr.clip_loss(out, gts, clips=2)
+
+    def build(_x: Tensor) -> Tensor:
+        total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params, replay=out, clips=2),
+                                   gts, frozen_assignments=pred, clips=2)
+        return total
+
+    named = M.named_parameters(params)
+    return [ad.grad_check(build, named[name], step=1e-4, tol=tol,
+                          name=f"micro_stack_loss[{name}]") for name in STACK_CHECKED]
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4) -> list[GradCheckReport]:

@@ -1,13 +1,16 @@
 """Identity-consistent temporal aggregation.
 
-Each high-scoring query (anchor) selects, in every other frame, the query
-whose identity embedding is closest; the anchor cross-attends over the
-adapted region features of its picks. Anchors share picks, so the context
-is built once per distinct (frame, query) block, each anchor gathers its
-own, and one autodiff.context_attention record, which projects no keys or
-values, attends over them.
+Each high-scoring query (anchor) selects, in every other frame of its clip,
+the query whose identity embedding is closest; the anchor cross-attends
+over the adapted region features of its picks. In a stack of clips each
+anchor selects only within its own clip, and one Selection covers the
+stack. Anchors share picks, so the context is built once per distinct
+(frame, query) block, each anchor gathers its own, and one
+autodiff.context_attention record, which projects no keys or values,
+attends over them.
 Identity embeddings are trained contrastively from the set-matching
-assignments. Selection is discrete and never differentiated through.
+assignments, each clip's pairs weighted by one over that clip's pair
+count. Selection is discrete and never differentiated through.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .synthvid import Targets
 @dataclass
 class Selection:
     """One aggregation layer's cross-frame selection, as arrays over its A
-    anchors and the clip's T frames."""
+    anchors and the T frames of each anchor's clip."""
 
-    anchors: np.ndarray      # [A, 2] (frame, query index), frame-major, score-descending
-    picks: np.ndarray        # [A, T] chosen query per frame, the anchor itself in its
-                             # own frame; -1 marks a frame left out of the context
+    anchors: np.ndarray      # [A, 2] (stack frame, query index), frame-major, score-descending
+    picks: np.ndarray        # [A, T] chosen query per frame of the anchor's clip, the anchor
+                             # itself in its own frame; -1 marks a frame left out of the context
     dots: np.ndarray         # [A, T] float64 identity dot of each pick; NaN in the
                              # anchor's own frame and for an oracle pick outside the top-k
     oracle: np.ndarray       # [A] bool: the picks follow the anchor's ground-truth track
@@ -48,37 +51,44 @@ def select_topk(logits: np.ndarray, k: int) -> np.ndarray:
 
 
 def identity_match(idents: np.ndarray, topk: np.ndarray,
-                   track_of: np.ndarray | None = None) -> Selection:
+                   track_of: np.ndarray | None = None, clips: int = 1) -> Selection:
     """Make every frame's top-k queries anchors; each anchor picks, in every
-    other frame, the top-k query with the largest identity dot, ties to
-    the lower index.
+    other frame of its clip, the top-k query with the largest identity dot,
+    ties to the lower index.
 
-    idents holds the clip's [T, L, d] float64 identity embeddings and topk
-    [T, k] each frame's query indices by descending score. With track_of
-    [T, L] (each query's ground-truth track, -1 for none), an anchor with a
-    track instead picks its track's query in every frame where that track
-    is assigned. Raises NumericError when a cross-frame dot is not finite,
+    idents holds the [B*T, L, d] float64 identity embeddings of B = clips
+    stacked clips of T frames and topk [B*T, k] each frame's query indices
+    by descending score; anchors name their stack frame, picks the frames of
+    the anchor's own clip. With track_of [B*T, L] (each query's
+    ground-truth track, -1 for none), an anchor with a track instead picks
+    its track's query in every frame of its clip where that track is
+    assigned. Raises NumericError when a cross-frame dot is not finite,
     naming the frames whose embeddings are not."""
-    T, k = topk.shape
-    anchors = np.stack([np.repeat(np.arange(T), k), topk.reshape(-1)], axis=1)
+    F, k = topk.shape
+    T = F // clips
+    anchors = np.stack([np.repeat(np.arange(F), k), topk.reshape(-1)], axis=1)
     af, aj = anchors.T
-    cand = np.sort(topk, axis=1)                                            # [T, k]
+    clip = af // T
+    cand = np.sort(topk, axis=1).reshape(clips, T, k)
+    blocks = np.take_along_axis(idents.reshape(clips, T, *idents.shape[1:]),
+                                cand[..., None], axis=2)                  # [B, T, k, d]
     # Stacked [1, d] @ [d, 1] products: one vector dot per cell, so every dot
     # is bit-identical to float(av @ row) (a gemm over the same rows is not).
-    dots = (idents[af, aj][:, None, None, None, :]
-            @ idents[np.arange(T)[:, None], cand][None, ..., None])[..., 0, 0]  # [A, T, k]
-    own = np.arange(T)[None, :] == af[:, None]    # an anchor's own frame is not compared
+    av = idents[af, aj].reshape(clips, T * k, 1, 1, 1, -1)
+    dots = (av @ blocks[:, None, ..., None])[..., 0, 0].reshape(-1, T, k)  # [A, T, k]
+    own = np.arange(T)[None, :] == (af % T)[:, None]    # an anchor's own frame is not compared
     if not (np.isfinite(dots).all(axis=-1) | own).all():
         bad = np.flatnonzero(~np.isfinite(idents).all(axis=(1, 2))).tolist()
         raise NumericError(f"non-finite identity dots; frames with non-finite embeddings: {bad}")
-    picks = cand[np.arange(T), np.argmax(dots, axis=-1)]                     # first maximum
+    picks = cand[clip[:, None], np.arange(T), np.argmax(dots, axis=-1)]    # first maximum
     oracle = np.zeros(len(anchors), dtype=bool)
     if track_of is not None:
         track = track_of[af, aj]
         oracle = track >= 0
-        on_track = (track_of == track[:, None, None]) & oracle[:, None, None]   # [A, T, L]
+        on_track = ((track_of.reshape(clips, T, -1)[clip] == track[:, None, None])
+                    & oracle[:, None, None])                               # [A, T, L]
         picks = np.where(on_track.any(axis=-1), on_track.argmax(axis=-1), picks)
-    slot = cand == picks[..., None]                                         # [A, T, k]
+    slot = cand[clip] == picks[..., None]                                  # [A, T, k]
     picked = np.take_along_axis(dots, slot.argmax(axis=-1)[..., None], axis=-1)[..., 0]
     return Selection(anchors, np.where(own, aj[:, None], picks),
                      np.where(own | ~slot.any(axis=-1), np.nan, picked), oracle)
@@ -98,40 +108,43 @@ def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
-                 frozen_selection: Selection | None = None
+                 frozen_selection: Selection | None = None, clips: int = 1
                  ) -> tuple[Tensor, Selection]:
-    """Apply aggregation to the per-frame top-k anchors of [T, L, d]
-    queries; other queries pass through unchanged. Anchors, scores, and
-    identity embeddings come from the previous layer's head; region
-    features are reused from its cross-attention. With oracle_gts, the
-    clip's ground-truth table, the previous layer's predictions are matched
-    to it and an anchor matched to a track picks that track's queries.
-    frozen_selection replays an earlier selection so finite differencing
-    never crosses a discrete decision."""
-    T, L, d = queries.shape
+    """Apply aggregation to the per-frame top-k anchors of the [B*T, L, d]
+    queries of B = clips stacked clips; other queries pass through
+    unchanged, and an anchor aggregates only its own clip's frames.
+    Anchors, scores, and identity embeddings come from the previous layer's
+    head; region features are reused from its cross-attention. With
+    oracle_gts, the stack's ground-truth table, the previous layer's
+    predictions are matched to it and an anchor matched to a track picks
+    that track's queries. frozen_selection replays an earlier selection so
+    finite differencing never crosses a discrete decision. Returns the
+    queries and one Selection over the stack."""
+    F, L, d = queries.shape
     selection = frozen_selection
     if selection is None:
         logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
         topk = select_topk(logits, cfg.ica_topk)
         track_of = None
         if oracle_gts is not None:
-            track_of = np.full((T, L), -1)        # per frame: query -> assigned track id
+            track_of = np.full((F, L), -1)        # per frame: query -> assigned track id
             pred = mt.match_frames(logits, prev_layer.boxes, oracle_gts)
             track_of[oracle_gts.frame, pred] = oracle_gts.track
         selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
-                                   topk, track_of)
+                                   topk, track_of, clips)
 
     anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
     picks = selection.picks
-    # Each anchor's F picked blocks are F consecutive entries of the inverse.
-    blocks, own = np.unique((np.arange(T) * L + picks)[picks >= 0], return_inverse=True)
+    T = picks.shape[1]
+    picked = selection.anchors[:, :1] // T * T + np.arange(T)     # [A, T] stack frame of each pick
+    # Each anchor's picked blocks are consecutive entries of the inverse.
+    blocks, own = np.unique((picked * L + picks)[picks >= 0], return_inverse=True)
     ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
     ctx = ad.reshape(ad.gather_rows(ctx, own), (len(anchors), -1, d))        # [A, F*s*s, d]
-    flat = ad.reshape(queries, (T * L, d))
+    flat = ad.reshape(queries, (F * L, d))
     q = ad.gather_rows(flat, anchors)                                       # [A, d]
-    attn = ad.context_attention(q, ctx, lp.ica_attn)
-    updated = ad.layer_norm(q + attn, lp.ln_ica.gain, lp.ln_ica.bias)
-    return ad.reshape(ad.row_update(flat, anchors, updated), (T, L, d)), selection
+    updated = ad.residual_norm(q, ad.context_attention(q, ctx, lp.ica_attn), lp.ln_ica)
+    return ad.reshape(ad.row_update(flat, anchors, updated), (F, L, d)), selection
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +152,37 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
 
 
 def contrastive_loss(ident: Tensor, frame: np.ndarray, track: np.ndarray,
-                     pred: np.ndarray) -> tuple[Tensor, int]:
+                     pred: np.ndarray, clips: int = 1) -> tuple[Tensor, int]:
     """Pull matched queries of the same track together across frames.
 
-    ident holds the clip's [T, L, d] identity embeddings; row n of the
-    ground-truth columns frame, track and pred says that query pred[n] of
-    frame frame[n] is matched to track track[n] (from the set matching).
-    For every ordered frame pair of a track, the anchor's positive dot
-    competes against its dots with all queries of the other frame. Pairs
-    run in (track, anchor frame, other frame) order. Returns the
-    pair-normalized loss and the pair count; zero pairs contribute an
-    exact zero.
+    ident holds the [B*T, L, d] identity embeddings of B = clips stacked
+    clips; row n of the ground-truth columns frame, track and pred says
+    that query pred[n] of stack frame frame[n] is matched to track track[n]
+    (from the set matching). For every ordered frame pair of a track within
+    a clip, the anchor's positive dot competes against its dots with all
+    queries of the other frame. Pairs run in (clip, track, anchor frame,
+    other frame) order. Returns the sum over clips of each clip's
+    pair-normalized loss, from one batched [B, T*L, T*L] similarity, and
+    the pair count; zero pairs contribute an exact zero.
     """
-    T, L, d = ident.shape
-    order = np.lexsort((frame, track))
+    F, L, d = ident.shape
+    T = F // clips
+    order = np.lexsort((frame, track, frame // T))
     f, k, q = frame[order], track[order], pred[order]
-    anchor, other = np.nonzero((k[:, None] == k[None, :]) & (f[:, None] != f[None, :]))
+    c = f // T
+    anchor, other = np.nonzero((c[:, None] == c[None, :]) & (k[:, None] == k[None, :])
+                               & (f[:, None] != f[None, :]))
     pairs = len(anchor)
     if pairs == 0:
         return ad.tensor(np.zeros(())), 0
-    # Pair row of the [T*L*T, L] similarity view, and its positive column.
-    rows = (f[anchor] * L + q[anchor]) * T + f[other]
-    flat = ad.reshape(ident, (T * L, d))
-    sim = ad.matmul(flat, ad.transpose(flat, (1, 0)))                      # [T*L, T*L]
-    logits = ad.gather_rows(ad.reshape(sim, (T * L * T, L)), rows)          # [pairs, L]
+    weight = 1.0 / np.bincount(c[anchor], minlength=clips)[c[anchor]]     # 1 / the clip's pairs
+    # Pair row of the [B*T*L*T, L] similarity view, and its positive column.
+    rows = (f[anchor] * L + q[anchor]) * T + f[other] % T
+    x = ad.reshape(ident, (clips, T * L, d))
+    sim = ad.matmul(x, ad.transpose(x, (0, 2, 1)))                         # [B, T*L, T*L]
+    logits = ad.gather_rows(ad.reshape(sim, (F * L * T, L)), rows)          # [pairs, L]
     pos = ad.gather_rows(ad.reshape(logits, (pairs * L,)), np.arange(pairs) * L + q[other])
-    return ad.reduce_sum(ad.logsumexp(logits, axis=-1) - pos) * (1.0 / pairs), pairs
+    return ad.reduce_sum((ad.logsumexp(logits, axis=-1) - pos) * weight), pairs
 
 
 def dump_matches(selections: list[Selection]) -> str:

@@ -60,24 +60,28 @@ def focal_loss_values(x: np.ndarray, positive) -> np.ndarray:
     return np.where(positive, _focal_positive(x, p), _focal_negative(x, p))
 
 
-def focal_loss(logits: Tensor, positive: np.ndarray) -> Tensor:
-    """Summed focal_loss_values of a logits tensor against a 0/1 target
-    mask, as one record. Each branch's derivative is written in terms of its
-    own value v: -(gamma p v + alpha (1 - p)^(gamma+1)) for a positive
-    target, gamma (1 - p) v + (1 - alpha) p^(gamma+1) for a negative one."""
+def focal_loss(logits: Tensor, positive: np.ndarray, weight: np.ndarray | None = None
+               ) -> Tensor:
+    """Summed focal_loss_values of an [F, ...] logits tensor against a 0/1
+    target mask, each frame's values scaled by its weight [F] (default 1),
+    as one record. Each branch's derivative is written in terms of its own
+    value v: -(gamma p v + alpha (1 - p)^(gamma+1)) for a positive target,
+    gamma (1 - p) v + (1 - alpha) p^(gamma+1) for a negative one."""
     x = logits.data
     values = focal_loss_values(x, positive)
+    w = np.ones(len(x), dtype=x.dtype) if weight is None else np.asarray(weight, dtype=x.dtype)
+    w = w.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def backward(g):
         p = ad.stable_sigmoid(x)
         q = 1.0 - p
-        return (g * np.where(positive,
-                             -(FOCAL_GAMMA * p * values
-                               + FOCAL_ALPHA * np.power(q, FOCAL_GAMMA + 1.0)),
-                             FOCAL_GAMMA * q * values
-                             + (1.0 - FOCAL_ALPHA) * np.power(p, FOCAL_GAMMA + 1.0)),)
+        return (g * w * np.where(positive,
+                                 -(FOCAL_GAMMA * p * values
+                                   + FOCAL_ALPHA * np.power(q, FOCAL_GAMMA + 1.0)),
+                                 FOCAL_GAMMA * q * values
+                                 + (1.0 - FOCAL_ALPHA) * np.power(p, FOCAL_GAMMA + 1.0)),)
 
-    return ad._record("focal_loss", (logits,), np.asarray(values.sum()), backward)
+    return ad._record("focal_loss", (logits,), np.asarray((values * w).sum()), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ def hungarian(cost) -> list[int]:
 class SetLossResult:
     total: Tensor
     pred: np.ndarray                        # [N] the query matched to each target row
-    cls_term: float                         # unweighted sums: focal, 1 - GIoU, L1
+    cls_term: float                         # frame-weighted sums: focal, 1 - GIoU, L1
     giou_term: float
     l1_term: float
 
@@ -225,7 +229,8 @@ def match_frames(logits: np.ndarray, boxes: np.ndarray, targets: Targets) -> np.
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Targets,
-             pred: np.ndarray | None = None) -> SetLossResult:
+             pred: np.ndarray | None = None, weight: np.ndarray | None = None
+             ) -> SetLossResult:
     """Match each frame's predictions to its ground truths and score the
     whole stack of F frames: a clip's T frames, or its Ly decoder layers
     stacked layer-major into Ly*T frames.
@@ -234,24 +239,25 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Target
     predictions; boxes [F, L, 4] are the detached boxes the matching costs;
     targets is the stack's ground-truth table, its frame column indexing
     the F frames. Matched pairs contribute the full weighted loss; every
-    other (query, class) slot contributes negative focal loss. The returned
-    total is an un-normalized sum; callers normalize per clip. A given
-    pred, the matched query of each target row (as a previous result's
-    pred), holds the discrete matching fixed, so finite differencing never
-    sees the argmin flip.
+    other (query, class) slot contributes negative focal loss. weight [F]
+    scales each frame's focal terms and the box terms of its target rows
+    (default 1), which is how callers normalize each clip of a stack by its
+    own object count. A given pred, the matched query of each target row
+    (as a previous result's pred), holds the discrete matching fixed, so
+    finite differencing never sees the argmin flip.
     """
     F, L, _ = logits.shape
     if pred is None:
         pred = match_frames(logits.data, boxes, targets)
+    w = np.ones(F) if weight is None else np.asarray(weight)
 
     positive = np.zeros(logits.shape, dtype=bool)
     positive[targets.frame, pred, targets.cls] = True
     pred_boxes = ad.gather_rows(ad.reshape(boxes_t, (F * L, 4)), targets.frame * L + pred)
-    # Each column sums as a row of the transpose: in the order of a
-    # contiguous [N] sum, which a sum over axis 0 of [N, 2] does not keep.
-    box_sums = ad.reduce_sum(ad.transpose(geo.box_pair_loss(pred_boxes, targets.box), (1, 0)),
-                             axis=1)
-    terms = ad.concat([ad.reshape(focal_loss(logits, positive), (1,)), box_sums])
+    # The [1, N] row weights times the [N, 2] (1 - GIoU, L1) rows: both box sums.
+    box_sums = ad.matmul(ad.tensor(w[targets.frame][None]),
+                         geo.box_pair_loss(pred_boxes, targets.box))
+    terms = ad.concat([ad.reshape(focal_loss(logits, positive, w), (1, 1)), box_sums], axis=1)
     total = ad.reduce_sum(terms * np.array([LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1]))
-    cls_term, giou_term, l1_term = terms.data.tolist()
+    cls_term, giou_term, l1_term = terms.data[0].tolist()
     return SetLossResult(total, pred, cls_term, giou_term, l1_term)

@@ -3,17 +3,21 @@ queries, a decoder stack of clip-wide self-attention / identity-consistent
 aggregation / box-guided cross-attention, and per-layer detection heads.
 
 All frames of a clip are predicted in one forward pass that carries one
-[T, L, ·] tensor per quantity: T frames, L queries. Clip-wide
-self-attention sees the queries as [1, T*L, d]; in cross-attention each
-query attends only to its own s*s region rows, as one
-autodiff.context_attention record that projects no keys or values.
-Batching stays bit-exact with single-frame runs because numpy's matmul
+[T, L, ·] tensor per quantity: T frames, L queries. Training stacks the B
+clips of a batch into one pass of [B*T, L, ·] tensors. Clip-wide
+self-attention sees the queries as [B, T*L, d], one attention problem per
+clip, and aggregation selects within each clip; the backbone,
+cross-attention, feed-forward and heads work per frame. In
+cross-attention each query attends only to its own s*s region rows, as one
+autodiff.context_attention record that projects no keys or values; the
+region features are one geometry.roi_sample_frame record. Stacking stays
+bit-exact with single-clip and single-frame runs because numpy's matmul
 makes one BLAS call per stacked matrix, so a frame's rows see the same
 calls either way. Each decoder layer's predictions (LayerOutput) are class
-logits [T, L, C], refined boxes [T, L, 4] as a tensor and as detached
+logits [B*T, L, C], refined boxes [B*T, L, 4] as a tensor and as detached
 clamped float64 reference boxes, and, where an aggregation layer follows,
-identity embeddings [T, L, d] and the region features [T, L, s*s, d] that
-the aggregation reads.
+identity embeddings [B*T, L, d] and the region features [B*T, L, s*s, d]
+that the aggregation reads.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from . import ica
-from .autodiff import LinearParams, MHAParams, Tensor
-from .errors import ConfigError
+from .autodiff import LayerNormParams, LinearParams, MHAParams, Tensor
+from .errors import ConfigError, DimensionError
 from .geometry import Box
 
 LN_EPS = 1e-5
@@ -151,18 +155,8 @@ def load_config(path) -> ModelConfig:
 # Parameters
 
 
-@dataclass
-class LayerNormParams:
-    gain: Tensor
-    bias: Tensor
-
-
 def init_ln(dim: int) -> LayerNormParams:
     return LayerNormParams(ad.param(np.ones(dim)), ad.param(np.zeros(dim)))
-
-
-def apply_ln(x: Tensor, p: LayerNormParams) -> Tensor:
-    return ad.layer_norm(x, p.gain, p.bias, LN_EPS)
 
 
 @dataclass
@@ -285,8 +279,7 @@ def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
             f"frame {h0}x{w0} not divisible by backbone stride {cfg.backbone_stride}")
     x = frames if isinstance(frames, Tensor) else ad.tensor(frames)
     for conv in params.convs:
-        patches = ad.extract_patches(x, ksize=3, stride=2, pad=1)
-        x = ad.relu(ad.linear(patches, conv))
+        x = ad.linear_relu(ad.extract_patches(x, ksize=3, stride=2, pad=1), conv)
     f = ad.linear(x, params.proj)
     t, h, w, d = f.shape
     s = cfg.roi_size
@@ -303,11 +296,15 @@ def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
     return ad.matmul(ad.softmax(logits, axis=-1), m)
 
 
-def extended_self_attention(queries: Tensor, lp: DecoderLayerParams) -> Tensor:
-    """Residual attention over every query of the clip, [T, L, d] -> same."""
+def extended_self_attention(queries: Tensor, lp: DecoderLayerParams,
+                            clips: int = 1) -> Tensor:
+    """Residual attention of each query over every query of its own clip:
+    [B*T, L, d] queries of `clips` stacked clips, attended as B independent
+    [T*L, d] problems -> same shape."""
     t, n, d = queries.shape
-    x = ad.reshape(queries, (1, t * n, d))
-    out = apply_ln(x + ad.multi_head_attention(x, x, x, lp.self_attn), lp.ln_self)
+    x = ad.reshape(queries, (clips, t // clips * n, d))
+    attn = ad.multi_head_attention(x, x, x, lp.self_attn)
+    out = ad.residual_norm(x, attn, lp.ln_self, LN_EPS)
     return ad.reshape(out, (t, n, d))
 
 
@@ -319,25 +316,22 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
     [T, L, d] queries, adapted [T, L, s*s, d] region features, which
     aggregation layers reuse).
     """
-    t, n, d = queries.shape
-    rois = geo.roi_sample_frame(f, boxes, s)               # [T, L, s*s, d]
-    patch = ad.reshape(ad.matmul(queries, lp.adapter), (t, n, s * s, d))
-    region = rois + patch
-    out = apply_ln(queries + ad.context_attention(queries, region, lp.cross_attn), lp.ln_cross)
+    region = geo.roi_sample_frame(f, boxes, s, queries, lp.adapter)
+    out = ad.residual_norm(queries, ad.context_attention(queries, region, lp.cross_attn),
+                           lp.ln_cross, LN_EPS)
     return out, region
 
 
 def feed_forward(x: Tensor, lp: DecoderLayerParams) -> Tensor:
-    inner = ad.linear(ad.relu(ad.linear(x, lp.ffn1)), lp.ffn2)
-    return apply_ln(x + inner, lp.ln_ffn)
+    inner = ad.linear(ad.linear_relu(x, lp.ffn1), lp.ffn2)
+    return ad.residual_norm(x, inner, lp.ln_ffn, LN_EPS)
 
 
 def mlp(x: Tensor, layers: tuple[LinearParams, ...]) -> Tensor:
-    for i, p in enumerate(layers):
-        x = ad.linear(x, p)
-        if i + 1 < len(layers):
-            x = ad.relu(x)
-    return x
+    """Linear layers with a ReLU after each but the last."""
+    for p in layers[:-1]:
+        x = ad.linear_relu(x, p)
+    return ad.linear(x, layers[-1])
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -377,18 +371,23 @@ class LayerOutput:
 
 
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                 oracle_gts=None, replay: list[LayerOutput] | None = None
-                 ) -> list[LayerOutput]:
-    """Run the detector on all frames of one clip in a single pass and
-    return every decoder layer's output.
+                 oracle_gts=None, replay: list[LayerOutput] | None = None,
+                 clips: int = 1) -> list[LayerOutput]:
+    """Run the detector on all frames of a stack of clips in a single pass
+    and return every decoder layer's output.
 
-    frames: [T, H, W, 3] pixel array. With oracle_gts, the clip's
-    synthvid.Targets table, aggregation follows the ground-truth tracks.
-    replay, the layer list of an earlier run, supplies the discrete
-    selections and the carried (non-differentiated) reference boxes, so
-    finite differencing sees a smooth function. Aggregation runs on the
-    layers cfg marks; a config with ica_layers=0 has none.
+    frames: [B*T, H, W, 3] pixel array, the T frames of each of B = clips
+    clips of equal length, clip-major. Self-attention and aggregation stay
+    within a clip, so each clip's outputs are those of its own pass, bit
+    for bit. With oracle_gts, the stack's synthvid.Targets table,
+    aggregation follows the ground-truth tracks. replay, the layer list of
+    an earlier run, supplies the discrete selections and the carried
+    (non-differentiated) reference boxes, so finite differencing sees a
+    smooth function. Aggregation runs on the layers cfg marks; a config
+    with ica_layers=0 has none.
     """
+    if clips < 1 or len(frames) % clips:
+        raise DimensionError(f"{len(frames)} frames do not split into {clips} clips")
     feat = backbone(frames, cfg, params)
     queries = adaptive_queries(feat.m, params.query_embed)
     boxes = np.tile(geo.FULL_FRAME, (frames.shape[0], cfg.num_queries, 1))
@@ -397,13 +396,14 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     for li, lp in enumerate(params.layers):
         if replay is not None and li > 0:
             boxes = replay[li - 1].boxes
-        queries = extended_self_attention(queries, lp)
+        queries = extended_self_attention(queries, lp, clips)
 
         selection = None
         if cfg.is_ica_layer(li) and layers[-1].ident is not None:
             queries, selection = ica.ica_sublayer(
                 queries, layers[-1], lp, cfg, oracle_gts,
-                frozen_selection=replay[li].selection if replay is not None else None)
+                frozen_selection=replay[li].selection if replay is not None else None,
+                clips=clips)
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
         queries = feed_forward(queries, lp)

@@ -90,9 +90,15 @@ class Targets:
     def tile(self, reps: int, frames: int) -> "Targets":
         """The table repeated reps times, copy r on frames r*frames onwards:
         the targets of a stack of reps runs of `frames` frames each."""
-        return Targets(np.concatenate([self.frame + r * frames for r in range(reps)]),
-                       np.tile(self.cls, reps), np.tile(self.box, (reps, 1)),
-                       np.tile(self.track, reps))
+        return Targets.stack([self] * reps, frames)
+
+    @staticmethod
+    def stack(tables: list["Targets"], frames: int) -> "Targets":
+        """The tables of a stack of runs of `frames` frames each, table r on
+        frames r*frames onwards, as one table."""
+        return Targets(np.concatenate([t.frame + r * frames for r, t in enumerate(tables)]),
+                       *(np.concatenate([getattr(t, k) for t in tables])
+                         for k in ("cls", "box", "track")))
 
 
 @dataclass

@@ -2,10 +2,14 @@
 moments optimizer, and the seeded training loop.
 
 Stage 1 trains everything except the aggregation machinery with aggregation
-disabled; stage 2 fine-tunes the whole model with it enabled. The loss is
-one set loss over every layer's frames of the clip, normalized by the
-clip's object count, plus the pair-normalized contrastive identity loss of
-each layer feeding an aggregation layer.
+disabled; stage 2 fine-tunes the whole model with it enabled. Each
+iteration stacks its batch's clips into one forward pass, one loss and one
+tape backward (clips of different sampled lengths go into one stack per
+length). The loss is one set loss over every layer's frames of the stack,
+each clip normalized by its own object count, plus the pair-normalized
+contrastive identity loss of each layer feeding an aggregation layer, each
+clip normalized by its own pair count; the gradients of the clips' summed
+losses are scaled by one over the batch size.
 
 train() owns one flat parameter vector and one flat gradient vector; each
 trainable tensor's .data and .grad are views of its slice. The optimizer's
@@ -49,35 +53,38 @@ class LossParts:
 
 
 def clip_loss(layers: list[M.LayerOutput], targets: Targets,
-              frozen_assignments: np.ndarray | None = None
+              frozen_assignments: np.ndarray | None = None, clips: int = 1
               ) -> tuple[Tensor, LossParts, np.ndarray]:
-    """Deep-supervised set loss of one clip, plus the contrastive identity
-    loss of every layer with identity embeddings.
+    """Deep-supervised set loss of a stack of clips, plus the contrastive
+    identity loss of every layer with identity embeddings.
 
-    Every layer's [T, L, ·] predictions go layer-major into one
-    [Ly*T, L, ·] set_loss call against the clip's ground-truth table tiled
-    over the layers, normalized by the clip's object count. Returns the
-    loss, its parts and pred [Ly, N], the query matched to each target row
-    in each layer; each contrastive term reads its own layer's row.
-    frozen_assignments (a previous call's pred) bypasses the matching so
-    finite differencing sees a fixed assignment.
+    layers hold the [B*T, L, ·] outputs of B = clips stacked clips and
+    targets the stack's ground-truth table. Every layer's predictions go
+    layer-major into one [Ly*B*T, L, ·] set_loss call against the table
+    tiled over the layers; each frame is weighted by one over its clip's
+    object count, so each clip is normalized by its own. Returns the loss,
+    summed over the clips, its parts and pred [Ly, N], the query matched
+    to each target row in each layer; each contrastive term reads its own
+    layer's row. frozen_assignments (a previous call's pred) bypasses the
+    matching so finite differencing sees a fixed assignment.
     """
-    T = layers[0].logits.shape[0]
-    scale = 1.0 / max(1, len(targets))
+    F = layers[0].logits.shape[0]
+    T = F // clips
+    scale = 1.0 / np.maximum(np.bincount(targets.frame // T, minlength=clips), 1)
     res = mt.set_loss(ad.concat([layer.logits for layer in layers]),
                       ad.concat([layer.boxes_t for layer in layers]),
                       np.concatenate([layer.boxes for layer in layers]),
-                      targets.tile(len(layers), T),
-                      pred=None if frozen_assignments is None else frozen_assignments.ravel())
+                      targets.tile(len(layers), F),
+                      pred=None if frozen_assignments is None else frozen_assignments.ravel(),
+                      weight=np.tile(np.repeat(scale, T), len(layers)))
     pred = res.pred.reshape(len(layers), len(targets))
-    total = res.total * scale
-    parts = LossParts(cls=mt.LAMBDA_CLS * res.cls_term * scale,
-                      giou=mt.LAMBDA_GIOU * res.giou_term * scale,
-                      l1=mt.LAMBDA_L1 * res.l1_term * scale)
+    total = res.total
+    parts = LossParts(cls=mt.LAMBDA_CLS * res.cls_term, giou=mt.LAMBDA_GIOU * res.giou_term,
+                      l1=mt.LAMBDA_L1 * res.l1_term)
     for layer, layer_pred in zip(layers, pred):
         if layer.ident is not None:
             con, pairs = ica_mod.contrastive_loss(layer.ident, targets.frame, targets.track,
-                                                  layer_pred)
+                                                  layer_pred, clips)
             if pairs > 0:
                 total = total + con * CONTRASTIVE_WEIGHT
                 parts.con += CONTRASTIVE_WEIGHT * float(con.data)
@@ -135,6 +142,35 @@ def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
     return clip.frames[idx], clip.targets(idx.tolist())
 
 
+def stack_clips(batch: list[tuple[np.ndarray, Targets]]
+                ) -> list[tuple[np.ndarray, Targets, int]]:
+    """Sampled (frames, targets) clips as stacks of equal frame count, one
+    per count in order of first appearance: (frames [B*T, H, W, 3], the
+    stack's ground-truth table, B)."""
+    groups: dict[int, list[tuple[np.ndarray, Targets]]] = {}
+    for frames, targets in batch:
+        groups.setdefault(len(frames), []).append((frames, targets))
+    return [(np.concatenate([f for f, _ in group]), Targets.stack([t for _, t in group], t),
+             len(group)) for t, group in groups.items()]
+
+
+def batch_step(batch: list[tuple[np.ndarray, Targets]], cfg: M.ModelConfig,
+               params: M.ModelParams) -> LossParts:
+    """One forward, loss and backward pass per stack of the batch's clips
+    (one stack unless their frame counts differ). The gradients of the
+    summed clip losses accumulate into the parameters' .grad; returns the
+    loss parts, summed over the clips."""
+    parts = LossParts()
+    for frames, targets, clips in stack_clips(batch):
+        with ad.ComputationTape() as tape:
+            loss, stack_parts, _ = clip_loss(M.clip_forward(frames, cfg, params, clips=clips),
+                                             targets, clips=clips)
+        tape.backward(loss)
+        for f in fields(LossParts):
+            setattr(parts, f.name, getattr(parts, f.name) + getattr(stack_parts, f.name))
+    return parts
+
+
 def flatten(tensors: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
     """Copy the tensors into one flat data vector and one zeroed gradient
     vector, and rebind each tensor's .data and .grad to reshaped views of
@@ -172,25 +208,17 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     rng = np.random.default_rng(settings.seed)
     lines = []
 
-    def run_clip(frames, targets):
-        with ad.ComputationTape() as tape:
-            loss, parts, _ = clip_loss(M.clip_forward(frames, cfg, params), targets)
-        tape.backward(loss)
-        return parts
-
+    inv = 1.0 / settings.batch
     for it in range(settings.iters):
         picks = rng.integers(len(dataset), size=settings.batch)
-        batch_args = [sample_frames(dataset[int(c)], cfg.t_train, rng)
-                      for c in picks]
+        batch = [sample_frames(dataset[int(c)], cfg.t_train, rng) for c in picks]
         grad.fill(0.0)
-        all_parts = [run_clip(*a) for a in batch_args]
-        inv = 1.0 / settings.batch
+        parts = batch_step(batch, cfg, params)
         grad *= inv
         _clip_gradients(grad, views)
         lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
         opt.step(data, grad, lr)
-        agg = LossParts(**{f.name: sum(getattr(p, f.name) for p in all_parts) * inv
-                           for f in fields(LossParts)})
+        agg = LossParts(**{f.name: getattr(parts, f.name) * inv for f in fields(LossParts)})
         line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"
                 f"{agg.l1:.9g},{agg.con:.9g}")
         lines.append(line)

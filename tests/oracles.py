@@ -4,11 +4,14 @@ Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors, and each adjoint reference takes
 one product per stacked matrix or one addition per gathered row. The
 composed layers build linear, layer_norm and attention from elementwise
-primitives, so the taped chain rule checks the fused primitives' adjoints.
+primitives, and linear_relu, residual_norm and the region features of
+geometry.roi_sample_frame from the records they fuse, so the taped chain
+rule checks the fused primitives' adjoints.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
-block. km_solve solves one frame's assignment, one row at a time. The tests
+block. km_solve solves one frame's assignment, one row at a time, and
+per_clip_step trains a batch one clip at a time. The tests
 compare the package's batched and fused paths against them.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
@@ -18,11 +21,12 @@ breaks one primitive's gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from clipvid import autodiff as ad
+from clipvid import geometry as geo
 from clipvid import ica
 from clipvid import matching as mt
 from clipvid import model as M
@@ -123,17 +127,60 @@ def bilinear_corners(h: int, w: int, x: float, y: float) -> list[tuple[int, int,
             for c, wx in ((c0, 1.0 - fx), (min(c0 + 1, w - 1), fx))]
 
 
+def bilinear_sample(f, points: np.ndarray):
+    """Sample each map of a [T,H,W,C] stack at its own fractional (x, y)
+    index pairs [T,N,2] -> [T,N,C], as one record whose adjoint keeps the
+    dense [T, N, H*W] interpolation-weight stack: the sampling half of
+    geometry.roi_sample_frame's record.
+
+    Points are data, not differentiated; gradients flow to f only.
+    Coordinates are clamped to the border (replicate padding)."""
+    t, h, w, c = f.shape
+    pts = np.asarray(points, dtype=f.data.dtype)
+    n = pts.shape[1]
+    xs = np.clip(pts[..., 0], 0.0, w - 1.0)
+    ys = np.clip(pts[..., 1], 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
+    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    weights = np.zeros((t, n, h * w), dtype=f.data.dtype)
+    at = (np.arange(t)[:, None], np.arange(n)[None, :],
+          np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]))      # [4, T, N]
+    corner = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    if h > 1 and w > 1:
+        weights[at] = corner            # a point's four corners are distinct cells
+    else:
+        np.add.at(weights, at, corner)
+    out = weights @ f.data.reshape(t, h * w, c)
+
+    def backward(g):
+        return ((np.swapaxes(weights, 1, 2) @ g).reshape(t, h, w, c),)
+
+    return ad._record("bilinear_sample", (f,), out, backward)
+
+
 def roi_sample(f, b: Box, s: int):
     """Bilinear sample an s*s grid of cell centers inside b on one [h, w, d]
     map -> [s*s, d]."""
     h, w, d = f.shape
     pts = roi_grid_points(b, s, h, w)
-    out = ad.bilinear_sample(ad.reshape(f, (1, h, w, d)), pts[None])
+    out = bilinear_sample(ad.reshape(f, (1, h, w, d)), pts[None])
     return ad.reshape(out, (s * s, d))
 
 
 # ---------------------------------------------------------------------------
 # Decoder pieces, one query at a time
+
+
+def apply_ln(x, p):
+    """A layer norm with the model's epsilon, as the model's residual_norm
+    records apply it."""
+    return ad.layer_norm(x, p.gain, p.bias, M.LN_EPS)
 
 
 def adapt_region_feature(k, q, adapter):
@@ -148,7 +195,7 @@ def guided_cross_attention(q, b: Box, f, lp, s: int):
     k = adapt_region_feature(roi_sample(f, b, s), q, lp.adapter)
     kv = ad.reshape(k, (1,) + k.shape)
     attn = ad.multi_head_attention(ad.reshape(q, (1,) + q.shape), kv, kv, lp.cross_attn)
-    return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_cross), k
+    return apply_ln(q + ad.reshape(attn, q.shape), lp.ln_cross), k
 
 
 def detection_head(q, b: Box, lp, with_identity: bool):
@@ -230,7 +277,7 @@ def aggregate(q, chosen, region, contrib_queries, lp):
     its joint context, residual + layer norm -> updated [1, d] query."""
     ctx = joint_context(chosen, region, contrib_queries, lp.ica_pos)
     attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
-    return M.apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
+    return apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
 
 
 def projected_block_attention(q, ctx, own, p):
@@ -429,6 +476,20 @@ def per_layer_clip_loss(layers, targets):
     return total, parts, np.stack(pred)
 
 
+def per_clip_step(batch, cfg, params) -> tr.LossParts:
+    """training.batch_step one clip at a time: a forward pass, clip loss and
+    backward pass per (frames, targets) clip, each clip's gradients
+    accumulating into .grad. Returns the loss parts summed over the clips."""
+    parts = tr.LossParts()
+    for frames, targets in batch:
+        with ad.ComputationTape() as tape:
+            loss, clip_parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), targets)
+        tape.backward(loss)
+        for f in fields(tr.LossParts):
+            setattr(parts, f.name, getattr(parts, f.name) + getattr(clip_parts, f.name))
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # Optimizer, one parameter tensor at a time
 
@@ -623,6 +684,25 @@ def composed_multi_head_attention(q, k, v, p):
                                               composed_linear(v, p.v), p.heads), p.out)
 
 
+def composed_linear_relu(x, p):
+    return ad.relu(ad.linear(x, p))
+
+
+def composed_residual_norm(x, y, ln, eps: float = 1e-5):
+    return ad.layer_norm(x + y, ln.gain, ln.bias, eps)
+
+
+def composed_roi_sample(f, boxes: np.ndarray, s: int, queries, adapter):
+    """geometry.roi_sample_frame as bilinear_sample, matmul and add records:
+    [T, n, s*s, d] samples of [T, h, w, d] maps inside [T, n, 4] boxes,
+    plus queries @ adapter."""
+    t, h, w, d = f.shape
+    n = boxes.shape[1]
+    pts = geo.roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
+    rois = ad.reshape(bilinear_sample(f, pts.reshape(t, n * s * s, 2)), (t, n, s * s, d))
+    return rois + ad.reshape(ad.matmul(queries, adapter), (t, n, s * s, d))
+
+
 def composed_context_attention(q, ctx, p):
     """context_attention of q [A, d] over ctx [A, n, d] as a chain of
     elementwise primitives and matmuls: each head's key weight folds into
@@ -668,9 +748,9 @@ def mask_within_frames(monkeypatch) -> None:
     """Close every cross-frame path of the forward pass: self-attention
     takes the frame axis as a batch, and aggregation keeps only each
     anchor's own frame. A masked clip then equals its single-frame runs."""
-    def frame_batched(queries, lp):
+    def frame_batched(queries, lp, clips=1):
         attn = ad.multi_head_attention(queries, queries, queries, lp.self_attn)
-        return M.apply_ln(queries + attn, lp.ln_self)
+        return apply_ln(queries + attn, lp.ln_self)
 
     match = ica.identity_match
 

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import inspect
 import pkgutil
@@ -13,11 +14,13 @@ from numpy.testing import assert_allclose
 
 import clipvid
 from clipvid import autodiff as ad
+from clipvid import geometry as geo
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
 from oracles import (composed_attention, composed_context_attention, composed_layer_norm,
-                     composed_linear, composed_multi_head_attention, corrupt_adjoint,
-                     leaf_grad, scatter_add_rows, stacked_matmul_adjoint)
+                     composed_linear, composed_linear_relu, composed_multi_head_attention,
+                     composed_residual_norm, composed_roi_sample, corrupt_adjoint, leaf_grad,
+                     scatter_add_rows, stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
 # it records, read from the source of every module of the package, so that
@@ -572,3 +575,86 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
             assert not a.any() and np.abs(b).max() < 1e-12
         else:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+# The fused decoder records against the records they fuse: (fused, composed,
+# input shapes). linear_relu at a backbone conv's [T, h, w, 9c] patches and
+# an FFN's [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
+# roi_sample on [T, h, w, d] maps, including maps one pixel high, whose
+# corners fold onto one cell, with [T, n, 4] boxes.
+def _roi(boxes, s):
+    return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
+            lambda f, q, a: composed_roi_sample(f, boxes, s, q, a))
+
+
+_ROI_BOXES = np.array([[[0.4, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34], [0.5, 0.5, 1.0, 1.0]],
+                       [[0.62, 0.38, 0.44, 0.5], [0.9, 0.1, 0.3, 0.3], [0.2, 0.8, 0.6, 0.2]]])
+FUSED_CASES = {
+    "linear_relu_conv": (lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
+                         lambda x, w, b: composed_linear_relu(x, ad.LinearParams(w, b)),
+                         [(2, 4, 4, 27), (27, 8), (8,)]),
+    "linear_relu_ffn": (lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
+                        lambda x, w, b: composed_linear_relu(x, ad.LinearParams(w, b)),
+                        [(4, 8, 32), (32, 128), (128,)]),
+    "residual_norm": (lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
+                      lambda x, y, g, b: composed_residual_norm(x, y, ad.LayerNormParams(g, b)),
+                      [(1, 32, 32), (1, 32, 32), (32,), (32,)]),
+    "roi_sample": (*_roi(_ROI_BOXES, 4), [(2, 8, 8, 16), (2, 3, 16), (16, 256)]),
+    "roi_sample_one_row": (*_roi(_ROI_BOXES, 2), [(2, 1, 6, 4), (2, 3, 4), (4, 16)]),
+}
+
+
+def _fused_inputs(seed, shapes):
+    rng = np.random.default_rng(seed)
+    return [ad.param(rng.normal(size=shape)) for shape in shapes]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_records_match_their_composed_forms_bitexactly(bits, case):
+    """linear_relu, residual_norm and roi_sample run the numpy operations of
+    the records they fuse, in the same order: the same output bytes in 32
+    and 64 bits."""
+    fused, composed, shapes = FUSED_CASES[case]
+    with ad.precision(bits):
+        inputs = _fused_inputs(0, shapes)
+        got, want = fused(*inputs), composed(*inputs)
+    assert got.data.dtype == want.data.dtype == np.dtype(f"float{bits}")
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_record_gradients_match_their_composed_forms(case):
+    """In 64-bit, the gradient of every input of each fused record agrees
+    with the composed form's taped chain rule within 1e-12 relative."""
+    fused, composed, shapes = FUSED_CASES[case]
+    inputs = _fused_inputs(1, shapes)
+    seed = np.random.default_rng(2).normal(size=fused(*inputs).shape)
+    got = _gradients(lambda: fused(*inputs), inputs, seed)
+    want = _gradients(lambda: composed(*inputs), inputs, seed)
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert b.any() and np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), i
+
+
+@pytest.mark.parametrize("case", ["linear_relu_ffn", "residual_norm", "roi_sample"])
+def test_fused_records_keep_fewer_bytes_than_their_composed_forms(case):
+    """Each fused record is one record that keeps less than the chain it
+    replaces: linear_relu no pre-activation, residual_norm no sum, and
+    roi_sample no dense interpolation stack and no sampled or adapted
+    halves of the sum."""
+    fused, composed, shapes = FUSED_CASES[case]
+    inputs = _fused_inputs(3, shapes)
+
+    def kept(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with ad.ComputationTape() as tape:
+                out = fn(*inputs)
+            return len(tape), tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+            del tape
+
+    (records, fused_bytes), (_, composed_bytes) = kept(fused), kept(composed)
+    assert records == 1 and fused_bytes < composed_bytes

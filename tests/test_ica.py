@@ -11,8 +11,8 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
-from oracles import (aggregate, composed_context_attention, contrastive_loss, identity_match,
-                     joint_context, leaf_grad, mask_within_frames, matched_columns,
+from oracles import (aggregate, apply_ln, composed_context_attention, contrastive_loss,
+                     identity_match, joint_context, leaf_grad, mask_within_frames, matched_columns,
                      oracle_match, projected_block_attention, select_topk, targets_of)
 
 
@@ -266,7 +266,7 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     attn = ad.context_attention(q, ctx, lp.ica_attn)
     direct = ad.multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
     assert_allclose(attn.data, direct.data[0], atol=1e-12)
-    want = M.apply_ln(q + attn, lp.ln_ica)
+    want = apply_ln(q + attn, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
 
@@ -457,7 +457,7 @@ def test_aggregate_zero_value_projection_is_layer_norm(rng):
     contrib = [ad.tensor(rng.normal(size=(2, 4)))]
     q = ad.tensor(rng.normal(size=(1, 4)))
     out = aggregate(q, {0: 0}, region, contrib, lp)
-    want = M.apply_ln(q, lp.ln_ica)
+    want = apply_ln(q, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)
 
 

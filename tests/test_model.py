@@ -11,9 +11,9 @@ from clipvid import gradcheck_suite as gs
 from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid import training as tr
-from clipvid.errors import ConfigError
+from clipvid.errors import ConfigError, DimensionError
 from clipvid.geometry import Box
-from oracles import (adapt_region_feature, detection_head, guided_cross_attention,
+from oracles import (adapt_region_feature, apply_ln, detection_head, guided_cross_attention,
                      leaf_grad, loop_extract_detections, mask_within_frames)
 
 
@@ -175,7 +175,7 @@ def test_extended_self_attention_t1_reduction(rng):
     params = M.init_model(cfg, rng)
     lp = params.layers[0]
     q = ad.tensor(rng.normal(size=(1, 3, 8)))
-    direct = M.apply_ln(q + ad.multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
+    direct = apply_ln(q + ad.multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
     via = M.extended_self_attention(q, lp)
     assert np.array_equal(via.data, direct.data)
 
@@ -191,7 +191,7 @@ def test_extended_self_attention_zero_value_projection(rng):
     qs = ad.tensor(rng.normal(size=(2, 3, 8)))
     out = M.extended_self_attention(qs, lp)
     for q, o in zip(qs.data, out.data):
-        want = M.apply_ln(ad.tensor(q), lp.ln_self)
+        want = apply_ln(ad.tensor(q), lp.ln_self)
         assert_allclose(o, want.data, atol=1e-12)
 
 
@@ -312,6 +312,14 @@ def test_detection_head_contracts(rng):
     assert box2.as_array() == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
 
 
+@pytest.mark.parametrize("clips", [0, 2])
+def test_clip_forward_rejects_a_stack_that_does_not_split_into_clips(rng, clips):
+    cfg = micro_cfg()
+    params = M.init_model(cfg, rng)
+    with pytest.raises(DimensionError, match=f"3 frames do not split into {clips} clips"):
+        M.clip_forward(rng.random((3, 8, 8, 3)), cfg, params, clips=clips)
+
+
 def test_clip_forward_shape_contract(rng):
     cfg = desk_cfg(t_train=3)
     params = M.init_model(cfg, rng)
@@ -334,12 +342,31 @@ def training_clip_records(cfg: M.ModelConfig) -> tuple[int, tr.LossParts]:
     return len(tape), parts
 
 
+def training_iteration_records(cfg: M.ModelConfig, monkeypatch) -> list[int]:
+    """Tape length of each backward pass of one seeded batch_step over two
+    sampled clips (T=4), as a train() iteration of batch 2 runs them."""
+    params = M.init_model(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    batch = [tr.sample_frames(sv.generate_clip(sv.GenConfig(), seed=s), cfg.t_train, rng)
+             for s in (0, 1)]
+    lengths = []
+    backward = ad.ComputationTape.backward
+
+    def counting(tape, loss, seed=None):
+        lengths.append(len(tape))
+        return backward(tape, loss, seed)
+
+    monkeypatch.setattr(ad.ComputationTape, "backward", counting)
+    tr.batch_step(batch, cfg, params)
+    return lengths
+
+
 def test_desk_clip_tape_record_count():
     """Hardware-independent gate on the op count of one seeded desk-config
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 161
+    assert records == 124
 
 
 def test_train_mid_clip_tape_record_count():
@@ -348,7 +375,17 @@ def test_train_mid_clip_tape_record_count():
     cfg = M.ModelConfig(num_queries=30, dim=64, decoder_layers=6, ica_layers=0)
     records, parts = training_clip_records(cfg)
     assert parts.con == 0.0
-    assert records == 210
+    assert records == 145
+
+
+@pytest.mark.parametrize("overrides,records", [
+    (dict(), 124),
+    (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 145),
+], ids=["desk", "train_mid"])
+def test_training_iteration_is_one_tape_of_one_clip_s_records(overrides, records, monkeypatch):
+    """A batch of two clips is one stacked tape with the record count of a
+    single clip's: the same gate per training iteration."""
+    assert training_iteration_records(M.ModelConfig(**overrides), monkeypatch) == [records]
 
 
 def test_desk_inference_pass_tape_record_count():
@@ -359,7 +396,7 @@ def test_desk_inference_pass_tape_record_count():
     with ad.ComputationTape() as tape:
         _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
     assert len(selections) == 2 * cfg.ica_layers
-    assert len(tape) == 2 * 131
+    assert len(tape) == 2 * 96
 
 
 def test_cross_attention_and_aggregation_key_biases_get_exact_zero_gradients():

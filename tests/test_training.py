@@ -12,7 +12,8 @@ from clipvid import training as tr
 from clipvid.checkpoint import save_checkpoint
 from clipvid.errors import ConfigError
 from clipvid.gradcheck_suite import micro_clip, micro_config
-from oracles import PerTensorAdamW, per_layer_clip_loss, per_tensor_clip_gradients
+from oracles import (PerTensorAdamW, leaf_grad, per_clip_step, per_layer_clip_loss,
+                     per_tensor_clip_gradients)
 
 
 def test_same_seed_32bit_runs_are_byte_identical(tmp_path):
@@ -70,6 +71,87 @@ def test_stacked_clip_loss_equals_per_layer_loop():
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert np.array_equal(g, ref_grads[name]), name
+
+
+MID = dict(num_queries=30, dim=64, decoder_layers=6)
+
+
+def sampled_batch(lengths, cfg, seed):
+    """One sampled (frames, targets) clip per entry of lengths, each from a
+    seeded clip of that many frames, as train() samples them."""
+    rng = np.random.default_rng(seed)
+    return [tr.sample_frames(sv.generate_clip(sv.GenConfig(t=t, min_objects=2), seed=seed + i),
+                             cfg.t_train, rng) for i, t in enumerate(lengths)]
+
+
+def _step_gradients(step, batch, cfg, params):
+    named = M.named_parameters(params)
+    for p in named.values():
+        p.grad = None
+    parts = step(batch, cfg, params)
+    return parts, {k: leaf_grad(p).copy() for k, p in named.items()}
+
+
+@pytest.mark.parametrize("overrides,lengths,stacks", [
+    (dict(), (8, 8), [2]),
+    (dict(MID, ica_layers=0), (8, 8), [2]),
+    (dict(), (8, 3, 8), [2, 1]),
+], ids=["desk_stage2", "train_mid_stage1", "ragged_8_3_8"])
+def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, stacks):
+    """One stacked forward, loss and backward over a batch's clips scores
+    and differentiates as one pass per clip, at 64 bits: every loss part
+    and every parameter gradient within 1e-12 relative, after the same
+    1/B scaling. Clips of 8 and 3 frames at t_train 4 make two stacks. A
+    self-attention key bias shifts every logit of a query alike, so its
+    true gradient is zero: both forms must give rounding noise only."""
+    cfg = M.ModelConfig(**overrides).validate()
+    params = M.init_model(cfg, np.random.default_rng(2))
+    batch = sampled_batch(lengths, cfg, seed=4)
+    assert [clips for _frames, _targets, clips in tr.stack_clips(batch)] == stacks
+    inv = 1.0 / len(batch)
+    parts, grads = _step_gradients(tr.batch_step, batch, cfg, params)
+    ref_parts, ref_grads = _step_gradients(per_clip_step, batch, cfg, params)
+    if cfg.ica_layers:
+        assert ref_parts.con > 0.0
+    for f in fields(tr.LossParts):
+        assert getattr(parts, f.name) * inv == pytest.approx(getattr(ref_parts, f.name) * inv,
+                                                            rel=1e-12, abs=0.0), f.name
+    largest = max(np.abs(g).max() for g in ref_grads.values()) * inv
+    for name, g in grads.items():
+        ref = ref_grads[name] * inv
+        if name.endswith("self_attn.k.b"):
+            assert max(np.abs(g * inv).max(), np.abs(ref).max()) <= 1e-12 * largest, name
+        else:
+            assert np.abs(g * inv - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_stacked_oracle_forward_equals_each_clip_bitexactly():
+    """A two-clip stack with oracle_gts (both clips' tables, stacked) gives
+    each clip the outputs and the selection of its own oracle pass, bit for
+    bit; aggregation never leaves a clip, though the clips share track ids."""
+    cfg = M.ModelConfig().validate()
+    params = M.init_model(cfg, np.random.default_rng(2))
+    batch = sampled_batch((8, 8), cfg, seed=6)
+    assert set(batch[0][1].track) & set(batch[1][1].track)
+    [(frames, targets, clips)] = tr.stack_clips(batch)
+    stacked = M.clip_forward(frames, cfg, params, oracle_gts=targets, clips=clips)
+    T, k = cfg.t_train, cfg.ica_topk
+    for c, (clip_frames, clip_targets) in enumerate(batch):
+        alone = M.clip_forward(clip_frames, cfg, params, oracle_gts=clip_targets)
+        rows = slice(c * T, (c + 1) * T)
+        for got, want in zip(stacked, alone, strict=True):
+            assert np.array_equal(got.logits.data[rows], want.logits.data)
+            assert np.array_equal(got.boxes[rows], want.boxes)
+            if want.ident is not None:
+                assert np.array_equal(got.ident.data[rows], want.ident.data)
+            if want.selection is not None:
+                sel, ref = got.selection, want.selection
+                assert len(sel) == clips * T * k
+                mine = slice(c * T * k, (c + 1) * T * k)
+                assert np.array_equal(sel.anchors[mine], ref.anchors + [c * T, 0])
+                assert np.array_equal(sel.picks[mine], ref.picks)
+                assert np.array_equal(sel.dots[mine], ref.dots, equal_nan=True)
+                assert np.array_equal(sel.oracle[mine], ref.oracle) and ref.oracle.any()
 
 
 def test_adamw_first_step_is_the_closed_form(rng):
