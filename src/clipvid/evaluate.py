@@ -1,18 +1,17 @@
 """Detection evaluation: per-class average precision, mAP, and the
 motion-speed breakdown, as array code over one ground-truth table.
 
-The dataset's ground truth is one table of N rows, one per annotated box:
-each clip's ClipSample.targets with its frames offset past the earlier
-clips', and a bucket column holding the track's speed label. Detections are
-arrays in input order. Each frame gets one IoU matrix of its detections
-against its ground truths, zero across classes. A detection hits the first
-ground truth of maximal IoU, claimed or not, if that IoU is at least
-IOU_THRESH. In
-descending score order (input order on ties), the first detection to hit a
-ground truth claims it and is a true positive; every other detection is a
-false positive. A claim never crosses a (clip, frame, class) group, so one
-stable sort of all detections orders every group as a per-class sort would.
-AP is all-point interpolated.
+The dataset's ground truth is one table of N rows, one per box of each
+clip's Tracks, in ClipSample.targets order with frames offset past the
+earlier clips', and a bucket column holding each row's track speed label.
+Detections are arrays in input order. Each frame gets one IoU matrix of its
+detections against its ground truths, zero across classes. A detection hits
+the first ground truth of maximal IoU, claimed or not, if that IoU is at
+least IOU_THRESH. In descending score order (input order on ties), the
+first detection to hit a ground truth claims it and is a true positive;
+every other detection is a false positive. A claim never crosses a (clip,
+frame, class) group, so one stable sort of all detections orders every
+group as a per-class sort would. AP is all-point interpolated.
 
 A bucket is one per-row label array. A bucket's AP counts only its own
 ground truths, and ignores detections that hit a ground truth of another
@@ -95,12 +94,11 @@ def evaluate(detections: list[list[list[Detection]]], clips: list[ClipSample],
                              f"expected {len(clip.frames)}")
     # Frame f of clip c is row offsets[c] + f of the dataset's frame axis.
     offsets = np.cumsum([0] + [len(clip.frames) for clip in clips])
-    tables = [clip.targets(range(len(clip.frames))) for clip in clips]
-    gt_frame = np.concatenate([t.frame + off for t, off in zip(tables, offsets)])
-    gt_cls = np.concatenate([t.cls for t in tables])
-    gt_box = np.concatenate([t.box for t in tables])
-    speed = [{tr.track_id: tr.speed_label for tr in clip.tracks} for clip in clips]
-    bucket = np.array([s[i] for t, s in zip(tables, speed) for i in t.track.tolist()], dtype=str)
+    rows = [(clip.tracks, *np.nonzero(~np.isnan(clip.tracks.box[..., 0]).T)) for clip in clips]
+    gt_frame = np.concatenate([f + off for (_tr, f, _k), off in zip(rows, offsets)])
+    gt_cls = np.concatenate([tr.cls[k] for tr, _f, k in rows])
+    gt_box = np.concatenate([tr.box[k, f] for tr, f, k in rows])
+    bucket = np.concatenate([tr.speed[k] for tr, _f, k in rows])
 
     frames = [(off + f, frame) for off, clip_dets in zip(offsets.tolist(), detections)
               for f, frame in enumerate(clip_dets)]

@@ -2,9 +2,9 @@
 sampling into region features.
 
 Boxes live in normalized (cx, cy, w, h) form, as [..., 4] float64 arrays for
-predictions and as Box values for annotations and detections. Tensor
-paths serve the training loss, where gradients must reach the box-offset
-predictions.
+predictions and annotations, and as Box values for detections and the
+per-frame ground-truth view ClipSample.frame_gts. Tensor paths serve the
+training loss, where gradients must reach the box-offset predictions.
 """
 
 from __future__ import annotations

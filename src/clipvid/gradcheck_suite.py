@@ -24,8 +24,7 @@ from . import matching as mt
 from . import model as M
 from . import training as tr
 from .autodiff import GradCheckReport, Tensor
-from .geometry import Box
-from .synthvid import ClipSample, Targets, Track
+from .synthvid import Targets
 
 Case = tuple[str, Callable[..., Tensor], list[np.ndarray]]
 
@@ -41,11 +40,10 @@ def micro_clip(seed: int):
     classes 0 and 1, in both frames."""
     rng = np.random.default_rng(seed)
     frames = rng.random((2, 8, 8, 3))
-    tracks = [Track(7, 0, [Box(0.40, 0.40, 0.30, 0.35), Box(0.46, 0.42, 0.30, 0.35)],
-                    [1.0, 1.0], "slow"),
-              Track(9, 1, [Box(0.72, 0.60, 0.25, 0.30), Box(0.66, 0.62, 0.25, 0.30)],
-                    [1.0, 1.0], "slow")]
-    return frames, ClipSample(0, frames, tracks).targets(range(2))
+    return frames, Targets(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                           np.array([[0.40, 0.40, 0.30, 0.35], [0.72, 0.60, 0.25, 0.30],
+                                     [0.46, 0.42, 0.30, 0.35], [0.66, 0.62, 0.25, 0.30]]),
+                           np.array([7, 9, 7, 9]))
 
 
 def primitive_cases(seed: int) -> list[Case]:

@@ -3,20 +3,21 @@
 Textured shapes move over a textured background with seeded, smooth
 trajectories. Motion blur (sub-frame position averaging) grows with speed
 and occluder strips plus object overlap produce occlusion, so fast movers
-are genuinely harder to recognize from a single frame. Annotations reflect
-pre-blur geometric truth.
+are harder to recognize from a single frame. A clip's Tracks table holds
+the pre-blur geometric truth as [tracks, frames] boxes and visibilities.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .geometry import Box
+from .geometry import Box, box_corners
 
 SHAPE_NAMES = ("disc", "square", "triangle", "cross", "ring")
 SPEED_LABELS = ("slow", "medium", "fast")
@@ -65,15 +66,6 @@ def speed_label(disp: float) -> str:
     return "fast"
 
 
-@dataclass
-class Track:
-    track_id: int
-    class_id: int
-    boxes: list[Box | None]
-    visibility: list[float]
-    speed_label: str
-
-
 @dataclass(frozen=True)
 class Targets:
     """The ground truth of a run of frames as one table of N rows, one per
@@ -101,38 +93,55 @@ class Targets:
                          for k in ("cls", "box", "track")))
 
 
+@dataclass(frozen=True)
+class Tracks:
+    """The ground truth of a clip as one table of K tracks over its T frames."""
+
+    id: np.ndarray          # [K] int64 track id
+    cls: np.ndarray         # [K] int64 class id
+    speed: np.ndarray       # [K] str speed label
+    box: np.ndarray         # [K, T, 4] float64 cx, cy, w, h; NaN where the track has no box
+    visibility: np.ndarray  # [K, T] float64
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    @staticmethod
+    def of_rows(rows: list[tuple], t: int) -> "Tracks":
+        """The table of (id, cls, speed, box [t, 4], visibility [t]) rows."""
+        ids, cls, speed, box, vis = zip(*rows) if rows else ((),) * 5
+        return Tracks(np.array(ids, dtype=np.int64), np.array(cls, dtype=np.int64),
+                      np.array(speed, dtype=str), np.array(box).reshape(-1, t, 4),
+                      np.array(vis, dtype=np.float64).reshape(-1, t))
+
+
 @dataclass
 class ClipSample:
     clip_id: int
     frames: np.ndarray              # [T, H, W, 3] float32 in [0, 1]
-    tracks: list[Track]
+    tracks: Tracks
 
     def frame_gts(self, i: int) -> list[tuple[int, Box, int]]:
-        out = []
-        for tr in self.tracks:
-            if tr.boxes[i] is not None:
-                out.append((tr.class_id, tr.boxes[i], tr.track_id))
-        return out
+        """Frame i's (class, box, track id) of each track with a box there."""
+        tr = self.tracks
+        return [(c, Box(*b), k) for c, b, k in zip(tr.cls.tolist(), tr.box[:, i].tolist(),
+                                                   tr.id.tolist()) if not math.isnan(b[0])]
 
     def targets(self, frame_idx) -> Targets:
         """The ground truth of the clip's frames frame_idx, in order, as one
         table whose frame column counts positions in frame_idx."""
-        rows = [(pos, tr.class_id, tr.track_id, tr.boxes[i])
-                for pos, i in enumerate(frame_idx) for tr in self.tracks
-                if tr.boxes[i] is not None]
-        frame, cls, track, boxes = zip(*rows) if rows else ((), (), (), ())
-        return Targets(np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
-                       np.array([b.as_array() for b in boxes]).reshape(-1, 4),
-                       np.array(track, dtype=np.int64))
+        box = self.tracks.box[:, frame_idx]         # [K, len(frame_idx), 4]
+        pos, k = np.nonzero(~np.isnan(box[..., 0]).T)
+        return Targets(pos, self.tracks.cls[k], box[k, pos], self.tracks.id[k])
 
 
 def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
     """Raise InputError for a ground-truth class the model lacks."""
     for clip in dataset:
-        for track in clip.tracks:
-            if not 0 <= track.class_id < num_classes:
-                raise InputError(f"clip {clip.clip_id} track {track.track_id}: class "
-                                 f"{track.class_id} out of range for {num_classes} classes")
+        bad = np.flatnonzero((clip.tracks.cls < 0) | (clip.tracks.cls >= num_classes))
+        if len(bad):
+            raise InputError(f"clip {clip.clip_id} track {clip.tracks.id[bad[0]]}: class "
+                             f"{clip.tracks.cls[bad[0]]} out of range for {num_classes} classes")
 
 
 def _shape_mask(shape_id: int, cx: np.ndarray, cy: np.ndarray, rx: float, ry: float,
@@ -159,7 +168,6 @@ def _shape_mask(shape_id: int, cx: np.ndarray, cy: np.ndarray, rx: float, ry: fl
 
 @dataclass
 class _ObjectSpec:
-    track_id: int
     class_id: int
     rx: float
     ry: float
@@ -187,7 +195,7 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
 
     n_obj = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     objects: list[_ObjectSpec] = []
-    for tid in range(n_obj):
+    for _ in range(n_obj):
         class_id = int(rng.integers(cfg.num_classes))
         rx = float(rng.uniform(MIN_HALF, MAX_HALF))
         ry = float(rng.uniform(MIN_HALF, MAX_HALF))
@@ -217,7 +225,7 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
         hue = rng.uniform(0.55, 1.0, size=3)
         alt = np.clip(hue * rng.uniform(0.3, 0.7), 0.0, 1.0)
         objects.append(_ObjectSpec(
-            tid, class_id, rx, ry, hue, alt,
+            class_id, rx, ry, hue, alt,
             stripe_dir=(math.cos(a := rng.uniform(0, math.pi)), math.sin(a)),
             stripe_freq=float(rng.uniform(6.0, 14.0)),
             stripe_phase=float(rng.uniform(0, 2 * math.pi)),
@@ -278,21 +286,20 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
     covered[-1] = occluder
     for oi in range(len(objects) - 1, 0, -1):
         covered[oi - 1] = covered[oi] | masks[oi]
-    totals = masks.sum(axis=(2, 3)).tolist()
-    visibles = (masks & ~covered).sum(axis=(2, 3)).tolist()
-
-    tracks: list[Track] = []
-    for obj, total, visible in zip(objects, totals, visibles):
-        vis = [v / t if t else 0.0 for v, t in zip(visible, total)]
-        boxes = [Box.from_corners(cx - obj.rx, cy - obj.ry, cx + obj.rx, cy + obj.ry)
-                 if v >= VISIBILITY_MIN else None for (cx, cy), v in zip(obj.centers, vis)]
-        disp = 0.0
-        for (px, py), (cx, cy) in zip(obj.centers, obj.centers[1:]):
-            disp += math.hypot(cx - px, cy - py)
-        mean_disp = disp / (T - 1) if T > 1 else 0.0
-        tracks.append(Track(obj.track_id, obj.class_id, boxes, vis,
-                            speed_label(mean_disp)))
-    return ClipSample(clip_id, frames, tracks)
+    totals = masks.sum(axis=(2, 3))
+    visibles = (masks & ~covered).sum(axis=(2, 3))
+    vis = np.divide(visibles, totals, out=np.zeros(totals.shape), where=totals > 0)
+    # Box.from_corners of each object's corners, in its float64 arithmetic.
+    half = np.array([(obj.rx, obj.ry) for obj in objects])[:, None]
+    lo, hi = path - half, path + half
+    box = np.concatenate([(lo + hi) / 2.0, hi - lo], axis=-1)
+    box[vis < VISIBILITY_MIN] = np.nan
+    # Mean step lengths, as math.hypot of each step summed in frame order.
+    disp = [reduce(lambda total, step: total + math.hypot(*step), steps, 0.0) / max(T - 1, 1)
+            for steps in np.diff(path, axis=1).tolist()]
+    return ClipSample(clip_id, frames, Tracks(
+        np.arange(len(objects)), np.array([obj.class_id for obj in objects]),
+        np.array([speed_label(d) for d in disp]), box, vis))
 
 
 def generate_dataset(cfg: GenConfig, num_clips: int, seed: int) -> list[ClipSample]:
@@ -314,18 +321,16 @@ def write_dataset(samples: list[ClipSample], path: str) -> None:
                         f"file={rel} tracks={len(s.tracks)}")
         with open(os.path.join(path, rel), "wb") as fh:
             fh.write(np.ascontiguousarray(s.frames, dtype="<f4").tobytes())
-        for tr in s.tracks:
-            ann_lines.append(f"track {s.clip_id} {tr.track_id} {tr.class_id} "
-                             f"{tr.speed_label}")
-            for fi, (box, v) in enumerate(zip(tr.boxes, tr.visibility)):
-                if box is None:
-                    ann_lines.append(f"vis {s.clip_id} {tr.track_id} {fi} {v:.17g}")
+        tr = s.tracks
+        for tid, cls, label, corners, vis in zip(*(a.tolist() for a in (
+                tr.id, tr.cls, tr.speed, box_corners(tr.box), tr.visibility))):
+            ann_lines.append(f"track {s.clip_id} {tid} {cls} {label}")
+            for fi, ((x1, y1, x2, y2), v) in enumerate(zip(corners, vis)):
+                if math.isnan(x1):
+                    ann_lines.append(f"vis {s.clip_id} {tid} {fi} {v:.17g}")
                 else:
-                    x1, y1, x2, y2 = box.corners()
-                    ann_lines.append(
-                        f"box {s.clip_id} {tr.track_id} {tr.class_id} {fi} "
-                        f"{x1:.17g} {y1:.17g} {x2:.17g} {y2:.17g} {v:.17g} "
-                        f"{tr.speed_label}")
+                    ann_lines.append(f"box {s.clip_id} {tid} {cls} {fi} {x1:.17g} {y1:.17g} "
+                                     f"{x2:.17g} {y2:.17g} {v:.17g} {label}")
     with open(os.path.join(path, "manifest.txt"), "w") as fh:
         fh.write("\n".join(manifest) + "\n")
     with open(os.path.join(path, "annotations.txt"), "w") as fh:
@@ -342,8 +347,7 @@ def read_dataset(path: str) -> list[ClipSample]:
     if not lines or not lines[0].startswith("clipvid-dataset"):
         raise ParseError(f"{mani_path}:1: not a dataset manifest")
 
-    clips: dict[int, ClipSample] = {}
-    declared_tracks: dict[int, tuple[int, int]] = {}    # clip id -> (manifest line, tracks=)
+    clips: dict[int, tuple[np.ndarray, int, int]] = {}  # id -> (frames, manifest line, tracks=)
     declared = None
     keys = ("frames", "height", "width", "file", "tracks")      # read by key, in any order
     for ln, line in enumerate(lines[1:], start=2):
@@ -381,18 +385,18 @@ def read_dataset(path: str) -> list[ClipSample]:
                 frames = np.fromfile(fh, dtype="<f4").reshape(t, h, w, 3)
         except OSError as e:
             raise ParseError(f"{mani_path}:{ln}: cannot read {rel}: {e}") from e
-        clips[cid] = ClipSample(cid, frames, [])
-        declared_tracks[cid] = (ln, n_tracks)
+        clips[cid] = (frames, ln, n_tracks)
     if declared is not None and declared != len(clips):
         raise ParseError(f"{mani_path}: declared {declared} clips, found {len(clips)}")
 
     ann_path = os.path.join(path, "annotations.txt")
-    tracks: dict[tuple[int, int], Track] = {}
+    rows: dict[int, list[tuple]] = {cid: [] for cid in clips}       # Tracks.of_rows rows
+    tracks: dict[tuple[int, int], tuple] = {}
 
-    def frame_index(tr: Track, text: str) -> int:
+    def frame_index(box: np.ndarray, text: str) -> int:
         fi = int(text)
-        if not 0 <= fi < len(tr.boxes):
-            raise ValueError(f"frame index {fi} outside the clip's {len(tr.boxes)} frames")
+        if not 0 <= fi < len(box):
+            raise ValueError(f"frame index {fi} outside the clip's {len(box)} frames")
         return fi
 
     def visibility(text: str) -> float:
@@ -419,35 +423,35 @@ def read_dataset(path: str) -> list[ClipSample]:
                             raise ValueError(f"negative track id {tid} or class {cls}")
                         if (cid, tid) in tracks:
                             raise ValueError(f"repeated track {tid} of clip {cid}")
-                        t = len(clips[cid].frames)
-                        tr = Track(tid, cls, [None] * t, [0.0] * t, label)
-                        tracks[(cid, tid)] = tr
-                        clips[cid].tracks.append(tr)
+                        t = len(clips[cid][0])
+                        tracks[cid, tid] = (tid, cls, label, np.full((t, 4), np.nan), np.zeros(t))
+                        rows[cid].append(tracks[cid, tid])
                     elif parts[0] == "vis":
-                        tr = tracks[(int(parts[1]), int(parts[2]))]
-                        tr.visibility[frame_index(tr, parts[3])] = visibility(parts[4])
+                        _tid, _cls, _label, box, vis = tracks[(int(parts[1]), int(parts[2]))]
+                        vis[frame_index(box, parts[3])] = visibility(parts[4])
                     elif parts[0] == "box":
-                        tr = tracks[(int(parts[1]), int(parts[2]))]
-                        if int(parts[3]) != tr.class_id:
+                        tid, cls, label, box, vis = tracks[(int(parts[1]), int(parts[2]))]
+                        if int(parts[3]) != cls:
                             raise ValueError(f"box class {parts[3]} differs from track "
-                                             f"{tr.track_id}'s class {tr.class_id}")
-                        if parts[10] != tr.speed_label:
+                                             f"{tid}'s class {cls}")
+                        if parts[10] != label:
                             raise ValueError(f"box speed label {parts[10]!r} differs from "
-                                             f"track {tr.track_id}'s {tr.speed_label!r}")
-                        fi = frame_index(tr, parts[4])
+                                             f"track {tid}'s {label!r}")
+                        fi = frame_index(box, parts[4])
                         x1, y1, x2, y2 = (float(x) for x in parts[5:9])
                         if not (all(map(math.isfinite, (x1, y1, x2, y2)))
                                 and x1 < x2 and y1 < y2):
                             raise ValueError(f"box corners ({x1}, {y1}, {x2}, {y2}) must be "
                                              f"finite with x1 < x2 and y1 < y2")
-                        tr.boxes[fi] = Box.from_corners(x1, y1, x2, y2)
-                        tr.visibility[fi] = visibility(parts[9])
+                        box[fi] = Box.from_corners(x1, y1, x2, y2).as_array()
+                        vis[fi] = visibility(parts[9])
                     else:
                         raise ValueError(f"unknown record {parts[0]!r}")
                 except (KeyError, ValueError, IndexError) as e:
                     raise ParseError(f"{ann_path}:{ln}: {e}") from e
-    for cid, (ln, n_tracks) in declared_tracks.items():
-        if n_tracks != len(clips[cid].tracks):
+    for cid, (_frames, ln, n_tracks) in clips.items():
+        if n_tracks != len(rows[cid]):
             raise ParseError(f"{mani_path}:{ln}: clip {cid} declares tracks={n_tracks}, "
-                             f"the annotations hold {len(clips[cid].tracks)}")
-    return [clips[cid] for cid in sorted(clips)]
+                             f"the annotations hold {len(rows[cid])}")
+    return [ClipSample(cid, frames, Tracks.of_rows(rows[cid], len(frames)))
+            for cid, (frames, _ln, _n) in sorted(clips.items())]

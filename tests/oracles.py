@@ -374,6 +374,19 @@ def targets_of(gts) -> Targets:
                    np.array(box, dtype=np.float64).reshape(-1, 4), np.array(track, dtype=np.int64))
 
 
+def loop_targets(clip, idx) -> Targets:
+    """ClipSample.targets one (track, frame) pair at a time: the requested
+    frames in request order, and within a frame each track with a box there,
+    in track order."""
+    tr = clip.tracks
+    gts = [[] for _ in idx]
+    for pos, f in enumerate(idx):
+        for k in range(len(tr)):
+            if not math.isnan(tr.box[k, f, 0]):
+                gts[pos].append((int(tr.cls[k]), Box(*tr.box[k, f].tolist()), int(tr.id[k])))
+    return targets_of(gts)
+
+
 def km_solve(cost: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Shortest-augmenting-path assignment of one n x m matrix, n <= m
     (Crouse, IEEE TAES 2016), one row at a time. Returns (col_of_row,
@@ -578,13 +591,13 @@ def loop_evaluate(detections, clips, num_classes: int) -> EvalReport:
     gts: dict[tuple[int, int, int], list[list]] = {}      # [box, speed, matched]
     gt_counts: dict[str | None, dict[int, int]] = {lb: {} for lb in (None, *SPEED_LABELS)}
     for c, clip in enumerate(clips):
-        for track in clip.tracks:
-            for f, box in enumerate(track.boxes):
-                if box is not None:
-                    gts.setdefault((c, f, track.class_id), []).append(
-                        [box, track.speed_label, False])
-                    for lb in (None, track.speed_label):
-                        gt_counts[lb][track.class_id] = gt_counts[lb].get(track.class_id, 0) + 1
+        tr = clip.tracks
+        for cls, label, boxes in zip(tr.cls.tolist(), tr.speed.tolist(), tr.box.tolist()):
+            for f, box in enumerate(boxes):
+                if not math.isnan(box[0]):
+                    gts.setdefault((c, f, cls), []).append([Box(*box), label, False])
+                    for lb in (None, label):
+                        gt_counts[lb][cls] = gt_counts[lb].get(cls, 0) + 1
     records: dict[int, list] = {}
     order = 0
     for c, clip_dets in enumerate(detections[:len(clips)]):

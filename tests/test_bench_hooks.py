@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -62,3 +63,21 @@ def test_small_traced_benchmark_run_observes_every_layer(monkeypatch, tmp_path):
     assert all(math.isfinite(m["value"]) for m in result["metrics"].values())
     # The record count is read from the tape after backward has released it.
     assert result["metrics"]["autodiff.records_per_clip"]["value"] > 0
+
+
+def test_small_untraced_inference_run_is_correct(monkeypatch, tmp_path):
+    """bench/run.py's run() on a short untraced infer_long: the set-up's
+    dataset round trip compares frame_gts, detection_loss scores the
+    detections against them, and the run is correct with a finite loss and
+    a detections digest."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setitem(sys.modules, "tracing", load_bench_module("tracing"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load_bench_module("run")
+    args = argparse.Namespace(workload="infer_long", seed=1, seconds=0.3, trace=0, small=True)
+    details, result = run.run(args, run.import_clipvid(), tmp_path)
+    assert details["notes"] == []
+    assert result["correct"] and result["failed"] == 0
+    assert math.isfinite(result["metrics"]["loss"]["value"])
+    assert re.fullmatch("[0-9a-f]{64}", details["digests"]["detections_sha256"])

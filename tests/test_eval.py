@@ -15,12 +15,14 @@ def corners(x1, y1, x2, y2):
 
 def clip_with(tracks, t=2, clip_id=0, size=8):
     frames = np.zeros((t, size, size, 3), dtype=np.float32)
-    return sv.ClipSample(clip_id, frames, tracks)
+    return sv.ClipSample(clip_id, frames, sv.Tracks.of_rows(tracks, t))
 
 
 def track(tid, cls, boxes, label="slow"):
+    """One Tracks row: a NaN box and visibility 0 where boxes holds None."""
+    box = [[np.nan] * 4 if b is None else b.as_array() for b in boxes]
     vis = [1.0 if b is not None else 0.0 for b in boxes]
-    return sv.Track(tid, cls, boxes, vis, label)
+    return tid, cls, label, box, vis
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_missing_fast_tracks_isolated_to_bucket():
         track(0, 0, [corners(0.1, 0.1, 0.4, 0.4)] * 2, "slow"),
         track(1, 0, [corners(0.5, 0.5, 0.9, 0.9)] * 2, "fast"),
     ])]
-    dets = [[[Detection(0, 1.0, clips[0].tracks[0].boxes[i])]
+    dets = [[[Detection(0, 1.0, clips[0].frame_gts(i)[0][1])]
              for i in range(2)]]
     report = ev.evaluate(dets, clips, num_classes=1)
     assert report.bucket_ap["slow"] == pytest.approx(1.0)
