@@ -10,14 +10,14 @@ Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
 The layers that run most often are single primitives with hand-written
-adjoints: layer_norm; residual_norm, the post-norm residual layer_norm(x +
-y); linear (x @ w + b) and linear_relu, which keeps only its output;
-attention, the scaled dot-product core of multi_head_attention, which
-splits and merges the heads inside its one record; and context_attention,
-a whole projected attention layer in which each query attends only to its
-own context rows (aggregation and box-guided cross-attention). Each forward
-runs the numpy operations of the elementwise composition it replaces, in
-the same order, so its output bytes are those of the composition.
+adjoints: residual_norm, the post-norm residual layer norm of x + y; linear
+(x @ w + b) and linear_relu, which keeps only its output; self_attention, a
+whole post-norm residual multi-head self-attention layer over each clip's
+queries; and context_attention, a whole projected attention layer in which
+each query attends only to its own context rows (aggregation and
+box-guided cross-attention). Each forward runs the numpy operations of the
+elementwise composition it replaces, in the same order, so its output bytes
+are those of the composition.
 """
 
 from __future__ import annotations
@@ -87,29 +87,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -240,10 +225,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                               _unbroadcast(-g * out / b.data, b.shape)))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _record("exp", (a,), out, lambda g: (g * out,))
@@ -272,11 +253,6 @@ def stable_softplus(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out = stable_sigmoid(a.data)
     return _record("sigmoid", (a,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _record("relu", (a,), a.data * mask, lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +406,7 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(xhat, 1 / std) of the last axis of x: zero mean, unit variance."""
     d = x.shape[-1]
     if d < 2:
-        raise ConfigError(f"layer_norm needs a normalized dim >= 2, got {d}")
+        raise ConfigError(f"layer norm needs a normalized dim >= 2, got {d}")
     dt = get_dtype()
     inv_d = np.asarray(1.0 / d, dtype=dt)
     centered = x - x.sum(axis=-1, keepdims=True) * inv_d
@@ -450,20 +426,10 @@ def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor
             _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    xhat, inv = _normalize(x.data, eps)
-
-    def backward(g):
-        gx, ggain, gbias = _norm_adjoint(g, xhat, inv, gain, bias)
-        return (gx if x.requires_grad else None, ggain, gbias)
-
-    return _record("layer_norm", (x, gain, bias), xhat * gain.data + bias.data, backward)
-
-
 def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams, eps: float = 1e-5) -> Tensor:
-    """layer_norm(x + y) with ln's gain and bias, as one record: the sum is
-    not kept, and both summands get the normalized input's gradient."""
+    """The layer norm of x + y with ln's gain and bias, as one record: the
+    sum is not kept, and both summands get the normalized input's gradient.
+    residual_norm(x, tensor(0.0), ln) is the layer norm of x alone."""
     xhat, inv = _normalize(x.data + y.data, eps)
 
     def backward(g):
@@ -475,43 +441,66 @@ def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams, eps: float = 1e-5) 
                    xhat * ln.gain.data + ln.bias.data, backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention of [B, nq, d] queries over [B, nk, d]
-    keys and values in heads of width hd = d / heads: softmax(q_h k_hT /
-    sqrt(hd)) v_h for each head h, merged back to [B, nq, d].
-
-    The head split and merge, the max-shifted softmax and both products
-    are one record; the adjoint reuses the forward's head stacks and
-    probabilities."""
-    bsz, nq, d = q.shape
-    nk = k.shape[1]
-    if d % heads != 0:
-        raise ConfigError(f"attention dim {d} not divisible by {heads} heads")
-    hd = d // heads
+def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1,
+                   eps: float = 1e-5) -> Tensor:
+    """Post-norm residual multi-head self-attention within each clip of a
+    [B*T, L, d] stack of B = clips clips: each clip's T*L rows attend over
+    one another, layer_norm(x + out(attention(q(x), k(x), v(x)))) with ln's
+    gain and bias, as one record. The q, k and v products, the head split
+    and merge, the max-shifted softmax, the output projection and the norm
+    are those of the composition, in its order. The key bias, a per-head
+    logit constant, cancels in the softmax and is not read. The adjoint
+    reuses the head stacks, probabilities and merged context, and sums x's
+    gradient as the composition does: residual, then value, key, query."""
+    t, L, d = x.shape
+    h = p.heads
+    if d % h != 0:
+        raise ConfigError(f"attention dim {d} not divisible by {h} heads")
+    n, hd = t // clips * L, d // h
     scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
+    wq, wk, wv, wo = p.q.w.data, p.k.w.data, p.v.w.data, p.out.w.data
+    xs = x.data.reshape(clips, n, d)
 
-    def split(x: np.ndarray, n: int) -> np.ndarray:               # [B, H, n, hd]
-        return np.ascontiguousarray(x.reshape(bsz, n, heads, hd).transpose(0, 2, 1, 3))
+    def split(a: np.ndarray) -> np.ndarray:                       # [B, H, n, hd]
+        return np.ascontiguousarray(a.reshape(clips, n, h, hd).transpose(0, 2, 1, 3))
 
-    def merge(x: np.ndarray, n: int) -> np.ndarray:               # [B, n, d]
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(bsz, n, d)
+    def merge(a: np.ndarray) -> np.ndarray:                       # [B, n, d]
+        return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(clips, n, d)
 
-    qh, kh, vh = split(q.data, nq), split(k.data, nk), split(v.data, nk)
+    qh, kh, vh = split(xs @ wq + p.q.b.data), split(xs @ wk), split(xs @ wv + p.v.b.data)
     logits = (qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * scale
     if np.isnan(logits).any():
-        raise NumericError("attention: NaN in logits")
+        raise NumericError("self_attention: NaN in logits")
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
+    ctx = merge(attn @ vh)
+    xhat, inv = _normalize(xs + (ctx @ wo + p.out.b.data), eps)
 
     def backward(g):
-        gctx = g.reshape(bsz, nq, heads, hd).transpose(0, 2, 1, 3)
+        gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln.gain, ln.bias)
+        gctx = (gs.reshape(-1, d) @ wo.T).reshape(clips, n, h, hd).transpose(0, 2, 1, 3)
         gattn = gctx @ np.swapaxes(vh, -1, -2)
         glogits = (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * attn * scale
-        return (merge(glogits @ kh, nq) if q.requires_grad else None,
-                merge(np.swapaxes(glogits, -1, -2) @ qh, nk) if k.requires_grad else None,
-                merge(np.swapaxes(attn, -1, -2) @ gctx, nk) if v.requires_grad else None)
+        gq, gk = merge(glogits @ kh), merge(np.swapaxes(glogits, -1, -2) @ qh)
+        gv = merge(np.swapaxes(attn, -1, -2) @ gctx)
+        gx = None
+        if x.requires_grad:
+            gx = gs + (gv.reshape(-1, d) @ wv.T).reshape(xs.shape)
+            gx += (gk.reshape(-1, d) @ wk.T).reshape(xs.shape)
+            gx += (gq.reshape(-1, d) @ wq.T).reshape(xs.shape)
+        rows = xs.reshape(-1, d).T
+        return (None if gx is None else gx.reshape(x.shape),
+                rows @ gq.reshape(-1, d) if p.q.w.requires_grad else None,
+                _unbroadcast(gq, p.q.b.shape) if p.q.b.requires_grad else None,
+                rows @ gk.reshape(-1, d) if p.k.w.requires_grad else None,
+                rows @ gv.reshape(-1, d) if p.v.w.requires_grad else None,
+                _unbroadcast(gv, p.v.b.shape) if p.v.b.requires_grad else None,
+                ctx.reshape(-1, d).T @ gs.reshape(-1, d) if p.out.w.requires_grad else None,
+                _unbroadcast(gs, p.out.b.shape) if p.out.b.requires_grad else None, ggain, gbias)
 
-    return _record("attention", (q, k, v), merge(attn @ vh, nq), backward)
+    return _record("self_attention", (x, p.q.w, p.q.b, p.k.w, p.v.w, p.v.b, p.out.w, p.out.b,
+                                      ln.gain, ln.bias),
+                   (xhat * ln.gain.data + ln.bias.data).reshape(x.shape), backward)
 
 
 def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
@@ -674,6 +663,10 @@ def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
 
 @dataclass
 class MHAParams:
+    """One multi-head attention layer's projections. No record reads k.b, a
+    per-head logit constant that cancels in the softmax; it stays in the
+    checkpoint layout until a format change drops it."""
+
     heads: int
     q: LinearParams
     k: LinearParams
@@ -687,14 +680,6 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
     return MHAParams(heads,
                      init_linear(rng, dim, dim), init_linear(rng, dim, dim),
                      init_linear(rng, dim, dim), init_linear(rng, dim, dim))
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
-    """Projected multi-head attention over [B, n, d] stacks (a batch of
-    independent attention problems sharing the projections): the q, k and
-    v projections, the attention core, which splits the heads inside its
-    record, and the output projection, five records in all."""
-    return linear(attention(linear(q, p.q), linear(k, p.k), linear(v, p.v), p.heads), p.out)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +701,10 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
                step: float = 1e-5, tol: float = 1e-4,
                name: str = "f", weight: np.ndarray | None = None) -> GradCheckReport:
     """Compare the taped gradient of sum(weight * f(x)) against central
-    differences; without a weight, f must be scalar-valued.
+    differences; without a weight, f must be scalar-valued. The error is
+    per tensor: max|a - n| over the entries, relative to the largest
+    magnitude of either gradient (at least 1e-6), so an entry far below the
+    tensor's largest carries its rounding at the tensor's scale.
 
     The weighting stays off the tape: it seeds the backward pass, so a
     check exercises only the records f makes. Runs in the current
@@ -756,6 +744,5 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
             raise NumericError("grad_check: non-finite function value")
         numeric[i] = (fp - fm) / (2.0 * step)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    rel = np.abs(analytic - numeric) / denom
-    return GradCheckReport(name, float(rel.max()) if rel.size else 0.0, tol)
+    scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-6)
+    return GradCheckReport(name, float(np.abs(analytic - numeric).max(initial=0.0) / scale), tol)

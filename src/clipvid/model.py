@@ -5,9 +5,9 @@ aggregation / box-guided cross-attention, and per-layer detection heads.
 All frames of a clip are predicted in one forward pass that carries one
 [T, L, ·] tensor per quantity: T frames, L queries. Training stacks the B
 clips of a batch into one pass of [B*T, L, ·] tensors. Clip-wide
-self-attention sees the queries as [B, T*L, d], one attention problem per
-clip, and aggregation selects within each clip; the backbone,
-cross-attention, feed-forward and heads work per frame. In
+self-attention, one autodiff.self_attention record, attends each clip's
+T*L queries as one problem, and aggregation selects within each clip; the
+backbone, cross-attention, feed-forward and heads work per frame. In
 cross-attention each query attends only to its own s*s region rows, as one
 autodiff.context_attention record that projects no keys or values; the
 region features are one geometry.roi_sample_frame record. Stacking stays
@@ -296,18 +296,6 @@ def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
     return ad.matmul(ad.softmax(logits, axis=-1), m)
 
 
-def extended_self_attention(queries: Tensor, lp: DecoderLayerParams,
-                            clips: int = 1) -> Tensor:
-    """Residual attention of each query over every query of its own clip:
-    [B*T, L, d] queries of `clips` stacked clips, attended as B independent
-    [T*L, d] problems -> same shape."""
-    t, n, d = queries.shape
-    x = ad.reshape(queries, (clips, t // clips * n, d))
-    attn = ad.multi_head_attention(x, x, x, lp.self_attn)
-    out = ad.residual_norm(x, attn, lp.ln_self, LN_EPS)
-    return ad.reshape(out, (t, n, d))
-
-
 def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
                            lp: DecoderLayerParams, s: int) -> tuple[Tensor, Tensor]:
     """Each query attends to adapted features sampled inside its own box.
@@ -396,7 +384,7 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     for li, lp in enumerate(params.layers):
         if replay is not None and li > 0:
             boxes = replay[li - 1].boxes
-        queries = extended_self_attention(queries, lp, clips)
+        queries = ad.self_attention(queries, lp.self_attn, lp.ln_self, clips, LN_EPS)
 
         selection = None
         if cfg.is_ica_layer(li) and layers[-1].ident is not None:

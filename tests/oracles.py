@@ -3,10 +3,10 @@
 Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors, and each adjoint reference takes
 one product per stacked matrix or one addition per gathered row. The
-composed layers build linear, layer_norm and attention from elementwise
-primitives, and linear_relu, residual_norm and the region features of
-geometry.roi_sample_frame from the records they fuse, so the taped chain
-rule checks the fused primitives' adjoints.
+composed layers build linear, the layer norm and multi-head attention from
+elementwise primitives, and linear_relu, residual_norm, self_attention and
+the region features of geometry.roi_sample_frame from the records they
+fuse, so the taped chain rule checks the fused primitives' adjoints.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
@@ -180,7 +180,7 @@ def roi_sample(f, b: Box, s: int):
 def apply_ln(x, p):
     """A layer norm with the model's epsilon, as the model's residual_norm
     records apply it."""
-    return ad.layer_norm(x, p.gain, p.bias, M.LN_EPS)
+    return composed_layer_norm(x, p.gain, p.bias, M.LN_EPS)
 
 
 def adapt_region_feature(k, q, adapter):
@@ -194,7 +194,7 @@ def guided_cross_attention(q, b: Box, f, lp, s: int):
     """Query q [1, d] with reference box b: (updated q [1, d], adapted k [s*s, d])."""
     k = adapt_region_feature(roi_sample(f, b, s), q, lp.adapter)
     kv = ad.reshape(k, (1,) + k.shape)
-    attn = ad.multi_head_attention(ad.reshape(q, (1,) + q.shape), kv, kv, lp.cross_attn)
+    attn = composed_multi_head_attention(ad.reshape(q, (1,) + q.shape), kv, kv, lp.cross_attn)
     return apply_ln(q + ad.reshape(attn, q.shape), lp.ln_cross), k
 
 
@@ -276,7 +276,8 @@ def aggregate(q, chosen, region, contrib_queries, lp):
     """Single-anchor aggregation: cross-attend the anchor query q [1, d] over
     its joint context, residual + layer norm -> updated [1, d] query."""
     ctx = joint_context(chosen, region, contrib_queries, lp.ica_pos)
-    attn = ad.multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx, lp.ica_attn)
+    attn = composed_multi_head_attention(ad.reshape(q, (1, 1, q.shape[-1])), ctx, ctx,
+                                         lp.ica_attn)
     return apply_ln(q + ad.reshape(attn, q.shape), lp.ln_ica)
 
 
@@ -698,11 +699,21 @@ def composed_multi_head_attention(q, k, v, p):
 
 
 def composed_linear_relu(x, p):
-    return ad.relu(ad.linear(x, p))
+    pre = ad.linear(x, p)
+    return ad.mul(pre, ad.tensor(pre.data > 0))
 
 
 def composed_residual_norm(x, y, ln, eps: float = 1e-5):
-    return ad.layer_norm(x + y, ln.gain, ln.bias, eps)
+    return composed_layer_norm(x + y, ln.gain, ln.bias, eps)
+
+
+def composed_self_attention(x, p, ln, clips: int = 1, eps: float = 1e-5):
+    """autodiff.self_attention as reshapes around the composed multi-head
+    attention of each clip's [T*L, d] rows and a residual_norm record."""
+    t, n, d = x.shape
+    rows = ad.reshape(x, (clips, t // clips * n, d))
+    out = ad.residual_norm(rows, composed_multi_head_attention(rows, rows, rows, p), ln, eps)
+    return ad.reshape(out, x.shape)
 
 
 def composed_roi_sample(f, boxes: np.ndarray, s: int, queries, adapter):
@@ -759,11 +770,12 @@ def scatter_add_rows(shape: tuple[int, ...], idx, g: np.ndarray) -> np.ndarray:
 
 def mask_within_frames(monkeypatch) -> None:
     """Close every cross-frame path of the forward pass: self-attention
-    takes the frame axis as a batch, and aggregation keeps only each
+    takes each frame as its own clip, and aggregation keeps only each
     anchor's own frame. A masked clip then equals its single-frame runs."""
-    def frame_batched(queries, lp, clips=1):
-        attn = ad.multi_head_attention(queries, queries, queries, lp.self_attn)
-        return apply_ln(queries + attn, lp.ln_self)
+    attend = ad.self_attention
+
+    def frame_batched(queries, p, ln, clips=1, eps=1e-5):
+        return attend(queries, p, ln, len(queries), eps)
 
     match = ica.identity_match
 
@@ -772,7 +784,7 @@ def mask_within_frames(monkeypatch) -> None:
         sel.picks[sel.anchors[:, :1] != np.arange(sel.picks.shape[1])] = -1
         return sel
 
-    monkeypatch.setattr(M, "extended_self_attention", frame_batched)
+    monkeypatch.setattr(ad, "self_attention", frame_batched)
     monkeypatch.setattr(ica, "identity_match", own_frame_only)
 
 

@@ -17,9 +17,9 @@ from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
-from oracles import (composed_attention, composed_context_attention, composed_layer_norm,
-                     composed_linear, composed_linear_relu, composed_multi_head_attention,
-                     composed_residual_norm, composed_roi_sample, corrupt_adjoint, leaf_grad,
+from oracles import (composed_context_attention, composed_layer_norm, composed_linear,
+                     composed_linear_relu, composed_multi_head_attention, composed_residual_norm,
+                     composed_roi_sample, composed_self_attention, corrupt_adjoint, leaf_grad,
                      scatter_add_rows, stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
@@ -88,27 +88,35 @@ def test_softmax_slices_sum_to_one(vals):
     assert_allclose(out.sum(axis=-1), [1.0, 1.0], atol=1e-6)
 
 
+def layer_norm(x, gain, bias):
+    """A one-input layer norm: residual_norm of x and a constant zero."""
+    return ad.residual_norm(x, ad.tensor(0.0), ad.LayerNormParams(gain, bias))
+
+
+def unit_norm(d):
+    return ad.LayerNormParams(ad.tensor(np.ones(d)), ad.tensor(np.zeros(d)))
+
+
 def test_layer_norm_constant_slice():
     gain = ad.tensor(np.ones(4))
     bias = ad.tensor(np.zeros(4))
-    out = ad.layer_norm(ad.tensor([[5.0, 5.0, 5.0, 5.0]]), gain, bias)
+    out = layer_norm(ad.tensor([[5.0, 5.0, 5.0, 5.0]]), gain, bias)
     assert_allclose(out.data, np.zeros((1, 4)), atol=1e-8)
 
 
 def test_layer_norm_two_values():
-    out = ad.layer_norm(ad.tensor([[1.0, 3.0]]), ad.tensor(np.ones(2)),
-                        ad.tensor(np.zeros(2)))
+    out = layer_norm(ad.tensor([[1.0, 3.0]]), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)))
     assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
 
 
 def test_layer_norm_rejects_width_one():
     with pytest.raises(ConfigError):
-        ad.layer_norm(ad.tensor([[3.0]]), ad.tensor(np.ones(1)), ad.tensor(np.zeros(1)))
+        layer_norm(ad.tensor([[3.0]]), ad.tensor(np.ones(1)), ad.tensor(np.zeros(1)))
 
 
 def test_layer_norm_statistics_random(rng):
     x = ad.tensor(rng.normal(size=(5, 16)))
-    out = ad.layer_norm(x, ad.tensor(np.ones(16)), ad.tensor(np.zeros(16))).data
+    out = layer_norm(x, ad.tensor(np.ones(16)), ad.tensor(np.zeros(16))).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -118,29 +126,31 @@ def test_layer_norm_gradient(rng):
     bias = ad.tensor(rng.normal(size=8))
     w = ad.tensor(rng.normal(size=(1, 8)))
     rep = ad.grad_check(
-        lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias), w)),
+        lambda x: ad.reduce_sum(ad.mul(layer_norm(x, gain, bias), w)),
         ad.tensor(rng.normal(size=(1, 8))))
     assert rep.max_rel_err < 1e-4
 
 
 def test_mha_zero_value_projection_gives_bias_only(rng):
+    """With no value path, self-attention adds the output bias alone."""
     p = ad.init_mha(rng, 8, 2)
     p.v.w.data[:] = 0.0
     p.v.b.data[:] = 0.0
     p.out.w.data[:] = np.eye(8)
     q = ad.tensor(rng.normal(size=(1, 3, 8)))
-    out = ad.multi_head_attention(q, q, q, p)
-    assert_allclose(out.data, np.broadcast_to(p.out.b.data, (1, 3, 8)), atol=1e-12)
+    ln = unit_norm(8)
+    out = ad.self_attention(q, p, ln)
+    assert_allclose(out.data, ad.residual_norm(q, p.out.b, ln).data, atol=1e-12)
 
 
 def test_mha_single_key_degenerate(rng):
+    """A clip of one query attends to itself alone: its value row."""
     p = ad.init_mha(rng, 8, 2)
-    q = ad.tensor(rng.normal(size=(1, 2, 8)))
-    k = ad.tensor(rng.normal(size=(1, 1, 8)))
-    out = ad.multi_head_attention(q, k, k, p)
-    vrow = ad.linear(k, p.v)
-    expect = ad.linear(vrow, p.out)
-    assert_allclose(out.data, np.broadcast_to(expect.data, (1, 2, 8)), atol=1e-10)
+    q = ad.tensor(rng.normal(size=(1, 1, 8)))
+    ln = unit_norm(8)
+    out = ad.self_attention(q, p, ln)
+    expect = ad.residual_norm(q, ad.linear(ad.linear(q, p.v), p.out), ln)
+    assert_allclose(out.data, expect.data, atol=1e-10)
 
 
 def test_mha_head_divisibility_error(rng):
@@ -150,14 +160,11 @@ def test_mha_head_divisibility_error(rng):
 
 def test_mha_gradients(rng):
     p = ad.init_mha(rng, 8, 2)
-    k = ad.tensor(rng.normal(size=(1, 4, 8)))
-    for which in range(3):
-        def f(x, which=which):
-            args = [k, k, k]
-            args[which] = x
-            return ad.reduce_sum(ad.multi_head_attention(*args, p))
-        rep = ad.grad_check(f, ad.tensor(rng.normal(size=(1, 4, 8))))
-        assert rep.max_rel_err < 1e-4, which
+    ln = ad.LayerNormParams(ad.tensor(rng.uniform(0.5, 2.0, 8)), ad.tensor(rng.normal(size=8)))
+    weight = rng.normal(size=(2, 2, 8))
+    rep = ad.grad_check(lambda x: ad.self_attention(x, p, ln, clips=2),
+                        ad.tensor(rng.normal(size=(2, 2, 8))), weight=weight)
+    assert rep.max_rel_err < 1e-4
 
 
 def test_grad_check_closed_form():
@@ -273,9 +280,10 @@ def test_tape_replay_is_deterministic(rng):
 
 
 def _fused_chain(seed):
-    """linear -> layer_norm -> multi_head_attention -> a weighted sum, taped;
-    returns the tape, the loss, the leaves, a weakref to the linear output's
-    array and the later intermediate outputs."""
+    """linear -> a layer norm -> self_attention -> a weighted sum, taped;
+    returns the tape, the loss, the leaves (all but the unread key bias), a
+    weakref to the linear output's array and the later intermediate
+    outputs."""
     rng = np.random.default_rng(seed)
     p = ad.init_mha(rng, 8, 2)
     x = ad.param(rng.normal(size=(2, 3, 8)))
@@ -283,10 +291,10 @@ def _fused_chain(seed):
     weight = ad.tensor(rng.normal(size=(2, 3, 8)))
     with ad.ComputationTape() as tape:
         h = ad.linear(x, p.q)
-        n = ad.layer_norm(h, gain, bias, 1e-5)
-        a = ad.multi_head_attention(n, n, n, p)
+        n = layer_norm(h, gain, bias)
+        a = ad.self_attention(n, p, ad.LayerNormParams(gain, bias), clips=2)
         loss = ad.reduce_sum(ad.mul(a, weight))
-    leaves = [x, gain, bias] + [t for lin in (p.q, p.k, p.v, p.out) for t in (lin.w, lin.b)]
+    leaves = [x, gain, bias, p.k.w] + [t for lin in (p.q, p.v, p.out) for t in (lin.w, lin.b)]
     return tape, loss, leaves, weakref.ref(h.data), [n, a]
 
 
@@ -409,8 +417,8 @@ def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
 
 def test_constant_operands_get_no_gradient(rng):
     """The adjoints of mul, matmul and the fused layers compute no gradient
-    for an input that needs none; the two context_attention calls each have
-    every other input constant."""
+    for an input that needs none; the three self_attention calls, and the
+    two context_attention calls, split the inputs between them."""
     x, c = ad.param(rng.normal(size=(2, 3, 8))), ad.tensor(rng.normal(size=(2, 3, 8)))
     w, cw = ad.param(rng.normal(size=(8, 8))), ad.tensor(rng.normal(size=(8, 8)))
     b, cb = ad.param(rng.normal(size=8)), ad.tensor(rng.normal(size=8))
@@ -418,12 +426,17 @@ def test_constant_operands_get_no_gradient(rng):
     with ad.ComputationTape() as tape:
         ad.mul(x, c), ad.mul(c, x)
         ad.matmul(x, cw), ad.matmul(c, w), ad.matmul(x, cstack), ad.matmul(cstack, x)
-        ad.layer_norm(x, cb, cb), ad.layer_norm(c, b, cb), ad.layer_norm(c, cb, b)
-        ad.attention(x, c, c, 2), ad.attention(c, x, c, 2), ad.attention(c, c, x, 2)
+        layer_norm(x, cb, cb), layer_norm(c, b, cb), layer_norm(c, cb, b)
         ad.linear(x, ad.LinearParams(cw, cb)), ad.linear(c, ad.LinearParams(w, cb))
         ad.linear(c, ad.LinearParams(cw, b))
         rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
-        lin = ad.LinearParams
+        lin, norm = ad.LinearParams, ad.LayerNormParams
+        ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), lin(cw, cb), lin(cw, cb), lin(cw, cb)),
+                          norm(cb, cb))
+        ad.self_attention(c, ad.MHAParams(2, lin(w, cb), lin(cw, b), lin(w, b), lin(cw, b)),
+                          norm(b, cb))
+        ad.self_attention(c, ad.MHAParams(2, lin(cw, b), lin(w, cb), lin(cw, cb), lin(w, cb)),
+                          norm(cb, b))
         ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), lin(cw, cb), lin(w, cb),
                                                    lin(cw, b)))
         ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), lin(w, b), lin(cw, b),
@@ -434,25 +447,25 @@ def test_constant_operands_get_no_gradient(rng):
         assert [g is not None for g in grads] == [t.requires_grad for t in inputs], op
 
 
-@pytest.mark.parametrize("layer,records", [
-    (lambda x, p: ad.layer_norm(x, p.q.b, p.k.b), 1),
-    (lambda x, p: ad.linear(x, p.q), 1),
-    (lambda x, p: ad.multi_head_attention(x, x, x, p), 5),
-    (lambda x, p: ad.context_attention(ad.tensor(x.data[:, 0]), x, p), 1),
-], ids=["layer_norm", "linear", "multi_head_attention", "context_attention"])
-def test_fused_layer_record_count(rng, layer, records):
-    """Hardware-independent gate: one tape record per layer_norm, linear and
-    context_attention call, five per multi_head_attention call (four
-    projections and the attention core)."""
+@pytest.mark.parametrize("layer", [
+    lambda x, p: layer_norm(x, p.q.b, p.k.b),
+    lambda x, p: ad.linear(x, p.q),
+    lambda x, p: ad.self_attention(x, p, ad.LayerNormParams(p.q.b, p.k.b), clips=2),
+    lambda x, p: ad.context_attention(ad.tensor(x.data[:, 0]), x, p),
+], ids=["layer_norm", "linear", "self_attention", "context_attention"])
+def test_fused_layer_record_count(rng, layer):
+    """Hardware-independent gate: one tape record per layer norm, linear,
+    self_attention (a whole residual self-attention layer, reshapes
+    included) and context_attention call."""
     p = ad.init_mha(rng, 8, 2)
     x = ad.param(rng.normal(size=(2, 3, 8)))
     with ad.ComputationTape() as tape:
         layer(x, p)
-    assert len(tape) == records
+    assert len(tape) == 1
 
 
-# A clip's self-attention over [1, T*L, d], and [T*L, 1, d] queries each over
-# its own [s*s, d] region rows (context_attention's projected form), at the
+# A clip's self-attention over [1, T*L, d], and the projections and layer
+# norm of [T*L, 1, d] queries with their own [s*s, d] region rows, at the
 # desk width (d=32, four heads) and the gradient-check width (d=8, two heads).
 ATTENTION_CASES = [((1, 32, 32), None, 4), ((32, 1, 32), (32, 16, 32), 4),
                    ((1, 8, 8), None, 2), ((8, 1, 8), (8, 4, 8), 2)]
@@ -471,15 +484,17 @@ def _attention_inputs(seed, q_shape, kv_shape, heads):
 @pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)
 def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_shape, heads):
     """Each fused primitive runs the composed form's numpy operations in the
-    same order, so its output bytes are the same in 32 and 64 bits."""
+    same order, so its output bytes are the same in 32 and 64 bits. The
+    composed self-attention adds the key bias that self_attention does not
+    read, so it is zero here."""
     with ad.precision(bits):
         p, q, kv = _attention_inputs(0, q_shape, kv_shape, heads)
-        pairs = [
-            (ad.multi_head_attention(q, kv, kv, p), composed_multi_head_attention(q, kv, kv, p)),
-            (ad.attention(q, kv, kv, heads), composed_attention(q, kv, kv, heads)),
-            (ad.linear(kv, p.v), composed_linear(kv, p.v)),
-            (ad.layer_norm(q, p.q.b, p.k.b, 1e-5), composed_layer_norm(q, p.q.b, p.k.b, 1e-5)),
-        ]
+        p.k.b.data[:] = 0.0
+        ln = ad.LayerNormParams(p.q.b, p.out.b)
+        pairs = [(ad.linear(kv, p.v), composed_linear(kv, p.v)),
+                 (layer_norm(q, p.q.b, p.out.b), composed_layer_norm(q, p.q.b, p.out.b))]
+        if kv is q:
+            pairs.append((ad.self_attention(q, p, ln), composed_self_attention(q, p, ln)))
     for fused, composed in pairs:
         assert fused.data.dtype == composed.data.dtype == np.dtype(f"float{bits}")
         assert np.array_equal(fused.data, composed.data)
@@ -496,32 +511,38 @@ def _gradients(forward, tensors, seed):
 
 @pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)
 def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
-    """64-bit gradients of every input and parameter of multi_head_attention
-    and of a layer norm agree with the composed forms' taped chain rule up
-    to the regrouping of float sums. A key bias shifts every logit of a
-    query alike, so its true gradient is exactly zero: both forms must give
+    """64-bit gradients of every input and parameter of a layer norm, a
+    linear and, on a clip's queries, self_attention agree with the composed
+    forms' taped chain rule up to the regrouping of float sums. A key bias
+    shifts every logit of a query alike, so its true gradient is exactly
+    zero: self_attention does not read it, and the composed form must give
     rounding noise only."""
     with ad.precision(64):
         p, q, kv = _attention_inputs(1, q_shape, kv_shape, heads)
-        inputs = [("q", q)] + ([("kv", kv)] if kv is not q else [])
-        named = inputs + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
-                          for lin in ("q", "k", "v", "out") for part in ("w", "b")]
-        tensors = [t for _, t in named]
-        seed = np.random.default_rng(2).normal(size=q_shape)
-        fused = _gradients(lambda: ad.multi_head_attention(q, kv, kv, p), tensors, seed)
-        composed = _gradients(lambda: composed_multi_head_attention(q, kv, kv, p),
-                              tensors, seed)
-        gain = ad.param(np.random.default_rng(3).uniform(0.5, 2.0, q_shape[-1]))
-        ln = [("ln.x", q), ("ln.gain", gain), ("ln.bias", p.out.b)]
-        named += ln
-        tensors = [t for _, t in ln]
-        fused += _gradients(lambda: ad.layer_norm(q, gain, p.out.b), tensors, seed)
-        composed += _gradients(lambda: composed_layer_norm(q, gain, p.out.b), tensors, seed)
-    for (name, _), got, ref in zip(named, fused, composed, strict=True):
-        if name == "k.b":
-            assert np.abs(got).max() < 1e-12 and np.abs(ref).max() < 1e-12
-        else:
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        rng = np.random.default_rng(3)
+        gain = ad.param(rng.uniform(0.5, 2.0, q_shape[-1]))
+        bias = ad.param(rng.normal(size=q_shape[-1]))
+        ln = ad.LayerNormParams(gain, bias)
+        cases = [(lambda: layer_norm(q, gain, bias), lambda: composed_layer_norm(q, gain, bias),
+                  [("x", q), ("gain", gain), ("bias", bias)]),
+                 (lambda: ad.linear(kv, p.v), lambda: composed_linear(kv, p.v),
+                  [("x", kv), ("v.w", p.v.w), ("v.b", p.v.b)])]
+        if kv is q:
+            cases.append((lambda: ad.self_attention(q, p, ln),
+                          lambda: composed_self_attention(q, p, ln),
+                          [("x", q), ("gain", gain), ("bias", bias)]
+                          + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
+                             for lin in ("q", "k", "v", "out") for part in ("w", "b")]))
+        for fused, composed, named in cases:
+            tensors = [t for _, t in named]
+            seed = np.random.default_rng(2).normal(size=fused().shape)
+            pairs = zip(named, _gradients(fused, tensors, seed),
+                        _gradients(composed, tensors, seed), strict=True)
+            for (name, _), got, ref in pairs:
+                if name == "k.b":
+                    assert not got.any() and np.abs(ref).max() < 1e-12
+                else:
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # Aggregation's anchors over their picked blocks [A, F*s*s, d] and box-guided
@@ -554,8 +575,8 @@ def test_context_attention_matches_the_composed_chain_bitexactly(bits, rows, n, 
 def test_context_attention_gradients_match_the_references(reference, rows, n, d, heads):
     """In 64-bit, the output and the gradient of every input and parameter
     agree within 1e-12 relative with the composed chain's taped chain rule,
-    and with multi_head_attention of [A, 1, d] queries over their own
-    projected keys and values. The key bias is not read: its gradient is
+    and with the composed multi-head attention of [A, 1, d] queries over
+    their own projected keys and values. The key bias is not read: its gradient is
     an exact zero, where the projected form gives rounding noise."""
     with ad.precision(64):
         p, q, ctx = _context_inputs(1, rows, n, d, heads)
@@ -564,7 +585,7 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
         tensors = [t for _, t in named]
         seed = np.random.default_rng(2).normal(size=(rows, d))
         ref = {"composed_chain": lambda: composed_context_attention(q, ctx, p),
-               "multi_head_attention": lambda: ad.reshape(ad.multi_head_attention(
+               "multi_head_attention": lambda: ad.reshape(composed_multi_head_attention(
                    ad.reshape(q, (rows, 1, d)), ctx, ctx, p), (rows, d))}[reference]
         out, want = ad.context_attention(q, ctx, p).data, ref().data
         got = _gradients(lambda: ad.context_attention(q, ctx, p), tensors, seed)
@@ -580,11 +601,25 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
 # The fused decoder records against the records they fuse: (fused, composed,
 # input shapes). linear_relu at a backbone conv's [T, h, w, 9c] patches and
 # an FFN's [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
-# roi_sample on [T, h, w, d] maps, including maps one pixel high, whose
-# corners fold onto one cell, with [T, n, 4] boxes.
+# self_attention on a desk training stack of two 4-frame clips, [B*T, L, d],
+# its key bias a constant zero; roi_sample on [T, h, w, d] maps, including
+# maps one pixel high, whose corners fold onto one cell, with [T, n, 4] boxes.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
             lambda f, q, a: composed_roi_sample(f, boxes, s, q, a))
+
+
+def _self_attention(form, clips):
+    def run(x, wq, bq, wk, wv, bv, wo, bo, gain, bias):
+        lin = ad.LinearParams
+        p = ad.MHAParams(4, lin(wq, bq), lin(wk, ad.tensor(np.zeros(wk.shape[1]))),
+                         lin(wv, bv), lin(wo, bo))
+        return form(x, p, ad.LayerNormParams(gain, bias), clips)
+    return run
+
+
+_SELF_ATTENTION_SHAPES = [(8, 8, 32), (32, 32), (32,), (32, 32), (32, 32), (32,), (32, 32),
+                          (32,), (32,), (32,)]
 
 
 _ROI_BOXES = np.array([[[0.4, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34], [0.5, 0.5, 1.0, 1.0]],
@@ -599,6 +634,8 @@ FUSED_CASES = {
     "residual_norm": (lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
                       lambda x, y, g, b: composed_residual_norm(x, y, ad.LayerNormParams(g, b)),
                       [(1, 32, 32), (1, 32, 32), (32,), (32,)]),
+    "self_attention": (_self_attention(ad.self_attention, 2),
+                       _self_attention(composed_self_attention, 2), _SELF_ATTENTION_SHAPES),
     "roi_sample": (*_roi(_ROI_BOXES, 4), [(2, 8, 8, 16), (2, 3, 16), (16, 256)]),
     "roi_sample_one_row": (*_roi(_ROI_BOXES, 2), [(2, 1, 6, 4), (2, 3, 4), (4, 16)]),
 }
@@ -612,9 +649,9 @@ def _fused_inputs(seed, shapes):
 @pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("case", FUSED_CASES)
 def test_fused_records_match_their_composed_forms_bitexactly(bits, case):
-    """linear_relu, residual_norm and roi_sample run the numpy operations of
-    the records they fuse, in the same order: the same output bytes in 32
-    and 64 bits."""
+    """linear_relu, residual_norm, self_attention and roi_sample run the
+    numpy operations of the records they fuse, in the same order: the same
+    output bytes in 32 and 64 bits."""
     fused, composed, shapes = FUSED_CASES[case]
     with ad.precision(bits):
         inputs = _fused_inputs(0, shapes)
@@ -636,12 +673,14 @@ def test_fused_record_gradients_match_their_composed_forms(case):
         assert b.any() and np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), i
 
 
-@pytest.mark.parametrize("case", ["linear_relu_ffn", "residual_norm", "roi_sample"])
+@pytest.mark.parametrize("case", ["linear_relu_ffn", "residual_norm", "self_attention",
+                                  "roi_sample"])
 def test_fused_records_keep_fewer_bytes_than_their_composed_forms(case):
     """Each fused record is one record that keeps less than the chain it
-    replaces: linear_relu no pre-activation, residual_norm no sum, and
-    roi_sample no dense interpolation stack and no sampled or adapted
-    halves of the sum."""
+    replaces: linear_relu no pre-activation, residual_norm no sum,
+    self_attention no projections, logits or pre-norm sum, and roi_sample
+    no dense interpolation stack and no sampled or adapted halves of the
+    sum."""
     fused, composed, shapes = FUSED_CASES[case]
     inputs = _fused_inputs(3, shapes)
 
@@ -658,3 +697,17 @@ def test_fused_records_keep_fewer_bytes_than_their_composed_forms(case):
 
     (records, fused_bytes), (_, composed_bytes) = kept(fused), kept(composed)
     assert records == 1 and fused_bytes < composed_bytes
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_self_attention_stack_equals_each_clip_alone_bitexactly(bits):
+    """Each clip of a stack attends only within itself, and each of its
+    products is the clip's own: a two-clip stack gives each clip the output
+    bytes of its own call."""
+    fused = FUSED_CASES["self_attention"][0]
+    with ad.precision(bits):
+        x, *rest = _fused_inputs(4, _SELF_ATTENTION_SHAPES)
+        stacked = fused(x, *rest).data
+        alone = [_self_attention(ad.self_attention, 1)(ad.tensor(part), *rest).data
+                 for part in np.split(x.data, 2)]
+    assert np.array_equal(stacked, np.concatenate(alone))

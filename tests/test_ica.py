@@ -11,9 +11,10 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid.errors import NumericError
 from clipvid.geometry import Box
-from oracles import (aggregate, apply_ln, composed_context_attention, contrastive_loss,
-                     identity_match, joint_context, leaf_grad, mask_within_frames, matched_columns,
-                     oracle_match, projected_block_attention, select_topk, targets_of)
+from oracles import (aggregate, apply_ln, composed_context_attention,
+                     composed_multi_head_attention, contrastive_loss, identity_match,
+                     joint_context, leaf_grad, mask_within_frames, matched_columns, oracle_match,
+                     projected_block_attention, select_topk, targets_of)
 
 
 def rows(*vs):
@@ -264,7 +265,7 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
     attn = ad.context_attention(q, ctx, lp.ica_attn)
-    direct = ad.multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
+    direct = composed_multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
     assert_allclose(attn.data, direct.data[0], atol=1e-12)
     want = apply_ln(q + attn, lp.ln_ica)
     assert_allclose(out.data, want.data, atol=1e-12)

@@ -13,8 +13,9 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.errors import ConfigError, DimensionError
 from clipvid.geometry import Box
-from oracles import (adapt_region_feature, apply_ln, detection_head, guided_cross_attention,
-                     leaf_grad, loop_extract_detections, mask_within_frames)
+from oracles import (adapt_region_feature, apply_ln, composed_multi_head_attention,
+                     detection_head, guided_cross_attention, leaf_grad, loop_extract_detections,
+                     mask_within_frames)
 
 
 def micro_cfg(**kw):
@@ -170,13 +171,22 @@ def test_adaptive_queries_shape_contract(rng):
     assert out.shape == (3, 8, 32)
 
 
+def self_attention(queries, lp):
+    """The clip-wide self-attention of one clip, as clip_forward runs it."""
+    return ad.self_attention(queries, lp.self_attn, lp.ln_self, eps=M.LN_EPS)
+
+
 def test_extended_self_attention_t1_reduction(rng):
+    """A one-frame clip's self-attention is the projected multi-head
+    attention of its queries, residual and layer norm, bit for bit once the
+    key bias, which self_attention does not read, is zero."""
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     lp = params.layers[0]
+    lp.self_attn.k.b.data[:] = 0.0
     q = ad.tensor(rng.normal(size=(1, 3, 8)))
-    direct = apply_ln(q + ad.multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
-    via = M.extended_self_attention(q, lp)
+    direct = apply_ln(q + composed_multi_head_attention(q, q, q, lp.self_attn), lp.ln_self)
+    via = self_attention(q, lp)
     assert np.array_equal(via.data, direct.data)
 
 
@@ -189,7 +199,7 @@ def test_extended_self_attention_zero_value_projection(rng):
     lp.self_attn.out.w.data[:] = 0
     lp.self_attn.out.b.data[:] = 0
     qs = ad.tensor(rng.normal(size=(2, 3, 8)))
-    out = M.extended_self_attention(qs, lp)
+    out = self_attention(qs, lp)
     for q, o in zip(qs.data, out.data):
         want = apply_ln(ad.tensor(q), lp.ln_self)
         assert_allclose(o, want.data, atol=1e-12)
@@ -201,7 +211,7 @@ def test_extended_self_attention_matches_per_definition_oracle(rng):
     params = M.init_model(cfg, rng)
     lp = params.layers[0]
     qs = ad.tensor(rng.normal(size=(2, 2, 8)))
-    out = M.extended_self_attention(qs, lp)
+    out = self_attention(qs, lp)
 
     allq = qs.data.reshape(4, 8)
     p = lp.self_attn
@@ -366,7 +376,7 @@ def test_desk_clip_tape_record_count():
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 124
+    assert records == 103
 
 
 def test_train_mid_clip_tape_record_count():
@@ -375,12 +385,12 @@ def test_train_mid_clip_tape_record_count():
     cfg = M.ModelConfig(num_queries=30, dim=64, decoder_layers=6, ica_layers=0)
     records, parts = training_clip_records(cfg)
     assert parts.con == 0.0
-    assert records == 145
+    assert records == 103
 
 
 @pytest.mark.parametrize("overrides,records", [
-    (dict(), 124),
-    (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 145),
+    (dict(), 103),
+    (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 103),
 ], ids=["desk", "train_mid"])
 def test_training_iteration_is_one_tape_of_one_clip_s_records(overrides, records, monkeypatch):
     """A batch of two clips is one stacked tape with the record count of a
@@ -396,14 +406,15 @@ def test_desk_inference_pass_tape_record_count():
     with ad.ComputationTape() as tape:
         _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
     assert len(selections) == 2 * cfg.ica_layers
-    assert len(tape) == 2 * 96
+    assert len(tape) == 2 * 75
 
 
 def test_cross_attention_and_aggregation_key_biases_get_exact_zero_gradients():
-    """Both own-context attentions fold the key weight into the query, so
-    their key biases are not read: after a desk training clip's backward
-    pass their gradients are exact zeros, while their key weights' are
-    not."""
+    """A key bias shifts every logit of a query alike, so it cancels in the
+    softmax. No attention reads one, self-attention included (the two
+    own-context attentions fold the key weight into the query): after a
+    desk training clip's backward pass their gradients are exact zeros,
+    while their key weights' are not."""
     cfg = M.ModelConfig()
     params = M.init_model(cfg, np.random.default_rng(0))
     clip = sv.generate_clip(sv.GenConfig(), seed=0)
@@ -412,8 +423,9 @@ def test_cross_attention_and_aggregation_key_biases_get_exact_zero_gradients():
         total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
     tape.backward(total)
     named = M.named_parameters(params)
-    unread = [name for name in named if name.endswith((".cross_attn.k.b", ".ica_attn.k.b"))]
-    assert len(unread) == cfg.decoder_layers + cfg.ica_layers
+    unread = [name for name in named
+              if name.endswith((".self_attn.k.b", ".cross_attn.k.b", ".ica_attn.k.b"))]
+    assert len(unread) == 2 * cfg.decoder_layers + cfg.ica_layers
     for name in unread:
         assert not leaf_grad(named[name]).any(), name
         assert named[name[:-1] + "w"].grad.any(), name
