@@ -18,6 +18,11 @@ each query attends only to its own context rows (aggregation and
 box-guided cross-attention). Each forward runs the numpy operations of the
 elementwise composition it replaces, in the same order, so its output bytes
 are those of the composition.
+
+Discrete decisions (ReLU masks, carried boxes, selections, assignments) are
+made off the tape, each in one hold(make) whose make holds nothing; outside
+a Replay, hold returns make(). A Replay records a pass's held values and
+plays them back, so later passes are smooth near the recorded point.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import ConfigError, DimensionError, NumericError
 
 _dtype = np.dtype(np.float64)
 _tapes: list["ComputationTape"] = []       # innermost active tape last
+_replays: list["Replay"] = []              # innermost active replay last
 
 
 def set_precision(bits: int) -> None:
@@ -169,6 +175,43 @@ class ComputationTape:
 
 def _active_tape() -> ComputationTape | None:
     return _tapes[-1] if _tapes else None
+
+
+class Replay:
+    """One pass's held values, recorded and played back (see above)."""
+
+    def __init__(self):
+        self.values, self.read, self.recording = [], 0, False
+
+    def record(self):
+        self.values, self.recording = [], True
+        return self.play()
+
+    @contextmanager
+    def play(self):
+        """Serve the values in order to a pass that must read exactly as many."""
+        self.read = 0
+        _replays.append(self)
+        try:
+            yield
+        finally:
+            _replays.pop()
+            self.recording = False
+        if self.read != len(self.values):
+            raise RuntimeError(f"replay: the pass read {self.read} of {len(self.values)} values")
+
+
+def hold(make: Callable[[], object]):
+    """make(), or the value the innermost Replay records or plays back."""
+    if not _replays:
+        return make()
+    r = _replays[-1]
+    if r.recording:
+        r.values.append(make())
+    elif r.read == len(r.values):
+        raise RuntimeError(f"replay: the pass reads more than its {len(r.values)} values")
+    r.read += 1
+    return r.values[r.read - 1]
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
@@ -646,12 +689,12 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
 
 def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
-    """relu(x @ w + b) as one record that keeps only its output: the
-    pre-activation is not stored, and the adjoint's mask is out > 0."""
+    """relu(x @ w + b) as one record that keeps only its output, not the
+    pre-activation or its held mask pre > 0; the adjoint's mask is out > 0."""
     w, b = p.w, p.b
     _check_matmul("linear_relu", x, w)
     pre = x.data @ w.data + b.data
-    out = pre * (pre > 0)
+    out = pre * hold(lambda: pre > 0)
 
     def backward(g):
         g = g * (out > 0)

@@ -8,8 +8,8 @@ matmul and gather_rows, and last the fused decoder records linear_relu,
 residual_norm, self_attention (over a two-clip stack) and roi_sample.
 primitive_checks checks every input of every row.
 
-Discrete decisions (set matching, aggregation selection) are captured once
-and replayed, so central differences never cross an argmin/argmax flip.
+Each model check plays back one recorded pass (autodiff.Replay), holding its
+ReLU masks, carried boxes, selections and assignments: a smooth function.
 """
 
 from __future__ import annotations
@@ -127,19 +127,20 @@ def primitive_checks(seed: int, tol: float) -> list[GradCheckReport]:
     return reports
 
 
+def played(f: Callable[[], Tensor]) -> Callable[[Tensor], Tensor]:
+    """f of the checked tensor, decorated to play back a pass recorded now."""
+    replay = ad.Replay()
+    with replay.record():
+        f()
+    return replay.play()(lambda _x: f())
+
+
 def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     cfg = micro_config()
     rng = np.random.default_rng(seed)
     params = M.init_model(cfg, rng)
     frames, gts = micro_clip(seed + 7)
-
-    out = M.clip_forward(frames, cfg, params)
-    _, _, pred = tr.clip_loss(out, gts)
-
-    def build(_x: Tensor) -> Tensor:
-        total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params, replay=out), gts,
-                                   frozen_assignments=pred)
-        return total
+    build = played(lambda: tr.clip_loss(M.clip_forward(frames, cfg, params), gts)[0])
 
     named = M.named_parameters(params)
     # grad_check turns requires_grad on for the checked tensor alone, so each
@@ -162,7 +163,7 @@ def model_checks(seed: int, tol: float) -> list[GradCheckReport]:
     rng3 = np.random.default_rng(seed + 2)
     pix_w = rng3.normal(size=(2, 2, 2, cfg.dim))
     pix = ad.tensor(rng3.random((2, 8, 8, 3)))
-    pixel_rep = ad.grad_check(lambda x: M.backbone(x, cfg, params).f, pix, tol=tol,
+    pixel_rep = ad.grad_check(played(lambda: M.backbone(pix, cfg, params).f), pix, tol=tol,
                               name="backbone_to_pixels", weight=pix_w)
     return [worst, *stack_reps, pixel_rep]
 
@@ -175,22 +176,16 @@ STACK_CHECKED = ("layer0.head_cls.w", "layer1.head_loc2.w", "layer0.head_id1.w")
 
 def stack_checks(seed: int, tol: float, cfg: M.ModelConfig, params: M.ModelParams
                  ) -> list[GradCheckReport]:
-    """The loss of a two-clip stack, with its selection and assignments
-    frozen, checked through STACK_CHECKED. The second clip keeps three of
-    its four ground-truth rows, so the clips differ in object and
-    contrastive pair counts, and each clip's weights show."""
+    """The loss of a two-clip stack, played, checked through STACK_CHECKED.
+    The second clip keeps three of its four ground-truth rows, so the clips
+    differ in object and contrastive pair counts, and each clip's weights
+    show."""
     frames_a, gts_a = micro_clip(seed + 7)
     frames_b, gts_b = micro_clip(seed + 8)
     gts_b = Targets(*(getattr(gts_b, k)[:3] for k in ("frame", "cls", "box", "track")))
     frames, gts = np.concatenate([frames_a, frames_b]), Targets.stack([gts_a, gts_b], 2)
-    out = M.clip_forward(frames, cfg, params, clips=2)
-    _, _, pred = tr.clip_loss(out, gts, clips=2)
-
-    def build(_x: Tensor) -> Tensor:
-        total, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params, replay=out, clips=2),
-                                   gts, frozen_assignments=pred, clips=2)
-        return total
-
+    build = played(lambda: tr.clip_loss(M.clip_forward(frames, cfg, params, clips=2), gts,
+                                         clips=2)[0])
     named = M.named_parameters(params)
     return [ad.grad_check(build, named[name], step=1e-4, tol=tol,
                           name=f"micro_stack_loss[{name}]") for name in STACK_CHECKED]

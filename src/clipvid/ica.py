@@ -108,8 +108,7 @@ def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
-                 frozen_selection: Selection | None = None, clips: int = 1
-                 ) -> tuple[Tensor, Selection]:
+                 clips: int = 1) -> tuple[Tensor, Selection]:
     """Apply aggregation to the per-frame top-k anchors of the [B*T, L, d]
     queries of B = clips stacked clips; other queries pass through
     unchanged, and an anchor aggregates only its own clip's frames.
@@ -117,21 +116,20 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
     head; region features are reused from its cross-attention. With
     oracle_gts, the stack's ground-truth table, the previous layer's
     predictions are matched to it and an anchor matched to a track picks
-    that track's queries. frozen_selection replays an earlier selection so
-    finite differencing never crosses a discrete decision. Returns the
-    queries and one Selection over the stack."""
+    that track's queries. Returns the queries and one Selection over the
+    stack, which is held (autodiff.hold)."""
     F, L, d = queries.shape
-    selection = frozen_selection
-    if selection is None:
+
+    def select() -> Selection:
         logits = np.asarray(prev_layer.logits.data, dtype=np.float64)
-        topk = select_topk(logits, cfg.ica_topk)
         track_of = None
         if oracle_gts is not None:
             track_of = np.full((F, L), -1)        # per frame: query -> assigned track id
             pred = mt.match_frames(logits, prev_layer.boxes, oracle_gts)
             track_of[oracle_gts.frame, pred] = oracle_gts.track
-        selection = identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
-                                   topk, track_of, clips)
+        return identity_match(np.asarray(prev_layer.ident.data, dtype=np.float64),
+                              select_topk(logits, cfg.ica_topk), track_of, clips)
+    selection = ad.hold(select)
 
     anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
     picks = selection.picks

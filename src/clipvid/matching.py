@@ -229,8 +229,7 @@ def match_frames(logits: np.ndarray, boxes: np.ndarray, targets: Targets) -> np.
 
 
 def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Targets,
-             pred: np.ndarray | None = None, weight: np.ndarray | None = None
-             ) -> SetLossResult:
+             weight: np.ndarray | None = None) -> SetLossResult:
     """Match each frame's predictions to its ground truths and score the
     whole stack of F frames: a clip's T frames, or its Ly decoder layers
     stacked layer-major into Ly*T frames.
@@ -242,13 +241,10 @@ def set_loss(logits: Tensor, boxes_t: Tensor, boxes: np.ndarray, targets: Target
     other (query, class) slot contributes negative focal loss. weight [F]
     scales each frame's focal terms and the box terms of its target rows
     (default 1), which is how callers normalize each clip of a stack by its
-    own object count. A given pred, the matched query of each target row
-    (as a previous result's pred), holds the discrete matching fixed, so
-    finite differencing never sees the argmin flip.
+    own object count. The matching is held (autodiff.hold).
     """
     F, L, _ = logits.shape
-    if pred is None:
-        pred = match_frames(logits.data, boxes, targets)
+    pred = ad.hold(lambda: match_frames(logits.data, boxes, targets))
     w = np.ones(F) if weight is None else np.asarray(weight)
 
     positive = np.zeros(logits.shape, dtype=bool)

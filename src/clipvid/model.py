@@ -330,12 +330,12 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 def detection_head(queries: Tensor, ref_boxes: np.ndarray,
                    lp: DecoderLayerParams, with_identity: bool
                    ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
-    """Class logits, refined boxes (tensor + detached clamped), optional
+    """Class logits, refined boxes (tensor + held detached clamped), optional
     identities, for [..., L, d] queries and [..., L, 4] reference boxes."""
     logits = ad.linear(queries, lp.head_cls)
     delta = mlp(queries, lp.head_loc)
     boxes_t = geo.boxes_refine(ref_boxes, delta)
-    boxes = geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64))
+    boxes = ad.hold(lambda: geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64)))
     ident = None
     if with_identity and lp.head_id is not None:
         ident = l2_normalize_rows(mlp(queries, lp.head_id))
@@ -359,8 +359,7 @@ class LayerOutput:
 
 
 def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                 oracle_gts=None, replay: list[LayerOutput] | None = None,
-                 clips: int = 1) -> list[LayerOutput]:
+                 oracle_gts=None, clips: int = 1) -> list[LayerOutput]:
     """Run the detector on all frames of a stack of clips in a single pass
     and return every decoder layer's output.
 
@@ -368,11 +367,8 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     clips of equal length, clip-major. Self-attention and aggregation stay
     within a clip, so each clip's outputs are those of its own pass, bit
     for bit. With oracle_gts, the stack's synthvid.Targets table,
-    aggregation follows the ground-truth tracks. replay, the layer list of
-    an earlier run, supplies the discrete selections and the carried
-    (non-differentiated) reference boxes, so finite differencing sees a
-    smooth function. Aggregation runs on the layers cfg marks; a config
-    with ica_layers=0 has none.
+    aggregation follows the ground-truth tracks. Aggregation runs on the
+    layers cfg marks; a config with ica_layers=0 has none.
     """
     if clips < 1 or len(frames) % clips:
         raise DimensionError(f"{len(frames)} frames do not split into {clips} clips")
@@ -382,16 +378,11 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
     layers: list[LayerOutput] = []
     for li, lp in enumerate(params.layers):
-        if replay is not None and li > 0:
-            boxes = replay[li - 1].boxes
         queries = ad.self_attention(queries, lp.self_attn, lp.ln_self, clips, LN_EPS)
 
         selection = None
         if cfg.is_ica_layer(li) and layers[-1].ident is not None:
-            queries, selection = ica.ica_sublayer(
-                queries, layers[-1], lp, cfg, oracle_gts,
-                frozen_selection=replay[li].selection if replay is not None else None,
-                clips=clips)
+            queries, selection = ica.ica_sublayer(queries, layers[-1], lp, cfg, oracle_gts, clips)
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
         queries = feed_forward(queries, lp)

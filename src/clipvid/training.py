@@ -52,8 +52,7 @@ class LossParts:
     con: float = 0.0
 
 
-def clip_loss(layers: list[M.LayerOutput], targets: Targets,
-              frozen_assignments: np.ndarray | None = None, clips: int = 1
+def clip_loss(layers: list[M.LayerOutput], targets: Targets, clips: int = 1
               ) -> tuple[Tensor, LossParts, np.ndarray]:
     """Deep-supervised set loss of a stack of clips, plus the contrastive
     identity loss of every layer with identity embeddings.
@@ -65,8 +64,7 @@ def clip_loss(layers: list[M.LayerOutput], targets: Targets,
     object count, so each clip is normalized by its own. Returns the loss,
     summed over the clips, its parts and pred [Ly, N], the query matched
     to each target row in each layer; each contrastive term reads its own
-    layer's row. frozen_assignments (a previous call's pred) bypasses the
-    matching so finite differencing sees a fixed assignment.
+    layer's row.
     """
     F = layers[0].logits.shape[0]
     T = F // clips
@@ -75,7 +73,6 @@ def clip_loss(layers: list[M.LayerOutput], targets: Targets,
                       ad.concat([layer.boxes_t for layer in layers]),
                       np.concatenate([layer.boxes for layer in layers]),
                       targets.tile(len(layers), F),
-                      pred=None if frozen_assignments is None else frozen_assignments.ravel(),
                       weight=np.tile(np.repeat(scale, T), len(layers)))
     pred = res.pred.reshape(len(layers), len(targets))
     total = res.total

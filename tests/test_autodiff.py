@@ -336,6 +336,38 @@ def test_backward_on_a_spent_tape_raises():
     assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
 
 
+def test_played_linear_relu_keeps_the_recorded_mask():
+    """A played pass keeps the ReLU mask of the recorded one after the
+    pre-activations change sign; outside a replay the mask is fresh, and
+    hold returns make()."""
+    x = ad.tensor([[1.0, -1.0]])
+    p = ad.LinearParams(ad.tensor(np.eye(2)), ad.tensor(np.zeros(2)))
+    replay = ad.Replay()
+    with replay.record():
+        assert np.array_equal(ad.linear_relu(x, p).data, [[1.0, 0.0]])
+    x.data[...] = [[-2.0, 3.0]]
+    with replay.play():
+        assert np.array_equal(ad.linear_relu(x, p).data, [[-2.0, 0.0]])
+    assert np.array_equal(ad.linear_relu(x, p).data, [[0.0, 3.0]])
+    made = object()
+    assert ad.hold(lambda: made) is made
+
+
+def test_play_raises_when_a_pass_reads_too_few_or_too_many_values():
+    replay = ad.Replay()
+    with replay.record():
+        assert [ad.hold(lambda: v) for v in ("a", "b")] == ["a", "b"]
+    with pytest.raises(RuntimeError, match="read 1 of 2"):
+        with replay.play():
+            ad.hold(lambda: pytest.fail("a played hold called make"))
+    with pytest.raises(RuntimeError, match="more than its 2"):
+        with replay.play():
+            [ad.hold(lambda: None) for _ in range(3)]
+    with replay.play():
+        assert [ad.hold(lambda: None) for _ in range(2)] == ["a", "b"]
+    assert ad.hold(lambda: "c") == "c"
+
+
 def test_row_update_semantics(rng):
     x = ad.param(rng.normal(size=(4, 3)))
     rows = ad.param(rng.normal(size=(2, 3)))

@@ -16,6 +16,13 @@ from oracles import (assignment_cost, focal_loss, frame_cost_matrix, giou, km_so
                      loop_match_frames, match_cost, targets_of)
 
 
+def playing(*values):
+    """A played pass whose held values are the given ones, in order."""
+    replay = ad.Replay()
+    replay.values = list(values)
+    return replay.play()
+
+
 def make_frame(logits, boxes):
     """One frame's predictions as the loss takes a T=1 clip: logits
     [1, L, C] and boxes_t [1, L, 4] as tensors, boxes [1, L, 4] as an array."""
@@ -425,9 +432,9 @@ def test_set_loss_gradient(rng):
         logits = ad.reshape(ad.transpose(ad.gather_rows(cols, [0, 1]), (1, 0)), (1, 3, 2))
         btens = ad.reshape(ad.sigmoid(ad.transpose(ad.gather_rows(cols, [2, 3, 4, 5]), (1, 0))),
                            (1, 3, 4))
-        res = mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64),
-                          targets_of([gts]), pred=np.array([0, 1]))
-        return res.total
+        with playing(np.array([0, 1])):
+            return mt.set_loss(logits, btens, np.asarray(btens.data, dtype=np.float64),
+                               targets_of([gts])).total
 
     packed = np.zeros((3, 6))
     packed[:, :2] = base_logits
@@ -452,17 +459,16 @@ def test_set_loss_clip_equals_sum_of_single_frames(rng):
     assert np.array_equal(mt.match_frames(logits, boxes, targets), pred)
 
     lt, bt = ad.param(logits), ad.param(boxes)
-    with ad.ComputationTape() as tape:
-        clip = mt.set_loss(lt, bt, boxes, targets, pred=pred)
+    with ad.ComputationTape() as tape, playing(pred):
+        clip = mt.set_loss(lt, bt, boxes, targets)
     tape.backward(clip.total)
     assert np.array_equal(clip.pred, pred)
 
     total = cls = giou_t = l1 = 0.0
     for t in range(T):
         lf, bf = ad.param(logits[t:t + 1]), ad.param(boxes[t:t + 1])
-        with ad.ComputationTape() as tape:
-            res = mt.set_loss(lf, bf, boxes[t:t + 1], frame_targets[t],
-                              pred=pred[targets.frame == t])
+        with ad.ComputationTape() as tape, playing(pred[targets.frame == t]):
+            res = mt.set_loss(lf, bf, boxes[t:t + 1], frame_targets[t])
         tape.backward(res.total)
         total += float(res.total.data)
         cls, giou_t, l1 = cls + res.cls_term, giou_t + res.giou_term, l1 + res.l1_term

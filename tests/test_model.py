@@ -475,8 +475,11 @@ def test_replay_reproduces_the_run_bitexactly(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frames = rng.random((3, 8, 8, 3))
-    out = M.clip_forward(frames, cfg, params)
-    again = M.clip_forward(frames, cfg, params, replay=out)
+    replay = ad.Replay()
+    with replay.record():
+        out = M.clip_forward(frames, cfg, params)
+    with replay.play():
+        again = M.clip_forward(frames, cfg, params)
     assert out[-1].selection is not None
     for a, b in zip(out, again):
         assert a.selection is b.selection
@@ -492,7 +495,9 @@ def test_replay_keeps_picks_and_reference_boxes(rng, monkeypatch):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frames = rng.random((3, 8, 8, 3))
-    out = M.clip_forward(frames, cfg, params)
+    replay = ad.Replay()
+    with replay.record():
+        out = M.clip_forward(frames, cfg, params)
     for t in M.named_parameters(params).values():
         t.data = t.data + rng.normal(scale=0.5, size=t.data.shape)
 
@@ -505,7 +510,8 @@ def test_replay_keeps_picks_and_reference_boxes(rng, monkeypatch):
 
     monkeypatch.setattr(M, "detection_head", recording)
     fresh = M.clip_forward(frames, cfg, params)
-    replayed = M.clip_forward(frames, cfg, params, replay=out)
+    with replay.play():
+        replayed = M.clip_forward(frames, cfg, params)
     fresh_refs, replay_refs = refs[:cfg.decoder_layers], refs[cfg.decoder_layers:]
     assert not np.array_equal(fresh[-1].selection.picks, out[-1].selection.picks)
     assert np.array_equal(replayed[-1].selection.picks, out[-1].selection.picks)
@@ -513,6 +519,22 @@ def test_replay_keeps_picks_and_reference_boxes(rng, monkeypatch):
         assert not np.array_equal(fresh_refs[li], out[li - 1].boxes)
         assert np.array_equal(replay_refs[li], out[li - 1].boxes)
     assert not np.array_equal(replayed[-1].logits.data, out[-1].logits.data)
+
+
+@pytest.mark.parametrize("seed, name", [(9, "layer1.ffn1.b"), (17, "backbone.conv0.b"),
+                                        (22, "layer0.head_id0.w")])
+def test_model_check_holds_relu_masks_across_kinks(seed, name):
+    """At these seeds a ReLU pre-activation lies within the check's step of
+    zero; the played pass holds its mask, so the differences see no kink."""
+    with ad.precision(64):
+        cfg = gs.micro_config()
+        params = M.init_model(cfg, np.random.default_rng(seed))
+        frames, gts = gs.micro_clip(seed + 7)
+        build = gs.played(lambda: tr.clip_loss(M.clip_forward(frames, cfg, params), gts)[0])
+        named = M.named_parameters(params)
+        for t in named.values():
+            t.requires_grad = False
+        assert ad.grad_check(build, named[name], step=1e-4, tol=1e-4).passed
 
 
 def test_reference_boxes_stay_valid(rng):
