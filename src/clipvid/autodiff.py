@@ -39,6 +39,7 @@ from .errors import ConfigError, DimensionError, NumericError
 _dtype = np.dtype(np.float64)
 _tapes: list["ComputationTape"] = []       # innermost active tape last
 _replays: list["Replay"] = []              # innermost active replay last
+LN_EPS = 1e-5                              # every layer norm's variance floor
 
 
 def set_precision(bits: int) -> None:
@@ -445,7 +446,7 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return log(reduce_sum(exp(a - tensor(shift)), axis=axis)) + tensor(np.squeeze(shift, axis=axis))
 
 
-def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xhat, 1 / std) of the last axis of x: zero mean, unit variance."""
     d = x.shape[-1]
     if d < 2:
@@ -454,7 +455,7 @@ def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     inv_d = np.asarray(1.0 / d, dtype=dt)
     centered = x - x.sum(axis=-1, keepdims=True) * inv_d
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-    inv = np.asarray(1.0, dtype=dt) / np.sqrt(var + np.asarray(eps, dtype=dt))
+    inv = np.asarray(1.0, dtype=dt) / np.sqrt(var + np.asarray(LN_EPS, dtype=dt))
     return centered * inv, inv
 
 
@@ -469,11 +470,11 @@ def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor
             _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
 
-def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams, eps: float = 1e-5) -> Tensor:
+def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams) -> Tensor:
     """The layer norm of x + y with ln's gain and bias, as one record: the
     sum is not kept, and both summands get the normalized input's gradient.
     residual_norm(x, tensor(0.0), ln) is the layer norm of x alone."""
-    xhat, inv = _normalize(x.data + y.data, eps)
+    xhat, inv = _normalize(x.data + y.data)
 
     def backward(g):
         gs, ggain, gbias = _norm_adjoint(g, xhat, inv, ln.gain, ln.bias)
@@ -484,24 +485,22 @@ def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams, eps: float = 1e-5) 
                    xhat * ln.gain.data + ln.bias.data, backward)
 
 
-def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1,
-                   eps: float = 1e-5) -> Tensor:
+def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1) -> Tensor:
     """Post-norm residual multi-head self-attention within each clip of a
     [B*T, L, d] stack of B = clips clips: each clip's T*L rows attend over
     one another, layer_norm(x + out(attention(q(x), k(x), v(x)))) with ln's
     gain and bias, as one record. The q, k and v products, the head split
     and merge, the max-shifted softmax, the output projection and the norm
-    are those of the composition, in its order. The key bias, a per-head
-    logit constant, cancels in the softmax and is not read. The adjoint
-    reuses the head stacks, probabilities and merged context, and sums x's
-    gradient as the composition does: residual, then value, key, query."""
+    are those of the composition, in its order. The adjoint reuses the
+    head stacks, probabilities and merged context, and sums x's gradient
+    as the composition does: residual, then value, key, query."""
     t, L, d = x.shape
     h = p.heads
     if d % h != 0:
         raise ConfigError(f"attention dim {d} not divisible by {h} heads")
     n, hd = t // clips * L, d // h
     scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
-    wq, wk, wv, wo = p.q.w.data, p.k.w.data, p.v.w.data, p.out.w.data
+    wq, wk, wv, wo = p.q.w.data, p.k.data, p.v.w.data, p.out.w.data
     xs = x.data.reshape(clips, n, d)
 
     def split(a: np.ndarray) -> np.ndarray:                       # [B, H, n, hd]
@@ -517,7 +516,7 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1,
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     ctx = merge(attn @ vh)
-    xhat, inv = _normalize(xs + (ctx @ wo + p.out.b.data), eps)
+    xhat, inv = _normalize(xs + (ctx @ wo + p.out.b.data))
 
     def backward(g):
         gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln.gain, ln.bias)
@@ -535,13 +534,13 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1,
         return (None if gx is None else gx.reshape(x.shape),
                 rows @ gq.reshape(-1, d) if p.q.w.requires_grad else None,
                 _unbroadcast(gq, p.q.b.shape) if p.q.b.requires_grad else None,
-                rows @ gk.reshape(-1, d) if p.k.w.requires_grad else None,
+                rows @ gk.reshape(-1, d) if p.k.requires_grad else None,
                 rows @ gv.reshape(-1, d) if p.v.w.requires_grad else None,
                 _unbroadcast(gv, p.v.b.shape) if p.v.b.requires_grad else None,
                 ctx.reshape(-1, d).T @ gs.reshape(-1, d) if p.out.w.requires_grad else None,
                 _unbroadcast(gs, p.out.b.shape) if p.out.b.requires_grad else None, ggain, gbias)
 
-    return _record("self_attention", (x, p.q.w, p.q.b, p.k.w, p.v.w, p.v.b, p.out.w, p.out.b,
+    return _record("self_attention", (x, p.q.w, p.q.b, p.k, p.v.w, p.v.b, p.out.w, p.out.b,
                                       ln.gain, ln.bias),
                    (xhat * ln.gain.data + ln.bias.data).reshape(x.shape), backward)
 
@@ -552,13 +551,12 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
     row, as one record: the query projection and 1/sqrt(hd) scale, each
     head's key weight folded into its query, the max-shifted softmax over
     the last axis of the [A, H, n] logits, the weighted sum of the context
-    rows, then the value weight and bias and the output projection. The key
-    bias, a per-head logit constant, cancels in the softmax and is not
-    read. Each forward product is one row's or one (row, head)'s, so no row
-    changes another's bits; the adjoint computes each weight gradient as
-    one GEMM over the rows (per head for the key and value weights), and
-    recomputes the [A, H, d] folded queries and mixed context rows rather
-    than keeping them."""
+    rows, then the value weight and bias and the output projection. Each
+    forward product is one row's or one (row, head)'s, so no row changes
+    another's bits; the adjoint computes each weight gradient as one GEMM
+    over the rows (per head for the key and value weights), and recomputes
+    the [A, H, d] folded queries and mixed context rows rather than keeping
+    them."""
     d = q.shape[-1]
     n = ctx.shape[-2]
     if ctx.shape != q.shape[:-1] + (n, d):
@@ -568,7 +566,7 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
     A, h = math.prod(q.shape[:-1]), p.heads
     hd = d // h
     scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
-    wq, wk, wv, wo = p.q.w.data, p.k.w.data, p.v.w.data, p.out.w.data
+    wq, wk, wv, wo = p.q.w.data, p.k.data, p.v.w.data, p.out.w.data
     x = q.data.reshape(A, 1, d)
     c = ctx.data.reshape(A, n, d)
     qh = (x @ wq + p.q.b.data).reshape(A, h, 1, hd) * scale
@@ -609,13 +607,13 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
                 gctx,
                 x.reshape(A, d).T @ gqp if p.q.w.requires_grad else None,
                 gqp.sum(axis=0) if p.q.b.requires_grad else None,
-                per_head(gqk, qh.reshape(A, h, hd)) if p.k.w.requires_grad else None,
+                per_head(gqk, qh.reshape(A, h, hd)) if p.k.requires_grad else None,
                 per_head(attn @ c, gvals) if p.v.w.requires_grad else None,
                 gvals.reshape(A, d).sum(axis=0) if p.v.b.requires_grad else None,
                 vals.reshape(A, d).T @ g if p.out.w.requires_grad else None,
                 g.sum(axis=0) if p.out.b.requires_grad else None)
 
-    return _record("context_attention", (q, ctx, p.q.w, p.q.b, p.k.w, p.v.w, p.v.b,
+    return _record("context_attention", (q, ctx, p.q.w, p.q.b, p.k, p.v.w, p.v.b,
                                          p.out.w, p.out.b), out.reshape(q.shape), backward)
 
 
@@ -706,13 +704,13 @@ def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
 
 @dataclass
 class MHAParams:
-    """One multi-head attention layer's projections. No record reads k.b, a
-    per-head logit constant that cancels in the softmax; it stays in the
-    checkpoint layout until a format change drops it."""
+    """One multi-head attention layer's projections. The key has a weight
+    only: a key bias adds a per-head constant to a query's logits, which
+    cancels in the softmax."""
 
     heads: int
     q: LinearParams
-    k: LinearParams
+    k: Tensor
     v: LinearParams
     out: LinearParams
 
@@ -721,7 +719,8 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
     if dim % heads != 0:
         raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
     return MHAParams(heads,
-                     init_linear(rng, dim, dim), init_linear(rng, dim, dim),
+                     init_linear(rng, dim, dim),
+                     init_linear(rng, dim, dim).w,   # draw the bias: later draws keep their values
                      init_linear(rng, dim, dim), init_linear(rng, dim, dim))
 
 

@@ -54,7 +54,6 @@ def primitive_cases(seed: int) -> list[Case]:
     rng = np.random.default_rng(seed)
     n = lambda *s: rng.normal(size=s)
     pos = lambda *s: rng.uniform(0.5, 2.0, size=s)
-    mha = ad.init_mha(rng, 8, 2)
     # An overlapping and a disjoint pair, no corner or coordinate tied.
     gt_boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
     pred_boxes = np.array([[0.45, 0.55, 0.35, 0.25], [0.2, 0.15, 0.2, 0.1]])
@@ -77,8 +76,8 @@ def primitive_cases(seed: int) -> list[Case]:
         ("matmul", ad.matmul, [n(2, 3, 4), n(4, 5)]),
         ("softmax", lambda x: ad.softmax(x, axis=-1), [n(2, 5)]),
         ("context_attention", lambda q, ctx, wq, bq, wk, wv, bv, wo, bo: ad.context_attention(
-            q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), ad.LinearParams(wk, mha.k.b),
-                                 ad.LinearParams(wv, bv), ad.LinearParams(wo, bo))),
+            q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), wk, ad.LinearParams(wv, bv),
+                                 ad.LinearParams(wo, bo))),
          [n(3, 8), n(3, 5, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]),
         ("extract_patches", lambda x: ad.extract_patches(x, 3, 2, 1), [n(1, 6, 6, 3)]),
         ("linear", lambda x, w, b: ad.linear(x, ad.LinearParams(w, b)),
@@ -103,8 +102,8 @@ def primitive_cases(seed: int) -> list[Case]:
         ("residual_norm", lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
          [n(2, 3, 6), n(2, 3, 6), pos(6), n(6)]),
         ("self_attention", lambda x, wq, bq, wk, wv, bv, wo, bo, g, b: ad.self_attention(
-            x, ad.MHAParams(2, ad.LinearParams(wq, bq), ad.LinearParams(wk, mha.k.b),
-                            ad.LinearParams(wv, bv), ad.LinearParams(wo, bo)),
+            x, ad.MHAParams(2, ad.LinearParams(wq, bq), wk, ad.LinearParams(wv, bv),
+                            ad.LinearParams(wo, bo)),
             ad.LayerNormParams(g, b), clips=2),
          [n(4, 2, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8), pos(8), n(8)]),
         ("roi_sample", lambda f, q, a: geo.roi_sample_frame(f, roi_boxes, 2, q, a),

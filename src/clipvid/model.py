@@ -34,8 +34,6 @@ from .autodiff import LayerNormParams, LinearParams, MHAParams, Tensor
 from .errors import ConfigError, DimensionError
 from .geometry import Box
 
-LN_EPS = 1e-5
-
 
 @dataclass
 class ModelConfig:
@@ -306,13 +304,12 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
     """
     region = geo.roi_sample_frame(f, boxes, s, queries, lp.adapter)
     out = ad.residual_norm(queries, ad.context_attention(queries, region, lp.cross_attn),
-                           lp.ln_cross, LN_EPS)
+                           lp.ln_cross)
     return out, region
 
 
 def feed_forward(x: Tensor, lp: DecoderLayerParams) -> Tensor:
-    inner = ad.linear(ad.linear_relu(x, lp.ffn1), lp.ffn2)
-    return ad.residual_norm(x, inner, lp.ln_ffn, LN_EPS)
+    return ad.residual_norm(x, mlp(x, (lp.ffn1, lp.ffn2)), lp.ln_ffn)
 
 
 def mlp(x: Tensor, layers: tuple[LinearParams, ...]) -> Tensor:
@@ -337,7 +334,7 @@ def detection_head(queries: Tensor, ref_boxes: np.ndarray,
     boxes_t = geo.boxes_refine(ref_boxes, delta)
     boxes = ad.hold(lambda: geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64)))
     ident = None
-    if with_identity and lp.head_id is not None:
+    if with_identity:
         ident = l2_normalize_rows(mlp(queries, lp.head_id))
     return logits, boxes_t, boxes, ident
 
@@ -378,10 +375,10 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
     layers: list[LayerOutput] = []
     for li, lp in enumerate(params.layers):
-        queries = ad.self_attention(queries, lp.self_attn, lp.ln_self, clips, LN_EPS)
+        queries = ad.self_attention(queries, lp.self_attn, lp.ln_self, clips)
 
         selection = None
-        if cfg.is_ica_layer(li) and layers[-1].ident is not None:
+        if cfg.is_ica_layer(li):
             queries, selection = ica.ica_sublayer(queries, layers[-1], lp, cfg, oracle_gts, clips)
 
         queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)

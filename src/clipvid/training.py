@@ -2,14 +2,15 @@
 moments optimizer, and the seeded training loop.
 
 Stage 1 trains everything except the aggregation machinery with aggregation
-disabled; stage 2 fine-tunes the whole model with it enabled. Each
-iteration stacks its batch's clips into one forward pass, one loss and one
-tape backward (clips of different sampled lengths go into one stack per
-length). The loss is one set loss over every layer's frames of the stack,
-each clip normalized by its own object count, plus the pair-normalized
-contrastive identity loss of each layer feeding an aggregation layer, each
-clip normalized by its own pair count; the gradients of the clips' summed
-losses are scaled by one over the batch size.
+disabled; stage 2 fine-tunes the whole model with it enabled, or trains as
+stage 1 does without it. Each iteration stacks its batch's clips into one
+forward pass, one loss and one tape backward (clips of different sampled
+lengths go into one stack per length). The loss is one set loss over every
+layer's frames of the stack, each clip normalized by its own object count,
+plus the pair-normalized contrastive identity loss of each layer feeding an
+aggregation layer, each clip normalized by its own pair count; the
+gradients of the clips' summed losses are scaled by one over the batch
+size.
 
 train() owns one flat parameter vector and one flat gradient vector; each
 trainable tensor's .data and .grad are views of its slice. The optimizer's
@@ -195,9 +196,10 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     Raises InputError, before the first iteration, for a ground-truth class
     the model lacks."""
     check_classes(dataset, cfg.num_classes)
+    ica = use_ica and stage >= 2
     trainable = [p for k, p in M.named_parameters(params).items()
-                 if stage != 1 or not M.is_ica_param(k)]
-    if not (use_ica and stage >= 2):
+                 if ica or not M.is_ica_param(k)]
+    if not ica:
         cfg = replace(cfg, ica_layers=0)
     data, grad = flatten(trainable)
     views = [p.grad for p in trainable]

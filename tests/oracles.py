@@ -178,9 +178,8 @@ def roi_sample(f, b: Box, s: int):
 
 
 def apply_ln(x, p):
-    """A layer norm with the model's epsilon, as the model's residual_norm
-    records apply it."""
-    return composed_layer_norm(x, p.gain, p.bias, M.LN_EPS)
+    """A layer norm, as the model's residual_norm records apply it."""
+    return composed_layer_norm(x, p.gain, p.bias)
 
 
 def adapt_region_feature(k, q, adapter):
@@ -295,15 +294,16 @@ def projected_block_attention(q, ctx, own, p):
     hd = d // h
     head_blocks = (np.arange(h)[:, None, None] * u + own).reshape(-1)      # [H*A*F]
 
-    def per_row(lin: ad.LinearParams):                                     # [H, A, F*s*s, hd]
-        x = ad.transpose(ad.reshape(ad.linear(ctx, lin), (u, s2, h, hd)), (2, 0, 1, 3))
+    def per_row(x):                       # projected [U, s*s, d] -> [H, A, F*s*s, hd]
+        x = ad.transpose(ad.reshape(x, (u, s2, h, hd)), (2, 0, 1, 3))
         x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
         return ad.reshape(x, (h, A, F * s2, hd))
 
     qh = ad.transpose(ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
                       (1, 0, 2, 3))                                         # [H, A, hd, 1]
-    logits = ad.reshape(ad.matmul(per_row(p.k), qh), (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
-    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(p.v))             # [H, A, 1, hd]
+    logits = ad.reshape(ad.matmul(per_row(ad.matmul(ctx, p.k)), qh),
+                        (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
+    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(ad.linear(ctx, p.v)))  # [H, A, 1, hd]
     out = ad.linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
     return ad.reshape(out, (A, d))
 
@@ -671,11 +671,11 @@ def composed_linear(x, p):
     return ad.matmul(x, p.w) + p.b
 
 
-def composed_layer_norm(x, gain, bias, eps: float = 1e-5):
+def composed_layer_norm(x, gain, bias):
     mu = ad.mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.div(ad.tensor(1.0), ad.sqrt(var + eps))
+    inv = ad.div(ad.tensor(1.0), ad.sqrt(var + ad.LN_EPS))
     return ad.mul(centered, inv) * gain + bias
 
 
@@ -694,7 +694,7 @@ def composed_attention(q, k, v, heads: int):
 
 
 def composed_multi_head_attention(q, k, v, p):
-    return composed_linear(composed_attention(composed_linear(q, p.q), composed_linear(k, p.k),
+    return composed_linear(composed_attention(composed_linear(q, p.q), ad.matmul(k, p.k),
                                               composed_linear(v, p.v), p.heads), p.out)
 
 
@@ -703,16 +703,16 @@ def composed_linear_relu(x, p):
     return ad.mul(pre, ad.tensor(pre.data > 0))
 
 
-def composed_residual_norm(x, y, ln, eps: float = 1e-5):
-    return composed_layer_norm(x + y, ln.gain, ln.bias, eps)
+def composed_residual_norm(x, y, ln):
+    return composed_layer_norm(x + y, ln.gain, ln.bias)
 
 
-def composed_self_attention(x, p, ln, clips: int = 1, eps: float = 1e-5):
+def composed_self_attention(x, p, ln, clips: int = 1):
     """autodiff.self_attention as reshapes around the composed multi-head
     attention of each clip's [T*L, d] rows and a residual_norm record."""
     t, n, d = x.shape
     rows = ad.reshape(x, (clips, t // clips * n, d))
-    out = ad.residual_norm(rows, composed_multi_head_attention(rows, rows, rows, p), ln, eps)
+    out = ad.residual_norm(rows, composed_multi_head_attention(rows, rows, rows, p), ln)
     return ad.reshape(out, x.shape)
 
 
@@ -736,7 +736,7 @@ def composed_context_attention(q, ctx, p):
     h, hd = p.heads, d // p.heads
     qh = ad.reshape(composed_linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, 1, hd)) \
         * (1.0 / math.sqrt(hd))
-    wk = ad.transpose(ad.reshape(p.k.w, (d, h, hd)), (1, 2, 0))               # [H, hd, d]
+    wk = ad.transpose(ad.reshape(p.k, (d, h, hd)), (1, 2, 0))                 # [H, hd, d]
     qk = ad.transpose(ad.reshape(ad.matmul(qh, wk), (A, h, d)), (0, 2, 1))    # [A, d, H]
     weights = ad.softmax(ad.transpose(ad.matmul(ctx, qk), (0, 2, 1)), axis=-1)  # [A, H, n]
     mixed = ad.reshape(ad.matmul(weights, ctx), (A, h, 1, d))
@@ -774,8 +774,8 @@ def mask_within_frames(monkeypatch) -> None:
     anchor's own frame. A masked clip then equals its single-frame runs."""
     attend = ad.self_attention
 
-    def frame_batched(queries, p, ln, clips=1, eps=1e-5):
-        return attend(queries, p, ln, len(queries), eps)
+    def frame_batched(queries, p, ln, clips=1):
+        return attend(queries, p, ln, len(queries))
 
     match = ica.identity_match
 

@@ -281,9 +281,8 @@ def test_tape_replay_is_deterministic(rng):
 
 def _fused_chain(seed):
     """linear -> a layer norm -> self_attention -> a weighted sum, taped;
-    returns the tape, the loss, the leaves (all but the unread key bias), a
-    weakref to the linear output's array and the later intermediate
-    outputs."""
+    returns the tape, the loss, the leaves, a weakref to the linear
+    output's array and the later intermediate outputs."""
     rng = np.random.default_rng(seed)
     p = ad.init_mha(rng, 8, 2)
     x = ad.param(rng.normal(size=(2, 3, 8)))
@@ -294,7 +293,7 @@ def _fused_chain(seed):
         n = layer_norm(h, gain, bias)
         a = ad.self_attention(n, p, ad.LayerNormParams(gain, bias), clips=2)
         loss = ad.reduce_sum(ad.mul(a, weight))
-    leaves = [x, gain, bias, p.k.w] + [t for lin in (p.q, p.v, p.out) for t in (lin.w, lin.b)]
+    leaves = [x, gain, bias, p.k] + [t for lin in (p.q, p.v, p.out) for t in (lin.w, lin.b)]
     return tape, loss, leaves, weakref.ref(h.data), [n, a]
 
 
@@ -463,16 +462,12 @@ def test_constant_operands_get_no_gradient(rng):
         ad.linear(c, ad.LinearParams(cw, b))
         rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
         lin, norm = ad.LinearParams, ad.LayerNormParams
-        ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), lin(cw, cb), lin(cw, cb), lin(cw, cb)),
+        ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), cw, lin(cw, cb), lin(cw, cb)),
                           norm(cb, cb))
-        ad.self_attention(c, ad.MHAParams(2, lin(w, cb), lin(cw, b), lin(w, b), lin(cw, b)),
-                          norm(b, cb))
-        ad.self_attention(c, ad.MHAParams(2, lin(cw, b), lin(w, cb), lin(cw, cb), lin(w, cb)),
-                          norm(cb, b))
-        ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), lin(cw, cb), lin(w, cb),
-                                                   lin(cw, b)))
-        ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), lin(w, b), lin(cw, b),
-                                                    lin(w, cb)))
+        ad.self_attention(c, ad.MHAParams(2, lin(w, cb), cw, lin(w, b), lin(cw, b)), norm(b, cb))
+        ad.self_attention(c, ad.MHAParams(2, lin(cw, b), w, lin(cw, cb), lin(w, cb)), norm(cb, b))
+        ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), cw, lin(w, cb), lin(cw, b)))
+        ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), w, lin(cw, b), lin(w, cb)))
     assert len(tape) == 17
     for op, inputs, out, adjoint in tape.records:
         grads = adjoint(np.ones_like(out.data))
@@ -480,9 +475,9 @@ def test_constant_operands_get_no_gradient(rng):
 
 
 @pytest.mark.parametrize("layer", [
-    lambda x, p: layer_norm(x, p.q.b, p.k.b),
+    lambda x, p: layer_norm(x, p.q.b, p.v.b),
     lambda x, p: ad.linear(x, p.q),
-    lambda x, p: ad.self_attention(x, p, ad.LayerNormParams(p.q.b, p.k.b), clips=2),
+    lambda x, p: ad.self_attention(x, p, ad.LayerNormParams(p.q.b, p.v.b), clips=2),
     lambda x, p: ad.context_attention(ad.tensor(x.data[:, 0]), x, p),
 ], ids=["layer_norm", "linear", "self_attention", "context_attention"])
 def test_fused_layer_record_count(rng, layer):
@@ -516,12 +511,9 @@ def _attention_inputs(seed, q_shape, kv_shape, heads):
 @pytest.mark.parametrize("q_shape,kv_shape,heads", ATTENTION_CASES, ids=ATTENTION_IDS)
 def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_shape, heads):
     """Each fused primitive runs the composed form's numpy operations in the
-    same order, so its output bytes are the same in 32 and 64 bits. The
-    composed self-attention adds the key bias that self_attention does not
-    read, so it is zero here."""
+    same order, so its output bytes are the same in 32 and 64 bits."""
     with ad.precision(bits):
         p, q, kv = _attention_inputs(0, q_shape, kv_shape, heads)
-        p.k.b.data[:] = 0.0
         ln = ad.LayerNormParams(p.q.b, p.out.b)
         pairs = [(ad.linear(kv, p.v), composed_linear(kv, p.v)),
                  (layer_norm(q, p.q.b, p.out.b), composed_layer_norm(q, p.q.b, p.out.b))]
@@ -545,10 +537,7 @@ def _gradients(forward, tensors, seed):
 def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
     """64-bit gradients of every input and parameter of a layer norm, a
     linear and, on a clip's queries, self_attention agree with the composed
-    forms' taped chain rule up to the regrouping of float sums. A key bias
-    shifts every logit of a query alike, so its true gradient is exactly
-    zero: self_attention does not read it, and the composed form must give
-    rounding noise only."""
+    forms' taped chain rule up to the regrouping of float sums."""
     with ad.precision(64):
         p, q, kv = _attention_inputs(1, q_shape, kv_shape, heads)
         rng = np.random.default_rng(3)
@@ -562,19 +551,16 @@ def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
         if kv is q:
             cases.append((lambda: ad.self_attention(q, p, ln),
                           lambda: composed_self_attention(q, p, ln),
-                          [("x", q), ("gain", gain), ("bias", bias)]
+                          [("x", q), ("gain", gain), ("bias", bias), ("k", p.k)]
                           + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
-                             for lin in ("q", "k", "v", "out") for part in ("w", "b")]))
+                             for lin in ("q", "v", "out") for part in ("w", "b")]))
         for fused, composed, named in cases:
             tensors = [t for _, t in named]
             seed = np.random.default_rng(2).normal(size=fused().shape)
             pairs = zip(named, _gradients(fused, tensors, seed),
                         _gradients(composed, tensors, seed), strict=True)
             for (name, _), got, ref in pairs:
-                if name == "k.b":
-                    assert not got.any() and np.abs(ref).max() < 1e-12
-                else:
-                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 # Aggregation's anchors over their picked blocks [A, F*s*s, d] and box-guided
@@ -608,12 +594,12 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
     """In 64-bit, the output and the gradient of every input and parameter
     agree within 1e-12 relative with the composed chain's taped chain rule,
     and with the composed multi-head attention of [A, 1, d] queries over
-    their own projected keys and values. The key bias is not read: its gradient is
-    an exact zero, where the projected form gives rounding noise."""
+    their own projected keys and values."""
     with ad.precision(64):
         p, q, ctx = _context_inputs(1, rows, n, d, heads)
-        named = [("q", q), ("ctx", ctx)] + [(f"{lin}.{part}", getattr(getattr(p, lin), part))
-                                            for lin in ("q", "k", "v", "out") for part in "wb"]
+        named = [("q", q), ("ctx", ctx), ("k", p.k)] + [
+            (f"{lin}.{part}", getattr(getattr(p, lin), part))
+            for lin in ("q", "v", "out") for part in "wb"]
         tensors = [t for _, t in named]
         seed = np.random.default_rng(2).normal(size=(rows, d))
         ref = {"composed_chain": lambda: composed_context_attention(q, ctx, p),
@@ -624,17 +610,14 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
         expect = _gradients(ref, tensors, seed)
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
     for (name, _), a, b in zip(named, got, expect, strict=True):
-        if name == "k.b":
-            assert not a.any() and np.abs(b).max() < 1e-12
-        else:
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 # The fused decoder records against the records they fuse: (fused, composed,
 # input shapes). linear_relu at a backbone conv's [T, h, w, 9c] patches and
 # an FFN's [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
-# self_attention on a desk training stack of two 4-frame clips, [B*T, L, d],
-# its key bias a constant zero; roi_sample on [T, h, w, d] maps, including
+# self_attention on a desk training stack of two 4-frame clips, [B*T, L, d];
+# roi_sample on [T, h, w, d] maps, including
 # maps one pixel high, whose corners fold onto one cell, with [T, n, 4] boxes.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
@@ -644,8 +627,7 @@ def _roi(boxes, s):
 def _self_attention(form, clips):
     def run(x, wq, bq, wk, wv, bv, wo, bo, gain, bias):
         lin = ad.LinearParams
-        p = ad.MHAParams(4, lin(wq, bq), lin(wk, ad.tensor(np.zeros(wk.shape[1]))),
-                         lin(wv, bv), lin(wo, bo))
+        p = ad.MHAParams(4, lin(wq, bq), wk, lin(wv, bv), lin(wo, bo))
         return form(x, p, ad.LayerNormParams(gain, bias), clips)
     return run
 

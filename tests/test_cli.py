@@ -482,6 +482,28 @@ def test_eval_non_finite_identity_head_is_numeric_error(dataset, trained_ckpt, c
     assert "numeric error" in err and "identity" in err and "Traceback" not in err
 
 
+def test_eval_refuses_a_checkpoint_with_key_biases(dataset, trained_ckpt, capsys, tmp_path):
+    """A checkpoint in the layout that stored each attention key as a
+    linear layer, ...k.w and ...k.b, is refused with exit 1, naming both."""
+    from clipvid.checkpoint import load_checkpoint, save_checkpoint
+    tensors, prec = load_checkpoint(trained_ckpt)
+    old = {}
+    for name, value in tensors.items():
+        if name.endswith(".k"):
+            old[name + ".w"], old[name + ".b"] = value, np.zeros(value.shape[1])
+        else:
+            old[name] = value
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(old, str(ckpt), precision=prec)
+    shutil.copy(trained_ckpt + ".config.txt", str(ckpt) + ".config.txt")
+    code = run("eval", "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "checkpoint/config mismatch: missing=['layer0.cross_attn.k'" in err
+    assert "'layer0.cross_attn.k.b', 'layer0.cross_attn.k.w'" in err
+    assert "Traceback" not in err
+
+
 def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     from clipvid.checkpoint import save_checkpoint
     ckpt = tmp_path / "bad.ckpt"

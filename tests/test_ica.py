@@ -319,9 +319,9 @@ def attention_grads(lp, *tensors):
     """Copies of the gradients of tensors and of the layer's aggregation
     weights, which are then zeroed."""
     out = [t.grad.copy() for t in tensors]
-    for lin in (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.k, lp.ica_attn.v, lp.ica_attn.out):
-        out.append(lin.w.grad.copy())
-        lin.w.grad.fill(0.0)
+    for w in (lp.ica_pos.w, lp.ica_attn.q.w, lp.ica_attn.k, lp.ica_attn.v.w, lp.ica_attn.out.w):
+        out.append(w.grad.copy())
+        w.grad.fill(0.0)
     for t in tensors:
         t.grad.fill(0.0)
     return out
@@ -377,12 +377,12 @@ def test_reassociated_attention_matches_the_projected_form(selection, monkeypatc
     into the query and applying the value weight after the weighted sum
     matches projecting keys and values within 1e-12 relative: the output,
     and the gradients of the queries, the region and every aggregation
-    tensor. The unread key bias gets an exact zero gradient."""
+    tensor."""
     cfg = M.ModelConfig().validate()
     _, lp, prev, queries, gts = sublayer_case(cfg.t_train, False, seed=3, cfg=cfg)
     weights = np.random.default_rng(0).normal(size=queries.shape)
-    lins = (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.k, lp.ica_attn.v, lp.ica_attn.out)
-    tensors = [queries, prev.region] + [t for lin in lins for t in (lin.w, lin.b)]
+    lins = (lp.ica_pos, lp.ica_attn.q, lp.ica_attn.v, lp.ica_attn.out)
+    tensors = [queries, prev.region, lp.ica_attn.k] + [t for lin in lins for t in (lin.w, lin.b)]
 
     def run():
         with ad.ComputationTape() as tape:
@@ -396,8 +396,6 @@ def test_reassociated_attention_matches_the_projected_form(selection, monkeypatc
         return [out.data] + grads
 
     got = run()
-    key_bias = 1 + tensors.index(lp.ica_attn.k.b)           # the output comes first
-    assert not got[key_bias].any()
     s2 = cfg.roi_size ** 2
 
     def projected(q, ctx, p):                  # each anchor's blocks, unshared
@@ -406,9 +404,8 @@ def test_reassociated_attention_matches_the_projected_form(selection, monkeypatc
                                          p)
 
     monkeypatch.setattr(ad, "context_attention", projected)
-    for i, (a, b) in enumerate(zip(got, run())):
-        if i != key_bias:
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    for a, b in zip(got, run()):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("bits", [32, 64])

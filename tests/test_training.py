@@ -101,9 +101,7 @@ def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, stacks):
     """One stacked forward, loss and backward over a batch's clips scores
     and differentiates as one pass per clip, at 64 bits: every loss part
     and every parameter gradient within 1e-12 relative, after the same
-    1/B scaling. Clips of 8 and 3 frames at t_train 4 make two stacks. A
-    key bias shifts every logit of a query alike, so no attention reads
-    one: both forms give its gradient as an exact zero."""
+    1/B scaling. Clips of 8 and 3 frames at t_train 4 make two stacks."""
     cfg = M.ModelConfig(**overrides).validate()
     params = M.init_model(cfg, np.random.default_rng(2))
     batch = sampled_batch(lengths, cfg, seed=4)
@@ -118,10 +116,31 @@ def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, stacks):
                                                             rel=1e-12, abs=0.0), f.name
     for name, g in grads.items():
         ref = ref_grads[name] * inv
-        if name.endswith(".k.b"):
-            assert not g.any() and not ref.any(), name
-        else:
-            assert np.abs(g * inv - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert np.abs(g * inv - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("stage,use_ica", [(1, True), (2, True), (2, False)],
+                         ids=["stage1", "stage2", "stage2_no_ica"])
+def test_train_flattens_only_tensors_its_pass_reads(stage, use_ica, monkeypatch):
+    """train() trains every named tensor, less the aggregation ones where
+    aggregation is off, and after one desk iteration each trained tensor
+    has a nonzero gradient: none is dead weight in the flat vector."""
+    flat, flatten = [], tr.flatten
+
+    def capture(tensors):
+        flat.extend(tensors)
+        return flatten(tensors)
+
+    monkeypatch.setattr(tr, "flatten", capture)
+    cfg = M.ModelConfig()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    data = sv.generate_dataset(sv.GenConfig(min_objects=2), 2, seed=0)
+    tr.train(data, cfg, params, stage, use_ica, tr.TrainSettings(iters=1, seed=0))
+    ica = use_ica and stage == 2
+    trained = {name: p for name, p in M.named_parameters(params).items()
+               if ica or not M.is_ica_param(name)}
+    assert [id(p) for p in flat] == [id(p) for p in trained.values()]
+    assert [name for name, p in trained.items() if not p.grad.any()] == []
 
 
 def test_stacked_oracle_forward_equals_each_clip_bitexactly():
