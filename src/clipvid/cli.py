@@ -280,8 +280,8 @@ def _with_knobs(cfg: ModelConfig, knobs: dict[str, int | None]) -> ModelConfig:
 
 def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer",
            use_ica: bool = True) -> tuple[ev.EvalReport, list]:
-    """Detect on every clip and score the detections; also returns every
-    pass's aggregation-layer selections."""
+    """Detect on every clip and score the detections; also returns each
+    clip's selections in infer_clip's order, clip by clip."""
     all_dets, selections = [], []
     for clip in dataset:
         dets, sel = tr.infer_clip(clip, cfg, params, mode=mode, use_ica=use_ica)

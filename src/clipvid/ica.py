@@ -185,12 +185,14 @@ def contrastive_loss(ident: Tensor, frame: np.ndarray, track: np.ndarray,
 
 def dump_matches(selections: list[Selection]) -> str:
     """Line-delimited diagnostic table of the selection decisions: one line
-    per anchor with its pick and dot in every other frame it aggregates."""
+    per anchor, its frame counted within its clip, with its pick and dot in
+    every other frame it aggregates."""
     lines = []
     for sel in selections:
+        T = sel.picks.shape[1]
         for (m, j), picks, dots, oracle in zip(sel.anchors.tolist(), sel.picks.tolist(),
                                                 sel.dots.tolist(), sel.oracle.tolist()):
             cells = " ".join(f"{i}:{p}@{dots[i]:.6f}" for i, p in enumerate(picks)
-                             if i != m and p >= 0)
-            lines.append(f"anchor={m},{j} kind={'oracle' if oracle else 'learned'} {cells}")
+                             if i != m % T and p >= 0)
+            lines.append(f"anchor={m % T},{j} kind={'oracle' if oracle else 'learned'} {cells}")
     return "\n".join(lines)

@@ -4,7 +4,8 @@ aggregation / box-guided cross-attention, and per-layer detection heads.
 
 All frames of a clip are predicted in one forward pass that carries one
 [T, L, ·] tensor per quantity: T frames, L queries. Training stacks the B
-clips of a batch into one pass of [B*T, L, ·] tensors. Clip-wide
+clips of a batch into one pass of [B*T, L, ·] tensors, and inference stacks
+a video clip's full t_infer-frame windows as B clips the same way. Clip-wide
 self-attention, one autodiff.self_attention record, attends each clip's
 T*L queries as one problem, and aggregation selects within each clip; the
 backbone, cross-attention, feed-forward and heads work per frame. In

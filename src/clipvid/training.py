@@ -232,25 +232,26 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
 
 def infer_clip(clip: ClipSample, cfg: M.ModelConfig, params: M.ModelParams,
                mode: str = "infer", use_ica: bool = True):
-    """Detect on every frame of a clip in passes of cfg.t_infer frames.
-
-    mode is "infer" or "oracle_ica" (aggregation follows the clip's
-    ground-truth tracks); use_ica=False runs without aggregation. Returns
-    (per-frame detections, every pass's aggregation-layer selections in
-    pass and layer order).
+    """Detect on every frame of a clip in windows of cfg.t_infer frames: the
+    full windows as one stacked pass, so peak memory grows with their number,
+    and a shorter remainder as its own pass. mode is "infer" or "oracle_ica"
+    (aggregation follows the clip's ground-truth tracks); use_ica=False runs
+    without aggregation. Returns (per-frame detections, every pass's
+    aggregation-layer selections in pass and layer order).
     """
     if mode not in ("infer", "oracle_ica"):
         raise ConfigError(f"unknown mode {mode!r}")
     if not use_ica:
         cfg = replace(cfg, ica_layers=0)
     total = clip.frames.shape[0]
+    full = total - total % cfg.t_infer
     detections: list[list] = []
     selections = []
-    for start in range(0, total, cfg.t_infer):
-        stop = min(start + cfg.t_infer, total)
-        frames = clip.frames[start:stop]
-        gts = clip.targets(range(start, stop)) if mode == "oracle_ica" else None
-        layers = M.clip_forward(frames, cfg, params, oracle_gts=gts)
-        detections.extend(M.extract_detections(layers[-1], cfg))
-        selections.extend(layer.selection for layer in layers if layer.selection is not None)
+    for start, stop, clips in ((0, full, full // cfg.t_infer), (full, total, 1)):
+        if stop > start:
+            gts = clip.targets(range(start, stop)) if mode == "oracle_ica" else None
+            layers = M.clip_forward(clip.frames[start:stop], cfg, params, oracle_gts=gts,
+                                    clips=clips)
+            detections.extend(M.extract_detections(layers[-1], cfg))
+            selections.extend(layer.selection for layer in layers if layer.selection is not None)
     return detections, selections

@@ -10,8 +10,9 @@ fuse, so the taped chain rule checks the fused primitives' adjoints.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
-block. km_solve solves one frame's assignment, one row at a time, and
-per_clip_step trains a batch one clip at a time. The tests
+block. km_solve solves one frame's assignment, one row at a time,
+per_clip_step trains a batch one clip at a time, and window_infer_clip
+runs inference one window at a time. The tests
 compare the package's batched and fused paths against them.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
@@ -21,7 +22,7 @@ breaks one primitive's gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -656,6 +657,23 @@ def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
         dets.sort(key=lambda dd: -dd.score)
         out.append(dets)
     return out
+
+
+def window_infer_clip(clip, cfg, params, mode: str = "infer", use_ica: bool = True):
+    """infer_clip one t_infer window at a time: a clip_forward per window,
+    the last one shorter where the clip does not divide, each window's
+    selections in layer order."""
+    if not use_ica:
+        cfg = replace(cfg, ica_layers=0)
+    total = clip.frames.shape[0]
+    detections, selections = [], []
+    for start in range(0, total, cfg.t_infer):
+        stop = min(start + cfg.t_infer, total)
+        gts = clip.targets(range(start, stop)) if mode == "oracle_ica" else None
+        layers = M.clip_forward(clip.frames[start:stop], cfg, params, oracle_gts=gts)
+        detections.extend(M.extract_detections(layers[-1], cfg))
+        selections.extend(layer.selection for layer in layers if layer.selection is not None)
+    return detections, selections
 
 
 # ---------------------------------------------------------------------------

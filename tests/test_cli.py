@@ -438,18 +438,19 @@ def test_stage2_without_config_uses_the_checkpoint_sidecar(dataset, trained_ckpt
 @pytest.mark.parametrize("argv, window", [
     (("eval",), [4, 2]),
     (("eval", "--frames", "5"), [5, 1]),
-    (("ablate", "--grid", "frames=3"), [3, 3]),
+    (("ablate", "--grid", "frames=3"), [3]),
 ], ids=["eval_config", "eval_frames", "ablate_frames"])
 def test_inference_window_follows_the_frames_knob(dataset, trained_ckpt, monkeypatch,
                                                    tmp_path, argv, window):
-    """Each 6-frame clip runs in passes of the knob's frames, else of the
-    checkpoint config's t_infer (4)."""
+    """Each 6-frame clip runs in windows of the knob's frames, else of the
+    checkpoint config's t_infer (4): a pass's window is its frame count over
+    its clips, the full windows stacked in one pass."""
     lengths = []
     real = cli.M.clip_forward
 
-    def recording(frames, *rest, **kw):
-        lengths.append(len(frames))
-        return real(frames, *rest, **kw)
+    def recording(frames, *rest, clips=1, **kw):
+        lengths.append(len(frames) // clips)
+        return real(frames, *rest, clips=clips, **kw)
 
     monkeypatch.setattr(cli.M, "clip_forward", recording)
     assert run(*argv, "--data", dataset, "--ckpt", trained_ckpt,

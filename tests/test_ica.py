@@ -593,3 +593,22 @@ def test_dump_matches_format():
     assert "anchor=0,3" in text
     assert "1:2@0.500000" in text
     assert text == "anchor=0,3 kind=learned 1:2@0.500000 2:0@-0.250000"
+
+
+@pytest.mark.parametrize("mode", ["infer", "oracle_ica"])
+def test_dump_of_a_stacked_forward_equals_its_windows_dumps(mode):
+    """The dump of a 2x4 desk stack is the dumps of its two windows run
+    alone, joined: each anchor names its frame within its window and skips
+    that frame, also in the second window."""
+    cfg = M.ModelConfig(t_infer=4).validate()
+    params = M.init_model(cfg, np.random.default_rng(0))
+    clip = sv.generate_clip(sv.GenConfig(t=8, min_objects=2, max_objects=3), seed=1)
+
+    def dump(start, stop, clips):
+        gts = clip.targets(range(start, stop)) if mode == "oracle_ica" else None
+        out = M.clip_forward(clip.frames[start:stop], cfg, params, oracle_gts=gts, clips=clips)
+        return ica.dump_matches([layer.selection for layer in out if layer.selection is not None])
+
+    stacked = dump(0, 8, 2)
+    assert len(stacked.splitlines()) == 8 * cfg.ica_topk
+    assert stacked == dump(0, 4, 1) + "\n" + dump(4, 8, 1)

@@ -398,13 +398,14 @@ def test_training_iteration_is_one_tape_of_one_clip_s_records(overrides, records
 
 def test_desk_inference_pass_tape_record_count():
     """The same gate for seeded desk inference with aggregation on: a
-    32-frame clip in two passes of t_infer=16 frames, forward only."""
+    32-frame clip's two windows of t_infer=16 frames in one stacked pass,
+    forward only."""
     cfg = M.ModelConfig(t_infer=16)
     params = M.init_model(cfg, np.random.default_rng(0))
     with ad.ComputationTape() as tape:
         _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
-    assert len(selections) == 2 * cfg.ica_layers
-    assert len(tape) == 2 * 75
+    assert len(selections) == cfg.ica_layers
+    assert len(tape) == 75
 
 
 def test_clip_forward_determinism(rng):

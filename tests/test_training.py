@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from clipvid.checkpoint import save_checkpoint
 from clipvid.errors import ConfigError
 from clipvid.gradcheck_suite import micro_clip, micro_config
 from oracles import (PerTensorAdamW, leaf_grad, per_clip_step, per_layer_clip_loss,
-                     per_tensor_clip_gradients)
+                     per_tensor_clip_gradients, window_infer_clip)
 
 
 def test_same_seed_32bit_runs_are_byte_identical(tmp_path):
@@ -41,6 +41,77 @@ def test_infer_clip_unknown_mode_is_config_error():
     cfg = micro_config()
     with pytest.raises(ConfigError, match="bogus"):
         tr.infer_clip(clip, cfg, M.init_model(cfg, np.random.default_rng(0)), mode="bogus")
+
+
+def _selection_arrays(selections, T: int) -> list[np.ndarray]:
+    """The selections' anchors, picks, dots and oracle flags, each
+    concatenated, anchor frames counted within their window of T."""
+    anchors = np.concatenate([s.anchors for s in selections])
+    anchors[:, 0] %= T
+    return [anchors] + [np.concatenate([getattr(s, name) for s in selections])
+                        for name in ("picks", "dots", "oracle")]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("frames, t_infer, ica_layers, kw", [
+    (32, 16, 1, {}),
+    (20, 8, 1, {}),
+    (5, 8, 1, {}),
+    (20, 8, 1, {"mode": "oracle_ica"}),
+    (20, 8, 1, {"use_ica": False}),
+    (20, 8, 2, {}),
+], ids=["2x16", "2x8+4", "5_of_8", "oracle_ica", "no_ica", "two_ica_layers"])
+def test_infer_clip_equals_the_per_window_loop(bits, frames, t_infer, ica_layers, kw):
+    """The stacked windows detect and select as the windows run one at a
+    time, bit for bit. A stacked pass lists its selections layer by layer,
+    each covering every window, so the per-window loop's are put in that
+    order."""
+    cfg = M.ModelConfig(t_infer=t_infer, ica_layers=ica_layers).validate()
+    clip = sv.generate_clip(sv.GenConfig(t=frames, min_objects=2, max_objects=3), seed=2)
+    with ad.precision(bits):
+        params = M.init_model(cfg, np.random.default_rng(0))
+        dets, sels = tr.infer_clip(clip, cfg, params, **kw)
+        want_dets, want_sels = window_infer_clip(clip, cfg, params, **kw)
+    same_dets = repr(dets) == repr(want_dets)    # a bool: pytest's diff of the text is slow
+    assert same_dets and len(dets) == frames
+    per_pass = ica_layers if kw.get("use_ica", True) else 0    # selections per window
+    end = frames // t_infer * per_pass
+    groups = [want_sels[layer:end:per_pass] for layer in range(per_pass) if end]
+    groups += [[sel] for sel in want_sels[end:]]
+    assert len(sels) == len(groups)
+    oracle = False
+    for sel, group in zip(sels, groups):
+        T = sel.picks.shape[1]
+        got, want = _selection_arrays([sel], T), _selection_arrays(group, T)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        oracle |= want[3].any()
+    assert oracle == (kw.get("mode") == "oracle_ica")
+
+
+@pytest.mark.parametrize("frames, calls", [
+    (32, [(32, 4)]),
+    (20, [(16, 2), (4, 1)]),
+    (5, [(5, 1)]),
+    (8, [(8, 1)]),
+])
+def test_infer_clip_runs_full_windows_as_one_pass(monkeypatch, frames, calls):
+    """One clip_forward (frames, clips) for a clip of whole t_infer=8
+    windows, a second for a remainder."""
+    seen = []
+    real = tr.M.clip_forward
+
+    def recording(frames, *rest, clips=1, **kw):
+        seen.append((len(frames), clips))
+        return real(frames, *rest, clips=clips, **kw)
+
+    monkeypatch.setattr(tr.M, "clip_forward", recording)
+    cfg = replace(micro_config(), t_infer=8)
+    clip = sv.generate_clip(sv.GenConfig(num_classes=2, max_objects=2, frame_size=16, t=frames),
+                            seed=0)
+    dets, _ = tr.infer_clip(clip, cfg, M.init_model(cfg, np.random.default_rng(0)))
+    assert len(dets) == frames
+    assert seen == calls
 
 
 def test_stacked_clip_loss_equals_per_layer_loop():
