@@ -425,19 +425,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
+def _softmax(x: np.ndarray, nan_message: str, axis: int = -1) -> np.ndarray:
+    """The max-shifted softmax of x over axis; a NaN in x raises
+    NumericError(nan_message)."""
     if np.isnan(x).any():
-        raise NumericError("softmax: NaN in input")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+        raise NumericError(nan_message)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
 
-    return _record("softmax", (a,), out, backward)
+def _softmax_adjoint(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The gradient of the softmax logits, given p = _softmax(...) and g,
+    the gradient of p."""
+    return (g - (g * p).sum(axis=axis, keepdims=True)) * p
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    out = _softmax(a.data, "softmax: NaN in input", axis)
+    return _record("softmax", (a,), out, lambda g: (_softmax_adjoint(g, out, axis),))
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
@@ -510,11 +515,8 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
         return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(clips, n, d)
 
     qh, kh, vh = split(xs @ wq + p.q.b.data), split(xs @ wk), split(xs @ wv + p.v.b.data)
-    logits = (qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * scale
-    if np.isnan(logits).any():
-        raise NumericError("self_attention: NaN in logits")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = _softmax((qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * scale,
+                    "self_attention: NaN in logits")
     ctx = merge(attn @ vh)
     xhat, inv = _normalize(xs + (ctx @ wo + p.out.b.data))
 
@@ -522,7 +524,7 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
         gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln.gain, ln.bias)
         gctx = (gs.reshape(-1, d) @ wo.T).reshape(clips, n, h, hd).transpose(0, 2, 1, 3)
         gattn = gctx @ np.swapaxes(vh, -1, -2)
-        glogits = (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * attn * scale
+        glogits = _softmax_adjoint(gattn, attn) * scale
         gq, gk = merge(glogits @ kh), merge(np.swapaxes(glogits, -1, -2) @ qh)
         gv = merge(np.swapaxes(attn, -1, -2) @ gctx)
         gx = None
@@ -575,10 +577,7 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
     # Transpose the logits, not ctx: an axis-1 softmax over [A, n, H] is slower.
     logits = np.ascontiguousarray((c @ np.ascontiguousarray(qk.transpose(0, 2, 1)))
                                   .transpose(0, 2, 1))                       # [A, H, n]
-    if np.isnan(logits).any():
-        raise NumericError("context_attention: NaN in logits")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = _softmax(logits, "context_attention: NaN in logits")
     mixed = attn @ c                                                          # [A, H, d]
     wv_h = np.ascontiguousarray(wv.reshape(d, h, hd).transpose(1, 0, 2))      # [H, d, hd]
     vals = (mixed.reshape(A, h, 1, d) @ wv_h).reshape(A, 1, d) + p.v.b.data
@@ -595,7 +594,7 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
         gvals = (g @ wo.T).reshape(A, h, hd)
         gmixed = np.swapaxes(np.swapaxes(gvals, 0, 1) @ np.swapaxes(wv_h, 1, 2), 0, 1)
         gattn = gmixed @ np.swapaxes(c, 1, 2)
-        glogits = (gattn - (gattn * attn).sum(axis=-1, keepdims=True)) * attn
+        glogits = _softmax_adjoint(gattn, attn)
         gqk = glogits @ c                                                     # [A, H, d]
         gqh = np.swapaxes(np.swapaxes(gqk, 0, 1) @ np.swapaxes(wk_h, 1, 2), 0, 1)
         gqp = gqh.reshape(A, d) * scale

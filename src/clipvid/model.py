@@ -38,6 +38,11 @@ from .geometry import Box
 
 @dataclass
 class ModelConfig:
+    """The model's shape and inference settings; a config file holds
+    exactly these fields. The last ica_layers decoder layers aggregate, each
+    from the previous layer's identity head, so ica_layers must stay below
+    decoder_layers: the first layer has no earlier head."""
+
     num_classes: int = 5
     t_train: int = 4
     t_infer: int = 8
@@ -75,8 +80,10 @@ class ModelConfig:
             raise ConfigError(f"backbone_channels must be at least 1, got {self.backbone_channels}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.ica_layers > self.decoder_layers:
-            raise ConfigError("ica_layers exceeds decoder_layers")
+        if self.ica_layers and self.ica_layers >= self.decoder_layers:
+            raise ConfigError(f"ica_layers {self.ica_layers} must be below decoder_layers "
+                              f"{self.decoder_layers}: the first layer has no earlier head "
+                              "to aggregate from")
         if self.ica_topk > self.num_queries:
             raise ConfigError(f"ica_topk {self.ica_topk} exceeds num_queries {self.num_queries}")
         if not math.isfinite(self.score_thresh):
@@ -84,12 +91,10 @@ class ModelConfig:
         return self
 
     def is_ica_layer(self, layer: int) -> bool:
-        # The first layer can never aggregate: it has no preceding head to
-        # supply identity embeddings or region features.
-        return layer >= max(self.decoder_layers - self.ica_layers, 1)
+        return layer >= self.decoder_layers - self.ica_layers
 
     def has_identity_head(self, layer: int) -> bool:
-        return self.is_ica_layer(layer + 1) if layer + 1 < self.decoder_layers else False
+        return layer + 1 < self.decoder_layers and self.is_ica_layer(layer + 1)
 
 
 def save_config(cfg: ModelConfig, path) -> None:
@@ -103,14 +108,6 @@ def save_config(cfg: ModelConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# Fields an older sidecar may still carry, each with the spellings of the one
-# value the model still implements; any other value is refused. An old
-# backbone_stride must agree with the channels it is now derived from.
-_FALSE = ("False", "false", "0")
-REMOVED_CONFIG_KEYS = {"ica_all_candidates": _FALSE, "fixed_queries": _FALSE,
-                       "encoder_layers": ("0",)}
-
-
 def load_config(path) -> ModelConfig:
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -120,14 +117,9 @@ def load_config(path) -> ModelConfig:
                 continue
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
-    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)}
-                     - set(REMOVED_CONFIG_KEYS) - {"backbone_stride"})
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ConfigError(f"{path}: unknown field '{unknown[0]}'")
-    for key, kept in REMOVED_CONFIG_KEYS.items():
-        if raw.get(key, kept[0]) not in kept:
-            raise ConfigError(f"{path}: removed field '{key}' must be {kept[0]}, "
-                              f"got {raw[key]!r}")
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in raw:
@@ -142,12 +134,7 @@ def load_config(path) -> ModelConfig:
                 kwargs[f.name] = int(v)
         except ValueError:
             raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
-    cfg = ModelConfig(**kwargs).validate()
-    stride = str(cfg.backbone_stride)
-    if raw.get("backbone_stride", stride) != stride:
-        raise ConfigError(f"{path}: backbone_stride={raw['backbone_stride']} does not match "
-                          f"the {len(cfg.backbone_channels)} backbone_channels (stride {stride})")
-    return cfg
+    return ModelConfig(**kwargs).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import ica as ica_mod
 from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .synthvid import ClipSample, Targets, check_classes
 
 CONTRASTIVE_WEIGHT = 1.0
@@ -54,7 +54,7 @@ class LossParts:
 
 
 def clip_loss(layers: list[M.LayerOutput], targets: Targets, clips: int = 1
-              ) -> tuple[Tensor, LossParts, np.ndarray]:
+              ) -> tuple[Tensor, LossParts]:
     """Deep-supervised set loss of a stack of clips, plus the contrastive
     identity loss of every layer with identity embeddings.
 
@@ -62,10 +62,9 @@ def clip_loss(layers: list[M.LayerOutput], targets: Targets, clips: int = 1
     targets the stack's ground-truth table. Every layer's predictions go
     layer-major into one [Ly*B*T, L, ·] set_loss call against the table
     tiled over the layers; each frame is weighted by one over its clip's
-    object count, so each clip is normalized by its own. Returns the loss,
-    summed over the clips, its parts and pred [Ly, N], the query matched
-    to each target row in each layer; each contrastive term reads its own
-    layer's row.
+    object count, so each clip is normalized by its own. Each contrastive
+    term reads its own layer's matches. Returns the loss, summed over the
+    clips, and its parts.
     """
     F = layers[0].logits.shape[0]
     T = F // clips
@@ -87,7 +86,7 @@ def clip_loss(layers: list[M.LayerOutput], targets: Targets, clips: int = 1
                 total = total + con * CONTRASTIVE_WEIGHT
                 parts.con += CONTRASTIVE_WEIGHT * float(con.data)
     parts.total = float(total.data)
-    return total, parts, pred
+    return total, parts
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,8 @@ def batch_step(batch: list[tuple[np.ndarray, Targets]], cfg: M.ModelConfig,
     parts = LossParts()
     for frames, targets, clips in stack_clips(batch):
         with ad.ComputationTape() as tape:
-            loss, stack_parts, _ = clip_loss(M.clip_forward(frames, cfg, params, clips=clips),
-                                             targets, clips=clips)
+            loss, stack_parts = clip_loss(M.clip_forward(frames, cfg, params, clips=clips),
+                                          targets, clips=clips)
         tape.backward(loss)
         for f in fields(LossParts):
             setattr(parts, f.name, getattr(parts, f.name) + getattr(stack_parts, f.name))
@@ -194,15 +193,16 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           log=None) -> list[str]:
     """Seeded training loop; returns the per-iteration loss log lines.
     Raises InputError, before the first iteration, for a ground-truth class
-    the model lacks."""
+    the model lacks, and NumericError for a step that leaves a parameter
+    non-finite."""
     check_classes(dataset, cfg.num_classes)
     ica = use_ica and stage >= 2
-    trainable = [p for k, p in M.named_parameters(params).items()
-                 if ica or not M.is_ica_param(k)]
+    trainable = {k: p for k, p in M.named_parameters(params).items()
+                 if ica or not M.is_ica_param(k)}
     if not ica:
         cfg = replace(cfg, ica_layers=0)
-    data, grad = flatten(trainable)
-    views = [p.grad for p in trainable]
+    data, grad = flatten(list(trainable.values()))
+    views = [p.grad for p in trainable.values()]
     opt = AdamW()
     rng = np.random.default_rng(settings.seed)
     lines = []
@@ -217,6 +217,9 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         _clip_gradients(grad, views)
         lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
         opt.step(data, grad, lr)
+        if not np.isfinite(data).all():
+            bad = next(k for k, p in trainable.items() if not np.isfinite(p.data).all())
+            raise NumericError(f"iteration {it}: parameter '{bad}' is not finite after the step")
         agg = LossParts(**{f.name: getattr(parts, f.name) * inv for f in fields(LossParts)})
         line = (f"{it},{agg.total:.9g},{agg.cls:.9g},{agg.giou:.9g},"
                 f"{agg.l1:.9g},{agg.con:.9g}")

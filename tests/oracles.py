@@ -498,7 +498,7 @@ def per_clip_step(batch, cfg, params) -> tr.LossParts:
     parts = tr.LossParts()
     for frames, targets in batch:
         with ad.ComputationTape() as tape:
-            loss, clip_parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), targets)
+            loss, clip_parts = tr.clip_loss(M.clip_forward(frames, cfg, params), targets)
         tape.backward(loss)
         for f in fields(tr.LossParts):
             setattr(parts, f.name, getattr(parts, f.name) + getattr(clip_parts, f.name))

@@ -87,7 +87,6 @@ decoder_layers=2
 roi_size=2
 ica_layers=1
 ica_topk=2
-backbone_stride=4
 backbone_channels=4,8
 """
 
@@ -204,9 +203,8 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, names", [
     (lambda text: text.replace("dim=8", "dimm=8"), ("'dimm'",)),
-    (lambda text: text + "fixed_queries=True\n", ("'fixed_queries'", "'True'")),
-    (lambda text: text.replace("backbone_stride=4", "backbone_stride=16"),
-     ("backbone_stride=16", "backbone_channels")),
+    (lambda text: text + "fixed_queries=False\n", ("unknown field 'fixed_queries'",)),
+    (lambda text: text + "backbone_stride=4\n", ("unknown field 'backbone_stride'",)),
 ], ids=["unknown_key", "bad_boolean", "stride_disagrees_with_channels"])
 def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, names):
     cfg = tmp_path / "bad.cfg"
@@ -215,7 +213,7 @@ def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, 
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert all(name in err for name in names)
+    assert all(name in err for name in names) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -301,6 +299,19 @@ def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, 
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "numeric error" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_step_to_non_finite_parameters_writes_no_checkpoint(dataset, micro_cfg_path,
+                                                                   tmp_path, capsys):
+    """A step that leaves a parameter inf or NaN stops the run at that
+    iteration, before any checkpoint is written."""
+    code = run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1", "--lr", "1e39")
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.search(r"iteration 0: parameter '[\w.]+' is not finite", err)
+    assert "Traceback" not in err and not list(tmp_path.glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -415,9 +415,9 @@ def test_set_loss_clip_normalization_invariant_under_duplication(rng):
     params = M.init_model(cfg, rng)
     frames = rng.random((2, 8, 8, 3))
     gts = [[(0, Box(0.4, 0.4, 0.3, 0.3), 1)], [(1, Box(0.6, 0.6, 0.3, 0.3), 2)]]
-    l1, _, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), targets_of(gts))
+    l1, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), targets_of(gts))
     doubled = np.concatenate([frames, frames])
-    l2, _, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), targets_of(gts + gts))
+    l2, _ = tr.clip_loss(M.clip_forward(doubled, cfg, params), targets_of(gts + gts))
     assert float(l2.data) == pytest.approx(float(l1.data), abs=1e-6)
 
 

@@ -50,31 +50,37 @@ def test_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
-def test_config_sidecar_with_removed_field_loads(tmp_path):
-    """A sidecar written while ModelConfig still had ica_all_candidates."""
+@pytest.mark.parametrize("key", ["ica_all_candidates", "fixed_queries", "encoder_layers",
+                                 "backbone_stride"])
+def test_retired_config_key_is_an_unknown_field(tmp_path, key):
+    """Fields ModelConfig no longer has, backbone_stride included (it is
+    derived from backbone_channels), are refused like any other unknown key,
+    whatever their value."""
     path = tmp_path / "old.config.txt"
     M.save_config(M.ModelConfig(), path)
-    text = path.read_text().replace("score_thresh=", "ica_all_candidates=False\nscore_thresh=")
-    path.write_text(text)
-    assert M.load_config(path) == M.ModelConfig()
+    path.write_text(path.read_text() + f"{key}=0\n")
+    with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+        M.load_config(path)
 
 
-@pytest.mark.parametrize("key, kept, refused", [
-    ("ica_all_candidates", ("False", "false", "0"), ("True", "1", "no")),
-    ("fixed_queries", ("False", "false", "0"), ("True", "true", "1")),
-    ("encoder_layers", ("0",), ("1", "False")),
-])
-def test_removed_config_key_loads_only_its_kept_value(tmp_path, key, kept, refused):
-    """A retired field loads at the one value the model still implements;
-    any other value would silently change the model, so it is refused."""
-    path = tmp_path / "old.config.txt"
-    for value in kept:
-        path.write_text(f"dim=16\n{key}={value}\n")
-        assert M.load_config(path) == M.ModelConfig(dim=16)
-    for value in refused:
-        path.write_text(f"dim=16\n{key}={value}\n")
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            M.load_config(path)
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_every_valid_ica_depth_runs_as_written(depth):
+    """Each ica_layers in 0..decoder_layers either fails validation or runs
+    exactly that many aggregation layers: the last ones, which is_ica_layer
+    marks and which each make a selection in one forward pass. The first
+    layer has no earlier identity head, so ica_layers == decoder_layers is
+    refused."""
+    frames = np.random.default_rng(0).random((2, 8, 8, 3))
+    for ica_layers in range(depth + 1):
+        if 0 < ica_layers == depth:
+            with pytest.raises(ConfigError, match="ica_layers"):
+                micro_cfg(decoder_layers=depth, ica_layers=ica_layers)
+            continue
+        cfg = micro_cfg(decoder_layers=depth, ica_layers=ica_layers)
+        marked = [li for li in range(depth) if cfg.is_ica_layer(li)]
+        assert marked == list(range(depth - ica_layers, depth))
+        layers = M.clip_forward(frames, cfg, M.init_model(cfg, np.random.default_rng(0)))
+        assert [li for li, out in enumerate(layers) if out.selection is not None] == marked
 
 
 MICRO_PARAMETER_NAMES = """
@@ -346,7 +352,7 @@ def training_clip_records(cfg: M.ModelConfig) -> tuple[int, tr.LossParts]:
     clip = sv.generate_clip(sv.GenConfig(), seed=0)
     frames, gts = tr.sample_frames(clip, cfg.t_train, np.random.default_rng(0))
     with ad.ComputationTape() as tape:
-        _, parts, _ = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
+        _, parts = tr.clip_loss(M.clip_forward(frames, cfg, params), gts)
     return len(tape), parts
 
 

@@ -118,7 +118,8 @@ def test_stacked_clip_loss_equals_per_layer_loop():
     """clip_loss's one set_loss call over every layer's frames scores as
     the per-layer loop: 64-bit micro clip, aggregation and the contrastive
     loss on. Layer 0, which feeds the contrastive term, is matched
-    differently from layer 1, so reading another layer's assignments shows."""
+    differently from layer 1 (the loop's matches show it), so reading
+    another layer's assignments shows."""
     cfg = micro_config()
     params = M.init_model(cfg, np.random.default_rng(0))
     named = M.named_parameters(params)
@@ -128,14 +129,15 @@ def test_stacked_clip_loss_equals_per_layer_loop():
         for p in named.values():
             p.grad = None
         with ad.ComputationTape() as tape:
-            total, parts, pred = loss_fn(M.clip_forward(frames, cfg, params), gts)
+            total, parts, *pred = loss_fn(M.clip_forward(frames, cfg, params), gts)
         tape.backward(total)
-        runs.append((float(total.data), parts, pred,
+        runs.append((float(total.data), parts,
                      {k: p.grad.copy() for k, p in named.items() if p.grad is not None}))
-    (total, parts, pred, grads), (ref_total, ref_parts, ref_pred, ref_grads) = runs
+    (total, parts, grads), (ref_total, ref_parts, ref_grads) = runs
 
-    assert parts.con > 0.0 and not np.array_equal(pred[0], pred[1])
-    assert pred.shape == (2, 4) and np.array_equal(pred, ref_pred)
+    ref_pred, = pred
+    assert parts.con > 0.0 and ref_pred.shape == (2, 4)
+    assert not np.array_equal(ref_pred[0], ref_pred[1])
     assert total == pytest.approx(ref_total, rel=1e-12)
     for f in fields(tr.LossParts):
         assert getattr(parts, f.name) == pytest.approx(getattr(ref_parts, f.name), rel=1e-12)
