@@ -6,8 +6,8 @@ Exit codes:
   1  usage or config error: bad arguments, or a ConfigError such as a
      malformed --config value or a checkpoint that does not fit the config
   2  I/O error: any file a command cannot read or write, or a ParseError
-     from a malformed dataset or checkpoint (the message gives the byte
-     offset or line)
+     from a malformed dataset or checkpoint (the message names the
+     manifest line and the file, or the checkpoint's byte offset)
   3  check failure (gradcheck)
   4  numeric error: a NumericError, such as a NaN or inf in the model's
      activations, costs or losses (e.g. after a diverging --lr)
@@ -231,8 +231,8 @@ STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
 def cmd_train(args) -> int:
     if args.stage == 2 and not args.ckpt_in:
         raise ConfigError("--stage 2 requires --ckpt-in")
-    if args.lr is not None and not np.isfinite(args.lr):
-        raise ConfigError(f"--lr must be finite, got {args.lr}")
+    if args.lr is not None and not abs(args.lr) <= float(np.finfo(ad.get_dtype()).max):
+        raise ConfigError(f"--lr must be finite in {_precision()}-bit floats, got {args.lr}")
     dataset = _read_dataset(args.data)
 
     cfg = M.load_config(args.config) if args.config else None

@@ -37,9 +37,6 @@ class Box:
     def from_corners(x1: float, y1: float, x2: float, y2: float) -> "Box":
         return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
 
 FULL_FRAME = np.array([0.5, 0.5, 1.0, 1.0])
 

@@ -5,6 +5,14 @@ trajectories. Motion blur (sub-frame position averaging) grows with speed
 and occluder strips plus object overlap produce occlusion, so fast movers
 are harder to recognize from a single frame. A clip's Tracks table holds
 the pre-blur geometric truth as [tracks, frames] boxes and visibilities.
+
+On-disk format: np.save files of the in-memory arrays, read back exactly.
+  manifest.txt                    "clipvid-dataset v2", then one clip id a line
+  clips/clip_<id:06d>.frames.npy  the clip's frames, <f4 [T, H, W, 3]
+  clips/clip_<id:06d>.tracks.npy  its Tracks table: one track_dtype(T) record
+                                  (id, cls, speed, box, visibility) a track
+read_dataset refuses any other file, or values no generated clip holds, as
+a ParseError naming the manifest line and the file.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .geometry import Box, box_corners
+from .geometry import Box
 
 SHAPE_NAMES = ("disc", "square", "triangle", "cross", "ring")
 SPEED_LABELS = ("slow", "medium", "fast")
@@ -105,14 +113,6 @@ class Tracks:
 
     def __len__(self) -> int:
         return len(self.id)
-
-    @staticmethod
-    def of_rows(rows: list[tuple], t: int) -> "Tracks":
-        """The table of (id, cls, speed, box [t, 4], visibility [t]) rows."""
-        ids, cls, speed, box, vis = zip(*rows) if rows else ((),) * 5
-        return Tracks(np.array(ids, dtype=np.int64), np.array(cls, dtype=np.int64),
-                      np.array(speed, dtype=str), np.array(box).reshape(-1, t, 4),
-                      np.array(vis, dtype=np.float64).reshape(-1, t))
 
 
 @dataclass
@@ -306,35 +306,57 @@ def generate_dataset(cfg: GenConfig, num_clips: int, seed: int) -> list[ClipSamp
     return [generate_clip(cfg, seed, clip_id=i) for i in range(num_clips)]
 
 
-# ---------------------------------------------------------------------------
-# On-disk format: manifest + raw little-endian float32 frames + text records
+MANIFEST_HEADER = "clipvid-dataset v2"
+
+
+def track_dtype(t: int) -> np.dtype:
+    """The record of one track of a t-frame clip in its track table file."""
+    return np.dtype([("id", "<i8"), ("cls", "<i8"), ("speed", "<U6"),
+                     ("box", "<f8", (t, 4)), ("visibility", "<f8", (t,))])
+
+
+def _clip_files(path: str, clip_id: int) -> tuple[str, str]:
+    stem = os.path.join(path, "clips", f"clip_{clip_id:06d}")
+    return stem + ".frames.npy", stem + ".tracks.npy"
 
 
 def write_dataset(samples: list[ClipSample], path: str) -> None:
     os.makedirs(os.path.join(path, "clips"), exist_ok=True)
-    manifest = ["clipvid-dataset v1", f"clips={len(samples)}"]
-    ann_lines = []
     for s in samples:
-        t, h, w, _ = s.frames.shape
-        rel = f"clips/clip_{s.clip_id:06d}.bin"
-        manifest.append(f"clip {s.clip_id} frames={t} height={h} width={w} "
-                        f"file={rel} tracks={len(s.tracks)}")
-        with open(os.path.join(path, rel), "wb") as fh:
-            fh.write(np.ascontiguousarray(s.frames, dtype="<f4").tobytes())
-        tr = s.tracks
-        for tid, cls, label, corners, vis in zip(*(a.tolist() for a in (
-                tr.id, tr.cls, tr.speed, box_corners(tr.box), tr.visibility))):
-            ann_lines.append(f"track {s.clip_id} {tid} {cls} {label}")
-            for fi, ((x1, y1, x2, y2), v) in enumerate(zip(corners, vis)):
-                if math.isnan(x1):
-                    ann_lines.append(f"vis {s.clip_id} {tid} {fi} {v:.17g}")
-                else:
-                    ann_lines.append(f"box {s.clip_id} {tid} {cls} {fi} {x1:.17g} {y1:.17g} "
-                                     f"{x2:.17g} {y2:.17g} {v:.17g} {label}")
+        table = np.empty(len(s.tracks), dtype=track_dtype(len(s.frames)))
+        for name in table.dtype.names:
+            table[name] = getattr(s.tracks, name)
+        frames_file, tracks_file = _clip_files(path, s.clip_id)
+        np.save(frames_file, np.ascontiguousarray(s.frames, dtype="<f4"))
+        np.save(tracks_file, table)
     with open(os.path.join(path, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
-    with open(os.path.join(path, "annotations.txt"), "w") as fh:
-        fh.write("\n".join(ann_lines) + ("\n" if ann_lines else ""))
+        fh.writelines(f"{line}\n" for line in [MANIFEST_HEADER, *(s.clip_id for s in samples)])
+
+
+def _read_array(file: str) -> np.ndarray:
+    """The one array of a .npy file; ValueError for anything else."""
+    with open(file, "rb") as fh:
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the array")
+    return array
+
+
+def _check_tracks(tr: Tracks) -> None:
+    """Raise ValueError for the first track that no generated clip holds."""
+    hidden = np.isnan(tr.box).all(-1, keepdims=True)
+    box = np.where(hidden, 1.0, tr.box)         # a hidden box checks as a valid one
+    faults = {"negative id": tr.id < 0,
+              "repeated id": (tr.id[:, None] == tr.id).sum(-1) > 1,
+              "negative class": tr.cls < 0,
+              f"speed label outside {SPEED_LABELS}": ~np.isin(tr.speed, SPEED_LABELS),
+              "visibility outside [0, 1]": ~((tr.visibility >= 0) & (tr.visibility <= 1)).all(-1),
+              "box that is partly NaN, not finite, or has w <= 0 or h <= 0":
+                  ~(np.isfinite(box).all(-1) & (box[..., 2:] > 0).all(-1)).all(-1)}
+    for fault, bad in faults.items():
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"track {k} (id {tr.id[k]}): {fault}")
 
 
 def read_dataset(path: str) -> list[ClipSample]:
@@ -344,114 +366,31 @@ def read_dataset(path: str) -> list[ClipSample]:
             lines = fh.read().splitlines()
     except OSError as e:
         raise ParseError(f"cannot read manifest: {e}") from e
-    if not lines or not lines[0].startswith("clipvid-dataset"):
-        raise ParseError(f"{mani_path}:1: not a dataset manifest")
-
-    clips: dict[int, tuple[np.ndarray, int, int]] = {}  # id -> (frames, manifest line, tracks=)
-    declared = None
-    keys = ("frames", "height", "width", "file", "tracks")      # read by key, in any order
+    if lines[:1] != [MANIFEST_HEADER]:
+        raise ParseError(f"{mani_path}:1: not a {MANIFEST_HEADER} manifest; "
+                         f"regenerate the dataset with `clipvid gen`")
+    samples: dict[int, ClipSample] = {}
     for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            continue
+        what = "clip id"
         try:
-            if line.startswith("clips="):
-                declared = int(line.split("=", 1)[1])
-                continue
-            if parts[0] != "clip" or len(parts) < 2:
-                raise ValueError("malformed clip record")
-            cid = int(parts[1])
-            if cid in clips:
-                raise ValueError(f"repeated clip {cid}")
-            pairs = [item.partition("=") for item in parts[2:]]
-            rec = {key: value for key, eq, value in pairs if eq}
-            if len(rec) != len(pairs) or sorted(rec) != sorted(keys):
-                raise ValueError(f"clip fields must be {' '.join(keys)}, each once "
-                                 f"as key=value, got {' '.join(parts[2:])}")
-            t, h, w, n_tracks = map(int, map(rec.get, ("frames", "height", "width", "tracks")))
-            rel = rec["file"]
-            if min(t, h, w) < 1:
-                raise ValueError(f"clip extents frames={t} height={h} width={w} must be >= 1")
-        except ValueError as e:
-            raise ParseError(f"{mani_path}:{ln}: {e}") from e
-        bin_path = os.path.join(path, rel)
-        expect = t * h * w * 3 * 4
-        try:
-            with open(bin_path, "rb") as fh:
-                found = os.fstat(fh.fileno()).st_size
-                if found != expect:
-                    raise ParseError(f"{bin_path}: offset {min(found, expect)}: "
-                                     f"expected {expect} bytes, found {found}")
-                frames = np.fromfile(fh, dtype="<f4").reshape(t, h, w, 3)
-        except OSError as e:
-            raise ParseError(f"{mani_path}:{ln}: cannot read {rel}: {e}") from e
-        clips[cid] = (frames, ln, n_tracks)
-    if declared is not None and declared != len(clips):
-        raise ParseError(f"{mani_path}: declared {declared} clips, found {len(clips)}")
-
-    ann_path = os.path.join(path, "annotations.txt")
-    rows: dict[int, list[tuple]] = {cid: [] for cid in clips}       # Tracks.of_rows rows
-    tracks: dict[tuple[int, int], tuple] = {}
-
-    def frame_index(box: np.ndarray, text: str) -> int:
-        fi = int(text)
-        if not 0 <= fi < len(box):
-            raise ValueError(f"frame index {fi} outside the clip's {len(box)} frames")
-        return fi
-
-    def visibility(text: str) -> float:
-        v = float(text)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"visibility {text} must be in [0, 1]")
-        return v
-
-    if os.path.exists(ann_path):
-        with open(ann_path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    if parts[0] == "track":
-                        cid, tid, cls = int(parts[1]), int(parts[2]), int(parts[3])
-                        label = parts[4]
-                        if label not in SPEED_LABELS:
-                            raise ValueError(f"bad speed label {label!r}")
-                        if cid not in clips:
-                            raise ValueError(f"unknown clip {cid}")
-                        if tid < 0 or cls < 0:
-                            raise ValueError(f"negative track id {tid} or class {cls}")
-                        if (cid, tid) in tracks:
-                            raise ValueError(f"repeated track {tid} of clip {cid}")
-                        t = len(clips[cid][0])
-                        tracks[cid, tid] = (tid, cls, label, np.full((t, 4), np.nan), np.zeros(t))
-                        rows[cid].append(tracks[cid, tid])
-                    elif parts[0] == "vis":
-                        _tid, _cls, _label, box, vis = tracks[(int(parts[1]), int(parts[2]))]
-                        vis[frame_index(box, parts[3])] = visibility(parts[4])
-                    elif parts[0] == "box":
-                        tid, cls, label, box, vis = tracks[(int(parts[1]), int(parts[2]))]
-                        if int(parts[3]) != cls:
-                            raise ValueError(f"box class {parts[3]} differs from track "
-                                             f"{tid}'s class {cls}")
-                        if parts[10] != label:
-                            raise ValueError(f"box speed label {parts[10]!r} differs from "
-                                             f"track {tid}'s {label!r}")
-                        fi = frame_index(box, parts[4])
-                        x1, y1, x2, y2 = (float(x) for x in parts[5:9])
-                        if not (all(map(math.isfinite, (x1, y1, x2, y2)))
-                                and x1 < x2 and y1 < y2):
-                            raise ValueError(f"box corners ({x1}, {y1}, {x2}, {y2}) must be "
-                                             f"finite with x1 < x2 and y1 < y2")
-                        box[fi] = Box.from_corners(x1, y1, x2, y2).as_array()
-                        vis[fi] = visibility(parts[9])
-                    else:
-                        raise ValueError(f"unknown record {parts[0]!r}")
-                except (KeyError, ValueError, IndexError) as e:
-                    raise ParseError(f"{ann_path}:{ln}: {e}") from e
-    for cid, (_frames, ln, n_tracks) in clips.items():
-        if n_tracks != len(rows[cid]):
-            raise ParseError(f"{mani_path}:{ln}: clip {cid} declares tracks={n_tracks}, "
-                             f"the annotations hold {len(rows[cid])}")
-    return [ClipSample(cid, frames, Tracks.of_rows(rows[cid], len(frames)))
-            for cid, (frames, _ln, _n) in sorted(clips.items())]
+            clip_id = int(line)
+            if clip_id < 0 or clip_id in samples:
+                raise ValueError(f"{clip_id} is negative or repeated")
+            frames_file, tracks_file = _clip_files(path, clip_id)
+            what = frames_file
+            frames = _read_array(frames_file)
+            if frames.dtype != np.dtype("<f4") or frames.ndim != 4 or frames.shape[3] != 3 \
+                    or 0 in frames.shape:
+                raise ValueError(f"frames must be a non-empty <f4 [T, H, W, 3] array, "
+                                 f"got {frames.dtype.str} {list(frames.shape)}")
+            what = tracks_file
+            table = _read_array(tracks_file)
+            if table.dtype != track_dtype(len(frames)) or table.ndim != 1:
+                raise ValueError(f"tracks must be a 1-D {track_dtype(len(frames))} array, "
+                                 f"got {table.ndim}-D {table.dtype}")
+            tracks = Tracks(**{name: table[name] for name in table.dtype.names})
+            _check_tracks(tracks)
+        except (OSError, ValueError) as e:
+            raise ParseError(f"{mani_path}:{ln}: {what}: {e}") from e
+        samples[clip_id] = ClipSample(clip_id, frames, tracks)
+    return list(samples.values())

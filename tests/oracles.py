@@ -13,7 +13,8 @@ attention in its projected form, keys and values computed per context
 block. km_solve solves one frame's assignment, one row at a time,
 per_clip_step trains a batch one clip at a time, and window_infer_clip
 runs inference one window at a time. The tests
-compare the package's batched and fused paths against them.
+compare the package's batched and fused paths against them; box_array and
+tracks_of_rows build their inputs.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
@@ -35,7 +36,7 @@ from clipvid import training as tr
 from clipvid.errors import InputError
 from clipvid.evaluate import IOU_THRESH, EvalReport, interpolated_ap
 from clipvid.geometry import LOGIT_EPS, WH_MIN, Box, box_pair_terms
-from clipvid.synthvid import SPEED_LABELS, Targets
+from clipvid.synthvid import SPEED_LABELS, Targets, Tracks
 
 # ---------------------------------------------------------------------------
 # Boxes
@@ -53,6 +54,11 @@ class BoxDelta:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.dx, self.dy, self.dw, self.dh))):
             raise InputError("box delta must be finite")
+
+
+def box_array(b: Box) -> np.ndarray:
+    """b as a float64 [4] array cx, cy, w, h."""
+    return np.array([b.cx, b.cy, b.w, b.h], dtype=np.float64)
 
 
 def clamped(b: Box) -> Box:
@@ -361,7 +367,7 @@ def match_cost(logits, box: Box, gt_class: int, gt_box: Box) -> float:
     ground-truth class channel with a positive target."""
     cls = focal_loss(float(logits[gt_class]), 1, mt.FOCAL_ALPHA, mt.FOCAL_GAMMA)
     g = giou(box, gt_box)
-    l1 = sum(abs(a - b) for a, b in zip(box.as_array(), gt_box.as_array()))
+    l1 = sum(abs(a - b) for a, b in zip(box_array(box), box_array(gt_box)))
     return mt.LAMBDA_CLS * cls + mt.LAMBDA_GIOU * (1.0 - g) + mt.LAMBDA_L1 * l1
 
 
@@ -369,11 +375,19 @@ def targets_of(gts) -> Targets:
     """A ground-truth table from per-frame lists of (class_id, Box) or
     (class_id, Box, track_id) tuples; a tuple without a track id gives track
     -1."""
-    rows = [(i, g[0], g[1].as_array(), g[2] if len(g) > 2 else -1)
+    rows = [(i, g[0], box_array(g[1]), g[2] if len(g) > 2 else -1)
             for i, frame_gts in enumerate(gts) for g in frame_gts]
     frame, cls, box, track = zip(*rows) if rows else ((), (), (), ())
     return Targets(np.array(frame, dtype=np.int64), np.array(cls, dtype=np.int64),
                    np.array(box, dtype=np.float64).reshape(-1, 4), np.array(track, dtype=np.int64))
+
+
+def tracks_of_rows(rows: list[tuple], t: int) -> Tracks:
+    """The Tracks table of (id, cls, speed, box [t, 4], visibility [t]) rows."""
+    ids, cls, speed, box, vis = zip(*rows) if rows else ((),) * 5
+    return Tracks(np.array(ids, dtype=np.int64), np.array(cls, dtype=np.int64),
+                  np.array(speed, dtype=str), np.array(box).reshape(-1, t, 4),
+                  np.array(vis, dtype=np.float64).reshape(-1, t))
 
 
 def loop_targets(clip, idx) -> Targets:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clipvid import cli, gradcheck_suite
+from clipvid import synthvid as sv
 from oracles import corrupt_adjoint
 
 
@@ -46,7 +47,6 @@ def test_gen_deterministic_byte_identical(tmp_path):
 def test_gen_zero_clips_valid_empty(tmp_path):
     out = tmp_path / "empty"
     assert run("gen", "--out", str(out), "--clips", "0", "--seed", "1") == 0
-    from clipvid import synthvid as sv
     assert sv.read_dataset(str(out)) == []
 
 
@@ -73,8 +73,8 @@ def test_gen_manifest_count(tmp_path, capsys):
     assert run("gen", "--out", str(out), "--clips", "10", "--seed", "2",
                "--frame-size", "16", "--frames", "2") == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
-    assert manifest[1] == "clips=10"
-    assert sum(1 for l in manifest if l.startswith("clip ")) == 10
+    assert manifest == ["clipvid-dataset v2", *map(str, range(10))]
+    assert [clip.clip_id for clip in sv.read_dataset(str(out))] == list(range(10))
 
 
 MICRO_CFG = """num_classes=5
@@ -233,14 +233,11 @@ def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys, fie
 
 
 def with_class(src, dst, class_id):
-    """Copy the dataset at src to dst with every track, and each of its box
-    records, set to class_id (the class is field 3 of both records)."""
-    shutil.copytree(src, dst)
-    ann = Path(dst, "annotations.txt")
-    lines = [l.split() for l in ann.read_text().splitlines()]
-    lines = [" ".join(f[:3] + [str(class_id)] + f[4:] if f[0] in ("track", "box") else f)
-             for f in lines]
-    ann.write_text("\n".join(lines) + "\n")
+    """Write the dataset at src to dst with every track set to class_id."""
+    clips = sv.read_dataset(src)
+    for clip in clips:
+        clip.tracks.cls[:] = class_id
+    sv.write_dataset(clips, str(dst))
     return str(dst)
 
 
@@ -307,11 +304,29 @@ def test_train_step_to_non_finite_parameters_writes_no_checkpoint(dataset, micro
     """A step that leaves a parameter inf or NaN stops the run at that
     iteration, before any checkpoint is written."""
     code = run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
-               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1", "--lr", "1e39")
+               "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1",
+               "--lr", repr(float(np.finfo(np.float32).max)))
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert re.search(r"iteration 0: parameter '[\w.]+' is not finite", err)
     assert "Traceback" not in err and not list(tmp_path.glob("*.ckpt"))
+
+
+def test_lr_the_run_precision_cannot_hold_is_usage_error(dataset, micro_cfg_path, tmp_path,
+                                                         capsys, monkeypatch):
+    """--lr 1e39 overflows float32: at the default precision it is refused
+    before training and no checkpoint is written; in 64-bit it passes the
+    check and reaches training."""
+    argv = ("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+            "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1", "--lr", "1e39")
+    assert run(*argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--lr must be finite in 32-bit floats, got 1e+39" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("x.ckpt*"))
+    seen = []
+    monkeypatch.setattr(cli.tr, "train", lambda *args, log: seen.append(args[-1].lr))
+    monkeypatch.setenv("CLIPVID_PRECISION", "64")
+    assert run(*argv) == 0 and seen == [1e39]
 
 
 @pytest.mark.parametrize("argv", [
@@ -534,6 +549,24 @@ def test_eval_missing_data_is_io_error(tmp_path):
     code = run("eval", "--data", str(tmp_path / "nope"), "--ckpt", "x",
                "--out", str(tmp_path / "x"))
     assert code == cli.EXIT_IO
+
+
+def test_eval_older_dataset_layout_is_io_error_with_regenerate_hint(trained_ckpt, tmp_path,
+                                                                     capsys):
+    """A dataset in the text layout that preceded the .npy files is refused
+    with exit 2 and a hint to regenerate it, before the checkpoint loads."""
+    data = tmp_path / "v1"
+    (data / "clips").mkdir(parents=True)
+    (data / "manifest.txt").write_text(
+        "clipvid-dataset v1\nclips=1\n"
+        "clip 0 frames=1 height=8 width=8 file=clips/clip_000000.bin tracks=0\n")
+    (data / "clips" / "clip_000000.bin").write_bytes(bytes(8 * 8 * 3 * 4))
+    (data / "annotations.txt").write_text("")
+    code = run("eval", "--data", str(data), "--ckpt", trained_ckpt, "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert re.search(r"I/O error: .*manifest\.txt:1: .*regenerate the dataset with `clipvid gen`",
+                     err) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("config, ckpt_out", [

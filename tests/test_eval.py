@@ -6,7 +6,7 @@ from clipvid import synthvid as sv
 from clipvid.errors import InputError
 from clipvid.geometry import Box
 from clipvid.model import Detection
-from oracles import average_precision, iou, loop_evaluate
+from oracles import average_precision, box_array, iou, loop_evaluate, tracks_of_rows
 
 
 def corners(x1, y1, x2, y2):
@@ -15,12 +15,12 @@ def corners(x1, y1, x2, y2):
 
 def clip_with(tracks, t=2, clip_id=0, size=8):
     frames = np.zeros((t, size, size, 3), dtype=np.float32)
-    return sv.ClipSample(clip_id, frames, sv.Tracks.of_rows(tracks, t))
+    return sv.ClipSample(clip_id, frames, tracks_of_rows(tracks, t))
 
 
 def track(tid, cls, boxes, label="slow"):
     """One Tracks row: a NaN box and visibility 0 where boxes holds None."""
-    box = [[np.nan] * 4 if b is None else b.as_array() for b in boxes]
+    box = [[np.nan] * 4 if b is None else box_array(b) for b in boxes]
     vis = [1.0 if b is not None else 0.0 for b in boxes]
     return tid, cls, label, box, vis
 

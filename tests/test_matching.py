@@ -12,8 +12,8 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.errors import CapacityError, DimensionError, NumericError
 from clipvid.geometry import Box
-from oracles import (assignment_cost, focal_loss, frame_cost_matrix, giou, km_solve,
-                     loop_match_frames, match_cost, targets_of)
+from oracles import (assignment_cost, box_array, focal_loss, frame_cost_matrix, giou,
+                     km_solve, loop_match_frames, match_cost, targets_of)
 
 
 def playing(*values):
@@ -27,7 +27,7 @@ def make_frame(logits, boxes):
     """One frame's predictions as the loss takes a T=1 clip: logits
     [1, L, C] and boxes_t [1, L, 4] as tensors, boxes [1, L, 4] as an array."""
     logits = np.asarray(logits, dtype=np.float64)[None]
-    boxes = np.array([b.as_array() for b in boxes])[None]
+    boxes = np.array([box_array(b) for b in boxes])[None]
     return ad.param(logits), ad.param(boxes), boxes
 
 
@@ -67,9 +67,9 @@ def test_match_cost_classification_cancels_across_gts():
     c1 = match_cost(logits, box, 0, g1)
     c2 = match_cost(logits, box, 1, g2)
     box_only_1 = mt.LAMBDA_GIOU * (1 - giou(box, g1)) \
-        + mt.LAMBDA_L1 * np.abs(box.as_array() - g1.as_array()).sum()
+        + mt.LAMBDA_L1 * np.abs(box_array(box) - box_array(g1)).sum()
     box_only_2 = mt.LAMBDA_GIOU * (1 - giou(box, g2)) \
-        + mt.LAMBDA_L1 * np.abs(box.as_array() - g2.as_array()).sum()
+        + mt.LAMBDA_L1 * np.abs(box_array(box) - box_array(g2)).sum()
     assert c1 - c2 == pytest.approx(box_only_1 - box_only_2, abs=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_cost_matrix_micro_case_matches_scalar_oracle(rng):
     gts = [(int(rng.integers(3)), Box(*np.clip(rng.random(4), 0.15, 0.8)))
            for _ in range(2)]
     logits = np.stack([lg for lg, _ in preds])
-    boxes = np.stack([b.as_array() for _, b in preds])
+    boxes = np.stack([box_array(b) for _, b in preds])
     table = targets_of([gts])
     mat = mt.cost_matrix(logits, boxes, table.cls, table.box)
     for i, (lg, box) in enumerate(preds):

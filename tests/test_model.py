@@ -13,7 +13,7 @@ from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.errors import ConfigError, DimensionError
 from clipvid.geometry import Box
-from oracles import (adapt_region_feature, apply_ln, composed_multi_head_attention,
+from oracles import (adapt_region_feature, apply_ln, box_array, composed_multi_head_attention,
                      detection_head, guided_cross_attention, leaf_grad, loop_extract_detections,
                      mask_within_frames)
 
@@ -317,13 +317,13 @@ def test_detection_head_contracts(rng):
     logits_f, _, boxes_f, ident_f = M.detection_head(ad.reshape(q, (1, 1, 8)), ref[None],
                                                      lp, True)
     assert_allclose(logits_f.data[0, 0], logits.data, atol=1e-12)
-    assert_allclose(boxes_f[0, 0], box.as_array(), atol=1e-12)
+    assert_allclose(boxes_f[0, 0], box_array(box), atol=1e-12)
     assert_allclose(ident_f.data[0, 0], h.data, atol=1e-12)
     for layer in lp.head_loc:
         layer.w.data[:] = 0
         layer.b.data[:] = 0
     _, box2, _ = detection_head(q, Box(*ref[0]), lp, False)
-    assert box2.as_array() == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
+    assert box_array(box2) == pytest.approx([0.5, 0.5, 0.5, 0.5], abs=1e-9)
 
 
 @pytest.mark.parametrize("clips", [0, 2])

@@ -9,7 +9,7 @@ import pytest
 from clipvid import synthvid as sv
 from clipvid.errors import ParseError
 from clipvid.geometry import Box
-from oracles import iou, loop_targets
+from oracles import box_array, iou, loop_targets, tracks_of_rows
 
 
 def small_cfg(**kw):
@@ -42,12 +42,12 @@ def test_targets_table_lists_frame_gts_rows_in_order():
     clip.tracks.box[0, 2] = np.nan
     for idx in ([0, 2, 5], [4, 1], [3]):
         table = clip.targets(idx)
-        rows = [(pos, c, b.as_array().tolist(), tid)
+        rows = [(pos, c, box_array(b).tolist(), tid)
                 for pos, i in enumerate(idx) for c, b, tid in clip.frame_gts(i)]
         assert list(zip(table.frame.tolist(), table.cls.tolist(), table.box.tolist(),
                         table.track.tolist())) == rows
         assert table.box.dtype == np.float64 and len(table) == len(rows)
-    clip.tracks = sv.Tracks.of_rows([], len(clip.frames))
+    clip.tracks = tracks_of_rows([], len(clip.frames))
     assert clip.targets([0, 1]).box.shape == (0, 4)
 
 
@@ -57,7 +57,7 @@ def test_targets_matches_loop_reference():
     with a box hidden in a requested frame and on a clip with no tracks."""
     clip = sv.generate_clip(small_cfg(min_objects=3, max_objects=4), seed=5, clip_id=1)
     clip.tracks.box[1, 4] = np.nan
-    empty = sv.ClipSample(2, clip.frames, sv.Tracks.of_rows([], len(clip.frames)))
+    empty = sv.ClipSample(2, clip.frames, tracks_of_rows([], len(clip.frames)))
     for c in (clip, empty):
         for idx in ([0, 2, 5], [4, 1], [3], range(6)):
             got, want = c.targets(idx), loop_targets(c, idx)
@@ -171,77 +171,91 @@ def test_speed_bands_partition():
     assert sv.speed_label(0.0601) == "fast"
 
 
+FIELDS = ("id", "cls", "speed", "box", "visibility")
+
+
+def assert_same_dataset(a, b):
+    """a and b hold the same clips in the same order: ids, frame bytes, and
+    every Tracks array exactly, NaN in the same places."""
+    assert [c.clip_id for c in a] == [c.clip_id for c in b]
+    for x, y in zip(a, b):
+        pairs = [(x.frames, y.frames)] + [(getattr(x.tracks, n), getattr(y.tracks, n))
+                                          for n in FIELDS]
+        for u, v in pairs:
+            if u.dtype.kind == "U":
+                assert np.array_equal(u, v)
+            else:
+                assert (u.dtype, u.shape) == (v.dtype, v.shape) and u.tobytes() == v.tobytes()
+
+
+def dir_bytes(path):
+    """Each file under path, by relative path, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))
+            if p.is_file()}
+
+
 def test_write_read_round_trip(tmp_path):
-    cfg = small_cfg(t=4)
-    samples = sv.generate_dataset(cfg, 3, seed=7)
+    """A dataset reads back exactly as written, in the order written."""
+    samples = sv.generate_dataset(small_cfg(t=4), 3, seed=7)[::-1]
     sv.write_dataset(samples, str(tmp_path / "ds"))
     loaded = sv.read_dataset(str(tmp_path / "ds"))
-    assert len(loaded) == 3
-    for a, b in zip(samples, loaded):
-        assert a.clip_id == b.clip_id
-        assert np.array_equal(a.frames, b.frames)
-        assert len(a.tracks) == len(b.tracks)
-        for name in ("id", "cls", "speed"):
-            assert getattr(a.tracks, name).tolist() == getattr(b.tracks, name).tolist()
-        assert np.array_equal(a.tracks.visibility, b.tracks.visibility)
-        assert np.allclose(a.tracks.box, b.tracks.box, rtol=0, atol=1e-12, equal_nan=True)
+    assert [c.clip_id for c in loaded] == [2, 1, 0]
+    assert_same_dataset(samples, loaded)
+
+
+@pytest.mark.parametrize("kw, clips", [
+    ({"t": 1, "frame_size": 8}, 3),
+    ({"t": 5, "frame_size": 16, "min_objects": 4, "max_objects": 6}, 2),
+    ({"t": 3, "frame_size": 8, "occluder_prob": 1.0, "blur_scale": 0.0}, 3),
+    ({"t": 2, "frame_size": 24, "occluder_prob": 0.0, "blur_scale": 2.0, "num_classes": 1}, 2),
+    ({"t": 12, "frame_size": 16, "min_objects": 1, "max_objects": 1}, 2),
+    ({}, 0),
+], ids=["t_1", "crowded", "occluded_unblurred", "clear_blurred", "t_12_one_object", "empty"])
+def test_round_trip_is_exact_over_gen_configs(tmp_path, kw, clips):
+    """read_dataset(write_dataset(d)) equals d exactly, and writing what was
+    read reproduces every file of d byte for byte."""
+    generated = sv.generate_dataset(sv.GenConfig(**kw), clips, seed=3)
+    sv.write_dataset(generated, str(tmp_path / "a"))
+    loaded = sv.read_dataset(str(tmp_path / "a"))
+    assert_same_dataset(generated, loaded)
+    sv.write_dataset(loaded, str(tmp_path / "b"))
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
 
 @pytest.mark.parametrize("kw,digest", [
-    ({}, "e506b976106292eaa09005fdcd51c96a8e0e3815ef9a426dd8f8b54d2e32adbc"),
-    ({"occluder_prob": 1.0}, "70f90bc2dde57c09788ea762e4f6f260d16ffb261dc129164a991b6dabc8ed7f"),
-    ({"t": 1}, "3b0af1e09bbc375d4597aa31034c68c26fce54bf8045462016b14eb434c159dc"),
-    ({"t": 32, "blur_scale": 0.9, "occluder_prob": 1.0},
-     "e5abd76db6d6c0ec10eaeaebfbbcb88bc2afa278e92776eb012c46034eeabfa7"),
-    ({"frame_size": 16, "t": 3},
-     "ba915478484a850ab560565f13d9242feb3dbd4e99c377d0a7cb18c94e182bac"),
-    ({"max_objects": 6}, "538d041da5a43c670cf741c814a553fdb31e81da8d8bec9dff21edaa1c3d6bc3"),
+    ({}, "fa7ebb5263e4865eb5a1fbafddbc000c3a89a5b424588bcb6e72de5f9b61feb9"),
+    ({"occluder_prob": 1.0}, "1de40a5b486b2c540480c14ce76df66fdb5820b2a2a7c889f414b676efebf362"),
+    ({"t": 1}, "b4e057a192abf5ac2eec0e3ce16bdd2e7d4c7398ba2666c5692c4e9fedae0579"),
+    ({"t": 32, "blur_scale": 0.9, "occluder_prob": 1.0}, "4ed86ec76a3e408f19ba2ce19dbeab2d9442b08fff5b754fb2eff18f2b35c8b2"),
+    ({"frame_size": 16, "t": 3}, "5ff652935494473b44f6ee143d8168f3fd61b4198aafc6c53e1c09958b935892"),
+    ({"max_objects": 6}, "9d1e0e355f25f9835466d8b87facaa928e3afb38fae583ba35cc19bb2e445f05"),
 ], ids=["default", "occluder_prob_1", "t_1", "t_32_blur_0.9_occluded", "frame_size_16",
         "max_objects_6"])
 def test_generated_dataset_bytes_are_pinned(tmp_path, kw, digest):
-    """A seeded dataset keeps its frame bytes and annotation text; the
+    """A seeded dataset keeps the bytes of every file it writes; the
     digests hold 14 tracks, 1 (default) and 4 (occluder on every clip)
     boxes hidden below VISIBILITY_MIN, and partial visibilities. The later
     rows pin one frame per clip, 32 frames of heavier blur under an
     occluder, the smallest frame, and up to six objects."""
-    clips = sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0)
-    sv.write_dataset(clips, str(tmp_path))
+    sv.write_dataset(sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0), str(tmp_path))
     h = hashlib.sha256()
-    for clip in clips:
-        h.update(np.ascontiguousarray(clip.frames, dtype="<f4").tobytes())
-    h.update((tmp_path / "annotations.txt").read_bytes())
+    for rel, data in dir_bytes(tmp_path).items():
+        h.update(rel.encode() + b"\0" + data)
     assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("kw,hidden", [({}, 1), ({"occluder_prob": 1.0}, 4), ({"t": 1}, 2)],
                          ids=["default", "occluder_prob_1", "t_1"])
 def test_rewrite_reproduces_dataset_bytes(tmp_path, kw, hidden):
-    """write_dataset(read_dataset(d)) writes d's manifest and frame files
-    byte for byte, and its annotations record for record. A box is held as
-    centre and size, so a corner read from d can come back a few ulps off;
-    annotations written from a read dataset are then rewritten byte for
-    byte."""
-    dirs = [tmp_path / name for name in ("generated", "rewritten", "again")]
-    sv.write_dataset(sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0), str(dirs[0]))
-    for src, dst in zip(dirs, dirs[1:]):
-        sv.write_dataset(sv.read_dataset(str(src)), str(dst))
-    files = sorted(p.relative_to(dirs[0]) for p in dirs[0].rglob("*") if p.is_file())
-    assert len(files) == 6              # manifest, annotations and four frame files
-    assert files == sorted(p.relative_to(dirs[1]) for p in dirs[1].rglob("*") if p.is_file())
-    for rel in files:
-        if rel.name != "annotations.txt":
-            assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
-    text = [(d / "annotations.txt").read_text() for d in dirs]
-    assert text[2] == text[1] and text[0].count("\nvis ") == hidden
-    first, second = (t.splitlines() for t in text[:2])
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        a, b = a.split(), b.split()
-        if a[0] == "box":
-            np.testing.assert_array_max_ulp(np.array(a[5:9], dtype=float),
-                                            np.array(b[5:9], dtype=float), maxulp=4)
-            a[5:9], b[5:9] = [], []
-        assert a == b
+    """write_dataset(read_dataset(d)) writes every file of d byte for byte,
+    hidden boxes included."""
+    generated = sv.generate_dataset(sv.GenConfig(**kw), 4, seed=0)
+    assert sum(int(np.isnan(c.tracks.box[..., 0]).sum()) for c in generated) == hidden
+    sv.write_dataset(generated, str(tmp_path / "generated"))
+    sv.write_dataset(sv.read_dataset(str(tmp_path / "generated")), str(tmp_path / "rewritten"))
+    files = dir_bytes(tmp_path / "generated")
+    assert len(files) == 9              # the manifest and two files per clip
+    assert files == dir_bytes(tmp_path / "rewritten")
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -250,130 +264,157 @@ def test_empty_dataset_round_trip(tmp_path):
 
 
 FIXTURE_FRAMES = np.arange(2 * 4 * 4 * 3, dtype="<f4").reshape(2, 4, 4, 3) / 100.0
-FIXTURE_CLIP = "clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin tracks=1"
+FRAMES_FILE = "clips/clip_000000.frames.npy"
+TRACKS_FILE = "clips/clip_000000.tracks.npy"
 
 
-def write_fixture(ds, annotations: str):
-    """A one-clip, two-frame dataset with the given annotation lines."""
+def fixture_table(t=2):
+    """The two tracks of the fixture clip: track 5, class 2, fast, with a
+    box in frame 0 only, and track 6, class 0, slow, with a box in both."""
+    table = np.zeros(2, dtype=sv.track_dtype(t))
+    table["id"], table["cls"], table["speed"] = [5, 6], [2, 0], ["fast", "slow"]
+    table["box"] = np.nan
+    table["box"][0, 0] = [0.5, 0.5, 0.5, 0.5]
+    table["box"][1, :2] = [[0.25, 0.3, 0.2, 0.1], [0.3, 0.3, 0.2, 0.1]]
+    table["visibility"][:, :2] = [[1.0, 0.1], [0.9, 0.8]]
+    return table
+
+
+def write_fixture(ds, frames=FIXTURE_FRAMES, table=None, clip_lines="0"):
+    """A one-clip, two-frame dataset written by hand, file by file."""
     (ds / "clips").mkdir(parents=True)
-    (ds / "clips" / "clip_000000.bin").write_bytes(FIXTURE_FRAMES.tobytes())
-    (ds / "manifest.txt").write_text(f"clipvid-dataset v1\nclips=1\n{FIXTURE_CLIP}\n")
-    (ds / "annotations.txt").write_text(annotations)
+    np.save(ds / FRAMES_FILE, frames)
+    np.save(ds / TRACKS_FILE, fixture_table() if table is None else table)
+    (ds / "manifest.txt").write_text(f"clipvid-dataset v2\n{clip_lines}\n")
 
 
 def test_hand_written_fixture_parses(tmp_path):
     ds = tmp_path / "ds"
-    write_fixture(ds, "track 0 5 2 fast\n"
-                      "box 0 5 2 0 0.25 0.25 0.75 0.75 1 fast\n"
-                      "vis 0 5 1 0.1\n")
-    frames = FIXTURE_FRAMES
-    loaded = sv.read_dataset(str(ds))
-    assert len(loaded) == 1
-    clip = loaded[0]
-    assert np.array_equal(clip.frames, frames)
-    assert len(clip.tracks) == 1
+    write_fixture(ds)
+    (clip,) = sv.read_dataset(str(ds))
+    assert clip.clip_id == 0 and np.array_equal(clip.frames, FIXTURE_FRAMES)
     tr = clip.tracks
-    assert (tr.id.tolist(), tr.cls.tolist(), tr.speed.tolist()) == ([5], [2], ["fast"])
-    assert tr.box[0, 0] == pytest.approx([0.5, 0.5, 0.5, 0.5])
-    assert np.isnan(tr.box[0, 1]).all()
-    assert tr.visibility.tolist() == [[1.0, 0.1]]
+    assert (tr.id.tolist(), tr.cls.tolist(), tr.speed.tolist()) == ([5, 6], [2, 0],
+                                                                     ["fast", "slow"])
+    assert tr.box[0, 0].tolist() == [0.5, 0.5, 0.5, 0.5] and np.isnan(tr.box[0, 1]).all()
+    assert tr.visibility.tolist() == [[1.0, 0.1], [0.9, 0.8]]
+    assert [(c, t) for c, _b, t in clip.frame_gts(1)] == [(0, 6)]
 
 
 def test_malformed_annotation_reports_line(tmp_path):
+    """A track table with an unknown speed label is a ParseError naming its
+    clip's manifest line and table file."""
     ds = tmp_path / "ds"
-    sv.write_dataset(sv.generate_dataset(small_cfg(t=2), 1, seed=0), str(ds))
-    ann = ds / "annotations.txt"
-    ann.write_text("track 0 0 0 warp9\n")
-    with pytest.raises(ParseError) as exc:
-        sv.read_dataset(str(ds))
-    assert ":1:" in str(exc.value)
-
-
-@pytest.mark.parametrize("bad_line", [
-    "box 0 5 2 -1 0.25 0.25 0.75 0.75 1 fast",
-    "box 0 5 2 2 0.25 0.25 0.75 0.75 1 fast",
-    "vis 0 5 -1 0.5",
-    "track 0 6 -1 slow",
-    "track 0 -3 1 slow",
-    "track 0 5 1 slow",
-    "box 0 5 4 0 0.25 0.25 0.75 0.75 1 slow",
-    "box 0 5 2 0 nan 0.25 0.75 0.75 1 fast",
-    "box 0 5 2 0 0.75 0.25 0.25 0.75 1 fast",
-    "box 0 5 2 0 0.25 0.5 0.75 0.5 1 fast",
-    "box 0 5 2 0 0.25 0.25 0.75 0.75 1 slow",
-    "box 0 5 2 0 0.25 0.25 0.75 0.75 1.5 fast",
-    "box 0 5 2 0 0.25 0.25 0.75 0.75 nan fast",
-    "vis 0 5 0 -0.1",
-    "vis 0 5 0 inf",
-], ids=["box_frame_negative", "box_frame_past_end", "vis_frame_negative",
-        "class_negative", "track_id_negative", "track_repeated", "box_class_mismatch",
-        "box_corner_nan", "box_x_corners_swapped", "box_zero_height", "box_speed_mismatch",
-        "box_visibility_above_one", "box_visibility_nan", "vis_negative", "vis_inf"])
-def test_invalid_annotation_reports_line(tmp_path, bad_line):
-    """An annotation that would wrap an index, break the one-query-per-
-    track property, give a box without a finite, positive extent or a speed
-    label other than its track's, or a visibility outside [0, 1] is a
-    ParseError naming its line, not silently kept."""
-    ds = tmp_path / "ds"
-    write_fixture(ds, f"track 0 5 2 fast\nvis 0 5 1 0.1\n{bad_line}\n")
-    with pytest.raises(ParseError, match=":3:"):
+    sv.write_dataset(sv.generate_dataset(small_cfg(t=2), 2, seed=0), str(ds))
+    table = np.load(ds / "clips" / "clip_000001.tracks.npy")
+    table["speed"][0] = "warp9"
+    np.save(ds / "clips" / "clip_000001.tracks.npy", table)
+    with pytest.raises(ParseError, match=r":3: .*clip_000001\.tracks\.npy: .*speed label"):
         sv.read_dataset(str(ds))
 
 
-def test_non_integer_clip_count_reports_line(tmp_path):
+def set_field(name, index, value):
+    def edit(table):
+        table[name][index] = value
+        return table
+    return edit
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda table: fixture_table(t=3), "1-D"),
+    (set_field("id", 0, -3), "negative id"),
+    (set_field("id", 1, 5), "repeated id"),
+    (set_field("cls", 1, -1), "negative class"),
+    (set_field("speed", 0, "warp9"), "speed label"),
+    (set_field("box", (0, 0, 0), np.nan), "partly NaN"),
+    (set_field("box", (1, 0, 1), np.inf), "not finite"),
+    (set_field("box", (1, 1, 2), -0.2), "w <= 0"),      # what swapped x corners give
+    (set_field("box", (1, 1, 3), 0.0), "h <= 0"),
+    (set_field("visibility", (0, 0), 1.5), r"visibility outside \[0, 1\]"),
+    (set_field("visibility", (0, 0), np.nan), r"visibility outside \[0, 1\]"),
+    (set_field("visibility", (0, 1), -0.1), r"visibility outside \[0, 1\]"),
+    (set_field("visibility", (0, 1), np.inf), r"visibility outside \[0, 1\]"),
+    (lambda table: table.astype(table.dtype.descr[:1] + [("cls", "<i4")]
+                                + table.dtype.descr[2:]), "1-D"),
+    (lambda table: table[None], "1-D"),
+], ids=["box_frame_past_end", "track_id_negative", "track_repeated", "class_negative",
+        "speed_label_unknown", "box_corner_nan", "box_not_finite", "box_x_corners_swapped",
+        "box_zero_height", "box_visibility_above_one", "box_visibility_nan", "vis_negative",
+        "vis_inf", "table_dtype", "table_2d"])
+def test_invalid_annotation_reports_line(tmp_path, edit, fault):
+    """A track table of the wrong shape or dtype, a track id or class that
+    would wrap an index or break the one-query-per-track property, a speed
+    label outside SPEED_LABELS, a box without a finite, positive extent or
+    a visibility outside [0, 1] is a ParseError naming the manifest line
+    and the file, not silently kept."""
     ds = tmp_path / "ds"
-    write_fixture(ds, "")
-    manifest = ds / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace("clips=1", "clips=one"))
-    with pytest.raises(ParseError, match=":2:"):
+    write_fixture(ds, table=edit(fixture_table()))
+    with pytest.raises(ParseError, match=rf":2: .*{re.escape(TRACKS_FILE)}: .*{fault}"):
         sv.read_dataset(str(ds))
 
 
 @pytest.mark.parametrize("extent", ["frames", "height", "width"])
 def test_zero_clip_extent_reports_line(tmp_path, extent):
-    """A clip with no frames or no pixels, and an empty frame file to
-    match, is a ParseError naming its manifest line, not a dataset that
-    loads and then fails in training."""
+    """A clip with no frames or no pixels is a ParseError naming its
+    manifest line and frame file, not a dataset that loads and then fails
+    in training."""
+    shape = list(FIXTURE_FRAMES.shape)
+    shape[["frames", "height", "width"].index(extent)] = 0
     ds = tmp_path / "ds"
-    write_fixture(ds, "")
-    (ds / "clips" / "clip_000000.bin").write_bytes(b"")
-    manifest = ds / "manifest.txt"
-    text = manifest.read_text()
-    manifest.write_text(re.sub(rf"{extent}=\d+", f"{extent}=0", text))
-    with pytest.raises(ParseError, match=f":3: .*{extent}=0"):
+    write_fixture(ds, frames=np.zeros(shape, dtype="<f4"))
+    with pytest.raises(ParseError, match=rf":2: .*{re.escape(FRAMES_FILE)}: .*non-empty"):
         sv.read_dataset(str(ds))
 
 
-def test_manifest_fields_load_by_key_in_any_order(tmp_path):
+@pytest.mark.parametrize("frames", [
+    FIXTURE_FRAMES.astype("<f8"), FIXTURE_FRAMES.astype(">f4"), FIXTURE_FRAMES[..., :1],
+    FIXTURE_FRAMES[0],
+], ids=["float64", "big_endian", "one_channel", "three_dims"])
+def test_frames_not_f4_rgb_report_line(tmp_path, frames):
     ds = tmp_path / "ds"
-    write_fixture(ds, "track 0 5 2 fast\n")
-    manifest = ds / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(
-        FIXTURE_CLIP, "clip 0 height=4 tracks=1 file=clips/clip_000000.bin width=4 frames=2"))
-    (clip,) = sv.read_dataset(str(ds))
-    assert np.array_equal(clip.frames, FIXTURE_FRAMES)
-    assert clip.tracks.id.tolist() == [5]
+    write_fixture(ds, frames=frames)
+    with pytest.raises(ParseError, match=rf":2: .*{re.escape(FRAMES_FILE)}: frames must be"):
+        sv.read_dataset(str(ds))
 
 
 @pytest.mark.parametrize("clip_lines, match", [
-    ("clip 0 frames=2 height=4 width=4 file=clips/clip_000000.bin", ":3: clip fields must be"),
-    (FIXTURE_CLIP + " depth=3", ":3: clip fields must be.* depth=3"),
-    (FIXTURE_CLIP + " stray", ":3: clip fields must be.* stray"),
-    (FIXTURE_CLIP + " frames=2", ":3: clip fields must be.*=1 frames=2"),
-    (FIXTURE_CLIP + "\n" + FIXTURE_CLIP, ":4: repeated clip 0"),
-    (FIXTURE_CLIP.replace("tracks=1", "tracks=94"), ":3: .*tracks=94"),
-    (FIXTURE_CLIP.replace("tracks=1", "tracks=0"), ":3: .*tracks=0"),
-], ids=["missing", "unknown", "bare_word", "repeated_field", "repeated_clip",
-        "more_tracks", "fewer_tracks"])
+    ("0\n1", r":3: .*clip_000001\.frames\.npy"),
+    ("0 depth=3", r":2: .*depth=3"),
+    ("0 stray", r":2: .*stray"),
+    ("0\n0", ":3: .*repeated"),
+    ("-1", ":2: .*negative"),
+    ("1.5", r":2: .*1\.5"),
+], ids=["missing", "unknown", "bare_word", "repeated_clip", "negative", "non_integer"])
 def test_bad_manifest_clip_record_reports_line(tmp_path, clip_lines, match):
-    """A clip record with a missing, unknown or repeated field, a clip id
-    seen before, or a tracks= count other than its track records is a
-    ParseError naming its manifest line, not a clip that silently loads."""
+    """A clip listed without its files, a clip line that is not one
+    non-negative integer, or a clip id seen before is a ParseError naming
+    its manifest line, not a clip that silently loads."""
     ds = tmp_path / "ds"
-    write_fixture(ds, "track 0 5 2 fast\n")
-    manifest = ds / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace(FIXTURE_CLIP, clip_lines))
+    write_fixture(ds, clip_lines=clip_lines)
     with pytest.raises(ParseError, match=match):
+        sv.read_dataset(str(ds))
+
+
+def pickled_table(path):
+    np.save(path, np.array([{"id": 5}], dtype=object), allow_pickle=True)
+
+
+@pytest.mark.parametrize("rel, damage", [
+    (FRAMES_FILE, lambda p: p.write_bytes(p.read_bytes()[:-4])),
+    (TRACKS_FILE, lambda p: p.write_bytes(p.read_bytes()[:-1])),
+    (FRAMES_FILE, lambda p: p.write_bytes(p.read_bytes()[:20])),
+    (FRAMES_FILE, lambda p: p.write_bytes(p.read_bytes() + b"\0")),
+    (TRACKS_FILE, lambda p: p.write_bytes(p.read_bytes() + b"\n")),
+    (TRACKS_FILE, pickled_table),
+    (FRAMES_FILE, lambda p: p.write_text("not an array\n")),
+    (TRACKS_FILE, lambda p: p.unlink()),
+], ids=["truncated_frames", "truncated_tracks", "truncated_header", "trailing_frame_bytes",
+        "trailing_track_bytes", "pickled_tracks", "not_npy", "missing_tracks"])
+def test_malformed_clip_file_reports_line_and_file(tmp_path, rel, damage):
+    ds = tmp_path / "ds"
+    write_fixture(ds)
+    damage(ds / rel)
+    with pytest.raises(ParseError, match=rf":2: .*{re.escape(rel)}"):
         sv.read_dataset(str(ds))
 
 
@@ -388,16 +429,6 @@ def test_round_trip_closes_every_file(tmp_path):
         gc.collect()
     assert len(loaded) == 3
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_truncated_frames_reports_offset(tmp_path):
-    ds = tmp_path / "ds"
-    sv.write_dataset(sv.generate_dataset(small_cfg(t=2), 1, seed=0), str(ds))
-    bin_path = ds / "clips" / "clip_000000.bin"
-    bin_path.write_bytes(bin_path.read_bytes()[:-4])
-    with pytest.raises(ParseError) as exc:
-        sv.read_dataset(str(ds))
-    assert "offset" in str(exc.value)
 
 
 def test_missing_manifest(tmp_path):
