@@ -6,8 +6,8 @@ Exit codes:
   1  usage or config error: bad arguments, or a ConfigError such as a
      malformed --config value or a checkpoint that does not fit the config
   2  I/O error: any file a command cannot read or write, or a ParseError
-     from a malformed dataset or checkpoint (the message names the
-     manifest line and the file, or the checkpoint's byte offset)
+     from a malformed dataset or checkpoint (the message names the file,
+     and for a dataset the manifest line)
   3  check failure (gradcheck)
   4  numeric error: a NumericError, such as a NaN or inf in the model's
      activations, costs or losses (e.g. after a diverging --lr)
@@ -233,6 +233,8 @@ def cmd_train(args) -> int:
         raise ConfigError("--stage 2 requires --ckpt-in")
     if args.lr is not None and not abs(args.lr) <= float(np.finfo(ad.get_dtype()).max):
         raise ConfigError(f"--lr must be finite in {_precision()}-bit floats, got {args.lr}")
+    if args.lr is not None and not args.lr > 0:
+        raise ConfigError(f"--lr must be positive, got {args.lr}")
     dataset = _read_dataset(args.data)
 
     cfg = M.load_config(args.config) if args.config else None

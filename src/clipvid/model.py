@@ -109,31 +109,29 @@ def save_config(cfg: ModelConfig, path) -> None:
 
 
 def load_config(path) -> ModelConfig:
-    raw: dict[str, str] = {}
+    """The config of a file of field=value lines; ConfigError for a field
+    that is unknown, repeated or of a bad value."""
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    kwargs = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            raw[key.strip()] = val.strip()
-    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise ConfigError(f"{path}: unknown field '{unknown[0]}'")
-    kwargs = {}
-    for f in fields(ModelConfig):
-        if f.name not in raw:
-            continue
-        v = raw[f.name]
-        try:
-            if f.name == "backbone_channels":
-                kwargs[f.name] = tuple(int(x) for x in v.split(",") if x)
-            elif f.type == "float":
-                kwargs[f.name] = float(v)
-            else:
-                kwargs[f.name] = int(v)
-        except ValueError:
-            raise ConfigError(f"{path}: field '{f.name}' has bad value {v!r}") from None
+            key, _, v = (part.strip() for part in line.partition("="))
+            if key not in types:
+                raise ConfigError(f"{path}: unknown field '{key}'")
+            if key in kwargs:
+                raise ConfigError(f"{path}: repeated field '{key}'")
+            try:
+                if key == "backbone_channels":
+                    kwargs[key] = tuple(int(x) for x in v.split(",") if x)
+                elif types[key] == "float":
+                    kwargs[key] = float(v)
+                else:
+                    kwargs[key] = int(v)
+            except ValueError:
+                raise ConfigError(f"{path}: field '{key}' has bad value {v!r}") from None
     return ModelConfig(**kwargs).validate()
 
 

@@ -24,7 +24,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .checkpoint import read_array
+from .errors import CapacityError, ConfigError, InputError, ParseError
 from .geometry import Box
 
 SHAPE_NAMES = ("disc", "square", "triangle", "cross", "ring")
@@ -142,6 +143,16 @@ def check_classes(dataset: list[ClipSample], num_classes: int) -> None:
         if len(bad):
             raise InputError(f"clip {clip.clip_id} track {clip.tracks.id[bad[0]]}: class "
                              f"{clip.tracks.cls[bad[0]]} out of range for {num_classes} classes")
+
+
+def check_capacity(dataset: list[ClipSample], num_queries: int) -> None:
+    """Raise CapacityError for a frame with more ground truths than queries."""
+    for clip in dataset:
+        counts = (~np.isnan(clip.tracks.box[..., 0])).sum(0)       # [T] boxes a frame
+        if (counts > num_queries).any():
+            f = int(np.argmax(counts > num_queries))
+            raise CapacityError(f"clip {clip.clip_id} frame {f}: {counts[f]} ground truths "
+                                f"exceed {num_queries} prediction slots")
 
 
 def _shape_mask(shape_id: int, cx: np.ndarray, cy: np.ndarray, rx: float, ry: float,
@@ -333,15 +344,6 @@ def write_dataset(samples: list[ClipSample], path: str) -> None:
         fh.writelines(f"{line}\n" for line in [MANIFEST_HEADER, *(s.clip_id for s in samples)])
 
 
-def _read_array(file: str) -> np.ndarray:
-    """The one array of a .npy file; ValueError for anything else."""
-    with open(file, "rb") as fh:
-        array = np.lib.format.read_array(fh, allow_pickle=False)
-        if fh.read(1):
-            raise ValueError("trailing bytes after the array")
-    return array
-
-
 def _check_tracks(tr: Tracks) -> None:
     """Raise ValueError for the first track that no generated clip holds."""
     hidden = np.isnan(tr.box).all(-1, keepdims=True)
@@ -378,13 +380,13 @@ def read_dataset(path: str) -> list[ClipSample]:
                 raise ValueError(f"{clip_id} is negative or repeated")
             frames_file, tracks_file = _clip_files(path, clip_id)
             what = frames_file
-            frames = _read_array(frames_file)
+            frames = read_array(frames_file)
             if frames.dtype != np.dtype("<f4") or frames.ndim != 4 or frames.shape[3] != 3 \
                     or 0 in frames.shape:
                 raise ValueError(f"frames must be a non-empty <f4 [T, H, W, 3] array, "
                                  f"got {frames.dtype.str} {list(frames.shape)}")
             what = tracks_file
-            table = _read_array(tracks_file)
+            table = read_array(tracks_file)
             if table.dtype != track_dtype(len(frames)) or table.ndim != 1:
                 raise ValueError(f"tracks must be a 1-D {track_dtype(len(frames))} array, "
                                  f"got {table.ndim}-D {table.dtype}")

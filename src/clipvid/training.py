@@ -30,7 +30,7 @@ from . import matching as mt
 from . import model as M
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
-from .synthvid import ClipSample, Targets, check_classes
+from .synthvid import ClipSample, Targets, check_capacity, check_classes
 
 CONTRASTIVE_WEIGHT = 1.0
 # AdamW's moment decay rates, denominator floor and decoupled weight decay,
@@ -192,10 +192,12 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           stage: int, use_ica: bool, settings: TrainSettings,
           log=None) -> list[str]:
     """Seeded training loop; returns the per-iteration loss log lines.
-    Raises InputError, before the first iteration, for a ground-truth class
-    the model lacks, and NumericError for a step that leaves a parameter
+    Raises, before the first iteration, InputError for a ground-truth class
+    the model lacks and CapacityError for a frame with more ground truths
+    than queries; and NumericError for a step that leaves a parameter
     non-finite."""
     check_classes(dataset, cfg.num_classes)
+    check_capacity(dataset, cfg.num_queries)
     ica = use_ica and stage >= 2
     trainable = {k: p for k, p in M.named_parameters(params).items()
                  if ica or not M.is_ica_param(k)}

@@ -10,6 +10,7 @@ import pytest
 from clipvid import cli, gradcheck_suite
 from clipvid import synthvid as sv
 from oracles import corrupt_adjoint
+from test_checkpoint import MALFORMED
 
 
 def run(*argv):
@@ -205,7 +206,8 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
     (lambda text: text.replace("dim=8", "dimm=8"), ("'dimm'",)),
     (lambda text: text + "fixed_queries=False\n", ("unknown field 'fixed_queries'",)),
     (lambda text: text + "backbone_stride=4\n", ("unknown field 'backbone_stride'",)),
-], ids=["unknown_key", "bad_boolean", "stride_disagrees_with_channels"])
+    (lambda text: text + "dim=16\n", ("repeated field 'dim'",)),
+], ids=["unknown_key", "bad_boolean", "stride_disagrees_with_channels", "repeated_field"])
 def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(MICRO_CFG))
@@ -336,12 +338,16 @@ def test_lr_the_run_precision_cannot_hold_is_usage_error(dataset, micro_cfg_path
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--iters", "-3"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "nan"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "inf"),
-], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative", "lr_nan", "lr_inf"])
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "-1"),
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "0"),
+], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative", "lr_nan", "lr_inf",
+        "lr_negative", "lr_zero"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -532,17 +538,38 @@ def test_eval_refuses_a_checkpoint_with_key_biases(dataset, trained_ckpt, capsys
 
 
 def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
+    """A name outside latin-1 makes np.save write a UTF-8 (format 3.0)
+    header; one whose bytes are not UTF-8 is refused with exit 2."""
     from clipvid.checkpoint import save_checkpoint
     ckpt = tmp_path / "bad.ckpt"
-    save_checkpoint({"ab": np.zeros(2)}, str(ckpt))
-    blob = bytearray(ckpt.read_bytes())
-    name_at = 4 + 9 + 2                  # magic, header, name length
-    blob[name_at] = 0xFF
-    ckpt.write_bytes(bytes(blob))
+    with pytest.warns(UserWarning, match="format 3.0"):
+        save_checkpoint({"a\u0101": np.zeros(2)}, str(ckpt))
+    blob = ckpt.read_bytes()
+    assert blob.count("a\u0101".encode()) == 1
+    ckpt.write_bytes(blob.replace("\u0101".encode(), b"\xff\xff"))
     for argv in (("eval",), ("ablate", "--grid", "topk=1")):
         code = run(*argv, "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
         assert code == cli.EXIT_IO
-        assert f"offset {name_at}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: " in err and "utf-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("argv", [
+    ("eval", "--ckpt", "BAD", "--out", "r"),
+    ("ablate", "--ckpt", "BAD", "--out", "t.csv", "--grid", "topk=1"),
+    ("train", "--stage", "2", "--ckpt-in", "BAD", "--ckpt-out", "x.ckpt"),
+], ids=["eval", "ablate", "train"])
+def test_malformed_checkpoint_is_io_error(dataset, capsys, monkeypatch, tmp_path, argv, case):
+    """Each malformed checkpoint exits 2 naming the file, before anything is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.ckpt").write_bytes(MALFORMED[case][0])
+    code = run(*["bad.ckpt" if a == "BAD" else a for a in argv], "--data", dataset)
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: checkpoint bad.ckpt: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.ckpt"]
 
 
 def test_eval_missing_data_is_io_error(tmp_path):

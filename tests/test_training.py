@@ -10,7 +10,7 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.checkpoint import save_checkpoint
-from clipvid.errors import ConfigError
+from clipvid.errors import CapacityError, ConfigError
 from clipvid.gradcheck_suite import micro_clip, micro_config
 from oracles import (PerTensorAdamW, leaf_grad, per_clip_step, per_layer_clip_loss,
                      per_tensor_clip_gradients, window_infer_clip)
@@ -41,6 +41,29 @@ def test_infer_clip_unknown_mode_is_config_error():
     cfg = micro_config()
     with pytest.raises(ConfigError, match="bogus"):
         tr.infer_clip(clip, cfg, M.init_model(cfg, np.random.default_rng(0)), mode="bogus")
+
+
+def _clip(clip_id: int, box: np.ndarray) -> sv.ClipSample:
+    """A clip of blank frames whose class-0 tracks have the [K, T, 4] boxes."""
+    K, T = box.shape[:2]
+    tracks = sv.Tracks(np.arange(K), np.zeros(K, np.int64), np.full(K, "slow"), box,
+                       np.where(np.isnan(box[..., 0]), 0.0, 1.0))
+    return sv.ClipSample(clip_id, np.zeros((T, 16, 16, 3), np.float32), tracks)
+
+
+def test_train_refuses_a_crowded_frame_before_the_first_iteration(monkeypatch):
+    """A frame with more ground truths than queries stops training before
+    any step, naming its clip and frame; a frame at capacity passes."""
+    box = np.tile([0.5, 0.5, 0.2, 0.2], (4, 3, 1))
+    box[3, :2] = np.nan                                 # track 3 enters at frame 2
+    dataset = [_clip(0, box[:3]), _clip(5, box)]
+    cfg = micro_config()                                # 3 queries
+    sv.check_capacity(dataset[:1], cfg.num_queries)
+    monkeypatch.setattr(tr, "batch_step", lambda *a: pytest.fail("an iteration ran"))
+    with pytest.raises(CapacityError, match="^clip 5 frame 2: 4 ground truths exceed 3 "
+                                            "prediction slots$"):
+        tr.train(dataset, cfg, M.init_model(cfg, np.random.default_rng(0)), stage=1,
+                 use_ica=False, settings=tr.TrainSettings(iters=1))
 
 
 def _selection_arrays(selections, T: int) -> list[np.ndarray]:
