@@ -11,13 +11,16 @@ gradient verification.
 
 The layers that run most often are single primitives with hand-written
 adjoints: residual_norm, the post-norm residual layer norm of x + y; linear
-(x @ w + b) and linear_relu, which keeps only its output; self_attention, a
+(x @ w + b) and linear_relu, which keeps only its output; mlp, a chain of
+linear layers with a ReLU between each two (feed-forward block, box and
+identity heads), which keeps only its layers' outputs; self_attention, a
 whole post-norm residual multi-head self-attention layer over each clip's
 queries; and context_attention, a whole projected attention layer in which
 each query attends only to its own context rows (aggregation and
 box-guided cross-attention). Each forward runs the numpy operations of the
 elementwise composition it replaces, in the same order, so its output bytes
-are those of the composition.
+are those of the composition; it writes them in place into the
+temporaries it allocates rather than allocating one per operation.
 
 Discrete decisions (ReLU masks, carried boxes, selections, assignments) are
 made off the tape, each in one hold(make) whose make holds nothing; outside
@@ -395,14 +398,16 @@ def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
-def _shared_weight_adjoint(g: np.ndarray, a: Tensor, w: Tensor) -> tuple:
-    """Gradients of a @ w for a 2-D w that every leading index of a shares:
-    one GEMM each over the [rows, k] flattening of a, so no [B, k, m] stack
-    of per-matrix weight gradients is built."""
+def _shared_weight_adjoint(g: np.ndarray, a: np.ndarray, w: np.ndarray, need_a: bool,
+                           need_w: bool) -> tuple:
+    """Gradients of a @ w for a 2-D w that every leading index of a shares,
+    each computed only if needed: one GEMM each over the [rows, k]
+    flattening of a, so no [B, k, m] stack of per-matrix weight gradients
+    is built."""
     k, m = w.shape
     rows = g.reshape(-1, m)
-    return ((rows @ w.data.T).reshape(a.shape) if a.requires_grad else None,
-            a.data.reshape(len(rows), k).T @ rows if w.requires_grad else None)
+    return ((rows @ w.T).reshape(a.shape) if need_a else None,
+            a.reshape(len(rows), k).T @ rows if need_w else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -417,7 +422,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if b.ndim == 2:
-            return _shared_weight_adjoint(g, a, b)
+            return _shared_weight_adjoint(g, a.data, b.data, a.requires_grad, b.requires_grad)
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return (ga, gb)
@@ -427,17 +432,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _softmax(x: np.ndarray, nan_message: str, axis: int = -1) -> np.ndarray:
     """The max-shifted softmax of x over axis; a NaN in x raises
-    NumericError(nan_message)."""
-    if np.isnan(x).any():
+    NumericError(nan_message). The row maximum is read at argmax, which
+    takes a row's first NaN as its maximum, so only the maxima need the NaN
+    test; a -0 maximum where max reads +0 gives the same exp(x - max)."""
+    m = np.take_along_axis(x, np.expand_dims(x.argmax(axis=axis), axis), axis=axis)
+    if np.isnan(m).any():
         raise NumericError(nan_message)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_adjoint(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The gradient of the softmax logits, given p = _softmax(...) and g,
-    the gradient of p."""
-    return (g - (g * p).sum(axis=axis, keepdims=True)) * p
+    """The gradient of the softmax logits, (g - sum(g * p)) * p, given
+    p = _softmax(...) and g, the gradient of p."""
+    out = g * p
+    np.subtract(g, out.sum(axis=axis, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -451,26 +464,41 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return log(reduce_sum(exp(a - tensor(shift)), axis=axis)) + tensor(np.squeeze(shift, axis=axis))
 
 
-def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, 1 / std) of the last axis of x: zero mean, unit variance."""
-    d = x.shape[-1]
+def _normalize(s: np.ndarray, ln: LayerNormParams
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(layer norm of s with ln's gain and bias, xhat, 1 / std) over the
+    last axis of s, where xhat has zero mean and unit variance. s is a
+    temporary of the caller's: it is centered and scaled in place and
+    becomes xhat, and the squares' buffer becomes the output."""
+    d = s.shape[-1]
     if d < 2:
         raise ConfigError(f"layer norm needs a normalized dim >= 2, got {d}")
     dt = get_dtype()
     inv_d = np.asarray(1.0 / d, dtype=dt)
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_d
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-    inv = np.asarray(1.0, dtype=dt) / np.sqrt(var + np.asarray(LN_EPS, dtype=dt))
-    return centered * inv, inv
+    s -= s.sum(axis=-1, keepdims=True) * inv_d
+    out = np.multiply(s, s)
+    inv = out.sum(axis=-1, keepdims=True)
+    inv *= inv_d
+    inv += np.asarray(LN_EPS, dtype=dt)
+    np.sqrt(inv, out=inv)
+    np.divide(np.asarray(1.0, dtype=dt), inv, out=inv)
+    s *= inv
+    np.multiply(s, ln.gain.data, out=out)
+    out += ln.bias.data
+    return out, s, inv
 
 
 def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor,
                   bias: Tensor) -> tuple:
-    """Gradients of xhat * gain + bias: (normalized input, gain, bias)."""
+    """Gradients of xhat * gain + bias: (normalized input, gain, bias). The
+    input's is inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain."""
     gh = g * gain.data
-    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-    return (gx,
+    t = gh * xhat
+    mean_t = t.mean(axis=-1, keepdims=True)
+    gh -= gh.mean(axis=-1, keepdims=True)
+    gh -= np.multiply(xhat, mean_t, out=t)
+    gh *= inv
+    return (gh,
             _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
             _unbroadcast(g, bias.shape) if bias.requires_grad else None)
 
@@ -479,15 +507,14 @@ def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams) -> Tensor:
     """The layer norm of x + y with ln's gain and bias, as one record: the
     sum is not kept, and both summands get the normalized input's gradient.
     residual_norm(x, tensor(0.0), ln) is the layer norm of x alone."""
-    xhat, inv = _normalize(x.data + y.data)
+    out, xhat, inv = _normalize(x.data + y.data, ln)
 
     def backward(g):
         gs, ggain, gbias = _norm_adjoint(g, xhat, inv, ln.gain, ln.bias)
         return (_unbroadcast(gs, x.shape) if x.requires_grad else None,
                 _unbroadcast(gs, y.shape) if y.requires_grad else None, ggain, gbias)
 
-    return _record("residual_norm", (x, y, ln.gain, ln.bias),
-                   xhat * ln.gain.data + ln.bias.data, backward)
+    return _record("residual_norm", (x, y, ln.gain, ln.bias), out, backward)
 
 
 def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1) -> Tensor:
@@ -514,17 +541,26 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
     def merge(a: np.ndarray) -> np.ndarray:                       # [B, n, d]
         return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(clips, n, d)
 
-    qh, kh, vh = split(xs @ wq + p.q.b.data), split(xs @ wk), split(xs @ wv + p.v.b.data)
-    attn = _softmax((qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * scale,
-                    "self_attention: NaN in logits")
+    q, v = xs @ wq, xs @ wv
+    q += p.q.b.data
+    v += p.v.b.data
+    qh, kh, vh = split(q), split(xs @ wk), split(v)
+    logits = qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+    logits *= scale
+    attn = _softmax(logits, "self_attention: NaN in logits")
+    del q, v, logits              # not kept: freed before the value product
     ctx = merge(attn @ vh)
-    xhat, inv = _normalize(xs + (ctx @ wo + p.out.b.data))
+    summed = ctx @ wo
+    summed += p.out.b.data
+    summed += xs                  # xs + (ctx @ wo + b): addition commutes bit for bit
+    out, xhat, inv = _normalize(summed, ln)
 
     def backward(g):
         gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln.gain, ln.bias)
         gctx = (gs.reshape(-1, d) @ wo.T).reshape(clips, n, h, hd).transpose(0, 2, 1, 3)
         gattn = gctx @ np.swapaxes(vh, -1, -2)
-        glogits = _softmax_adjoint(gattn, attn) * scale
+        glogits = _softmax_adjoint(gattn, attn)
+        glogits *= scale
         gq, gk = merge(glogits @ kh), merge(np.swapaxes(glogits, -1, -2) @ qh)
         gv = merge(np.swapaxes(attn, -1, -2) @ gctx)
         gx = None
@@ -543,8 +579,7 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
                 _unbroadcast(gs, p.out.b.shape) if p.out.b.requires_grad else None, ggain, gbias)
 
     return _record("self_attention", (x, p.q.w, p.q.b, p.k, p.v.w, p.v.b, p.out.w, p.out.b,
-                                      ln.gain, ln.bias),
-                   (xhat * ln.gain.data + ln.bias.data).reshape(x.shape), backward)
+                                      ln.gain, ln.bias), out.reshape(x.shape), backward)
 
 
 def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
@@ -623,7 +658,8 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
 def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
     """im2col over a batched [B,H,W,C] map -> [B,OH,OW,ksize*ksize*C]."""
     b, h, w, c = x.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.data.dtype)   # np.pad's bytes
+    xp[:, pad:pad + h, pad:pad + w] = x.data
     oh = (h + 2 * pad - ksize) // stride + 1
     ow = (w + 2 * pad - ksize) // stride + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, (ksize, ksize), axis=(1, 2))
@@ -639,9 +675,7 @@ def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
         for ki in range(ksize):
             for kj in range(ksize):
                 gp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g[:, :, :, ki, kj]
-        if pad:
-            gp = gp[:, pad:-pad, pad:-pad]
-        return (np.ascontiguousarray(gp),)
+        return (gp[:, pad:pad + h, pad:pad + w],)
 
     return _record("extract_patches", (x,), out, backward)
 
@@ -672,33 +706,68 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
     return LinearParams(w, b)
 
 
+def _affine(x: np.ndarray, p: LinearParams, relu: bool) -> np.ndarray:
+    """x @ w + b, times the held mask of its positive entries if relu:
+    linear's and linear_relu's forward."""
+    out = x @ p.w.data
+    out += p.b.data
+    if relu:
+        out *= hold(lambda: out > 0)
+    return out
+
+
+def _affine_adjoint(g: np.ndarray, x: np.ndarray, p: LinearParams, need_x: bool) -> tuple:
+    """Gradients of x @ w + b: (x, w, b), each only if needed."""
+    return _shared_weight_adjoint(g, x, p.w.data, need_x, p.w.requires_grad) + (
+        _unbroadcast(g, p.b.shape) if p.b.requires_grad else None,)
+
+
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """x @ w + b over the last axis of x, as one record: matmul's product
     and weight adjoint, and add's bias reduction."""
-    w, b = p.w, p.b
-    _check_matmul("linear", x, w)
-
-    def backward(g):
-        return _shared_weight_adjoint(g, x, w) + (
-            _unbroadcast(g, b.shape) if b.requires_grad else None,)
-
-    return _record("linear", (x, w, b), x.data @ w.data + b.data, backward)
+    _check_matmul("linear", x, p.w)
+    return _record("linear", (x, p.w, p.b), _affine(x.data, p, relu=False),
+                   lambda g: _affine_adjoint(g, x.data, p, x.requires_grad))
 
 
 def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
     """relu(x @ w + b) as one record that keeps only its output, not the
     pre-activation or its held mask pre > 0; the adjoint's mask is out > 0."""
-    w, b = p.w, p.b
-    _check_matmul("linear_relu", x, w)
-    pre = x.data @ w.data + b.data
-    out = pre * hold(lambda: pre > 0)
+    _check_matmul("linear_relu", x, p.w)
+    out = _affine(x.data, p, relu=True)
+    return _record("linear_relu", (x, p.w, p.b), out,
+                   lambda g: _affine_adjoint(g * (out > 0), x.data, p, x.requires_grad))
+
+
+def mlp(x: Tensor, layers: Sequence[LinearParams]) -> Tensor:
+    """Linear layers with a ReLU after each but the last, as one record:
+    each layer runs linear_relu's forward, the last linear's, and the ReLU
+    masks are held in layer order. The record keeps each layer's output
+    and no pre-activation or mask; the adjoint chains linear_relu's and
+    linear's adjoints back through them."""
+    last = len(layers) - 1
+    acts = [x.data]                     # each layer's input, then the output
+    for i, p in enumerate(layers):
+        if acts[-1].ndim < 2 or p.w.ndim != 2 or acts[-1].shape[-1] != p.w.shape[0]:
+            raise DimensionError(f"mlp: incompatible shapes {acts[-1].shape} and {p.w.shape}")
+        acts.append(_affine(acts[-1], p, relu=i < last))
+    # need[i]: does x or a weight or bias before layer i need a gradient?
+    need = [x.requires_grad]
+    for p in layers[:-1]:
+        need.append(need[-1] or p.w.requires_grad or p.b.requires_grad)
 
     def backward(g):
-        g = g * (out > 0)
-        return _shared_weight_adjoint(g, x, w) + (
-            _unbroadcast(g, b.shape) if b.requires_grad else None,)
+        grads = [None] * (2 * len(layers))
+        for i in range(last, -1, -1):
+            if i < last:
+                g = g * (acts[i + 1] > 0)
+            g, grads[2 * i], grads[2 * i + 1] = _affine_adjoint(g, acts[i], layers[i], need[i])
+            if g is None:
+                break
+        return (g, *grads)
 
-    return _record("linear_relu", (x, w, b), out, backward)
+    inputs = (x, *(t for p in layers for t in (p.w, p.b)))
+    return _record("mlp", inputs, acts[-1], backward)
 
 
 @dataclass

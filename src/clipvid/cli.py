@@ -252,6 +252,7 @@ def cmd_train(args) -> int:
         lr_drop_at=args.lr_drop if args.lr_drop is not None else d_drop,
         batch=args.batch, seed=int(seeds[1].generate_state(1)[0]))
 
+    tr.check_dataset(dataset, cfg)       # before any file is made: a refused run leaves none
     log_path = args.log or (args.ckpt_out + ".log")
     use_ica = args.variant != "no_ica"
     os.makedirs(os.path.dirname(os.path.abspath(args.ckpt_out)), exist_ok=True)

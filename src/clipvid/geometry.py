@@ -145,12 +145,14 @@ def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
     ad._check_matmul("roi_sample", queries, adapter)
     pts = roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
     cells, corner = _bilinear_corners(pts.reshape(t, n * s * s, 2), h, w, f.data.dtype)
-    rois = _interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
-    patch = queries.data @ adapter.data
-    out = rois.reshape(t, n, s * s, d) + patch.reshape(t, n, s * s, d)
+    out = (_interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
+           ).reshape(t, n, s * s, d)
+    out += (queries.data @ adapter.data).reshape(t, n, s * s, d)
 
     def backward(g):
-        gq, gadapter = ad._shared_weight_adjoint(g.reshape(t, n, s * s * d), queries, adapter)
+        gq, gadapter = ad._shared_weight_adjoint(g.reshape(t, n, s * s * d), queries.data,
+                                                 adapter.data, queries.requires_grad,
+                                                 adapter.requires_grad)
         gf = None
         if f.requires_grad:
             weights = _interpolation(cells, corner, h, w, f.data.dtype)

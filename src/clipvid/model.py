@@ -295,14 +295,7 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
 
 
 def feed_forward(x: Tensor, lp: DecoderLayerParams) -> Tensor:
-    return ad.residual_norm(x, mlp(x, (lp.ffn1, lp.ffn2)), lp.ln_ffn)
-
-
-def mlp(x: Tensor, layers: tuple[LinearParams, ...]) -> Tensor:
-    """Linear layers with a ReLU after each but the last."""
-    for p in layers[:-1]:
-        x = ad.linear_relu(x, p)
-    return ad.linear(x, layers[-1])
+    return ad.residual_norm(x, ad.mlp(x, (lp.ffn1, lp.ffn2)), lp.ln_ffn)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -316,12 +309,12 @@ def detection_head(queries: Tensor, ref_boxes: np.ndarray,
     """Class logits, refined boxes (tensor + held detached clamped), optional
     identities, for [..., L, d] queries and [..., L, 4] reference boxes."""
     logits = ad.linear(queries, lp.head_cls)
-    delta = mlp(queries, lp.head_loc)
+    delta = ad.mlp(queries, lp.head_loc)
     boxes_t = geo.boxes_refine(ref_boxes, delta)
     boxes = ad.hold(lambda: geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64)))
     ident = None
     if with_identity:
-        ident = l2_normalize_rows(mlp(queries, lp.head_id))
+        ident = l2_normalize_rows(ad.mlp(queries, lp.head_id))
     return logits, boxes_t, boxes, ident
 
 
@@ -392,16 +385,19 @@ def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[D
     in descending score order; equal scores keep (query, class) order.
 
     Reference boxes may reach past the frame edge; each detection keeps only
-    the part inside the frame (corners clipped to [0, 1])."""
+    the part inside the frame (corners clipped to [0, 1]). The slots of all
+    frames are found and ordered in one pass, and the queries' boxes are
+    built with Box.from_corners' float64 arithmetic, one Box per query."""
     scores = ad.stable_sigmoid(np.asarray(last_layer.logits.data, dtype=np.float64))
-    corners = np.clip(geo.box_corners(last_layer.boxes), 0.0, 1.0)
-    keep = scores > cfg.score_thresh                                       # [T, L, C]
-    out = []
-    for frame_scores, frame_keep, frame_corners in zip(scores, keep, corners):
-        query, cls = np.nonzero(frame_keep)
-        kept = frame_scores[query, cls]
-        order = np.argsort(-kept, kind="stable")
-        boxes = [Box.from_corners(*row) for row in frame_corners.tolist()]
-        out.append([Detection(c, score, boxes[j]) for j, c, score
-                    in zip(query[order].tolist(), cls[order].tolist(), kept[order].tolist())])
-    return out
+    x1, y1, x2, y2 = np.moveaxis(np.clip(geo.box_corners(last_layer.boxes), 0.0, 1.0), -1, 0)
+    boxes = [Box(*row) for row in np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1],
+                                           axis=-1).reshape(-1, 4).tolist()]
+    frames, queries, _ = scores.shape
+    frame, query, cls = np.nonzero(scores > cfg.score_thresh)              # [T, L, C] order
+    kept = scores[frame, query, cls]
+    order = np.lexsort((-kept, frame))                  # stable: by frame, then score
+    frame, kept = frame[order], kept[order]
+    dets = [Detection(c, score, boxes[j]) for c, score, j
+            in zip(cls[order].tolist(), kept.tolist(), (frame * queries + query[order]).tolist())]
+    ends = np.cumsum(np.bincount(frame, minlength=frames)).tolist()
+    return [dets[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]

@@ -40,8 +40,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 1e-4
 MAX_GRAD_NORM = 5.0
-# AdamW steps in blocks whose temporaries (at most 64 KiB) reuse freed heap.
-ADAM_BLOCK = 8192
+# AdamW steps, and the gradient clip squares, through block-sized scratch
+# buffers: two of ADAM_BLOCK parameters' dtype, one of ADAM_BLOCK float64.
+# No step allocates another temporary, so the block bounds only the scratch.
+ADAM_BLOCK = 65536
 
 
 @dataclass
@@ -109,13 +111,25 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
+        scratch = np.empty((2, min(ADAM_BLOCK, data.size)), dtype=data.dtype)
+        # p -= lr * (m / bc1 / (sqrt(v / bc2) + eps) + wd * p), one operation at a time.
         for lo in range(0, data.size, ADAM_BLOCK):
             p, g, m, v = (x[lo:lo + ADAM_BLOCK] for x in (data, grad, self.m, self.v))
+            a, b = scratch[:, :len(p)]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= lr * (m / bc1 / (np.sqrt(v / bc2) + ADAM_EPS) + WEIGHT_DECAY * p)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(m, bc1, out=b)
+            b /= a
+            b += np.multiply(p, WEIGHT_DECAY, out=a)
+            b *= lr
+            p -= b
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +194,51 @@ def flatten(tensors: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
     return data, grad
 
 
-def _clip_gradients(grad: np.ndarray, views: list[np.ndarray]) -> None:
-    """Rescale the flat gradient to the global norm cap. The squares are
-    summed per parameter view, in float64 and parameter order."""
-    norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in views))
+def _clip_gradients(grad: np.ndarray, views: list[np.ndarray]) -> float:
+    """Rescale the flat gradient to the global norm cap; returns the norm
+    before clipping. Each parameter view's squares are summed in float64 as
+    np.sum sums them, and the sums are added in parameter order.
+
+    Views are squared into a float64 scratch of ADAM_BLOCK entries, each
+    after a 0.0 entry, and each full scratch is summed by one
+    np.add.reduceat: a segment's reduction is its first entry plus the
+    pairwise sum of the rest, so 0.0 plus the view's squares is np.sum's
+    sum of them. A view that does not fit the scratch is summed alone."""
+    scratch = np.empty(min(ADAM_BLOCK, grad.size + len(views)), dtype=np.float64)
+    sums: list[float] = []
+    starts: list[int] = []
+    end = 0
+
+    def flush() -> None:
+        nonlocal end
+        if starts:
+            sums.extend(np.add.reduceat(scratch[:end], starts).tolist())
+            starts.clear()
+            end = 0
+
+    for g in views:
+        if g.size + 1 > len(scratch):
+            flush()
+            sums.append(float(np.sum(np.square(g, dtype=np.float64))))
+            continue
+        if end + g.size + 1 > len(scratch):
+            flush()
+        starts.append(end)
+        scratch[end] = 0.0
+        np.square(g.ravel(), out=scratch[end + 1:end + 1 + g.size], dtype=np.float64)
+        end += g.size + 1
+    flush()
+    norm = math.sqrt(sum(sums))
     if norm > MAX_GRAD_NORM:
         grad *= MAX_GRAD_NORM / norm
+    return norm
+
+
+def check_dataset(dataset: list[ClipSample], cfg: M.ModelConfig) -> None:
+    """InputError for a ground-truth class cfg's model lacks, CapacityError
+    for a frame with more ground truths than it has queries."""
+    check_classes(dataset, cfg.num_classes)
+    check_capacity(dataset, cfg.num_queries)
 
 
 def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
@@ -194,10 +247,10 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     """Seeded training loop; returns the per-iteration loss log lines.
     Raises, before the first iteration, InputError for a ground-truth class
     the model lacks and CapacityError for a frame with more ground truths
-    than queries; and NumericError for a step that leaves a parameter
-    non-finite."""
-    check_classes(dataset, cfg.num_classes)
-    check_capacity(dataset, cfg.num_queries)
+    than queries (check_dataset); and NumericError for an iteration whose
+    loss or gradient norm is not finite, before its step, or for a step
+    that leaves a parameter non-finite."""
+    check_dataset(dataset, cfg)
     ica = use_ica and stage >= 2
     trainable = {k: p for k, p in M.named_parameters(params).items()
                  if ica or not M.is_ica_param(k)}
@@ -216,7 +269,11 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         grad.fill(0.0)
         parts = batch_step(batch, cfg, params)
         grad *= inv
-        _clip_gradients(grad, views)
+        norm = _clip_gradients(grad, views)
+        if not (math.isfinite(parts.total) and math.isfinite(norm)):
+            clip_ids = [dataset[int(c)].clip_id for c in picks]
+            raise NumericError(f"iteration {it}: loss {parts.total * inv:.9g}, gradient norm "
+                               f"{norm:.9g} on clips {clip_ids}: not finite before the step")
         lr = settings.lr * (0.1 if it >= settings.lr_drop_at else 1.0)
         opt.step(data, grad, lr)
         if not np.isfinite(data).all():

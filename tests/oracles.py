@@ -207,10 +207,10 @@ def guided_cross_attention(q, b: Box, f, lp, s: int):
 def detection_head(q, b: Box, lp, with_identity: bool):
     """Single-query head: (logits [C], refined Box, unit identity [d] or None)."""
     logits = ad.linear(q, lp.head_cls)
-    box = apply_delta(b, BoxDelta(*M.mlp(q, lp.head_loc).data[0].tolist()))
+    box = apply_delta(b, BoxDelta(*composed_mlp(q, lp.head_loc).data[0].tolist()))
     h = None
     if with_identity and lp.head_id is not None:
-        ident = M.l2_normalize_rows(M.mlp(q, lp.head_id))
+        ident = M.l2_normalize_rows(composed_mlp(q, lp.head_id))
         h = ad.reshape(ident, (ident.shape[-1],))
     return ad.reshape(logits, (logits.shape[-1],)), box, h
 
@@ -733,6 +733,15 @@ def composed_multi_head_attention(q, k, v, p):
 def composed_linear_relu(x, p):
     pre = ad.linear(x, p)
     return ad.mul(pre, ad.tensor(pre.data > 0))
+
+
+def composed_mlp(x, layers):
+    """autodiff.mlp as matmul, add and mask-multiply records: linear layers
+    with a ReLU after each but the last."""
+    for p in layers[:-1]:
+        pre = composed_linear(x, p)
+        x = ad.mul(pre, ad.tensor(pre.data > 0))
+    return composed_linear(x, layers[-1])
 
 
 def composed_residual_norm(x, y, ln):

@@ -18,19 +18,21 @@ from clipvid import geometry as geo
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
 from oracles import (composed_context_attention, composed_layer_norm, composed_linear,
-                     composed_linear_relu, composed_multi_head_attention, composed_residual_norm,
-                     composed_roi_sample, composed_self_attention, corrupt_adjoint, leaf_grad,
-                     scatter_add_rows, stacked_matmul_adjoint)
+                     composed_linear_relu, composed_mlp, composed_multi_head_attention,
+                     composed_residual_norm, composed_roi_sample, composed_self_attention,
+                     corrupt_adjoint, leaf_grad, scatter_add_rows, stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
 # it records, read from the source of every module of the package, so that
 # a new primitive, or a new input, without a gradient check fails the tests
-# below, wherever it is defined. concat's parts are checked in pairs.
+# below, wherever it is defined. concat's parts are checked in pairs, and
+# mlp's layers as a three-layer chain: input, then each layer's w and b.
 SOURCE = "".join(inspect.getsource(importlib.import_module(f"clipvid.{m.name}"))
                  for m in pkgutil.iter_modules(clipvid.__path__))
 RECORDED_OPS = sorted(set(re.findall(r'_record\("(\w+)"', SOURCE)))
-ARITY = {"concat": 2} | {op: len([n for n in names.split(",") if n.strip()]) for op, names
-                         in re.findall(r'_record\("(\w+)", \(([^)]*)\)', SOURCE)}
+ARITY = {"concat": 2, "mlp": 7} | {op: len([n for n in names.split(",") if n.strip()])
+                                   for op, names
+                                   in re.findall(r'_record\("(\w+)", \(([^)]*)\)', SOURCE)}
 INPUTS = [(op, i) for op in RECORDED_OPS for i in range(ARITY[op])]
 
 
@@ -79,6 +81,42 @@ def test_softmax_overflow_stability():
 def test_softmax_nan_rejected():
     with pytest.raises(NumericError):
         ad.softmax(ad.tensor([np.nan, 1.0]))
+
+
+def max_shifted_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax formula with the row maximum read by max."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_softmax_gives_the_max_shifted_formula_s_bytes_at_extremes(bits, axis):
+    """Rows of +-inf, rows whose maximum is a +0 and -0 tie (argmax and max
+    may read different zeros), all -0 rows and ordinary rows: the argmax
+    row maximum gives the max-shifted formula's bytes, NaNs included."""
+    inf = np.inf
+    rows = np.array([[inf, 1.0, -2.0, inf], [-inf, -inf, -inf, -inf], [1.0, inf, -inf, 0.5],
+                     [-0.0, 0.0, -3.0, -0.0], [0.0, -0.0, -0.0, -1.0], [-0.0, -0.0, -0.0, -0.0],
+                     [-inf, -0.0, -inf, -5.0], [0.3, -1.2, 2.5, 2.5]])
+    with ad.precision(bits), np.errstate(invalid="ignore"):
+        x = ad.tensor(np.stack([rows, rows[::-1]], axis=1 if axis == 1 else 0)).data
+        got = ad._softmax(x, "unused", axis=axis)
+        want = max_shifted_softmax(x, axis=axis)
+    assert got.dtype == want.dtype == np.dtype(f"float{bits}")
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row", [[np.nan, 1.0, 2.0], [1.0, np.inf, np.nan], [-np.inf, np.nan, 0.0],
+                                 [np.nan, np.nan, np.nan]])
+def test_softmax_raises_on_a_nan_anywhere_in_a_row(row):
+    """A NaN in any place of a row, beside +-inf or not, raises the record's
+    message; the other rows do not matter."""
+    x = np.array([[0.0, 1.0, 2.0], row, [3.0, 4.0, 5.0]])
+    with pytest.raises(NumericError, match="^softmax: NaN in input$"):
+        ad.softmax(ad.tensor(x))
+    with pytest.raises(NumericError, match="^self_attention: NaN in logits$"):
+        ad._softmax(x.T, "self_attention: NaN in logits", axis=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -615,13 +653,20 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
 
 # The fused decoder records against the records they fuse: (fused, composed,
 # input shapes). linear_relu at a backbone conv's [T, h, w, 9c] patches and
-# an FFN's [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
+# an FFN's [T, L, d] rows; mlp as an FFN and as the 3-layer box head on
+# [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
 # self_attention on a desk training stack of two 4-frame clips, [B*T, L, d];
 # roi_sample on [T, h, w, d] maps, including
 # maps one pixel high, whose corners fold onto one cell, with [T, n, 4] boxes.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
             lambda f, q, a: composed_roi_sample(f, boxes, s, q, a))
+
+
+def _mlp(form):
+    def run(x, *wb):
+        return form(x, [ad.LinearParams(w, b) for w, b in zip(wb[::2], wb[1::2])])
+    return run
 
 
 def _self_attention(form, clips):
@@ -645,6 +690,10 @@ FUSED_CASES = {
     "linear_relu_ffn": (lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
                         lambda x, w, b: composed_linear_relu(x, ad.LinearParams(w, b)),
                         [(4, 8, 32), (32, 128), (128,)]),
+    "mlp_ffn": (_mlp(ad.mlp), _mlp(composed_mlp), [(4, 8, 32), (32, 128), (128,), (128, 32),
+                                                    (32,)]),
+    "mlp_box_head": (_mlp(ad.mlp), _mlp(composed_mlp), [(4, 8, 32), (32, 32), (32,), (32, 32),
+                                                        (32,), (32, 4), (4,)]),
     "residual_norm": (lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
                       lambda x, y, g, b: composed_residual_norm(x, y, ad.LayerNormParams(g, b)),
                       [(1, 32, 32), (1, 32, 32), (32,), (32,)]),
@@ -663,8 +712,8 @@ def _fused_inputs(seed, shapes):
 @pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("case", FUSED_CASES)
 def test_fused_records_match_their_composed_forms_bitexactly(bits, case):
-    """linear_relu, residual_norm, self_attention and roi_sample run the
-    numpy operations of the records they fuse, in the same order: the same
+    """linear_relu, mlp, residual_norm, self_attention and roi_sample run
+    the numpy operations of the records they fuse, in the same order: the same
     output bytes in 32 and 64 bits."""
     fused, composed, shapes = FUSED_CASES[case]
     with ad.precision(bits):
@@ -687,11 +736,12 @@ def test_fused_record_gradients_match_their_composed_forms(case):
         assert b.any() and np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), i
 
 
-@pytest.mark.parametrize("case", ["linear_relu_ffn", "residual_norm", "self_attention",
-                                  "roi_sample"])
+@pytest.mark.parametrize("case", ["linear_relu_ffn", "mlp_ffn", "mlp_box_head",
+                                  "residual_norm", "self_attention", "roi_sample"])
 def test_fused_records_keep_fewer_bytes_than_their_composed_forms(case):
     """Each fused record is one record that keeps less than the chain it
-    replaces: linear_relu no pre-activation, residual_norm no sum,
+    replaces: linear_relu no pre-activation, mlp no pre-activations or
+    masks, residual_norm no sum,
     self_attention no projections, logits or pre-norm sum, and roi_sample
     no dense interpolation stack and no sampled or adapted halves of the
     sum."""

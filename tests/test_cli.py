@@ -253,6 +253,25 @@ def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_pa
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("refusal", ["capacity", "class"])
+def test_a_refused_train_run_leaves_no_file(dataset, micro_cfg_path, tmp_path, capsys, refusal):
+    """A dataset train() refuses before its first iteration, a frame with
+    more objects than the 4 queries (exit 6) or a class the model lacks
+    (exit 5), leaves no log, checkpoint or sidecar behind."""
+    if refusal == "capacity":
+        data = str(tmp_path / "crowd")
+        assert run("gen", "--out", data, "--clips", "8", "--seed", "8", "--frames", "2",
+                   "--frame-size", "32", "--min-objects", "1", "--max-objects", "5") == 0
+    else:
+        data = with_class(dataset, tmp_path / "ds", 7)
+    out = tmp_path / "out"
+    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", str(out / "x.ckpt"), "--iters", "2")
+    assert code == {"capacity": cli.EXIT_CAPACITY, "class": cli.EXIT_INPUT}[refusal]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("**/x.ckpt*"))
+
+
 def class_7_exits_before_inference(argv, dataset, ckpt, tmp_path, capsys, monkeypatch):
     """Run a command on a class-7 copy of dataset with inference patched to
     fail: a ground-truth class the checkpoint lacks must exit 5 first."""

@@ -10,7 +10,7 @@ from clipvid import model as M
 from clipvid import synthvid as sv
 from clipvid import training as tr
 from clipvid.checkpoint import save_checkpoint
-from clipvid.errors import CapacityError, ConfigError
+from clipvid.errors import CapacityError, ConfigError, NumericError
 from clipvid.gradcheck_suite import micro_clip, micro_config
 from oracles import (PerTensorAdamW, leaf_grad, per_clip_step, per_layer_clip_loss,
                      per_tensor_clip_gradients, window_infer_clip)
@@ -49,6 +49,42 @@ def _clip(clip_id: int, box: np.ndarray) -> sv.ClipSample:
     tracks = sv.Tracks(np.arange(K), np.zeros(K, np.int64), np.full(K, "slow"), box,
                        np.where(np.isnan(box[..., 0]), 0.0, 1.0))
     return sv.ClipSample(clip_id, np.zeros((T, 16, 16, 3), np.float32), tracks)
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_train_stops_at_a_non_finite_gradient_before_the_step(monkeypatch, at):
+    """A NaN in the gradient of iteration `at` raises NumericError naming the
+    iteration and the clips it sampled, and that iteration's step never
+    runs: the parameters are those after the earlier iterations."""
+    data = sv.generate_dataset(sv.GenConfig(num_classes=2, max_objects=2, frame_size=16, t=4),
+                               3, seed=0)
+    cfg = micro_config()
+    settings = tr.TrainSettings(iters=at, lr=1e-3, seed=5)
+    ref = M.init_model(cfg, np.random.default_rng(0))
+    tr.train(data, cfg, ref, stage=2, use_ica=True, settings=settings)
+    sampled, step, sample = [], tr.batch_step, tr.sample_frames
+
+    def nan_at_the_last_iteration(batch, cfg_, params):
+        parts = step(batch, cfg_, params)
+        if len(sampled) == (at + 1) * settings.batch:
+            params.layers[0].head_cls.w.grad[0, 0] = np.nan
+        return parts
+
+    def record(clip, t, rng):
+        sampled.append(clip.clip_id)
+        return sample(clip, t, rng)
+
+    monkeypatch.setattr(tr, "batch_step", nan_at_the_last_iteration)
+    monkeypatch.setattr(tr, "sample_frames", record)
+    params = M.init_model(cfg, np.random.default_rng(0))
+    with pytest.raises(NumericError, match=rf"^iteration {at}: loss [^,]+, gradient norm nan on "
+                                           rf"clips \[\d+, \d+\]: not finite before the step$"
+                       ) as err:
+        tr.train(data, cfg, params, stage=2, use_ica=True,
+                 settings=replace(settings, iters=at + 1))
+    assert f"clips {sampled[-2:]}" in str(err.value)
+    for name, p in M.named_parameters(params).items():
+        assert np.array_equal(p.data, M.named_parameters(ref)[name].data), name
 
 
 def test_train_refuses_a_crowded_frame_before_the_first_iteration(monkeypatch):
@@ -302,6 +338,29 @@ def test_clip_gradients_caps_the_global_norm(rng, kind):
     else:
         assert norm(before) <= tr.MAX_GRAD_NORM
         assert np.array_equal(grad, before)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_clip_gradients_norm_is_the_per_view_sum_formula(rng, bits):
+    """The returned norm equals math.sqrt of the per-view np.sum of float64
+    squares, added in parameter order, and the rescaled gradient equals
+    that formula's rescaling, bit for bit: views of many shapes that
+    straddle the scratch's groups, one that fills a group exactly, one
+    larger than the block, and views after it."""
+    block = tr.ADAM_BLOCK
+    shapes = [(3, 5), (7,), (), (40, 31, 2), (block // 2 - 7,), (block // 2 + 11,), (1,),
+              (block - 1,), (block + 3,), (9, 4), (block // 3,), (2, 3, 4)]
+    with ad.precision(bits):
+        tensors = [ad.param(np.zeros(shape)) for shape in shapes]
+        _data, grad = tr.flatten(tensors)
+    views = [t.grad for t in tensors]
+    for scale in (1.0, 1e-4):                   # clipped, then not
+        grad[:] = scale * rng.normal(size=grad.size)
+        want = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in views))
+        expect = grad * (tr.MAX_GRAD_NORM / want) if want > tr.MAX_GRAD_NORM else grad.copy()
+        assert tr._clip_gradients(grad, views) == want
+        assert grad.dtype == np.dtype(f"float{bits}") and np.array_equal(grad, expect)
+    assert want < tr.MAX_GRAD_NORM < math.sqrt(grad.size) * 0.5
 
 
 @pytest.mark.parametrize("bits", [32, 64])
