@@ -106,9 +106,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def tensor(data) -> Tensor:
     """Constant tensor in the current precision."""

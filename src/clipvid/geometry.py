@@ -33,10 +33,6 @@ class Box:
         return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
                 self.cx + self.w / 2.0, self.cy + self.h / 2.0)
 
-    @staticmethod
-    def from_corners(x1: float, y1: float, x2: float, y2: float) -> "Box":
-        return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
-
 
 FULL_FRAME = np.array([0.5, 0.5, 1.0, 1.0])
 

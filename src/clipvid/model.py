@@ -58,9 +58,8 @@ class ModelConfig:
 
     @staticmethod
     def paper_scale() -> "ModelConfig":
-        """Published configuration. It runs: a forward pass over 112x112
-        frames makes about 3.7, 3.3 and 2.7 frames/s at T = 1, 10 and 30
-        (shared 2-core x86-64, one BLAS thread, 32-bit, seeded weights)."""
+        """Published configuration. It runs; ROADMAP.md's Baseline holds its
+        measured forward frames/s."""
         return ModelConfig(num_classes=30, t_train=3, t_infer=30,
                            num_queries=72, dim=384, heads=8, decoder_layers=6,
                            roi_size=7, ica_layers=2, ica_topk=10,
@@ -386,8 +385,8 @@ def extract_detections(last_layer: LayerOutput, cfg: ModelConfig) -> list[list[D
 
     Reference boxes may reach past the frame edge; each detection keeps only
     the part inside the frame (corners clipped to [0, 1]). The slots of all
-    frames are found and ordered in one pass, and the queries' boxes are
-    built with Box.from_corners' float64 arithmetic, one Box per query."""
+    frames are found and ordered in one pass, and each query's Box is built
+    from its clipped corners in float64 as ((x1 + x2) / 2, x2 - x1)."""
     scores = ad.stable_sigmoid(np.asarray(last_layer.logits.data, dtype=np.float64))
     x1, y1, x2, y2 = np.moveaxis(np.clip(geo.box_corners(last_layer.boxes), 0.0, 1.0), -1, 0)
     boxes = [Box(*row) for row in np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1],

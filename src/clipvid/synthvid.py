@@ -300,7 +300,7 @@ def generate_clip(cfg: GenConfig, seed: int, clip_id: int = 0) -> ClipSample:
     totals = masks.sum(axis=(2, 3))
     visibles = (masks & ~covered).sum(axis=(2, 3))
     vis = np.divide(visibles, totals, out=np.zeros(totals.shape), where=totals > 0)
-    # Box.from_corners of each object's corners, in its float64 arithmetic.
+    # Each object's center-size box from its corners in float64: (lo + hi) / 2, hi - lo.
     half = np.array([(obj.rx, obj.ry) for obj in objects])[:, None]
     lo, hi = path - half, path + half
     box = np.concatenate([(lo + hi) / 2.0, hi - lo], axis=-1)

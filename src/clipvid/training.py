@@ -13,8 +13,9 @@ gradients of the clips' summed losses are scaled by one over the batch
 size.
 
 train() owns one flat parameter vector and one flat gradient vector; each
-trainable tensor's .data and .grad are views of its slice. The optimizer's
-state is the step count t and the moments m and v over that vector.
+trainable tensor's .data and .grad are views of its slice. The gradient is
+clipped by the flat vector's global norm, summed in float64 in blocks; the
+optimizer's state is the step count t and the moments m and v over it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 1e-4
 MAX_GRAD_NORM = 5.0
-# AdamW steps, and the gradient clip squares, through block-sized scratch
-# buffers: two of ADAM_BLOCK parameters' dtype, one of ADAM_BLOCK float64.
-# No step allocates another temporary, so the block bounds only the scratch.
+# AdamW steps through two scratch rows of ADAM_BLOCK of the parameters' dtype,
+# the gradient clip through one float64 row; they allocate nothing vector-sized.
 ADAM_BLOCK = 65536
 
 
@@ -194,41 +194,17 @@ def flatten(tensors: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
     return data, grad
 
 
-def _clip_gradients(grad: np.ndarray, views: list[np.ndarray]) -> float:
+def _clip_gradients(grad: np.ndarray) -> float:
     """Rescale the flat gradient to the global norm cap; returns the norm
-    before clipping. Each parameter view's squares are summed in float64 as
-    np.sum sums them, and the sums are added in parameter order.
-
-    Views are squared into a float64 scratch of ADAM_BLOCK entries, each
-    after a 0.0 entry, and each full scratch is summed by one
-    np.add.reduceat: a segment's reduction is its first entry plus the
-    pairwise sum of the rest, so 0.0 plus the view's squares is np.sum's
-    sum of them. A view that does not fit the scratch is summed alone."""
-    scratch = np.empty(min(ADAM_BLOCK, grad.size + len(views)), dtype=np.float64)
-    sums: list[float] = []
-    starts: list[int] = []
-    end = 0
-
-    def flush() -> None:
-        nonlocal end
-        if starts:
-            sums.extend(np.add.reduceat(scratch[:end], starts).tolist())
-            starts.clear()
-            end = 0
-
-    for g in views:
-        if g.size + 1 > len(scratch):
-            flush()
-            sums.append(float(np.sum(np.square(g, dtype=np.float64))))
-            continue
-        if end + g.size + 1 > len(scratch):
-            flush()
-        starts.append(end)
-        scratch[end] = 0.0
-        np.square(g.ravel(), out=scratch[end + 1:end + 1 + g.size], dtype=np.float64)
-        end += g.size + 1
-    flush()
-    norm = math.sqrt(sum(sums))
+    before clipping, its squares summed in float64 (a float32 square
+    overflows above 1.8e19) one ADAM_BLOCK at a time through one row."""
+    row = np.empty(min(ADAM_BLOCK, grad.size), dtype=np.float64)
+    total = 0.0
+    for lo in range(0, grad.size, ADAM_BLOCK):
+        block = row[:min(ADAM_BLOCK, grad.size - lo)]
+        block[:] = grad[lo:lo + ADAM_BLOCK]
+        total += float(np.dot(block, block))
+    norm = math.sqrt(total)
     if norm > MAX_GRAD_NORM:
         grad *= MAX_GRAD_NORM / norm
     return norm
@@ -257,7 +233,6 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
     if not ica:
         cfg = replace(cfg, ica_layers=0)
     data, grad = flatten(list(trainable.values()))
-    views = [p.grad for p in trainable.values()]
     opt = AdamW()
     rng = np.random.default_rng(settings.seed)
     lines = []
@@ -269,7 +244,7 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
         grad.fill(0.0)
         parts = batch_step(batch, cfg, params)
         grad *= inv
-        norm = _clip_gradients(grad, views)
+        norm = _clip_gradients(grad)
         if not (math.isfinite(parts.total) and math.isfinite(norm)):
             clip_ids = [dataset[int(c)].clip_id for c in picks]
             raise NumericError(f"iteration {it}: loss {parts.total * inv:.9g}, gradient norm "

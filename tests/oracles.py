@@ -13,8 +13,8 @@ attention in its projected form, keys and values computed per context
 block. km_solve solves one frame's assignment, one row at a time,
 per_clip_step trains a batch one clip at a time, and window_infer_clip
 runs inference one window at a time. The tests
-compare the package's batched and fused paths against them; box_array and
-tracks_of_rows build their inputs.
+compare the package's batched and fused paths against them; box_array,
+box_from_corners and tracks_of_rows build their inputs.
 The patches at the end change the package for one test: the within-frame mask
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
@@ -549,11 +549,11 @@ class PerTensorAdamW:
 
 
 def per_tensor_clip_gradients(params: dict) -> None:
-    """training._clip_gradients rescaling each tensor's gradient in turn."""
-    total = 0.0
-    for p in params.values():
-        total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    """training._clip_gradients rescaling each tensor's gradient in turn, by
+    the norm of their concatenated float64 gradients, summed in blocks."""
+    flat = np.concatenate([p.grad.astype(np.float64).ravel() for p in params.values()])
+    blocks = np.split(flat, range(tr.ADAM_BLOCK, flat.size, tr.ADAM_BLOCK))
+    norm = math.sqrt(sum(float(np.dot(b, b)) for b in blocks))
     if norm > tr.MAX_GRAD_NORM:
         scale = tr.MAX_GRAD_NORM / norm
         for p in params.values():
@@ -653,6 +653,11 @@ def loop_evaluate(detections, clips, num_classes: int) -> EvalReport:
                       num_gts=sum(gt_counts[None].values()), num_dets=order)
 
 
+def box_from_corners(x1: float, y1: float, x2: float, y2: float) -> Box:
+    """The center-size Box of corners (x1, y1, x2, y2), in float64."""
+    return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
+
+
 def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
     """Per-frame detections one (query, class) slot at a time: every slot
     above the score threshold, its box clipped to the frame, then a stable
@@ -664,7 +669,7 @@ def loop_extract_detections(last_layer, cfg) -> list[list[M.Detection]]:
                                           b[:, :2] + b[:, 2:] / 2.0], axis=1), 0.0, 1.0)
         dets = []
         for j, row in enumerate(corners.tolist()):
-            box = Box.from_corners(*row)
+            box = box_from_corners(*row)
             for c in range(scores.shape[1]):
                 if scores[j, c] > cfg.score_thresh:
                     dets.append(M.Detection(c, float(scores[j, c]), box))

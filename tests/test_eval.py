@@ -7,10 +7,7 @@ from clipvid.errors import InputError
 from clipvid.geometry import Box
 from clipvid.model import Detection
 from oracles import average_precision, box_array, iou, loop_evaluate, tracks_of_rows
-
-
-def corners(x1, y1, x2, y2):
-    return Box.from_corners(x1, y1, x2, y2)
+from oracles import box_from_corners as corners
 
 
 def clip_with(tracks, t=2, clip_id=0, size=8):

@@ -593,7 +593,7 @@ def test_extract_detections_keeps_slot_order_among_equal_scores():
 def test_extract_detections_orders_tied_scores_of_many_frames_as_the_frame_loop(thresh):
     """Scores tied within and across frames, over a stack of frames with
     one frame left empty at the higher thresholds: each frame's list is the
-    slot loop's, in its order, and each query's box its Box.from_corners."""
+    slot loop's, in its order, and each query's box its box_from_corners."""
     cfg = micro_cfg(score_thresh=thresh)
     levels = np.array([0.0, 1.0, -1.0, 0.5])
     rng = np.random.default_rng(3)

@@ -330,7 +330,7 @@ def test_clip_gradients_caps_the_global_norm(rng, kind):
         size = 10.0 if kind == "above" else 0.01
         a.grad[:], b.grad[:] = size * rng.normal(size=(2, 3)), size * rng.normal(size=4)
     before = grad.copy()
-    tr._clip_gradients(grad, [a.grad, b.grad])
+    tr._clip_gradients(grad)
     norm = lambda g: math.sqrt(float(np.sum(g * g)))
     if kind == "above":
         assert norm(before) > tr.MAX_GRAD_NORM
@@ -341,26 +341,50 @@ def test_clip_gradients_caps_the_global_norm(rng, kind):
 
 
 @pytest.mark.parametrize("bits", [32, 64])
-def test_clip_gradients_norm_is_the_per_view_sum_formula(rng, bits):
-    """The returned norm equals math.sqrt of the per-view np.sum of float64
-    squares, added in parameter order, and the rescaled gradient equals
-    that formula's rescaling, bit for bit: views of many shapes that
-    straddle the scratch's groups, one that fills a group exactly, one
-    larger than the block, and views after it."""
+def test_clip_gradients_norm_is_the_float64_norm(rng, bits):
+    """On vectors below, at and above one block, the returned norm is within
+    1e-12 relative of math.fsum's sum of the float64 squares. A clipped
+    gradient equals grad * (MAX_GRAD_NORM / norm) bit for bit; an unclipped
+    one keeps its bits."""
     block = tr.ADAM_BLOCK
-    shapes = [(3, 5), (7,), (), (40, 31, 2), (block // 2 - 7,), (block // 2 + 11,), (1,),
-              (block - 1,), (block + 3,), (9, 4), (block // 3,), (2, 3, 4)]
-    with ad.precision(bits):
-        tensors = [ad.param(np.zeros(shape)) for shape in shapes]
-        _data, grad = tr.flatten(tensors)
-    views = [t.grad for t in tensors]
-    for scale in (1.0, 1e-4):                   # clipped, then not
-        grad[:] = scale * rng.normal(size=grad.size)
-        want = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in views))
-        expect = grad * (tr.MAX_GRAD_NORM / want) if want > tr.MAX_GRAD_NORM else grad.copy()
-        assert tr._clip_gradients(grad, views) == want
-        assert grad.dtype == np.dtype(f"float{bits}") and np.array_equal(grad, expect)
-    assert want < tr.MAX_GRAD_NORM < math.sqrt(grad.size) * 0.5
+    for size in (1, block - 1, block, 3 * block + 7):
+        for target, clipped in ((50.0, True), (0.5, False)):  # norm in [target, 2*target]
+            grad = (rng.choice([-1.0, 1.0], size=size) * rng.uniform(1.0, 2.0, size=size)
+                    * target / math.sqrt(size)).astype(f"float{bits}")
+            want = math.sqrt(math.fsum((grad.astype(np.float64) ** 2).tolist()))
+            before = grad.copy()
+            norm = tr._clip_gradients(grad)
+            assert abs(norm - want) <= 1e-12 * want and (norm > tr.MAX_GRAD_NORM) == clipped
+            expect = before * (tr.MAX_GRAD_NORM / norm) if clipped else before
+            assert np.array_equal(grad, expect)
+
+
+def test_clip_gradients_sums_float32_squares_in_float64():
+    """Finite float32 entries of 1e30 square past float32's range, so a
+    float32 dot overflows to inf; the clip's float64 sum keeps the norm
+    finite and rescales the gradient to the cap."""
+    grad = np.full(10, 1e30, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert np.dot(grad, grad) == np.inf
+    norm = tr._clip_gradients(grad)
+    assert norm == pytest.approx(math.sqrt(10) * float(np.float32(1e30)), rel=1e-12)
+    assert grad.dtype == np.float32 and np.isfinite(grad).all()
+    assert math.sqrt(float(np.dot(grad, grad))) == pytest.approx(tr.MAX_GRAD_NORM, rel=1e-6)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_clip_gradients_allocates_one_block_sized_row(bits):
+    """The clip neither squares nor casts the whole vector: on a vector of
+    64 blocks its traced peak stays within two float64 blocks."""
+    grad = np.full(64 * tr.ADAM_BLOCK, 0.5, dtype=f"float{bits}")
+    tracemalloc.start()
+    try:
+        norm = tr._clip_gradients(grad)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm == 0.5 * math.sqrt(grad.size) > tr.MAX_GRAD_NORM
+    assert peak < 2 * tr.ADAM_BLOCK * 8
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -382,7 +406,7 @@ def test_flat_optimizer_matches_per_tensor_oracle(rng, bits, size):
             assert (math.sqrt(float(np.sum(grad.astype(np.float64) ** 2)))
                     > tr.MAX_GRAD_NORM) == (size > 1.0)
             per_tensor_clip_gradients(ref)
-            tr._clip_gradients(grad, [q.grad for q in flat])
+            tr._clip_gradients(grad)
             lr = 0.01 if it < 2 else 0.001
             ref_opt.step(ref, lr)
             opt.step(data, grad, lr)
