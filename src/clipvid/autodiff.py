@@ -10,9 +10,10 @@ Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
 The layers that run most often are single primitives with hand-written
-adjoints: residual_norm, the post-norm residual layer norm of x + y; linear
-(x @ w + b) and linear_relu, which keeps only its output; mlp, a chain of
-linear layers with a ReLU between each two (feed-forward block, box and
+adjoints: residual_norm, the post-norm residual layer norm of x + y;
+conv_relu, a backbone block (a 3x3 stride-2 convolution and its ReLU),
+which keeps its patches and output; mlp, a chain of linear layers with a
+ReLU between each two (a linear layer, the feed-forward block, box and
 identity heads), which keeps only its layers' outputs; self_attention, a
 whole post-norm residual multi-head self-attention layer over each clip's
 queries; and context_attention, a whole projected attention layer in which
@@ -649,35 +650,6 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convolution
-
-
-def extract_patches(x: Tensor, ksize: int, stride: int, pad: int) -> Tensor:
-    """im2col over a batched [B,H,W,C] map -> [B,OH,OW,ksize*ksize*C]."""
-    b, h, w, c = x.shape
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.data.dtype)   # np.pad's bytes
-    xp[:, pad:pad + h, pad:pad + w] = x.data
-    oh = (h + 2 * pad - ksize) // stride + 1
-    ow = (w + 2 * pad - ksize) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (ksize, ksize), axis=(1, 2))
-    win = win[:, ::stride, ::stride]          # [B,OH,OW,C,k,k]
-    out = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    out = out.reshape(b, oh, ow, ksize * ksize * c)
-
-    padded = xp.shape
-
-    def backward(g):
-        g = g.reshape(b, oh, ow, ksize, ksize, c)
-        gp = np.zeros(padded, dtype=x.data.dtype)
-        for ki in range(ksize):
-            for kj in range(ksize):
-                gp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g[:, :, :, ki, kj]
-        return (gp[:, pad:pad + h, pad:pad + w],)
-
-    return _record("extract_patches", (x,), out, backward)
-
-
-# ---------------------------------------------------------------------------
 # Parameter containers and layers
 
 
@@ -704,8 +676,8 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 def _affine(x: np.ndarray, p: LinearParams, relu: bool) -> np.ndarray:
-    """x @ w + b, times the held mask of its positive entries if relu:
-    linear's and linear_relu's forward."""
+    """x @ w + b, times the held mask of its positive entries if relu: one
+    layer of mlp or conv_relu."""
     out = x @ p.w.data
     out += p.b.data
     if relu:
@@ -719,29 +691,43 @@ def _affine_adjoint(g: np.ndarray, x: np.ndarray, p: LinearParams, need_x: bool)
         _unbroadcast(g, p.b.shape) if p.b.requires_grad else None,)
 
 
-def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """x @ w + b over the last axis of x, as one record: matmul's product
-    and weight adjoint, and add's bias reduction."""
-    _check_matmul("linear", x, p.w)
-    return _record("linear", (x, p.w, p.b), _affine(x.data, p, relu=False),
-                   lambda g: _affine_adjoint(g, x.data, p, x.requires_grad))
+def conv_relu(x: Tensor, p: LinearParams) -> Tensor:
+    """relu of the 3x3, stride-2 convolution of a [B, H, W, C] map zero
+    padded by one pixel -> [B, ceil(H/2), ceil(W/2), cout], as one record:
+    the im2col patches [B, OH, OW, 9C], taps in (row, column, channel)
+    order as p.w's rows, then _affine with its ReLU. The record keeps the
+    patches and its output; the adjoint's mask is out > 0."""
+    b, h, w, c = x.shape
+    if p.w.shape[0] != 9 * c:
+        raise DimensionError(f"conv_relu: map {x.shape}, weight {p.w.shape}")
+    oh, ow = (h + 1) // 2, (w + 1) // 2
+    xp = np.zeros((b, h + 2, w + 2, c), dtype=x.data.dtype)      # np.pad's bytes
+    xp[:, 1:h + 1, 1:w + 1] = x.data
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::2, ::2]
+    patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, oh, ow, 9 * c)
+    del xp, win                   # not kept: freed before the product
+    out = _affine(patches, p, relu=True)
 
+    def backward(g):
+        gpatch, gw, gb = _affine_adjoint(g * (out > 0), patches, p, x.requires_grad)
+        if gpatch is None:
+            return None, gw, gb
+        gpatch = gpatch.reshape(b, oh, ow, 3, 3, c)
+        gx = np.zeros((b, h + 2, w + 2, c), dtype=x.data.dtype)
+        for i in range(3):
+            for j in range(3):
+                gx[:, i:i + 2 * oh:2, j:j + 2 * ow:2] += gpatch[:, :, :, i, j]
+        return gx[:, 1:h + 1, 1:w + 1], gw, gb
 
-def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
-    """relu(x @ w + b) as one record that keeps only its output, not the
-    pre-activation or its held mask pre > 0; the adjoint's mask is out > 0."""
-    _check_matmul("linear_relu", x, p.w)
-    out = _affine(x.data, p, relu=True)
-    return _record("linear_relu", (x, p.w, p.b), out,
-                   lambda g: _affine_adjoint(g * (out > 0), x.data, p, x.requires_grad))
+    return _record("conv_relu", (x, p.w, p.b), out, backward)
 
 
 def mlp(x: Tensor, layers: Sequence[LinearParams]) -> Tensor:
-    """Linear layers with a ReLU after each but the last, as one record:
-    each layer runs linear_relu's forward, the last linear's, and the ReLU
-    masks are held in layer order. The record keeps each layer's output
-    and no pre-activation or mask; the adjoint chains linear_relu's and
-    linear's adjoints back through them."""
+    """Linear layers with a ReLU after each but the last, as one record; a
+    one-layer chain is x @ w + b over the last axis of x. Each layer runs
+    _affine, and the ReLU masks are held in layer order. The record keeps
+    each layer's output and no pre-activation or mask; the adjoint chains
+    _affine_adjoint back through them."""
     last = len(layers) - 1
     acts = [x.data]                     # each layer's input, then the output
     for i, p in enumerate(layers):

@@ -4,7 +4,7 @@ complete clip loss on a tiny model.
 primitive_cases is the table of what the primitive audit differentiates:
 one row per primitive that records itself on the tape, named as its
 record, then the composed function logsumexp, the second adjoint paths of
-matmul and gather_rows, and last the fused decoder records linear_relu,
+matmul and gather_rows, and last the fused records conv_relu,
 residual_norm, self_attention (over a two-clip stack), roi_sample and mlp
 (three layers).
 primitive_checks checks every input of every row.
@@ -49,7 +49,7 @@ def micro_clip(seed: int):
 
 def primitive_cases(seed: int) -> list[Case]:
     """Rows (name, op, input arrays): op maps one tensor per array to the
-    output the audit differentiates. Inputs of linear_relu, mlp and
+    output the audit differentiates. Inputs of conv_relu, mlp and
     box_pair_loss keep away from their kinks; div's divisor, the inputs of
     log and sqrt and the layer norms' gains stay positive."""
     rng = np.random.default_rng(seed)
@@ -80,9 +80,6 @@ def primitive_cases(seed: int) -> list[Case]:
             q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), wk, ad.LinearParams(wv, bv),
                                  ad.LinearParams(wo, bo))),
          [n(3, 8), n(3, 5, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]),
-        ("extract_patches", lambda x: ad.extract_patches(x, 3, 2, 1), [n(1, 6, 6, 3)]),
-        ("linear", lambda x, w, b: ad.linear(x, ad.LinearParams(w, b)),
-         [n(2, 3, 4), n(4, 5), n(5)]),
         ("logsumexp", lambda x: ad.logsumexp(x, axis=-1), [n(3, 5)]),
         ("focal_loss", lambda x: mt.focal_loss(x, positive), [n(3, 2)]),
         ("box_pair_loss", lambda x: geo.box_pair_loss(x, gt_boxes), [pred_boxes]),
@@ -91,19 +88,20 @@ def primitive_cases(seed: int) -> list[Case]:
         ("matmul_batched", ad.matmul, [n(1, 3, 4), n(2, 4, 5)]),
         ("gather_rows_repeated", lambda x: ad.gather_rows(x, [2, 0, -1, 1, 2, 0]), [n(3, 4)]),
     ]
-    # The fused decoder records. Each output column of linear_relu, and of
-    # each of mlp's hidden layers, keeps one sign, away from the kink.
+    # The fused records. Each output column of conv_relu, and of each of
+    # mlp's hidden layers, keeps one sign, away from the kink; conv_relu's
+    # through |patch @ w| <= max|x| * sum|w| (a padded tap reads 0).
     def away_from_kink(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         signs = np.resize([1.0, -1.0], w.shape[1])
         return signs * (np.abs(x @ w).max(axis=(0, 1)) + 0.5)
 
-    lr_x, lr_w = n(2, 3, 4), n(4, 5)
-    lr_b = away_from_kink(lr_x, lr_w)
+    conv_x, conv_w = n(2, 5, 6, 2), n(18, 3)
+    conv_b = np.resize([1.0, -1.0], 3) * (np.abs(conv_x).max() * np.abs(conv_w).sum(axis=0) + 0.5)
     roi_boxes = np.array([[[0.45, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34]],
                           [[0.62, 0.38, 0.44, 0.5], [0.5, 0.5, 1.0, 1.0]]])
     cases += [
-        ("linear_relu", lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
-         [lr_x, lr_w, lr_b]),
+        ("conv_relu", lambda x, w, b: ad.conv_relu(x, ad.LinearParams(w, b)),
+         [conv_x, conv_w, conv_b]),
         ("residual_norm", lambda x, y, g, b: ad.residual_norm(x, y, ad.LayerNormParams(g, b)),
          [n(2, 3, 6), n(2, 3, 6), pos(6), n(6)]),
         ("self_attention", lambda x, wq, bq, wk, wv, bv, wo, bo, g, b: ad.self_attention(
@@ -114,15 +112,15 @@ def primitive_cases(seed: int) -> list[Case]:
         ("roi_sample", lambda f, q, a: geo.roi_sample_frame(f, roi_boxes, 2, q, a),
          [n(2, 5, 5, 3), n(2, 2, 3), n(3, 12)]),
     ]
-    mlp_w = [n(4, 5), n(5, 6), n(6, 3)]
-    mlp_b = [away_from_kink(lr_x, mlp_w[0])]
-    mlp_b += [away_from_kink(np.maximum(lr_x @ mlp_w[0] + mlp_b[0], 0.0), mlp_w[1]), n(3)]
+    mlp_x, mlp_w = n(2, 3, 4), [n(4, 5), n(5, 6), n(6, 3)]
+    mlp_b = [away_from_kink(mlp_x, mlp_w[0])]
+    mlp_b += [away_from_kink(np.maximum(mlp_x @ mlp_w[0] + mlp_b[0], 0.0), mlp_w[1]), n(3)]
 
     def three_layers(x, w0, b0, w1, b1, w2, b2):
         return ad.mlp(x, [ad.LinearParams(w0, b0), ad.LinearParams(w1, b1),
                           ad.LinearParams(w2, b2)])
 
-    return cases + [("mlp", three_layers, [lr_x, mlp_w[0], mlp_b[0], mlp_w[1], mlp_b[1],
+    return cases + [("mlp", three_layers, [mlp_x, mlp_w[0], mlp_b[0], mlp_w[1], mlp_b[1],
                                            mlp_w[2], mlp_b[2]])]
 
 

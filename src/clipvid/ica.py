@@ -104,7 +104,7 @@ def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
     rows = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), blocks)         # [U, s*s, d]
     contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), blocks),
                          (len(blocks), 1, d))
-    return rows + ad.linear(contrib, pos_proj)
+    return rows + ad.mlp(contrib, (pos_proj,))
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,

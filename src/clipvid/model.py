@@ -162,7 +162,7 @@ class DecoderLayerParams:
 
 @dataclass
 class ModelParams:
-    convs: list[LinearParams]    # im2col 3x3 stride-2 blocks
+    convs: list[LinearParams]    # autodiff.conv_relu blocks: [9*cin, cout] weights
     proj: LinearParams           # 1x1 projection to model dim
     query_embed: Tensor          # [L, d]
     layers: list[DecoderLayerParams]
@@ -252,7 +252,7 @@ class FrameFeature:
 
 
 def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
-    """Stride-2 conv blocks, a 1x1 projection to the model dim, then each
+    """Stride-2 conv_relu blocks, a 1x1 projection to the model dim, then each
     frame's feature map average-pooled to roi_size x roi_size summary rows.
 
     frames: [T, H, W, 3] pixel array or Tensor (gradients reach the pixels)."""
@@ -262,8 +262,8 @@ def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
             f"frame {h0}x{w0} not divisible by backbone stride {cfg.backbone_stride}")
     x = frames if isinstance(frames, Tensor) else ad.tensor(frames)
     for conv in params.convs:
-        x = ad.linear_relu(ad.extract_patches(x, ksize=3, stride=2, pad=1), conv)
-    f = ad.linear(x, params.proj)
+        x = ad.conv_relu(x, conv)
+    f = ad.mlp(x, (params.proj,))
     t, h, w, d = f.shape
     s = cfg.roi_size
     if h % s or w % s:
@@ -307,7 +307,7 @@ def detection_head(queries: Tensor, ref_boxes: np.ndarray,
                    ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
     """Class logits, refined boxes (tensor + held detached clamped), optional
     identities, for [..., L, d] queries and [..., L, 4] reference boxes."""
-    logits = ad.linear(queries, lp.head_cls)
+    logits = ad.mlp(queries, (lp.head_cls,))
     delta = ad.mlp(queries, lp.head_loc)
     boxes_t = geo.boxes_refine(ref_boxes, delta)
     boxes = ad.hold(lambda: geo.clamp_boxes(np.asarray(boxes_t.data, dtype=np.float64)))

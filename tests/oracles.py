@@ -4,9 +4,11 @@ Each function here handles one query, one box, one logit or one frame pair
 with plain floats or single-row tensors, and each adjoint reference takes
 one product per stacked matrix or one addition per gathered row. The
 composed layers build linear, the layer norm and multi-head attention from
-elementwise primitives, and linear_relu, residual_norm, self_attention and
-the region features of geometry.roi_sample_frame from the records they
-fuse, so the taped chain rule checks the fused primitives' adjoints.
+elementwise primitives, and conv_relu (a taped im2col, extract_patches,
+then linear_relu), mlp, residual_norm, self_attention and the region
+features of geometry.roi_sample_frame from the records they fuse, so the
+taped chain rule checks the fused primitives' adjoints; loop_conv_relu is
+conv_relu as a direct convolution, one tap at a time.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
@@ -206,7 +208,7 @@ def guided_cross_attention(q, b: Box, f, lp, s: int):
 
 def detection_head(q, b: Box, lp, with_identity: bool):
     """Single-query head: (logits [C], refined Box, unit identity [d] or None)."""
-    logits = ad.linear(q, lp.head_cls)
+    logits = composed_linear(q, lp.head_cls)
     box = apply_delta(b, BoxDelta(*composed_mlp(q, lp.head_loc).data[0].tolist()))
     h = None
     if with_identity and lp.head_id is not None:
@@ -273,7 +275,7 @@ def joint_context(chosen: dict[int, int], region, contrib_queries, pos_proj):
         j = chosen[i]
         block = ad.gather_rows(region[i], [j])                     # [1, s*s, d]
         q = ad.gather_rows(contrib_queries[i], [j])                # [1, d]
-        pos = ad.reshape(ad.linear(q, pos_proj), (1, 1, q.shape[-1]))
+        pos = ad.reshape(composed_linear(q, pos_proj), (1, 1, q.shape[-1]))
         blocks.append(block + pos)
     return ad.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
 
@@ -306,12 +308,13 @@ def projected_block_attention(q, ctx, own, p):
         x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
         return ad.reshape(x, (h, A, F * s2, hd))
 
-    qh = ad.transpose(ad.reshape(ad.linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
+    qh = ad.transpose(ad.reshape(composed_linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
                       (1, 0, 2, 3))                                         # [H, A, hd, 1]
     logits = ad.reshape(ad.matmul(per_row(ad.matmul(ctx, p.k)), qh),
                         (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
-    out = ad.matmul(ad.softmax(logits, axis=-1), per_row(ad.linear(ctx, p.v)))  # [H, A, 1, hd]
-    out = ad.linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
+    out = ad.matmul(ad.softmax(logits, axis=-1),
+                    per_row(composed_linear(ctx, p.v)))                     # [H, A, 1, hd]
+    out = composed_linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
     return ad.reshape(out, (A, d))
 
 
@@ -736,8 +739,56 @@ def composed_multi_head_attention(q, k, v, p):
 
 
 def composed_linear_relu(x, p):
-    pre = ad.linear(x, p)
+    pre = composed_linear(x, p)
     return ad.mul(pre, ad.tensor(pre.data > 0))
+
+
+def extract_patches(x, ksize: int, stride: int, pad: int):
+    """im2col over a batched [B,H,W,C] map -> [B,OH,OW,ksize*ksize*C], as
+    one record whose adjoint adds each patch back onto the taps it read."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.data.dtype)   # np.pad's bytes
+    xp[:, pad:pad + h, pad:pad + w] = x.data
+    oh = (h + 2 * pad - ksize) // stride + 1
+    ow = (w + 2 * pad - ksize) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (ksize, ksize), axis=(1, 2))
+    win = win[:, ::stride, ::stride]          # [B,OH,OW,C,k,k]
+    out = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    out = out.reshape(b, oh, ow, ksize * ksize * c)
+
+    padded = xp.shape
+
+    def backward(g):
+        g = g.reshape(b, oh, ow, ksize, ksize, c)
+        gp = np.zeros(padded, dtype=x.data.dtype)
+        for ki in range(ksize):
+            for kj in range(ksize):
+                gp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += g[:, :, :, ki, kj]
+        return (gp[:, pad:pad + h, pad:pad + w],)
+
+    return ad._record("extract_patches", (x,), out, backward)
+
+
+def composed_conv_relu(x, p):
+    """autodiff.conv_relu as a taped im2col and linear_relu's records."""
+    return composed_linear_relu(extract_patches(x, 3, 2, 1), p)
+
+
+def loop_conv_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu of the 3x3, stride-2, one-pixel zero-padded convolution of a
+    [B, H, W, C] map with [9*C, cout] weights, w's rows in (row, column,
+    channel) tap order: one sum per output pixel and channel, one term per
+    tap and input channel inside the map."""
+    B, H, W, C = x.shape
+    out = np.zeros((B, (H + 1) // 2, (W + 1) // 2, w.shape[1]))
+    for n, i, j, o in np.ndindex(out.shape):
+        acc = float(b[o])
+        for di, dj, ch in np.ndindex(3, 3, C):
+            r, c = 2 * i + di - 1, 2 * j + dj - 1
+            if 0 <= r < H and 0 <= c < W:
+                acc += float(x[n, r, c, ch]) * float(w[(3 * di + dj) * C + ch, o])
+        out[n, i, j, o] = max(acc, 0.0)
+    return out
 
 
 def composed_mlp(x, layers):

@@ -17,10 +17,11 @@ from clipvid import autodiff as ad
 from clipvid import geometry as geo
 from clipvid import gradcheck_suite
 from clipvid.errors import ConfigError, DimensionError, NumericError
-from oracles import (composed_context_attention, composed_layer_norm, composed_linear,
-                     composed_linear_relu, composed_mlp, composed_multi_head_attention,
+from oracles import (composed_context_attention, composed_conv_relu, composed_layer_norm,
+                     composed_linear, composed_mlp, composed_multi_head_attention,
                      composed_residual_norm, composed_roi_sample, composed_self_attention,
-                     corrupt_adjoint, leaf_grad, scatter_add_rows, stacked_matmul_adjoint)
+                     corrupt_adjoint, leaf_grad, loop_conv_relu, scatter_add_rows,
+                     stacked_matmul_adjoint)
 
 # Every primitive that records itself on the tape and the number of inputs
 # it records, read from the source of every module of the package, so that
@@ -187,7 +188,7 @@ def test_mha_single_key_degenerate(rng):
     q = ad.tensor(rng.normal(size=(1, 1, 8)))
     ln = unit_norm(8)
     out = ad.self_attention(q, p, ln)
-    expect = ad.residual_norm(q, ad.linear(ad.linear(q, p.v), p.out), ln)
+    expect = ad.residual_norm(q, composed_linear(composed_linear(q, p.v), p.out), ln)
     assert_allclose(out.data, expect.data, atol=1e-10)
 
 
@@ -327,7 +328,7 @@ def _fused_chain(seed):
     gain, bias = ad.param(rng.normal(size=8)), ad.param(rng.normal(size=8))
     weight = ad.tensor(rng.normal(size=(2, 3, 8)))
     with ad.ComputationTape() as tape:
-        h = ad.linear(x, p.q)
+        h = ad.mlp(x, (p.q,))
         n = layer_norm(h, gain, bias)
         a = ad.self_attention(n, p, ad.LayerNormParams(gain, bias), clips=2)
         loss = ad.reduce_sum(ad.mul(a, weight))
@@ -373,19 +374,21 @@ def test_backward_on_a_spent_tape_raises():
     assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
 
 
-def test_played_linear_relu_keeps_the_recorded_mask():
+def test_played_conv_relu_keeps_the_recorded_mask():
     """A played pass keeps the ReLU mask of the recorded one after the
     pre-activations change sign; outside a replay the mask is fresh, and
     hold returns make()."""
-    x = ad.tensor([[1.0, -1.0]])
-    p = ad.LinearParams(ad.tensor(np.eye(2)), ad.tensor(np.zeros(2)))
+    x = ad.tensor([[[[1.0, -1.0]]]])                 # one pixel, two channels
+    w = np.zeros((18, 2))
+    w[8:10] = np.eye(2)                              # the centre tap passes the pixel on
+    p = ad.LinearParams(ad.tensor(w), ad.tensor(np.zeros(2)))
     replay = ad.Replay()
     with replay.record():
-        assert np.array_equal(ad.linear_relu(x, p).data, [[1.0, 0.0]])
-    x.data[...] = [[-2.0, 3.0]]
+        assert np.array_equal(ad.conv_relu(x, p).data, [[[[1.0, 0.0]]]])
+    x.data[...] = [[[[-2.0, 3.0]]]]
     with replay.play():
-        assert np.array_equal(ad.linear_relu(x, p).data, [[-2.0, 0.0]])
-    assert np.array_equal(ad.linear_relu(x, p).data, [[0.0, 3.0]])
+        assert np.array_equal(ad.conv_relu(x, p).data, [[[[-2.0, 0.0]]]])
+    assert np.array_equal(ad.conv_relu(x, p).data, [[[[0.0, 3.0]]]])
     made = object()
     assert ad.hold(lambda: made) is made
 
@@ -487,7 +490,8 @@ def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
 def test_constant_operands_get_no_gradient(rng):
     """The adjoints of mul, matmul and the fused layers compute no gradient
     for an input that needs none; the three self_attention calls, and the
-    two context_attention calls, split the inputs between them."""
+    two context_attention calls, split the inputs between them. The last
+    conv_relu is a first backbone block: constant pixels, trained w and b."""
     x, c = ad.param(rng.normal(size=(2, 3, 8))), ad.tensor(rng.normal(size=(2, 3, 8)))
     w, cw = ad.param(rng.normal(size=(8, 8))), ad.tensor(rng.normal(size=(8, 8)))
     b, cb = ad.param(rng.normal(size=8)), ad.tensor(rng.normal(size=8))
@@ -496,8 +500,8 @@ def test_constant_operands_get_no_gradient(rng):
         ad.mul(x, c), ad.mul(c, x)
         ad.matmul(x, cw), ad.matmul(c, w), ad.matmul(x, cstack), ad.matmul(cstack, x)
         layer_norm(x, cb, cb), layer_norm(c, b, cb), layer_norm(c, cb, b)
-        ad.linear(x, ad.LinearParams(cw, cb)), ad.linear(c, ad.LinearParams(w, cb))
-        ad.linear(c, ad.LinearParams(cw, b))
+        ad.mlp(x, (ad.LinearParams(cw, cb),)), ad.mlp(c, (ad.LinearParams(w, cb),))
+        ad.mlp(c, (ad.LinearParams(cw, b),))
         rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
         lin, norm = ad.LinearParams, ad.LayerNormParams
         ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), cw, lin(cw, cb), lin(cw, cb)),
@@ -506,7 +510,11 @@ def test_constant_operands_get_no_gradient(rng):
         ad.self_attention(c, ad.MHAParams(2, lin(cw, b), w, lin(cw, cb), lin(w, cb)), norm(cb, b))
         ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), cw, lin(w, cb), lin(cw, b)))
         ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), w, lin(cw, b), lin(w, cb)))
-    assert len(tape) == 17
+        xmap = ad.param(rng.normal(size=(2, 5, 4, 2)))
+        cmap = ad.tensor(rng.normal(size=(2, 5, 4, 2)))
+        ad.conv_relu(xmap, lin(ad.tensor(rng.normal(size=(18, 8))), cb))
+        ad.conv_relu(cmap, lin(ad.param(rng.normal(size=(18, 8))), b))
+    assert len(tape) == 19
     for op, inputs, out, adjoint in tape.records:
         grads = adjoint(np.ones_like(out.data))
         assert [g is not None for g in grads] == [t.requires_grad for t in inputs], op
@@ -514,14 +522,14 @@ def test_constant_operands_get_no_gradient(rng):
 
 @pytest.mark.parametrize("layer", [
     lambda x, p: layer_norm(x, p.q.b, p.v.b),
-    lambda x, p: ad.linear(x, p.q),
+    lambda x, p: ad.mlp(x, (p.q,)),
     lambda x, p: ad.self_attention(x, p, ad.LayerNormParams(p.q.b, p.v.b), clips=2),
     lambda x, p: ad.context_attention(ad.tensor(x.data[:, 0]), x, p),
 ], ids=["layer_norm", "linear", "self_attention", "context_attention"])
 def test_fused_layer_record_count(rng, layer):
-    """Hardware-independent gate: one tape record per layer norm, linear,
-    self_attention (a whole residual self-attention layer, reshapes
-    included) and context_attention call."""
+    """Hardware-independent gate: one tape record per layer norm, linear
+    layer (a one-layer mlp), self_attention (a whole residual
+    self-attention layer, reshapes included) and context_attention call."""
     p = ad.init_mha(rng, 8, 2)
     x = ad.param(rng.normal(size=(2, 3, 8)))
     with ad.ComputationTape() as tape:
@@ -553,7 +561,7 @@ def test_fused_forward_matches_the_composed_form_bitexactly(bits, q_shape, kv_sh
     with ad.precision(bits):
         p, q, kv = _attention_inputs(0, q_shape, kv_shape, heads)
         ln = ad.LayerNormParams(p.q.b, p.out.b)
-        pairs = [(ad.linear(kv, p.v), composed_linear(kv, p.v)),
+        pairs = [(ad.mlp(kv, (p.v,)), composed_linear(kv, p.v)),
                  (layer_norm(q, p.q.b, p.out.b), composed_layer_norm(q, p.q.b, p.out.b))]
         if kv is q:
             pairs.append((ad.self_attention(q, p, ln), composed_self_attention(q, p, ln)))
@@ -584,7 +592,7 @@ def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
         ln = ad.LayerNormParams(gain, bias)
         cases = [(lambda: layer_norm(q, gain, bias), lambda: composed_layer_norm(q, gain, bias),
                   [("x", q), ("gain", gain), ("bias", bias)]),
-                 (lambda: ad.linear(kv, p.v), lambda: composed_linear(kv, p.v),
+                 (lambda: ad.mlp(kv, (p.v,)), lambda: composed_linear(kv, p.v),
                   [("x", kv), ("v.w", p.v.w), ("v.b", p.v.b)])]
         if kv is q:
             cases.append((lambda: ad.self_attention(q, p, ln),
@@ -651,12 +659,11 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
-# The fused decoder records against the records they fuse: (fused, composed,
-# input shapes). linear_relu at a backbone conv's [T, h, w, 9c] patches and
-# an FFN's [T, L, d] rows; mlp as an FFN and as the 3-layer box head on
-# [T, L, d] rows; residual_norm at the self-attention's [1, T*L, d];
-# self_attention on a desk training stack of two 4-frame clips, [B*T, L, d];
-# roi_sample on [T, h, w, d] maps, including
+# The fused records against the records they fuse: (fused, composed, input
+# shapes). conv_relu on a desk backbone block's [T, h, w, c] map; mlp as an
+# FFN and as the 3-layer box head on [T, L, d] rows; residual_norm at the
+# self-attention's [1, T*L, d]; self_attention on a desk training stack of
+# two 4-frame clips, [B*T, L, d]; roi_sample on [T, h, w, d] maps, including
 # maps one pixel high, whose corners fold onto one cell, with [T, n, 4] boxes.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
@@ -684,12 +691,9 @@ _SELF_ATTENTION_SHAPES = [(8, 8, 32), (32, 32), (32,), (32, 32), (32, 32), (32,)
 _ROI_BOXES = np.array([[[0.4, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34], [0.5, 0.5, 1.0, 1.0]],
                        [[0.62, 0.38, 0.44, 0.5], [0.9, 0.1, 0.3, 0.3], [0.2, 0.8, 0.6, 0.2]]])
 FUSED_CASES = {
-    "linear_relu_conv": (lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
-                         lambda x, w, b: composed_linear_relu(x, ad.LinearParams(w, b)),
-                         [(2, 4, 4, 27), (27, 8), (8,)]),
-    "linear_relu_ffn": (lambda x, w, b: ad.linear_relu(x, ad.LinearParams(w, b)),
-                        lambda x, w, b: composed_linear_relu(x, ad.LinearParams(w, b)),
-                        [(4, 8, 32), (32, 128), (128,)]),
+    "conv_relu": (lambda x, w, b: ad.conv_relu(x, ad.LinearParams(w, b)),
+                  lambda x, w, b: composed_conv_relu(x, ad.LinearParams(w, b)),
+                  [(2, 8, 8, 8), (72, 16), (16,)]),
     "mlp_ffn": (_mlp(ad.mlp), _mlp(composed_mlp), [(4, 8, 32), (32, 128), (128,), (128, 32),
                                                     (32,)]),
     "mlp_box_head": (_mlp(ad.mlp), _mlp(composed_mlp), [(4, 8, 32), (32, 32), (32,), (32, 32),
@@ -704,6 +708,20 @@ FUSED_CASES = {
 }
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 6, 3), (1, 7, 5, 2)], ids=["even", "odd"])
+def test_conv_relu_is_the_direct_convolution(shape):
+    """conv_relu's patch layout and weight rows are those of a 3x3,
+    stride-2, one-pixel zero-padded convolution, on even and odd maps."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=shape)
+    w, b = rng.normal(size=(9 * shape[-1], 4)), rng.normal(size=4)
+    with ad.precision(64):
+        got = ad.conv_relu(ad.tensor(x), ad.LinearParams(ad.tensor(w), ad.tensor(b))).data
+    want = loop_conv_relu(x, w, b)
+    assert got.shape == want.shape and want.any()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _fused_inputs(seed, shapes):
     rng = np.random.default_rng(seed)
     return [ad.param(rng.normal(size=shape)) for shape in shapes]
@@ -712,7 +730,7 @@ def _fused_inputs(seed, shapes):
 @pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("case", FUSED_CASES)
 def test_fused_records_match_their_composed_forms_bitexactly(bits, case):
-    """linear_relu, mlp, residual_norm, self_attention and roi_sample run
+    """conv_relu, mlp, residual_norm, self_attention and roi_sample run
     the numpy operations of the records they fuse, in the same order: the same
     output bytes in 32 and 64 bits."""
     fused, composed, shapes = FUSED_CASES[case]
@@ -736,11 +754,11 @@ def test_fused_record_gradients_match_their_composed_forms(case):
         assert b.any() and np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), i
 
 
-@pytest.mark.parametrize("case", ["linear_relu_ffn", "mlp_ffn", "mlp_box_head",
+@pytest.mark.parametrize("case", ["conv_relu", "mlp_ffn", "mlp_box_head",
                                   "residual_norm", "self_attention", "roi_sample"])
 def test_fused_records_keep_fewer_bytes_than_their_composed_forms(case):
     """Each fused record is one record that keeps less than the chain it
-    replaces: linear_relu no pre-activation, mlp no pre-activations or
+    replaces: conv_relu no pre-activation or mask, mlp no pre-activations or
     masks, residual_norm no sum,
     self_attention no projections, logits or pre-norm sum, and roi_sample
     no dense interpolation stack and no sampled or adapted halves of the

@@ -380,7 +380,7 @@ def test_desk_clip_tape_record_count():
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 93
+    assert records == 91
 
 
 def test_train_mid_clip_tape_record_count():
@@ -389,12 +389,12 @@ def test_train_mid_clip_tape_record_count():
     cfg = M.ModelConfig(num_queries=30, dim=64, decoder_layers=6, ica_layers=0)
     records, parts = training_clip_records(cfg)
     assert parts.con == 0.0
-    assert records == 85
+    assert records == 83
 
 
 @pytest.mark.parametrize("overrides,records", [
-    (dict(), 93),
-    (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 85),
+    (dict(), 91),
+    (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 83),
 ], ids=["desk", "train_mid"])
 def test_training_iteration_is_one_tape_of_one_clip_s_records(overrides, records, monkeypatch):
     """A batch of two clips is one stacked tape with the record count of a
@@ -411,7 +411,7 @@ def test_desk_inference_pass_tape_record_count():
     with ad.ComputationTape() as tape:
         _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
     assert len(selections) == cfg.ica_layers
-    assert len(tape) == 65
+    assert len(tape) == 63
 
 
 def test_clip_forward_determinism(rng):
