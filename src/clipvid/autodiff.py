@@ -308,23 +308,16 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _record("sum", (a,), np.asarray(out), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[i] for i in ax]))
-    return reduce_sum(a, axis, keepdims) * (1.0 / n)
+def mean(a: Tensor, axis, keepdims: bool = False) -> Tensor:
+    total = reduce_sum(a, axis, keepdims)
+    return total * (total.data.size / a.data.size)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -3,8 +3,9 @@ sampling into region features.
 
 Boxes live in normalized (cx, cy, w, h) form, as [..., 4] float64 arrays for
 predictions and annotations, and as Box values for detections and the
-per-frame ground-truth view ClipSample.frame_gts. Tensor paths serve the
-training loss, where gradients must reach the box-offset predictions.
+per-frame ground-truth view ClipSample.frame_gts. RoI sampling takes
+clamp_boxes output. Tensor paths serve the training loss, where gradients
+must reach the box-offset predictions.
 """
 
 from __future__ import annotations
@@ -70,38 +71,24 @@ def box_pair_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return 1.0 - giou, np.abs(a - b).sum(axis=-1)
 
 
-def roi_grid_points_batch(boxes: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
-    """Vectorized grid points of [n, 4] center-size boxes -> [n*s*s, 2]."""
-    b = np.asarray(boxes, dtype=np.float64)
-    cx = np.clip(b[:, 0], 0.0, 1.0)
-    cy = np.clip(b[:, 1], 0.0, 1.0)
-    bw = np.minimum(b[:, 2], 1.0)
-    bh = np.minimum(b[:, 3], 1.0)
-    x1 = np.maximum(cx - bw / 2.0, 0.0)
-    x2 = np.minimum(cx + bw / 2.0, 1.0)
-    y1 = np.maximum(cy - bh / 2.0, 0.0)
-    y2 = np.minimum(cy + bh / 2.0, 1.0)
-    cols = (np.arange(s) + 0.5) / s
-    xs = (x1[:, None] + cols[None, :] * (x2 - x1)[:, None]) * w - 0.5   # [n, s]
-    ys = (y1[:, None] + cols[None, :] * (y2 - y1)[:, None]) * h - 0.5
-    gx = np.repeat(xs[:, None, :], s, axis=1)        # [n, s, s] x inner
-    gy = np.repeat(ys[:, :, None], s, axis=2)        # y outer, row-major
-    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-
-
-def _bilinear_corners(points: np.ndarray, h: int, w: int, dtype
+def _bilinear_corners(boxes: np.ndarray, s: int, h: int, w: int, dtype
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear interpolation of [T, N, 2] fractional (x, y) indices on
-    [h, w] maps, clamped to the border: each point's four corner cells, as
-    int32 flat indices y * w + x [4, T, N], and their float64 weights
-    [4, T, N]."""
-    pts = np.asarray(points, dtype=dtype)
-    xs = np.clip(pts[..., 0], 0.0, w - 1.0)
-    ys = np.clip(pts[..., 1], 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0
-    y0 = np.minimum(y0, h - 2) if h > 1 else y0 * 0
+    """Bilinear interpolation on [h, w] maps at the row-major s*s grid of
+    cell centres inside each of roi_sample_frame's [T, n, 4] boxes, corners
+    clipped to the frame and points to the map border: each point's four
+    corner cells, int32 flat indices y * w + x [4, T, n*s*s], and their
+    float64 weights [4, T, n*s*s]."""
+    t = boxes.shape[0]
+    corners = np.clip(box_corners(np.asarray(boxes, dtype=np.float64)), 0.0, 1.0)
+    left, top, right, bottom = np.moveaxis(corners, -1, 0)[..., None]   # [T, n, 1] each
+    cols = (np.arange(s) + 0.5) / s
+    xs = (left + cols * (right - left)) * w - 0.5                       # [T, n, s]
+    ys = (top + cols * (bottom - top)) * h - 0.5
+    xs = np.repeat(xs[:, :, None, :], s, axis=2).reshape(t, -1).astype(dtype)   # x inner
+    ys = np.repeat(ys[:, :, :, None], s, axis=3).reshape(t, -1).astype(dtype)   # y outer
+    xs, ys = np.clip(xs, 0.0, w - 1.0), np.clip(ys, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(xs).astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(np.floor(ys).astype(np.int64), max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
@@ -131,16 +118,16 @@ def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
     d] maps, plus its [T, n, d] query's adapted offset queries @ adapter
     ([d, s*s*d]) -> [T, n, s*s, d].
 
-    Points are data, not differentiated; coordinates are clamped to the
+    The boxes are clamp_boxes output: centres in [0, 1], sizes in [WH_MIN,
+    1]. Points are data, not differentiated; coordinates are clamped to the
     border (replicate padding). The forward pass samples through a dense
     [T, n*s*s, h*w] interpolation-weight stack, one batched matmul; the
-    record keeps only the int32 corner cells and their weights, from which
-    the adjoint rebuilds that stack."""
+    record keeps only the [4, T, n*s*s] int32 corner cells and their
+    weights, from which the adjoint rebuilds that stack."""
     t, h, w, d = f.shape
     n = boxes.shape[1]
     ad._check_matmul("roi_sample", queries, adapter)
-    pts = roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
-    cells, corner = _bilinear_corners(pts.reshape(t, n * s * s, 2), h, w, f.data.dtype)
+    cells, corner = _bilinear_corners(boxes, s, h, w, f.data.dtype)
     out = (_interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
            ).reshape(t, n, s * s, d)
     out += (queries.data @ adapter.data).reshape(t, n, s * s, d)

@@ -33,7 +33,7 @@ class Selection:
 
     anchors: np.ndarray      # [A, 2] (stack frame, query index), frame-major, score-descending
     picks: np.ndarray        # [A, T] chosen query per frame of the anchor's clip, the anchor
-                             # itself in its own frame; -1 marks a frame left out of the context
+                             # itself in its own frame
     dots: np.ndarray         # [A, T] float64 identity dot of each pick; NaN in the
                              # anchor's own frame and for an oracle pick outside the top-k
     oracle: np.ndarray       # [A] bool: the picks follow the anchor's ground-truth track
@@ -136,7 +136,7 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
     T = picks.shape[1]
     picked = selection.anchors[:, :1] // T * T + np.arange(T)     # [A, T] stack frame of each pick
     # Each anchor's picked blocks are consecutive entries of the inverse.
-    blocks, own = np.unique((picked * L + picks)[picks >= 0], return_inverse=True)
+    blocks, own = np.unique((picked * L + picks).reshape(-1), return_inverse=True)
     ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
     ctx = ad.reshape(ad.gather_rows(ctx, own), (len(anchors), -1, d))        # [A, F*s*s, d]
     flat = ad.reshape(queries, (F * L, d))
@@ -193,6 +193,6 @@ def dump_matches(selections: list[Selection]) -> str:
         for (m, j), picks, dots, oracle in zip(sel.anchors.tolist(), sel.picks.tolist(),
                                                 sel.dots.tolist(), sel.oracle.tolist()):
             cells = " ".join(f"{i}:{p}@{dots[i]:.6f}" for i, p in enumerate(picks)
-                             if i != m % T and p >= 0)
+                             if i != m % T)
             lines.append(f"anchor={m % T},{j} kind={'oracle' if oracle else 'learned'} {cells}")
     return "\n".join(lines)

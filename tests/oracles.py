@@ -7,8 +7,9 @@ composed layers build linear, the layer norm and multi-head attention from
 elementwise primitives, and conv_relu (a taped im2col, extract_patches,
 then linear_relu), mlp, residual_norm, self_attention and the region
 features of geometry.roi_sample_frame from the records they fuse, so the
-taped chain rule checks the fused primitives' adjoints; loop_conv_relu is
-conv_relu as a direct convolution, one tap at a time.
+taped chain rule checks the fused primitives' adjoints; the region features
+sample the scalar grid of one box at a time. loop_conv_relu is conv_relu as
+a direct convolution, one tap at a time.
 composed_context_attention is that chain for the reassociated
 context_attention record, and projected_block_attention keeps aggregation's
 attention in its projected form, keys and values computed per context
@@ -18,6 +19,7 @@ runs inference one window at a time. The tests
 compare the package's batched and fused paths against them; box_array,
 box_from_corners and tracks_of_rows build their inputs.
 The patches at the end change the package for one test: the within-frame mask
+runs self-attention and aggregation with each frame as its own clip, which
 makes a clip comparable with its single-frame runs, and corrupt_adjoint
 breaks one primitive's gradient.
 """
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from clipvid import autodiff as ad
-from clipvid import geometry as geo
 from clipvid import ica
 from clipvid import matching as mt
 from clipvid import model as M
@@ -819,7 +820,7 @@ def composed_roi_sample(f, boxes: np.ndarray, s: int, queries, adapter):
     plus queries @ adapter."""
     t, h, w, d = f.shape
     n = boxes.shape[1]
-    pts = geo.roi_grid_points_batch(boxes.reshape(t * n, 4), s, h, w)
+    pts = np.stack([roi_grid_points(Box(*b), s, h, w) for b in boxes.reshape(t * n, 4)])
     rois = ad.reshape(bilinear_sample(f, pts.reshape(t, n * s * s, 2)), (t, n, s * s, d))
     return rois + ad.reshape(ad.matmul(queries, adapter), (t, n, s * s, d))
 
@@ -866,23 +867,19 @@ def scatter_add_rows(shape: tuple[int, ...], idx, g: np.ndarray) -> np.ndarray:
 
 
 def mask_within_frames(monkeypatch) -> None:
-    """Close every cross-frame path of the forward pass: self-attention
-    takes each frame as its own clip, and aggregation keeps only each
-    anchor's own frame. A masked clip then equals its single-frame runs."""
-    attend = ad.self_attention
+    """Close every cross-frame path of the forward pass: self-attention and
+    aggregation take each frame as its own clip. A masked clip then equals
+    its single-frame runs."""
+    attend, aggregate = ad.self_attention, ica.ica_sublayer
 
-    def frame_batched(queries, p, ln, clips=1):
+    def frame_attention(queries, p, ln, clips=1):
         return attend(queries, p, ln, len(queries))
 
-    match = ica.identity_match
+    def frame_aggregation(queries, prev_layer, lp, cfg, oracle_gts=None, clips=1):
+        return aggregate(queries, prev_layer, lp, cfg, oracle_gts, len(queries))
 
-    def own_frame_only(*args):
-        sel = match(*args)
-        sel.picks[sel.anchors[:, :1] != np.arange(sel.picks.shape[1])] = -1
-        return sel
-
-    monkeypatch.setattr(ad, "self_attention", frame_batched)
-    monkeypatch.setattr(ica, "identity_match", own_frame_only)
+    monkeypatch.setattr(ad, "self_attention", frame_attention)
+    monkeypatch.setattr(ica, "ica_sublayer", frame_aggregation)
 
 
 # ---------------------------------------------------------------------------

@@ -664,7 +664,8 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
 # FFN and as the 3-layer box head on [T, L, d] rows; residual_norm at the
 # self-attention's [1, T*L, d]; self_attention on a desk training stack of
 # two 4-frame clips, [B*T, L, d]; roi_sample on [T, h, w, d] maps, including
-# maps one pixel high, whose corners fold onto one cell, with [T, n, 4] boxes.
+# maps one pixel high, one pixel wide and 1x1, whose corners fold onto shared
+# cells, with [T, n, 4] boxes.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
             lambda f, q, a: composed_roi_sample(f, boxes, s, q, a))
@@ -705,6 +706,8 @@ FUSED_CASES = {
                        _self_attention(composed_self_attention, 2), _SELF_ATTENTION_SHAPES),
     "roi_sample": (*_roi(_ROI_BOXES, 4), [(2, 8, 8, 16), (2, 3, 16), (16, 256)]),
     "roi_sample_one_row": (*_roi(_ROI_BOXES, 2), [(2, 1, 6, 4), (2, 3, 4), (4, 16)]),
+    "roi_sample_one_column": (*_roi(_ROI_BOXES, 2), [(2, 6, 1, 4), (2, 3, 4), (4, 16)]),
+    "roi_sample_one_pixel": (*_roi(_ROI_BOXES, 2), [(2, 1, 1, 4), (2, 3, 4), (4, 16)]),
 }
 
 
