@@ -346,21 +346,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows along axis 0; adjoint scatter-adds back."""
+    """Select rows along axis 0 at an index array of any shape, which
+    replaces axis 0; adjoint scatter-adds back."""
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
 
     def backward(g):
         z = np.zeros_like(a.data)
-        rows = idx % len(a)                 # a negative index and its alias are one row
+        rows = idx.reshape(-1) % len(a)     # a negative index and its alias are one row
         order = np.argsort(rows, kind="stable")
         ordered = rows[order]
         first = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))   # run starts
-        if len(first) == len(idx):
+        if len(first) == len(rows):
             z[idx] = g
         else:
             # One reduction per run of equal indices in the stably sorted order.
-            z[ordered[first]] = np.add.reduceat(g[order], first, axis=0)
+            z[ordered[first]] = np.add.reduceat(g.reshape(len(rows), *a.shape[1:])[order],
+                                                first, axis=0)
         return (z,)
 
     return _record("gather_rows", (a,), out, backward)
@@ -574,39 +576,38 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
 
 
 def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
-    """Multi-head attention of each query row of q [..., d] over its own
-    context rows ctx [..., n, d] -> [..., d], projecting no key or value
-    row, as one record: the query projection and 1/sqrt(hd) scale, each
-    head's key weight folded into its query, the max-shifted softmax over
-    the last axis of the [A, H, n] logits, the weighted sum of the context
-    rows, then the value weight and bias and the output projection. Each
-    forward product is one row's or one (row, head)'s, so no row changes
-    another's bits; the adjoint computes each weight gradient as one GEMM
-    over the rows (per head for the key and value weights), and recomputes
-    the [A, H, d] folded queries and mixed context rows rather than keeping
-    them."""
+    """Multi-head attention of each row of F frame blocks q [F, G, d] (2-D
+    [A, d] is one block) over its own context rows ctx [F, G, n, d] -> q's
+    shape, projecting no key or value row, as one record: the query
+    projection and 1/sqrt(hd) scale, each head's key weight folded into its
+    query (qk), the max-shifted softmax of the logits qk @ cᵀ, the weighted
+    sum of the context rows, then the value weight and bias and the output
+    projection. Each forward product is one frame block's (per head for the
+    folds) or one row's, so no block changes another's bits; the adjoint
+    computes each weight gradient as one GEMM over the rows (per head for
+    the key and value weights), and recomputes the folded keys and mixed
+    context rows rather than keeping them."""
     d = q.shape[-1]
     n = ctx.shape[-2]
-    if ctx.shape != q.shape[:-1] + (n, d):
+    if q.ndim not in (2, 3) or ctx.shape != q.shape[:-1] + (n, d):
         raise DimensionError(f"context_attention: queries {q.shape}, context {ctx.shape}")
     if d % p.heads != 0:
         raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
-    A, h = math.prod(q.shape[:-1]), p.heads
-    hd = d // h
+    h, hd = p.heads, d // p.heads
     scale = np.asarray(1.0 / math.sqrt(hd), dtype=get_dtype())
     wq, wk, wv, wo = p.q.w.data, p.k.data, p.v.w.data, p.out.w.data
-    x = q.data.reshape(A, 1, d)
+    x = q.data.reshape(math.prod(q.shape[:-2]), *q.shape[-2:])                # [F, G, d]
+    (F, G, _), A = x.shape, x.size // d
     c = ctx.data.reshape(A, n, d)
-    qh = (x @ wq + p.q.b.data).reshape(A, h, 1, hd) * scale
     wk_h = np.ascontiguousarray(wk.reshape(d, h, hd).transpose(1, 2, 0))      # [H, hd, d]
-    qk = (qh @ wk_h).reshape(A, h, d)
-    # Transpose the logits, not ctx: an axis-1 softmax over [A, n, H] is slower.
-    logits = np.ascontiguousarray((c @ np.ascontiguousarray(qk.transpose(0, 2, 1)))
-                                  .transpose(0, 2, 1))                       # [A, H, n]
-    attn = _softmax(logits, "context_attention: NaN in logits")
-    mixed = attn @ c                                                          # [A, H, d]
     wv_h = np.ascontiguousarray(wv.reshape(d, h, hd).transpose(1, 0, 2))      # [H, d, hd]
-    vals = (mixed.reshape(A, h, 1, d) @ wv_h).reshape(A, 1, d) + p.v.b.data
+    # [F, G, d] scaled queries -> [F, G, H, d] folded keys, per frame block and head
+    fold = lambda qp: np.swapaxes(np.swapaxes(qp.reshape(F, G, h, hd), 1, 2) @ wk_h, 1, 2)
+    qp = (x @ wq + p.q.b.data) * scale
+    attn = _softmax((fold(qp) @ np.swapaxes(c.reshape(F, G, n, d), 2, 3)).reshape(A, h, n),
+                    "context_attention: NaN in logits")
+    mixed = (attn @ c).reshape(F, G, h, d)
+    vals = np.swapaxes(np.swapaxes(mixed, 1, 2) @ wv_h, 1, 2).reshape(F, G, d) + p.v.b.data
     out = vals @ wo + p.out.b.data
 
     def per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -627,12 +628,12 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
         gctx = None
         if ctx.requires_grad:
             gctx = (np.swapaxes(attn, 1, 2) @ gmixed
-                    + np.swapaxes(glogits, 1, 2) @ (qh @ wk_h).reshape(A, h, d)).reshape(ctx.shape)
+                    + np.swapaxes(glogits, 1, 2) @ fold(qp).reshape(A, h, d)).reshape(ctx.shape)
         return ((gqp @ wq.T).reshape(q.shape) if q.requires_grad else None,
                 gctx,
                 x.reshape(A, d).T @ gqp if p.q.w.requires_grad else None,
                 gqp.sum(axis=0) if p.q.b.requires_grad else None,
-                per_head(gqk, qh.reshape(A, h, hd)) if p.k.requires_grad else None,
+                per_head(gqk, qp.reshape(A, h, hd)) if p.k.requires_grad else None,
                 per_head(attn @ c, gvals) if p.v.w.requires_grad else None,
                 gvals.reshape(A, d).sum(axis=0) if p.v.b.requires_grad else None,
                 vals.reshape(A, d).T @ g if p.out.w.requires_grad else None,

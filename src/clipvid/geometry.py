@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import DimensionError
 
 WH_MIN = 1e-4
 LOGIT_EPS = 1e-4
@@ -74,15 +75,15 @@ def box_pair_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _bilinear_corners(boxes: np.ndarray, s: int, h: int, w: int, dtype
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear interpolation on [h, w] maps at the row-major s*s grid of
-    cell centres inside each of roi_sample_frame's [T, n, 4] boxes, corners
-    clipped to the frame and points to the map border: each point's four
-    corner cells, int32 flat indices y * w + x [4, T, n*s*s], and their
-    float64 weights [4, T, n*s*s]."""
+    cell centres inside each of roi_sample_frame's [T, 1 or n, 4] boxes,
+    corners clipped to the frame and points to the map border: each point's
+    four corner cells, int32 flat indices y * w + x [4, T, m*s*s] for m
+    boxes a frame, and their float64 weights [4, T, m*s*s]."""
     t = boxes.shape[0]
     corners = np.clip(box_corners(np.asarray(boxes, dtype=np.float64)), 0.0, 1.0)
-    left, top, right, bottom = np.moveaxis(corners, -1, 0)[..., None]   # [T, n, 1] each
+    left, top, right, bottom = np.moveaxis(corners, -1, 0)[..., None]   # [T, m, 1] each
     cols = (np.arange(s) + 0.5) / s
-    xs = (left + cols * (right - left)) * w - 0.5                       # [T, n, s]
+    xs = (left + cols * (right - left)) * w - 0.5                       # [T, m, s]
     ys = (top + cols * (bottom - top)) * h - 0.5
     xs = np.repeat(xs[:, :, None, :], s, axis=2).reshape(t, -1).astype(dtype)   # x inner
     ys = np.repeat(ys[:, :, :, None], s, axis=3).reshape(t, -1).astype(dtype)   # y outer
@@ -113,24 +114,29 @@ def _interpolation(cells: np.ndarray, corner: np.ndarray, h: int, w: int, dtype
 
 def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
                      adapter: Tensor) -> Tensor:
-    """Region features of every box of a clip, as one record: the s*s grid
-    of bilinear samples inside each of the [T, n, 4] boxes on the [T, h, w,
-    d] maps, plus its [T, n, d] query's adapted offset queries @ adapter
-    ([d, s*s*d]) -> [T, n, s*s, d].
+    """Region features of every query of a clip, as one record: the s*s
+    grid of bilinear samples inside its box on the [T, h, w, d] maps, plus
+    its [T, n, d] query's adapted offset queries @ adapter ([d, s*s*d]) ->
+    [T, n, s*s, d]. The boxes are [T, n, 4], or [T, 1, 4] that a frame's
+    queries share, sampled once; other shapes raise DimensionError.
 
     The boxes are clamp_boxes output: centres in [0, 1], sizes in [WH_MIN,
     1]. Points are data, not differentiated; coordinates are clamped to the
-    border (replicate padding). The forward pass samples through a dense
-    [T, n*s*s, h*w] interpolation-weight stack, one batched matmul; the
-    record keeps only the [4, T, n*s*s] int32 corner cells and their
-    weights, from which the adjoint rebuilds that stack."""
+    border (replicate padding). The forward pass samples the m boxes a
+    frame through a dense [T, m*s*s, h*w] interpolation-weight stack, one
+    batched matmul; the record keeps only the [4, T, m*s*s] int32 corner
+    cells and their weights, from which the adjoint rebuilds that stack
+    (after summing a shared box's gradient over its queries)."""
     t, h, w, d = f.shape
-    n = boxes.shape[1]
     ad._check_matmul("roi_sample", queries, adapter)
+    n = queries.shape[1]
+    if queries.shape[:-1] != (t, n) or np.shape(boxes) not in ((t, 1, 4), (t, n, 4)):
+        raise DimensionError(f"roi_sample: boxes {np.shape(boxes)} for queries {queries.shape} "
+                             f"on maps {f.shape}: want [T, 1 or n, 4] boxes")
     cells, corner = _bilinear_corners(boxes, s, h, w, f.data.dtype)
-    out = (_interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
-           ).reshape(t, n, s * s, d)
-    out += (queries.data @ adapter.data).reshape(t, n, s * s, d)
+    out = (queries.data @ adapter.data).reshape(t, n, s * s, d)
+    out += (_interpolation(cells, corner, h, w, f.data.dtype) @ f.data.reshape(t, h * w, d)
+            ).reshape(*boxes.shape[:2], s * s, d)
 
     def backward(g):
         gq, gadapter = ad._shared_weight_adjoint(g.reshape(t, n, s * s * d), queries.data,
@@ -139,7 +145,8 @@ def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
         gf = None
         if f.requires_grad:
             weights = _interpolation(cells, corner, h, w, f.data.dtype)
-            gf = (np.swapaxes(weights, 1, 2) @ g.reshape(t, n * s * s, d)).reshape(f.shape)
+            g = ad._unbroadcast(g, (*boxes.shape[:2], s * s, d)).reshape(t, -1, d)
+            gf = (np.swapaxes(weights, 1, 2) @ g).reshape(f.shape)
         return gf, gq, gadapter
 
     return ad._record("roi_sample", (f, queries, adapter), out, backward)

@@ -3,10 +3,10 @@ complete clip loss on a tiny model.
 
 primitive_cases is the table of what the primitive audit differentiates:
 one row per primitive that records itself on the tape, named as its
-record, then the composed function logsumexp, the second adjoint paths of
-matmul and gather_rows, and last the fused records conv_relu,
-residual_norm, self_attention (over a two-clip stack), roi_sample and mlp
-(three layers).
+record, then the composed function logsumexp, the second paths of matmul,
+gather_rows and context_attention (two frame blocks), and last the fused
+records conv_relu, residual_norm, self_attention (over a two-clip stack),
+roi_sample (a box a query, then one box a frame) and mlp (three layers).
 primitive_checks checks every input of every row.
 
 Each model check plays back one recorded pass (autodiff.Replay), holding its
@@ -59,6 +59,10 @@ def primitive_cases(seed: int) -> list[Case]:
     gt_boxes = np.array([[0.4, 0.5, 0.3, 0.2], [0.6, 0.4, 0.25, 0.35]])
     pred_boxes = np.array([[0.45, 0.55, 0.35, 0.25], [0.2, 0.15, 0.2, 0.1]])
     positive = np.array([[True, False], [False, True], [False, False]])
+    attend = lambda q, ctx, wq, bq, wk, wv, bv, wo, bo: ad.context_attention(
+        q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), wk, ad.LinearParams(wv, bv),
+                             ad.LinearParams(wo, bo)))
+    attention_weights = lambda: [n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]
     cases = [
         ("add", ad.add, [n(3, 4), n(3, 4)]),
         ("sub", ad.sub, [n(3, 4), n(3, 4)]),
@@ -76,17 +80,15 @@ def primitive_cases(seed: int) -> list[Case]:
         ("row_update", lambda x, rows: ad.row_update(x, [1, 3], rows), [n(4, 4), n(2, 4)]),
         ("matmul", ad.matmul, [n(2, 3, 4), n(4, 5)]),
         ("softmax", lambda x: ad.softmax(x, axis=-1), [n(2, 5)]),
-        ("context_attention", lambda q, ctx, wq, bq, wk, wv, bv, wo, bo: ad.context_attention(
-            q, ctx, ad.MHAParams(2, ad.LinearParams(wq, bq), wk, ad.LinearParams(wv, bv),
-                                 ad.LinearParams(wo, bo))),
-         [n(3, 8), n(3, 5, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8)]),
+        ("context_attention", attend, [n(3, 8), n(3, 5, 8), *attention_weights()]),
         ("logsumexp", lambda x: ad.logsumexp(x, axis=-1), [n(3, 5)]),
         ("focal_loss", lambda x: mt.focal_loss(x, positive), [n(3, 2)]),
         ("box_pair_loss", lambda x: geo.box_pair_loss(x, gt_boxes), [pred_boxes]),
-        # matmul's adjoint for a right operand with leading axes, here
-        # broadcast against the left's; gather_rows' for repeated rows.
+        # matmul's adjoint for a right operand broadcast against the left's;
+        # gather_rows' for repeated rows; context_attention's for two frame blocks.
         ("matmul_batched", ad.matmul, [n(1, 3, 4), n(2, 4, 5)]),
         ("gather_rows_repeated", lambda x: ad.gather_rows(x, [2, 0, -1, 1, 2, 0]), [n(3, 4)]),
+        ("context_attention_blocks", attend, [n(2, 3, 8), n(2, 3, 5, 8), *attention_weights()]),
     ]
     # The fused records. Each output column of conv_relu, and of each of
     # mlp's hidden layers, keeps one sign, away from the kink; conv_relu's
@@ -99,6 +101,7 @@ def primitive_cases(seed: int) -> list[Case]:
     conv_b = np.resize([1.0, -1.0], 3) * (np.abs(conv_x).max() * np.abs(conv_w).sum(axis=0) + 0.5)
     roi_boxes = np.array([[[0.45, 0.5, 0.5, 0.4], [0.3, 0.7, 0.22, 0.34]],
                           [[0.62, 0.38, 0.44, 0.5], [0.5, 0.5, 1.0, 1.0]]])
+    roi = lambda boxes: lambda f, q, a: geo.roi_sample_frame(f, boxes, 2, q, a)
     cases += [
         ("conv_relu", lambda x, w, b: ad.conv_relu(x, ad.LinearParams(w, b)),
          [conv_x, conv_w, conv_b]),
@@ -109,8 +112,8 @@ def primitive_cases(seed: int) -> list[Case]:
                             ad.LinearParams(wo, bo)),
             ad.LayerNormParams(g, b), clips=2),
          [n(4, 2, 8), n(8, 8), n(8), n(8, 8), n(8, 8), n(8), n(8, 8), n(8), pos(8), n(8)]),
-        ("roi_sample", lambda f, q, a: geo.roi_sample_frame(f, roi_boxes, 2, q, a),
-         [n(2, 5, 5, 3), n(2, 2, 3), n(3, 12)]),
+        ("roi_sample", roi(roi_boxes), [n(2, 5, 5, 3), n(2, 2, 3), n(3, 12)]),
+        ("roi_sample_shared_box", roi(roi_boxes[:, :1]), [n(2, 5, 5, 3), n(2, 2, 3), n(3, 12)]),
     ]
     mlp_x, mlp_w = n(2, 3, 4), [n(4, 5), n(5, 6), n(6, 3)]
     mlp_b = [away_from_kink(mlp_x, mlp_w[0])]

@@ -131,16 +131,16 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
                               select_topk(logits, cfg.ica_topk), track_of, clips)
     selection = ad.hold(select)
 
-    anchors = selection.anchors[:, 0] * L + selection.anchors[:, 1]
+    anchors = (selection.anchors[:, 0] * L + selection.anchors[:, 1]).reshape(F, -1)   # [F, k]
     picks = selection.picks
     T = picks.shape[1]
     picked = selection.anchors[:, :1] // T * T + np.arange(T)     # [A, T] stack frame of each pick
     # Each anchor's picked blocks are consecutive entries of the inverse.
     blocks, own = np.unique((picked * L + picks).reshape(-1), return_inverse=True)
     ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
-    ctx = ad.reshape(ad.gather_rows(ctx, own), (len(anchors), -1, d))        # [A, F*s*s, d]
+    ctx = ad.reshape(ad.gather_rows(ctx, own), anchors.shape + (-1, d))     # [F, k, T*s*s, d]
     flat = ad.reshape(queries, (F * L, d))
-    q = ad.gather_rows(flat, anchors)                                       # [A, d]
+    q = ad.gather_rows(flat, anchors)                                       # [F, k, d]
     updated = ad.residual_norm(q, ad.context_attention(q, ctx, lp.ica_attn), lp.ln_ica)
     return ad.reshape(ad.row_update(flat, anchors, updated), (F, L, d)), selection
 

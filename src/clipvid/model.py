@@ -11,14 +11,16 @@ T*L queries as one problem, and aggregation selects within each clip; the
 backbone, cross-attention, feed-forward and heads work per frame. In
 cross-attention each query attends only to its own s*s region rows, as one
 autodiff.context_attention record that projects no keys or values; the
-region features are one geometry.roi_sample_frame record. Stacking stays
-bit-exact with single-clip and single-frame runs because numpy's matmul
-makes one BLAS call per stacked matrix, so a frame's rows see the same
-calls either way. Each decoder layer's predictions (LayerOutput) are class
-logits [B*T, L, C], refined boxes [B*T, L, 4] as a tensor and as detached
-clamped float64 reference boxes, and, where an aggregation layer follows,
-identity embeddings [B*T, L, d] and the region features [B*T, L, s*s, d]
-that the aggregation reads.
+region features are one geometry.roi_sample_frame record, which samples
+layer 0's shared full-frame grid once a frame. Stacking stays bit-exact
+with single-clip and single-frame runs because numpy's matmul makes one
+BLAS call per stacked matrix and each forward product over several rows is
+one frame block's ([frames, rows, ·] stacks), so a frame's rows see the
+same calls either way. Each decoder layer's predictions (LayerOutput) are
+class logits [B*T, L, C], refined boxes [B*T, L, 4] as a tensor and as
+detached clamped float64 reference boxes, and, where an aggregation layer
+follows, identity embeddings [B*T, L, d] and the region features
+[B*T, L, s*s, d] that the aggregation reads.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
                            lp: DecoderLayerParams, s: int) -> tuple[Tensor, Tensor]:
     """Each query attends to adapted features sampled inside its own box.
 
-    queries [T, L, d], boxes [T, L, 4], f [T, h, w, d]. Returns (updated
+    queries [T, L, d], boxes [T, 1 or L, 4], f [T, h, w, d]. Returns (updated
     [T, L, d] queries, adapted [T, L, s*s, d] region features, which
     aggregation layers reuse).
     """
@@ -306,7 +308,7 @@ def detection_head(queries: Tensor, ref_boxes: np.ndarray,
                    lp: DecoderLayerParams, with_identity: bool
                    ) -> tuple[Tensor, Tensor, np.ndarray, Tensor | None]:
     """Class logits, refined boxes (tensor + held detached clamped), optional
-    identities, for [..., L, d] queries and [..., L, 4] reference boxes."""
+    identities, for [..., L, d] queries and [..., 1 or L, 4] reference boxes."""
     logits = ad.mlp(queries, (lp.head_cls,))
     delta = ad.mlp(queries, lp.head_loc)
     boxes_t = geo.boxes_refine(ref_boxes, delta)
@@ -341,15 +343,16 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     frames: [B*T, H, W, 3] pixel array, the T frames of each of B = clips
     clips of equal length, clip-major. Self-attention and aggregation stay
     within a clip, so each clip's outputs are those of its own pass, bit
-    for bit. With oracle_gts, the stack's synthvid.Targets table,
-    aggregation follows the ground-truth tracks. Aggregation runs on the
-    layers cfg marks; a config with ica_layers=0 has none.
+    for bit. Layer 0's boxes are [B*T, 1, 4] full frames, one a frame.
+    With oracle_gts, the stack's synthvid.Targets table, aggregation
+    follows the ground-truth tracks. Aggregation runs on the layers cfg
+    marks; a config with ica_layers=0 has none.
     """
     if clips < 1 or len(frames) % clips:
         raise DimensionError(f"{len(frames)} frames do not split into {clips} clips")
     feat = backbone(frames, cfg, params)
     queries = adaptive_queries(feat.m, params.query_embed)
-    boxes = np.tile(geo.FULL_FRAME, (frames.shape[0], cfg.num_queries, 1))
+    boxes = np.tile(geo.FULL_FRAME, (frames.shape[0], 1, 1))        # one shared box a frame
 
     layers: list[LayerOutput] = []
     for li, lp in enumerate(params.layers):

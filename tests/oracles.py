@@ -11,9 +11,11 @@ taped chain rule checks the fused primitives' adjoints; the region features
 sample the scalar grid of one box at a time. loop_conv_relu is conv_relu as
 a direct convolution, one tap at a time.
 composed_context_attention is that chain for the reassociated
-context_attention record, and projected_block_attention keeps aggregation's
-attention in its projected form, keys and values computed per context
-block. km_solve solves one frame's assignment, one row at a time,
+context_attention record, its logits one matmul_transposed record that reads
+the context transposed in place as the record does, and
+projected_block_attention keeps aggregation's attention in its projected
+form, keys and values computed per context block. km_solve solves one
+frame's assignment, one row at a time,
 per_clip_step trains a batch one clip at a time, and window_infer_clip
 runs inference one window at a time. The tests
 compare the package's batched and fused paths against them; box_array,
@@ -292,31 +294,31 @@ def aggregate(q, chosen, region, contrib_queries, lp):
 
 def projected_block_attention(q, ctx, own, p):
     """The projected form of aggregation's context_attention: multi-head
-    attention of each row of q [A, d] over its own blocks of the shared
-    context ctx [U, s*s, d], own [A, F] holding each row's block indices in
-    ascending order -> [A, d]. Keys and values are projected once per
-    context block; each row then gathers the keys and values of its own F
-    blocks, already split into heads."""
-    A, d = q.shape
+    attention of each row of the [F, G, d] frame blocks q over its own
+    blocks of the shared context ctx [U, s*s, d], own [F, G, B] holding each
+    row's block indices in ascending order -> [F, G, d]. The query and
+    output projections are one matmul per frame block; keys and values are
+    projected once per context block; each row then gathers the keys and
+    values of its own B blocks, already split into heads."""
+    F, G, d = q.shape
+    A = F * G
     u, s2, _ = ctx.shape
-    F = own.shape[1]
+    B = own.shape[-1]
     h = p.heads
     hd = d // h
-    head_blocks = (np.arange(h)[:, None, None] * u + own).reshape(-1)      # [H*A*F]
+    head_blocks = (np.arange(h)[:, None, None] * u + own.reshape(A, B)).reshape(-1)   # [H*A*B]
 
-    def per_row(x):                       # projected [U, s*s, d] -> [H, A, F*s*s, hd]
+    def per_row(x):                       # projected [U, s*s, d] -> [H, A, B*s*s, hd]
         x = ad.transpose(ad.reshape(x, (u, s2, h, hd)), (2, 0, 1, 3))
         x = ad.gather_rows(ad.reshape(x, (h * u, s2, hd)), head_blocks)
-        return ad.reshape(x, (h, A, F * s2, hd))
+        return ad.reshape(x, (h, A, B * s2, hd))
 
-    qh = ad.transpose(ad.reshape(composed_linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, hd, 1)),
-                      (1, 0, 2, 3))                                         # [H, A, hd, 1]
+    qh = ad.transpose(ad.reshape(composed_linear(q, p.q), (A, h, hd, 1)), (1, 0, 2, 3))
     logits = ad.reshape(ad.matmul(per_row(ad.matmul(ctx, p.k)), qh),
-                        (h, A, 1, F * s2)) * (1.0 / math.sqrt(hd))
+                        (h, A, 1, B * s2)) * (1.0 / math.sqrt(hd))           # qh: [H, A, hd, 1]
     out = ad.matmul(ad.softmax(logits, axis=-1),
                     per_row(composed_linear(ctx, p.v)))                     # [H, A, 1, hd]
-    out = composed_linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (A, 1, d)), p.out)
-    return ad.reshape(out, (A, d))
+    return composed_linear(ad.reshape(ad.transpose(out, (1, 2, 0, 3)), (F, G, d)), p.out)
 
 
 def contrastive_loss(idents, matched):
@@ -816,31 +818,46 @@ def composed_self_attention(x, p, ln, clips: int = 1):
 
 def composed_roi_sample(f, boxes: np.ndarray, s: int, queries, adapter):
     """geometry.roi_sample_frame as bilinear_sample, matmul and add records:
-    [T, n, s*s, d] samples of [T, h, w, d] maps inside [T, n, 4] boxes,
-    plus queries @ adapter."""
+    [T, n, s*s, d] samples of [T, h, w, d] maps inside [T, n, 4] boxes, or
+    [T, 1, 4] boxes tiled over the n queries, plus queries @ adapter."""
     t, h, w, d = f.shape
-    n = boxes.shape[1]
+    n = queries.shape[1]
+    boxes = np.broadcast_to(boxes, (t, n, 4))
     pts = np.stack([roi_grid_points(Box(*b), s, h, w) for b in boxes.reshape(t * n, 4)])
     rois = ad.reshape(bilinear_sample(f, pts.reshape(t, n * s * s, 2)), (t, n, s * s, d))
     return rois + ad.reshape(ad.matmul(queries, adapter), (t, n, s * s, d))
 
 
+def matmul_transposed(a, b):
+    """a @ bᵀ over the last two axes of equal-shaped stacks, reading b
+    transposed in place as context_attention reads its context (a
+    transposed copy can change the product's bits), as one record."""
+    def backward(g):
+        return g @ b.data, np.swapaxes(g, -1, -2) @ a.data
+
+    return ad._record("matmul_transposed", (a, b), a.data @ np.swapaxes(b.data, -1, -2),
+                      backward)
+
+
 def composed_context_attention(q, ctx, p):
-    """context_attention of q [A, d] over ctx [A, n, d] as a chain of
-    elementwise primitives and matmuls: each head's key weight folds into
-    its query, and its value weight and bias apply after the weighted sum.
-    Each matmul is one row's or one (row, head)'s."""
-    A, d = q.shape
+    """context_attention of q [F, G, d] (a 2-D [A, d] is one frame block)
+    over ctx [F, G, n, d] as a chain of elementwise primitives and matmuls:
+    each head's key weight folds into its query, and its value weight and
+    bias apply after the weighted sum. Each projection and fold is one
+    matmul per frame block (and head), each logit and sum one per row."""
+    d, n = q.shape[-1], ctx.shape[-2]
+    F, G = (1, *q.shape[:-1]) if q.ndim == 2 else q.shape[:-1]
     h, hd = p.heads, d // p.heads
-    qh = ad.reshape(composed_linear(ad.reshape(q, (A, 1, d)), p.q), (A, h, 1, hd)) \
+    qh = ad.reshape(composed_linear(ad.reshape(q, (F, G, d)), p.q), (F, G, h, hd)) \
         * (1.0 / math.sqrt(hd))
     wk = ad.transpose(ad.reshape(p.k, (d, h, hd)), (1, 2, 0))                 # [H, hd, d]
-    qk = ad.transpose(ad.reshape(ad.matmul(qh, wk), (A, h, d)), (0, 2, 1))    # [A, d, H]
-    weights = ad.softmax(ad.transpose(ad.matmul(ctx, qk), (0, 2, 1)), axis=-1)  # [A, H, n]
-    mixed = ad.reshape(ad.matmul(weights, ctx), (A, h, 1, d))
+    qk = ad.transpose(ad.matmul(ad.transpose(qh, (0, 2, 1, 3)), wk), (0, 2, 1, 3))  # [F, G, H, d]
+    c = ad.reshape(ctx, (F, G, n, d))
+    weights = ad.softmax(matmul_transposed(qk, c), axis=-1)                    # [F, G, H, n]
+    mixed = ad.transpose(ad.matmul(weights, c), (0, 2, 1, 3))                # [F, H, G, d]
     wv = ad.transpose(ad.reshape(p.v.w, (d, h, hd)), (1, 0, 2))               # [H, d, hd]
-    out = ad.reshape(ad.matmul(mixed, wv), (A, 1, d)) + p.v.b
-    return ad.reshape(composed_linear(out, p.out), (A, d))
+    out = ad.reshape(ad.transpose(ad.matmul(mixed, wv), (0, 2, 1, 3)), (F, G, d)) + p.v.b
+    return ad.reshape(composed_linear(out, p.out), q.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,14 @@ def test_every_recorded_op_has_a_case_of_its_arity():
 
 def _corrupted_input_fails_its_check(monkeypatch, op, position):
     """Corrupt the gradient op's adjoint returns for one input: the check
-    of that input, op or op[i], must fail."""
+    of that input must fail in every primitive_cases row of op's, the row
+    named op and each second path, op_<path> (op or op[i] by arity)."""
+    rows = [name for name, _op, _arrays in gradcheck_suite.primitive_cases(0)
+            if name == op or name.startswith(f"{op}_")]
     corrupt_adjoint(monkeypatch, op, position)
     failed = {r.name for r in gradcheck_suite.primitive_checks(0, 1e-4) if not r.passed}
-    assert (f"{op}[{position}]" if ARITY[op] > 1 else op) in failed, failed
+    want = {f"{row}[{position}]" if ARITY[op] > 1 else row for row in rows}
+    assert op in rows and want <= failed, want - failed
 
 
 # One (op, input) list, run as input 0 and the inputs after it.
@@ -610,16 +614,17 @@ def test_fused_gradients_match_the_composed_form(q_shape, kv_shape, heads):
 
 
 # Aggregation's anchors over their picked blocks [A, F*s*s, d] and box-guided
-# cross-attention's queries over their own regions [T*L, s*s, d], at the desk
-# width, and a gradient-check width case: (A, n, d, heads).
-CONTEXT_CASES = [(16, 64, 32, 4), (32, 16, 32, 4), (5, 4, 8, 2)]
-CONTEXT_IDS = ["ica_d32", "cross_d32", "cross_d8"]
+# cross-attention's queries over their own regions [T*L, s*s, d], each as one
+# frame block, at the desk width, a gradient-check width case, and a clip's
+# cross-attention as [T, L] frame blocks: (query rows' shape, n, d, heads).
+CONTEXT_CASES = [((16,), 64, 32, 4), ((32,), 16, 32, 4), ((5,), 4, 8, 2), ((4, 8), 16, 32, 4)]
+CONTEXT_IDS = ["ica_d32", "cross_d32", "cross_d8", "cross_frames_d32"]
 
 
 def _context_inputs(seed, rows, n, d, heads):
     rng = np.random.default_rng(seed)
     p = ad.init_mha(rng, d, heads)
-    return p, ad.param(rng.normal(size=(rows, d))), ad.param(rng.normal(size=(rows, n, d)))
+    return p, ad.param(rng.normal(size=(*rows, d))), ad.param(rng.normal(size=(*rows, n, d)))
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -632,6 +637,28 @@ def test_context_attention_matches_the_composed_chain_bitexactly(bits, rows, n, 
         fused, composed = ad.context_attention(q, ctx, p), composed_context_attention(q, ctx, p)
     assert fused.data.dtype == composed.data.dtype == np.dtype(f"float{bits}")
     assert np.array_equal(fused.data, composed.data)
+
+
+# Frame blocks of G rows at the desk cross-attention's, aggregation's and
+# train_mid's cross-attention's context length and width: (n, d).
+BLOCK_SHAPES = [(16, 32), (64, 32), (16, 64)]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("G", [1, 4, 8, 30])
+@pytest.mark.parametrize("n,d", BLOCK_SHAPES, ids=["desk_cross", "desk_ica", "mid_cross"])
+def test_context_attention_frame_blocks_equal_one_frame_calls_bitexactly(bits, G, n, d):
+    """Each frame block's products are its own: a [F, G, d] stack gives
+    each block the output bytes of its own one-frame call, and a 2-D [A, d]
+    call is the [1, A, d] call."""
+    with ad.precision(bits):
+        p, q, ctx = _context_inputs(5, (3, G), n, d, 4)
+        stacked = ad.context_attention(q, ctx, p).data
+        alone = [ad.context_attention(ad.tensor(q.data[i]), ad.tensor(ctx.data[i]), p).data
+                 for i in range(3)]
+        one_block = ad.context_attention(ad.tensor(q.data[:1]), ad.tensor(ctx.data[:1]), p).data
+    assert np.array_equal(stacked, np.stack(alone))
+    assert np.array_equal(one_block[0], alone[0])
 
 
 @pytest.mark.parametrize("reference", ["composed_chain", "multi_head_attention"])
@@ -647,10 +674,15 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
             (f"{lin}.{part}", getattr(getattr(p, lin), part))
             for lin in ("q", "v", "out") for part in "wb"]
         tensors = [t for _, t in named]
-        seed = np.random.default_rng(2).normal(size=(rows, d))
+        seed = np.random.default_rng(2).normal(size=(*rows, d))
+
+        def multi_head_attention():
+            kv = ad.reshape(ctx, (-1, n, d))
+            return ad.reshape(composed_multi_head_attention(ad.reshape(q, (-1, 1, d)), kv, kv, p),
+                              q.shape)
+
         ref = {"composed_chain": lambda: composed_context_attention(q, ctx, p),
-               "multi_head_attention": lambda: ad.reshape(composed_multi_head_attention(
-                   ad.reshape(q, (rows, 1, d)), ctx, ctx, p), (rows, d))}[reference]
+               "multi_head_attention": multi_head_attention}[reference]
         out, want = ad.context_attention(q, ctx, p).data, ref().data
         got = _gradients(lambda: ad.context_attention(q, ctx, p), tensors, seed)
         expect = _gradients(ref, tensors, seed)
@@ -665,7 +697,8 @@ def test_context_attention_gradients_match_the_references(reference, rows, n, d,
 # self-attention's [1, T*L, d]; self_attention on a desk training stack of
 # two 4-frame clips, [B*T, L, d]; roi_sample on [T, h, w, d] maps, including
 # maps one pixel high, one pixel wide and 1x1, whose corners fold onto shared
-# cells, with [T, n, 4] boxes.
+# cells, with [T, n, 4] boxes, and with [T, 1, 4] boxes that every query of a
+# frame shares, against the composed form of the boxes tiled over the queries.
 def _roi(boxes, s):
     return (lambda f, q, a: geo.roi_sample_frame(f, boxes, s, q, a),
             lambda f, q, a: composed_roi_sample(f, boxes, s, q, a))
@@ -708,6 +741,8 @@ FUSED_CASES = {
     "roi_sample_one_row": (*_roi(_ROI_BOXES, 2), [(2, 1, 6, 4), (2, 3, 4), (4, 16)]),
     "roi_sample_one_column": (*_roi(_ROI_BOXES, 2), [(2, 6, 1, 4), (2, 3, 4), (4, 16)]),
     "roi_sample_one_pixel": (*_roi(_ROI_BOXES, 2), [(2, 1, 1, 4), (2, 3, 4), (4, 16)]),
+    "roi_sample_shared_box": (*_roi(_ROI_BOXES[:, :1], 4), [(2, 8, 8, 16), (2, 3, 16),
+                                                            (16, 256)]),
 }
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from clipvid import autodiff as ad
 from clipvid import geometry as geo
-from clipvid.errors import InputError
+from clipvid.errors import DimensionError, InputError
 from clipvid.geometry import Box
 from oracles import (BoxDelta, apply_delta, bilinear_corners, bilinear_sample, box_array,
                      giou, iou, roi_sample)
@@ -202,6 +202,48 @@ def test_roi_sample_linearity(rng):
     rhs = a * roi_sample(ad.tensor(f1), box, 3).data \
         + b * roi_sample(ad.tensor(f2), box, 3).data
     assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_roi_sample_shared_box_equals_the_tiled_call(bits):
+    """A frame's [T, 1, 4] box, which all its queries share, is sampled once:
+    the output bytes are those of the box tiled to [T, n, 4], and in 64 bits
+    every gradient agrees within 1e-12 relative."""
+    rng = np.random.default_rng(6)
+    shared = np.array([[[0.4, 0.5, 0.5, 0.4]], [[0.62, 0.38, 0.44, 0.5]]])
+    with ad.precision(bits):
+        inputs = [ad.param(rng.normal(size=shape)) for shape in [(2, 8, 8, 16), (2, 3, 16),
+                                                                  (16, 256)]]
+        g = rng.normal(size=(2, 3, 16, 16))
+        outs, grads = [], []
+        for boxes in (shared, np.tile(shared, (1, 3, 1))):
+            for x in inputs:
+                x.grad = None
+            with ad.ComputationTape() as tape:
+                out = geo.roi_sample_frame(inputs[0], boxes, 4, *inputs[1:])
+            tape.backward(out, seed=g)
+            outs.append(out.data)
+            grads.append([x.grad for x in inputs])
+    assert np.array_equal(*outs)
+    if bits == 64:
+        for a, b in zip(*grads, strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("boxes,maps,queries", [
+    ((2, 4, 4), (2, 5, 5, 3), (2, 3, 3)),
+    ((3, 3, 4), (2, 5, 5, 3), (2, 3, 3)),
+    ((2, 3), (2, 5, 5, 3), (2, 3, 3)),
+    ((2, 3, 4), (2, 5, 5, 3), (3, 3, 3)),
+], ids=["four_boxes_for_three_queries", "three_frames_on_two_maps", "flat_boxes",
+        "three_query_frames_on_two_maps"])
+def test_roi_sample_rejects_bad_shapes_naming_them(boxes, maps, queries):
+    """Boxes that are not [T, 1 or n, 4] against [T, h, w, d] maps and
+    [T, n, d] queries raise DimensionError naming all three shapes."""
+    with pytest.raises(DimensionError) as exc:
+        geo.roi_sample_frame(ad.tensor(np.zeros(maps)), np.full(boxes, 0.5), 3,
+                             ad.tensor(np.zeros(queries)), ad.tensor(np.zeros((3, 27))))
+    assert all(str(shape) in str(exc.value) for shape in (boxes, maps, queries))
 
 
 def test_boxes_refine_matches_apply_delta(rng):

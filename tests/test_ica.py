@@ -398,8 +398,8 @@ def test_reassociated_attention_matches_the_projected_form(selection, monkeypatc
 
     def projected(q, ctx, p):                  # each anchor's blocks, unshared
         blocks = ad.reshape(ctx, (-1, s2, ctx.shape[-1]))
-        return projected_block_attention(q, blocks, np.arange(len(blocks)).reshape(len(q), -1),
-                                         p)
+        return projected_block_attention(q, blocks, np.arange(len(blocks)).reshape(
+            q.shape[:-1] + (-1,)), p)
 
     monkeypatch.setattr(ad, "context_attention", projected)
     for a, b in zip(got, run()):
