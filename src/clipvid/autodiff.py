@@ -773,19 +773,20 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
 # Gradient checking
 
 
+GRAD_TOL = 1e-4          # a gradient check passes below this relative error
+
+
 @dataclass
 class GradCheckReport:
     name: str
     max_rel_err: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < GRAD_TOL
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
-               step: float = 1e-5, tol: float = 1e-4,
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5,
                name: str = "f", weight: np.ndarray | None = None) -> GradCheckReport:
     """Compare the taped gradient of sum(weight * f(x)) against central
     differences; without a weight, f must be scalar-valued. The error is
@@ -832,4 +833,4 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
         numeric[i] = (fp - fm) / (2.0 * step)
 
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-6)
-    return GradCheckReport(name, float(np.abs(analytic - numeric).max(initial=0.0) / scale), tol)
+    return GradCheckReport(name, float(np.abs(analytic - numeric).max(initial=0.0) / scale))

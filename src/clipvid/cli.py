@@ -319,7 +319,7 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in reports if not r.passed]
     for r in reports:
         status = "ok" if r.passed else "FAIL"
-        print(f"{r.name}: max_rel_err={r.max_rel_err:.3e} tol={r.tol:g} {status}")
+        print(f"{r.name}: max_rel_err={r.max_rel_err:.3e} tol={ad.GRAD_TOL:g} {status}")
     print(f"{len(reports)} checks, {len(failed)} failed")
     return EXIT_CHECK if failed else EXIT_OK
 

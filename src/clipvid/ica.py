@@ -94,17 +94,15 @@ def identity_match(idents: np.ndarray, topk: np.ndarray,
                      np.where(own | ~slot.any(axis=-1), np.nan, picked), oracle)
 
 
-def block_context(blocks: np.ndarray, region: Tensor, queries: Tensor,
+def block_context(blocks: np.ndarray, region: Tensor, flat: Tensor,
                   pos_proj) -> Tensor:
     """Context rows of the distinct picked blocks, flat indices t*L + j:
     each block's region feature plus an embedding projected from its
-    contributing query -> [U, s*s, d]. region is [T, L, s*s, d], queries
-    [T, L, d]."""
+    contributing query -> [U, s*s, d]. region is [T, L, s*s, d], flat the
+    [T*L, d] queries."""
     t, n, s2, d = region.shape
     rows = ad.gather_rows(ad.reshape(region, (t * n, s2, d)), blocks)         # [U, s*s, d]
-    contrib = ad.reshape(ad.gather_rows(ad.reshape(queries, (t * n, d)), blocks),
-                         (len(blocks), 1, d))
-    return rows + ad.mlp(contrib, (pos_proj,))
+    return rows + ad.mlp(ad.gather_rows(flat, blocks[:, None]), (pos_proj,))
 
 
 def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | None = None,
@@ -137,9 +135,9 @@ def ica_sublayer(queries: Tensor, prev_layer, lp, cfg, oracle_gts: Targets | Non
     picked = selection.anchors[:, :1] // T * T + np.arange(T)     # [A, T] stack frame of each pick
     # Each anchor's picked blocks are consecutive entries of the inverse.
     blocks, own = np.unique((picked * L + picks).reshape(-1), return_inverse=True)
-    ctx = block_context(blocks, prev_layer.region, queries, lp.ica_pos)
-    ctx = ad.reshape(ad.gather_rows(ctx, own), anchors.shape + (-1, d))     # [F, k, T*s*s, d]
     flat = ad.reshape(queries, (F * L, d))
+    ctx = block_context(blocks, prev_layer.region, flat, lp.ica_pos)
+    ctx = ad.reshape(ad.gather_rows(ctx, own), anchors.shape + (-1, d))     # [F, k, T*s*s, d]
     q = ad.gather_rows(flat, anchors)                                       # [F, k, d]
     updated = ad.residual_norm(q, ad.context_attention(q, ctx, lp.ica_attn), lp.ln_ica)
     return ad.reshape(ad.row_update(flat, anchors, updated), (F, L, d)), selection

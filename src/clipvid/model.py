@@ -72,6 +72,15 @@ class ModelConfig:
         """Each backbone block halves the resolution."""
         return 2 ** len(self.backbone_channels)
 
+    def check_frame(self, h: int, w: int) -> None:
+        """ConfigError unless an h x w frame divides by backbone_stride and
+        its feature map by roi_size."""
+        stride, s = self.backbone_stride, self.roi_size
+        if h % stride or w % stride:
+            raise ConfigError(f"frame {h}x{w} not divisible by backbone stride {stride}")
+        if h // stride % s or w // stride % s:
+            raise ConfigError(f"feature map {h // stride}x{w // stride} not divisible by summary size {s}")
+
     def validate(self) -> "ModelConfig":
         for f in fields(self):         # counts are at least 1; ica_layers may be 0
             least = 0 if f.name == "ica_layers" else 1
@@ -247,31 +256,21 @@ def is_ica_param(name: str) -> bool:
 # Forward pieces
 
 
-@dataclass
-class FrameFeature:
-    f: Tensor                    # [T, h, w, d]
-    m: Tensor                    # [T, s*s, d] pooled summaries
-
-
-def backbone(frames, cfg: ModelConfig, params: ModelParams) -> FrameFeature:
+def backbone(frames, cfg: ModelConfig, params: ModelParams) -> tuple[Tensor, Tensor]:
     """Stride-2 conv_relu blocks, a 1x1 projection to the model dim, then each
-    frame's feature map average-pooled to roi_size x roi_size summary rows.
+    frame's feature map average-pooled to roi_size x roi_size summary rows:
+    returns the [T, h, w, d] maps f and the [T, s*s, d] summaries m.
 
     frames: [T, H, W, 3] pixel array or Tensor (gradients reach the pixels)."""
-    h0, w0 = frames.shape[1], frames.shape[2]
-    if h0 % cfg.backbone_stride or w0 % cfg.backbone_stride:
-        raise ConfigError(
-            f"frame {h0}x{w0} not divisible by backbone stride {cfg.backbone_stride}")
+    cfg.check_frame(frames.shape[1], frames.shape[2])
     x = frames if isinstance(frames, Tensor) else ad.tensor(frames)
     for conv in params.convs:
         x = ad.conv_relu(x, conv)
     f = ad.mlp(x, (params.proj,))
     t, h, w, d = f.shape
     s = cfg.roi_size
-    if h % s or w % s:
-        raise ConfigError(f"feature map {h}x{w} not divisible by summary size {s}")
     pooled = ad.mean(ad.reshape(f, (t, s, h // s, s, w // s, d)), axis=(2, 4))
-    return FrameFeature(f, ad.reshape(pooled, (t, s * s, d)))
+    return f, ad.reshape(pooled, (t, s * s, d))
 
 
 def adaptive_queries(m: Tensor, e: Tensor) -> Tensor:
@@ -293,10 +292,6 @@ def guided_cross_attention(queries: Tensor, boxes: np.ndarray, f: Tensor,
     out = ad.residual_norm(queries, ad.context_attention(queries, region, lp.cross_attn),
                            lp.ln_cross)
     return out, region
-
-
-def feed_forward(x: Tensor, lp: DecoderLayerParams) -> Tensor:
-    return ad.residual_norm(x, ad.mlp(x, (lp.ffn1, lp.ffn2)), lp.ln_ffn)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -350,8 +345,8 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
     """
     if clips < 1 or len(frames) % clips:
         raise DimensionError(f"{len(frames)} frames do not split into {clips} clips")
-    feat = backbone(frames, cfg, params)
-    queries = adaptive_queries(feat.m, params.query_embed)
+    f, m = backbone(frames, cfg, params)
+    queries = adaptive_queries(m, params.query_embed)
     boxes = np.tile(geo.FULL_FRAME, (frames.shape[0], 1, 1))        # one shared box a frame
 
     layers: list[LayerOutput] = []
@@ -362,8 +357,8 @@ def clip_forward(frames: np.ndarray, cfg: ModelConfig, params: ModelParams,
         if cfg.is_ica_layer(li):
             queries, selection = ica.ica_sublayer(queries, layers[-1], lp, cfg, oracle_gts, clips)
 
-        queries, region = guided_cross_attention(queries, boxes, feat.f, lp, cfg.roi_size)
-        queries = feed_forward(queries, lp)
+        queries, region = guided_cross_attention(queries, boxes, f, lp, cfg.roi_size)
+        queries = ad.residual_norm(queries, ad.mlp(queries, (lp.ffn1, lp.ffn2)), lp.ln_ffn)
         feeds_ica = cfg.has_identity_head(li)
         logits, boxes_t, boxes, ident = detection_head(queries, boxes, lp, feeds_ica)
         layers.append(LayerOutput(logits, boxes_t, boxes, ident,

@@ -88,11 +88,6 @@ class Targets:
     def __len__(self) -> int:
         return len(self.frame)
 
-    def tile(self, reps: int, frames: int) -> "Targets":
-        """The table repeated reps times, copy r on frames r*frames onwards:
-        the targets of a stack of reps runs of `frames` frames each."""
-        return Targets.stack([self] * reps, frames)
-
     @staticmethod
     def stack(tables: list["Targets"], frames: int) -> "Targets":
         """The tables of a stack of runs of `frames` frames each, table r on

@@ -5,12 +5,12 @@ Stage 1 trains everything except the aggregation machinery with aggregation
 disabled; stage 2 fine-tunes the whole model with it enabled, or trains as
 stage 1 does without it. Each iteration stacks its batch's clips into one
 forward pass, one loss and one tape backward (clips of different sampled
-lengths go into one stack per length). The loss is one set loss over every
-layer's frames of the stack, each clip normalized by its own object count,
-plus the pair-normalized contrastive identity loss of each layer feeding an
-aggregation layer, each clip normalized by its own pair count; the
-gradients of the clips' summed losses are scaled by one over the batch
-size.
+lengths or frame sizes go into one stack per frame shape). The loss is one
+set loss over every layer's frames of the stack, each clip normalized by
+its own object count, plus the pair-normalized contrastive identity loss
+of each layer feeding an aggregation layer, each clip normalized by its
+own pair count; the gradients of the clips' summed losses are scaled by
+one over the batch size.
 
 train() owns one flat parameter vector and one flat gradient vector; each
 trainable tensor's .data and .grad are views of its slice. The gradient is
@@ -74,7 +74,7 @@ def clip_loss(layers: list[M.LayerOutput], targets: Targets, clips: int = 1
     res = mt.set_loss(ad.concat([layer.logits for layer in layers]),
                       ad.concat([layer.boxes_t for layer in layers]),
                       np.concatenate([layer.boxes for layer in layers]),
-                      targets.tile(len(layers), F),
+                      Targets.stack([targets] * len(layers), F),
                       weight=np.tile(np.repeat(scale, T), len(layers)))
     pred = res.pred.reshape(len(layers), len(targets))
     total = res.total
@@ -155,20 +155,20 @@ def sample_frames(clip: ClipSample, t: int, rng: np.random.Generator
 
 def stack_clips(batch: list[tuple[np.ndarray, Targets]]
                 ) -> list[tuple[np.ndarray, Targets, int]]:
-    """Sampled (frames, targets) clips as stacks of equal frame count, one
-    per count in order of first appearance: (frames [B*T, H, W, 3], the
+    """Sampled (frames, targets) clips as stacks of equal frame shape, one
+    per shape in order of first appearance: (frames [B*T, H, W, 3], the
     stack's ground-truth table, B)."""
-    groups: dict[int, list[tuple[np.ndarray, Targets]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[np.ndarray, Targets]]] = {}
     for frames, targets in batch:
-        groups.setdefault(len(frames), []).append((frames, targets))
+        groups.setdefault(frames.shape, []).append((frames, targets))
     return [(np.concatenate([f for f, _ in group]), Targets.stack([t for _, t in group], t),
-             len(group)) for t, group in groups.items()]
+             len(group)) for (t, *_), group in groups.items()]
 
 
 def batch_step(batch: list[tuple[np.ndarray, Targets]], cfg: M.ModelConfig,
                params: M.ModelParams) -> LossParts:
     """One forward, loss and backward pass per stack of the batch's clips
-    (one stack unless their frame counts differ). The gradients of the
+    (one stack unless their frame shapes differ). The gradients of the
     summed clip losses accumulate into the parameters' .grad; returns the
     loss parts, summed over the clips."""
     parts = LossParts()
@@ -211,8 +211,11 @@ def _clip_gradients(grad: np.ndarray) -> float:
 
 
 def check_dataset(dataset: list[ClipSample], cfg: M.ModelConfig) -> None:
-    """InputError for a ground-truth class cfg's model lacks, CapacityError
-    for a frame with more ground truths than it has queries."""
+    """InputError for a class cfg's model lacks, CapacityError for a frame
+    with more ground truths than queries, ConfigError for a frame size it
+    cannot map (ModelConfig.check_frame)."""
+    for h, w in dict.fromkeys(clip.frames.shape[1:3] for clip in dataset):
+        cfg.check_frame(h, w)
     check_classes(dataset, cfg.num_classes)
     check_capacity(dataset, cfg.num_queries)
 
@@ -222,8 +225,9 @@ def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           log=None) -> list[str]:
     """Seeded training loop; returns the per-iteration loss log lines.
     Raises, before the first iteration, InputError for a ground-truth class
-    the model lacks and CapacityError for a frame with more ground truths
-    than queries (check_dataset); and NumericError for an iteration whose
+    the model lacks, CapacityError for a frame with more ground truths than
+    queries and ConfigError for a frame size the backbone cannot map
+    (check_dataset); and NumericError for an iteration whose
     loss or gradient norm is not finite, before its step, or for a step
     that leaves a parameter non-finite."""
     check_dataset(dataset, cfg)

@@ -253,23 +253,56 @@ def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_pa
     assert not (tmp_path / "x.ckpt").exists()
 
 
-@pytest.mark.parametrize("refusal", ["capacity", "class"])
+@pytest.mark.parametrize("refusal", ["capacity", "class", "frame_size"])
 def test_a_refused_train_run_leaves_no_file(dataset, micro_cfg_path, tmp_path, capsys, refusal):
     """A dataset train() refuses before its first iteration, a frame with
-    more objects than the 4 queries (exit 6) or a class the model lacks
-    (exit 5), leaves no log, checkpoint or sidecar behind."""
+    more objects than the 4 queries (exit 6), a class the model lacks
+    (exit 5) or 16-px frames, whose 2x2 feature map the desk config's 4x4
+    summaries do not divide (exit 1), leaves no log, checkpoint or sidecar
+    behind."""
+    config = ["--config", micro_cfg_path]
     if refusal == "capacity":
         data = str(tmp_path / "crowd")
         assert run("gen", "--out", data, "--clips", "8", "--seed", "8", "--frames", "2",
                    "--frame-size", "32", "--min-objects", "1", "--max-objects", "5") == 0
-    else:
+    elif refusal == "class":
         data = with_class(dataset, tmp_path / "ds", 7)
+    else:
+        data = str(tmp_path / "small")
+        assert run("gen", "--out", data, "--clips", "2", "--seed", "8", "--frames", "2",
+                   "--frame-size", "16") == 0
+        config = []
     out = tmp_path / "out"
-    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+    code = run("train", "--data", data, "--stage", "1", *config,
                "--ckpt-out", str(out / "x.ckpt"), "--iters", "2")
-    assert code == {"capacity": cli.EXIT_CAPACITY, "class": cli.EXIT_INPUT}[refusal]
-    assert "Traceback" not in capsys.readouterr().err
+    assert code == {"capacity": cli.EXIT_CAPACITY, "class": cli.EXIT_INPUT,
+                    "frame_size": cli.EXIT_USAGE}[refusal]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if refusal == "frame_size":
+        assert "feature map 2x2 not divisible by summary size 4" in err
     assert not out.exists() and not list(tmp_path.glob("**/x.ckpt*"))
+
+
+def test_train_and_eval_on_a_dataset_of_two_frame_sizes(micro_cfg_path, tmp_path, monkeypatch):
+    """Clips of 32- and 64-px frames train side by side, a batch that draws
+    both sizes as one stack per frame shape, and the result evaluates."""
+    data = str(tmp_path / "mixed")
+    sv.write_dataset([sv.generate_clip(sv.GenConfig(frame_size=size, t=4), seed=3, clip_id=i)
+                      for i, size in enumerate((32, 64, 32, 64))], data)
+    stacks, stack_clips = [], cli.tr.stack_clips
+
+    def counting(batch):
+        out = stack_clips(batch)
+        stacks.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli.tr, "stack_clips", counting)
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", ckpt, "--seed", "0", "--iters", "20") == 0
+    assert len(stacks) == 20 and 2 in stacks
+    assert run("eval", "--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "r")) == 0
 
 
 def class_7_exits_before_inference(argv, dataset, ckpt, tmp_path, capsys, monkeypatch):
@@ -644,7 +677,7 @@ def test_gradcheck_cli_pass_and_corruption(capsys, monkeypatch):
     # The primitive checks alone catch a broken adjoint; the model check
     # would only repeat the verdict.
     corrupt_adjoint(monkeypatch, "matmul")
-    monkeypatch.setattr(gradcheck_suite, "model_checks", lambda seed, tol: [])
+    monkeypatch.setattr(gradcheck_suite, "model_checks", lambda seed: [])
     assert run("gradcheck", "--seed", "0") == cli.EXIT_CHECK
     out = capsys.readouterr().out
     assert "FAIL" in out and "matmul" in out

@@ -262,7 +262,7 @@ def test_aggregate_t1_reduces_to_self_region_attention(rng):
     q = ad.tensor(rng.normal(size=(1, 4)))
     out = aggregate(q, {0: 0}, [ad.tensor(region.data[0])], [ad.tensor(contrib.data[0])], lp)
 
-    ctx = ica.block_context(np.array([0]), region, contrib, lp.ica_pos)
+    ctx = ica.block_context(np.array([0]), region, ad.reshape(contrib, (2, 4)), lp.ica_pos)
     assert ctx.shape == (1, 4, 4)
     attn = ad.context_attention(q, ctx, lp.ica_attn)
     direct = composed_multi_head_attention(ad.reshape(q, (1, 1, 4)), ctx, ctx, lp.ica_attn)
@@ -282,7 +282,7 @@ def test_block_context_row_count(rng):
     picks = np.array([[1, 0, 0, 1], [0, 1, 1, 1]])        # anchors (1, 0) and (3, 1)
     blocks, own = np.unique(np.arange(T) * L + picks, return_inverse=True)
     assert blocks.tolist() == [0, 1, 2, 3, 4, 5, 7]        # frame 3's query 1 is shared
-    ctx = ica.block_context(blocks, region, contrib, lp.ica_pos)
+    ctx = ica.block_context(blocks, region, ad.reshape(contrib, (T * L, 4)), lp.ica_pos)
     assert ctx.shape == (len(blocks), s2, 4)
     for row, mine in zip(picks, own.reshape(2, T)):
         want = joint_context(dict(enumerate(row)), [ad.tensor(r) for r in region.data],

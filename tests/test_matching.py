@@ -273,7 +273,7 @@ def test_batched_matching_equals_per_frame_references(bits, overrides):
     layers = M.clip_forward(frames, cfg, params)
     logits = np.concatenate([layer.logits.data for layer in layers])
     boxes = np.concatenate([layer.boxes for layer in layers])
-    stack = targets.tile(len(layers), cfg.t_train)
+    stack = sv.Targets.stack([targets] * len(layers), cfg.t_train)
     assert logits.dtype == np.dtype(f"float{bits}")
     assert np.array_equal(mt.match_frames(logits, boxes, stack),
                           loop_match_frames(logits, boxes, stack))

@@ -134,18 +134,18 @@ def test_named_parameters_pin_checkpoint_names_and_order():
 def test_backbone_shape_contract(rng):
     cfg = desk_cfg()
     params = M.init_model(cfg, rng)
-    feat = M.backbone(rng.random((2, 32, 32, 3)), cfg, params)
-    assert feat.f.shape == (2, 4, 4, 32)
-    assert feat.m.shape == (2, 16, 32)
+    f, m = M.backbone(rng.random((2, 32, 32, 3)), cfg, params)
+    assert f.shape == (2, 4, 4, 32)
+    assert m.shape == (2, 16, 32)
 
 
 def test_backbone_determinism(rng):
     cfg = micro_cfg()
     params = M.init_model(cfg, rng)
     frame = rng.random((2, 8, 8, 3))
-    f1 = M.backbone(frame, cfg, params)
-    f2 = M.backbone(frame, cfg, params)
-    assert np.array_equal(f1.f.data, f2.f.data)
+    f1, _ = M.backbone(frame, cfg, params)
+    f2, _ = M.backbone(frame, cfg, params)
+    assert np.array_equal(f1.data, f2.data)
 
 
 def test_backbone_rejects_indivisible(rng):
@@ -380,7 +380,7 @@ def test_desk_clip_tape_record_count():
     stage-2 training clip (aggregation and contrastive loss on)."""
     records, parts = training_clip_records(M.ModelConfig())
     assert parts.con > 0.0
-    assert records == 91
+    assert records == 89
 
 
 def test_train_mid_clip_tape_record_count():
@@ -393,7 +393,7 @@ def test_train_mid_clip_tape_record_count():
 
 
 @pytest.mark.parametrize("overrides,records", [
-    (dict(), 91),
+    (dict(), 89),
     (dict(num_queries=30, dim=64, decoder_layers=6, ica_layers=0), 83),
 ], ids=["desk", "train_mid"])
 def test_training_iteration_is_one_tape_of_one_clip_s_records(overrides, records, monkeypatch):
@@ -411,7 +411,7 @@ def test_desk_inference_pass_tape_record_count():
     with ad.ComputationTape() as tape:
         _, selections = tr.infer_clip(sv.generate_clip(sv.GenConfig(t=32), seed=0), cfg, params)
     assert len(selections) == cfg.ica_layers
-    assert len(tape) == 63
+    assert len(tape) == 61
 
 
 def test_clip_forward_determinism(rng):
@@ -517,7 +517,7 @@ def test_model_check_holds_relu_masks_across_kinks(seed, name):
         named = M.named_parameters(params)
         for t in named.values():
             t.requires_grad = False
-        assert ad.grad_check(build, named[name], step=1e-4, tol=1e-4).passed
+        assert ad.grad_check(build, named[name], step=1e-4).passed
 
 
 def test_reference_boxes_stay_valid(rng):

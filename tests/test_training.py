@@ -208,12 +208,15 @@ def test_stacked_clip_loss_equals_per_layer_loop():
 MID = dict(num_queries=30, dim=64, decoder_layers=6)
 
 
-def sampled_batch(lengths, cfg, seed):
+def sampled_batch(lengths, cfg, seed, sizes=None):
     """One sampled (frames, targets) clip per entry of lengths, each from a
-    seeded clip of that many frames, as train() samples them."""
+    seeded clip of that many frames (of sizes' frame size, 64 px by
+    default), as train() samples them."""
     rng = np.random.default_rng(seed)
-    return [tr.sample_frames(sv.generate_clip(sv.GenConfig(t=t, min_objects=2), seed=seed + i),
-                             cfg.t_train, rng) for i, t in enumerate(lengths)]
+    sizes = sizes or [64] * len(lengths)
+    return [tr.sample_frames(sv.generate_clip(sv.GenConfig(t=t, min_objects=2, frame_size=size),
+                                              seed=seed + i), cfg.t_train, rng)
+            for i, (t, size) in enumerate(zip(lengths, sizes))]
 
 
 def _step_gradients(step, batch, cfg, params):
@@ -224,19 +227,21 @@ def _step_gradients(step, batch, cfg, params):
     return parts, {k: leaf_grad(p).copy() for k, p in named.items()}
 
 
-@pytest.mark.parametrize("overrides,lengths,stacks", [
-    (dict(), (8, 8), [2]),
-    (dict(MID, ica_layers=0), (8, 8), [2]),
-    (dict(), (8, 3, 8), [2, 1]),
-], ids=["desk_stage2", "train_mid_stage1", "ragged_8_3_8"])
-def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, stacks):
+@pytest.mark.parametrize("overrides,lengths,sizes,stacks", [
+    (dict(), (8, 8), None, [2]),
+    (dict(MID, ica_layers=0), (8, 8), None, [2]),
+    (dict(), (8, 3, 8), None, [2, 1]),
+    (dict(), (8, 8), (64, 32), [1, 1]),
+], ids=["desk_stage2", "train_mid_stage1", "ragged_8_3_8", "sizes_64_32"])
+def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, sizes, stacks):
     """One stacked forward, loss and backward over a batch's clips scores
     and differentiates as one pass per clip, at 64 bits: every loss part
     and every parameter gradient within 1e-12 relative, after the same
-    1/B scaling. Clips of 8 and 3 frames at t_train 4 make two stacks."""
+    1/B scaling. Clips of 8 and 3 frames at t_train 4 make two stacks, as
+    do clips of 64- and 32-px frames."""
     cfg = M.ModelConfig(**overrides).validate()
     params = M.init_model(cfg, np.random.default_rng(2))
-    batch = sampled_batch(lengths, cfg, seed=4)
+    batch = sampled_batch(lengths, cfg, seed=4, sizes=sizes)
     assert [clips for _frames, _targets, clips in tr.stack_clips(batch)] == stacks
     inv = 1.0 / len(batch)
     parts, grads = _step_gradients(tr.batch_step, batch, cfg, params)
