@@ -3,9 +3,12 @@
 Tensors wrap a numpy array plus an optional gradient buffer. Primitive ops
 record their adjoint closures on the active ComputationTape; replaying the
 tape in reverse accumulates gradients into every leaf on the path to the
-loss. An adjoint may return None for an input that needs no gradient. A
-tape is replayed once: backward releases each record as its adjoint runs,
-so afterwards only leaves hold .grad.
+loss. An adjoint returns a gradient for every input, and backward keeps
+only those of the inputs that require one, so the tape is the one
+gradient filter; conv_relu alone returns None, for a constant map (the
+pixels into the first block), to skip its col2im. A tape is replayed
+once: backward releases each record as its adjoint runs, so afterwards
+only leaves hold .grad.
 Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
@@ -259,8 +262,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), a.data * b.data,
-                   lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                              _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
+                   lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -391,16 +393,13 @@ def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
         raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
-def _shared_weight_adjoint(g: np.ndarray, a: np.ndarray, w: np.ndarray, need_a: bool,
-                           need_w: bool) -> tuple:
-    """Gradients of a @ w for a 2-D w that every leading index of a shares,
-    each computed only if needed: one GEMM each over the [rows, k]
-    flattening of a, so no [B, k, m] stack of per-matrix weight gradients
-    is built."""
+def _shared_weight_adjoint(g: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple:
+    """Gradients (a, w) of a @ w for a 2-D w that every leading index of a
+    shares: one GEMM each over the [rows, k] flattening of a, so no
+    [B, k, m] stack of per-matrix weight gradients is built."""
     k, m = w.shape
     rows = g.reshape(-1, m)
-    return ((rows @ w.T).reshape(a.shape) if need_a else None,
-            a.reshape(len(rows), k).T @ rows if need_w else None)
+    return (rows @ w.T).reshape(a.shape), a.reshape(len(rows), k).T @ rows
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -415,10 +414,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if b.ndim == 2:
-            return _shared_weight_adjoint(g, a.data, b.data, a.requires_grad, b.requires_grad)
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
-        return (ga, gb)
+            return _shared_weight_adjoint(g, a.data, b.data)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _record("matmul", (a, b), out, backward)
 
@@ -481,19 +479,17 @@ def _normalize(s: np.ndarray, ln: LayerNormParams
     return out, s, inv
 
 
-def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor,
-                  bias: Tensor) -> tuple:
+def _norm_adjoint(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                  ln: LayerNormParams) -> tuple:
     """Gradients of xhat * gain + bias: (normalized input, gain, bias). The
     input's is inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain."""
-    gh = g * gain.data
+    gh = g * ln.gain.data
     t = gh * xhat
     mean_t = t.mean(axis=-1, keepdims=True)
     gh -= gh.mean(axis=-1, keepdims=True)
     gh -= np.multiply(xhat, mean_t, out=t)
     gh *= inv
-    return (gh,
-            _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None,
-            _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+    return gh, _unbroadcast(g * xhat, ln.gain.shape), _unbroadcast(g, ln.bias.shape)
 
 
 def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams) -> Tensor:
@@ -503,9 +499,8 @@ def residual_norm(x: Tensor, y: Tensor, ln: LayerNormParams) -> Tensor:
     out, xhat, inv = _normalize(x.data + y.data, ln)
 
     def backward(g):
-        gs, ggain, gbias = _norm_adjoint(g, xhat, inv, ln.gain, ln.bias)
-        return (_unbroadcast(gs, x.shape) if x.requires_grad else None,
-                _unbroadcast(gs, y.shape) if y.requires_grad else None, ggain, gbias)
+        gs, ggain, gbias = _norm_adjoint(g, xhat, inv, ln)
+        return _unbroadcast(gs, x.shape), _unbroadcast(gs, y.shape), ggain, gbias
 
     return _record("residual_norm", (x, y, ln.gain, ln.bias), out, backward)
 
@@ -549,27 +544,21 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
     out, xhat, inv = _normalize(summed, ln)
 
     def backward(g):
-        gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln.gain, ln.bias)
+        gs, ggain, gbias = _norm_adjoint(g.reshape(xs.shape), xhat, inv, ln)
         gctx = (gs.reshape(-1, d) @ wo.T).reshape(clips, n, h, hd).transpose(0, 2, 1, 3)
         gattn = gctx @ np.swapaxes(vh, -1, -2)
         glogits = _softmax_adjoint(gattn, attn)
         glogits *= scale
         gq, gk = merge(glogits @ kh), merge(np.swapaxes(glogits, -1, -2) @ qh)
         gv = merge(np.swapaxes(attn, -1, -2) @ gctx)
-        gx = None
-        if x.requires_grad:
-            gx = gs + (gv.reshape(-1, d) @ wv.T).reshape(xs.shape)
-            gx += (gk.reshape(-1, d) @ wk.T).reshape(xs.shape)
-            gx += (gq.reshape(-1, d) @ wq.T).reshape(xs.shape)
+        gx = gs + (gv.reshape(-1, d) @ wv.T).reshape(xs.shape)
+        gx += (gk.reshape(-1, d) @ wk.T).reshape(xs.shape)
+        gx += (gq.reshape(-1, d) @ wq.T).reshape(xs.shape)
         rows = xs.reshape(-1, d).T
-        return (None if gx is None else gx.reshape(x.shape),
-                rows @ gq.reshape(-1, d) if p.q.w.requires_grad else None,
-                _unbroadcast(gq, p.q.b.shape) if p.q.b.requires_grad else None,
-                rows @ gk.reshape(-1, d) if p.k.requires_grad else None,
-                rows @ gv.reshape(-1, d) if p.v.w.requires_grad else None,
-                _unbroadcast(gv, p.v.b.shape) if p.v.b.requires_grad else None,
-                ctx.reshape(-1, d).T @ gs.reshape(-1, d) if p.out.w.requires_grad else None,
-                _unbroadcast(gs, p.out.b.shape) if p.out.b.requires_grad else None, ggain, gbias)
+        return (gx.reshape(x.shape), rows @ gq.reshape(-1, d), _unbroadcast(gq, p.q.b.shape),
+                rows @ gk.reshape(-1, d), rows @ gv.reshape(-1, d), _unbroadcast(gv, p.v.b.shape),
+                ctx.reshape(-1, d).T @ gs.reshape(-1, d), _unbroadcast(gs, p.out.b.shape),
+                ggain, gbias)
 
     return _record("self_attention", (x, p.q.w, p.q.b, p.k, p.v.w, p.v.b, p.out.w, p.out.b,
                                       ln.gain, ln.bias), out.reshape(x.shape), backward)
@@ -625,19 +614,11 @@ def context_attention(q: Tensor, ctx: Tensor, p: MHAParams) -> Tensor:
         gqk = glogits @ c                                                     # [A, H, d]
         gqh = np.swapaxes(np.swapaxes(gqk, 0, 1) @ np.swapaxes(wk_h, 1, 2), 0, 1)
         gqp = gqh.reshape(A, d) * scale
-        gctx = None
-        if ctx.requires_grad:
-            gctx = (np.swapaxes(attn, 1, 2) @ gmixed
-                    + np.swapaxes(glogits, 1, 2) @ fold(qp).reshape(A, h, d)).reshape(ctx.shape)
-        return ((gqp @ wq.T).reshape(q.shape) if q.requires_grad else None,
-                gctx,
-                x.reshape(A, d).T @ gqp if p.q.w.requires_grad else None,
-                gqp.sum(axis=0) if p.q.b.requires_grad else None,
-                per_head(gqk, qp.reshape(A, h, hd)) if p.k.requires_grad else None,
-                per_head(attn @ c, gvals) if p.v.w.requires_grad else None,
-                gvals.reshape(A, d).sum(axis=0) if p.v.b.requires_grad else None,
-                vals.reshape(A, d).T @ g if p.out.w.requires_grad else None,
-                g.sum(axis=0) if p.out.b.requires_grad else None)
+        gctx = (np.swapaxes(attn, 1, 2) @ gmixed
+                + np.swapaxes(glogits, 1, 2) @ fold(qp).reshape(A, h, d)).reshape(ctx.shape)
+        return ((gqp @ wq.T).reshape(q.shape), gctx, x.reshape(A, d).T @ gqp, gqp.sum(axis=0),
+                per_head(gqk, qp.reshape(A, h, hd)), per_head(attn @ c, gvals),
+                gvals.reshape(A, d).sum(axis=0), vals.reshape(A, d).T @ g, g.sum(axis=0))
 
     return _record("context_attention", (q, ctx, p.q.w, p.q.b, p.k, p.v.w, p.v.b,
                                          p.out.w, p.out.b), out.reshape(q.shape), backward)
@@ -679,10 +660,9 @@ def _affine(x: np.ndarray, p: LinearParams, relu: bool) -> np.ndarray:
     return out
 
 
-def _affine_adjoint(g: np.ndarray, x: np.ndarray, p: LinearParams, need_x: bool) -> tuple:
-    """Gradients of x @ w + b: (x, w, b), each only if needed."""
-    return _shared_weight_adjoint(g, x, p.w.data, need_x, p.w.requires_grad) + (
-        _unbroadcast(g, p.b.shape) if p.b.requires_grad else None,)
+def _affine_adjoint(g: np.ndarray, x: np.ndarray, p: LinearParams) -> tuple:
+    """Gradients (x, w, b) of x @ w + b."""
+    return _shared_weight_adjoint(g, x, p.w.data) + (_unbroadcast(g, p.b.shape),)
 
 
 def conv_relu(x: Tensor, p: LinearParams) -> Tensor:
@@ -703,8 +683,8 @@ def conv_relu(x: Tensor, p: LinearParams) -> Tensor:
     out = _affine(patches, p, relu=True)
 
     def backward(g):
-        gpatch, gw, gb = _affine_adjoint(g * (out > 0), patches, p, x.requires_grad)
-        if gpatch is None:
+        gpatch, gw, gb = _affine_adjoint(g * (out > 0), patches, p)
+        if not x.requires_grad:       # the pixels into block 0: no col2im
             return None, gw, gb
         gpatch = gpatch.reshape(b, oh, ow, 3, 3, c)
         gx = np.zeros((b, h + 2, w + 2, c), dtype=x.data.dtype)
@@ -728,19 +708,13 @@ def mlp(x: Tensor, layers: Sequence[LinearParams]) -> Tensor:
         if acts[-1].ndim < 2 or p.w.ndim != 2 or acts[-1].shape[-1] != p.w.shape[0]:
             raise DimensionError(f"mlp: incompatible shapes {acts[-1].shape} and {p.w.shape}")
         acts.append(_affine(acts[-1], p, relu=i < last))
-    # need[i]: does x or a weight or bias before layer i need a gradient?
-    need = [x.requires_grad]
-    for p in layers[:-1]:
-        need.append(need[-1] or p.w.requires_grad or p.b.requires_grad)
 
     def backward(g):
         grads = [None] * (2 * len(layers))
         for i in range(last, -1, -1):
             if i < last:
                 g = g * (acts[i + 1] > 0)
-            g, grads[2 * i], grads[2 * i + 1] = _affine_adjoint(g, acts[i], layers[i], need[i])
-            if g is None:
-                break
+            g, grads[2 * i], grads[2 * i + 1] = _affine_adjoint(g, acts[i], layers[i])
         return (g, *grads)
 
     inputs = (x, *(t for p in layers for t in (p.w, p.b)))

@@ -1,5 +1,5 @@
 """Command-line entry point: dataset generation, two-stage training,
-evaluation, ablation grids, and gradient checking.
+evaluation, and gradient checking.
 
 Exit codes:
   0  ok
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import os
 import sys
 
@@ -56,11 +55,6 @@ ERROR_EXITS = {ConfigError: (EXIT_USAGE, "error"), ParseError: (EXIT_IO, "I/O er
 
 TRAIN_VARIANTS = ("full", "no_ica")
 EVAL_VARIANTS = ("full", "no_ica", "oracle_ica")
-# Inference knobs of eval and ablate: the ModelConfig field each sets, its
-# smallest valid value and the checkpoint config field, named as in messages,
-# that it may not exceed.
-KNOBS = {"frames": ("t_infer", 1, None), "topk": ("ica_topk", 1, ("num_queries", "queries")),
-         "ica_layers": ("ica_layers", 0, ("ica_layers", "checkpoint ICA layers"))}
 # ModelConfig fields a run may set apart from its checkpoint's; every other
 # field shapes the model and must match the checkpoint's sidecar.
 RUN_FIELDS = ("t_train", "t_infer", "ica_topk", "score_thresh")
@@ -82,20 +76,6 @@ def _int_at_least(least: int):
 
     parse.__name__ = "int"            # argparse names the type in its errors
     return parse
-
-
-def _grid_axis(spec: str) -> tuple[str, str, list[int]]:
-    """Parse one --grid knob=v1,v2,... into (spec, knob, values)."""
-    key, _, vals = spec.partition("=")
-    key = key.strip()
-    try:
-        values = [_int_at_least(KNOBS[key][1])(v) for v in vals.split(",") if v]
-        if values:
-            return spec, key, values
-    except (KeyError, ValueError, argparse.ArgumentTypeError):
-        pass
-    least = "; ".join(f"{k} at least {knob[1]}" for k, knob in KNOBS.items())
-    raise argparse.ArgumentTypeError(f"bad grid spec {spec!r} (knobs: {least})")
 
 
 def build_parser() -> _Parser:
@@ -134,22 +114,19 @@ def build_parser() -> _Parser:
     e.add_argument("--data", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--variant", choices=EVAL_VARIANTS, default="full")
-    e.add_argument("--frames", type=_int_at_least(KNOBS["frames"][1]),
-                   help="inference frames per pass")
-    e.add_argument("--topk", type=_int_at_least(KNOBS["topk"][1]), help="override aggregation top-k")
+    e.add_argument("--frames", type=_int_at_least(1), help="inference frames per pass")
+    e.add_argument("--topk", type=_int_at_least(1), help="override aggregation top-k")
     e.add_argument("--out", required=True, help="report path prefix")
     e.add_argument("--dump-matches", help="write identity-match diagnostics here")
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     c.add_argument("--seed", type=_int_at_least(0), default=0)
-
-    a = sub.add_parser("ablate", help="evaluate a grid of inference knobs")
-    a.add_argument("--data", required=True)
-    a.add_argument("--ckpt", required=True)
-    a.add_argument("--grid", type=_grid_axis, action="append", default=[],
-                   help="knob=v1,v2,... (frames | topk | ica_layers)")
-    a.add_argument("--out", required=True, help="table file path")
     return p
+
+
+def _make_parent(path: str) -> None:
+    """Create the directory a file of the run goes into, before the work."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -254,7 +231,8 @@ def cmd_train(args) -> int:
     tr.check_dataset(dataset, cfg)       # before any file is made: a refused run leaves none
     log_path = args.log or (args.ckpt_out + ".log")
     use_ica = args.variant != "no_ica"
-    os.makedirs(os.path.dirname(os.path.abspath(args.ckpt_out)), exist_ok=True)
+    _make_parent(args.ckpt_out)
+    _make_parent(log_path)
     with open(log_path, "w") as log:
         tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
     save_checkpoint(M.named_parameters(params), args.ckpt_out, precision=_precision())
@@ -268,41 +246,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _with_knobs(cfg: ModelConfig, knobs: dict[str, int | None]) -> ModelConfig:
-    """cfg with each inference knob given (not None) set. A knob may only
-    lower what the checkpoint config cfg was built with."""
-    given = {key: value for key, value in knobs.items() if value is not None}
-    for key, value in given.items():
-        ceiling = KNOBS[key][2]
-        if ceiling and value > getattr(cfg, ceiling[0]):
-            raise ConfigError(f"{key} {value} exceeds {ceiling[1]} {getattr(cfg, ceiling[0])}")
-    return dataclasses.replace(cfg, **{KNOBS[key][0]: value
-                                       for key, value in given.items()}).validate()
-
-
-def _score(dataset, cfg: ModelConfig, params: M.ModelParams, mode: str = "infer",
-           use_ica: bool = True) -> tuple[ev.EvalReport, list]:
-    """Detect on every clip and score the detections; also returns each
-    clip's selections in infer_clip's order, clip by clip."""
-    all_dets, selections = [], []
-    for clip in dataset:
-        dets, sel = tr.infer_clip(clip, cfg, params, mode=mode, use_ica=use_ica)
-        all_dets.append(dets)
-        selections.extend(sel)
-    return ev.evaluate(all_dets, dataset, cfg.num_classes), selections
-
-
 def cmd_eval(args) -> int:
     dataset = _read_dataset(args.data)
     cfg, params = _load_params(args.ckpt)
-    cfg = _with_knobs(cfg, {"frames": args.frames, "topk": args.topk})
+    cfg = dataclasses.replace(cfg, t_infer=args.frames or cfg.t_infer,
+                              ica_topk=args.topk or cfg.ica_topk).validate()
     sv.check_classes(dataset, cfg.num_classes)
+    _make_parent(args.out)
+    if args.dump_matches:
+        _make_parent(args.dump_matches)
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
-    report, diagnostics = _score(dataset, cfg, params, mode, args.variant != "no_ica")
+    all_dets, selections = [], []
+    for clip in dataset:
+        dets, sel = tr.infer_clip(clip, cfg, params, mode=mode,
+                                  use_ica=args.variant != "no_ica")
+        all_dets.append(dets)
+        selections.extend(sel)
+    report = ev.evaluate(all_dets, dataset, cfg.num_classes)
     if args.dump_matches:
         _write_lines(args.dump_matches,
-                     ica_mod.dump_matches(diagnostics).splitlines() or [""])
+                     ica_mod.dump_matches(selections).splitlines() or [""])
     _write_lines(args.out + ".report.txt", report.lines())
     _write_lines(args.out + ".buckets.csv", report.table_lines())
     _snapshot(args.out + ".run.txt", {
@@ -324,35 +288,6 @@ def cmd_gradcheck(args) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    if not args.grid:
-        raise ConfigError("empty grid")
-    grids = {key: values for _spec, key, values in args.grid}
-    if len(grids) < len(args.grid):
-        raise ConfigError("each --grid knob may be given once")
-    keys = sorted(grids)
-    cells = [dict(zip(keys, values)) for values in itertools.product(*map(grids.get, keys))]
-    cfg, params = _load_params(args.ckpt)
-    cell_cfgs = [_with_knobs(cfg, cell) for cell in cells]
-    dataset = _read_dataset(args.data)
-    sv.check_classes(dataset, cfg.num_classes)
-
-    rows: list[str] = []
-    for cell, cell_cfg in zip(cells, cell_cfgs):
-        summary = _score(dataset, cell_cfg, params)[0].summary()
-        if not rows:
-            rows.append(",".join(keys + list(summary)))
-        rows.append(",".join([str(cell[k]) for k in keys]
-                             + [f"{value:.6f}" for value in summary.values()]))
-        print(rows[-1])
-    _write_lines(args.out, rows)
-    _snapshot(args.out + ".run.txt", {
-        "command": "ablate", "ckpt": args.ckpt, "data": args.data,
-        "grid": ";".join(spec for spec, _key, _values in args.grid),
-        "precision": _precision()})
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     env = os.environ.get("CLIPVID_PRECISION")
     if env:
@@ -368,7 +303,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     handler = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval,
-               "gradcheck": cmd_gradcheck, "ablate": cmd_ablate}[args.command]
+               "gradcheck": cmd_gradcheck}[args.command]
     try:
         return handler(args)
     except tuple(ERROR_EXITS) as e:

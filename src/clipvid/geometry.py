@@ -140,14 +140,10 @@ def roi_sample_frame(f: Tensor, boxes: np.ndarray, s: int, queries: Tensor,
 
     def backward(g):
         gq, gadapter = ad._shared_weight_adjoint(g.reshape(t, n, s * s * d), queries.data,
-                                                 adapter.data, queries.requires_grad,
-                                                 adapter.requires_grad)
-        gf = None
-        if f.requires_grad:
-            weights = _interpolation(cells, corner, h, w, f.data.dtype)
-            g = ad._unbroadcast(g, (*boxes.shape[:2], s * s, d)).reshape(t, -1, d)
-            gf = (np.swapaxes(weights, 1, 2) @ g).reshape(f.shape)
-        return gf, gq, gadapter
+                                                 adapter.data)
+        weights = _interpolation(cells, corner, h, w, f.data.dtype)
+        g = ad._unbroadcast(g, (*boxes.shape[:2], s * s, d)).reshape(t, -1, d)
+        return (np.swapaxes(weights, 1, 2) @ g).reshape(f.shape), gq, gadapter
 
     return ad._record("roi_sample", (f, queries, adapter), out, backward)
 

@@ -492,36 +492,55 @@ def test_gather_rows_repeated_indices_match_the_scatter_reference(rng):
 
 
 def test_constant_operands_get_no_gradient(rng):
-    """The adjoints of mul, matmul and the fused layers compute no gradient
-    for an input that needs none; the three self_attention calls, and the
-    two context_attention calls, split the inputs between them. The last
-    conv_relu is a first backbone block: constant pixels, trained w and b."""
+    """Every adjoint returns a gradient for each of its inputs, constant or
+    not, but conv_relu's for a constant map (a first backbone block's
+    pixels, whose col2im it skips); backward keeps only those of the inputs
+    that require one, so after it no constant holds a gradient and every
+    parameter does. The three self_attention calls, the two
+    context_attention calls and the two roi_sample_frame calls split the
+    inputs between them."""
     x, c = ad.param(rng.normal(size=(2, 3, 8))), ad.tensor(rng.normal(size=(2, 3, 8)))
     w, cw = ad.param(rng.normal(size=(8, 8))), ad.tensor(rng.normal(size=(8, 8)))
     b, cb = ad.param(rng.normal(size=8)), ad.tensor(rng.normal(size=8))
     cstack = ad.tensor(rng.normal(size=(2, 8, 3)))
+    rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
+    xmap, cmap = ad.param(rng.normal(size=(2, 5, 4, 2))), ad.tensor(rng.normal(size=(2, 5, 4, 2)))
+    kernel, ckernel = ad.param(rng.normal(size=(18, 8))), ad.tensor(rng.normal(size=(18, 8)))
+    fmap, cfmap = ad.param(rng.normal(size=(2, 4, 4, 8))), ad.tensor(rng.normal(size=(2, 4, 4, 8)))
+    adapter, cadapter = ad.param(rng.normal(size=(8, 32))), ad.tensor(rng.normal(size=(8, 32)))
+    boxes = np.tile(geo.FULL_FRAME, (2, 1, 1))
+    lin, norm = ad.LinearParams, ad.LayerNormParams
     with ad.ComputationTape() as tape:
-        ad.mul(x, c), ad.mul(c, x)
-        ad.matmul(x, cw), ad.matmul(c, w), ad.matmul(x, cstack), ad.matmul(cstack, x)
-        layer_norm(x, cb, cb), layer_norm(c, b, cb), layer_norm(c, cb, b)
-        ad.mlp(x, (ad.LinearParams(cw, cb),)), ad.mlp(c, (ad.LinearParams(w, cb),))
-        ad.mlp(c, (ad.LinearParams(cw, b),))
-        rows, crows = ad.param(rng.normal(size=(2, 8))), ad.tensor(rng.normal(size=(2, 8)))
-        lin, norm = ad.LinearParams, ad.LayerNormParams
-        ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), cw, lin(cw, cb), lin(cw, cb)),
-                          norm(cb, cb))
-        ad.self_attention(c, ad.MHAParams(2, lin(w, cb), cw, lin(w, b), lin(cw, b)), norm(b, cb))
-        ad.self_attention(c, ad.MHAParams(2, lin(cw, b), w, lin(cw, cb), lin(w, cb)), norm(cb, b))
-        ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), cw, lin(w, cb), lin(cw, b)))
-        ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), w, lin(cw, b), lin(w, cb)))
-        xmap = ad.param(rng.normal(size=(2, 5, 4, 2)))
-        cmap = ad.tensor(rng.normal(size=(2, 5, 4, 2)))
-        ad.conv_relu(xmap, lin(ad.tensor(rng.normal(size=(18, 8))), cb))
-        ad.conv_relu(cmap, lin(ad.param(rng.normal(size=(18, 8))), b))
-    assert len(tape) == 19
+        outs = [
+            ad.mul(x, c), ad.mul(c, x),
+            ad.matmul(x, cw), ad.matmul(c, w), ad.matmul(x, cstack), ad.matmul(cstack, x),
+            layer_norm(x, cb, cb), layer_norm(c, b, cb), layer_norm(c, cb, b),
+            ad.mlp(x, (lin(cw, cb),)), ad.mlp(c, (lin(w, cb),)), ad.mlp(c, (lin(cw, b),)),
+            ad.self_attention(x, ad.MHAParams(2, lin(cw, cb), cw, lin(cw, cb), lin(cw, cb)),
+                              norm(cb, cb)),
+            ad.self_attention(c, ad.MHAParams(2, lin(w, cb), cw, lin(w, b), lin(cw, b)),
+                              norm(b, cb)),
+            ad.self_attention(c, ad.MHAParams(2, lin(cw, b), w, lin(cw, cb), lin(w, cb)),
+                              norm(cb, b)),
+            ad.context_attention(rows, c, ad.MHAParams(2, lin(w, b), cw, lin(w, cb), lin(cw, b))),
+            ad.context_attention(crows, x, ad.MHAParams(2, lin(cw, cb), w, lin(cw, b),
+                                                        lin(w, cb))),
+            ad.conv_relu(xmap, lin(ckernel, cb)), ad.conv_relu(cmap, lin(kernel, b)),
+            geo.roi_sample_frame(fmap, boxes, 2, c, cadapter),
+            geo.roi_sample_frame(cfmap, boxes, 2, x, adapter)]
+        assert len(tape) == len(outs) == 21
+        total = ad.reduce_sum(outs[0])
+        for out in outs[1:]:
+            total = total + ad.reduce_sum(out)
     for op, inputs, out, adjoint in tape.records:
         grads = adjoint(np.ones_like(out.data))
-        assert [g is not None for g in grads] == [t.requires_grad for t in inputs], op
+        skipped = op == "conv_relu" and not inputs[0].requires_grad
+        assert [g is None for g in grads] == [skipped] + [False] * (len(inputs) - 1), op
+    tape.backward(total)
+    constants = (c, cw, cb, cstack, crows, cmap, ckernel, cfmap, cadapter)
+    assert [t.grad is None for t in constants] == [True] * len(constants)
+    params = (x, w, b, rows, xmap, kernel, fmap, adapter)
+    assert [t.grad is not None for t in params] == [True] * len(params)
 
 
 @pytest.mark.parametrize("layer", [

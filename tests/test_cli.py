@@ -157,7 +157,7 @@ def test_train_then_stage2_then_eval(dataset, micro_cfg_path, tmp_path):
     assert (tmp_path / "matches.txt").read_text().strip() != ""
     assert run("eval", "--data", dataset, "--ckpt", str(s2),
                "--out", str(out), "--frames", "2",
-               "--dump-matches", str(tmp_path / "absent" / "matches.txt")) == cli.EXIT_IO
+               "--dump-matches", str(tmp_path / "matches.txt" / "m.txt")) == cli.EXIT_IO
 
     # oracle aggregation and aggregation-off variants run on the same ckpt
     assert run("eval", "--data", dataset, "--ckpt", str(s2),
@@ -326,10 +326,11 @@ def test_eval_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path,
                                    monkeypatch)
 
 
-def test_ablate_class_out_of_range_is_input_error(dataset, trained_ckpt, tmp_path, capsys,
-                                                  monkeypatch):
-    class_7_exits_before_inference(["ablate", "--grid", "topk=1"], dataset, trained_ckpt,
-                                   tmp_path, capsys, monkeypatch)
+def test_eval_knobs_and_variant_class_out_of_range_is_input_error(dataset, trained_ckpt,
+                                                                  tmp_path, capsys, monkeypatch):
+    class_7_exits_before_inference(["eval", "--variant", "oracle_ica", "--frames", "2",
+                                    "--topk", "1"], dataset, trained_ckpt, tmp_path, capsys,
+                                   monkeypatch)
 
 
 def test_train_more_objects_than_queries_is_capacity_error(micro_cfg_path, tmp_path, capsys):
@@ -385,15 +386,15 @@ def test_lr_the_run_precision_cannot_hold_is_usage_error(dataset, micro_cfg_path
 
 @pytest.mark.parametrize("argv", [
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--batch", "0"),
-    ("ablate", "--ckpt", "x.ckpt", "--out", "t.csv", "--grid", "topk=x"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--seed", "-1"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--iters", "-3"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "nan"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "inf"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "-1"),
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "0"),
-], ids=["batch_zero", "grid_not_int", "seed_negative", "iters_negative", "lr_nan", "lr_inf",
-        "lr_negative", "lr_zero"])
+    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr-drop", "-1"),
+], ids=["batch_zero", "seed_negative", "iters_negative", "lr_nan", "lr_inf",
+        "lr_negative", "lr_zero", "lr_drop_negative"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--data", dataset) == cli.EXIT_USAGE
@@ -410,34 +411,35 @@ def trained_ckpt(dataset, micro_cfg_path, tmp_path_factory):
     return str(ckpt)
 
 
-@pytest.mark.parametrize("argv", [
-    ("ablate", "--grid", "topk=-1"),
-    ("ablate", "--grid", "topk=2,0"),
-    ("ablate", "--grid", "frames=0"),
-    ("ablate", "--grid", "ica_layers=-1"),
-    ("ablate", "--grid", "topk=1", "--grid", "topk=2"),
-    ("eval", "--topk", "0"),
-    ("eval", "--frames", "0"),
-    ("eval", "--frames", "-2"),
-    ("eval", "--topk", "5"),
-], ids=["ablate_topk_negative", "ablate_topk_zero", "ablate_frames_zero",
-        "ablate_ica_layers_negative", "ablate_knob_repeated", "eval_topk_zero",
-        "eval_frames_zero", "eval_frames_negative", "eval_topk_above_queries"])
+@pytest.mark.parametrize("argv, message", [
+    (("--topk", "0"), "--topk: must be at least 1, got 0"),
+    (("--frames", "0"), "--frames: must be at least 1, got 0"),
+    (("--frames", "-2"), "--frames: must be at least 1, got -2"),
+    (("--topk", "-1"), "--topk: must be at least 1, got -1"),
+    (("--topk", "x"), "--topk: invalid int value: 'x'"),
+    (("--frames", "2.5"), "--frames: invalid int value: '2.5'"),
+    (("--topk", "5"), "error: ica_topk 5 exceeds num_queries 4"),
+    (("--topk", "1", "--topk", "5"), "error: ica_topk 5 exceeds num_queries 4"),
+], ids=["eval_topk_zero", "eval_frames_zero", "eval_frames_negative", "eval_topk_negative",
+        "eval_topk_not_int", "eval_frames_not_int", "eval_topk_above_queries",
+        "eval_topk_repeated_last_counts"])
 def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsys,
-                                                     tmp_path, argv):
-    code = run(*argv, "--data", dataset, "--ckpt", trained_ckpt,
+                                                     tmp_path, argv, message):
+    """A knob below 1 is refused as an argument; one the checkpoint cannot
+    run, by the run config's own check, not run at a lower value."""
+    code = run("eval", *argv, "--data", dataset, "--ckpt", trained_ckpt,
                "--out", str(tmp_path / "r"))
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not list(tmp_path.glob("r*"))
 
 
 @pytest.mark.parametrize("argv", [
     ("train", "--stage", "1", "--ckpt-out", "x.ckpt"),
     ("eval", "--ckpt", "CKPT", "--out", "r"),
-    ("ablate", "--ckpt", "CKPT", "--out", "r", "--grid", "topk=1"),
-], ids=["train", "eval", "ablate"])
+    ("eval", "--ckpt", "CKPT", "--out", "out/r", "--dump-matches", "dumps/m.txt"),
+], ids=["train", "eval", "eval_new_dirs"])
 def test_empty_dataset_is_usage_error(trained_ckpt, capsys, monkeypatch, tmp_path, argv):
     """A dataset without clips is refused before anything is written, not
     scored as map=0."""
@@ -447,22 +449,6 @@ def test_empty_dataset_is_usage_error(trained_ckpt, capsys, monkeypatch, tmp_pat
     assert run(*argv, "--data", "empty") == cli.EXIT_USAGE
     assert "error: empty dataset" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["empty"]
-
-
-@pytest.mark.parametrize("grid,limit", [
-    ("topk=2,99", "topk 99 exceeds queries 4"),
-    ("ica_layers=0,5", "ica_layers 5 exceeds checkpoint ICA layers 1"),
-], ids=["topk_above_queries", "ica_layers_above_checkpoint"])
-def test_ablate_knob_above_checkpoint_is_usage_error(dataset, trained_ckpt, capsys,
-                                                      tmp_path, grid, limit):
-    """A cell the checkpoint cannot run is refused, not run at a lower
-    value under the requested label."""
-    code = run("ablate", "--grid", grid, "--data", dataset, "--ckpt", trained_ckpt,
-               "--out", str(tmp_path / "r"))
-    assert code == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert limit in err and "Traceback" not in err
-    assert not list(tmp_path.glob("r*"))
 
 
 def read_snapshot(path) -> dict[str, str]:
@@ -479,11 +465,8 @@ def test_run_snapshots_record_precision_and_topk(dataset, micro_cfg_path, traine
                "--iters", "1") == 0
     assert run("eval", "--data", dataset, "--ckpt", trained_ckpt, "--topk", "1",
                "--out", str(tmp_path / "e")) == 0
-    assert run("ablate", "--grid", "frames=2", "--data", dataset, "--ckpt", trained_ckpt,
-               "--out", str(tmp_path / "a.csv")) == 0
-    snapshots = [read_snapshot(tmp_path / name)
-                 for name in ("s2.ckpt.run.txt", "e.run.txt", "a.csv.run.txt")]
-    assert [s["precision"] for s in snapshots] == ["64"] * 3
+    snapshots = [read_snapshot(tmp_path / name) for name in ("s2.ckpt.run.txt", "e.run.txt")]
+    assert [s["precision"] for s in snapshots] == ["64"] * 2
     assert snapshots[1]["topk"] == "1"
     monkeypatch.delenv("CLIPVID_PRECISION")
     assert run("eval", "--data", dataset, "--ckpt", trained_ckpt,
@@ -522,8 +505,8 @@ def test_stage2_without_config_uses_the_checkpoint_sidecar(dataset, trained_ckpt
 @pytest.mark.parametrize("argv, window", [
     (("eval",), [4, 2]),
     (("eval", "--frames", "5"), [5, 1]),
-    (("ablate", "--grid", "frames=3"), [3]),
-], ids=["eval_config", "eval_frames", "ablate_frames"])
+    (("eval", "--frames", "3"), [3]),
+], ids=["eval_config", "eval_frames", "eval_frames_even"])
 def test_inference_window_follows_the_frames_knob(dataset, trained_ckpt, monkeypatch,
                                                    tmp_path, argv, window):
     """Each 6-frame clip runs in windows of the knob's frames, else of the
@@ -540,16 +523,6 @@ def test_inference_window_follows_the_frames_knob(dataset, trained_ckpt, monkeyp
     assert run(*argv, "--data", dataset, "--ckpt", trained_ckpt,
                "--out", str(tmp_path / "r")) == 0
     assert lengths == window * 6
-
-
-def test_ablate_loads_checkpoint_once(dataset, trained_ckpt, monkeypatch, tmp_path):
-    loads = []
-    real = cli._load_params
-    monkeypatch.setattr(cli, "_load_params", lambda *a: loads.append(a) or real(*a))
-    assert run("ablate", "--grid", "topk=1,2", "--grid", "ica_layers=0,1", "--data", dataset,
-               "--ckpt", trained_ckpt, "--out", str(tmp_path / "t.csv")) == 0
-    assert len(loads) == 1
-    assert len((tmp_path / "t.csv").read_text().splitlines()) == 5
 
 
 def test_eval_non_finite_identity_head_is_numeric_error(dataset, trained_ckpt, capsys, tmp_path):
@@ -599,19 +572,19 @@ def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     blob = ckpt.read_bytes()
     assert blob.count("a\u0101".encode()) == 1
     ckpt.write_bytes(blob.replace("\u0101".encode(), b"\xff\xff"))
-    for argv in (("eval",), ("ablate", "--grid", "topk=1")):
-        code = run(*argv, "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
-        assert code == cli.EXIT_IO
-        err = capsys.readouterr().err
-        assert f"checkpoint {ckpt}: " in err and "utf-8" in err and "Traceback" not in err
+    code = run("eval", "--data", dataset, "--ckpt", str(ckpt), "--out", str(tmp_path / "r"))
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: " in err and "utf-8" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 @pytest.mark.parametrize("argv", [
     ("eval", "--ckpt", "BAD", "--out", "r"),
-    ("ablate", "--ckpt", "BAD", "--out", "t.csv", "--grid", "topk=1"),
+    ("eval", "--ckpt", "BAD", "--out", "out/r", "--frames", "2", "--topk", "1",
+     "--dump-matches", "dumps/m.txt"),
     ("train", "--stage", "2", "--ckpt-in", "BAD", "--ckpt-out", "x.ckpt"),
-], ids=["eval", "ablate", "train"])
+], ids=["eval", "eval_knobs", "train"])
 def test_malformed_checkpoint_is_io_error(dataset, capsys, monkeypatch, tmp_path, argv, case):
     """Each malformed checkpoint exits 2 naming the file, before anything is
     written."""
@@ -664,6 +637,36 @@ def test_train_unreadable_or_unwritable_path_is_io_error(dataset, micro_cfg_path
     assert "I/O error:" in err and "Traceback" not in err
 
 
+def test_eval_makes_the_directories_of_its_outputs(dataset, trained_ckpt, monkeypatch, tmp_path):
+    """eval makes the directories of --out and --dump-matches before it
+    infers, so a new one is no refusal after the whole run; an --out under a
+    file is refused before inference, and no dump is left behind."""
+    monkeypatch.chdir(tmp_path)
+    assert run("eval", "--data", dataset, "--ckpt", trained_ckpt, "--out", "missing/r",
+               "--dump-matches", "dumps/m.txt") == 0
+    assert sorted(os.listdir("missing")) == ["r.buckets.csv", "r.report.txt", "r.run.txt"]
+    assert os.listdir("dumps") == ["m.txt"]
+    Path("file").write_text("")
+
+    def no_inference(*a, **k):
+        raise AssertionError("inference ran before the output paths were made")
+
+    monkeypatch.setattr(cli.tr, "infer_clip", no_inference)
+    assert run("eval", "--data", dataset, "--ckpt", trained_ckpt, "--out", "file/r",
+               "--dump-matches", "m.txt") == cli.EXIT_IO
+    assert sorted(os.listdir(tmp_path)) == ["dumps", "file", "missing"]
+
+
+def test_train_makes_the_directory_of_its_log(dataset, micro_cfg_path, monkeypatch, tmp_path):
+    """train makes the directory of --log, as of --ckpt-out, before it
+    trains."""
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+               "--ckpt-out", "new/x.ckpt", "--log", "missing/x.log", "--iters", "1") == 0
+    assert os.listdir("missing") == ["x.log"] and Path("missing/x.log").read_text()
+    assert sorted(os.listdir("new")) == ["x.ckpt", "x.ckpt.config.txt", "x.ckpt.run.txt"]
+
+
 def test_usage_error_exit_code():
     assert run("train", "--data") == cli.EXIT_USAGE
     assert run("nonsense") == cli.EXIT_USAGE
@@ -681,24 +684,6 @@ def test_gradcheck_cli_pass_and_corruption(capsys, monkeypatch):
     assert run("gradcheck", "--seed", "0") == cli.EXIT_CHECK
     out = capsys.readouterr().out
     assert "FAIL" in out and "matmul" in out
-
-
-def test_ablate_grid(dataset, micro_cfg_path, tmp_path):
-    ckpt = tmp_path / "a.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1",
-               "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
-               "--seed", "0", "--iters", "3") == 0
-    table = tmp_path / "grid.csv"
-    assert run("ablate", "--data", dataset, "--ckpt", str(ckpt),
-               "--grid", "topk=1,2,4", "--out", str(table)) == 0
-    rows = table.read_text().splitlines()
-    assert len(rows) == 4           # header + 3 cells
-    assert rows[0].startswith("topk,")
-
-
-def test_ablate_empty_grid_usage_error(dataset, tmp_path):
-    assert run("ablate", "--data", dataset, "--ckpt", "x",
-               "--out", str(tmp_path / "t.csv")) == cli.EXIT_USAGE
 
 
 def test_precision_env_override(dataset, monkeypatch, tmp_path):

@@ -219,7 +219,7 @@ def test_report_serialization_lines():
     table = report.table_lines()
     assert table[0] == "bucket,gt_count,map"
     assert len(table) == 5
-    # The summary (what eval prints and ablate's columns) leads the lines.
+    # The summary (what eval prints) leads the lines.
     summary = report.summary()
     assert list(summary) == ["map"] + [f"map_{label}" for label in sv.SPEED_LABELS]
     assert lines[:len(summary)] == [f"{k}={v:.6f}" for k, v in summary.items()]

@@ -261,14 +261,21 @@ def test_stacked_step_matches_the_per_clip_loop(overrides, lengths, sizes, stack
 def test_train_flattens_only_tensors_its_pass_reads(stage, use_ica, monkeypatch):
     """train() trains every named tensor, less the aggregation ones where
     aggregation is off, and after one desk iteration each trained tensor
-    has a nonzero gradient: none is dead weight in the flat vector."""
-    flat, flatten = [], tr.flatten
+    has a nonzero gradient: none is dead weight in the flat vector. No
+    named tensor enters a tape record as a constant, so the adjoints' every
+    gradient of a parameter is one the tape keeps."""
+    flat, flatten, constants, record = [], tr.flatten, [], ad._record
 
     def capture(tensors):
         flat.extend(tensors)
         return flatten(tensors)
 
+    def spy(op, inputs, *rest):
+        constants.extend(t for t in inputs if not t.requires_grad)
+        return record(op, inputs, *rest)
+
     monkeypatch.setattr(tr, "flatten", capture)
+    monkeypatch.setattr(ad, "_record", spy)
     cfg = M.ModelConfig()
     params = M.init_model(cfg, np.random.default_rng(0))
     data = sv.generate_dataset(sv.GenConfig(min_objects=2), 2, seed=0)
@@ -278,6 +285,8 @@ def test_train_flattens_only_tensors_its_pass_reads(stage, use_ica, monkeypatch)
                if ica or not M.is_ica_param(name)}
     assert [id(p) for p in flat] == [id(p) for p in trained.values()]
     assert [name for name, p in trained.items() if not p.grad.any()] == []
+    named = {id(p): name for name, p in M.named_parameters(params).items()}
+    assert constants and [named[id(t)] for t in constants if id(t) in named] == []
 
 
 def test_stacked_oracle_forward_equals_each_clip_bitexactly():
