@@ -6,22 +6,24 @@ tape in reverse accumulates gradients into every leaf on the path to the
 loss. An adjoint returns a gradient for every input, and backward keeps
 only those of the inputs that require one, so the tape is the one
 gradient filter; conv_relu alone returns None, for a constant map (the
-pixels into the first block), to skip its col2im. A tape is replayed
-once: backward releases each record as its adjoint runs, so afterwards
-only leaves hold .grad.
+pixels into the first block), to skip its map product and col2im. A tape
+is replayed once: backward releases each record as its adjoint runs, so
+afterwards only leaves hold .grad.
 Precision is a process-global switch: float32 for training, float64 for
 gradient verification.
 
 The layers that run most often are single primitives with hand-written
 adjoints: residual_norm, the post-norm residual layer norm of x + y;
 conv_relu, a backbone block (a 3x3 stride-2 convolution and its ReLU),
-which keeps its patches and output; mlp, a chain of linear layers with a
-ReLU between each two (a linear layer, the feed-forward block, box and
-identity heads), which keeps only its layers' outputs; self_attention, a
-whole post-norm residual multi-head self-attention layer over each clip's
-queries; and context_attention, a whole projected attention layer in which
-each query attends only to its own context rows (aggregation and
-box-guided cross-attention). Each forward runs the numpy operations of the
+which keeps its patches and output, copies its im2col as 3C-float chunks
+(one per kernel row of a patch) and adds its col2im in four strided adds;
+mlp, a chain of linear layers with a ReLU between each two (a linear
+layer, the feed-forward block, box and identity heads), which keeps only
+its layers' outputs; self_attention, a whole post-norm residual
+multi-head self-attention layer over each clip's queries; and
+context_attention, a whole projected attention layer in which each query
+attends only to its own context rows (aggregation and box-guided
+cross-attention). Each forward runs the numpy operations of the
 elementwise composition it replaces, in the same order, so its output bytes
 are those of the composition; it writes them in place into the
 temporaries it allocates rather than allocating one per operation.
@@ -423,16 +425,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _softmax(x: np.ndarray, nan_message: str, axis: int = -1) -> np.ndarray:
     """The max-shifted softmax of x over axis; a NaN in x raises
-    NumericError(nan_message). The row maximum is read at argmax, which
-    takes a row's first NaN as its maximum, so only the maxima need the NaN
-    test; a -0 maximum where max reads +0 gives the same exp(x - max)."""
+    NumericError(nan_message). x is a temporary of the caller's: the shift,
+    exp and division overwrite it, and it is returned. The row maximum is
+    read at argmax, which takes a row's first NaN as its maximum, so only
+    the maxima need the NaN test; a -0 maximum where max reads +0 gives the
+    same exp(x - max)."""
     m = np.take_along_axis(x, np.expand_dims(x.argmax(axis=axis), axis), axis=axis)
     if np.isnan(m).any():
         raise NumericError(nan_message)
-    e = np.subtract(x, m)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    x -= m
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def _softmax_adjoint(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -445,7 +449,7 @@ def _softmax_adjoint(g: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = _softmax(a.data, "softmax: NaN in input", axis)
+    out = _softmax(a.data.copy(), "softmax: NaN in input", axis)
     return _record("softmax", (a,), out, lambda g: (_softmax_adjoint(g, out, axis),))
 
 
@@ -536,7 +540,7 @@ def self_attention(x: Tensor, p: MHAParams, ln: LayerNormParams, clips: int = 1)
     logits = qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
     logits *= scale
     attn = _softmax(logits, "self_attention: NaN in logits")
-    del q, v, logits              # not kept: freed before the value product
+    del q, v                      # not kept: freed before the value product
     ctx = merge(attn @ vh)
     summed = ctx @ wo
     summed += p.out.b.data
@@ -669,28 +673,41 @@ def conv_relu(x: Tensor, p: LinearParams) -> Tensor:
     """relu of the 3x3, stride-2 convolution of a [B, H, W, C] map zero
     padded by one pixel -> [B, ceil(H/2), ceil(W/2), cout], as one record:
     the im2col patches [B, OH, OW, 9C], taps in (row, column, channel)
-    order as p.w's rows, then _affine with its ReLU. The record keeps the
-    patches and its output; the adjoint's mask is out > 0."""
+    order as p.w's rows, then _affine with its ReLU. A patch row is three
+    runs of 3C contiguous floats of the padded map, one per kernel row, so
+    im2col is one strided copy of 3C-float chunks. The record keeps the
+    patches and its output. The adjoint's mask is out > 0; it computes the
+    weight and bias gradients first, and for a constant map (the pixels
+    into the first block) returns before the patches' gradient. col2im adds
+    the nine taps into a [B, OH+1, 2, OW+1, 2, C] (row pair, parity, column
+    pair, parity) view of the padded gradient in four adds, each cell's
+    contributions in (row, column) tap order."""
     b, h, w, c = x.shape
     if p.w.shape[0] != 9 * c:
         raise DimensionError(f"conv_relu: map {x.shape}, weight {p.w.shape}")
     oh, ow = (h + 1) // 2, (w + 1) // 2
     xp = np.zeros((b, h + 2, w + 2, c), dtype=x.data.dtype)      # np.pad's bytes
     xp[:, 1:h + 1, 1:w + 1] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::2, ::2]
-    patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b, oh, ow, 9 * c)
-    del xp, win                   # not kept: freed before the product
+    sb, sr, sc, _ = xp.strides
+    runs = np.ndarray((b, oh, ow, 3), dtype=np.dtype((np.void, 3 * c * xp.itemsize)),
+                      buffer=xp, strides=(sb, 2 * sr, 2 * sc, sr))   # [B, OH, OW, kernel row]
+    patches = runs.copy().view(xp.dtype).reshape(b, oh, ow, 9 * c)
+    del xp, runs                  # not kept: freed before the product
     out = _affine(patches, p, relu=True)
 
     def backward(g):
-        gpatch, gw, gb = _affine_adjoint(g * (out > 0), patches, p)
-        if not x.requires_grad:       # the pixels into block 0: no col2im
+        g = g * (out > 0)
+        rows = g.reshape(-1, p.w.shape[1])
+        gw, gb = patches.reshape(len(rows), 9 * c).T @ rows, _unbroadcast(g, p.b.shape)
+        if not x.requires_grad:       # the pixels into block 0: no patch gradient
             return None, gw, gb
-        gpatch = gpatch.reshape(b, oh, ow, 3, 3, c)
-        gx = np.zeros((b, h + 2, w + 2, c), dtype=x.data.dtype)
-        for i in range(3):
-            for j in range(3):
-                gx[:, i:i + 2 * oh:2, j:j + 2 * ow:2] += gpatch[:, :, :, i, j]
+        gpatch = (rows @ p.w.data.T).reshape(b, oh, ow, 3, 3, c)
+        gx = np.zeros((b, 2 * oh + 2, 2 * ow + 2, c), dtype=x.data.dtype)
+        pairs = gx.reshape(b, oh + 1, 2, ow + 1, 2, c)
+        pairs[:, :oh, :, :ow] += gpatch[:, :, :, :2, :2].transpose(0, 1, 3, 2, 4, 5)
+        pairs[:, :oh, :, 1:, 0] += gpatch[:, :, :, :2, 2].transpose(0, 1, 3, 2, 4)
+        pairs[:, 1:, 0, :ow] += gpatch[:, :, :, 2, :2]
+        pairs[:, 1:, 0, 1:, 0] += gpatch[:, :, :, 2, 2]
         return gx[:, 1:h + 1, 1:w + 1], gw, gb
 
     return _record("conv_relu", (x, p.w, p.b), out, backward)

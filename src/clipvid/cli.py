@@ -124,9 +124,20 @@ def build_parser() -> _Parser:
     return p
 
 
-def _make_parent(path: str) -> None:
-    """Create the directory a file of the run goes into, before the work."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+def _make_parents(outputs: dict[str, str | None]) -> None:
+    """Create the directories the run's files go into, {option: path} (a
+    None path is no file), before the work. Every parent is checked before
+    any is made: one whose nearest existing ancestor is not a directory is
+    refused, naming its option, and no directory is left behind."""
+    outputs = {option: path for option, path in outputs.items() if path}
+    parents = [os.path.dirname(os.path.abspath(path)) for path in outputs.values()]
+    for (option, path), ancestor in zip(outputs.items(), parents):
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise NotADirectoryError(f"{option} {path}: {ancestor} is not a directory")
+    for parent in parents:
+        os.makedirs(parent, exist_ok=True)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -231,8 +242,7 @@ def cmd_train(args) -> int:
     tr.check_dataset(dataset, cfg)       # before any file is made: a refused run leaves none
     log_path = args.log or (args.ckpt_out + ".log")
     use_ica = args.variant != "no_ica"
-    _make_parent(args.ckpt_out)
-    _make_parent(log_path)
+    _make_parents({"--ckpt-out": args.ckpt_out, "--log": log_path})
     with open(log_path, "w") as log:
         tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
     save_checkpoint(M.named_parameters(params), args.ckpt_out, precision=_precision())
@@ -252,9 +262,7 @@ def cmd_eval(args) -> int:
     cfg = dataclasses.replace(cfg, t_infer=args.frames or cfg.t_infer,
                               ica_topk=args.topk or cfg.ica_topk).validate()
     sv.check_classes(dataset, cfg.num_classes)
-    _make_parent(args.out)
-    if args.dump_matches:
-        _make_parent(args.dump_matches)
+    _make_parents({"--out": args.out, "--dump-matches": args.dump_matches})
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"
     all_dets, selections = [], []

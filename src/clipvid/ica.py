@@ -72,10 +72,10 @@ def identity_match(idents: np.ndarray, topk: np.ndarray,
     cand = np.sort(topk, axis=1).reshape(clips, T, k)
     blocks = np.take_along_axis(idents.reshape(clips, T, *idents.shape[1:]),
                                 cand[..., None], axis=2)                  # [B, T, k, d]
-    # Stacked [1, d] @ [d, 1] products: one vector dot per cell, so every dot
-    # is bit-identical to float(av @ row) (a gemm over the same rows is not).
-    av = idents[af, aj].reshape(clips, T * k, 1, 1, 1, -1)
-    dots = (av @ blocks[:, None, ..., None])[..., 0, 0].reshape(-1, T, k)  # [A, T, k]
+    # One vector dot per cell, so every dot is bit-identical to
+    # float(av @ row) (a gemm over the same rows is not).
+    av = idents[af, aj].reshape(clips, T * k, 1, 1, -1)
+    dots = np.vecdot(av, blocks[:, None]).reshape(-1, T, k)                # [A, T, k]
     own = np.arange(T)[None, :] == (af % T)[:, None]    # an anchor's own frame is not compared
     if not (np.isfinite(dots).all(axis=-1) | own).all():
         bad = np.flatnonzero(~np.isfinite(idents).all(axis=(1, 2))).tolist()

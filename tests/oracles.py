@@ -8,7 +8,9 @@ elementwise primitives, and conv_relu (a taped im2col, extract_patches,
 then linear_relu), mlp, residual_norm, self_attention and the region
 features of geometry.roi_sample_frame from the records they fuse, so the
 taped chain rule checks the fused primitives' adjoints; the region features
-sample the scalar grid of one box at a time. loop_conv_relu is conv_relu as
+sample the scalar grid of one box at a time. extract_patches keeps the
+transposed window copy and nine strided col2im adds that conv_relu's chunk
+copy and four adds must match byte for byte. loop_conv_relu is conv_relu as
 a direct convolution, one tap at a time.
 composed_context_attention is that chain for the reassociated
 context_attention record, its logits one matmul_transposed record that reads

@@ -102,7 +102,7 @@ def test_softmax_gives_the_max_shifted_formula_s_bytes_at_extremes(bits, axis):
                      [-inf, -0.0, -inf, -5.0], [0.3, -1.2, 2.5, 2.5]])
     with ad.precision(bits), np.errstate(invalid="ignore"):
         x = ad.tensor(np.stack([rows, rows[::-1]], axis=1 if axis == 1 else 0)).data
-        got = ad._softmax(x, "unused", axis=axis)
+        got = ad._softmax(x.copy(), "unused", axis=axis)
         want = max_shifted_softmax(x, axis=axis)
     assert got.dtype == want.dtype == np.dtype(f"float{bits}")
     assert got.tobytes() == want.tobytes()
@@ -118,6 +118,16 @@ def test_softmax_raises_on_a_nan_anywhere_in_a_row(row):
         ad.softmax(ad.tensor(x))
     with pytest.raises(NumericError, match="^self_attention: NaN in logits$"):
         ad._softmax(x.T, "self_attention: NaN in logits", axis=0)
+
+
+def test_softmax_record_leaves_its_input_unchanged(rng):
+    """_softmax overwrites its argument; the softmax record gives it a copy,
+    so the input tensor keeps its bytes."""
+    x = ad.param(rng.normal(size=(3, 5)))
+    before = x.data.copy()
+    out = ad.softmax(x)
+    assert x.data.tobytes() == before.tobytes()
+    assert out.data.tobytes() == max_shifted_softmax(before).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -777,6 +787,42 @@ def test_conv_relu_is_the_direct_convolution(shape):
     want = loop_conv_relu(x, w, b)
     assert got.shape == want.shape and want.any()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("shape", [(2, 8, 6, 3), (1, 7, 5, 2), (2, 9, 9, 4), (3, 1, 1, 2),
+                                   (2, 1, 6, 3), (2, 6, 1, 3)],
+                         ids=["even", "odd", "odd_square", "one_pixel", "one_row",
+                              "one_column"])
+@pytest.mark.parametrize("constant", [False, True], ids=["param_map", "constant_map"])
+def test_conv_relu_bytes_equal_the_transposed_im2col_and_nine_add_col2im(bits, shape,
+                                                                          constant):
+    """conv_relu's chunk-copy im2col, four-add col2im and weight and bias
+    gradients give the bytes of extract_patches' transposed window copy and
+    nine adds under linear_relu's records: output, map, weight and bias
+    gradients, in 32 and 64 bits, on even, odd, 1x1, 1xn and nx1 maps; a
+    constant map gets no gradient."""
+    rng = np.random.default_rng(6)
+    with ad.precision(bits):
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=not constant)
+        w, b = ad.param(rng.normal(size=(9 * shape[-1], 5))), ad.param(rng.normal(size=5))
+        seed = ad.tensor(rng.normal(size=(shape[0], (shape[1] + 1) // 2,
+                                          (shape[2] + 1) // 2, 5))).data
+        outs, grads = [], []
+        for form in (ad.conv_relu, composed_conv_relu):
+            x.grad = w.grad = b.grad = None
+            with ad.ComputationTape() as tape:
+                out = form(x, ad.LinearParams(w, b))
+            tape.backward(out, seed=seed)
+            outs.append(out.data)
+            grads.append([x.grad, w.grad, b.grad])
+    assert outs[0].dtype == outs[1].dtype == np.dtype(f"float{bits}")
+    assert outs[0].tobytes() == outs[1].tobytes() and outs[0].any()
+    assert (grads[0][0] is None) == (grads[1][0] is None) == constant
+    for got, want in zip(grads[0], grads[1]):
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and want.any()
 
 
 def _fused_inputs(seed, shapes):

@@ -667,6 +667,24 @@ def test_train_makes_the_directory_of_its_log(dataset, micro_cfg_path, monkeypat
     assert sorted(os.listdir("new")) == ["x.ckpt", "x.ckpt.config.txt", "x.ckpt.run.txt"]
 
 
+@pytest.mark.parametrize("command, option", [("train", "--log"), ("eval", "--dump-matches")])
+def test_an_output_under_a_file_is_refused_before_any_directory_is_made(
+        dataset, micro_cfg_path, trained_ckpt, monkeypatch, tmp_path, capsys, command, option):
+    """Every output's parent is checked before any is made: an output under
+    a regular file is refused as an I/O error that names its option, and
+    the other output's new directory is not made."""
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    argv = {"train": ("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+                      "--iters", "1", "--ckpt-out", "new/x.ckpt", "--log", "file/x.log"),
+            "eval": ("eval", "--data", dataset, "--ckpt", trained_ckpt, "--out", "new/r",
+                     "--dump-matches", "file/m.txt")}[command]
+    assert run(*argv) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {option} file/") and "not a directory" in err
+    assert os.listdir(tmp_path) == ["file"]
+
+
 def test_usage_error_exit_code():
     assert run("train", "--data") == cli.EXIT_USAGE
     assert run("nonsense") == cli.EXIT_USAGE
