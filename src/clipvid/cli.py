@@ -1,5 +1,5 @@
-"""Command-line entry point: dataset generation, two-stage training,
-evaluation, and gradient checking.
+"""Command-line entry point: dataset generation, training with or without
+the ICA layers, evaluation, and gradient checking.
 
 Exit codes:
   0  ok
@@ -95,19 +95,21 @@ def build_parser() -> _Parser:
     g.add_argument("--occluder-prob", type=float, default=0.35)
     g.add_argument("--blur-scale", type=float, default=0.45)
 
-    t = sub.add_parser("train", help="train a detector stage")
+    t = sub.add_parser("train", help="train a detector, with or without the ICA layers")
     t.add_argument("--data", required=True)
-    t.add_argument("--stage", type=int, choices=(1, 2), required=True)
-    t.add_argument("--variant", choices=TRAIN_VARIANTS, default="full")
+    t.add_argument("--variant", choices=TRAIN_VARIANTS, required=True,
+                   help="full trains the ICA layers with the detector; no_ica runs "
+                   "without them and leaves their weights as they start")
     t.add_argument("--config", help="model config file (default: the --ckpt-in "
                    "checkpoint's sidecar config, else desk scale)")
-    t.add_argument("--ckpt-in")
+    t.add_argument("--ckpt-in", help="checkpoint the weights start from "
+                   "(default: initialised from --seed)")
     t.add_argument("--ckpt-out", required=True)
     t.add_argument("--seed", type=_int_at_least(0), default=0)
-    t.add_argument("--iters", type=_int_at_least(0))
-    t.add_argument("--lr", type=float)
-    t.add_argument("--lr-drop", type=_int_at_least(0))
-    t.add_argument("--batch", type=_int_at_least(1), default=2)
+    t.add_argument("--iters", type=_int_at_least(0), default=tr.TrainSettings.iters)
+    t.add_argument("--lr", type=float, default=tr.TrainSettings.lr)
+    t.add_argument("--lr-drop", type=_int_at_least(0), default=tr.TrainSettings.lr_drop_at)
+    t.add_argument("--batch", type=_int_at_least(1), default=tr.TrainSettings.batch)
     t.add_argument("--log", help="loss log path (default: <ckpt-out>.log)")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -212,15 +214,10 @@ def _load_params(ckpt_path: str, cfg: ModelConfig | None = None
     return cfg, params
 
 
-STAGE_DEFAULTS = {1: (2000, 1e-3, 1500), 2: (600, 1e-4, 400)}
-
-
 def cmd_train(args) -> int:
-    if args.stage == 2 and not args.ckpt_in:
-        raise ConfigError("--stage 2 requires --ckpt-in")
-    if args.lr is not None and not abs(args.lr) <= float(np.finfo(ad.get_dtype()).max):
+    if not abs(args.lr) <= float(np.finfo(ad.get_dtype()).max):
         raise ConfigError(f"--lr must be finite in {_precision()}-bit floats, got {args.lr}")
-    if args.lr is not None and not args.lr > 0:
+    if not args.lr > 0:
         raise ConfigError(f"--lr must be positive, got {args.lr}")
     dataset = _read_dataset(args.data)
 
@@ -232,27 +229,22 @@ def cmd_train(args) -> int:
         cfg = cfg or ModelConfig()
         params = M.init_model(cfg, np.random.default_rng(seeds[0]))
 
-    d_iters, d_lr, d_drop = STAGE_DEFAULTS[args.stage]
-    settings = tr.TrainSettings(
-        iters=args.iters if args.iters is not None else d_iters,
-        lr=args.lr if args.lr is not None else d_lr,
-        lr_drop_at=args.lr_drop if args.lr_drop is not None else d_drop,
-        batch=args.batch, seed=int(seeds[1].generate_state(1)[0]))
+    settings = tr.TrainSettings(iters=args.iters, lr=args.lr, lr_drop_at=args.lr_drop,
+                                batch=args.batch, seed=int(seeds[1].generate_state(1)[0]))
 
     tr.check_dataset(dataset, cfg)       # before any file is made: a refused run leaves none
     log_path = args.log or (args.ckpt_out + ".log")
-    use_ica = args.variant != "no_ica"
     _make_parents({"--ckpt-out": args.ckpt_out, "--log": log_path})
-    with open(log_path, "w") as log:
-        tr.train(dataset, cfg, params, args.stage, use_ica, settings, log=log)
+    with open(log_path, "w") as log:      # stage 2 trains ICA exactly when use_ica is set
+        tr.train(dataset, cfg, params, 2, args.variant == "full", settings, log=log)
     save_checkpoint(M.named_parameters(params), args.ckpt_out, precision=_precision())
     M.save_config(cfg, args.ckpt_out + ".config.txt")
     _snapshot(args.ckpt_out + ".run.txt", {
-        "command": "train", "stage": args.stage, "variant": args.variant,
+        "command": "train", "variant": args.variant,
         "seed": args.seed, "iters": settings.iters, "lr": settings.lr,
         "lr_drop_at": settings.lr_drop_at, "batch": settings.batch,
         "data": args.data, "ckpt_in": args.ckpt_in or "", "precision": _precision()})
-    print(f"stage {args.stage} done: {settings.iters} iters -> {args.ckpt_out}")
+    print(f"train {args.variant} done: {settings.iters} iters -> {args.ckpt_out}")
     return EXIT_OK
 
 
@@ -261,7 +253,8 @@ def cmd_eval(args) -> int:
     cfg, params = _load_params(args.ckpt)
     cfg = dataclasses.replace(cfg, t_infer=args.frames or cfg.t_infer,
                               ica_topk=args.topk or cfg.ica_topk).validate()
-    sv.check_classes(dataset, cfg.num_classes)
+    # Before any directory is made; oracle aggregation gives each ground truth a query.
+    tr.check_dataset(dataset, cfg, capacity=args.variant == "oracle_ica")
     _make_parents({"--out": args.out, "--dump-matches": args.dump_matches})
 
     mode = "oracle_ica" if args.variant == "oracle_ica" else "infer"

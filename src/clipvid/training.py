@@ -1,16 +1,16 @@
-"""Two-stage training: clip loss assembly, decoupled-weight-decay adaptive
-moments optimizer, and the seeded training loop.
+"""Training: clip loss assembly, decoupled-weight-decay adaptive moments
+optimizer, and the seeded training loop.
 
-Stage 1 trains everything except the aggregation machinery with aggregation
-disabled; stage 2 fine-tunes the whole model with it enabled, or trains as
-stage 1 does without it. Each iteration stacks its batch's clips into one
-forward pass, one loss and one tape backward (clips of different sampled
-lengths or frame sizes go into one stack per frame shape). The loss is one
-set loss over every layer's frames of the stack, each clip normalized by
-its own object count, plus the pair-normalized contrastive identity loss
-of each layer feeding an aggregation layer, each clip normalized by its
-own pair count; the gradients of the clips' summed losses are scaled by
-one over the batch size.
+A run trains the whole model with the aggregation layers on, or everything
+but the aggregation machinery with aggregation disabled, from initialised
+weights or a checkpoint's. Each iteration stacks its batch's clips into
+one forward pass, one loss and one tape backward (clips of different
+sampled lengths or frame sizes go into one stack per frame shape). The
+loss is one set loss over every layer's frames of the stack, each clip
+normalized by its own object count, plus the pair-normalized contrastive
+identity loss of each layer feeding an aggregation layer, each clip
+normalized by its own pair count; the gradients of the clips' summed
+losses are scaled by one over the batch size.
 
 train() owns one flat parameter vector and one flat gradient vector; each
 trainable tensor's .data and .grad are views of its slice. The gradient is
@@ -210,26 +210,32 @@ def _clip_gradients(grad: np.ndarray) -> float:
     return norm
 
 
-def check_dataset(dataset: list[ClipSample], cfg: M.ModelConfig) -> None:
-    """InputError for a class cfg's model lacks, CapacityError for a frame
-    with more ground truths than queries, ConfigError for a frame size it
-    cannot map (ModelConfig.check_frame)."""
+def check_dataset(dataset: list[ClipSample], cfg: M.ModelConfig, capacity: bool = True
+                  ) -> None:
+    """ConfigError for a frame size cfg's model cannot map
+    (ModelConfig.check_frame), InputError for a class it lacks and, if
+    capacity, CapacityError for a frame with more ground truths than
+    queries."""
     for h, w in dict.fromkeys(clip.frames.shape[1:3] for clip in dataset):
         cfg.check_frame(h, w)
     check_classes(dataset, cfg.num_classes)
-    check_capacity(dataset, cfg.num_queries)
+    if capacity:
+        check_capacity(dataset, cfg.num_queries)
 
 
 def train(dataset: list[ClipSample], cfg: M.ModelConfig, params: M.ModelParams,
           stage: int, use_ica: bool, settings: TrainSettings,
           log=None) -> list[str]:
-    """Seeded training loop; returns the per-iteration loss log lines.
+    """Seeded training loop; returns the per-iteration loss log lines. The
+    aggregation layers train only when use_ica is set and stage >= 2, so any
+    other call is a `clipvid train --variant no_ica` run; stage stays for
+    the benchmark's caller, whose stage-1 workload passes use_ica=True.
     Raises, before the first iteration, InputError for a ground-truth class
     the model lacks, CapacityError for a frame with more ground truths than
     queries and ConfigError for a frame size the backbone cannot map
-    (check_dataset); and NumericError for an iteration whose
-    loss or gradient norm is not finite, before its step, or for a step
-    that leaves a parameter non-finite."""
+    (check_dataset); and NumericError for an iteration whose loss or
+    gradient norm is not finite, before its step, or for a step that leaves
+    a parameter non-finite."""
     check_dataset(dataset, cfg)
     ica = use_ica and stage >= 2
     trainable = {k: p for k, p in M.named_parameters(params).items()

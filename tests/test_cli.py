@@ -9,6 +9,7 @@ import pytest
 
 from clipvid import cli, gradcheck_suite
 from clipvid import synthvid as sv
+from clipvid.checkpoint import load_checkpoint
 from oracles import corrupt_adjoint
 from test_checkpoint import MALFORMED
 
@@ -101,7 +102,7 @@ def micro_cfg_path(tmp_path_factory):
 
 def test_train_smoke_loss_decreases(dataset, micro_cfg_path, tmp_path):
     ckpt = tmp_path / "m.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1", "--variant", "no_ica",
+    assert run("train", "--data", dataset, "--variant", "no_ica",
                "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
                "--seed", "0", "--iters", "50") == 0
     lines = (tmp_path / "m.ckpt.log").read_text().splitlines()
@@ -120,7 +121,7 @@ def test_train_deterministic_logs(dataset, micro_cfg_path, tmp_path):
     logs = []
     for name in ("a", "b"):
         ckpt = tmp_path / f"{name}.ckpt"
-        assert run("train", "--data", dataset, "--stage", "1",
+        assert run("train", "--data", dataset, "--variant", "no_ica",
                    "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
                    "--seed", "9", "--iters", "8") == 0
         logs.append((tmp_path / f"{name}.ckpt.log").read_bytes())
@@ -128,20 +129,72 @@ def test_train_deterministic_logs(dataset, micro_cfg_path, tmp_path):
     assert filecmp.cmp(tmp_path / "a.ckpt", tmp_path / "b.ckpt", shallow=False)
 
 
-def test_train_stage2_requires_checkpoint(dataset, micro_cfg_path, tmp_path):
-    code = run("train", "--data", dataset, "--stage", "2",
-               "--config", micro_cfg_path,
-               "--ckpt-out", str(tmp_path / "x.ckpt"))
-    assert code == cli.EXIT_USAGE
+def trained_tensors(dataset, micro_cfg_path, ckpt, *argv):
+    """The tensors of a seed-2 micro-config train run to ckpt."""
+    assert run("train", "--data", dataset, "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
+               "--seed", "2", *argv) == 0
+    return load_checkpoint(str(ckpt))[0]
 
 
-def test_train_then_stage2_then_eval(dataset, micro_cfg_path, tmp_path):
+def changed(start, end, ica):
+    """The names of the ICA (ica=True) or other tensors whose bytes differ."""
+    return [k for k in start if cli.M.is_ica_param(k) == ica
+            and start[k].tobytes() != end[k].tobytes()]
+
+
+def test_train_full_trains_ica_from_initialisation(dataset, micro_cfg_path, tmp_path):
+    """--variant full without --ckpt-in trains the ICA layers from the
+    initialisation --seed draws: every ICA tensor leaves its initial value
+    (the --iters 0 checkpoint), and the contrastive loss is on."""
+    init = trained_tensors(dataset, micro_cfg_path, tmp_path / "init.ckpt",
+                           "--variant", "full", "--iters", "0")
+    full = trained_tensors(dataset, micro_cfg_path, tmp_path / "full.ckpt",
+                           "--variant", "full", "--iters", "6")
+    ica = [k for k in init if cli.M.is_ica_param(k)]
+    assert ica and changed(init, full, ica=True) == ica
+    log = (tmp_path / "full.ckpt.log").read_text().splitlines()
+    assert any(float(line.split(",")[5]) != 0.0 for line in log)
+
+
+@pytest.mark.parametrize("start", ["init", "ckpt_in"])
+def test_train_no_ica_leaves_every_ica_tensor_as_it_starts(dataset, micro_cfg_path, tmp_path,
+                                                           start):
+    """--variant no_ica trains the detector and leaves every ICA tensor
+    byte-equal to where it started: the initialisation --seed draws (the
+    --iters 0 checkpoint), or a --ckpt-in checkpoint trained with ICA."""
+    ckpt_in = tmp_path / "in.ckpt"
+    first = trained_tensors(dataset, micro_cfg_path, ckpt_in, "--variant", "full",
+                            "--iters", "0" if start == "init" else "3")
+    argv = ["--ckpt-in", str(ckpt_in)] if start == "ckpt_in" else []
+    end = trained_tensors(dataset, micro_cfg_path, tmp_path / "out.ckpt", "--variant", "no_ica",
+                          "--iters", "3", *argv)
+    assert changed(first, end, ica=True) == [] and changed(first, end, ica=False)
+    assert all(float(line.split(",")[5]) == 0.0
+               for line in (tmp_path / "out.ckpt.log").read_text().splitlines())
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: --variant"),
+    (("--stage", "1"), "the following arguments are required: --variant"),
+    (("--stage", "1", "--variant", "no_ica"), "unrecognized arguments: --stage 1"),
+], ids=["no_variant", "stage", "stage_and_variant"])
+def test_train_has_one_ica_switch(dataset, capsys, monkeypatch, tmp_path, argv, message):
+    """--variant is required and --stage is no option: a run without the
+    one or with the other is refused before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--data", dataset, "--ckpt-out", "x.ckpt", *argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+def test_train_then_finetune_with_ica_then_eval(dataset, micro_cfg_path, tmp_path):
     s1 = tmp_path / "s1.ckpt"
     s2 = tmp_path / "s2.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1",
+    assert run("train", "--data", dataset, "--variant", "no_ica",
                "--config", micro_cfg_path, "--ckpt-out", str(s1),
                "--seed", "0", "--iters", "10") == 0
-    assert run("train", "--data", dataset, "--stage", "2",
+    assert run("train", "--data", dataset, "--variant", "full",
                "--config", micro_cfg_path, "--ckpt-in", str(s1),
                "--ckpt-out", str(s2), "--seed", "0", "--iters", "6") == 0
     log = (tmp_path / "s2.ckpt.log").read_text().splitlines()
@@ -170,7 +223,7 @@ def test_train_then_stage2_then_eval(dataset, micro_cfg_path, tmp_path):
 
 def test_eval_deterministic(dataset, micro_cfg_path, tmp_path):
     ckpt = tmp_path / "d.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1",
+    assert run("train", "--data", dataset, "--variant", "no_ica",
                "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
                "--seed", "4", "--iters", "5") == 0
     for name in ("r1", "r2"):
@@ -182,7 +235,7 @@ def test_eval_deterministic(dataset, micro_cfg_path, tmp_path):
 
 def test_eval_config_mismatch_names_field(dataset, micro_cfg_path, tmp_path):
     ckpt = tmp_path / "mm.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1",
+    assert run("train", "--data", dataset, "--variant", "no_ica",
                "--config", micro_cfg_path, "--ckpt-out", str(ckpt),
                "--seed", "0", "--iters", "3") == 0
     sidecar = Path(str(ckpt) + ".config.txt")
@@ -195,7 +248,7 @@ def test_eval_config_mismatch_names_field(dataset, micro_cfg_path, tmp_path):
 def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MICRO_CFG.replace("dim=8", "dim=abc"))
-    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--config", str(cfg),
                "--ckpt-out", str(tmp_path / "x.ckpt"))
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -211,7 +264,7 @@ def test_train_bad_config_value_is_usage_error(dataset, tmp_path, capsys):
 def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, names):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(MICRO_CFG))
-    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--config", str(cfg),
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -226,7 +279,7 @@ def test_train_malformed_config_is_usage_error(dataset, tmp_path, capsys, edit, 
 def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys, field, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(re.sub(rf"^{field}=.*\n", "", MICRO_CFG, flags=re.M) + f"{field}={value}\n")
-    code = run("train", "--data", dataset, "--stage", "1", "--config", str(cfg),
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--config", str(cfg),
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -245,7 +298,7 @@ def with_class(src, dst, class_id):
 
 def test_train_class_out_of_range_is_input_error(dataset, micro_cfg_path, tmp_path, capsys):
     data = with_class(dataset, tmp_path / "ds", 7)
-    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+    code = run("train", "--data", data, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
@@ -273,7 +326,7 @@ def test_a_refused_train_run_leaves_no_file(dataset, micro_cfg_path, tmp_path, c
                    "--frame-size", "16") == 0
         config = []
     out = tmp_path / "out"
-    code = run("train", "--data", data, "--stage", "1", *config,
+    code = run("train", "--data", data, "--variant", "no_ica", *config,
                "--ckpt-out", str(out / "x.ckpt"), "--iters", "2")
     assert code == {"capacity": cli.EXIT_CAPACITY, "class": cli.EXIT_INPUT,
                     "frame_size": cli.EXIT_USAGE}[refusal]
@@ -282,6 +335,39 @@ def test_a_refused_train_run_leaves_no_file(dataset, micro_cfg_path, tmp_path, c
     if refusal == "frame_size":
         assert "feature map 2x2 not divisible by summary size 4" in err
     assert not out.exists() and not list(tmp_path.glob("**/x.ckpt*"))
+
+
+@pytest.mark.parametrize("refusal", ["frame_size", "capacity"])
+def test_a_refused_eval_run_leaves_no_directory(tmp_path, capsys, monkeypatch, refusal):
+    """eval refuses, before it makes the --out directory, 16-px frames, whose
+    2x2 feature map a desk-stride checkpoint's 4x4 summaries do not divide
+    (exit 1), and for oracle_ica a frame with more ground truths than the
+    checkpoint's 3 queries (exit 6), naming its clip; full and no_ica
+    evaluate those crowded frames."""
+    monkeypatch.chdir(tmp_path)
+    Path("q3.cfg").write_text("num_queries=3\nica_topk=3\n")
+    assert run("gen", "--out", "train", "--clips", "1", "--frames", "2", "--frame-size", "32",
+               "--max-objects", "3") == 0
+    assert run("train", "--data", "train", "--variant", "full", "--config", "q3.cfg",
+               "--ckpt-out", "k.ckpt", "--iters", "0") == 0
+    size, objects = ("16", "1") if refusal == "frame_size" else ("32", "4")
+    assert run("gen", "--out", "data", "--clips", "2", "--frames", "2", "--frame-size", size,
+               "--min-objects", objects, "--max-objects", objects) == 0
+    capsys.readouterr()
+    code = run("eval", "--data", "data", "--ckpt", "k.ckpt", "--variant", "oracle_ica",
+               "--out", "out/r")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not os.path.exists("out")
+    if refusal == "frame_size":
+        assert code == cli.EXIT_USAGE
+        assert "error: feature map 2x2 not divisible by summary size 4" in err
+    else:
+        assert code == cli.EXIT_CAPACITY
+        assert re.search(r"capacity error: clip \d+ frame \d+: 4 ground truths exceed 3 "
+                         r"prediction slots", err)
+        for variant in ("full", "no_ica"):
+            assert run("eval", "--data", "data", "--ckpt", "k.ckpt", "--variant", variant,
+                       "--out", f"{variant}/r") == cli.EXIT_OK
 
 
 def test_train_and_eval_on_a_dataset_of_two_frame_sizes(micro_cfg_path, tmp_path, monkeypatch):
@@ -299,7 +385,7 @@ def test_train_and_eval_on_a_dataset_of_two_frame_sizes(micro_cfg_path, tmp_path
 
     monkeypatch.setattr(cli.tr, "stack_clips", counting)
     ckpt = str(tmp_path / "m.ckpt")
-    assert run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+    assert run("train", "--data", data, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", ckpt, "--seed", "0", "--iters", "20") == 0
     assert len(stacks) == 20 and 2 in stacks
     assert run("eval", "--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "r")) == 0
@@ -337,7 +423,7 @@ def test_train_more_objects_than_queries_is_capacity_error(micro_cfg_path, tmp_p
     data = str(tmp_path / "crowd")
     assert run("gen", "--out", data, "--clips", "2", "--seed", "1", "--frames", "2",
                "--frame-size", "32", "--min-objects", "12", "--max-objects", "12") == 0
-    code = run("train", "--data", data, "--stage", "1", "--config", micro_cfg_path,
+    code = run("train", "--data", data, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1")
     assert code == cli.EXIT_CAPACITY
     err = capsys.readouterr().err
@@ -346,7 +432,7 @@ def test_train_more_objects_than_queries_is_capacity_error(micro_cfg_path, tmp_p
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_diverging_lr_is_numeric_error(dataset, micro_cfg_path, tmp_path, capsys):
-    code = run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "3", "--lr", "1e30")
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
@@ -358,7 +444,7 @@ def test_train_step_to_non_finite_parameters_writes_no_checkpoint(dataset, micro
                                                                    tmp_path, capsys):
     """A step that leaves a parameter inf or NaN stops the run at that
     iteration, before any checkpoint is written."""
-    code = run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1",
                "--lr", repr(float(np.finfo(np.float32).max)))
     assert code == cli.EXIT_NUMERIC
@@ -372,7 +458,7 @@ def test_lr_the_run_precision_cannot_hold_is_usage_error(dataset, micro_cfg_path
     """--lr 1e39 overflows float32: at the default precision it is refused
     before training and no checkpoint is written; in 64-bit it passes the
     check and reaches training."""
-    argv = ("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    argv = ("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
             "--ckpt-out", str(tmp_path / "x.ckpt"), "--iters", "1", "--lr", "1e39")
     assert run(*argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -385,14 +471,14 @@ def test_lr_the_run_precision_cannot_hold_is_usage_error(dataset, micro_cfg_path
 
 
 @pytest.mark.parametrize("argv", [
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--batch", "0"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--seed", "-1"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--iters", "-3"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "nan"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "inf"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "-1"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr", "0"),
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt", "--lr-drop", "-1"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--batch", "0"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--seed", "-1"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--iters", "-3"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--lr", "nan"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--lr", "inf"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--lr", "-1"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--lr", "0"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt", "--lr-drop", "-1"),
 ], ids=["batch_zero", "seed_negative", "iters_negative", "lr_nan", "lr_inf",
         "lr_negative", "lr_zero", "lr_drop_negative"])
 def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_path, argv):
@@ -406,7 +492,7 @@ def test_bad_argument_value_is_usage_error(dataset, capsys, monkeypatch, tmp_pat
 @pytest.fixture(scope="module")
 def trained_ckpt(dataset, micro_cfg_path, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("ckpt") / "k.ckpt"
-    assert run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    assert run("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", str(ckpt), "--iters", "1") == 0
     return str(ckpt)
 
@@ -436,7 +522,7 @@ def test_out_of_range_inference_knob_is_usage_error(dataset, trained_ckpt, capsy
 
 
 @pytest.mark.parametrize("argv", [
-    ("train", "--stage", "1", "--ckpt-out", "x.ckpt"),
+    ("train", "--variant", "no_ica", "--ckpt-out", "x.ckpt"),
     ("eval", "--ckpt", "CKPT", "--out", "r"),
     ("eval", "--ckpt", "CKPT", "--out", "out/r", "--dump-matches", "dumps/m.txt"),
 ], ids=["train", "eval", "eval_new_dirs"])
@@ -460,7 +546,7 @@ def test_run_snapshots_record_precision_and_topk(dataset, micro_cfg_path, traine
     """Every run snapshot records the float precision, and eval's the
     aggregation top-k it ran with: both change the outputs."""
     monkeypatch.setenv("CLIPVID_PRECISION", "64")
-    assert run("train", "--data", dataset, "--stage", "2", "--config", micro_cfg_path,
+    assert run("train", "--data", dataset, "--variant", "full", "--config", micro_cfg_path,
                "--ckpt-in", trained_ckpt, "--ckpt-out", str(tmp_path / "s2.ckpt"),
                "--iters", "1") == 0
     assert run("eval", "--data", dataset, "--ckpt", trained_ckpt, "--topk", "1",
@@ -479,24 +565,24 @@ def test_run_snapshots_record_precision_and_topk(dataset, micro_cfg_path, traine
     (lambda text: text.replace("heads=2", "heads=1"), cli.EXIT_USAGE),
     (lambda text: text + "score_thresh=0.3\n", cli.EXIT_OK),
 ], ids=["heads_differs", "score_thresh_differs"])
-def test_stage2_config_checked_against_checkpoint(dataset, trained_ckpt, tmp_path, capsys,
+def test_ckpt_in_config_checked_against_checkpoint(dataset, trained_ckpt, tmp_path, capsys,
                                                   edit, code):
     """The head count changes no tensor shape, so only the sidecar check
     sees it; the score threshold is a run setting and may differ."""
     cfg = tmp_path / "s2.cfg"
     cfg.write_text(edit(MICRO_CFG))
-    assert run("train", "--data", dataset, "--stage", "2", "--config", str(cfg),
+    assert run("train", "--data", dataset, "--variant", "full", "--config", str(cfg),
                "--ckpt-in", trained_ckpt, "--ckpt-out", str(tmp_path / "s2.ckpt"),
                "--iters", "1") == code
     if code:
         assert "'heads'" in capsys.readouterr().err
 
 
-def test_stage2_without_config_uses_the_checkpoint_sidecar(dataset, trained_ckpt, tmp_path):
-    """Without --config, stage 2 trains with the config the --ckpt-in
+def test_ckpt_in_without_config_uses_the_checkpoint_sidecar(dataset, trained_ckpt, tmp_path):
+    """Without --config, a run from --ckpt-in trains with the config the --ckpt-in
     checkpoint was built with (its sidecar), as eval does, not desk scale."""
     s2 = tmp_path / "s2.ckpt"
-    assert run("train", "--data", dataset, "--stage", "2", "--ckpt-in", trained_ckpt,
+    assert run("train", "--data", dataset, "--variant", "full", "--ckpt-in", trained_ckpt,
                "--ckpt-out", str(s2), "--iters", "1") == cli.EXIT_OK
     with open(trained_ckpt + ".config.txt") as fh:
         assert (tmp_path / "s2.ckpt.config.txt").read_text() == fh.read()
@@ -583,7 +669,7 @@ def test_non_utf8_tensor_name_is_io_error(dataset, tmp_path, capsys):
     ("eval", "--ckpt", "BAD", "--out", "r"),
     ("eval", "--ckpt", "BAD", "--out", "out/r", "--frames", "2", "--topk", "1",
      "--dump-matches", "dumps/m.txt"),
-    ("train", "--stage", "2", "--ckpt-in", "BAD", "--ckpt-out", "x.ckpt"),
+    ("train", "--variant", "full", "--ckpt-in", "BAD", "--ckpt-out", "x.ckpt"),
 ], ids=["eval", "eval_knobs", "train"])
 def test_malformed_checkpoint_is_io_error(dataset, capsys, monkeypatch, tmp_path, argv, case):
     """Each malformed checkpoint exits 2 naming the file, before anything is
@@ -630,7 +716,7 @@ def test_train_unreadable_or_unwritable_path_is_io_error(dataset, micro_cfg_path
                                                          ckpt_out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
-    code = run("train", "--data", dataset, "--stage", "1", "--iters", "1",
+    code = run("train", "--data", dataset, "--variant", "no_ica", "--iters", "1",
                "--config", config or micro_cfg_path, "--ckpt-out", ckpt_out)
     assert code == cli.EXIT_IO
     err = capsys.readouterr().err
@@ -661,7 +747,7 @@ def test_train_makes_the_directory_of_its_log(dataset, micro_cfg_path, monkeypat
     """train makes the directory of --log, as of --ckpt-out, before it
     trains."""
     monkeypatch.chdir(tmp_path)
-    assert run("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    assert run("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
                "--ckpt-out", "new/x.ckpt", "--log", "missing/x.log", "--iters", "1") == 0
     assert os.listdir("missing") == ["x.log"] and Path("missing/x.log").read_text()
     assert sorted(os.listdir("new")) == ["x.ckpt", "x.ckpt.config.txt", "x.ckpt.run.txt"]
@@ -675,7 +761,7 @@ def test_an_output_under_a_file_is_refused_before_any_directory_is_made(
     the other output's new directory is not made."""
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("")
-    argv = {"train": ("train", "--data", dataset, "--stage", "1", "--config", micro_cfg_path,
+    argv = {"train": ("train", "--data", dataset, "--variant", "no_ica", "--config", micro_cfg_path,
                       "--iters", "1", "--ckpt-out", "new/x.ckpt", "--log", "file/x.log"),
             "eval": ("eval", "--data", dataset, "--ckpt", trained_ckpt, "--out", "new/r",
                      "--dump-matches", "file/m.txt")}[command]

@@ -35,6 +35,26 @@ def test_same_seed_32bit_runs_are_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_a_stage_2_run_without_ica_is_the_stage_1_run():
+    """train(stage=2, use_ica=False), the call `clipvid train --variant
+    no_ica` makes, writes the loss lines and parameter bytes of the
+    benchmark's train(stage=1, use_ica=True) call: ICA off, no contrastive
+    loss."""
+    data = sv.generate_dataset(sv.GenConfig(num_classes=2, max_objects=2, frame_size=16, t=4),
+                               3, seed=0)
+    runs = []
+    with ad.precision(32):
+        for stage, use_ica in ((2, False), (1, True)):
+            cfg = micro_config()
+            params = M.init_model(cfg, np.random.default_rng(0))
+            lines = tr.train(data, cfg, params, stage=stage, use_ica=use_ica,
+                             settings=tr.TrainSettings(iters=4, lr=1e-3, lr_drop_at=2, seed=5))
+            runs.append((lines, {k: p.data.tobytes()
+                                 for k, p in M.named_parameters(params).items()}))
+    assert all(float(line.split(",")[5]) == 0.0 for line in runs[0][0])
+    assert runs[0] == runs[1]
+
+
 def test_infer_clip_unknown_mode_is_config_error():
     [clip] = sv.generate_dataset(sv.GenConfig(num_classes=2, max_objects=2, frame_size=16, t=2),
                                  1, seed=0)
